@@ -73,6 +73,8 @@ def _shared_lower_level(n: int) -> dict:
         h[0, 0] = 1.0
         return h
 
+    lag_jac = np.array([[[0.0, -1.0, 1.0]]])  # [L_y | L_u] at every point
+
     return {
         "eval_f": eval_f,
         "eval_g": eval_g,
@@ -84,6 +86,7 @@ def _shared_lower_level(n: int) -> dict:
         "hess_g_yy": lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
         "batch_g": lambda x, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
         "batch_lagrangian": lambda x, Y, U: (x[0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
+        "batch_lagrangian_jac": lambda x, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     }
 
 
@@ -171,6 +174,7 @@ def make_example1() -> tuple[BilevelProblem, AnalyticOracle]:
         y_box=np.array([[0.0, 1.0]]),
         name="example1",
         batch_F=lambda x, Y: Y[:, 0].copy(),
+        batch_grad_F=lambda x, Y: np.ones_like(Y),
         **shared,
     )
 
@@ -226,6 +230,7 @@ def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
         y_box=np.array([[0.0, 1.0]]),
         name="example2",
         batch_F=lambda x, Y: x[0] + Y[:, 0],
+        batch_grad_F=lambda x, Y: np.ones_like(Y),
         **shared,
     )
 
@@ -281,6 +286,7 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
     so the follower KKT set is a singleton for every x.
     """
     lin = np.array([0.3, 0.1])
+    lag_jac = np.hstack([np.eye(2), -np.eye(2)])[None]  # [L_y | L_u] at every point
 
     def c_of(x: Array) -> Array:
         return np.array([x[0], x[0] + x[1]])
@@ -305,6 +311,8 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
         batch_F=lambda x, Y: Y[:, 0] + Y[:, 1] + float(lin @ x),
         batch_g=lambda x, Y: -Y,
         batch_lagrangian=lambda x, Y, U: Y + c_of(x)[None, :] - U,
+        batch_grad_F=lambda x, Y: np.ones_like(Y),
+        batch_lagrangian_jac=lambda x, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     )
 
     grid = oracle_grid(problem, res=25)

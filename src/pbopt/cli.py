@@ -80,7 +80,7 @@ class RunConfig:
     starts: int = 32
     sweeps: int = 5
     u_max: float = 10.0
-    workers: int = 0
+    workers: int = 0  # accepted for old configs; has no effect
     trace: Optional[str] = None
     summary: Optional[str] = None
     check: Optional[str] = None
@@ -106,27 +106,16 @@ def _load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _workers(cfg_workers: int) -> int:
+def _inner_config(cfg: RunConfig) -> InnerConfig:
+    # PESSIM_THREADS, like --workers, no longer selects anything: all starts
+    # run in one batch.  A malformed value is still a usage error.
     env = os.environ.get("PESSIM_THREADS")
-    w = cfg_workers
     if env is not None:
         try:
-            w = int(env)
+            int(env)
         except ValueError:
             raise UsageError(f"PESSIM_THREADS must be an integer, got {env!r}") from None
-    if w == 0:
-        return min(4, os.cpu_count() or 1)
-    return max(1, w)
-
-
-def _inner_config(cfg: RunConfig) -> InnerConfig:
-    return InnerConfig(
-        starts=cfg.starts,
-        sweeps=cfg.sweeps,
-        u_max=cfg.u_max,
-        seed=cfg.seed,
-        workers=_workers(cfg.workers),
-    )
+    return InnerConfig(starts=cfg.starts, sweeps=cfg.sweeps, u_max=cfg.u_max, seed=cfg.seed)
 
 
 def _require_problem(cfg_problem: Optional[str]):
@@ -398,7 +387,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--starts", type=int, default=None)
         p.add_argument("--sweeps", type=int, default=None)
         p.add_argument("--u-max", dest="u_max", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; no effect")
 
     p_solve = sub.add_parser("solve", help="run the relaxation homotopy")
     add_common(p_solve)
@@ -453,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required (solve, eval, check, diagnose, gradcheck)")
         return _COMMANDS[args.command](args)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:  # ValueError: inputs refused by the library
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

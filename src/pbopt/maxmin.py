@@ -5,19 +5,22 @@ For fixed leader point x and relaxation level t >= 0 this evaluates
     psi(x, t) = max { F(x, y) : (y, u) in the level-t follower KKT set }
 
 by multistart penalised ascent plus a Gauss-Newton feasibility polish, and
-approximates the set of near-maximisers.  A brute-force grid maximiser is
-provided as an independent oracle for low-dimensional problems.
+approximates the set of near-maximisers.  The starts advance in lockstep,
+so every ascent or polish step evaluates the problem once for the batch.
+A brute-force grid maximiser is provided as an independent oracle for
+low-dimensional problems.
 """
 from __future__ import annotations
 
-import concurrent.futures
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
+from scipy.optimize._lbfgsb import setulb
 
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad, lagrangian_jacobians
+from .problem_model import Array, BilevelProblem, DimensionError
 
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
@@ -91,7 +94,11 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
 
 @dataclass
 class InnerConfig:
-    """Tuning knobs for the multistart inner maximiser."""
+    """Tuning knobs for the multistart inner maximiser.
+
+    ``starts`` random starts run alongside the ``warm_starts``; together they
+    must give at least one start.
+    """
 
     starts: int = 32
     sweeps: int = 5
@@ -101,11 +108,23 @@ class InnerConfig:
     eps_lvl: float = EPS_LVL_DEFAULT
     feas_tol: float = 1e-8
     seed: int = 0
-    workers: int = 1
     local_maxiter: int = 120
     polish_maxiter: int = 60
     y_box: Optional[Array] = None
     warm_starts: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.starts < 0:
+            raise ValueError(f"starts must be nonnegative, got {self.starts}")
+        if self.starts + len(self.warm_starts) < 1:
+            raise ValueError("the inner solver needs at least one random or warm start")
+        for name in ("sweeps", "local_maxiter", "polish_maxiter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("u_max", "feas_tol", "eps_lvl"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val}")
 
 
 @dataclass
@@ -116,7 +135,8 @@ class InnerSolveResult:
     evals: int
 
 
-def _boxes(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
+def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
+    """Lower and upper bounds of the stacked (y, u) block searched by the inner solver."""
     m, q = problem.dims.m, problem.dims.q
     if cfg.y_box is not None:
         yb = np.asarray(cfg.y_box, dtype=float).reshape(m, 2)
@@ -125,140 +145,229 @@ def _boxes(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
     else:
         yb = np.tile([-10.0, 10.0], (m, 1))
     ub = np.tile([0.0, cfg.u_max], (q, 1)) if q else np.zeros((0, 2))
-    return yb, ub
+    if not (np.isfinite(yb).all() and (yb[:, 0] <= yb[:, 1]).all()):
+        raise ValueError(f"follower box must be finite with lower <= upper, got {yb.tolist()}")
+    return np.concatenate([yb[:, 0], ub[:, 0]]), np.concatenate([yb[:, 1], ub[:, 1]])
 
 
-def _violation_parts(problem: BilevelProblem, x: Array, z: Array, t: float):
+def _residuals(problem: BilevelProblem, x: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
+    """Per row of Z: U, g and the violations v = [L | g+ | u- | w+], w = -U*g - t.
+
+    Rows of v with a non-finite entry become inf.
+    """
+    m = problem.dims.m
+    Y, U = Z[:, :m], Z[:, m:]
+    g = problem.g_rows(x, Y)
+    w = -U * g - t
+    v = np.concatenate([problem.lagrangian_rows(x, Y, U), g, -U, w], axis=1)
+    np.maximum(v[:, m:], 0.0, out=v[:, m:])
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        v[bad] = np.inf
+    return U, g, v
+
+
+def _residual_jacobian(problem: BilevelProblem, x: Array, Z: Array, U: Array, g: Array, v: Array) -> Array:
+    """Jacobian of each row of v in (y, u), shape (N, m + 3q, m + q).
+
+    Rows of inactive constraints (zero entries of v) are zero, so they do
+    not enter the Gauss-Newton least squares.
+    """
     m, q = problem.dims.m, problem.dims.q
-    y, u = z[:m], z[m:]
-    pt = TriplePoint(x, y, u)
-    L = lagrangian_grad(problem, pt)
-    g = np.asarray(problem.eval_g(x, y), dtype=float) if q else np.zeros(0)
-    w = -u * g - t
-    return y, u, L, g, w
+    eye = np.eye(q)
+    J = np.zeros((Z.shape[0], m + 3 * q, m + q))
+    J[:, :m] = problem.lagrangian_jac_rows(x, Z[:, :m], U)
+    Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
+    J[:, m : m + q, :m] = Jgy
+    J[:, m + q : m + 2 * q, m:] = -eye
+    J[:, m + 2 * q :, :m] = -U[:, :, None] * Jgy
+    J[:, m + 2 * q :, m:] = -g[:, :, None] * eye
+    J[:, m:] *= (v[:, m:] > 0.0)[:, :, None]
+    return J
 
 
-def max_violation(problem: BilevelProblem, x: Array, z: Array, t: float) -> float:
-    _, u, L, g, w = _violation_parts(problem, x, z, t)
-    vals = np.concatenate([np.abs(L), np.maximum(0.0, g), np.maximum(0.0, -u), np.maximum(0.0, w)])
-    if not np.all(np.isfinite(vals)):
-        return np.inf
-    return float(np.max(vals, initial=0.0))
+def _penalty_batch(problem: BilevelProblem, x: Array, Z: Array, t: float, rho: float) -> tuple[Array, Array]:
+    """Penalised negative leader objective and its gradient at every row of Z.
 
-
-def _penalty_val_grad(problem: BilevelProblem, x: Array, z: Array, t: float, rho: float):
+    -F + rho * (|L|^2 + |g+|^2 + |u-|^2 + |w+|^2); rows where it is not
+    finite get the value 1e30 and a zero gradient.  The gradient is
+    -grad F + 2 rho J^T v with J the residual Jacobian, written out
+    block by block because the penalty is the hot path.
+    """
     m, q = problem.dims.m, problem.dims.q
-    y, u, L, g, w = _violation_parts(problem, x, z, t)
-    F = problem.eval_F(x, y)
-    gp = np.maximum(0.0, g)
-    un = np.maximum(0.0, -u)
-    wp = np.maximum(0.0, w)
-    val = -F + rho * (L @ L + gp @ gp + un @ un + wp @ wp)
-    if not np.isfinite(val):
-        return 1e30, np.zeros(m + q)
-    gFy = problem.grad_F(x, y)[1]
-    _, Ly, Lu = lagrangian_jacobians(problem, TriplePoint(x, y, u))
-    grad_y = -gFy + rho * 2.0 * (L @ Ly)
-    grad_u = rho * 2.0 * (L @ Lu) if q else np.zeros(0)
-    if q:
-        Jgy = problem.jac_g(x, y)[1]
-        grad_y = grad_y + rho * 2.0 * (gp @ Jgy)
-        grad_y = grad_y + rho * 2.0 * ((wp * (-u)) @ Jgy)
-        grad_u = grad_u + rho * 2.0 * (-un)
-        grad_u = grad_u + rho * 2.0 * (wp * (-g))
-    return float(val), np.concatenate([grad_y, grad_u])
+    Y = Z[:, :m]
+    U, g, v = _residuals(problem, x, Z, t)
+    val = rho * (v * v).sum(axis=1) - problem.F_rows(x, Y)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        val[bad] = 1e30
+        v[bad] = 0.0
+    L, gp, un, wp = v[:, :m], v[:, m : m + q], v[:, m + q : m + 2 * q], v[:, m + 2 * q :]
+    J = problem.lagrangian_jac_rows(x, Y, U)  # [L_y | L_u], L_u = J_gy^T
+    r2 = 2.0 * rho
+    grad = r2 * (L[:, :, None] * J).sum(axis=1)
+    grad[:, :m] += r2 * (J[:, :, m:] * (gp - wp * U)[:, None, :]).sum(axis=2) - problem.grad_F_rows(x, Y)
+    grad[:, m:] -= r2 * (un + wp * g)
+    grad[bad] = 0.0
+    return val, grad
 
 
-def _polish(problem: BilevelProblem, x: Array, z: Array, t: float, cfg: InnerConfig, lo: Array, hi: Array):
-    """Drive constraint violations below feas_tol via active-set Gauss-Newton."""
+# L-BFGS-B settings of the penalised ascent: scipy's defaults except ftol and gtol.
+_LBFGSB_MAXCOR = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
+_LBFGSB_FTOL = 1e-14
+_LBFGSB_GTOL = 1e-12
+
+
+def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
+    """Bounded L-BFGS-B on every row of Z0 at once, one batched evaluation per step.
+
+    Row i follows exactly the path of ``scipy.optimize.minimize(f_i, Z0[i],
+    jac=True, method="L-BFGS-B", bounds=zip(lo, hi), options={"maxiter":
+    maxiter, "ftol": 1e-14, "gtol": 1e-12})``: the same start clipped into
+    the finite box, the same ``setulb`` core and workspace, and the same rule
+    that a point equal to the last evaluated one reuses its (f, g).
+    ``fun_batch(Z) -> (f, G)`` evaluates the rows of Z that need it.
+
+    Returns the final points and per-row evaluation and iteration counts.
+    """
+    X = np.clip(np.array(Z0, dtype=np.float64), lo, hi)
+    N, n = X.shape
+    mc, maxls, gtol = _LBFGSB_MAXCOR, _LBFGSB_MAXLS, _LBFGSB_GTOL
+    factr = _LBFGSB_FTOL / np.finfo(float).eps
+    lower, upper = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    nbd = np.full(n, 2, np.int32)  # both bounds active
+
+    # The minimize wrapper evaluates once at the clipped start before stepping;
+    # setulb reads f and g only once it has asked for them.
+    fv, gv = fun_batch(X.copy())
+    f = np.asarray(fv, dtype=np.float64).tolist()
+    g = np.array(gv, dtype=np.float64)
+    last = X.tolist()  # point of each row's latest (f, g)
+    wa = np.zeros((N, 2 * mc * n + 5 * n + 11 * mc * mc + 8 * mc))
+    iwa = np.zeros((N, 3 * n), np.int32)
+    task = np.zeros((N, 2), np.int32)
+    ln_task = np.zeros((N, 2), np.int32)
+    lsave = np.zeros((N, 4), np.int32)
+    isave = np.zeros((N, 44), np.int32)
+    dsave = np.zeros((N, 29))
+    nfev = [1] * N
+    nit = [0] * N
+    rows = [(X[i], g[i], wa[i], iwa[i], task[i], lsave[i], isave[i], dsave[i], ln_task[i]) for i in range(N)]
+
+    active = list(range(N))
+    while active:
+        wanted = []
+        for i in active:
+            x, gi, wai, iwai, ti, lsi, isi, dsi, lni = rows[i]
+            while True:
+                setulb(mc, x, lower, upper, nbd, f[i], gi, factr, gtol, wai, iwai, ti, lsi, isi, dsi, maxls, lni)
+                code = ti[0]
+                if code == 3:  # wants f and g at x; list == treats -0.0 as 0.0, like array_equal
+                    if x.tolist() != last[i]:
+                        wanted.append(i)
+                        break
+                elif code == 1:  # new iterate
+                    nit[i] += 1
+                    if nit[i] >= maxiter:
+                        ti[0], ti[1] = 5, 504
+                    elif nfev[i] > _LBFGSB_MAXFUN:
+                        ti[0], ti[1] = 5, 502
+                else:
+                    break
+        if wanted:
+            Xw = X[wanted]
+            fv, gv = fun_batch(Xw.copy())
+            g[wanted] = gv
+            for i, fi, xi in zip(wanted, np.asarray(fv, dtype=np.float64).tolist(), Xw.tolist()):
+                f[i] = fi
+                last[i] = xi
+                nfev[i] += 1
+        active = wanted
+    return X, np.array(nfev), np.array(nit)
+
+
+def _min_norm_lstsq(A: Array, b: Array) -> Array:
+    """Minimum-norm least-squares solutions of the stacked systems A x = b.
+
+    Singular values up to eps * max(rows, cols) times the largest count as
+    zero, as in ``numpy.linalg.lstsq`` with its default ``rcond``.
+    """
+    x = np.zeros(A.shape[::2])
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if ok.any():
+        u, s, vt = np.linalg.svd(A[ok], full_matrices=False)
+        keep = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+        coef = np.where(keep, (u * b[ok][:, :, None]).sum(axis=1) / np.where(keep, s, 1.0), 0.0)
+        x[ok] = (vt * coef[:, :, None]).sum(axis=1)
+    return x
+
+
+def polish_onto_relaxed_set(
+    problem: BilevelProblem, x: Array, Z: Array, t: float, cfg: InnerConfig
+) -> tuple[Array, Array, Array]:
+    """Drive every row of Z onto the level-t follower KKT set at x.
+
+    Active-set Gauss-Newton on the constraint violations inside the box of
+    :func:`follower_box`, stopping per row once its largest violation is at
+    most cfg.feas_tol, when a step no longer reduces the squared violation,
+    or after cfg.polish_maxiter iterations.
+
+    Returns the polished rows, their largest violations and their iteration
+    counts.
+    """
     m, q = problem.dims.m, problem.dims.q
-
-    def sumsq(zz: Array) -> float:
-        _, u, L, g, w = _violation_parts(problem, x, zz, t)
-        v = np.concatenate([L, np.maximum(0.0, g), np.maximum(0.0, -u), np.maximum(0.0, w)])
-        if not np.all(np.isfinite(v)):
-            return np.inf
-        return float(v @ v)
-
-    iters = 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = follower_box(problem, cfg)
+    Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
+    viol = np.full(Z.shape[0], np.inf)
+    iters = np.zeros(Z.shape[0], dtype=int)
+    todo = np.arange(Z.shape[0])
     for _ in range(cfg.polish_maxiter):
-        iters += 1
-        y, u, L, g, w = _violation_parts(problem, x, z, t)
-        viol = max_violation(problem, x, z, t)
-        if viol <= cfg.feas_tol:
-            return z, viol, iters
-        _, Ly, Lu = lagrangian_jacobians(problem, TriplePoint(x, y, u))
-        rows = [np.hstack([Ly, Lu])]
-        rhs = [L]
-        if q:
-            Jgy = problem.jac_g(x, y)[1]
-            for i in range(q):
-                if g[i] > 0.0:
-                    rows.append(np.hstack([Jgy[i], np.zeros(q)])[None, :])
-                    rhs.append(np.array([g[i]]))
-                if u[i] < 0.0:
-                    r = np.zeros(m + q)
-                    r[m + i] = -1.0
-                    rows.append(r[None, :])
-                    rhs.append(np.array([-u[i]]))
-                if w[i] > 0.0:
-                    r = np.zeros(m + q)
-                    r[:m] = -u[i] * Jgy[i]
-                    r[m + i] = -g[i]
-                    rows.append(r[None, :])
-                    rhs.append(np.array([w[i]]))
-        J = np.vstack(rows)
-        r = np.concatenate(rhs)
+        iters[todo] += 1
+        Zt = Z[todo]
+        U, g, v = _residuals(problem, x, Zt, t)
+        viol[todo] = np.abs(v).max(axis=1, initial=0.0)
+        keep = viol[todo] > cfg.feas_tol
+        todo, Zt, U, g, v = todo[keep], Zt[keep], U[keep], g[keep], v[keep]
+        if not todo.size:
+            break
+        J = _residual_jacobian(problem, x, Zt, U, g, v)
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
-        at_lo = z <= lo + 1e-12
-        at_hi = z >= hi - 1e-12
-        free = np.ones(m + q, dtype=bool)
-        dz = np.zeros(m + q)
-        for _ in range(m + q + 1):
-            dz[:] = 0.0
-            if free.any():
-                dz[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        at_lo = Zt <= lo + 1e-12
+        at_hi = Zt >= hi - 1e-12
+        free = np.ones(Zt.shape, dtype=bool)
+        dz = _min_norm_lstsq(J, -v)
+        for _ in range(m + q):
             pinned = free & ((at_lo & (dz < 0.0)) | (at_hi & (dz > 0.0)))
-            if not pinned.any():
+            redo = pinned.any(axis=1)
+            if not redo.any():
                 break
-            free &= ~pinned
-        base = sumsq(z)
+            free[redo] &= ~pinned[redo]
+            dz[redo] = _min_norm_lstsq(J[redo] * free[redo][:, None, :], -v[redo]) * free[redo]
+        base = (v * v).sum(axis=1)
+        accepted = np.zeros(todo.size, dtype=bool)
+        pending = np.arange(todo.size)
         step = 1.0
-        accepted = False
         for _ in range(10):
-            z_new = np.clip(z + step * dz, lo, hi)
-            if sumsq(z_new) < base - 1e-18:
-                z = z_new
-                accepted = True
+            cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
+            vc = _residuals(problem, x, cand, t)[2]
+            better = (vc * vc).sum(axis=1) < base[pending] - 1e-18
+            Zt[pending[better]] = cand[better]
+            accepted[pending[better]] = True
+            pending = pending[~better]
+            if not pending.size:
                 break
             step *= 0.5
-        if not accepted:
-            return z, viol, iters
-    return z, max_violation(problem, x, z, t), iters
-
-
-def _run_start(problem: BilevelProblem, x: Array, t: float, z0: Array, cfg: InnerConfig, lo: Array, hi: Array):
-    bounds = list(zip(lo, hi))
-    z = np.clip(z0, lo, hi)
-    nfev = 0
-    for s in range(cfg.sweeps):
-        rho = cfg.penalty_init * cfg.penalty_growth**s
-        res = minimize(
-            lambda zz: _penalty_val_grad(problem, x, zz, t, rho),
-            z,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": cfg.local_maxiter, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        z = res.x
-        nfev += int(res.nfev)
-    z, viol, polish_iters = _polish(problem, x, z, t, cfg, lo, hi)
-    nfev += polish_iters
-    m = problem.dims.m
-    fval = float(problem.eval_F(x, z[:m]))
-    return fval, z, viol, nfev
+        Z[todo] = Zt
+        todo = todo[accepted]
+        if not todo.size:
+            break
+    else:
+        viol[todo] = np.abs(_residuals(problem, x, Z[todo], t)[2]).max(axis=1, initial=0.0)
+    return Z, viol, iters
 
 
 def evaluate_psi_t(
@@ -272,44 +381,49 @@ def evaluate_psi_t(
     Multistart penalised local ascent with the penalty weight grown each
     sweep, then a feasibility polish; the reported value comes only from
     points feasible within cfg.feas_tol.  The argmax cloud collects every
-    polished maximiser within cfg.eps_lvl of the best value.
+    polished maximiser within cfg.eps_lvl of the best value.  All starts
+    advance together, so each penalty evaluation covers the whole batch.
     """
-    if t < 0:
-        raise ValueError("relaxation level t must be nonnegative")
     cfg = cfg or InnerConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (problem.dims.n,):
+        raise DimensionError(f"leader point has shape {x.shape}, expected ({problem.dims.n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"leader point must be finite, got {x}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
     m, q = problem.dims.m, problem.dims.q
-    yb, ub = _boxes(problem, cfg)
-    lo = np.concatenate([yb[:, 0], ub[:, 0] if q else np.zeros(0)])
-    hi = np.concatenate([yb[:, 1], ub[:, 1] if q else np.zeros(0)])
+    lo, hi = follower_box(problem, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     rand = rng.uniform(lo, hi, size=(cfg.starts, m + q))
-    starts = [np.clip(np.asarray(w, dtype=float), lo, hi) for w in cfg.warm_starts]
-    starts.extend(rand)
+    warm = np.asarray(cfg.warm_starts, dtype=float).reshape(-1, m + q)
+    Z = np.clip(np.vstack([warm, rand]), lo, hi)
 
-    if cfg.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            results = list(ex.map(lambda z0: _run_start(problem, x, t, z0, cfg, lo, hi), starts))
-    else:
-        results = [_run_start(problem, x, t, z0, cfg, lo, hi) for z0 in starts]
+    evals = np.zeros(Z.shape[0], dtype=int)
+    for s in range(cfg.sweeps):
+        rho = cfg.penalty_init * cfg.penalty_growth**s
+        Z, nfev, _ = _lockstep_lbfgsb(
+            lambda B: _penalty_batch(problem, x, B, t, rho), Z, lo, hi, cfg.local_maxiter
+        )
+        evals += nfev
+    Z, viol, polish_iters = polish_onto_relaxed_set(problem, x, Z, t, cfg)
+    evals += polish_iters
+    fval = problem.F_rows(x, Z[:, :m])
 
-    evals = sum(r[3] for r in results)
-    feas = [(f, z) for f, z, viol, _ in results if viol <= cfg.feas_tol]
-    if not feas:
-        near = any(viol <= NEAR_FEAS_BAND for _, _, viol, _ in results)
-        status = "budget_exhausted" if near else "infeasible"
+    feas = viol <= cfg.feas_tol
+    if not feas.any():
+        status = "budget_exhausted" if (viol <= NEAR_FEAS_BAND).any() else "infeasible"
         return InnerSolveResult(
             value=float("nan"),
             argmax=SampledSet(np.zeros((0, m + q)), meta={"seed": cfg.seed}),
             status=status,
-            evals=evals,
+            evals=int(evals.sum()),
         )
-    value = max(f for f, _ in feas)
-    close = np.array([z for f, z in feas if f >= value - cfg.eps_lvl])
-    pts = dedup_points(close, DEDUP_TOL)
+    value = float(fval[feas].max())
+    pts = dedup_points(Z[feas & (fval >= value - cfg.eps_lvl)], DEDUP_TOL)
     meta = {"kind": "multistart", "seed": cfg.seed, "starts": cfg.starts, "t": float(t)}
-    return InnerSolveResult(value=float(value), argmax=SampledSet(pts, meta), status="solved", evals=evals)
+    return InnerSolveResult(value=value, argmax=SampledSet(pts, meta), status="solved", evals=int(evals.sum()))
 
 
 def approximate_argmax_set(
@@ -333,34 +447,17 @@ def batch_feasibility(
     tau: float,
 ) -> Array:
     """Boolean mask of grid points within tolerance tau of level-t membership."""
-    m, q = problem.dims.m, problem.dims.q
+    # Grids run to millions of rows, so no (N, m + 3q) residual block is built.
+    m = problem.dims.m
     Y, U = Z[:, :m], Z[:, m:]
-    if problem.batch_g is not None and problem.batch_lagrangian is not None:
-        g = problem.batch_g(x, Y)
-        L = problem.batch_lagrangian(x, Y, U)
-    else:
-        g = np.zeros((Z.shape[0], q))
-        L = np.zeros((Z.shape[0], m))
-        for i in range(Z.shape[0]):
-            pt = TriplePoint(x, Y[i], U[i])
-            L[i] = lagrangian_grad(problem, pt)
-            if q:
-                g[i] = problem.eval_g(x, Y[i])
-    ok = np.all(np.abs(L) <= tau, axis=1)
-    if q:
-        ok &= np.all(g <= tau, axis=1)
-        ok &= np.all(U >= -tau, axis=1)
-        ok &= np.all(-U * g - t <= tau, axis=1)
-    finite = np.isfinite(L).all(axis=1)
-    if q:
-        finite &= np.isfinite(g).all(axis=1)
-    return ok & finite
+    L = problem.lagrangian_rows(x, Y, U)
+    g = problem.g_rows(x, Y)
+    ok = (np.abs(L) <= tau).all(axis=1) & (g <= tau).all(axis=1) & (U >= -tau).all(axis=1) & (-U * g - t <= tau).all(axis=1)
+    return ok & np.isfinite(L).all(axis=1) & np.isfinite(g).all(axis=1)
 
 
 def batch_objective(problem: BilevelProblem, x: Array, Y: Array) -> Array:
-    if problem.batch_F is not None:
-        return np.asarray(problem.batch_F(x, Y), dtype=float)
-    return np.array([problem.eval_F(x, Y[i]) for i in range(Y.shape[0])], dtype=float)
+    return problem.F_rows(x, Y)
 
 
 @dataclass

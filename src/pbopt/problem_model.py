@@ -74,10 +74,20 @@ class BilevelProblem:
     by central finite differences of the registered first derivatives
     (step ``FD_STEP``) and ``hess_is_fd`` is set.
 
-    ``batch_F``, ``batch_g`` and ``batch_lagrangian`` are optional vectorised
-    hooks used by grid-based routines; ``batch_g(x, Y)`` maps an (N, m) block
-    of follower points to an (N, q) constraint block, and similarly for the
-    others.  Absent hooks fall back to per-point loops.
+    Optional vectorised hooks evaluate an (N, m) block Y of follower points,
+    and U an (N, q) block of multipliers, at one leader point x:
+
+    - ``batch_F(x, Y) -> (N,)`` leader objective;
+    - ``batch_g(x, Y) -> (N, q)`` follower constraints;
+    - ``batch_lagrangian(x, Y, U) -> (N, m)`` follower-stationarity vectors;
+    - ``batch_grad_F(x, Y) -> (N, m)`` leader-objective gradients in y;
+    - ``batch_lagrangian_jac(x, Y, U) -> (N, m, m + q)`` the Jacobians
+      [L_y | L_u] of the stationarity map, with L_u = J_gy^T.
+
+    The ``*_rows`` methods call a hook when it is set and otherwise loop over
+    the rows with the per-point evaluators.  With finite-difference Hessians
+    (``hess_is_fd``) ``batch_lagrangian_jac`` is ignored, so L_y always comes
+    from the registered second derivatives.
     """
 
     dims: ProblemDims
@@ -99,6 +109,8 @@ class BilevelProblem:
     batch_F: Optional[Callable[[Array, Array], Array]] = None
     batch_g: Optional[Callable[[Array, Array], Array]] = None
     batch_lagrangian: Optional[Callable[[Array, Array, Array], Array]] = None
+    batch_grad_F: Optional[Callable[[Array, Array], Array]] = None
+    batch_lagrangian_jac: Optional[Callable[[Array, Array, Array], Array]] = None
     hess_is_fd: bool = field(default=False)
 
     def __post_init__(self) -> None:
@@ -170,6 +182,39 @@ class BilevelProblem:
         if self.hess_g_yy is None:
             self.hess_g_yy = fd_g_yy
 
+    def F_rows(self, x: Array, Y: Array) -> Array:
+        if self.batch_F is not None:
+            return np.asarray(self.batch_F(x, Y), dtype=float)
+        return _gather(self.eval_F, x, (Y,), ())
+
+    def g_rows(self, x: Array, Y: Array) -> Array:
+        if self.batch_g is not None:
+            return np.asarray(self.batch_g(x, Y), dtype=float)
+        return _gather(self.eval_g, x, (Y,), (self.dims.q,))
+
+    def lagrangian_rows(self, x: Array, Y: Array, U: Array) -> Array:
+        if self.batch_lagrangian is not None:
+            return np.asarray(self.batch_lagrangian(x, Y, U), dtype=float)
+        return _gather(self._lagrangian_point, x, (Y, U), (self.dims.m,))
+
+    def grad_F_rows(self, x: Array, Y: Array) -> Array:
+        if self.batch_grad_F is not None:
+            return np.asarray(self.batch_grad_F(x, Y), dtype=float)
+        return _gather(lambda xx, y: self.grad_F(xx, y)[1], x, (Y,), (self.dims.m,))
+
+    def lagrangian_jac_rows(self, x: Array, Y: Array, U: Array) -> Array:
+        """Stacked [L_y | L_u] of the follower-stationarity map, shape (N, m, m + q)."""
+        d = self.dims
+        if self.batch_lagrangian_jac is not None and not self.hess_is_fd:
+            return np.asarray(self.batch_lagrangian_jac(x, Y, U), dtype=float)
+        return _gather(lambda xx, y, u: np.concatenate(_lagrangian_yu(self, xx, y, u), axis=1), x, (Y, U), (d.m, d.m + d.q))
+
+    def _lagrangian_point(self, x: Array, y: Array, u: Array) -> Array:
+        gy = self.grad_f(x, y)[1]
+        if self.dims.q:
+            gy = gy + self.jac_g(x, y)[1].T @ u
+        return gy
+
     def check_point(self, pt: TriplePoint) -> None:
         d = self.dims
         if pt.x.shape != (d.n,) or pt.y.shape != (d.m,) or pt.u.shape != (d.q,):
@@ -179,13 +224,29 @@ class BilevelProblem:
             )
 
 
+def _gather(fn, x: Array, blocks: tuple, shape: tuple) -> Array:
+    """fn(x, *row) for every row of the (N, k) blocks, stacked into (N, *shape)."""
+    out = np.empty((blocks[0].shape[0],) + shape)
+    for i, row in enumerate(zip(*blocks)):
+        out[i] = fn(x, *row)
+    return out
+
+
+def _lagrangian_yu(problem: BilevelProblem, x: Array, y: Array, u: Array) -> tuple[Array, Array]:
+    d = problem.dims
+    ly = np.array(problem.hess_f_yy(x, y), dtype=float).reshape(d.m, d.m)
+    if not d.q:
+        return ly, np.zeros((d.m, 0))
+    gyy = problem.hess_g_yy(x, y)
+    for i in range(d.q):
+        ly = ly + u[i] * np.asarray(gyy[i], dtype=float)
+    return ly, problem.jac_g(x, y)[1].T.copy()
+
+
 def lagrangian_grad(problem: BilevelProblem, pt: TriplePoint) -> Array:
     """Follower-stationarity vector: grad_y f(x,y) + sum_i u_i grad_y g_i(x,y)."""
     problem.check_point(pt)
-    gy = problem.grad_f(pt.x, pt.y)[1]
-    if problem.dims.q:
-        gy = gy + problem.jac_g(pt.x, pt.y)[1].T @ pt.u
-    return gy
+    return problem._lagrangian_point(pt.x, pt.y, pt.u)
 
 
 def lagrangian_jacobians(
@@ -195,16 +256,11 @@ def lagrangian_jacobians(
     problem.check_point(pt)
     d = problem.dims
     lx = np.array(problem.hess_f_yx(pt.x, pt.y), dtype=float).reshape(d.m, d.n)
-    ly = np.array(problem.hess_f_yy(pt.x, pt.y), dtype=float).reshape(d.m, d.m)
     if d.q:
         gyx = problem.hess_g_yx(pt.x, pt.y)
-        gyy = problem.hess_g_yy(pt.x, pt.y)
         for i in range(d.q):
             lx = lx + pt.u[i] * np.asarray(gyx[i], dtype=float)
-            ly = ly + pt.u[i] * np.asarray(gyy[i], dtype=float)
-        lu = problem.jac_g(pt.x, pt.y)[1].T.copy()
-    else:
-        lu = np.zeros((d.m, 0))
+    ly, lu = _lagrangian_yu(problem, pt.x, pt.y, pt.u)
     return lx, ly, lu
 
 

@@ -20,6 +20,8 @@ from .maxmin import (
     approximate_argmax_set,
     batch_feasibility,
     dedup_points,
+    follower_box,
+    polish_onto_relaxed_set,
 )
 from .problem_model import Array, BilevelProblem
 
@@ -78,21 +80,12 @@ def sample_relaxed_set(
             meta={"kind": "grid", "t": float(t), "tau": tau, "axes": grid.axes},
         )
     if method == "multistart":
-        from .maxmin import _boxes, _polish  # internal reuse
-
         cfg = InnerConfig(starts=starts, seed=seed, feas_tol=feas_tol)
-        yb, ub = _boxes(problem, cfg)
-        q = problem.dims.q
-        lo = np.concatenate([yb[:, 0], ub[:, 0] if q else np.zeros(0)])
-        hi = np.concatenate([yb[:, 1], ub[:, 1] if q else np.zeros(0)])
+        lo, hi = follower_box(problem, cfg)
         rng = np.random.default_rng(seed)
         z0s = rng.uniform(lo, hi, size=(starts, lo.size))
-        found = []
-        for z0 in z0s:
-            z, viol, _ = _polish(problem, x, z0, t, cfg, lo, hi)
-            if viol <= feas_tol:
-                found.append(z)
-        pts = dedup_points(np.array(found)) if found else np.zeros((0, lo.size))
+        Z, viol, _ = polish_onto_relaxed_set(problem, x, z0s, t, cfg)
+        pts = dedup_points(Z[viol <= feas_tol])
         return SampledSet(pts, meta={"kind": "multistart", "t": float(t), "seed": seed})
     raise ValueError(f"unknown sampling method {method!r}")
 

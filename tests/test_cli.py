@@ -269,3 +269,30 @@ def test_byte_identical_reruns(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *args, "--trace", str(t3), "--summary", str(s3))[0] == 0
     assert t1.read_bytes() == t2.read_bytes() == t3.read_bytes()
     assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--x", "0.5", "--t", "0.1", "--starts", "0"],
+        ["--x", "0.5", "--t", "0.1", "--starts", "-3"],
+        ["--x", "nan", "--t", "0.1"],
+        ["--x", "0.5", "--t", "inf"],
+    ],
+)
+def test_eval_bad_input_is_a_usage_error(capsys, extra):
+    code, out, err = run_cli(capsys, "eval", "--problem", "example1", *extra)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_workers_flag_and_threads_env_have_no_effect(capsys, monkeypatch):
+    args = ["eval", "--problem", "example2", "--x", "-0.3", "--t", "0.2", *FAST_SOLVE]
+    base = run_cli(capsys, *args)
+    assert base[0] == 0
+    assert run_cli(capsys, *args, "--workers", "4") == base
+    monkeypatch.setenv("PESSIM_THREADS", "2")
+    assert run_cli(capsys, *args) == base
+    monkeypatch.setenv("PESSIM_THREADS", "two")
+    assert run_cli(capsys, *args)[0] == 1

@@ -156,17 +156,16 @@ def test_solver_brackets_brute_force(example1, example2, light_cfg):
             assert s.value <= b + 1e-6
 
 
-def test_deterministic_across_workers(example2):
+def test_deterministic_reruns(example2):
     problem, _ = example2
-    base = InnerConfig(starts=8, sweeps=3, seed=42, workers=1)
-    threaded = InnerConfig(starts=8, sweeps=3, seed=42, workers=4)
+    base = InnerConfig(starts=8, sweeps=3, seed=42)
     r1 = evaluate_psi_t(problem, [-0.3], 0.2, base)
     r2 = evaluate_psi_t(problem, [-0.3], 0.2, base)
-    r3 = evaluate_psi_t(problem, [-0.3], 0.2, threaded)
+    r3 = evaluate_psi_t(problem, [-0.3], 0.2, InnerConfig(starts=8, sweeps=3, seed=42))
     assert r1.value == r2.value == r3.value
     np.testing.assert_array_equal(r1.argmax.points, r2.argmax.points)
     np.testing.assert_array_equal(r1.argmax.points, r3.argmax.points)
-    assert r1.evals == r3.evals
+    assert r1.evals == r2.evals == r3.evals
 
 
 def test_infeasible_inner_status(light_cfg):
@@ -202,3 +201,43 @@ def test_warm_starts_are_used(example1, light_cfg):
     res = evaluate_psi_t(problem, [0.5], 0.1, cfg)
     assert res.status == "solved"
     assert res.value == pytest.approx(0.2, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"starts": -3},
+        {"starts": 0},
+        {"sweeps": 0},
+        {"local_maxiter": 0},
+        {"polish_maxiter": 0},
+        {"u_max": 0.0},
+        {"feas_tol": float("nan")},
+        {"eps_lvl": float("inf")},
+    ],
+)
+def test_inner_config_rejects_bad_values(kw):
+    with pytest.raises(ValueError):
+        InnerConfig(**kw)
+
+
+def test_inner_config_warm_starts_alone_suffice(example1):
+    problem, _ = example1
+    cfg = InnerConfig(starts=0, sweeps=3, warm_starts=(np.array([0.2, 0.5, 0.0]),))
+    assert evaluate_psi_t(problem, [0.5], 0.1, cfg).value == pytest.approx(0.2, abs=1e-4)
+
+
+@pytest.mark.parametrize("x, t", [([float("nan")], 0.1), ([0.5], float("inf")), ([0.5], float("nan")), ([0.5, 0.5], 0.1)])
+def test_bad_leader_point_or_level_rejected(example1, light_cfg, x, t):
+    problem, _ = example1
+    with pytest.raises(ValueError):
+        evaluate_psi_t(problem, x, t, light_cfg)
+
+
+def test_infinite_follower_box_rejected(example1, light_cfg):
+    problem, _ = example1
+    from dataclasses import replace
+
+    cfg = replace(light_cfg, y_box=np.array([[-np.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        evaluate_psi_t(problem, [0.5], 0.1, cfg)
