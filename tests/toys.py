@@ -163,3 +163,66 @@ def make_interior_toy() -> BilevelProblem:
         y_box=np.array([[-1.0, 1.0]]),
         name="interior_toy",
     )
+
+
+def make_linear_follower(B, c, d, Jgy, Jgx, name: str = "linear_follower") -> BilevelProblem:
+    """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
+
+    Follower: min 0.5|y|^2 - (B x).y  s.t.  Jgy y + Jgx x <= 0.  Leader:
+    F = c.y + d.x.  The leader box is inactive at x = 0.
+    """
+    B, c, d = (np.asarray(a, dtype=float) for a in (B, c, d))
+    Jgy = np.asarray(Jgy, dtype=float)
+    Jgx = np.asarray(Jgx, dtype=float)
+    m, n = B.shape
+    q = Jgy.shape[0]
+    return BilevelProblem(
+        dims=ProblemDims(n=n, m=m, p=2 * n, q=q),
+        eval_F=lambda x, y: float(c @ y + d @ x),
+        eval_f=lambda x, y: float(0.5 * (y @ y) - (B @ x) @ y),
+        eval_G=lambda x: np.concatenate([-x - 1.0, x - 1.0]),
+        eval_g=lambda x, y: Jgy @ y + Jgx @ x,
+        grad_F=lambda x, y: (d.copy(), c.copy()),
+        grad_f=lambda x, y: (-B.T @ y, y - B @ x),
+        jac_G=lambda x: np.vstack([-np.eye(n), np.eye(n)]),
+        jac_g=lambda x, y: (Jgx.copy(), Jgy.copy()),
+        hess_f_yx=lambda x, y: -B,
+        hess_f_yy=lambda x, y: np.eye(m),
+        hess_g_yx=lambda x, y: [np.zeros((m, n))] * q,
+        hess_g_yy=lambda x, y: [np.zeros((m, m))] * q,
+        x_box=np.tile([-1.0, 1.0], (n, 1)),
+        y_box=np.tile([-2.0, 2.0], (m, 1)),
+        name=name,
+    )
+
+
+def biactive_family_data(k: int, rng, duplicate: bool = False, n: int = 1):
+    """(B, c, d, Jgy, Jgx) of a follower with k biactive constraints at x = 0.
+
+    The constraints are -y_i <= 0 (i < k) with y in R^max(k, 1), so y = 0,
+    u = 0 is exactly complementary with every constraint biactive.  c and d
+    are drawn so that S-multipliers exist (gamma = beta* + c <= 0 and
+    d_i = -beta*_i <= 0 for a beta* >= 0).  ``duplicate`` appends two copies
+    of the last constraint row, the second with a leader term, which break
+    both multiplier-set qualification conditions.
+    """
+    m = max(k, 1)
+    q = k + (2 if duplicate else 0)
+    B = rng.normal(size=(m, n))
+    beta = np.abs(rng.normal(size=m))
+    c = -beta - np.abs(rng.normal(size=m))
+    d = B.T @ beta
+    e = rng.normal(size=n)
+    Jgy = np.zeros((q, m))
+    Jgx = np.zeros((q, n))
+    for i in range(k):
+        Jgy[i, i] = -1.0
+    if duplicate:
+        Jgy[k:, k - 1] = -1.0
+        Jgx[k + 1] = e
+    return B, c, d, Jgy, Jgx
+
+
+def make_biactive_family(k: int, rng, duplicate: bool = False) -> BilevelProblem:
+    name = f"biactive{k}{'_dup' if duplicate else ''}"
+    return make_linear_follower(*biactive_family_data(k, rng, duplicate), name=name)
