@@ -22,7 +22,7 @@ from .benchlib import get_problem, problem_names
 from .kkt import InfeasiblePointError
 from .maxmin import InnerConfig, evaluate_psi_t, approximate_argmax_set
 from .problem_model import TriplePoint, check_gradients_fd
-from .scholtes import OuterConfig, RelaxationParams, scholtes_solve
+from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, scholtes_solve
 from .setvalued import convergence_diagnostic
 from .stationarity import (
     Multipliers,
@@ -202,6 +202,16 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
     }
 
 
+def _leader_infeasible(problem, x: np.ndarray) -> bool:
+    """x lies outside the leader set: outside its box or G(x) > 0, beyond X_MEMBERSHIP_TOL."""
+    viol = [0.0]
+    if problem.x_box is not None:
+        viol += [*(problem.x_box[:, 0] - x), *(x - problem.x_box[:, 1])]
+    if problem.dims.p:
+        viol += list(np.asarray(problem.eval_G(x), dtype=float))
+    return bool(max(viol) > X_MEMBERSHIP_TOL)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args)
     problem, _ = _require_problem(cfg.problem)
@@ -218,6 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "problem": cfg.problem,
         "t": float(args.t),
         "x": [float(v) for v in x],
+        "leader_infeasible": _leader_infeasible(problem, x),
         "status": res.status,
         "value": None if res.status != "solved" else float(res.value),
         "evals": res.evals,

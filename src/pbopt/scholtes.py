@@ -35,6 +35,16 @@ class OuterConfig:
     infeas_penalty: float = 1e8
     inner: InnerConfig = field(default_factory=InnerConfig)
 
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        for name in ("mesh_init_frac", "mesh_tol", "infeas_penalty"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val}")
+        if not (math.isfinite(self.decrease_tol) and self.decrease_tol >= 0):
+            raise ValueError(f"decrease_tol must be finite and nonnegative, got {self.decrease_tol}")
+
 
 @dataclass
 class RelaxationParams:
@@ -53,6 +63,11 @@ class RelaxationParams:
             raise ValueError("reduction factor rho must lie in (0, 1)")
         if not (self.t0 > self.t_min > 0.0):
             raise ValueError("need t0 > t_min > 0")
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be at least 1, got {self.max_outer_iters}")
+        # a negative x_tol is allowed: it switches the stall stop off
+        if not math.isfinite(self.x_tol):
+            raise ValueError(f"x_tol must be finite, got {self.x_tol}")
 
 
 @dataclass

@@ -76,67 +76,128 @@ class _SystemData:
 
 def _system_data(problem: BilevelProblem, pt: TriplePoint) -> _SystemData:
     d = problem.dims
-    gFx, gFy = problem.grad_F(pt.x, pt.y)
+    gFx, gFy = (np.asarray(v, dtype=float) for v in problem.grad_F(pt.x, pt.y))
     Lx, Ly, _ = lagrangian_jacobians(problem, pt)
-    if d.q:
-        Jgx, Jgy = problem.jac_g(pt.x, pt.y)
-        g = np.asarray(problem.eval_g(pt.x, pt.y), dtype=float)
-    else:
-        Jgx, Jgy = np.zeros((0, d.n)), np.zeros((0, d.m))
-        g = np.zeros(0)
-    if d.p:
-        jacG = np.asarray(problem.jac_G(pt.x), dtype=float).reshape(d.p, d.n)
-        G = np.asarray(problem.eval_G(pt.x), dtype=float)
-    else:
-        jacG, G = np.zeros((0, d.n)), np.zeros(0)
+    Jgx, Jgy = problem.jac_g(pt.x, pt.y) if d.q else (np.zeros((0, d.n)), np.zeros((0, d.m)))
+    jacG = problem.jac_G(pt.x) if d.p else np.zeros((0, d.n))
     return _SystemData(
-        gFx=np.asarray(gFx, dtype=float),
-        gFy=np.asarray(gFy, dtype=float),
-        jacG=jacG,
-        Lx=Lx,
-        Ly=Ly,
-        Jgx=np.asarray(Jgx, dtype=float).reshape(d.q, d.n),
-        Jgy=np.asarray(Jgy, dtype=float).reshape(d.q, d.m),
-        G=G,
-        g=g,
+        gFx,
+        gFy,
+        np.asarray(jacG, dtype=float).reshape(d.p, d.n),
+        Lx,
+        Ly,
+        np.asarray(Jgx, dtype=float).reshape(d.q, d.n),
+        np.asarray(Jgy, dtype=float).reshape(d.q, d.m),
+        np.asarray(problem.eval_G(pt.x) if d.p else np.zeros(0), dtype=float),
+        np.asarray(problem.eval_g(pt.x, pt.y) if d.q else np.zeros(0), dtype=float),
     )
 
 
-def _theta_branches(kind: str, qualification: bool) -> tuple[str, ...]:
-    # Branch labels for one biactive index.  For stationarity the M union is
-    # {gamma<=0 & d<=0} | {gamma=0} | {d=0}; the qualification multiplier set
-    # flips the inequality branch to {gamma>=0 & d>=0}.
-    if kind == "C":
-        return ("+", "-")
-    if kind == "M":
-        return ("pos", "g0", "d0") if qualification else ("neg", "g0", "d0")
-    if kind == "S":
-        return ("s",)
-    raise ValueError(f"unknown stationarity kind {kind!r}")
+def _setup(
+    problem: BilevelProblem,
+    pt: TriplePoint,
+    t: float,
+    feas_tol: float,
+    eps_act: float,
+    pattern_cap: Optional[int] = None,
+) -> tuple[IndexSets, _SystemData]:
+    """Index sets and system data at a point that must lie in the level-t KKT set."""
+    problem.check_point(pt)
+    res = kkt_residual(problem, pt, t)
+    if not res.is_feasible(feas_tol):
+        raise InfeasiblePointError(
+            f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
+            f"{res.max_violation():.3e}"
+        )
+    idx = classify_indices(problem, pt, t, eps_act)
+    if pattern_cap is not None and len(idx.theta) > pattern_cap:
+        raise PatternCapError(
+            f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
+        )
+    return idx, _system_data(problem, pt)
 
 
-def _branch_rows(label: str, gamma_col: int, d_row: Array, dim: int):
-    """(eq_rows, ineq_rows) the branch adds; rows act on the stacked unknowns."""
-    e_gamma = np.zeros(dim)
-    e_gamma[gamma_col] = 1.0
-    eq, ineq = [], []
-    if label == "+":
-        ineq += [e_gamma, d_row]
-    elif label == "-":
-        ineq += [-e_gamma, -d_row]
-    elif label == "neg":
-        ineq += [-e_gamma, -d_row]
-    elif label == "pos":
-        ineq += [e_gamma, d_row]
-    elif label == "g0":
-        eq.append(e_gamma)
-    elif label == "d0":
-        eq.append(d_row)
-    elif label == "s":
-        ineq += [-e_gamma, -d_row]
-    else:  # pragma: no cover
-        raise ValueError(label)
-    return eq, ineq
+def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
+    out = np.zeros(size)
+    out[list(index)] = values
+    return out
+
+
+def _exact_system(data: _SystemData, idx: IndexSets, homogeneous: bool):
+    """(A_eq, b, A_ineq, theta_rows) of the exact stationarity system.
+
+    Columns [alpha_{I_G}, beta, gamma_{theta u nu}]; rows: leader gradient,
+    follower gradient, d_i = 0 on nu.  A_ineq is alpha >= 0 and theta_rows the
+    (gamma_i unit row, d_i row) pair of each biactive index.  The homogeneous
+    twin has no alpha columns and b = 0.
+    """
+    n, m, q = data.gFx.size, data.gFy.size, data.g.size
+    i_a = [] if homogeneous else list(idx.i_G)
+    free = sorted(set(idx.theta) | set(idx.nu))
+    beta = slice(len(i_a), len(i_a) + m)
+    x, y, w = slice(0, n), slice(n, n + m), slice(n + m, None)
+    a = np.zeros((n + m + q, beta.stop + len(free)))  # w: the d_i row of every constraint
+    a[x, : beta.start] = data.jacG[i_a].T
+    a[x, beta], a[y, beta], a[w, beta] = data.Lx.T, data.Ly.T, data.Jgy
+    a[x, beta.stop :], a[y, beta.stop :] = data.Jgx[free].T, data.Jgy[free].T
+    a_eq = a[[*range(n + m), *(n + m + i for i in idx.nu)]]
+    b = np.zeros(len(a_eq)) if homogeneous else np.concatenate(
+        [-data.gFx, -data.gFy, np.zeros(len(idx.nu))])
+    unit = np.eye(a.shape[1])
+    theta_rows = [(unit[beta.stop + free.index(i)], a[n + m + i]) for i in idx.theta]
+    return a_eq, b, unit[: beta.start], theta_rows
+
+
+def _relaxed_system(data: _SystemData, idx: IndexSets, u: Array, homogeneous: bool):
+    """(A_eq, b, A_ineq) of the relaxed optimality system.
+
+    Columns [alpha_{I_G}, beta, gamma_{I_g}, mu_{I_u}, delta_{I_ug}]; rows: x, y
+    and u gradients.  A_ineq is alpha, gamma, mu, delta >= 0.  The homogeneous
+    twin has no alpha columns and b = 0.
+    """
+    n, m, q = data.gFx.size, data.gFy.size, data.g.size
+    i_a = [] if homogeneous else list(idx.i_G)
+    i_g, i_u, i_ug = list(idx.i_g), list(idx.i_u), list(idx.i_ug)
+    beta = slice(len(i_a), len(i_a) + m)
+    gamma = slice(beta.stop, beta.stop + len(i_g))
+    mu = slice(gamma.stop, gamma.stop + len(i_u))
+    x, y, w = slice(0, n), slice(n, n + m), slice(n + m, None)
+    a_eq = np.zeros((n + m + q, mu.stop + len(i_ug)))
+    a_eq[x, : beta.start] = data.jacG[i_a].T
+    a_eq[x, beta], a_eq[y, beta], a_eq[w, beta] = -data.Lx.T, -data.Ly.T, -data.Jgy
+    a_eq[x, gamma], a_eq[y, gamma] = -data.Jgx[i_g].T, -data.Jgy[i_g].T
+    a_eq[w, mu] = np.eye(q)[:, i_u]
+    u_ug = u[i_ug, None]
+    a_eq[x, mu.stop :], a_eq[y, mu.stop :] = (u_ug * data.Jgx[i_ug]).T, (u_ug * data.Jgy[i_ug]).T
+    a_eq[w, mu.stop :] = np.diag(data.g)[:, i_ug]
+    b = np.zeros(len(a_eq)) if homogeneous else np.concatenate([-data.gFx, -data.gFy, np.zeros(q)])
+    signed = [*range(beta.start), *range(beta.stop, a_eq.shape[1])]
+    return a_eq, b, np.eye(a_eq.shape[1])[signed]
+
+
+# Branches of one biactive index per (kind, qualification): (eq rows, ineq rows),
+# each row a signed pick of the gamma_i unit row "g" or the d_i row "d".  M is
+# {gamma<=0 & d<=0} | {gamma=0} | {d=0}; its qualification set flips the inequality branch.
+_GE, _LE = ((), ("+g", "+d")), ((), ("-g", "-d"))
+_G0, _D0 = (("+g",), ()), (("+d",), ())
+_BRANCHES = {
+    ("C", False): (_GE, _LE), ("C", True): (_GE, _LE),
+    ("M", False): (_LE, _G0, _D0), ("M", True): (_GE, _G0, _D0),
+    ("S", False): (_LE,), ("S", True): (_LE,),
+}
+
+
+def _pattern_systems(kind: str, qualification: bool, a_eq: Array, a_ineq: Array, theta_rows):
+    """(A_eq, A_ineq or None) of every sign pattern over the biactive set, in order:
+    the base system with the pattern's branch rows appended."""
+    if theta_rows and (kind, qualification) not in _BRANCHES:
+        raise ValueError(f"unknown stationarity kind {kind!r}")
+    picks = [{"+g": g, "-g": -g, "+d": d, "-d": -d} for g, d in theta_rows]
+    for pattern in itertools.product(*[_BRANCHES[kind, qualification]] * len(theta_rows)):
+        eq = [rows[r] for rows, (eqs, _) in zip(picks, pattern) for r in eqs]
+        ineq = [rows[r] for rows, (_, ineqs) in zip(picks, pattern) for r in ineqs]
+        ineq = np.vstack([a_ineq, *ineq]) if ineq else a_ineq
+        yield (np.vstack([a_eq, *eq]) if eq else a_eq), (ineq if len(ineq) else None)
 
 
 def recover_c_multipliers(
@@ -153,91 +214,16 @@ def recover_c_multipliers(
     pattern is a linear feasibility problem and the first feasible pattern's
     least-norm solution is returned.  None means every pattern is infeasible.
     """
-    problem.check_point(pt)
-    res = kkt_residual(problem, pt, 0.0)
-    if not res.is_feasible(tol):
-        raise InfeasiblePointError(
-            f"point not in the follower KKT set: '{res.worst_field()}' violates by "
-            f"{res.max_violation():.3e}"
-        )
-    idx = classify_indices(problem, pt, 0.0, eps_act)
-    if len(idx.theta) > pattern_cap:
-        raise PatternCapError(
-            f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
-        )
-    data = _system_data(problem, pt)
+    idx, data = _setup(problem, pt, 0.0, tol, eps_act, pattern_cap)
+    a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
     d = problem.dims
-    free_gamma = sorted(set(idx.theta) | set(idx.nu))
-    n_alpha = len(idx.i_G)
-    dim = n_alpha + d.m + len(free_gamma)
-
-    # Stacked unknowns: [alpha_{I_G}, beta, gamma_{theta u nu}].
-    a_rows: list[Array] = []
-    b_vals: list[float] = []
-
-    def gamma_col(i: int) -> int:
-        return n_alpha + d.m + free_gamma.index(i)
-
-    for r in range(d.n):  # leader-gradient block
-        row = np.zeros(dim)
-        for a, j in enumerate(idx.i_G):
-            row[a] = data.jacG[j, r]
-        row[n_alpha : n_alpha + d.m] = data.Lx[:, r]
-        for i in free_gamma:
-            row[gamma_col(i)] = data.Jgx[i, r]
-        a_rows.append(row)
-        b_vals.append(-data.gFx[r])
-    for r in range(d.m):  # follower-gradient block
-        row = np.zeros(dim)
-        row[n_alpha : n_alpha + d.m] = data.Ly[:, r]
-        for i in free_gamma:
-            row[gamma_col(i)] = data.Jgy[i, r]
-        a_rows.append(row)
-        b_vals.append(-data.gFy[r])
-    for i in idx.nu:  # d_i = 0 on the strictly-active block
-        row = np.zeros(dim)
-        row[n_alpha : n_alpha + d.m] = data.Jgy[i]
-        a_rows.append(row)
-        b_vals.append(0.0)
-
-    base_ineq = []
-    for a in range(n_alpha):
-        e = np.zeros(dim)
-        e[a] = 1.0
-        base_ineq.append(e)
-
-    def d_row(i: int) -> Array:
-        row = np.zeros(dim)
-        row[n_alpha : n_alpha + d.m] = data.Jgy[i]
-        return row
-
-    branch_lists = [_theta_branches(kind, qualification=False) for _ in idx.theta]
-    for pattern in itertools.product(*branch_lists):
-        eq_rows = list(a_rows)
-        eq_b = list(b_vals)
-        ineq_rows = list(base_ineq)
-        for label, i in zip(pattern, idx.theta):
-            extra_eq, extra_ineq = _branch_rows(label, gamma_col(i), d_row(i), dim)
-            for r in extra_eq:
-                eq_rows.append(r)
-                eq_b.append(0.0)
-            ineq_rows.extend(extra_ineq)
-        z = least_norm_point(
-            np.array(eq_rows),
-            np.array(eq_b),
-            np.array(ineq_rows) if ineq_rows else None,
-            dim=dim,
-        )
-        if z is None:
-            continue
-        alpha = np.zeros(d.p)
-        for a, j in enumerate(idx.i_G):
-            alpha[j] = max(0.0, z[a])
-        beta = z[n_alpha : n_alpha + d.m]
-        gamma = np.zeros(d.q)
-        for i in free_gamma:
-            gamma[i] = z[gamma_col(i)]
-        return Multipliers(alpha=alpha, beta=beta, gamma=gamma)
+    for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
+        z = least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
+        if z is not None:
+            k = len(idx.i_G)
+            free = sorted(set(idx.theta) | set(idx.nu))
+            alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
+            return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]))
     return None
 
 
@@ -250,6 +236,33 @@ def _theta_violation(kind: str, gamma_i: float, d_i: float) -> float:
     if kind == "C":
         return max(0.0, -gamma_i * d_i)
     raise ValueError(f"unknown stationarity kind {kind!r}")
+
+
+def _graph_rows(
+    problem: BilevelProblem,
+    pt: TriplePoint,
+    t: float,
+    eps_lvl: float,
+    inner_cfg: Optional[InnerConfig],
+    graph_check: bool,
+) -> dict[str, float]:
+    """Graph-membership rows: level-t KKT violation and the inner-max value gap."""
+    rows = {"graph_feasibility": kkt_residual(problem, pt, t).max_violation()}
+    if graph_check:
+        # Feasibility is kept well below eps_lvl so near-feasible points at
+        # degenerate corners cannot inflate the reference value past the slack.
+        cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
+        inner = evaluate_psi_t(problem, pt.x, t, cfg)
+        fval = problem.eval_F(pt.x, pt.y)
+        rows["graph_value"] = (
+            0.0 if inner.status != "solved" else max(0.0, inner.value - eps_lvl - fval)
+        )
+    return rows
+
+
+def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) -> StationarityReport:
+    residual = float(max(rows.values()))
+    return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
 
 
 def check_stationarity(
@@ -272,22 +285,13 @@ def check_stationarity(
     problem.check_point(pt)
     data = _system_data(problem, pt)
     idx = classify_indices(problem, pt, 0.0, eps_act)
-    alpha = np.asarray(mults.alpha, dtype=float).reshape(problem.dims.p)
-    beta = np.asarray(mults.beta, dtype=float).reshape(problem.dims.m)
-    gamma = np.asarray(mults.gamma, dtype=float).reshape(problem.dims.q)
+    d = problem.dims
+    alpha, beta, gamma = (
+        np.asarray(v, dtype=float).reshape(size)
+        for v, size in ((mults.alpha, d.p), (mults.beta, d.m), (mults.gamma, d.q))
+    )
 
-    rows: dict[str, float] = {}
-    res = kkt_residual(problem, pt, 0.0)
-    rows["graph_feasibility"] = res.max_violation()
-    if graph_check:
-        # Feasibility is kept well below eps_lvl so near-feasible points at
-        # degenerate corners cannot inflate the reference value past the slack.
-        cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
-        inner = evaluate_psi_t(problem, pt.x, 0.0, cfg)
-        fval = problem.eval_F(pt.x, pt.y)
-        gap = 0.0 if inner.status != "solved" else max(0.0, inner.value - eps_lvl - fval)
-        rows["graph_value"] = gap
-
+    rows = _graph_rows(problem, pt, 0.0, eps_lvl, inner_cfg, graph_check)
     res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
     rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
     res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
@@ -295,7 +299,7 @@ def check_stationarity(
     rows["alpha_sign"] = float(np.max(-alpha, initial=0.0))
     rows["leader_feas"] = float(np.max(data.G, initial=0.0))
     rows["alpha_compl"] = float(np.max(np.abs(alpha * data.G), initial=0.0))
-    dvec = data.Jgy @ beta if problem.dims.q else np.zeros(0)
+    dvec = data.Jgy @ beta
     rows["nu_gradient"] = float(max((abs(dvec[i]) for i in idx.nu), default=0.0))
     rows["eta_gamma"] = float(max((abs(gamma[i]) for i in idx.eta), default=0.0))
     rows["theta_condition"] = float(
@@ -305,16 +309,7 @@ def check_stationarity(
     branch = tuple(
         "-" if gamma[i] <= 0 and dvec[i] <= 0 else "+" for i in idx.theta
     ) if idx.theta else None
-    residual = max(rows.values()) if rows else 0.0
-    return StationarityReport(
-        kind=kind,
-        residual_inf=float(residual),
-        multipliers=mults,
-        sign_pattern=branch,
-        index_sets=idx,
-        verdict=bool(residual <= tol),
-        rows=rows,
-    )
+    return _report(kind, rows, mults, branch, idx, tol)
 
 
 def recover_relaxed_multipliers(
@@ -330,85 +325,21 @@ def recover_relaxed_multipliers(
     set to zero, so one linear feasibility problem with sign constraints
     remains.
     """
-    problem.check_point(pt)
-    if t < 0:
-        raise ValueError("relaxation level t must be nonnegative")
-    res = kkt_residual(problem, pt, t)
-    if not res.is_feasible(tol):
-        raise InfeasiblePointError(
-            f"point not in the level-t KKT set: '{res.worst_field()}' violates by "
-            f"{res.max_violation():.3e}"
-        )
-    idx = classify_indices(problem, pt, t, eps_act)
-    data = _system_data(problem, pt)
-    d = problem.dims
-    n_alpha = len(idx.i_G)
-    g_list, u_list, ug_list = list(idx.i_g), list(idx.i_u), list(idx.i_ug)
-    dim = n_alpha + d.m + len(g_list) + len(u_list) + len(ug_list)
-    off_beta = n_alpha
-    off_gamma = off_beta + d.m
-    off_mu = off_gamma + len(g_list)
-    off_delta = off_mu + len(u_list)
-
-    a_rows: list[Array] = []
-    b_vals: list[float] = []
-    for r in range(d.n):
-        row = np.zeros(dim)
-        for a, j in enumerate(idx.i_G):
-            row[a] = data.jacG[j, r]
-        row[off_beta : off_beta + d.m] = -data.Lx[:, r]
-        for c, i in enumerate(g_list):
-            row[off_gamma + c] = -data.Jgx[i, r]
-        for c, i in enumerate(ug_list):
-            row[off_delta + c] = pt.u[i] * data.Jgx[i, r]
-        a_rows.append(row)
-        b_vals.append(-data.gFx[r])
-    for r in range(d.m):
-        row = np.zeros(dim)
-        row[off_beta : off_beta + d.m] = -data.Ly[:, r]
-        for c, i in enumerate(g_list):
-            row[off_gamma + c] = -data.Jgy[i, r]
-        for c, i in enumerate(ug_list):
-            row[off_delta + c] = pt.u[i] * data.Jgy[i, r]
-        a_rows.append(row)
-        b_vals.append(-data.gFy[r])
-    for i in range(d.q):
-        row = np.zeros(dim)
-        row[off_beta : off_beta + d.m] = -data.Jgy[i]
-        if i in u_list:
-            row[off_mu + u_list.index(i)] = 1.0
-        if i in ug_list:
-            row[off_delta + ug_list.index(i)] = data.g[i]
-        a_rows.append(row)
-        b_vals.append(0.0)
-
-    ineq_rows = []
-    for c in list(range(n_alpha)) + list(range(off_gamma, dim)):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        ineq_rows.append(e)
-
-    z = least_norm_point(
-        np.array(a_rows),
-        np.array(b_vals),
-        np.array(ineq_rows) if ineq_rows else None,
-        dim=dim,
-    )
+    idx, data = _setup(problem, pt, t, tol, eps_act)
+    a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
+    z = least_norm_point(a_eq, b, a_ineq if len(a_ineq) else None)
     if z is None:
         return None
-    alpha = np.zeros(d.p)
-    for a, j in enumerate(idx.i_G):
-        alpha[j] = max(0.0, z[a])
-    gamma = np.zeros(d.q)
-    mu = np.zeros(d.q)
-    delta = np.zeros(d.q)
-    for c, i in enumerate(g_list):
-        gamma[i] = max(0.0, z[off_gamma + c])
-    for c, i in enumerate(u_list):
-        mu[i] = max(0.0, z[off_mu + c])
-    for c, i in enumerate(ug_list):
-        delta[i] = max(0.0, z[off_delta + c])
-    return RelaxedMultipliers(alpha=alpha, beta=z[off_beta : off_beta + d.m], gamma=gamma, mu=mu, delta=delta)
+    d = problem.dims
+    sizes = np.cumsum([len(idx.i_G), d.m, len(idx.i_g), len(idx.i_u)])
+    alpha, beta, gamma, mu, delta = np.split(z, sizes)
+    return RelaxedMultipliers(
+        alpha=_scatter(d.p, idx.i_G, np.maximum(0.0, alpha)),
+        beta=beta,
+        gamma=_scatter(d.q, idx.i_g, np.maximum(0.0, gamma)),
+        mu=_scatter(d.q, idx.i_u, np.maximum(0.0, mu)),
+        delta=_scatter(d.q, idx.i_ug, np.maximum(0.0, delta)),
+    )
 
 
 def check_relaxed_stationarity(
@@ -426,66 +357,33 @@ def check_relaxed_stationarity(
     problem.check_point(pt)
     data = _system_data(problem, pt)
     d = problem.dims
-    alpha = np.asarray(rm.alpha, dtype=float).reshape(d.p)
-    beta = np.asarray(rm.beta, dtype=float).reshape(d.m)
-    gamma = np.asarray(rm.gamma, dtype=float).reshape(d.q)
-    mu = np.asarray(rm.mu, dtype=float).reshape(d.q)
-    delta = np.asarray(rm.delta, dtype=float).reshape(d.q)
+    alpha, beta, gamma, mu, delta = (
+        np.asarray(v, dtype=float).reshape(size)
+        for v, size in zip((rm.alpha, rm.beta, rm.gamma, rm.mu, rm.delta), (d.p, d.m, d.q, d.q, d.q))
+    )
 
-    rows: dict[str, float] = {}
-    res = kkt_residual(problem, pt, t)
-    rows["graph_feasibility"] = res.max_violation()
-    if graph_check:
-        cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
-        inner = evaluate_psi_t(problem, pt.x, t, cfg)
-        fval = problem.eval_F(pt.x, pt.y)
-        rows["graph_value"] = (
-            0.0 if inner.status != "solved" else max(0.0, inner.value - eps_lvl - fval)
-        )
-
+    rows = _graph_rows(problem, pt, t, eps_lvl, inner_cfg, graph_check)
     coeff = gamma - delta * pt.u
     res_x = data.gFx + data.jacG.T @ alpha - data.Lx.T @ beta - data.Jgx.T @ coeff
     rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
     res_y = data.gFy - data.Ly.T @ beta - data.Jgy.T @ coeff
     rows["follower_gradient"] = float(np.max(np.abs(res_y), initial=0.0))
-    res_u = -(data.Jgy @ beta) + mu + delta * data.g if d.q else np.zeros(0)
+    res_u = -(data.Jgy @ beta) + mu + delta * data.g
     rows["multiplier_gradient"] = float(np.max(np.abs(res_u), initial=0.0))
-    rows["alpha_block"] = float(
-        max(
-            np.max(-alpha, initial=0.0),
-            np.max(data.G, initial=0.0),
-            np.max(np.abs(alpha * data.G), initial=0.0),
-        )
-    )
-    rows["gamma_block"] = float(
-        max(
-            np.max(-gamma, initial=0.0),
-            np.max(data.g, initial=0.0),
-            np.max(np.abs(gamma * data.g), initial=0.0),
-        )
-    )
-    rows["mu_block"] = float(
-        max(np.max(-mu, initial=0.0), np.max(-pt.u, initial=0.0), np.max(np.abs(mu * pt.u), initial=0.0))
-    )
-    ug = pt.u * data.g if d.q else np.zeros(0)
-    rows["delta_block"] = float(
-        max(
-            np.max(-delta, initial=0.0),
-            np.max(-ug - t, initial=0.0),
-            np.max(np.abs(delta * (ug + t)), initial=0.0),
-        )
-    )
-    idx = classify_indices(problem, pt, t, eps_act)
-    residual = max(rows.values())
-    return StationarityReport(
-        kind="relaxed",
-        residual_inf=float(residual),
-        multipliers=rm,
-        sign_pattern=None,
-        index_sets=idx,
-        verdict=bool(residual <= tol),
-        rows=rows,
-    )
+    ug = pt.u * data.g
+    # sign, feasibility and complementarity of each multiplier block
+    for name, mult, slack in (
+        ("alpha_block", alpha, data.G),
+        ("gamma_block", gamma, data.g),
+        ("mu_block", mu, -pt.u),
+        ("delta_block", delta, -ug - t),
+    ):
+        rows[name] = float(max(
+            np.max(-mult, initial=0.0),
+            np.max(slack, initial=0.0),
+            np.max(np.abs(mult * slack), initial=0.0),
+        ))
+    return _report("relaxed", rows, rm, None, classify_indices(problem, pt, t, eps_act), tol)
 
 
 @dataclass
@@ -513,86 +411,27 @@ def check_qualification_Am(
     pattern by linear programs over the pattern cone intersected with the
     unit box.
     """
-    problem.check_point(pt)
-    res = kkt_residual(problem, pt, 0.0)
-    if not res.is_feasible(eps_act):
-        raise InfeasiblePointError("qualification checks need a KKT-feasible point")
-    idx = classify_indices(problem, pt, 0.0, eps_act)
-    if len(idx.theta) > pattern_cap:
-        raise PatternCapError(
-            f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
-        )
-    data = _system_data(problem, pt)
-    d = problem.dims
-    free_gamma = sorted(set(idx.theta) | set(idx.nu))
-    dim = d.m + len(free_gamma)
-
-    def gamma_col(i: int) -> int:
-        return d.m + free_gamma.index(i)
-
-    def d_row(i: int) -> Array:
-        row = np.zeros(dim)
-        row[: d.m] = data.Jgy[i]
-        return row
-
-    def grad_rows(include_x: bool) -> list[Array]:
-        rows = []
-        if include_x:
-            for r in range(d.n):
-                row = np.zeros(dim)
-                row[: d.m] = data.Lx[:, r]
-                for i in free_gamma:
-                    row[gamma_col(i)] = data.Jgx[i, r]
-                rows.append(row)
-        for r in range(d.m):
-            row = np.zeros(dim)
-            row[: d.m] = data.Ly[:, r]
-            for i in free_gamma:
-                row[gamma_col(i)] = data.Jgy[i, r]
-            rows.append(row)
-        return rows
-
-    nu_rows = [d_row(i) for i in idx.nu]
-    conclusion = []
-    for r in range(d.n):
-        row = np.zeros(dim)
-        row[: d.m] = data.Lx[:, r]
-        for i in free_gamma:
-            row[gamma_col(i)] = data.Jgx[i, r]
-        conclusion.append(row)
-
-    branch_lists = [_theta_branches(kind, qualification=True) for _ in idx.theta]
-    a1 = True
-    a2 = True
+    idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
+    a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
+    n, dim = problem.dims.n, a_eq.shape[1]
+    a1 = a2 = True
     certs: dict[str, Array] = {}
-    patterns = 0
-    for pattern in itertools.product(*branch_lists):
-        patterns += 1
-        extra_eq, extra_ineq = [], []
-        for label, i in zip(pattern, idx.theta):
-            eqs, ineqs = _branch_rows(label, gamma_col(i), d_row(i), dim)
-            extra_eq.extend(eqs)
-            extra_ineq.extend(ineqs)
-        ineq = np.array(extra_ineq) if extra_ineq else None
-
+    # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
+    systems = _pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
+    for patterns, (a_pat, ineq) in enumerate(systems, 1):
         if a1:
-            eq_full = np.array(grad_rows(include_x=True) + nu_rows + extra_eq)
-            ray = cone_has_nonzero(eq_full, ineq, dim, tol=tol)
+            ray = cone_has_nonzero(a_pat, ineq, dim, tol=tol)
             if ray is not None:
                 a1 = False
                 certs["a1"] = ray
         if a2:
-            eq_y = np.array(grad_rows(include_x=False) + nu_rows + extra_eq)
-            for row in conclusion:
-                for sign in (1.0, -1.0):
-                    val, ray = cone_max_linear(sign * row, eq_y, ineq, dim)
-                    if ray is not None and val > tol:
-                        a2 = False
-                        certs["a2"] = ray
-                        break
-                if not a2:
+            for w in (sign * row for row in a_eq[:n] for sign in (1.0, -1.0)):
+                val, ray = cone_max_linear(w, a_pat[n:], ineq, dim)
+                if ray is not None and val > tol:
+                    a2 = False
+                    certs["a2"] = ray
                     break
-    return QualificationReport(a1=a1, a2=a2, kind=kind, certificates=certs, patterns_checked=patterns)
+    return QualificationReport(a1, a2, kind, certs, patterns_checked=patterns)
 
 
 def check_cq1(
@@ -610,17 +449,8 @@ def check_cq1(
     within a decade of eps_act) triggers a warning since the support
     decomposition is only clean away from the threshold.
     """
-    problem.check_point(pt)
-    res = kkt_residual(problem, pt, t)
-    if not res.is_feasible(eps_act):
-        raise InfeasiblePointError("qualification condition needs a level-t feasible point")
-    idx = classify_indices(problem, pt, t, eps_act)
-    data = _system_data(problem, pt)
-    d = problem.dims
-
-    margins = np.concatenate(
-        [np.abs(pt.u), np.abs(data.g), np.abs(pt.u * data.g + t)]
-    ) if d.q else np.zeros(0)
+    idx, data = _setup(problem, pt, t, eps_act, eps_act)
+    margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
     border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
     if border.size:
         warnings.warn(
@@ -628,36 +458,7 @@ def check_cq1(
             BorderlineActivityWarning,
             stacklevel=2,
         )
-
-    g_list, u_list, ug_list = list(idx.i_g), list(idx.i_u), list(idx.i_ug)
-    dim = d.m + len(g_list) + len(u_list) + len(ug_list)
-    off_gamma = d.m
-    off_mu = off_gamma + len(g_list)
-    off_delta = off_mu + len(u_list)
-
-    rows = []
-    for r in range(d.m):
-        row = np.zeros(dim)
-        row[: d.m] = data.Ly[:, r]
-        for c, i in enumerate(g_list):
-            row[off_gamma + c] = data.Jgy[i, r]
-        for c, i in enumerate(ug_list):
-            row[off_delta + c] = -pt.u[i] * data.Jgy[i, r]
-        rows.append(row)
-    for i in range(d.q):
-        row = np.zeros(dim)
-        row[: d.m] = data.Jgy[i]
-        if i in u_list:
-            row[off_mu + u_list.index(i)] = -1.0
-        if i in ug_list:
-            row[off_delta + ug_list.index(i)] = -data.g[i]
-        rows.append(row)
-    ineq = []
-    for c in range(off_gamma, dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        ineq.append(e)
-    ray = cone_has_nonzero(
-        np.array(rows), np.array(ineq) if ineq else None, dim, tol=tol
-    )
-    return ray is None
+    # the y and u rows, negated: the homogeneous twin of the relaxed recovery
+    a_eq, _, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=True)
+    ineq = a_ineq if len(a_ineq) else None
+    return cone_has_nonzero(-a_eq[problem.dims.n :], ineq, a_eq.shape[1], tol=tol) is None

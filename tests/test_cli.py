@@ -296,3 +296,24 @@ def test_workers_flag_and_threads_env_have_no_effect(capsys, monkeypatch):
     assert run_cli(capsys, *args) == base
     monkeypatch.setenv("PESSIM_THREADS", "two")
     assert run_cli(capsys, *args)[0] == 1
+
+
+@pytest.mark.parametrize("extra", [["--max-outer", "0"], ["--max-outer", "-2"], ["--x-tol", "inf"]])
+def test_solve_bad_schedule_is_a_usage_error(tmp_path, capsys, extra):
+    # a run that could do no work used to exit 0 with an empty trace
+    trace = tmp_path / "tr.csv"
+    code, out, err = run_cli(capsys, "solve", "--problem", "example2", "--trace", str(trace), *extra)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("x, outside", [("5", True), ("-0.5", True), ("0.5", False), ("1.0", False)])
+def test_eval_flags_leader_point_outside_x(capsys, x, outside):
+    code, out, _ = run_cli(capsys, "eval", "--problem", "example1", "--x", x, "--t", "0.1", *FAST_SOLVE)
+    report = json.loads(out)
+    assert report["leader_infeasible"] is outside
+    # the flag is informational: value, status and exit code are unchanged
+    assert code == 0
+    assert report["status"] == "solved"

@@ -129,3 +129,35 @@ def test_trace_records_final_mesh_diagnostic(example2, light_cfg):
     for rec in trace.records:
         assert rec.final_mesh < _outer(light_cfg).mesh_tol
         assert rec.inner_status == "solved"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_rounds", 0),
+        ("mesh_init_frac", 0.0),
+        ("mesh_tol", -1e-5),
+        ("mesh_tol", float("nan")),
+        ("infeas_penalty", float("inf")),
+        ("decrease_tol", -1e-10),
+        ("decrease_tol", float("inf")),
+    ],
+)
+def test_outer_config_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        OuterConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_outer_iters", 0), ("max_outer_iters", -1), ("x_tol", float("nan")), ("x_tol", float("inf"))],
+)
+def test_relaxation_params_count_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        RelaxationParams(**{field: value})
+
+
+def test_negative_x_tol_switches_the_stall_stop_off():
+    # the schedule test relies on it to run every level
+    assert RelaxationParams(x_tol=-1.0).x_tol == -1.0
+    assert OuterConfig(decrease_tol=0.0).decrease_tol == 0.0

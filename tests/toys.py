@@ -165,29 +165,30 @@ def make_interior_toy() -> BilevelProblem:
     )
 
 
-def make_linear_follower(B, c, d, Jgy, Jgx, name: str = "linear_follower") -> BilevelProblem:
+def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower") -> BilevelProblem:
     """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
 
-    Follower: min 0.5|y|^2 - (B x).y  s.t.  Jgy y + Jgx x <= 0.  Leader:
-    F = c.y + d.x.  The leader box is inactive at x = 0.
+    Follower: min 0.5 y.H y - (B x).y  s.t.  Jgy y + Jgx x <= 0, with H = I
+    unless given.  Leader: F = c.y + d.x.  The leader box is inactive at x = 0.
     """
     B, c, d = (np.asarray(a, dtype=float) for a in (B, c, d))
     Jgy = np.asarray(Jgy, dtype=float)
     Jgx = np.asarray(Jgx, dtype=float)
     m, n = B.shape
     q = Jgy.shape[0]
+    H = np.eye(m) if H is None else np.asarray(H, dtype=float)
     return BilevelProblem(
         dims=ProblemDims(n=n, m=m, p=2 * n, q=q),
         eval_F=lambda x, y: float(c @ y + d @ x),
-        eval_f=lambda x, y: float(0.5 * (y @ y) - (B @ x) @ y),
+        eval_f=lambda x, y: float(0.5 * (y @ H @ y) - (B @ x) @ y),
         eval_G=lambda x: np.concatenate([-x - 1.0, x - 1.0]),
         eval_g=lambda x, y: Jgy @ y + Jgx @ x,
         grad_F=lambda x, y: (d.copy(), c.copy()),
-        grad_f=lambda x, y: (-B.T @ y, y - B @ x),
+        grad_f=lambda x, y: (-B.T @ y, H @ y - B @ x),
         jac_G=lambda x: np.vstack([-np.eye(n), np.eye(n)]),
         jac_g=lambda x, y: (Jgx.copy(), Jgy.copy()),
         hess_f_yx=lambda x, y: -B,
-        hess_f_yy=lambda x, y: np.eye(m),
+        hess_f_yy=lambda x, y: H,
         hess_g_yx=lambda x, y: [np.zeros((m, n))] * q,
         hess_g_yy=lambda x, y: [np.zeros((m, m))] * q,
         x_box=np.tile([-1.0, 1.0], (n, 1)),
