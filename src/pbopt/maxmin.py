@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
 from scipy.optimize._lbfgsb import setulb
 
-from .problem_model import Array, BilevelProblem, DimensionError
+from .problem_model import Array, BilevelProblem
 
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
@@ -385,11 +385,7 @@ def evaluate_psi_t(
     advance together, so each penalty evaluation covers the whole batch.
     """
     cfg = cfg or InnerConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (problem.dims.n,):
-        raise DimensionError(f"leader point has shape {x.shape}, expected ({problem.dims.n},)")
-    if not np.isfinite(x).all():
-        raise ValueError(f"leader point must be finite, got {x}")
+    x = problem.leader_point(x)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
     m, q = problem.dims.m, problem.dims.q

@@ -86,8 +86,8 @@ class BilevelProblem:
 
     The ``*_rows`` methods call a hook when it is set and otherwise loop over
     the rows with the per-point evaluators.  With finite-difference Hessians
-    (``hess_is_fd``) ``batch_lagrangian_jac`` is ignored, so L_y always comes
-    from the registered second derivatives.
+    (``hess_is_fd``) ``batch_lagrangian_jac`` is ignored and
+    ``lagrangian_jac_rows`` differences ``lagrangian_rows`` instead.
     """
 
     dims: ProblemDims
@@ -203,17 +203,47 @@ class BilevelProblem:
         return _gather(lambda xx, y: self.grad_F(xx, y)[1], x, (Y,), (self.dims.m,))
 
     def lagrangian_jac_rows(self, x: Array, Y: Array, U: Array) -> Array:
-        """Stacked [L_y | L_u] of the follower-stationarity map, shape (N, m, m + q)."""
+        """Stacked [L_y | L_u] of the follower-stationarity map, shape (N, m, m + q).
+
+        With finite-difference Hessians the whole block comes from one
+        ``lagrangian_rows`` call on 1 + 2m + q stacked copies of (Y, U):
+        central differences of step ``FD_STEP`` in y, and unit steps in u,
+        which are exact up to rounding because L is linear in u.
+        """
         d = self.dims
-        if self.batch_lagrangian_jac is not None and not self.hess_is_fd:
-            return np.asarray(self.batch_lagrangian_jac(x, Y, U), dtype=float)
-        return _gather(lambda xx, y, u: np.concatenate(_lagrangian_yu(self, xx, y, u), axis=1), x, (Y, U), (d.m, d.m + d.q))
+        if not self.hess_is_fd:
+            if self.batch_lagrangian_jac is not None:
+                return np.asarray(self.batch_lagrangian_jac(x, Y, U), dtype=float)
+            return _gather(lambda xx, y, u: np.concatenate(_lagrangian_yu(self, xx, y, u), axis=1), x, (Y, U), (d.m, d.m + d.q))
+        m, q, n_rows = d.m, d.q, Y.shape[0]
+        k = 1 + 2 * m + q
+        Ys, Us = np.empty((k, n_rows, m)), np.empty((k, n_rows, q))
+        Ys[:], Us[:] = Y, U
+        for j in range(m):
+            Ys[1 + j, :, j] += FD_STEP
+            Ys[1 + m + j, :, j] -= FD_STEP
+        for i in range(q):
+            Us[1 + 2 * m + i, :, i] += 1.0
+        L = self.lagrangian_rows(x, Ys.reshape(k * n_rows, m), Us.reshape(k * n_rows, q)).reshape(k, n_rows, m)
+        J = np.empty((n_rows, m, m + q))
+        J[:, :, :m] = ((L[1 : 1 + m] - L[1 + m : 1 + 2 * m]) / (2 * FD_STEP)).transpose(1, 2, 0)
+        J[:, :, m:] = (L[1 + 2 * m :] - L[0]).transpose(1, 2, 0)
+        return J
 
     def _lagrangian_point(self, x: Array, y: Array, u: Array) -> Array:
         gy = self.grad_f(x, y)[1]
         if self.dims.q:
             gy = gy + self.jac_g(x, y)[1].T @ u
         return gy
+
+    def leader_point(self, x, what: str = "leader point") -> Array:
+        """x as a float vector of shape (n,); a wrong shape or a non-finite entry is refused."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dims.n,):
+            raise DimensionError(f"{what} has shape {x.shape}, expected ({self.dims.n},)")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} must be finite, got {x}")
+        return x
 
     def check_point(self, pt: TriplePoint) -> None:
         d = self.dims

@@ -103,10 +103,9 @@ class MinimizeResult:
 
 
 def _project_x(problem: BilevelProblem, x: Array) -> Array:
-    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
     if problem.x_box is not None:
         return np.clip(x, problem.x_box[:, 0], problem.x_box[:, 1])
-    return x
+    return x.copy()
 
 
 def _leader_penalty(problem: BilevelProblem, x: Array, cfg: OuterConfig) -> float:
@@ -131,7 +130,7 @@ def minimize_psi_t(
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
-    x = _project_x(problem, x_init)
+    x = _project_x(problem, problem.leader_point(x_init, "x_init"))
 
     cache: dict[bytes, tuple[float, InnerSolveResult]] = {}
     evals = 0
@@ -202,7 +201,7 @@ def scholtes_solve(
         if problem.x_box is None:
             raise ValueError("x0 required for problems without a leader box")
         x0 = problem.x_box.mean(axis=1)
-    x = _project_x(problem, np.atleast_1d(np.asarray(x0, dtype=float)))
+    x = _project_x(problem, problem.leader_point(x0, "x0"))
 
     trace = RunTrace()
     t = params.t0

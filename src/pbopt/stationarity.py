@@ -356,6 +356,7 @@ def check_relaxed_stationarity(
     """Residuals of the relaxed optimality system at (pt, rm) for level t."""
     problem.check_point(pt)
     data = _system_data(problem, pt)
+    idx = classify_indices(problem, pt, t, eps_act)  # refuses a point outside D_t before the inner solve
     d = problem.dims
     alpha, beta, gamma, mu, delta = (
         np.asarray(v, dtype=float).reshape(size)
@@ -383,7 +384,7 @@ def check_relaxed_stationarity(
             np.max(slack, initial=0.0),
             np.max(np.abs(mult * slack), initial=0.0),
         ))
-    return _report("relaxed", rows, rm, None, classify_indices(problem, pt, t, eps_act), tol)
+    return _report("relaxed", rows, rm, None, idx, tol)
 
 
 @dataclass

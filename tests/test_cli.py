@@ -317,3 +317,14 @@ def test_eval_flags_leader_point_outside_x(capsys, x, outside):
     # the flag is informational: value, status and exit code are unchanged
     assert code == 0
     assert report["status"] == "solved"
+
+
+@pytest.mark.parametrize("x0", ["0.5", "0.5,0.5,0.5", "nan,0.5", "0.5,inf"])
+def test_solve_bad_x0_is_a_usage_error(tmp_path, capsys, x0):
+    # synthetic2d has two leader variables; a one-entry x0 used to be broadcast
+    trace = tmp_path / "tr.csv"
+    code, out, err = run_cli(capsys, "solve", "--problem", "synthetic2d", "--x0", x0, "--trace", str(trace), *FAST_SOLVE)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+    assert not trace.exists()

@@ -14,8 +14,9 @@ from scipy.optimize import minimize
 import pbopt
 from pbopt import BilevelProblem, InnerConfig, TriplePoint, evaluate_psi_t, lagrangian_grad, lagrangian_jacobians
 from pbopt.maxmin import _lockstep_lbfgsb, _penalty_batch, follower_box, polish_onto_relaxed_set
+from pbopt.problem_model import FD_STEP
 
-from toys import make_biactive_toy, make_empty_lower_toy, make_q0_toy
+from toys import make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy
 
 HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
 BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
@@ -32,8 +33,14 @@ def benchlib_problems():
     return [pbopt.get_problem(name)[0] for name in ("example1", "example2", "synthetic2d")]
 
 
+def named_problem(name: str) -> BilevelProblem:
+    """A benchlib problem; a ``_fd`` suffix gives its finite-difference copy."""
+    problem = pbopt.get_problem(name.removesuffix("_fd"))[0]
+    return fd_copy(problem) if name.endswith("_fd") else problem
+
+
 def penalty_problems():
-    base = benchlib_problems()
+    base = benchlib_problems() + [make_quartic_toy()]
     return base + [fd_copy(p) for p in base] + [make_q0_toy(), make_biactive_toy(), make_empty_lower_toy()]
 
 
@@ -92,8 +99,25 @@ def test_lockstep_matches_scipy_on_the_penalty(name):
         assert_matches_scipy(lambda Z: _penalty_batch(problem, x, Z, t, rho), Z0, lo, hi, 80)
 
 
+def fd_lagrangian_jac(problem, pt):
+    """[L_y | L_u] at one point by the finite-difference definition of the batch path.
+
+    Central differences of step FD_STEP in y and unit differences in u, both
+    of ``lagrangian_grad``.
+    """
+    m, q = problem.dims.m, problem.dims.q
+    L = lambda y, u: lagrangian_grad(problem, TriplePoint(pt.x, y, u))
+    Ly = np.array([(L(pt.y + e, pt.u) - L(pt.y - e, pt.u)) / (2 * FD_STEP) for e in FD_STEP * np.eye(m)]).T
+    Lu = np.array([L(pt.y, pt.u + e) - L(pt.y, pt.u) for e in np.eye(q)]).T.reshape(m, q)
+    return Ly, Lu
+
+
 def reference_penalty(problem, x, z, t, rho):
-    """The penalty and its gradient at one point, from the per-point derivatives."""
+    """The penalty and its gradient at one point, from the per-point derivatives.
+
+    With finite-difference Hessians the stationarity Jacobian follows the
+    batch path's definition, so the two agree to rounding.
+    """
     m, q = problem.dims.m, problem.dims.q
     y, u = z[:m], z[m:]
     pt = TriplePoint(x, y, u)
@@ -102,7 +126,7 @@ def reference_penalty(problem, x, z, t, rho):
     w = -u * g - t
     gp, un, wp = np.maximum(0.0, g), np.maximum(0.0, -u), np.maximum(0.0, w)
     val = -problem.eval_F(x, y) + rho * (L @ L + gp @ gp + un @ un + wp @ wp)
-    _, Ly, Lu = lagrangian_jacobians(problem, pt)
+    Ly, Lu = fd_lagrangian_jac(problem, pt) if problem.hess_is_fd else lagrangian_jacobians(problem, pt)[1:]
     Jgy = np.asarray(problem.jac_g(x, y)[1], dtype=float).reshape(q, m)
     grad_y = -problem.grad_F(x, y)[1] + 2.0 * rho * (L @ Ly + gp @ Jgy + (wp * -u) @ Jgy)
     grad_u = 2.0 * rho * (L @ Lu - un - wp * g)
@@ -134,9 +158,9 @@ def test_penalty_batch_flags_nonfinite_rows(example1):
     np.testing.assert_array_equal(grad[1], 0.0)
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d"])
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "synthetic2d_fd"])
 def test_start_path_does_not_depend_on_its_batch(name):
-    problem, _ = pbopt.get_problem(name)
+    problem = named_problem(name)
     cfg = InnerConfig(starts=8, polish_maxiter=60)
     lo, hi = follower_box(problem, cfg)
     rng = np.random.default_rng(3)
@@ -181,10 +205,24 @@ def test_fd_problem_ignores_the_batch_jacobian_hook(example2):
     problem, _ = example2
     fd = fd_copy(problem)
     assert fd.hess_is_fd and fd.batch_lagrangian_jac is not None
-    calls = []
-    hess = fd.hess_f_yy
-    fd.hess_f_yy = lambda x, y: calls.append(1) or hess(x, y)
+
+    def refuse(x, Y, U):
+        raise AssertionError("batch_lagrangian_jac called on a finite-difference problem")
+
+    fd.batch_lagrangian_jac = refuse
     Y, U = np.array([[0.3], [0.6]]), np.array([[0.2, 0.1], [0.0, 0.4]])
     J = fd.lagrangian_jac_rows(np.array([0.2]), Y, U)
-    assert len(calls) == 2
     np.testing.assert_allclose(J, problem.lagrangian_jac_rows(np.array([0.2]), Y, U), atol=1e-8)
+
+
+@pytest.mark.parametrize("problem", benchlib_problems() + [make_quartic_toy()], ids=lambda p: p.name)
+def test_fd_jacobian_rows_match_analytic(problem):
+    fd = fd_copy(problem)
+    lo, hi = follower_box(problem, InnerConfig())
+    rng = np.random.default_rng(5)
+    m = problem.dims.m
+    for _ in range(3):
+        x = leader_point(problem, rng)
+        Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(20, lo.size))
+        Y, U = Z[:, :m], Z[:, m:]
+        np.testing.assert_allclose(fd.lagrangian_jac_rows(x, Y, U), problem.lagrangian_jac_rows(x, Y, U), rtol=0, atol=1e-7)

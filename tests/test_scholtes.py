@@ -3,6 +3,7 @@ import pytest
 
 import pbopt
 from pbopt import OuterConfig, RelaxationParams, minimize_psi_t, scholtes_solve
+from pbopt.problem_model import DimensionError
 from toys import make_empty_lower_toy
 
 
@@ -113,6 +114,16 @@ def test_x0_projected_into_box(example2, light_cfg):
     params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.2, outer=_outer(light_cfg))
     trace = scholtes_solve(problem, params, [7.0])
     assert all(-1.0 <= rec.x[0] <= 1.0 for rec in trace.records)
+
+
+@pytest.mark.parametrize("x, error", [([0.5], DimensionError), ([0.5, 0.5, 0.5], DimensionError), ([np.nan, 0.5], ValueError)], ids=["short", "long", "nan"])
+def test_leader_point_of_wrong_shape_or_nonfinite_is_refused(synthetic, light_cfg, x, error):
+    # a one-entry point used to be broadcast to [0.5, 0.5] by the box projection
+    problem, _ = synthetic
+    with pytest.raises(error, match="x_init"):
+        minimize_psi_t(problem, 0.1, x, _outer(light_cfg))
+    with pytest.raises(error, match="x0"):
+        scholtes_solve(problem, RelaxationParams(outer=_outer(light_cfg)), x)
 
 
 def test_params_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import TriplePoint
+from pbopt import TriplePoint, stationarity
 from pbopt.kkt import InfeasiblePointError
 from pbopt.stationarity import (
     Multipliers,
@@ -197,6 +197,19 @@ def test_relaxed_precondition_negative_u(example1):
     problem, _ = example1
     with pytest.raises(InfeasiblePointError):
         recover_relaxed_multipliers(problem, 0.1, TriplePoint([0.5], [0.1], [-0.5, 0.0]))
+
+
+def test_relaxed_check_refuses_before_the_inner_solve(example1, monkeypatch):
+    # u = (-0.5, 0) lies outside D_t: the refusal must not pay for a graph-value solve
+    problem, _ = example1
+    calls = []
+    solve = stationarity.evaluate_psi_t
+    monkeypatch.setattr(stationarity, "evaluate_psi_t", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    pt = TriplePoint([0.5], [0.1], [-0.5, 0.0])
+    rm = RelaxedMultipliers(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(InfeasiblePointError):
+        check_relaxed_stationarity(problem, 0.1, pt, rm)
+    assert calls == []
 
 
 def test_relaxed_check_flags_delta_complementarity(example1, tiny_cfg):

@@ -165,6 +165,33 @@ def make_interior_toy() -> BilevelProblem:
     )
 
 
+def make_quartic_toy() -> BilevelProblem:
+    """Follower data nonlinear in y, with two coupled follower variables.
+
+    F = y1 + y2, f = (y1^4 + y2^4)/4 + y1*y2/2 - x*y1,
+    g = (y1^2 + y2^2 - 1, y2^2 - y1 - 1).  The Hessians are analytic, so
+    the finite-difference path can be compared with them.
+    """
+    return BilevelProblem(
+        dims=ProblemDims(n=1, m=2, p=0, q=2),
+        eval_F=lambda x, y: float(y[0] + y[1]),
+        eval_f=lambda x, y: float((y[0] ** 4 + y[1] ** 4) / 4 + y[0] * y[1] / 2 - x[0] * y[0]),
+        eval_G=lambda x: np.zeros(0),
+        eval_g=lambda x, y: np.array([y[0] ** 2 + y[1] ** 2 - 1.0, y[1] ** 2 - y[0] - 1.0]),
+        grad_F=lambda x, y: (np.zeros(1), np.ones(2)),
+        grad_f=lambda x, y: (np.array([-y[0]]), np.array([y[0] ** 3 + y[1] / 2 - x[0], y[1] ** 3 + y[0] / 2])),
+        jac_G=lambda x: np.zeros((0, 1)),
+        jac_g=lambda x, y: (np.zeros((2, 1)), np.array([[2.0 * y[0], 2.0 * y[1]], [-1.0, 2.0 * y[1]]])),
+        hess_f_yx=lambda x, y: np.array([[-1.0], [0.0]]),
+        hess_f_yy=lambda x, y: np.array([[3.0 * y[0] ** 2, 0.5], [0.5, 3.0 * y[1] ** 2]]),
+        hess_g_yx=lambda x, y: [np.zeros((2, 1)), np.zeros((2, 1))],
+        hess_g_yy=lambda x, y: [2.0 * np.eye(2), np.diag([0.0, 2.0])],
+        x_box=np.array([[-1.0, 1.0]]),
+        y_box=np.array([[-1.5, 1.5], [-1.5, 1.5]]),
+        name="quartic_toy",
+    )
+
+
 def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower") -> BilevelProblem:
     """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
 
