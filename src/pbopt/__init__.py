@@ -26,6 +26,7 @@ from .maxmin import (
     approximate_argmax_set,
     brute_force_psi_t,
     evaluate_psi_t,
+    evaluate_psi_t_batch,
 )
 from .problem_model import (
     BilevelProblem,

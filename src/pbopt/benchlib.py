@@ -84,9 +84,9 @@ def _shared_lower_level(n: int) -> dict:
         "hess_f_yy": lambda x, y: np.zeros((1, 1)),
         "hess_g_yx": lambda x, y: [np.zeros((1, n)), np.zeros((1, n))],
         "hess_g_yy": lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        "batch_g": lambda x, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
-        "batch_lagrangian": lambda x, Y, U: (x[0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
-        "batch_lagrangian_jac": lambda x, Y, U: np.repeat(lag_jac, len(Y), axis=0),
+        "batch_g": lambda X, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
+        "batch_lagrangian": lambda X, Y, U: (X[:, 0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
+        "batch_lagrangian_jac": lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     }
 
 
@@ -173,8 +173,8 @@ def make_example1() -> tuple[BilevelProblem, AnalyticOracle]:
         x_box=np.array([[0.0, 1.0]]),
         y_box=np.array([[0.0, 1.0]]),
         name="example1",
-        batch_F=lambda x, Y: Y[:, 0].copy(),
-        batch_grad_F=lambda x, Y: np.ones_like(Y),
+        batch_F=lambda X, Y: Y[:, 0].copy(),
+        batch_grad_F=lambda X, Y: np.ones_like(Y),
         **shared,
     )
 
@@ -229,8 +229,8 @@ def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
         x_box=np.array([[-1.0, 1.0]]),
         y_box=np.array([[0.0, 1.0]]),
         name="example2",
-        batch_F=lambda x, Y: x[0] + Y[:, 0],
-        batch_grad_F=lambda x, Y: np.ones_like(Y),
+        batch_F=lambda X, Y: X[:, 0] + Y[:, 0],
+        batch_grad_F=lambda X, Y: np.ones_like(Y),
         **shared,
     )
 
@@ -308,11 +308,12 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
         x_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         y_box=np.array([[0.0, 2.5], [0.0, 2.5]]),
         name="synthetic2d",
-        batch_F=lambda x, Y: Y[:, 0] + Y[:, 1] + float(lin @ x),
-        batch_g=lambda x, Y: -Y,
-        batch_lagrangian=lambda x, Y, U: Y + c_of(x)[None, :] - U,
-        batch_grad_F=lambda x, Y: np.ones_like(Y),
-        batch_lagrangian_jac=lambda x, Y, U: np.repeat(lag_jac, len(Y), axis=0),
+        # vecdot takes one dot product per row, so every row rounds like lin @ x
+        batch_F=lambda X, Y: Y[:, 0] + Y[:, 1] + np.vecdot(X, lin),
+        batch_g=lambda X, Y: -Y,
+        batch_lagrangian=lambda X, Y, U: Y + np.column_stack([X[:, 0], X[:, 0] + X[:, 1]]) - U,
+        batch_grad_F=lambda X, Y: np.ones_like(Y),
+        batch_lagrangian_jac=lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     )
 
     grid = oracle_grid(problem, res=25)
@@ -350,10 +351,27 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
     return problem, oracle
 
 
+def _complementarity_grid(x: float, t: float, res: int, y_res: int) -> GridSpec:
+    """Crosscheck grid of the shared example1/example2 follower at (x, t).
+
+    Complementarity guarantees an inner maximum with one of the two follower
+    multipliers at zero, so that axis is pinned and the other resolved on a
+    window around the stationarity band.
+    """
+    pad = 0.05
+    if x >= 0.0:
+        u1 = (max(0.0, x - pad), x + t + pad, res)
+        return GridSpec(((0.0, 1.0, y_res), u1, (0.0, 0.0, 1)))
+    u2 = (max(0.0, -x - pad), -x + t + pad, res)
+    return GridSpec(((0.0, 1.0, y_res), (0.0, 0.0, 1), u2))
+
+
+# name -> (maker, crosscheck grid hint (x, t, res, y_res) -> GridSpec, or None
+# for the shared oracle grid)
 _REGISTRY = {
-    "example1": make_example1,
-    "example2": make_example2,
-    "synthetic2d": make_synthetic2d,
+    "example1": (make_example1, _complementarity_grid),
+    "example2": (make_example2, _complementarity_grid),
+    "synthetic2d": (make_synthetic2d, None),
 }
 
 
@@ -363,7 +381,7 @@ def problem_names() -> list[str]:
 
 def get_problem(name: str) -> tuple[BilevelProblem, AnalyticOracle]:
     try:
-        maker = _REGISTRY[name]
+        maker, _ = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(problem_names())}") from None
     return maker()
@@ -383,21 +401,15 @@ def oracle_grid(problem: BilevelProblem, res: int = 60, u_cap: float = 3.5) -> G
 def crosscheck_grid(problem: BilevelProblem, x: float, t: float, res: int = 400, y_res: int = 1000) -> GridSpec:
     """Value-oracle grid adapted to the follower structure of one benchmark.
 
-    Complementarity guarantees these problems always attain an inner maximum
-    with one of the two follower multipliers at zero, so that axis is pinned
-    and the other resolved on a window around the stationarity band.  The
-    window placement uses only the constraint structure; the maximised value
-    still comes from the raw grid scan.
+    The registry entry of the problem supplies the grid hint; a problem
+    without one gets the shared oracle grid.  Window placement uses only the
+    constraint structure; the maximised value still comes from the raw grid
+    scan.
     """
-    pad = 0.05
-    if problem.name in ("example1", "example2"):
-        xv = float(x)
-        if xv >= 0.0:
-            u1 = (max(0.0, xv - pad), xv + t + pad, res)
-            return GridSpec(((0.0, 1.0, y_res), u1, (0.0, 0.0, 1)))
-        u2 = (max(0.0, -xv - pad), -xv + t + pad, res)
-        return GridSpec(((0.0, 1.0, y_res), (0.0, 0.0, 1), u2))
-    return oracle_grid(problem, res=25)
+    _, hint = _REGISTRY.get(problem.name, (None, None))
+    if hint is None:
+        return oracle_grid(problem, res=25)
+    return hint(float(x), t, res, y_res)
 
 
 @dataclass

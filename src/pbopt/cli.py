@@ -86,6 +86,9 @@ class RunConfig:
     check: Optional[str] = None
 
 
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def _load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
@@ -95,9 +98,18 @@ def _load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read config {path}: {err}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
         unknown = set(data) - known
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for f in fields(RunConfig):  # annotations are strings: "int", "float", "Optional[str]"
+            val = data.get(f.name)
+            if val is None and (f.name not in data or f.type.startswith("Optional")):
+                continue
+            base = f.type.removeprefix("Optional[").removesuffix("]")
+            if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[base]):
+                raise UsageError(f"config key {f.name!r} must be of type {base}, got {val!r}")
         cfg = replace(cfg, **data)
     for name in known:
         val = getattr(args, name, None)
@@ -130,6 +142,8 @@ def _require_problem(cfg_problem: Optional[str]):
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args)
     problem, _ = _require_problem(cfg.problem)
+    if cfg.check not in (None, "C", "M", "S"):
+        raise UsageError(f"check must be one of C, M, S, got {cfg.check!r}")
     params = RelaxationParams(
         t0=cfg.t0,
         rho=cfg.rho,
@@ -163,6 +177,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "terminal": trace.terminal,
         "iterations": len(trace.records),
         "seed": cfg.seed,
+        # inner solves of the batched pattern search that no poll round read
+        "unread_evals": trace.unread_evals,
     }
     if trace.records:
         final = trace.final()
@@ -199,6 +215,7 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
         "kind": cfg.check,
         "verdict": bool(report.verdict),
         "residual_inf": float(report.residual_inf),
+        "multipliers": mults.status,
     }
 
 
@@ -260,7 +277,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise UsageError("--point FILE is required")
     data, pt = _load_point(problem, args.point)
     kind = args.kind
-    t = args.t if args.t is not None else float(data.get("t", 0.0))
+    try:
+        t = float(args.t if args.t is not None else data.get("t", 0.0))
+    except (TypeError, ValueError):
+        raise UsageError(f"t must be a number, got {data.get('t')!r}") from None
+    if not (np.isfinite(t) and t >= 0):
+        raise UsageError(f"t must be finite and nonnegative, got {t}")
+    if args.pattern_cap is not None and args.pattern_cap < 0:
+        raise UsageError(f"--pattern-cap must be nonnegative, got {args.pattern_cap}")
     try:
         if kind == "relaxed":
             if "multipliers" in data:
@@ -273,6 +297,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             else:
                 rep = check_relaxed_stationarity(problem, t, pt, rm)
                 report_dict = _report_dict(rep)
+                report_dict["multipliers"] = rm.status
         else:
             if "multipliers" in data:
                 md = data["multipliers"]
@@ -285,6 +310,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             else:
                 rep = check_stationarity(problem, pt, mults, kind=kind)
                 report_dict = _report_dict(rep)
+                report_dict["multipliers"] = mults.status
     except PatternCapError as err:
         print(json.dumps({"schema": REPORT_SCHEMA, "error": str(err)}, indent=2))
         return EXIT_REFUSED
@@ -293,6 +319,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     except KeyError as err:
         raise UsageError(f"multiplier block missing field {err}") from None
+    except TypeError as err:
+        raise UsageError(f"malformed multiplier block: {err}") from None
     report_dict["schema"] = REPORT_SCHEMA
     report_dict["kind"] = kind
     print(json.dumps(report_dict, indent=2, sort_keys=True))
@@ -335,10 +363,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     inner_cfg = _inner_config(cfg)
     records = []
     for row in rows:
-        x = np.array([float(row[f"x{i}"]) for i in range(n)])
-        t = float(row["t"])
+        try:
+            k, t, x = int(row["k"]), float(row["t"]), np.array([float(row[f"x{i}"]) for i in range(n)])
+        except (KeyError, TypeError, ValueError) as err:
+            raise UsageError(f"malformed trace row {row}: {err!r}") from None
         sample = approximate_argmax_set(problem, x, t, inner_cfg)
-        records.append(SimpleNamespace(k=int(row["k"]), t=t, x=x, argmax=sample))
+        records.append(SimpleNamespace(k=k, t=t, x=x, argmax=sample))
     series = convergence_diagnostic(problem, records, x_bar, inner_cfg)
     out_path = args.out or "excess_series.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -363,6 +393,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     d = problem.dims
     xb = problem.x_box if problem.x_box is not None else np.tile([-1.0, 1.0], (d.n, 1))
     yb = problem.y_box if problem.y_box is not None else np.tile([-1.0, 1.0], (d.m, 1))
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
     worst: dict[str, float] = {}
     nonfinite: list[str] = []
     for _ in range(args.points):
@@ -453,7 +485,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required (solve, eval, check, diagnose, gradcheck)")
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as err:  # ValueError: inputs refused by the library
+    except (UsageError, ValueError, OSError) as err:  # ValueError: inputs refused by the library
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

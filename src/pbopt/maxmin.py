@@ -25,6 +25,12 @@ from .problem_model import Array, BilevelProblem
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
 NEAR_FEAS_BAND = 1e-3
+# Most starts that advance in lockstep at once.  Each holds about 10 kB of
+# L-BFGS-B workspace; a halving ladder of hundreds of starts in one group
+# left megabytes in the malloc heap (raising the homotopy peak RSS), while
+# groups of this size kept it at the single-point level with no measurable
+# loss of speed.
+LOCKSTEP_ROWS = 128
 
 
 class InnerInfeasibleError(RuntimeError):
@@ -150,24 +156,30 @@ def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Arra
     return np.concatenate([yb[:, 0], ub[:, 0]]), np.concatenate([yb[:, 1], ub[:, 1]])
 
 
-def _residuals(problem: BilevelProblem, x: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
+def _take(X: Array, rows) -> Array:
+    """The rows of a leader block that go with the given rows of Z; a (1, n) block goes with all."""
+    return X if len(X) == 1 else X[rows]
+
+
+def _residuals(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
     """Per row of Z: U, g and the violations v = [L | g+ | u- | w+], w = -U*g - t.
 
-    Rows of v with a non-finite entry become inf.
+    X is the leader block of the rows.  Rows of v with a non-finite entry
+    become inf.
     """
     m = problem.dims.m
     Y, U = Z[:, :m], Z[:, m:]
-    g = problem.g_rows(x, Y)
+    g = problem.g_rows(X, Y)
     w = -U * g - t
-    v = np.concatenate([problem.lagrangian_rows(x, Y, U), g, -U, w], axis=1)
+    v = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U, w], axis=1)
     np.maximum(v[:, m:], 0.0, out=v[:, m:])
-    bad = ~np.isfinite(v).all(axis=1)
-    if bad.any():
-        v[bad] = np.inf
+    finite = np.isfinite(v)
+    if not finite.all():  # the common all-finite case costs one reduction
+        v[~finite.all(axis=1)] = np.inf
     return U, g, v
 
 
-def _residual_jacobian(problem: BilevelProblem, x: Array, Z: Array, U: Array, g: Array, v: Array) -> Array:
+def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array, v: Array) -> Array:
     """Jacobian of each row of v in (y, u), shape (N, m + 3q, m + q).
 
     Rows of inactive constraints (zero entries of v) are zero, so they do
@@ -176,7 +188,7 @@ def _residual_jacobian(problem: BilevelProblem, x: Array, Z: Array, U: Array, g:
     m, q = problem.dims.m, problem.dims.q
     eye = np.eye(q)
     J = np.zeros((Z.shape[0], m + 3 * q, m + q))
-    J[:, :m] = problem.lagrangian_jac_rows(x, Z[:, :m], U)
+    J[:, :m] = problem.lagrangian_jac_rows(X, Z[:, :m], U)
     Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
     J[:, m : m + q, :m] = Jgy
     J[:, m + q : m + 2 * q, m:] = -eye
@@ -186,8 +198,8 @@ def _residual_jacobian(problem: BilevelProblem, x: Array, Z: Array, U: Array, g:
     return J
 
 
-def _penalty_batch(problem: BilevelProblem, x: Array, Z: Array, t: float, rho: float) -> tuple[Array, Array]:
-    """Penalised negative leader objective and its gradient at every row of Z.
+def _penalty_batch(problem: BilevelProblem, X: Array, Z: Array, t: float, rho: float) -> tuple[Array, Array]:
+    """Penalised negative leader objective and its gradient at every row of Z, with leader block X.
 
     -F + rho * (|L|^2 + |g+|^2 + |u-|^2 + |w+|^2); rows where it is not
     finite get the value 1e30 and a zero gradient.  The gradient is
@@ -196,19 +208,21 @@ def _penalty_batch(problem: BilevelProblem, x: Array, Z: Array, t: float, rho: f
     """
     m, q = problem.dims.m, problem.dims.q
     Y = Z[:, :m]
-    U, g, v = _residuals(problem, x, Z, t)
-    val = rho * (v * v).sum(axis=1) - problem.F_rows(x, Y)
-    bad = ~np.isfinite(val)
-    if bad.any():
+    U, g, v = _residuals(problem, X, Z, t)
+    val = rho * (v * v).sum(axis=1) - problem.F_rows(X, Y)
+    finite = np.isfinite(val)
+    bad = None if finite.all() else ~finite
+    if bad is not None:
         val[bad] = 1e30
         v[bad] = 0.0
     L, gp, un, wp = v[:, :m], v[:, m : m + q], v[:, m + q : m + 2 * q], v[:, m + 2 * q :]
-    J = problem.lagrangian_jac_rows(x, Y, U)  # [L_y | L_u], L_u = J_gy^T
+    J = problem.lagrangian_jac_rows(X, Y, U)  # [L_y | L_u], L_u = J_gy^T
     r2 = 2.0 * rho
     grad = r2 * (L[:, :, None] * J).sum(axis=1)
-    grad[:, :m] += r2 * (J[:, :, m:] * (gp - wp * U)[:, None, :]).sum(axis=2) - problem.grad_F_rows(x, Y)
+    grad[:, :m] += r2 * (J[:, :, m:] * (gp - wp * U)[:, None, :]).sum(axis=2) - problem.grad_F_rows(X, Y)
     grad[:, m:] -= r2 * (un + wp * g)
-    grad[bad] = 0.0
+    if bad is not None:
+        grad[bad] = 0.0
     return val, grad
 
 
@@ -228,7 +242,8 @@ def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
     maxiter, "ftol": 1e-14, "gtol": 1e-12})``: the same start clipped into
     the finite box, the same ``setulb`` core and workspace, and the same rule
     that a point equal to the last evaluated one reuses its (f, g).
-    ``fun_batch(Z) -> (f, G)`` evaluates the rows of Z that need it.
+    ``fun_batch(Z, rows) -> (f, G)`` evaluates Z, the current points of the
+    given rows of Z0 (a list of indices, or ``slice(None)`` for all).
 
     Returns the final points and per-row evaluation and iteration counts.
     """
@@ -241,7 +256,7 @@ def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
 
     # The minimize wrapper evaluates once at the clipped start before stepping;
     # setulb reads f and g only once it has asked for them.
-    fv, gv = fun_batch(X.copy())
+    fv, gv = fun_batch(X.copy(), slice(None))
     f = np.asarray(fv, dtype=np.float64).tolist()
     g = np.array(gv, dtype=np.float64)
     last = X.tolist()  # point of each row's latest (f, g)
@@ -278,7 +293,7 @@ def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
                     break
         if wanted:
             Xw = X[wanted]
-            fv, gv = fun_batch(Xw.copy())
+            fv, gv = fun_batch(Xw.copy(), wanted)
             g[wanted] = gv
             for i, fi, xi in zip(wanted, np.asarray(fv, dtype=np.float64).tolist(), Xw.tolist()):
                 f[i] = fi
@@ -307,9 +322,11 @@ def _min_norm_lstsq(A: Array, b: Array) -> Array:
 def polish_onto_relaxed_set(
     problem: BilevelProblem, x: Array, Z: Array, t: float, cfg: InnerConfig
 ) -> tuple[Array, Array, Array]:
-    """Drive every row of Z onto the level-t follower KKT set at x.
+    """Drive every row of Z onto the level-t follower KKT set at its leader point.
 
-    Active-set Gauss-Newton on the constraint violations inside the box of
+    x is one leader point of shape (n,) or (1, n) for every row, or a block
+    of shape (N, n) with one leader point per row of Z.  Active-set
+    Gauss-Newton on the constraint violations inside the box of
     :func:`follower_box`, stopping per row once its largest violation is at
     most cfg.feas_tol, when a step no longer reduces the squared violation,
     or after cfg.polish_maxiter iterations.
@@ -318,7 +335,7 @@ def polish_onto_relaxed_set(
     counts.
     """
     m, q = problem.dims.m, problem.dims.q
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     lo, hi = follower_box(problem, cfg)
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
     viol = np.full(Z.shape[0], np.inf)
@@ -327,13 +344,14 @@ def polish_onto_relaxed_set(
     for _ in range(cfg.polish_maxiter):
         iters[todo] += 1
         Zt = Z[todo]
-        U, g, v = _residuals(problem, x, Zt, t)
+        U, g, v = _residuals(problem, _take(X, todo), Zt, t)
         viol[todo] = np.abs(v).max(axis=1, initial=0.0)
         keep = viol[todo] > cfg.feas_tol
         todo, Zt, U, g, v = todo[keep], Zt[keep], U[keep], g[keep], v[keep]
         if not todo.size:
             break
-        J = _residual_jacobian(problem, x, Zt, U, g, v)
+        Xt = _take(X, todo)
+        J = _residual_jacobian(problem, Xt, Zt, U, g, v)
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
         at_lo = Zt <= lo + 1e-12
@@ -353,7 +371,7 @@ def polish_onto_relaxed_set(
         step = 1.0
         for _ in range(10):
             cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
-            vc = _residuals(problem, x, cand, t)[2]
+            vc = _residuals(problem, _take(Xt, pending), cand, t)[2]
             better = (vc * vc).sum(axis=1) < base[pending] - 1e-18
             Zt[pending[better]] = cand[better]
             accepted[pending[better]] = True
@@ -366,7 +384,7 @@ def polish_onto_relaxed_set(
         if not todo.size:
             break
     else:
-        viol[todo] = np.abs(_residuals(problem, x, Z[todo], t)[2]).max(axis=1, initial=0.0)
+        viol[todo] = np.abs(_residuals(problem, _take(X, todo), Z[todo], t)[2]).max(axis=1, initial=0.0)
     return Z, viol, iters
 
 
@@ -384,35 +402,74 @@ def evaluate_psi_t(
     polished maximiser within cfg.eps_lvl of the best value.  All starts
     advance together, so each penalty evaluation covers the whole batch.
     """
-    cfg = cfg or InnerConfig()
     x = problem.leader_point(x)
+    return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
+
+
+def evaluate_psi_t_batch(
+    problem: BilevelProblem,
+    X: Array,
+    t: float,
+    cfg: Optional[InnerConfig] = None,
+) -> list[InnerSolveResult]:
+    """:func:`evaluate_psi_t` at every row of the (N, n) leader block X.
+
+    Every row gets the same seeded and warm starts, and the starts of all
+    rows advance together (in groups of at most LOCKSTEP_ROWS starts), so
+    one penalty evaluation covers many leader points.  Each result is bit
+    for bit the one a lone call at that row returns.
+    """
+    X = problem.leader_block(X)
+    return _solve_rows(problem, X, t, cfg or InnerConfig())
+
+
+def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
+    """The inner solves at the rows of X, in lockstep groups of at most LOCKSTEP_ROWS starts."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
-
     rng = np.random.default_rng(cfg.seed)
     rand = rng.uniform(lo, hi, size=(cfg.starts, m + q))
     warm = np.asarray(cfg.warm_starts, dtype=float).reshape(-1, m + q)
-    Z = np.clip(np.vstack([warm, rand]), lo, hi)
+    Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
+    group = max(1, LOCKSTEP_ROWS // len(Z0))
+    return [res for i in range(0, len(X), group) for res in _solve_group(problem, X[i : i + group], Z0, lo, hi, t, cfg)]
 
+
+def _solve_group(
+    problem: BilevelProblem, X: Array, Z0: Array, lo: Array, hi: Array, t: float, cfg: InnerConfig
+) -> list[InnerSolveResult]:
+    """Ascent sweeps and polish of the starts Z0 at every leader point of X, all in lockstep."""
+    m, n_starts = problem.dims.m, len(Z0)
+    Z = Z0
+    if len(X) > 1:  # row r * n_starts + s is start s at leader point r
+        Z = np.tile(Z0, (len(X), 1))
+        X = np.repeat(X, n_starts, axis=0)
     evals = np.zeros(Z.shape[0], dtype=int)
     for s in range(cfg.sweeps):
         rho = cfg.penalty_init * cfg.penalty_growth**s
         Z, nfev, _ = _lockstep_lbfgsb(
-            lambda B: _penalty_batch(problem, x, B, t, rho), Z, lo, hi, cfg.local_maxiter
+            lambda B, rows: _penalty_batch(problem, _take(X, rows), B, t, rho), Z, lo, hi, cfg.local_maxiter
         )
         evals += nfev
-    Z, viol, polish_iters = polish_onto_relaxed_set(problem, x, Z, t, cfg)
+    Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, cfg)
     evals += polish_iters
-    fval = problem.F_rows(x, Z[:, :m])
+    fval = problem.F_rows(X, Z[:, :m])
+    return [
+        _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg)
+        for r in range(0, Z.shape[0], n_starts)
+    ]
 
+
+def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig) -> InnerSolveResult:
+    """The value, status and argmax cloud of one leader point's polished starts."""
     feas = viol <= cfg.feas_tol
     if not feas.any():
         status = "budget_exhausted" if (viol <= NEAR_FEAS_BAND).any() else "infeasible"
         return InnerSolveResult(
             value=float("nan"),
-            argmax=SampledSet(np.zeros((0, m + q)), meta={"seed": cfg.seed}),
+            argmax=SampledSet(np.zeros((0, Z.shape[1])), meta={"seed": cfg.seed}),
             status=status,
             evals=int(evals.sum()),
         )
@@ -442,18 +499,23 @@ def batch_feasibility(
     t: float,
     tau: float,
 ) -> Array:
-    """Boolean mask of grid points within tolerance tau of level-t membership."""
-    # Grids run to millions of rows, so no (N, m + 3q) residual block is built.
+    """Boolean mask of grid points within tolerance tau of level-t membership.
+
+    x is one leader point for every row of Z, or an (N, n) block of them.
+    """
+    # Grids run to millions of rows, so no (N, m + 3q) residual block is
+    # built, and one leader point goes to the hooks as a (1, n) block.
     m = problem.dims.m
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     Y, U = Z[:, :m], Z[:, m:]
-    L = problem.lagrangian_rows(x, Y, U)
-    g = problem.g_rows(x, Y)
+    L = problem.lagrangian_rows(X, Y, U)
+    g = problem.g_rows(X, Y)
     ok = (np.abs(L) <= tau).all(axis=1) & (g <= tau).all(axis=1) & (U >= -tau).all(axis=1) & (-U * g - t <= tau).all(axis=1)
     return ok & np.isfinite(L).all(axis=1) & np.isfinite(g).all(axis=1)
 
 
 def batch_objective(problem: BilevelProblem, x: Array, Y: Array) -> Array:
-    return problem.F_rows(x, Y)
+    return problem.F_rows(np.atleast_2d(np.asarray(x, dtype=float)), Y)
 
 
 @dataclass

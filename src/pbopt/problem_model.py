@@ -7,6 +7,7 @@ of f and g with respect to the follower variables.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -75,19 +76,23 @@ class BilevelProblem:
     (step ``FD_STEP``) and ``hess_is_fd`` is set.
 
     Optional vectorised hooks evaluate an (N, m) block Y of follower points,
-    and U an (N, q) block of multipliers, at one leader point x:
+    and U an (N, q) block of multipliers, at a leader block X: either (N, n),
+    one leader point per row, or (1, n), one leader point for every row, which
+    the hook broadcasts against Y and U:
 
-    - ``batch_F(x, Y) -> (N,)`` leader objective;
-    - ``batch_g(x, Y) -> (N, q)`` follower constraints;
-    - ``batch_lagrangian(x, Y, U) -> (N, m)`` follower-stationarity vectors;
-    - ``batch_grad_F(x, Y) -> (N, m)`` leader-objective gradients in y;
-    - ``batch_lagrangian_jac(x, Y, U) -> (N, m, m + q)`` the Jacobians
+    - ``batch_F(X, Y) -> (N,)`` leader objective;
+    - ``batch_g(X, Y) -> (N, q)`` follower constraints;
+    - ``batch_lagrangian(X, Y, U) -> (N, m)`` follower-stationarity vectors;
+    - ``batch_grad_F(X, Y) -> (N, m)`` leader-objective gradients in y;
+    - ``batch_lagrangian_jac(X, Y, U) -> (N, m, m + q)`` the Jacobians
       [L_y | L_u] of the stationarity map, with L_u = J_gy^T.
 
-    The ``*_rows`` methods call a hook when it is set and otherwise loop over
-    the rows with the per-point evaluators.  With finite-difference Hessians
-    (``hess_is_fd``) ``batch_lagrangian_jac`` is ignored and
-    ``lagrangian_jac_rows`` differences ``lagrangian_rows`` instead.
+    The ``*_rows`` methods take the same 2-D leader block, call a hook when
+    it is set and otherwise loop over the rows with the per-point
+    evaluators.  With
+    finite-difference Hessians (``hess_is_fd``) ``batch_lagrangian_jac`` is
+    ignored and ``lagrangian_jac_rows`` differences ``lagrangian_rows``
+    instead.
     """
 
     dims: ProblemDims
@@ -182,39 +187,39 @@ class BilevelProblem:
         if self.hess_g_yy is None:
             self.hess_g_yy = fd_g_yy
 
-    def F_rows(self, x: Array, Y: Array) -> Array:
+    def F_rows(self, X: Array, Y: Array) -> Array:
         if self.batch_F is not None:
-            return np.asarray(self.batch_F(x, Y), dtype=float)
-        return _gather(self.eval_F, x, (Y,), ())
+            return np.asarray(self.batch_F(X, Y), dtype=float)
+        return _gather(self.eval_F, X, (Y,), ())
 
-    def g_rows(self, x: Array, Y: Array) -> Array:
+    def g_rows(self, X: Array, Y: Array) -> Array:
         if self.batch_g is not None:
-            return np.asarray(self.batch_g(x, Y), dtype=float)
-        return _gather(self.eval_g, x, (Y,), (self.dims.q,))
+            return np.asarray(self.batch_g(X, Y), dtype=float)
+        return _gather(self.eval_g, X, (Y,), (self.dims.q,))
 
-    def lagrangian_rows(self, x: Array, Y: Array, U: Array) -> Array:
+    def lagrangian_rows(self, X: Array, Y: Array, U: Array) -> Array:
         if self.batch_lagrangian is not None:
-            return np.asarray(self.batch_lagrangian(x, Y, U), dtype=float)
-        return _gather(self._lagrangian_point, x, (Y, U), (self.dims.m,))
+            return np.asarray(self.batch_lagrangian(X, Y, U), dtype=float)
+        return _gather(self._lagrangian_point, X, (Y, U), (self.dims.m,))
 
-    def grad_F_rows(self, x: Array, Y: Array) -> Array:
+    def grad_F_rows(self, X: Array, Y: Array) -> Array:
         if self.batch_grad_F is not None:
-            return np.asarray(self.batch_grad_F(x, Y), dtype=float)
-        return _gather(lambda xx, y: self.grad_F(xx, y)[1], x, (Y,), (self.dims.m,))
+            return np.asarray(self.batch_grad_F(X, Y), dtype=float)
+        return _gather(lambda x, y: self.grad_F(x, y)[1], X, (Y,), (self.dims.m,))
 
-    def lagrangian_jac_rows(self, x: Array, Y: Array, U: Array) -> Array:
+    def lagrangian_jac_rows(self, X: Array, Y: Array, U: Array) -> Array:
         """Stacked [L_y | L_u] of the follower-stationarity map, shape (N, m, m + q).
 
         With finite-difference Hessians the whole block comes from one
-        ``lagrangian_rows`` call on 1 + 2m + q stacked copies of (Y, U):
+        ``lagrangian_rows`` call on 1 + 2m + q stacked copies of (X, Y, U):
         central differences of step ``FD_STEP`` in y, and unit steps in u,
         which are exact up to rounding because L is linear in u.
         """
         d = self.dims
         if not self.hess_is_fd:
             if self.batch_lagrangian_jac is not None:
-                return np.asarray(self.batch_lagrangian_jac(x, Y, U), dtype=float)
-            return _gather(lambda xx, y, u: np.concatenate(_lagrangian_yu(self, xx, y, u), axis=1), x, (Y, U), (d.m, d.m + d.q))
+                return np.asarray(self.batch_lagrangian_jac(X, Y, U), dtype=float)
+            return _gather(lambda x, y, u: np.concatenate(_lagrangian_yu(self, x, y, u), axis=1), X, (Y, U), (d.m, d.m + d.q))
         m, q, n_rows = d.m, d.q, Y.shape[0]
         k = 1 + 2 * m + q
         Ys, Us = np.empty((k, n_rows, m)), np.empty((k, n_rows, q))
@@ -224,7 +229,9 @@ class BilevelProblem:
             Ys[1 + m + j, :, j] -= FD_STEP
         for i in range(q):
             Us[1 + 2 * m + i, :, i] += 1.0
-        L = self.lagrangian_rows(x, Ys.reshape(k * n_rows, m), Us.reshape(k * n_rows, q)).reshape(k, n_rows, m)
+        if len(X) > 1:
+            X = np.broadcast_to(X, (k,) + X.shape).reshape(k * n_rows, d.n)
+        L = self.lagrangian_rows(X, Ys.reshape(k * n_rows, m), Us.reshape(k * n_rows, q)).reshape(k, n_rows, m)
         J = np.empty((n_rows, m, m + q))
         J[:, :, :m] = ((L[1 : 1 + m] - L[1 + m : 1 + 2 * m]) / (2 * FD_STEP)).transpose(1, 2, 0)
         J[:, :, m:] = (L[1 + 2 * m :] - L[0]).transpose(1, 2, 0)
@@ -245,6 +252,15 @@ class BilevelProblem:
             raise ValueError(f"{what} must be finite, got {x}")
         return x
 
+    def leader_block(self, X) -> Array:
+        """X as a float array of shape (N, n); a wrong shape or a non-finite entry is refused."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dims.n:
+            raise DimensionError(f"leader block has shape {X.shape}, expected (N, {self.dims.n})")
+        if not np.isfinite(X).all():
+            raise ValueError("leader block must be finite")
+        return X
+
     def check_point(self, pt: TriplePoint) -> None:
         d = self.dims
         if pt.x.shape != (d.n,) or pt.y.shape != (d.m,) or pt.u.shape != (d.q,):
@@ -254,10 +270,14 @@ class BilevelProblem:
             )
 
 
-def _gather(fn, x: Array, blocks: tuple, shape: tuple) -> Array:
-    """fn(x, *row) for every row of the (N, k) blocks, stacked into (N, *shape)."""
+def _gather(fn, X: Array, blocks: tuple, shape: tuple) -> Array:
+    """fn(x, *row) for every row of the (N, k) blocks, stacked into (N, *shape).
+
+    x is the matching row of the leader block X, or its only row.
+    """
     out = np.empty((blocks[0].shape[0],) + shape)
-    for i, row in enumerate(zip(*blocks)):
+    xs = itertools.repeat(X[0]) if len(X) == 1 else X
+    for i, (x, *row) in enumerate(zip(xs, *blocks)):
         out[i] = fn(x, *row)
     return out
 

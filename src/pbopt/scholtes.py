@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maxmin import InnerConfig, InnerSolveResult, SampledSet, evaluate_psi_t
+from .maxmin import InnerConfig, InnerSolveResult, SampledSet, evaluate_psi_t_batch
 from .problem_model import Array, BilevelProblem
 
 X_MEMBERSHIP_TOL = 1e-8
@@ -86,6 +86,7 @@ class TraceRecord:
 class RunTrace:
     records: list[TraceRecord] = field(default_factory=list)
     terminal: str = ""
+    unread_evals: int = 0  # summed MinimizeResult.unread of the levels
 
     def final(self) -> TraceRecord:
         if not self.records:
@@ -97,9 +98,10 @@ class RunTrace:
 class MinimizeResult:
     x: Array
     value: float
-    evals: int
+    evals: int  # inner solves the search read
     final_mesh: float
     inner: InnerSolveResult
+    unread: int  # inner solves of the halving ladder that the search never read
 
 
 def _project_x(problem: BilevelProblem, x: Array) -> Array:
@@ -127,23 +129,48 @@ def minimize_psi_t(
 
     Returns a mesh-local minimiser: once the mesh is below mesh_tol no poll
     point improves the incumbent by more than decrease_tol.
+
+    Each round's new poll points are solved in one batched inner call, the
+    first round's together with the starting point.  Once the starting
+    point survives a round, one call also solves the polls of every later
+    round that would keep it (the rest of the halving ladder), so a search
+    that stays put costs two calls.  Only evaluations the search reads count
+    in ``evals``; the rest are reported as ``unread``.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
     x = _project_x(problem, problem.leader_point(x_init, "x_init"))
 
     cache: dict[bytes, tuple[float, InnerSolveResult]] = {}
-    evals = 0
+    read: set[bytes] = set()
+
+    def solve(points: list[Array]) -> None:
+        fresh = {}
+        for xq in points:
+            key = xq.tobytes()
+            if key not in cache:
+                fresh.setdefault(key, xq)
+        if fresh:
+            results = evaluate_psi_t_batch(problem, np.array(list(fresh.values())), t, cfg.inner)
+            for (key, xq), res in zip(fresh.items(), results):
+                val = math.inf if res.status != "solved" else res.value + _leader_penalty(problem, xq, cfg)
+                cache[key] = (val, res)
 
     def objective(xq: Array) -> tuple[float, InnerSolveResult]:
-        nonlocal evals
         key = xq.tobytes()
-        if key not in cache:
-            res = evaluate_psi_t(problem, xq, t, cfg.inner)
-            val = math.inf if res.status != "solved" else res.value + _leader_penalty(problem, xq, cfg)
-            cache[key] = (val, res)
-            evals += 1
+        read.add(key)
         return cache[key]
+
+    def poll_points(xc: Array, h: float) -> list[Array]:
+        points = []
+        for i in range(n):
+            for sign in (1.0, -1.0):
+                xp = xc.copy()
+                xp[i] += sign * h
+                xp = _project_x(problem, xp)
+                if not np.array_equal(xp, xc):
+                    points.append(xp)
+        return points
 
     if problem.x_box is not None:
         diam = float(np.max(problem.x_box[:, 1] - problem.x_box[:, 0]))
@@ -153,20 +180,15 @@ def minimize_psi_t(
     if mesh <= 0:
         mesh = cfg.mesh_tol
 
+    solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
-    for _ in range(cfg.max_rounds):
+    moved = ladder = False
+    for r in range(cfg.max_rounds):
         if mesh < cfg.mesh_tol:
             break
-        polls: list[tuple[float, tuple, Array]] = []
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                xp = x.copy()
-                xp[i] += sign * mesh
-                xp = _project_x(problem, xp)
-                if np.array_equal(xp, x):
-                    continue
-                val, _ = objective(xp)
-                polls.append((val, tuple(xp), xp))
+        points = poll_points(x, mesh)
+        solve(points)
+        polls = [(objective(xp)[0], tuple(xp), xp) for xp in points]
         if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
             raise OuterInfeasibleError(
                 f"inner problem infeasible at the incumbent and every poll point "
@@ -177,12 +199,23 @@ def minimize_psi_t(
         if polls and polls[0][0] < center_val - cfg.decrease_tol:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
+            moved = True
         else:
             mesh *= 0.5
+            if not (moved or ladder):
+                ladder, h, rest = True, mesh, []
+                for _ in range(r + 1, cfg.max_rounds):
+                    if h < cfg.mesh_tol:
+                        break
+                    rest += poll_points(x, h)
+                    h *= 0.5
+                solve(rest)
 
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")
-    return MinimizeResult(x=x, value=center_val, evals=evals, final_mesh=mesh, inner=center_res)
+    return MinimizeResult(
+        x=x, value=center_val, evals=len(read), final_mesh=mesh, inner=center_res, unread=len(cache) - len(read)
+    )
 
 
 def scholtes_solve(
@@ -215,6 +248,7 @@ def scholtes_solve(
         except OuterInfeasibleError as err:
             trace.terminal = f"failure: {err}"
             return trace
+        trace.unread_evals += step.unread
         trace.records.append(
             TraceRecord(
                 k=k,

@@ -15,6 +15,8 @@ Array = np.ndarray
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+# least_norm_point's active-set steps are capped at this times (dim + inequality rows + 1)
+PROJECTION_ITER_FACTOR = 50
 
 
 @dataclass
@@ -250,15 +252,18 @@ def least_norm_point(
     a_ineq: Optional[Array] = None,
     dim: Optional[int] = None,
     tol: float = 1e-9,
-) -> Optional[Array]:
-    """Minimum-norm z with a_eq@z = b_eq, a_ineq@z >= 0; None if infeasible.
+) -> tuple[Optional[Array], str]:
+    """Minimum-norm z with a_eq@z = b_eq, a_ineq@z >= 0, and its status.
 
     Primal active-set method on the strictly convex projection problem,
-    started from a simplex-feasible vertex.
+    started from a simplex-feasible vertex.  Status "least_norm"; or
+    "iteration_cap" when the steps ran out (PROJECTION_ITER_FACTOR times
+    dim + inequality rows + 1), z then feasible but possibly not least-norm;
+    or "infeasible" with z None.
     """
     z = linear_feasibility(a_eq, b_eq, a_ineq, dim=dim)
     if z is None:
-        return None
+        return None, "infeasible"
     dim = z.size
     if a_eq is None:
         A = np.zeros((0, dim))
@@ -273,8 +278,8 @@ def least_norm_point(
     )
     n_ineq = C.shape[0]
     work = [i for i in range(n_ineq) if C[i] @ z <= tol]
-    max_iter = 50 * (dim + n_ineq + 1)
-    for _ in range(max_iter):
+    status = "iteration_cap"
+    for _ in range(PROJECTION_ITER_FACTOR * (dim + n_ineq + 1)):
         M = np.vstack([A, C[work]]) if work else A
         d = np.concatenate([b, np.zeros(len(work))])
         if M.shape[0]:
@@ -284,12 +289,14 @@ def least_norm_point(
         p = z_hat - z
         if np.max(np.abs(p), initial=0.0) <= 1e-11:
             if not work:
-                return z_hat
+                z, status = z_hat, "least_norm"
+                break
             K = np.vstack([A, C[work]]).T
             lam = np.linalg.lstsq(K, z, rcond=None)[0]
             lam_ineq = lam[A.shape[0] :]
             if lam_ineq.size == 0 or np.min(lam_ineq) >= -tol:
-                return z
+                status = "least_norm"
+                break
             drop = int(np.argmin(lam_ineq))
             work.pop(drop)
             continue
@@ -309,7 +316,7 @@ def least_norm_point(
         if block >= 0:
             work.append(block)
             work.sort()
-    return z  # iteration cap: feasible, possibly not least-norm
+    return z, status
 
 
 def cone_max_linear(

@@ -34,11 +34,15 @@ class BorderlineActivityWarning(UserWarning):
     """Active-set classification margins are thin; verdicts may be tolerance-bound."""
 
 
+# Multiplier status: "given" when built by the caller; a recovery sets
+# "least_norm", or "iteration_cap" when the least-norm projection stopped at
+# its cap (a solution of the system, possibly not the least-norm one).
 @dataclass
 class Multipliers:
     alpha: Array
     beta: Array
     gamma: Array
+    status: str = "given"
 
 
 @dataclass
@@ -48,6 +52,7 @@ class RelaxedMultipliers:
     gamma: Array
     mu: Array
     delta: Array
+    status: str = "given"
 
 
 @dataclass
@@ -218,12 +223,12 @@ def recover_c_multipliers(
     a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
     d = problem.dims
     for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
-        z = least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
+        z, status = least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
         if z is not None:
             k = len(idx.i_G)
             free = sorted(set(idx.theta) | set(idx.nu))
             alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
-            return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]))
+            return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]), status)
     return None
 
 
@@ -327,7 +332,7 @@ def recover_relaxed_multipliers(
     """
     idx, data = _setup(problem, pt, t, tol, eps_act)
     a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
-    z = least_norm_point(a_eq, b, a_ineq if len(a_ineq) else None)
+    z, status = least_norm_point(a_eq, b, a_ineq if len(a_ineq) else None)
     if z is None:
         return None
     d = problem.dims
@@ -339,6 +344,7 @@ def recover_relaxed_multipliers(
         gamma=_scatter(d.q, idx.i_g, np.maximum(0.0, gamma)),
         mu=_scatter(d.q, idx.i_u, np.maximum(0.0, mu)),
         delta=_scatter(d.q, idx.i_ug, np.maximum(0.0, delta)),
+        status=status,
     )
 
 
@@ -393,7 +399,7 @@ class QualificationReport:
     a2: bool
     kind: str
     certificates: dict = field(default_factory=dict)
-    patterns_checked: int = 0
+    patterns_checked: int = 0  # sign patterns visited before both verdicts were settled
 
 
 def check_qualification_Am(
@@ -410,7 +416,7 @@ def check_qualification_Am(
     zero; the second iff every element of the follower-only variant also
     annihilates the leader-derivative rows.  Both are decided per sign
     pattern by linear programs over the pattern cone intersected with the
-    unit box.
+    unit box.  The enumeration stops once both conditions have failed.
     """
     idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
     a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
@@ -432,6 +438,8 @@ def check_qualification_Am(
                     a2 = False
                     certs["a2"] = ray
                     break
+        if not (a1 or a2):
+            break  # both verdicts and their rays are settled
     return QualificationReport(a1, a2, kind, certs, patterns_checked=patterns)
 
 

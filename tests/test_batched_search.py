@@ -1,0 +1,290 @@
+"""Batched inner solves and the batched pattern search.
+
+``evaluate_psi_t_batch`` must return, row for row, exactly what lone
+``evaluate_psi_t`` calls return; ``minimize_psi_t`` and ``scholtes_solve``
+must follow exactly the path of a pattern search that solves one poll point
+at a time; and the vectorised hooks must give every row of a leader block
+the value it gets alone.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import pbopt
+from pbopt import (
+    BilevelProblem,
+    InnerConfig,
+    MinimizeResult,
+    OuterConfig,
+    ProblemDims,
+    RelaxationParams,
+    evaluate_psi_t,
+    evaluate_psi_t_batch,
+    minimize_psi_t,
+    scholtes,
+    scholtes_solve,
+)
+from pbopt import maxmin
+from pbopt.problem_model import DimensionError
+
+HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
+BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
+CFG = InnerConfig(starts=6, sweeps=2, local_maxiter=60)
+DIP = (0.375, 0.01)  # centre and width of the dip toy's narrow well
+
+
+def make_dip_toy() -> BilevelProblem:
+    """Hook-free toy whose psi_t(x) is a narrow well at DIP[0] on a flat floor.
+
+    The follower tracks the leader (y = x, no constraints), and F is
+    phi(x) = -exp(-((x - c) / w)^2).  From x = 0.5 the first poll round
+    (x = 0.25, 0.75) sees no decrease, and the second finds the well at
+    0.375, so the rest of the halving ladder goes unread.
+    """
+    c, w = DIP
+    phi = lambda x: -math.exp(-(((x[0] - c) / w) ** 2))
+    dphi = lambda x: 2.0 * (x[0] - c) / w**2 * -phi(x)
+    return BilevelProblem(
+        dims=ProblemDims(n=1, m=1, p=2, q=0),
+        eval_F=lambda x, y: float(phi(x)),
+        eval_f=lambda x, y: float(0.5 * (y[0] - x[0]) ** 2),
+        eval_G=lambda x: np.array([-x[0], x[0] - 1.0]),
+        eval_g=lambda x, y: np.zeros(0),
+        grad_F=lambda x, y: (np.array([dphi(x)]), np.zeros(1)),
+        grad_f=lambda x, y: (np.array([x[0] - y[0]]), np.array([y[0] - x[0]])),
+        jac_G=lambda x: np.array([[-1.0], [1.0]]),
+        jac_g=lambda x, y: (np.zeros((0, 1)), np.zeros((0, 1))),
+        hess_f_yx=lambda x, y: np.array([[-1.0]]),
+        hess_f_yy=lambda x, y: np.array([[1.0]]),
+        hess_g_yx=lambda x, y: [],
+        hess_g_yy=lambda x, y: [],
+        x_box=np.array([[0.0, 1.0]]),
+        y_box=np.array([[-1.0, 2.0]]),
+        name="dip_toy",
+    )
+
+
+def fd_copy(problem: BilevelProblem) -> BilevelProblem:
+    kw = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem) if f.name not in HESS_FIELDS + ("hess_is_fd",)}
+    return BilevelProblem(**kw)
+
+
+def named_problem(name: str) -> BilevelProblem:
+    if name == "dip_toy":
+        return make_dip_toy()
+    if name == "example2_bare":
+        return dataclasses.replace(pbopt.get_problem("example2")[0], **{h: None for h in BATCH_HOOKS})
+    problem = pbopt.get_problem(name.removesuffix("_fd"))[0]
+    return fd_copy(problem) if name.endswith("_fd") else problem
+
+
+def leader_block(problem: BilevelProblem, rng, rows: int) -> np.ndarray:
+    """Random leader points plus the box corners and one repeated row."""
+    lo, hi = problem.x_box[:, 0], problem.x_box[:, 1]
+    X = np.vstack([rng.uniform(lo, hi, size=(rows, problem.dims.n)), lo, hi])
+    return np.vstack([X, X[:1]])
+
+
+def assert_same_result(got, want):
+    assert got.status == want.status
+    assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
+    assert got.evals == want.evals
+    np.testing.assert_array_equal(got.argmax.points, want.argmax.points)
+    assert got.argmax.meta == want.argmax.meta
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["example1", "example2", "synthetic2d", "example1_fd", "example2_fd", "synthetic2d_fd", "example2_bare", "dip_toy"],
+)
+def test_batch_rows_equal_lone_calls(name):
+    problem = named_problem(name)
+    rng = np.random.default_rng(17)
+    X = leader_block(problem, rng, 5)
+    for t in (0.3, 0.02):
+        batch = evaluate_psi_t_batch(problem, X, t, CFG)
+        assert len(batch) == len(X)
+        for x, res in zip(X, batch):
+            assert_same_result(res, evaluate_psi_t(problem, x, t, CFG))
+
+
+def test_batch_with_warm_starts_across_lockstep_groups(monkeypatch, example2):
+    problem, _ = example2
+    warm = evaluate_psi_t(problem, [-1.0], 0.2, CFG).argmax.points
+    cfg = dataclasses.replace(CFG, warm_starts=tuple(warm))
+    monkeypatch.setattr(maxmin, "LOCKSTEP_ROWS", 3 * (cfg.starts + len(warm)))  # groups of three leader points
+    X = leader_block(problem, np.random.default_rng(3), 6)
+    for x, res in zip(X, evaluate_psi_t_batch(problem, X, 0.1, cfg)):
+        assert_same_result(res, evaluate_psi_t(problem, x, 0.1, cfg))
+
+
+def test_batch_refuses_bad_blocks(example2):
+    problem, _ = example2
+    with pytest.raises(DimensionError):
+        evaluate_psi_t_batch(problem, [0.5, 0.2], 0.1, CFG)
+    with pytest.raises(ValueError):
+        evaluate_psi_t_batch(problem, [[0.5], [np.nan]], 0.1, CFG)
+    with pytest.raises(ValueError):
+        evaluate_psi_t_batch(problem, [[0.5]], -1.0, CFG)
+    assert evaluate_psi_t_batch(problem, np.zeros((0, 1)), 0.1, CFG) == []
+
+
+def sequential_minimize(problem, t, x_init, cfg):
+    """The pattern search with one lone inner solve per new poll point."""
+    n = problem.dims.n
+    x = scholtes._project_x(problem, problem.leader_point(x_init, "x_init"))
+    cache, evals = {}, 0
+
+    def objective(xq):
+        nonlocal evals
+        key = xq.tobytes()
+        if key not in cache:
+            res = evaluate_psi_t(problem, xq, t, cfg.inner)
+            val = math.inf if res.status != "solved" else res.value + scholtes._leader_penalty(problem, xq, cfg)
+            cache[key] = (val, res)
+            evals += 1
+        return cache[key]
+
+    diam = float(np.max(problem.x_box[:, 1] - problem.x_box[:, 0]))
+    mesh = cfg.mesh_init_frac * diam if diam > 0 else cfg.mesh_tol
+    center_val, center_res = objective(x)
+    for _ in range(cfg.max_rounds):
+        if mesh < cfg.mesh_tol:
+            break
+        polls = []
+        for i in range(n):
+            for sign in (1.0, -1.0):
+                xp = x.copy()
+                xp[i] += sign * mesh
+                xp = scholtes._project_x(problem, xp)
+                if np.array_equal(xp, x):
+                    continue
+                polls.append((objective(xp)[0], tuple(xp), xp))
+        if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
+            raise scholtes.OuterInfeasibleError("infeasible")
+        polls.sort(key=lambda rec: (rec[0], rec[1]))
+        if polls and polls[0][0] < center_val - cfg.decrease_tol:
+            x, center_val = polls[0][2], polls[0][0]
+            center_res = cache[x.tobytes()][1]
+        else:
+            mesh *= 0.5
+    return MinimizeResult(x=x, value=center_val, evals=evals, final_mesh=mesh, inner=center_res, unread=0)
+
+
+def counting_batches(monkeypatch) -> list:
+    """Record the number of leader points of every batched solve of the search."""
+    sizes = []
+    solve = scholtes.evaluate_psi_t_batch
+
+    def counted(problem, X, t, cfg=None):
+        sizes.append(len(X))
+        return solve(problem, X, t, cfg)
+
+    monkeypatch.setattr(scholtes, "evaluate_psi_t_batch", counted)
+    return sizes
+
+
+SEARCH_CASES = [
+    ("example1", [0.5], 0.1),
+    ("example1", [1.0], 0.05),
+    ("example2", [0.3], 0.25),
+    ("example2", [-1.0], 0.05),
+    ("synthetic2d", [0.4, -0.2], 0.25),
+    ("dip_toy", [0.5], 0.1),
+    ("dip_toy", [0.9], 0.1),
+]
+
+
+@pytest.mark.parametrize("name,x0,t", SEARCH_CASES)
+def test_minimize_follows_the_sequential_search(monkeypatch, name, x0, t):
+    problem = named_problem(name)
+    cfg = OuterConfig(inner=CFG, mesh_tol=1e-4)
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(problem, t, x0, cfg)
+    want = sequential_minimize(problem, t, x0, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
+    assert_same_result(got.inner, want.inner)
+    assert got.unread == sum(sizes) - got.evals >= 0
+
+
+def test_ladder_reports_unread_evaluations(monkeypatch):
+    problem = make_dip_toy()
+    sizes = counting_batches(monkeypatch)
+    res = minimize_psi_t(problem, 0.1, [0.5], OuterConfig(inner=CFG, mesh_tol=1e-4))
+    assert res.x[0] == DIP[0]
+    # first round (centre, 0.75, 0.25) in one call, then the ladder at 0.5, then polls around the well
+    assert sizes[0] == 3 and sizes[1] > 10
+    assert res.unread > 0
+
+
+def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
+    problem, _ = example2
+    sizes = counting_batches(monkeypatch)
+    res = minimize_psi_t(problem, 0.05, [-1.0], OuterConfig(inner=CFG))
+    assert res.x[0] == -1.0
+    assert len(sizes) == 2 and res.unread == 0 and res.evals == sum(sizes)
+
+
+@pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2])])
+def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
+    problem = named_problem(name)
+    params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.05, outer=OuterConfig(inner=CFG, mesh_tol=1e-4))
+    sizes = counting_batches(monkeypatch)
+    got = scholtes_solve(problem, params, x0)
+    monkeypatch.setattr(scholtes, "minimize_psi_t", sequential_minimize)
+    want = scholtes_solve(problem, params, x0)
+    assert got.terminal == want.terminal
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.k, a.t, a.psi, a.inner_status, a.outer_evals, a.final_mesh) == (
+            b.k, b.t, b.psi, b.inner_status, b.outer_evals, b.final_mesh
+        )
+        np.testing.assert_array_equal(a.argmax.points, b.argmax.points)
+    assert got.unread_evals == sum(sizes) - sum(rec.outer_evals for rec in got.records)
+
+
+def hook_args(problem, rng, rows):
+    lo, hi = problem.x_box[:, 0], problem.x_box[:, 1]
+    X = rng.uniform(lo, hi, size=(rows, problem.dims.n))
+    Y = rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1], size=(rows, problem.dims.m))
+    U = rng.uniform(0.0, 2.0, size=(rows, problem.dims.q))
+    return X, Y, U
+
+
+def call_hook(problem, hook, X, Y, U):
+    fn = getattr(problem, hook)
+    return fn(X, Y, U) if hook in ("batch_lagrangian", "batch_lagrangian_jac") else fn(X, Y)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d"])
+@pytest.mark.parametrize("hook", BATCH_HOOKS)
+def test_hooks_give_each_row_its_lone_value(name, hook):
+    problem = named_problem(name)
+    X, Y, U = hook_args(problem, np.random.default_rng(23), 50)
+    block = np.asarray(call_hook(problem, hook, X, Y, U))
+    assert block.shape[0] == len(Y)
+    for i in range(len(Y)):
+        alone = np.asarray(call_hook(problem, hook, X[i : i + 1], Y[i : i + 1], U[i : i + 1]))
+        np.testing.assert_array_equal(block[i], alone[0])
+    # a (1, n) block broadcasts exactly like its repetition
+    one = np.asarray(call_hook(problem, hook, X[:1], Y, U))
+    np.testing.assert_array_equal(one, np.asarray(call_hook(problem, hook, np.repeat(X[:1], len(Y), axis=0), Y, U)))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "synthetic2d_fd", "example2_bare", "dip_toy"])
+def test_rows_methods_give_each_row_its_lone_value(name):
+    problem = named_problem(name)
+    rng = np.random.default_rng(29)
+    X = rng.uniform(problem.x_box[:, 0], problem.x_box[:, 1], size=(7, problem.dims.n))
+    Y = rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1], size=(7, problem.dims.m))
+    U = rng.uniform(0.0, 2.0, size=(7, problem.dims.q))
+    for method in ("F_rows", "g_rows", "grad_F_rows", "lagrangian_rows", "lagrangian_jac_rows"):
+        fn = getattr(problem, method)
+        args = (Y, U) if method.startswith("lagrangian") else (Y,)
+        block = fn(X, *args)
+        for i in range(len(X)):
+            np.testing.assert_array_equal(block[i], fn(X[i : i + 1], *(a[i : i + 1] for a in args))[0])

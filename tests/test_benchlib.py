@@ -3,7 +3,8 @@ import pytest
 
 import pbopt
 from pbopt import TriplePoint
-from pbopt.benchlib import get_problem, oracle_crosscheck, oracle_grid, problem_names, u1_star
+from pbopt import GridSpec
+from pbopt.benchlib import crosscheck_grid, get_problem, oracle_crosscheck, oracle_grid, problem_names, u1_star
 from pbopt.kkt import kkt_residual
 
 
@@ -83,6 +84,20 @@ def test_crosscheck_example1_grid():
 def test_crosscheck_example2_negative_half_grid():
     rep = oracle_crosscheck("example2", np.linspace(-1.0, -0.1, 10), [0.5, 0.3, 0.2, 0.1, 0.05])
     assert rep.max_value_gap <= 0.02
+
+
+def test_crosscheck_grid_hints(example1, example2, synthetic):
+    # one multiplier axis pinned, the other on a window around the stationarity band
+    assert crosscheck_grid(example1[0], 0.3, 0.1, res=40, y_res=50) == GridSpec(
+        ((0.0, 1.0, 50), (0.3 - 0.05, 0.3 + 0.1 + 0.05, 40), (0.0, 0.0, 1))
+    )
+    assert crosscheck_grid(example2[0], 0.02, 0.2) == GridSpec(
+        ((0.0, 1.0, 1000), (0.0, 0.02 + 0.2 + 0.05, 400), (0.0, 0.0, 1))
+    )
+    assert crosscheck_grid(example2[0], -0.4, 0.1, res=30) == GridSpec(
+        ((0.0, 1.0, 1000), (0.0, 0.0, 1), (0.4 - 0.05, 0.4 + 0.1 + 0.05, 30))
+    )
+    assert crosscheck_grid(synthetic[0], 0.1, 0.1) == oracle_grid(synthetic[0], res=25)
 
 
 def test_crosscheck_degenerate_single_point(example2):

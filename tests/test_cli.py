@@ -328,3 +328,45 @@ def test_solve_bad_x0_is_a_usage_error(tmp_path, capsys, x0):
     assert err.startswith("error:")
     assert out == ""
     assert not trace.exists()
+
+
+BAD_INPUTS = {
+    "config_wrong_type": ["solve", "--config", "cfg_type.json"],
+    "config_not_an_object": ["solve", "--problem", "example2", "--config", "cfg_list.json"],
+    "config_bad_check": ["solve", "--config", "cfg_check.json"],
+    "trace_unwritable": ["solve", "--problem", "example2", "--max-outer", "1", "--trace", "no_dir/tr.csv", *FAST_SOLVE],
+    "trace_of_other_problem": ["diagnose", "--problem", "synthetic2d", "--trace", "tr1.csv", "--x-bar", "0,0"],
+    "no_gradcheck_points": ["gradcheck", "--problem", "example1", "--points", "0"],
+    "negative_pattern_cap": ["check", "--problem", "example1", "--point", "pt.json", "--pattern-cap", "-1"],
+    "nan_level": ["check", "--problem", "example1", "--point", "pt.json", "--kind", "relaxed", "--t", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
+    # each of these used to raise a traceback or to exit 0 or 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg_type.json").write_text(json.dumps({"problem": "example2", "starts": "many"}))
+    (tmp_path / "cfg_list.json").write_text("[1, 2]")
+    (tmp_path / "cfg_check.json").write_text(json.dumps({"problem": "example2", "check": "Q", "max_outer": 1}))
+    (tmp_path / "tr1.csv").write_text("# schema=pbopt-trace-1\nk,t,x0,psi,inner_status,evals\n0,0.5,-1,0,solved,3\n")
+    (tmp_path / "pt.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    code, out, err = run_cli(capsys, *BAD_INPUTS[name])
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_reports_carry_unread_evals_and_multiplier_status(tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    code, _, _ = run_cli(
+        capsys, "solve", "--problem", "example2", "--t0", "0.5", "--tmin", "0.1", "--check", "C",
+        "--trace", str(tmp_path / "tr.csv"), "--summary", str(summary), *FAST_SOLVE,
+    )
+    assert code == 0
+    data = json.loads(summary.read_text())
+    assert data["unread_evals"] == 0
+    assert data["stationarity"]["multipliers"] == "least_norm"
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    code, out, _ = run_cli(capsys, "check", "--problem", "example1", "--point", str(point))
+    assert code == 0 and json.loads(out)["multipliers"] == "least_norm"

@@ -60,7 +60,7 @@ def per_point(fun_batch):
 
 
 def assert_matches_scipy(fun_batch, Z0, lo, hi, maxiter):
-    X, nfev, nit = _lockstep_lbfgsb(fun_batch, Z0, lo, hi, maxiter)
+    X, nfev, nit = _lockstep_lbfgsb(lambda Z, rows: fun_batch(Z), Z0, lo, hi, maxiter)
     for i, z0 in enumerate(Z0):
         res = minimize(
             per_point(fun_batch), z0, jac=True, method="L-BFGS-B",
@@ -96,7 +96,7 @@ def test_lockstep_matches_scipy_on_the_penalty(name):
     for t, rho in ((0.1, 100.0), (0.01, 1e4)):
         x = leader_point(problem, rng)
         Z0 = rng.uniform(lo, hi, size=(6, lo.size))
-        assert_matches_scipy(lambda Z: _penalty_batch(problem, x, Z, t, rho), Z0, lo, hi, 80)
+        assert_matches_scipy(lambda Z: _penalty_batch(problem, x[None], Z, t, rho), Z0, lo, hi, 80)
 
 
 def fd_lagrangian_jac(problem, pt):
@@ -142,7 +142,7 @@ def test_penalty_batch_matches_per_point_reference(problem):
         x = leader_point(problem, rng)
         # Widen the box so that negative multipliers and violated constraints occur.
         Z = rng.uniform(lo - 0.5, np.minimum(hi, 3.0) + 0.5, size=(25, k))
-        val, grad = _penalty_batch(problem, x, Z, t, rho)
+        val, grad = _penalty_batch(problem, x[None], Z, t, rho)
         for i, z in enumerate(Z):
             rv, rg = reference_penalty(problem, x, z, t, rho)
             scale = max(1.0, abs(rv), np.max(np.abs(rg)))
@@ -153,7 +153,7 @@ def test_penalty_batch_matches_per_point_reference(problem):
 def test_penalty_batch_flags_nonfinite_rows(example1):
     problem, _ = example1
     Z = np.array([[0.5, 0.2, 0.1], [np.nan, 0.2, 0.1]])
-    val, grad = _penalty_batch(problem, np.array([0.5]), Z, 0.1, 100.0)
+    val, grad = _penalty_batch(problem, np.array([[0.5]]), Z, 0.1, 100.0)
     assert np.isfinite(val[0]) and val[1] == 1e30
     np.testing.assert_array_equal(grad[1], 0.0)
 
@@ -167,7 +167,7 @@ def test_start_path_does_not_depend_on_its_batch(name):
     x = leader_point(problem, rng)
     t = 0.05
     Z0 = rng.uniform(lo, hi, size=(8, lo.size))
-    fun = lambda Z: _penalty_batch(problem, x, Z, t, 1e3)
+    fun = lambda Z, rows: _penalty_batch(problem, x[None], Z, t, 1e3)
     X, nfev, nit = _lockstep_lbfgsb(fun, Z0, lo, hi, 80)
     P, viol, iters = polish_onto_relaxed_set(problem, x, X, t, cfg)
     for i in range(len(Z0)):
@@ -211,8 +211,8 @@ def test_fd_problem_ignores_the_batch_jacobian_hook(example2):
 
     fd.batch_lagrangian_jac = refuse
     Y, U = np.array([[0.3], [0.6]]), np.array([[0.2, 0.1], [0.0, 0.4]])
-    J = fd.lagrangian_jac_rows(np.array([0.2]), Y, U)
-    np.testing.assert_allclose(J, problem.lagrangian_jac_rows(np.array([0.2]), Y, U), atol=1e-8)
+    J = fd.lagrangian_jac_rows(np.array([[0.2]]), Y, U)
+    np.testing.assert_allclose(J, problem.lagrangian_jac_rows(np.array([[0.2]]), Y, U), atol=1e-8)
 
 
 @pytest.mark.parametrize("problem", benchlib_problems() + [make_quartic_toy()], ids=lambda p: p.name)
@@ -225,4 +225,4 @@ def test_fd_jacobian_rows_match_analytic(problem):
         x = leader_point(problem, rng)
         Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(20, lo.size))
         Y, U = Z[:, :m], Z[:, m:]
-        np.testing.assert_allclose(fd.lagrangian_jac_rows(x, Y, U), problem.lagrangian_jac_rows(x, Y, U), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(fd.lagrangian_jac_rows(x[None], Y, U), problem.lagrangian_jac_rows(x[None], Y, U), rtol=0, atol=1e-7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pbopt import simplex
 from pbopt.simplex import (
     cone_has_nonzero,
     cone_max_linear,
@@ -90,14 +91,14 @@ def test_lp_matches_random_vertex_enumeration():
 
 
 def test_feasibility_and_least_norm_equality_only():
-    z = least_norm_point(np.array([[1.0, 1.0]]), np.array([1.0]))
+    z, _ = least_norm_point(np.array([[1.0, 1.0]]), np.array([1.0]))
     np.testing.assert_allclose(z, [0.5, 0.5], atol=1e-9)
 
 
 def test_least_norm_with_binding_inequality():
     # min |z| s.t. z1 + z2 = 1 and z1 >= 3 z2: the interior projection
     # (0.5, 0.5) is cut off, so the inequality binds at (0.75, 0.25).
-    z = least_norm_point(
+    z, _ = least_norm_point(
         np.array([[1.0, 1.0]]),
         np.array([1.0]),
         np.array([[1.0, -3.0]]),
@@ -106,7 +107,7 @@ def test_least_norm_with_binding_inequality():
 
 
 def test_least_norm_inactive_inequality_is_ignored():
-    z = least_norm_point(
+    z, _ = least_norm_point(
         np.array([[1.0, 1.0]]),
         np.array([1.0]),
         np.array([[1.0, 1.0]]),  # z1 + z2 >= 0 holds strictly at the optimum
@@ -115,11 +116,11 @@ def test_least_norm_inactive_inequality_is_ignored():
 
 
 def test_least_norm_infeasible_returns_none():
-    z = least_norm_point(
+    z, status = least_norm_point(
         np.array([[1.0, 0.0], [1.0, 0.0]]),
         np.array([1.0, 2.0]),
     )
-    assert z is None
+    assert z is None and status == "infeasible"
 
 
 def test_least_norm_random_kkt_certificates():
@@ -131,7 +132,7 @@ def test_least_norm_random_kkt_certificates():
         b = A @ z_ref
         C = rng.normal(size=(3, n))
         C = C[C @ z_ref >= 0]  # keep the problem feasible by construction
-        z = least_norm_point(A, b, C if C.shape[0] else None)
+        z, _ = least_norm_point(A, b, C if C.shape[0] else None)
         assert z is not None
         np.testing.assert_allclose(A @ z, b, atol=1e-7)
         if C.shape[0]:
@@ -168,3 +169,16 @@ def test_cone_max_linear_value():
     # maximize z2 s.t. z1 = z2, box [-1, 1]
     assert val == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-9)
+
+
+def test_least_norm_reports_its_iteration_cap(monkeypatch):
+    # min |z| s.t. z1 + z2 + 2 z3 = 1, z1 >= 3 z2: the simplex vertex (0.75, 0.25, 0)
+    # is feasible but two active-set steps short of the least-norm point.
+    A, b, C = np.array([[1.0, 1.0, 2.0]]), np.array([1.0]), np.array([[1.0, -3.0, 0.0]])
+    best, status = least_norm_point(A, b, C)
+    assert status == "least_norm"
+    np.testing.assert_allclose(best, [3.0 / 14.0, 1.0 / 14.0, 5.0 / 14.0], atol=1e-9)
+    monkeypatch.setattr(simplex, "PROJECTION_ITER_FACTOR", 0)
+    z, status = least_norm_point(A, b, C)
+    assert status == "iteration_cap"
+    np.testing.assert_allclose(z, [0.75, 0.25, 0.0], atol=1e-9)

@@ -193,6 +193,18 @@ def test_relaxed_recovery_interior_zero_gradient(tiny_cfg):
     assert rep.verdict
 
 
+def test_recovered_multipliers_carry_the_least_norm_cap(example1, monkeypatch):
+    problem, _ = example1
+    exact_pt, relaxed_pt = EX1_PT, TriplePoint([1.0], [0.1], [1.0, 0.0])
+    assert recover_c_multipliers(problem, exact_pt, kind="C").status == "least_norm"
+    assert recover_relaxed_multipliers(problem, 0.1, relaxed_pt).status == "least_norm"
+    monkeypatch.setattr(pbopt.simplex, "PROJECTION_ITER_FACTOR", 0)
+    mults = recover_c_multipliers(problem, exact_pt, kind="C")
+    assert mults is not None and mults.status == "iteration_cap"
+    rm = recover_relaxed_multipliers(problem, 0.1, relaxed_pt)
+    assert rm is not None and rm.status == "iteration_cap"
+
+
 def test_relaxed_precondition_negative_u(example1):
     problem, _ = example1
     with pytest.raises(InfeasiblePointError):

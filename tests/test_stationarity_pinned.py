@@ -101,7 +101,7 @@ def _cases() -> dict:
 def _mults(m) -> dict | None:
     if m is None:
         return None
-    return {name: np.asarray(v, dtype=float).tolist() for name, v in vars(m).items()}
+    return {name: np.asarray(v, dtype=float).tolist() for name, v in vars(m).items() if name != "status"}
 
 
 def _observe(label: str) -> dict:

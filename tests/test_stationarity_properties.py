@@ -99,7 +99,10 @@ def test_exact_verdicts_invariant_under_g_scaling_and_permutation(data, rng):
     qa = check_qualification_Am(base, pt)
     qb = check_qualification_Am(scaled, pt)
     assert (qa.a1, qa.a2) == (qb.a1, qb.a2)
-    assert qa.patterns_checked == qb.patterns_checked
+    # the enumeration visits every pattern unless both conditions fail, and
+    # then stops at a pattern whose place depends on the order of g
+    if qa.a1 or qa.a2:
+        assert qa.patterns_checked == qb.patterns_checked
 
 
 @st.composite
