@@ -252,6 +252,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "argmax": [[float(v) for v in row] for row in res.argmax.points],
     }
     print(json.dumps(out, indent=2, sort_keys=True))
+    if res.status == "nonfinite":  # x too large for the residuals to be computed: bad input, not an empty set
+        return EXIT_USAGE
     return EXIT_OK if res.status == "solved" else EXIT_INFEASIBLE
 
 

@@ -31,6 +31,9 @@ NEAR_FEAS_BAND = 1e-3
 # groups of this size kept it at the single-point level with no measurable
 # loss of speed.
 LOCKSTEP_ROWS = 128
+# Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
+# at m + q = 4, where a whole 25^4 grid held about 31 MB.
+GRID_CHUNK_ROWS = 65536
 
 
 class InnerInfeasibleError(RuntimeError):
@@ -52,9 +55,17 @@ class GridSpec:
             out.append(np.array([lo]) if n <= 1 else np.linspace(lo, hi, n))
         return out
 
+    def shape(self) -> tuple[int, ...]:
+        return tuple(max(n, 1) for _, _, n in self.axes)
+
+    def rows(self, start: int, stop: int) -> Array:
+        """Points start..stop-1 of :meth:`points`, built by index arithmetic."""
+        index = np.unravel_index(np.arange(start, stop), self.shape())
+        return np.stack([axis[i] for axis, i in zip(self.arrays(), index)], axis=-1)
+
     def points(self) -> Array:
-        grids = np.meshgrid(*self.arrays(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """Every grid point, the last axis varying fastest."""
+        return self.rows(0, math.prod(self.shape()))
 
     def max_step(self) -> float:
         steps = [
@@ -137,7 +148,7 @@ class InnerConfig:
 class InnerSolveResult:
     value: float
     argmax: SampledSet
-    status: str  # "solved" | "infeasible" | "budget_exhausted"
+    status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
     evals: int
 
 
@@ -434,7 +445,10 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     warm = np.asarray(cfg.warm_starts, dtype=float).reshape(-1, m + q)
     Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
     group = max(1, LOCKSTEP_ROWS // len(Z0))
-    return [res for i in range(0, len(X), group) for res in _solve_group(problem, X[i : i + group], Z0, lo, hi, t, cfg)]
+    # Overflow only turns rows non-finite, which the penalty and the polish
+    # already handle and _inner_result reports; numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [res for i in range(0, len(X), group) for res in _solve_group(problem, X[i : i + group], Z0, lo, hi, t, cfg)]
 
 
 def _solve_group(
@@ -463,10 +477,19 @@ def _solve_group(
 
 
 def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig) -> InnerSolveResult:
-    """The value, status and argmax cloud of one leader point's polished starts."""
+    """The value, status and argmax cloud of one leader point's polished starts.
+
+    With no start feasible the status is "budget_exhausted" when one came
+    within NEAR_FEAS_BAND, "nonfinite" when every start's squared violation
+    overflows (the verdict would be an artefact of overflow, not an empty
+    set), and "infeasible" otherwise.
+    """
     feas = viol <= cfg.feas_tol
     if not feas.any():
-        status = "budget_exhausted" if (viol <= NEAR_FEAS_BAND).any() else "infeasible"
+        if (viol <= NEAR_FEAS_BAND).any():
+            status = "budget_exhausted"
+        else:
+            status = "infeasible" if np.isfinite(viol * viol).any() else "nonfinite"
         return InnerSolveResult(
             value=float("nan"),
             argmax=SampledSet(np.zeros((0, Z.shape[1])), meta={"seed": cfg.seed}),
@@ -547,12 +570,19 @@ def brute_force_psi_t(
     if len(grid.axes) != m + q:
         raise ValueError(f"grid must cover all {m + q} follower coordinates")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    Z = grid.points()
     tau = max(tol_factor * grid.max_step(), 1e-8)
-    mask = batch_feasibility(problem, x, Z, t, tau)
-    if not mask.any():
+    best_F, best_z = None, None
+    size = math.prod(grid.shape())
+    for start in range(0, size, GRID_CHUNK_ROWS):
+        Z = grid.rows(start, min(start + GRID_CHUNK_ROWS, size))
+        Zf = Z[batch_feasibility(problem, x, Z, t, tau)]
+        if not len(Zf):
+            continue
+        F = batch_objective(problem, x, Zf[:, :m])
+        i = int(np.argmax(F))
+        # np.argmax over the whole grid: NaN wins, then the larger value, ties to the first index
+        if best_F is None or (F[i] > best_F or np.isnan(F[i])) and not np.isnan(best_F):
+            best_F, best_z = F[i], Zf[i]
+    if best_F is None:
         return BruteForceResult(value=-np.inf, feasible=False, argmax_point=None, tol=tau)
-    Zf = Z[mask]
-    F = batch_objective(problem, x, Zf[:, :m])
-    best = int(np.argmax(F))
-    return BruteForceResult(value=float(F[best]), feasible=True, argmax_point=Zf[best], tol=tau)
+    return BruteForceResult(value=float(best_F), feasible=True, argmax_point=best_z, tol=tau)

@@ -15,6 +15,18 @@ Array = np.ndarray
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+# cone_proved_trivial answers "trivial" only where the per-coordinate box LPs
+# of cone_has_nonzero also find no ray.  Those LPs work to absolute
+# tolerances (reduced rows below 1e-8 are dropped) and were seen to return
+# points that violate a row when two inequality rows are antiparallel, so
+# the proof leaves three kinds of cone to them: rows whose norms differ by
+# more than ROW_RATIO, inequality rows with cosine below PARALLEL_COS - 1, and
+# cones not proved trivial for every row moved by TRIVIAL_TOL * max(1,
+# sigma_max).  The values are set by tests/test_cone_triviality.py and the
+# sweep recorded in CHANGES.md.
+TRIVIAL_TOL = 1e-6
+PARALLEL_COS = 1e-6
+ROW_RATIO = 1e-3
 # least_norm_point's active-set steps are capped at this times (dim + inequality rows + 1)
 PROJECTION_ITER_FACTOR = 50
 
@@ -351,6 +363,63 @@ def cone_max_linear(
     return float(-res.objective), res.x[:dim]
 
 
+def cone_proved_trivial(a_eq: Optional[Array], a_ineq: Optional[Array], dim: int) -> bool:
+    """True only when {a_eq@z = 0, a_ineq@z >= 0} is proved to be {0}.
+
+    One-sided: False means "not proved", not "nontrivial".  By the theorem
+    of the alternative (Stiemke; C. Davis, *Theory of positive linear
+    dependence*, Amer. J. Math. 1954) the cone is {0} iff the stacked rows
+    M = [a_eq; a_ineq] have rank dim and a_eq^T mu + a_ineq^T lam = 0 has a
+    solution with mu free and lam >= 1.  The first is one SVD, the second
+    one feasibility LP (none without inequality rows).
+
+    Both are checked so that the verdict also holds for every cone whose
+    rows are moved by at most delta = TRIVIAL_TOL * max(1, sigma_max(M))
+    each: the rank needs s = sigma_min(M) - sqrt(rows) * delta > 0, and the
+    LP's certificate w = (mu, lam) is accepted only when
+
+        |M^T w|_2 + delta * |w|_1 < min(lam) * s.
+
+    That bound is the whole proof: for z in a moved cone with rows M',
+    s |z| <= |M'@z| <= |a_ineq'@z|_1 <= (M'^T w)@z / min(lam), and
+    |M'^T w| <= |M^T w| + delta |w|_1 < min(lam) s, so z = 0.  Rows whose
+    norms differ by more than ROW_RATIO and antiparallel inequality rows
+    are not tried at all (see the constants).  Every other outcome (rank
+    short, LP infeasible, certificate too weak) returns False.
+    """
+    if dim == 0:
+        return True
+    eq, ineq = (
+        np.zeros((0, dim)) if a is None else np.asarray(a, dtype=float).reshape(-1, dim) for a in (a_eq, a_ineq)
+    )
+    if not (np.isfinite(eq).all() and np.isfinite(ineq).all()):
+        return False
+    eq, ineq = (rows[np.linalg.norm(rows, axis=1) > 0.0] for rows in (eq, ineq))  # zero rows do not change the cone
+    M = np.vstack([eq, ineq])
+    n_eq, n_ineq = len(eq), len(ineq)
+    if len(M) < dim:
+        return False
+    norms = np.linalg.norm(M, axis=1)
+    if not norms.min() > ROW_RATIO * norms.max():
+        return False
+    U = ineq / norms[n_eq:, None]
+    if np.min(U @ U.T, initial=1.0) < PARALLEL_COS - 1.0:
+        return False
+    sv = np.linalg.svd(M, compute_uv=False)
+    delta = TRIVIAL_TOL * max(1.0, sv[0])  # per-row perturbation the proof must survive
+    margin = sv[-1] - np.sqrt(len(M)) * delta  # least sigma_min over the perturbed row blocks
+    if not margin > 0.0:
+        return False
+    if not n_ineq:
+        return True
+    lb = np.concatenate([np.full(n_eq, -np.inf), np.ones(n_ineq)])
+    res = solve_lp(np.zeros(len(M)), M.T, np.zeros(dim), lb, np.full(len(M), np.inf))
+    if res.status != "optimal":
+        return False
+    w = res.x
+    return bool(np.linalg.norm(M.T @ w) + delta * np.abs(w).sum() < np.min(w[n_eq:]) * margin)
+
+
 def cone_has_nonzero(
     a_eq: Optional[Array],
     a_ineq: Optional[Array],
@@ -359,10 +428,17 @@ def cone_has_nonzero(
 ) -> Optional[Array]:
     """A nonzero ray of {a_eq@z = 0, a_ineq@z >= 0} if one exists, else None.
 
-    Decided exactly by maximising each +-coordinate over the cone intersected
-    with the unit box; a polyhedral cone is nontrivial iff some coordinate
-    can be made positive there.
+    :func:`cone_proved_trivial` first tries to settle the usual trivial case
+    with one rank test and at most one LP.  Otherwise the cone is decided by
+    maximising each +-coordinate over the cone intersected with the unit
+    box, in order, and the first ray whose coordinate exceeds tol is
+    returned: a polyhedral cone is nontrivial iff some coordinate can be
+    made positive there.  Rays still come only from this loop, which the
+    proof skips only on cones where tests/test_cone_triviality.py finds the
+    two in agreement.
     """
+    if cone_proved_trivial(a_eq, a_ineq, dim):
+        return None
     for j in range(dim):
         for sign in (1.0, -1.0):
             w = np.zeros(dim)

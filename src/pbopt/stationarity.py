@@ -7,6 +7,14 @@ condition.  Branch conditions over the biactive set are handled by exact
 enumeration of sign patterns; each pattern is one linear feasibility
 problem solved by the in-repo simplex, with least-norm multipliers chosen
 for reproducibility.
+
+The qualification conditions ask whether a polyhedral cone
+{A_eq z = 0, A_ineq z >= 0} holds a nonzero ray.  The usual answer, "no",
+is proved by ``simplex.cone_proved_trivial``: one rank test and one
+feasibility LP on the alternative system (Stiemke; C. Davis, *Theory of
+positive linear dependence*, Amer. J. Math. 1954), with a tolerance rule
+that only ever answers "trivial".  A cone it cannot prove trivial goes to
+the per-coordinate box-LP loop, which finds the ray.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ import numpy as np
 from .kkt import IndexSets, InfeasiblePointError, classify_indices, kkt_residual
 from .maxmin import InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
-from .simplex import cone_has_nonzero, cone_max_linear, least_norm_point
+from .simplex import cone_has_nonzero, cone_max_linear, cone_proved_trivial, least_norm_point
 
 PATTERN_CAP_DEFAULT = 12
 RAY_TOL = 1e-7
@@ -415,8 +423,13 @@ def check_qualification_Am(
     The first holds iff the full homogeneous multiplier set contains only
     zero; the second iff every element of the follower-only variant also
     annihilates the leader-derivative rows.  Both are decided per sign
-    pattern by linear programs over the pattern cone intersected with the
-    unit box.  The enumeration stops once both conditions have failed.
+    pattern.  The follower-only cone holds the full one, so when the rank
+    plus Stiemke test of :func:`~pbopt.simplex.cone_proved_trivial` proves
+    it trivial the pattern breaks neither condition, at one LP or none.
+    Otherwise a1 goes to :func:`~pbopt.simplex.cone_has_nonzero` and a2 to
+    box LPs maximising each signed leader row over the follower cone; each
+    ray is certified by a coordinate or row value above tol.  The
+    enumeration stops once both conditions have failed.
     """
     idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
     a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
@@ -426,6 +439,8 @@ def check_qualification_Am(
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
     systems = _pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
     for patterns, (a_pat, ineq) in enumerate(systems, 1):
+        if cone_proved_trivial(a_pat[n:], ineq, dim):
+            continue  # the follower cone holds the a1 cone, so this pattern breaks neither
         if a1:
             ray = cone_has_nonzero(a_pat, ineq, dim, tol=tol)
             if ray is not None:
@@ -453,10 +468,13 @@ def check_cq1(
     """True iff the homogeneous relaxed multiplier system has only the zero solution.
 
     Complementarity pins each multiplier outside its active set to zero; the
-    remaining sign-constrained homogeneous system is a polyhedral cone whose
-    nontriviality is decided exactly by box LPs.  Borderline activity (values
-    within a decade of eps_act) triggers a warning since the support
-    decomposition is only clean away from the threshold.
+    remaining sign-constrained homogeneous system is a polyhedral cone,
+    decided by :func:`~pbopt.simplex.cone_has_nonzero`: the rank plus
+    Stiemke test proves the usual trivial cone at one LP, and the
+    per-coordinate box-LP loop (a ray needs a coordinate above tol) decides
+    the rest.  Borderline activity (values within a decade of eps_act)
+    triggers a warning since the support decomposition is only clean away
+    from the threshold.
     """
     idx, data = _setup(problem, pt, t, eps_act, eps_act)
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))

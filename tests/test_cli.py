@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -91,6 +92,19 @@ def test_eval_values(capsys):
     )
     data = json.loads(out)
     assert abs(data["value"]) <= 1e-4
+
+
+def test_eval_overflowing_leader_point_is_nonfinite_not_infeasible(capsys):
+    # Every residual overflows at x = 1e308: that is no evidence of an empty D_t.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "eval", "--problem", "example1", "--x", "1e308", "--t", "0.5", "--starts", "3", "--sweeps", "1"
+        )
+    assert code == 1
+    assert json.loads(out)["status"] == "nonfinite"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 
 def test_eval_malformed_vector(capsys):

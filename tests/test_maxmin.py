@@ -91,6 +91,37 @@ def test_brute_force_infeasible_box(example1):
     assert res.value == -np.inf
 
 
+def _brute_force_whole_grid(problem, x, t, grid, tol_factor=0.75):
+    """The grid oracle as one pass over every point: the streamed oracle's reference."""
+    grids = np.meshgrid(*grid.arrays(), indexing="ij")
+    Z = np.stack([g.ravel() for g in grids], axis=-1)
+    tau = max(tol_factor * grid.max_step(), 1e-8)
+    mask = pbopt.maxmin.batch_feasibility(problem, np.atleast_1d(x), Z, t, tau)
+    if not mask.any():
+        return -np.inf, None, tau
+    F = pbopt.maxmin.batch_objective(problem, np.atleast_1d(x), Z[mask][:, : problem.dims.m])
+    best = int(np.argmax(F))
+    return float(F[best]), Z[mask][best], tau
+
+
+@pytest.mark.parametrize("chunk", [pbopt.maxmin.GRID_CHUNK_ROWS, 997])
+@pytest.mark.parametrize(
+    "name, x, t",
+    [("example1", [0.5], 0.1), ("example1", [0.02], 0.0), ("example2", [-0.4], 0.15),
+     ("synthetic2d", [0.3, 0.6], 0.05), ("synthetic2d", [0.0, 0.0], 0.0)],
+)
+def test_streamed_brute_force_matches_whole_grid(monkeypatch, name, x, t, chunk):
+    problem, _ = pbopt.get_problem(name)
+    grid = pbopt.benchlib.oracle_grid(problem, res=25 if problem.dims.m + problem.dims.q == 4 else 60)
+    grids = np.meshgrid(*grid.arrays(), indexing="ij")
+    np.testing.assert_array_equal(grid.points(), np.stack([g.ravel() for g in grids], axis=-1))
+    monkeypatch.setattr(pbopt.maxmin, "GRID_CHUNK_ROWS", chunk)
+    res = brute_force_psi_t(problem, x, t, grid)
+    value, point, tau = _brute_force_whole_grid(problem, x, t, grid)
+    assert res.feasible and res.value == value and res.tol == tau
+    np.testing.assert_array_equal(res.argmax_point, point)
+
+
 def test_brute_force_grid_must_cover_follower_block(example1):
     problem, _ = example1
     with pytest.raises(ValueError):

@@ -182,3 +182,75 @@ def test_least_norm_reports_its_iteration_cap(monkeypatch):
     z, status = least_norm_point(A, b, C)
     assert status == "iteration_cap"
     np.testing.assert_allclose(z, [0.75, 0.25, 0.0], atol=1e-9)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts solve_lp calls made through the simplex module."""
+    calls = []
+    solve = simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    return calls
+
+
+def test_equality_only_cone_is_decided_by_rank_alone(lp_calls):
+    a_eq = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
+    assert simplex.cone_proved_trivial(a_eq, None, 3)
+    assert cone_has_nonzero(a_eq, None, dim=3) is None
+    assert not lp_calls
+    # one row short of full rank: not proved, and the loop finds the null direction
+    assert not simplex.cone_proved_trivial(a_eq[:2], None, 3)
+    assert not lp_calls
+    ray = cone_has_nonzero(a_eq[:2], None, dim=3)
+    np.testing.assert_allclose(a_eq[:2] @ ray, 0.0, atol=1e-12)
+    assert np.max(np.abs(ray)) > 1e-7
+
+
+def test_empty_equality_block_and_zero_dimension():
+    a_ineq = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])  # positively spans R^2
+    assert simplex.cone_proved_trivial(np.zeros((0, 2)), a_ineq, 2)
+    assert cone_has_nonzero(np.zeros((0, 2)), a_ineq, dim=2) is None
+    assert cone_has_nonzero(None, a_ineq, dim=2) is None
+    assert simplex.cone_proved_trivial(None, None, 0)
+    assert simplex.cone_proved_trivial(np.zeros((2, 0)), np.zeros((1, 0)), 0)
+    assert cone_has_nonzero(np.zeros((2, 0)), None, dim=0) is None
+
+
+def test_pointed_orthant_is_nontrivial():
+    # {z >= 0}: the Stiemke system has no lam >= 1, so the loop decides
+    assert not simplex.cone_proved_trivial(None, np.eye(3), 3)
+    ray = cone_has_nonzero(None, np.eye(3), dim=3)
+    assert ray is not None and np.min(ray) >= -1e-12 and np.max(ray) > 1e-7
+
+
+def test_rays_only_in_the_lineality_space():
+    # z3 >= 0 and -z3 >= 0 leave the plane z3 = 0, a cone with no pointed part
+    a_ineq = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert not simplex.cone_proved_trivial(None, a_ineq, 3)
+    ray = cone_has_nonzero(None, a_ineq, dim=3)
+    assert ray is not None and abs(ray[2]) <= 1e-12 and np.max(np.abs(ray)) > 1e-7
+
+
+def test_trivial_well_conditioned_cone_costs_at_most_one_lp(lp_calls):
+    a_eq = np.array([[1.0, 1.0, 0.0, 0.0]])
+    a_ineq = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+                       [0.0, 0.0, -1.0, 2.0], [0.0, 0.0, 0.0, -1.0]])
+    assert cone_has_nonzero(a_eq, a_ineq, dim=4) is None
+    assert len(lp_calls) <= 1
+
+
+def test_qualification_costs_at_most_one_lp_per_pattern(lp_calls):
+    from pbopt import TriplePoint
+    from pbopt.stationarity import check_qualification_Am
+    from toys import biactive_family_data, make_linear_follower
+
+    problem = make_linear_follower(*biactive_family_data(3, np.random.default_rng(3)))
+    d = problem.dims
+    rep = check_qualification_Am(problem, TriplePoint(np.zeros(d.n), np.zeros(d.m), np.zeros(d.q)), kind="M")
+    assert rep.a1 and rep.a2 and rep.patterns_checked == 27
+    assert len(lp_calls) <= rep.patterns_checked
