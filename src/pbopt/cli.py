@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -24,6 +23,7 @@ from .maxmin import InnerConfig, evaluate_psi_t, approximate_argmax_set
 from .problem_model import TriplePoint, check_gradients_fd
 from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, scholtes_solve
 from .setvalued import convergence_diagnostic
+from .simplex import NnlsLimitError
 from .stationarity import (
     Multipliers,
     PatternCapError,
@@ -80,7 +80,6 @@ class RunConfig:
     starts: int = 32
     sweeps: int = 5
     u_max: float = 10.0
-    workers: int = 0  # accepted for old configs; has no effect
     trace: Optional[str] = None
     summary: Optional[str] = None
     check: Optional[str] = None
@@ -119,14 +118,6 @@ def _load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
 
 
 def _inner_config(cfg: RunConfig) -> InnerConfig:
-    # PESSIM_THREADS, like --workers, no longer selects anything: all starts
-    # run in one batch.  A malformed value is still a usage error.
-    env = os.environ.get("PESSIM_THREADS")
-    if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            raise UsageError(f"PESSIM_THREADS must be an integer, got {env!r}") from None
     return InnerConfig(starts=cfg.starts, sweeps=cfg.sweeps, u_max=cfg.u_max, seed=cfg.seed)
 
 
@@ -205,7 +196,7 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
     pt = TriplePoint(final.x, z[:m], z[m:])
     try:
         mults = recover_c_multipliers(problem, pt, kind=cfg.check)
-    except (PatternCapError, InfeasiblePointError) as err:
+    except (PatternCapError, InfeasiblePointError, NnlsLimitError) as err:
         return {"status": f"not checked: {err}"}
     if mults is None:
         return {"status": "infeasible", "kind": cfg.check}
@@ -313,7 +304,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 rep = check_stationarity(problem, pt, mults, kind=kind)
                 report_dict = _report_dict(rep)
                 report_dict["multipliers"] = mults.status
-    except PatternCapError as err:
+    except (PatternCapError, NnlsLimitError) as err:
         print(json.dumps({"schema": REPORT_SCHEMA, "error": str(err)}, indent=2))
         return EXIT_REFUSED
     except InfeasiblePointError as err:
@@ -432,7 +423,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--starts", type=int, default=None)
         p.add_argument("--sweeps", type=int, default=None)
         p.add_argument("--u-max", dest="u_max", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; no effect")
 
     p_solve = sub.add_parser("solve", help="run the relaxation homotopy")
     add_common(p_solve)

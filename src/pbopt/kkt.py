@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad
-from .simplex import solve_lp
+from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad, relaxation_level
+from .simplex import cone_has_nonzero
 
 EPS_ACT_DEFAULT = 1e-6
 FEAS_TOL_DEFAULT = 1e-8
@@ -70,8 +70,7 @@ class KktResidual:
 
 def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> KktResidual:
     """Residuals of the (relaxed) follower KKT system at pt; t = 0 is exact."""
-    if t < 0:
-        raise ValueError("relaxation level t must be nonnegative")
+    t = relaxation_level(t)
     problem.check_point(pt)
     L = lagrangian_grad(problem, pt)
     if problem.dims.q:
@@ -84,7 +83,7 @@ def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> Kk
         primal_viol=np.maximum(0.0, g),
         compl=float(abs(pt.u @ g)) if problem.dims.q else 0.0,
         relax_viol=np.maximum(0.0, -pt.u * g - t),
-        t=float(t),
+        t=t,
     )
 
 
@@ -208,10 +207,10 @@ def check_upper_regularity(
 ) -> bool:
     """True iff only alpha = 0 solves jac_G(x)^T alpha = 0 with alpha >= 0 on I_G.
 
-    Decided by maximising sum(alpha) over the active-gradient cone boxed to
-    [0, 1]: the point is regular exactly when that optimum is zero.
+    That is, the cone {alpha : J_act^T alpha = 0, alpha >= 0} of the active
+    leader gradients is {0}, decided by :func:`~pbopt.simplex.cone_has_nonzero`.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = problem.leader_point(x)
     p = problem.dims.p
     if p == 0:
         return True
@@ -220,9 +219,5 @@ def check_upper_regularity(
     if not active:
         return True
     J = np.asarray(problem.jac_G(x), dtype=float).reshape(p, problem.dims.n)
-    A = J[active].T  # n x k, columns are active gradients
     k = len(active)
-    res = solve_lp(-np.ones(k), A, np.zeros(problem.dims.n), np.zeros(k), np.ones(k))
-    if res.status != "optimal":  # pragma: no cover - box keeps it bounded
-        return False
-    return -res.objective <= 1e-7
+    return cone_has_nonzero(J[active].T, np.eye(k), k) is None

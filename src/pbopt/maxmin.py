@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
 from scipy.optimize._lbfgsb import setulb
 
-from .problem_model import Array, BilevelProblem
+from .problem_model import Array, BilevelProblem, relaxation_level
 
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
@@ -436,8 +436,7 @@ def evaluate_psi_t_batch(
 
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
     """The inner solves at the rows of X, in lockstep groups of at most LOCKSTEP_ROWS starts."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
+    t = relaxation_level(t)
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -562,14 +561,13 @@ def brute_force_psi_t(
     tau = tol_factor * (largest grid step), floored at 1e-8.
     Restricted to m + q <= 4.
     """
-    if t < 0:
-        raise ValueError("relaxation level t must be nonnegative")
+    t = relaxation_level(t)
+    x = problem.leader_point(x)
     m, q = problem.dims.m, problem.dims.q
     if m + q > 4:
         raise ValueError("brute force limited to m + q <= 4")
     if len(grid.axes) != m + q:
         raise ValueError(f"grid must cover all {m + q} follower coordinates")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     tau = max(tol_factor * grid.max_step(), 1e-8)
     best_F, best_z = None, None
     size = math.prod(grid.shape())

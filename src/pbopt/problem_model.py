@@ -18,6 +18,14 @@ Array = np.ndarray
 FD_STEP = 1e-6
 
 
+def relaxation_level(t) -> float:
+    """t as a float; a relaxation level that is not finite and nonnegative is refused."""
+    t = float(t)
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
+    return t
+
+
 class DimensionError(ValueError):
     """A point or provider output does not match the problem dimensions."""
 

@@ -23,7 +23,7 @@ from .maxmin import (
     follower_box,
     polish_onto_relaxed_set,
 )
-from .problem_model import Array, BilevelProblem
+from .problem_model import Array, BilevelProblem, relaxation_level
 
 INF = math.inf
 
@@ -68,7 +68,7 @@ def sample_relaxed_set(
     comparisons between levels must share one grid so inclusion relations are
     exact.  Multistart mode polishes random starts onto the set instead.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x, t = problem.leader_point(x), relaxation_level(t)
     if method == "grid":
         if grid is None:
             raise ValueError("grid mode requires a GridSpec")

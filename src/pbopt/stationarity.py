@@ -5,16 +5,16 @@ system of the relaxed problem, the multiplier-set qualification conditions
 used by the convergence theory, and the relaxed-problem qualification
 condition.  Branch conditions over the biactive set are handled by exact
 enumeration of sign patterns; each pattern is one linear feasibility
-problem solved by the in-repo simplex, with least-norm multipliers chosen
-for reproducibility.
+problem, and its least-norm multipliers (chosen for reproducibility) are one
+least-distance solve, ``simplex.least_norm_point``.
 
 The qualification conditions ask whether a polyhedral cone
-{A_eq z = 0, A_ineq z >= 0} holds a nonzero ray.  The usual answer, "no",
-is proved by ``simplex.cone_proved_trivial``: one rank test and one
-feasibility LP on the alternative system (Stiemke; C. Davis, *Theory of
-positive linear dependence*, Amer. J. Math. 1954), with a tolerance rule
-that only ever answers "trivial".  A cone it cannot prove trivial goes to
-the per-coordinate box-LP loop, which finds the ray.
+{A_eq z = 0, A_ineq z >= 0} holds a nonzero ray, decided by
+``simplex.cone_has_nonzero`` with one rank test and at most one
+least-distance solve, or whether a ray of it moves a leader row, one
+least-distance solve per signed row (``simplex.cone_ray``).  A solve that
+stops at scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the
+question is refused, never answered "no".
 """
 from __future__ import annotations
 
@@ -28,10 +28,9 @@ import numpy as np
 from .kkt import IndexSets, InfeasiblePointError, classify_indices, kkt_residual
 from .maxmin import InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
-from .simplex import cone_has_nonzero, cone_max_linear, cone_proved_trivial, least_norm_point
+from .simplex import cone_has_nonzero, cone_ray, least_norm_point
 
 PATTERN_CAP_DEFAULT = 12
-RAY_TOL = 1e-7
 
 
 class PatternCapError(RuntimeError):
@@ -42,9 +41,7 @@ class BorderlineActivityWarning(UserWarning):
     """Active-set classification margins are thin; verdicts may be tolerance-bound."""
 
 
-# Multiplier status: "given" when built by the caller; a recovery sets
-# "least_norm", or "iteration_cap" when the least-norm projection stopped at
-# its cap (a solution of the system, possibly not the least-norm one).
+# Multiplier status: "given" when built by the caller, "least_norm" when recovered.
 @dataclass
 class Multipliers:
     alpha: Array
@@ -340,7 +337,7 @@ def recover_relaxed_multipliers(
     """
     idx, data = _setup(problem, pt, t, tol, eps_act)
     a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
-    z, status = least_norm_point(a_eq, b, a_ineq if len(a_ineq) else None)
+    z, status = least_norm_point(a_eq, b, a_ineq)
     if z is None:
         return None
     d = problem.dims
@@ -416,40 +413,40 @@ def check_qualification_Am(
     kind: str = "M",
     eps_act: float = 1e-6,
     pattern_cap: int = PATTERN_CAP_DEFAULT,
-    tol: float = RAY_TOL,
 ) -> QualificationReport:
     """Decide the two multiplier-set qualification conditions at pt.
 
     The first holds iff the full homogeneous multiplier set contains only
     zero; the second iff every element of the follower-only variant also
     annihilates the leader-derivative rows.  Both are decided per sign
-    pattern.  The follower-only cone holds the full one, so when the rank
-    plus Stiemke test of :func:`~pbopt.simplex.cone_proved_trivial` proves
-    it trivial the pattern breaks neither condition, at one LP or none.
-    Otherwise a1 goes to :func:`~pbopt.simplex.cone_has_nonzero` and a2 to
-    box LPs maximising each signed leader row over the follower cone; each
-    ray is certified by a coordinate or row value above tol.  The
-    enumeration stops once both conditions have failed.
+    pattern.  The follower-only cone holds the full one, so when
+    :func:`~pbopt.simplex.cone_has_nonzero` finds it trivial (a rank test
+    and at most one least-distance solve) the pattern breaks neither
+    condition.  Otherwise a1 asks :func:`~pbopt.simplex.cone_has_nonzero`
+    of the full cone, and a2 asks :func:`~pbopt.simplex.cone_ray` for a
+    follower-cone ray with w@z > 0, one least-distance solve per signed
+    leader row w.  The enumeration stops once both conditions have failed.
     """
     idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
     a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
     n, dim = problem.dims.n, a_eq.shape[1]
+    leader = [sign * row for row in a_eq[:n] if np.any(row) for sign in (1.0, -1.0)]
     a1 = a2 = True
     certs: dict[str, Array] = {}
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
     systems = _pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
     for patterns, (a_pat, ineq) in enumerate(systems, 1):
-        if cone_proved_trivial(a_pat[n:], ineq, dim):
+        if cone_has_nonzero(a_pat[n:], ineq, dim) is None:
             continue  # the follower cone holds the a1 cone, so this pattern breaks neither
         if a1:
-            ray = cone_has_nonzero(a_pat, ineq, dim, tol=tol)
+            ray = cone_has_nonzero(a_pat, ineq, dim)
             if ray is not None:
                 a1 = False
                 certs["a1"] = ray
         if a2:
-            for w in (sign * row for row in a_eq[:n] for sign in (1.0, -1.0)):
-                val, ray = cone_max_linear(w, a_pat[n:], ineq, dim)
-                if ray is not None and val > tol:
+            for w in leader:
+                ray = cone_ray(a_pat[n:], ineq, w)
+                if ray is not None:
                     a2 = False
                     certs["a2"] = ray
                     break
@@ -463,18 +460,15 @@ def check_cq1(
     t: float,
     pt: TriplePoint,
     eps_act: float = 1e-6,
-    tol: float = RAY_TOL,
 ) -> bool:
     """True iff the homogeneous relaxed multiplier system has only the zero solution.
 
     Complementarity pins each multiplier outside its active set to zero; the
     remaining sign-constrained homogeneous system is a polyhedral cone,
-    decided by :func:`~pbopt.simplex.cone_has_nonzero`: the rank plus
-    Stiemke test proves the usual trivial cone at one LP, and the
-    per-coordinate box-LP loop (a ray needs a coordinate above tol) decides
-    the rest.  Borderline activity (values within a decade of eps_act)
-    triggers a warning since the support decomposition is only clean away
-    from the threshold.
+    decided by :func:`~pbopt.simplex.cone_has_nonzero` with a rank test
+    and at most one least-distance solve.  Borderline activity (values
+    within a decade of eps_act) triggers a warning since the support
+    decomposition is only clean away from the threshold.
     """
     idx, data = _setup(problem, pt, t, eps_act, eps_act)
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
@@ -487,5 +481,4 @@ def check_cq1(
         )
     # the y and u rows, negated: the homogeneous twin of the relaxed recovery
     a_eq, _, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=True)
-    ineq = a_ineq if len(a_ineq) else None
-    return cone_has_nonzero(-a_eq[problem.dims.n :], ineq, a_eq.shape[1], tol=tol) is None
+    return cone_has_nonzero(-a_eq[problem.dims.n :], a_ineq, a_eq.shape[1]) is None

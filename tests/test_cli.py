@@ -175,6 +175,24 @@ def test_check_pattern_cap_refusal(tmp_path, capsys):
     assert code == 3
 
 
+def test_check_refuses_when_nnls_stops_at_its_limit(tmp_path, capsys, monkeypatch):
+    from pbopt import simplex
+
+    # the relaxed system at this point has no multipliers, which takes one NNLS solve to show
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [0.0], "y": [1.0], "u": [0.0, 0.0], "t": 0.1}))
+    argv = ("check", "--problem", "example1", "--point", str(point), "--kind", "relaxed")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["status"] == "no feasible multipliers"
+
+    def at_limit(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(simplex, "nnls", at_limit)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3 and "iteration limit" in json.loads(out)["error"]
+
+
 def test_check_infeasible_point_exit_code(tmp_path, capsys):
     point = tmp_path / "pt.json"
     point.write_text(json.dumps({"x": [0.5], "y": [0.9], "u": [2.0, 0.0]}))
@@ -270,7 +288,7 @@ def test_solve_infeasible_inner_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-def test_byte_identical_reruns(tmp_path, capsys, monkeypatch):
+def test_byte_identical_reruns(tmp_path, capsys):
     args = [
         "solve", "--problem", "example2", "--t0", "0.5", "--rho", "0.5",
         "--tmin", "0.05", *FAST_SOLVE,
@@ -279,7 +297,6 @@ def test_byte_identical_reruns(tmp_path, capsys, monkeypatch):
     s1, s2, s3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     assert run_cli(capsys, *args, "--trace", str(t1), "--summary", str(s1))[0] == 0
     assert run_cli(capsys, *args, "--trace", str(t2), "--summary", str(s2))[0] == 0
-    monkeypatch.setenv("PESSIM_THREADS", "3")
     assert run_cli(capsys, *args, "--trace", str(t3), "--summary", str(s3))[0] == 0
     assert t1.read_bytes() == t2.read_bytes() == t3.read_bytes()
     assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
@@ -301,15 +318,18 @@ def test_eval_bad_input_is_a_usage_error(capsys, extra):
     assert out == ""
 
 
-def test_workers_flag_and_threads_env_have_no_effect(capsys, monkeypatch):
+def test_removed_workers_flag_is_a_usage_error_and_threads_env_is_not_read(tmp_path, capsys, monkeypatch):
     args = ["eval", "--problem", "example2", "--x", "-0.3", "--t", "0.2", *FAST_SOLVE]
     base = run_cli(capsys, *args)
     assert base[0] == 0
-    assert run_cli(capsys, *args, "--workers", "4") == base
-    monkeypatch.setenv("PESSIM_THREADS", "2")
-    assert run_cli(capsys, *args) == base
+    code, out, err = run_cli(capsys, *args, "--workers", "4")
+    assert code == 1 and out == "" and "--workers" in err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"workers": 2}))
+    code, _, err = run_cli(capsys, *args, "--config", str(config))
+    assert code == 1 and "workers" in err
     monkeypatch.setenv("PESSIM_THREADS", "two")
-    assert run_cli(capsys, *args)[0] == 1
+    assert run_cli(capsys, *args) == base
 
 
 @pytest.mark.parametrize("extra", [["--max-outer", "0"], ["--max-outer", "-2"], ["--x-tol", "inf"]])

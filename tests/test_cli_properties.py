@@ -28,7 +28,7 @@ POOLS = {
     "--out": FILES, "--x0": VECTORS, "--x": VECTORS, "--x-bar": VECTORS, "--check": ("C", "M", "S", "Q"),
     "--kind": ("C", "M", "S", "relaxed", "Q"),
 }
-COMMON = ("--problem", "--config", "--seed", "--starts", "--sweeps", "--u-max", "--workers")
+COMMON = ("--problem", "--config", "--seed", "--starts", "--sweeps", "--u-max")
 FLAGS = {
     "solve": COMMON + ("--t0", "--rho", "--tmin", "--x0", "--max-outer", "--x-tol", "--trace", "--summary", "--check"),
     "eval": COMMON + ("--x", "--t"),

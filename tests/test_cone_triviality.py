@@ -1,16 +1,30 @@
-"""Differential test of the one-sided cone triviality proof against the box-LP loop.
+"""Differential test of the least-distance cone decisions against HiGHS.
 
-``simplex.cone_proved_trivial`` may only answer "trivial" where the
-per-coordinate loop that decided every cone before it (maximise each
-+-coordinate over the cone and the unit box, accept a ray when the value
-exceeds RAY_TOL) finds no ray.  The reference below is that loop, kept here
-unchanged.  Cones come from:
+``simplex.cone_has_nonzero`` decides whether {a_eq z = 0, a_ineq z >= 0}
+holds a nonzero ray by a rank test and at most one least-distance solve,
+and ``simplex.cone_ray`` with a vector w whether some ray has w@z > 0.  The
+reference is the per-coordinate loop that decided every cone before:
+maximise each +-coordinate (or w) over the cone and the unit box with
+``simplex.cone_max_linear``, which is HiGHS, and take a ray when the value
+exceeds RAY_TOL.  Cones come from:
 
 - the pinned certifier corpus: for every sign pattern the qualification
-  check visits, the full and the follower-only cone, and every CQ1 cone;
+  check visits, the full and the follower-only cone with each signed leader
+  row, and every CQ1 cone;
 - generated cones with rows scaled by 1e-6 to 1e6: random blocks, positive
   spanning sets, nearly parallel rows, blocks rank-deficient by eps, and
-  wedges eps away from a nontrivial cone.
+  wedges eps away from a nontrivial cone;
+- cones with exactly antiparallel inequality rows, as the certifier builds
+  from duplicated constraints.
+
+HiGHS holds rows to absolute tolerances near 1e-7, so the loop runs on
+unit rows (the same cone) and a point it returns counts as a ray only when
+it breaks no row by more than VERIFY_TOL, round-off.  A cone the loop
+finds no such ray in is trivial only when even the rows relaxed by
+SLACK_TOL admit no point with a coordinate of WIDE; otherwise it lies
+within HiGHS's tolerance of both answers (a wedge thinner than about 1e-7,
+a block that many digits short of full rank), and only the ray itself is
+checked there.
 """
 from __future__ import annotations
 
@@ -18,7 +32,8 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from pbopt import simplex
@@ -26,6 +41,10 @@ from pbopt import stationarity as stn
 
 from test_stationarity_pinned import KINDS, _cases, _pinned
 
+RAY_TOL = 1e-7  # the loop's acceptance value on the unit box
+VERIFY_TOL = 1e-12
+SLACK_TOL = 1e-7
+WIDE = 0.5
 SETTINGS = settings(
     max_examples=300,
     deadline=None,
@@ -35,25 +54,63 @@ SETTINGS = settings(
 )
 
 
-def reference_ray(a_eq, a_ineq, dim, tol=stn.RAY_TOL):
-    for j in range(dim):
-        for sign in (1.0, -1.0):
-            w = np.zeros(dim)
-            w[j] = sign
-            val, z = simplex.cone_max_linear(w, a_eq, a_ineq, dim)
-            if z is not None and val > tol:
-                return z
-    return None
+def unit_rows(rows, dim):
+    """The rows scaled to unit norm, zero rows dropped: the same cone."""
+    rows = np.zeros((0, dim)) if rows is None else np.asarray(rows, dtype=float).reshape(-1, dim)
+    norms = np.linalg.norm(rows, axis=1)
+    return rows[norms > 0.0] / norms[norms > 0.0, None]
+
+
+def violation(z, eq, ineq) -> float:
+    """The largest amount by which z, scaled to a largest entry of 1, breaks a unit row."""
+    z = z / np.max(np.abs(z))
+    return max(np.max(np.abs(eq @ z), initial=0.0), np.max(-(ineq @ z), initial=0.0))
+
+
+def reference(a_eq, a_ineq, dim) -> str:
+    """"ray", "trivial" or "tolerance-bound", by the HiGHS loop."""
+    eq, ineq = unit_rows(a_eq, dim), unit_rows(a_ineq, dim)
+    for w in (sign * e for e in np.eye(dim) for sign in (1.0, -1.0)):
+        val, z = simplex.cone_max_linear(w, eq, ineq, dim)
+        if z is not None and val > RAY_TOL and violation(z, eq, ineq) <= VERIFY_TOL:
+            return "ray"
+    # the loop again over (z, s) with |eq@z| <= SLACK_TOL s and ineq@z >= -SLACK_TOL s, s <= 1
+    relaxed = np.vstack([eq, -eq, ineq])
+    relaxed = np.hstack([relaxed, np.full((len(relaxed), 1), SLACK_TOL)])
+    best = max(simplex.cone_max_linear(w, None, relaxed, dim + 1)[0]
+               for w in (sign * e for e in np.eye(dim + 1)[:dim] for sign in (1.0, -1.0)))
+    return "trivial" if best < WIDE else "tolerance-bound"
+
+
+def check_decision(a_eq, a_ineq, dim) -> str:
+    """cone_has_nonzero agrees with the reference, and a ray it returns lies in the cone."""
+    got, want = simplex.cone_has_nonzero(a_eq, a_ineq, dim), reference(a_eq, a_ineq, dim)
+    if want != "tolerance-bound":
+        assert (got is not None) == (want == "ray"), (want, a_eq, a_ineq)
+    if got is not None:
+        assert_ray(got, a_eq, a_ineq, dim)
+    return want
+
+
+def assert_ray(ray, a_eq, a_ineq, dim, w=None):
+    """ray is a point of the cone to HiGHS's own row tolerance, scaled to a largest entry of 1 (with w@ray > 0)."""
+    assert np.max(np.abs(ray)) == pytest.approx(1.0)
+    assert violation(ray, unit_rows(a_eq, dim), unit_rows(a_ineq, dim)) <= 1e-7
+    if w is not None:
+        assert w @ ray > 0.0
 
 
 @lru_cache(maxsize=None)
-def corpus_cones() -> tuple:
-    """(a_eq, a_ineq, dim) of every distinct cone the certifier builds on the pinned corpus."""
+def corpus() -> tuple:
+    """((a_eq, a_ineq, dim), leader rows) of every distinct cone the certifier builds on the pinned corpus.
+
+    The leader rows are the a2 rows of a follower-only cone and empty otherwise.
+    """
     cones = {}
 
-    def add(a_eq, a_ineq, dim):
-        key = (a_eq.shape, a_eq.tobytes(), None if a_ineq is None else a_ineq.tobytes())
-        cones.setdefault(key, (a_eq, a_ineq, dim))
+    def add(a_eq, a_ineq, dim, leader=np.zeros((0, 0))):
+        key = (a_eq.shape, a_eq.tobytes(), None if a_ineq is None else a_ineq.tobytes(), leader.tobytes())
+        cones.setdefault(key, ((a_eq, a_ineq, dim), leader))
 
     eps = 1e-6  # the certifier's default eps_act
     for label, (problem, t, pt) in sorted(_cases().items()):
@@ -66,7 +123,7 @@ def corpus_cones() -> tuple:
                 patterns = stn._pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
                 for a_pat, ineq in itertools.islice(patterns, visited):
                     add(a_pat, ineq, a_eq.shape[1])
-                    add(a_pat[n:], ineq, a_eq.shape[1])
+                    add(a_pat[n:], ineq, a_eq.shape[1], a_eq[:n])
         else:
             idx, data = stn._setup(problem, pt, t, eps, eps)
             a_eq, _, a_ineq = stn._relaxed_system(data, idx, pt.u, homogeneous=True)
@@ -75,17 +132,24 @@ def corpus_cones() -> tuple:
 
 
 def test_corpus_verdicts_match_the_loop():
-    cones = corpus_cones()
-    fast = [simplex.cone_proved_trivial(*c) for c in cones]
-    ref = [reference_ray(*c) is None for c in cones]
-    assert not [i for i, (f, r) in enumerate(zip(fast, ref)) if f and not r]
-    assert 0 < sum(fast) < len(cones)  # both verdicts occur
-    # The proof settles every other trivial corpus cone, which is where the
-    # certifier saves its LPs; the few it leaves have antiparallel inequality rows.
-    for (_, a_ineq, _), f, r in zip(cones, fast, ref):
-        if r and not f:
-            unit = a_ineq / np.linalg.norm(a_ineq, axis=1, keepdims=True)
-            assert np.min(unit @ unit.T) < simplex.PARALLEL_COS - 1.0
+    verdicts = [check_decision(*cone) for cone, _ in corpus()]
+    # every corpus cone is far from HiGHS's tolerance, and both verdicts occur
+    assert set(verdicts) == {"ray", "trivial"}
+
+
+def test_corpus_leader_rows_match_the_loop():
+    """The a2 decision: some ray of the follower cone moves a signed leader row."""
+    moved = []
+    for (a_eq, a_ineq, dim), leader in corpus():
+        eq, ineq = unit_rows(a_eq, dim), unit_rows(a_ineq, dim)
+        for w in (sign * row for row in leader if np.any(row) for sign in (1.0, -1.0)):
+            got = simplex.cone_ray(a_eq, a_ineq, w)
+            val, z = simplex.cone_max_linear(w, eq, ineq, dim)
+            assert (got is not None) == (val > RAY_TOL and violation(z, eq, ineq) <= VERIFY_TOL)
+            if got is not None:
+                assert_ray(got, a_eq, a_ineq, dim, w)
+            moved.append(got is not None)
+    assert 0 < sum(moved) < len(moved)
 
 
 @st.composite
@@ -128,10 +192,15 @@ def cones(draw):
 @SETTINGS
 @given(cones())
 def test_generated_cones_never_proved_trivial_where_the_loop_finds_a_ray(cone):
-    want = reference_ray(*cone)
-    if simplex.cone_proved_trivial(*cone):
-        assert want is None
-    got = simplex.cone_has_nonzero(*cone, tol=stn.RAY_TOL)
-    assert (got is None) == (want is None)
-    if want is not None:
-        np.testing.assert_array_equal(got, want)
+    event(check_decision(*cone))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exactly_antiparallel_rows_match_the_loop(seed):
+    # +-c pairs pin the cone to a subspace; the other rows decide what is left of it
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 4
+    pairs = rng.normal(size=(1 + seed % 2, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1 + seed % 2, 1))
+    a_ineq = np.vstack([pairs, rng.normal(size=(1 + seed % 3, dim)), -pairs])
+    a_eq = rng.normal(size=(1, dim)) if seed % 2 else None
+    assert check_decision(a_eq, a_ineq, dim) != "tolerance-bound"

@@ -150,3 +150,16 @@ def test_residual_rejects_negative_t(example1):
     problem, _ = example1
     with pytest.raises(ValueError):
         kkt_residual(problem, TriplePoint([0.5], [0.0], [0.5, 0.0]), -0.1)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.1])
+def test_kkt_residual_refuses_a_bad_level(example1, t):
+    with pytest.raises(ValueError):
+        kkt_residual(example1[0], TriplePoint([0.5], [0.0], [0.5, 0.0]), t)
+
+
+@pytest.mark.parametrize("x", [[float("nan")], [0.5, 0.5]])
+def test_upper_regularity_refuses_a_bad_leader_point(example1, x):
+    # a NaN x used to read as "regular"
+    with pytest.raises(ValueError):
+        check_upper_regularity(example1[0], x)

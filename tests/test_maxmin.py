@@ -272,3 +272,13 @@ def test_infinite_follower_box_rejected(example1, light_cfg):
     cfg = replace(light_cfg, y_box=np.array([[-np.inf, 1.0]]))
     with pytest.raises(ValueError):
         evaluate_psi_t(problem, [0.5], 0.1, cfg)
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [([0.5], float("nan")), ([0.5], float("inf")), ([0.5], -0.1), ([0.5, 0.2], 0.1), ([float("nan")], 0.1)],
+)
+def test_brute_force_refuses_bad_input(example1, x, t):
+    # a NaN level used to read as an empty set, and a two-entry x was broadcast
+    with pytest.raises(ValueError):
+        brute_force_psi_t(example1[0], x, t, BRUTE_GRID)

@@ -142,3 +142,12 @@ def test_convergence_diagnostic_empty_trace(example1, light_cfg):
     problem, _ = example1
     with pytest.raises(ValueError):
         convergence_diagnostic(problem, [], [1.0], light_cfg)
+
+
+@pytest.mark.parametrize("method", ["grid", "multistart"])
+@pytest.mark.parametrize("x, t", [([0.5], float("nan")), ([0.5], float("inf")), ([0.5], -0.1), ([0.5, 0.5], 0.1)])
+def test_sample_relaxed_set_refuses_bad_input(example1, method, x, t):
+    # a NaN level used to give an empty sample
+    grid = GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 3), (0.0, 1.0, 3)))
+    with pytest.raises(ValueError):
+        sample_relaxed_set(example1[0], x, t, grid=grid, method=method, starts=2)

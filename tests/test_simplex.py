@@ -171,67 +171,49 @@ def test_cone_max_linear_value():
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-9)
 
 
-def test_least_norm_reports_its_iteration_cap(monkeypatch):
-    # min |z| s.t. z1 + z2 + 2 z3 = 1, z1 >= 3 z2: the simplex vertex (0.75, 0.25, 0)
-    # is feasible but two active-set steps short of the least-norm point.
-    A, b, C = np.array([[1.0, 1.0, 2.0]]), np.array([1.0]), np.array([[1.0, -3.0, 0.0]])
-    best, status = least_norm_point(A, b, C)
-    assert status == "least_norm"
-    np.testing.assert_allclose(best, [3.0 / 14.0, 1.0 / 14.0, 5.0 / 14.0], atol=1e-9)
-    monkeypatch.setattr(simplex, "PROJECTION_ITER_FACTOR", 0)
-    z, status = least_norm_point(A, b, C)
-    assert status == "iteration_cap"
-    np.testing.assert_allclose(z, [0.75, 0.25, 0.0], atol=1e-9)
-
-
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts solve_lp calls made through the simplex module."""
+    """Counts the NNLS solves made through the simplex module."""
     calls = []
-    solve = simplex.solve_lp
+    solve = simplex.nnls
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(simplex, "nnls", counted)
     return calls
 
 
 def test_equality_only_cone_is_decided_by_rank_alone(lp_calls):
     a_eq = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
-    assert simplex.cone_proved_trivial(a_eq, None, 3)
     assert cone_has_nonzero(a_eq, None, dim=3) is None
-    assert not lp_calls
-    # one row short of full rank: not proved, and the loop finds the null direction
-    assert not simplex.cone_proved_trivial(a_eq[:2], None, 3)
-    assert not lp_calls
+    # one row short of full rank: the SVD gives the null direction
     ray = cone_has_nonzero(a_eq[:2], None, dim=3)
     np.testing.assert_allclose(a_eq[:2] @ ray, 0.0, atol=1e-12)
-    assert np.max(np.abs(ray)) > 1e-7
+    assert np.max(np.abs(ray)) == pytest.approx(1.0)
+    assert not lp_calls
 
 
 def test_empty_equality_block_and_zero_dimension():
     a_ineq = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])  # positively spans R^2
-    assert simplex.cone_proved_trivial(np.zeros((0, 2)), a_ineq, 2)
     assert cone_has_nonzero(np.zeros((0, 2)), a_ineq, dim=2) is None
     assert cone_has_nonzero(None, a_ineq, dim=2) is None
-    assert simplex.cone_proved_trivial(None, None, 0)
-    assert simplex.cone_proved_trivial(np.zeros((2, 0)), np.zeros((1, 0)), 0)
+    assert cone_has_nonzero(np.zeros((2, 0)), np.zeros((1, 0)), dim=0) is None
     assert cone_has_nonzero(np.zeros((2, 0)), None, dim=0) is None
 
 
-def test_pointed_orthant_is_nontrivial():
-    # {z >= 0}: the Stiemke system has no lam >= 1, so the loop decides
-    assert not simplex.cone_proved_trivial(None, np.eye(3), 3)
+def test_pointed_orthant_is_nontrivial(lp_calls):
+    # {z >= 0}: full rank, so the one LDP with sum(z) >= 1 finds the ray
     ray = cone_has_nonzero(None, np.eye(3), dim=3)
-    assert ray is not None and np.min(ray) >= -1e-12 and np.max(ray) > 1e-7
+    assert ray is not None and np.min(ray) >= -1e-12 and np.max(ray) == pytest.approx(1.0)
+    np.testing.assert_allclose(ray, 1.0)  # the least-norm point of sum(z) >= 1 is the diagonal
+    assert len(lp_calls) == 1
 
 
 def test_rays_only_in_the_lineality_space():
     # z3 >= 0 and -z3 >= 0 leave the plane z3 = 0, a cone with no pointed part
     a_ineq = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    assert not simplex.cone_proved_trivial(None, a_ineq, 3)
     ray = cone_has_nonzero(None, a_ineq, dim=3)
     assert ray is not None and abs(ray[2]) <= 1e-12 and np.max(np.abs(ray)) > 1e-7
 
@@ -254,3 +236,30 @@ def test_qualification_costs_at_most_one_lp_per_pattern(lp_calls):
     rep = check_qualification_Am(problem, TriplePoint(np.zeros(d.n), np.zeros(d.m), np.zeros(d.q)), kind="M")
     assert rep.a1 and rep.a2 and rep.patterns_checked == 27
     assert len(lp_calls) <= rep.patterns_checked
+
+
+def test_least_distance_with_a_shifted_inequality():
+    # min |z| s.t. z1 + z2 = 2 and z1 - z2 >= 1: the projection (1, 1) is cut off at (1.5, 0.5)
+    z = simplex.least_distance(np.array([[1.0, 1.0]]), np.array([2.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+    np.testing.assert_allclose(z, [1.5, 0.5], atol=1e-12)
+    # z1 >= 1 and -z1 >= 0 cannot both hold
+    assert simplex.least_distance(np.zeros((0, 1)), np.zeros(0), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])) is None
+
+
+def test_leader_row_ray_needs_w_to_move():
+    # the cone {z2 = 0, z1 >= 0}: e1 moves w = e1 but nothing moves -e1 or e2
+    a_eq, a_ineq = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
+    np.testing.assert_allclose(simplex.cone_ray(a_eq, a_ineq, np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
+    assert simplex.cone_ray(a_eq, a_ineq, np.array([-1.0, 0.0])) is None
+    assert simplex.cone_ray(a_eq, a_ineq, np.array([0.0, 1.0])) is None
+
+
+def test_nnls_iteration_limit_is_an_error_not_a_verdict(monkeypatch):
+    def at_limit(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(simplex, "nnls", at_limit)
+    with pytest.raises(simplex.NnlsLimitError):
+        least_norm_point(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([[1.0, -3.0]]))
+    with pytest.raises(simplex.NnlsLimitError):
+        cone_has_nonzero(None, np.eye(2), dim=2)

@@ -3,7 +3,7 @@ import pytest
 
 import pbopt
 from pbopt import TriplePoint, stationarity
-from pbopt.kkt import InfeasiblePointError
+from pbopt.kkt import InfeasiblePointError, check_upper_regularity
 from pbopt.stationarity import (
     Multipliers,
     PatternCapError,
@@ -16,7 +16,14 @@ from pbopt.stationarity import (
     recover_relaxed_multipliers,
 )
 
-from toys import make_biactive_toy, make_duplicated_g_toy, make_interior_toy, make_q0_toy
+from toys import (
+    biactive_family_data,
+    make_biactive_toy,
+    make_duplicated_g_toy,
+    make_interior_toy,
+    make_linear_follower,
+    make_q0_toy,
+)
 
 EX1_PT = TriplePoint([0.5], [0.0], [0.5, 0.0])
 EX2_PT = TriplePoint([-1.0], [1.0], [0.0, 1.0])
@@ -193,16 +200,46 @@ def test_relaxed_recovery_interior_zero_gradient(tiny_cfg):
     assert rep.verdict
 
 
-def test_recovered_multipliers_carry_the_least_norm_cap(example1, monkeypatch):
+def test_recovered_multipliers_are_least_norm(example1):
     problem, _ = example1
-    exact_pt, relaxed_pt = EX1_PT, TriplePoint([1.0], [0.1], [1.0, 0.0])
-    assert recover_c_multipliers(problem, exact_pt, kind="C").status == "least_norm"
-    assert recover_relaxed_multipliers(problem, 0.1, relaxed_pt).status == "least_norm"
-    monkeypatch.setattr(pbopt.simplex, "PROJECTION_ITER_FACTOR", 0)
-    mults = recover_c_multipliers(problem, exact_pt, kind="C")
-    assert mults is not None and mults.status == "iteration_cap"
-    rm = recover_relaxed_multipliers(problem, 0.1, relaxed_pt)
-    assert rm is not None and rm.status == "iteration_cap"
+    assert recover_c_multipliers(problem, EX1_PT, kind="C").status == "least_norm"
+    assert recover_relaxed_multipliers(problem, 0.1, TriplePoint([1.0], [0.1], [1.0, 0.0])).status == "least_norm"
+
+
+def _nnls_at_limit(*args, **kwargs):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def test_nnls_iteration_limit_is_a_refusal_not_a_verdict(example1, monkeypatch):
+    problem, _ = example1
+    pt = TriplePoint([0.0], [1.0], [0.0, 0.0])  # the relaxed system at t = 0.1 has no multipliers
+    assert recover_relaxed_multipliers(problem, 0.1, pt) is None
+    family = make_linear_follower(*biactive_family_data(2, np.random.default_rng(3), duplicate=True))
+    zero = TriplePoint(np.zeros(family.dims.n), np.zeros(family.dims.m), np.zeros(family.dims.q))
+    assert not check_qualification_Am(family, zero, kind="M").a1  # a ray, found by an LDP
+    monkeypatch.setattr(pbopt.simplex, "nnls", _nnls_at_limit)
+    with pytest.raises(pbopt.simplex.NnlsLimitError):
+        recover_relaxed_multipliers(problem, 0.1, pt)
+    with pytest.raises(pbopt.simplex.NnlsLimitError):
+        check_qualification_Am(family, zero, kind="M")
+
+
+def test_certifier_solves_no_lp(example1, example2, monkeypatch):
+    # solve_lp and cone_max_linear are the HiGHS reference only; every certifier question is an LDP
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the certifier called linprog")
+
+    monkeypatch.setattr(pbopt.simplex, "linprog", no_lp)
+    p1, p2 = example1[0], example2[0]
+    for kind in ("C", "M", "S"):
+        recover_c_multipliers(p1, EX1_PT, kind=kind)
+        check_qualification_Am(p2, EX2_PT, kind=kind)
+    dup = make_linear_follower(*biactive_family_data(2, np.random.default_rng(3), duplicate=True))
+    rep = check_qualification_Am(dup, TriplePoint(np.zeros(dup.dims.n), np.zeros(dup.dims.m), np.zeros(dup.dims.q)))
+    assert not rep.a1 and not rep.a2 and sorted(rep.certificates) == ["a1", "a2"]
+    assert recover_relaxed_multipliers(p1, 0.1, TriplePoint([0.0], [1.0], [0.0, 0.0])) is None
+    assert check_cq1(p1, 0.1, TriplePoint([1.0], [0.1], [1.0, 0.0]))
+    assert check_upper_regularity(p2, [-1.0])
 
 
 def test_relaxed_precondition_negative_u(example1):
