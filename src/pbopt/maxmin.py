@@ -4,7 +4,8 @@ For fixed leader point x and relaxation level t >= 0 this evaluates
 
     psi(x, t) = max { F(x, y) : (y, u) in the level-t follower KKT set }
 
-by multistart penalised ascent plus a Gauss-Newton feasibility polish, and
+by multistart penalised ascent from points first polished onto that set by
+Gauss-Newton, plus a final polish, and
 approximates the set of near-maximisers.  The starts advance in lockstep,
 so every ascent or polish step evaluates the problem once for the batch.
 A brute-force grid maximiser is provided as an independent oracle for
@@ -100,13 +101,14 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim == 2 else 0)
-    order = np.lexsort(pts.T[::-1])
-    kept: list[Array] = []
-    for idx in order:
-        p = pts[idx]
-        if all(np.max(np.abs(p - k)) > tol for k in kept):
-            kept.append(p)
-    return np.array(kept)
+    kept = np.empty_like(pts)
+    n = 0
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        # min over kept points of the inf-norm distance; NaN keeps the point out
+        if n == 0 or np.abs(kept[:n] - p).max(axis=1).min() > tol:
+            kept[n] = p
+            n += 1
+    return kept[:n]
 
 
 @dataclass
@@ -138,10 +140,14 @@ class InnerConfig:
         for name in ("sweeps", "local_maxiter", "polish_maxiter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("u_max", "feas_tol", "eps_lvl"):
+        for name in ("u_max", "feas_tol", "eps_lvl", "penalty_init"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val}")
+        # A weight that is zero, negative or shrinking lets the ascent trade
+        # feasibility for F, so the polish lands on a point below the maximum.
+        if not (math.isfinite(self.penalty_growth) and self.penalty_growth >= 1):
+            raise ValueError(f"penalty_growth must be finite and at least 1, got {self.penalty_growth}")
 
 
 @dataclass
@@ -314,20 +320,33 @@ def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
     return X, np.array(nfev), np.array(nit)
 
 
-def _min_norm_lstsq(A: Array, b: Array) -> Array:
-    """Minimum-norm least-squares solutions of the stacked systems A x = b.
+# Relative Tikhonov weight of the polish's normal equations: tiny enough to
+# leave well-conditioned steps alone, large enough that a rank-deficient
+# J^T J still gets the near-minimum-norm step.
+_POLISH_REG = 1e-14
 
-    Singular values up to eps * max(rows, cols) times the largest count as
-    zero, as in ``numpy.linalg.lstsq`` with its default ``rcond``.
+
+def _gauss_newton_steps(JtJ: Array, Jtv: Array, free: Array) -> Array:
+    """Gauss-Newton steps dz of every row restricted to its free coordinates.
+
+    Solves (J^T J + _POLISH_REG * tr(J^T J) * I) dz = -J^T v over the free
+    coordinates of each row, with dz = 0 on the pinned ones, in one batched
+    solve.  Rows with a non-finite entry on their free coordinates get
+    dz = 0.
     """
-    x = np.zeros(A.shape[::2])
-    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    A = np.where(free[:, :, None] & free[:, None, :], JtJ, 0.0)
+    rhs = np.where(free, -Jtv, 0.0)[:, :, None]
+    diag = np.einsum("nii->ni", A)  # a writable view of the diagonals
+    # tiny keeps an all-zero J^T J (whose rhs is zero too) nonsingular
+    diag += np.where(free, _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny, 1.0)
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    if ok.all():
+        # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
+        return np.linalg.solve(A, rhs)[:, :, 0]
+    dz = np.zeros(Jtv.shape)
     if ok.any():
-        u, s, vt = np.linalg.svd(A[ok], full_matrices=False)
-        keep = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
-        coef = np.where(keep, (u * b[ok][:, :, None]).sum(axis=1) / np.where(keep, s, 1.0), 0.0)
-        x[ok] = (vt * coef[:, :, None]).sum(axis=1)
-    return x
+        dz[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
+    return dz
 
 
 def polish_onto_relaxed_set(
@@ -340,7 +359,11 @@ def polish_onto_relaxed_set(
     Gauss-Newton on the constraint violations inside the box of
     :func:`follower_box`, stopping per row once its largest violation is at
     most cfg.feas_tol, when a step no longer reduces the squared violation,
-    or after cfg.polish_maxiter iterations.
+    or after cfg.polish_maxiter iterations.  Each step solves the normal
+    equations (J^T J + 1e-14 tr(J^T J) I) dz = -J^T v on the row's free
+    coordinates for all rows in one batched solve, so a rank-deficient J
+    still gets the near-minimum-norm step; coordinates at a bound whose step
+    points outside are pinned and the step is solved again.
 
     Returns the polished rows, their largest violations and their iteration
     counts.
@@ -349,53 +372,53 @@ def polish_onto_relaxed_set(
     X = np.atleast_2d(np.asarray(x, dtype=float))
     lo, hi = follower_box(problem, cfg)
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
-    viol = np.full(Z.shape[0], np.inf)
-    iters = np.zeros(Z.shape[0], dtype=int)
-    todo = np.arange(Z.shape[0])
-    for _ in range(cfg.polish_maxiter):
-        iters[todo] += 1
-        Zt = Z[todo]
-        U, g, v = _residuals(problem, _take(X, todo), Zt, t)
-        viol[todo] = np.abs(v).max(axis=1, initial=0.0)
-        keep = viol[todo] > cfg.feas_tol
-        todo, Zt, U, g, v = todo[keep], Zt[keep], U[keep], g[keep], v[keep]
+    # g, v and viol always belong to the current Z: a step's line search has
+    # already evaluated them at the point it accepts.
+    _, g, v = _residuals(problem, X, Z, t)
+    viol = np.abs(v).max(axis=1, initial=0.0)
+    iters = np.ones(Z.shape[0], dtype=int)
+    todo = np.flatnonzero(viol > cfg.feas_tol)
+    for k in range(cfg.polish_maxiter):
         if not todo.size:
             break
-        Xt = _take(X, todo)
-        J = _residual_jacobian(problem, Xt, Zt, U, g, v)
+        Xt, Zt, vt = _take(X, todo), Z[todo], v[todo]
+        J = _residual_jacobian(problem, Xt, Zt, Zt[:, m:], g[todo], vt)
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
         at_lo = Zt <= lo + 1e-12
         at_hi = Zt >= hi - 1e-12
+        JtJ = np.swapaxes(J, 1, 2) @ J
+        Jtv = (J * vt[:, :, None]).sum(axis=1)
         free = np.ones(Zt.shape, dtype=bool)
-        dz = _min_norm_lstsq(J, -v)
+        dz = _gauss_newton_steps(JtJ, Jtv, free)
         for _ in range(m + q):
             pinned = free & ((at_lo & (dz < 0.0)) | (at_hi & (dz > 0.0)))
             redo = pinned.any(axis=1)
             if not redo.any():
                 break
             free[redo] &= ~pinned[redo]
-            dz[redo] = _min_norm_lstsq(J[redo] * free[redo][:, None, :], -v[redo]) * free[redo]
-        base = (v * v).sum(axis=1)
+            dz[redo] = _gauss_newton_steps(JtJ[redo], Jtv[redo], free[redo])
+        base = (vt * vt).sum(axis=1)
         accepted = np.zeros(todo.size, dtype=bool)
         pending = np.arange(todo.size)
         step = 1.0
         for _ in range(10):
             cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
-            vc = _residuals(problem, _take(Xt, pending), cand, t)[2]
+            _, gc, vc = _residuals(problem, _take(Xt, pending), cand, t)
             better = (vc * vc).sum(axis=1) < base[pending] - 1e-18
-            Zt[pending[better]] = cand[better]
+            rows = todo[pending[better]]
+            Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
+            viol[rows] = np.abs(vc[better]).max(axis=1, initial=0.0)
             accepted[pending[better]] = True
             pending = pending[~better]
             if not pending.size:
                 break
             step *= 0.5
-        Z[todo] = Zt
         todo = todo[accepted]
-        if not todo.size:
-            break
-    else:
-        viol[todo] = np.abs(_residuals(problem, _take(X, todo), Z[todo], t)[2]).max(axis=1, initial=0.0)
+        # iters counts the iterates a row is checked at, at most polish_maxiter
+        if k + 1 < cfg.polish_maxiter:
+            iters[todo] += 1
+        todo = todo[viol[todo] > cfg.feas_tol]
     return Z, viol, iters
 
 
@@ -408,10 +431,14 @@ def evaluate_psi_t(
     """Best feasible leader objective over the level-t follower KKT set at x.
 
     Multistart penalised local ascent with the penalty weight grown each
-    sweep, then a feasibility polish; the reported value comes only from
-    points feasible within cfg.feas_tol.  The argmax cloud collects every
-    polished maximiser within cfg.eps_lvl of the best value.  All starts
-    advance together, so each penalty evaluation covers the whole batch.
+    sweep.  Every sweep starts from points polished onto the set by
+    :func:`polish_onto_relaxed_set`, and a last polish follows the last
+    sweep, so a solve runs cfg.sweeps + 1 polishes; ``evals`` counts the
+    L-BFGS-B evaluations and the iterations of every polish.  The reported
+    value comes only from points feasible within cfg.feas_tol.  The argmax
+    cloud collects every polished maximiser within cfg.eps_lvl of the best
+    value.  All starts advance together, so each penalty evaluation covers
+    the whole batch.
     """
     x = problem.leader_point(x)
     return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
@@ -453,7 +480,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
 def _solve_group(
     problem: BilevelProblem, X: Array, Z0: Array, lo: Array, hi: Array, t: float, cfg: InnerConfig
 ) -> list[InnerSolveResult]:
-    """Ascent sweeps and polish of the starts Z0 at every leader point of X, all in lockstep."""
+    """Polished ascent sweeps and a last polish of the starts Z0 at every leader point of X, all in lockstep."""
     m, n_starts = problem.dims.m, len(Z0)
     Z = Z0
     if len(X) > 1:  # row r * n_starts + s is start s at leader point r
@@ -461,6 +488,10 @@ def _solve_group(
         X = np.repeat(X, n_starts, axis=0)
     evals = np.zeros(Z.shape[0], dtype=int)
     for s in range(cfg.sweeps):
+        # Each sweep starts on (or near) D_t, so the ascent only has to trade
+        # a little feasibility for F instead of first finding the set.
+        Z, _, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, cfg)
+        evals += polish_iters
         rho = cfg.penalty_init * cfg.penalty_growth**s
         Z, nfev, _ = _lockstep_lbfgsb(
             lambda B, rows: _penalty_batch(problem, _take(X, rows), B, t, rho), Z, lo, hi, cfg.local_maxiter

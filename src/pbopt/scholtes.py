@@ -225,9 +225,13 @@ def scholtes_solve(
 ) -> RunTrace:
     """Geometric homotopy over the relaxation level with warm-started outer solves.
 
-    Stops when the next level drops below t_min, when the leader iterate
-    stalls for two consecutive levels, or at the iteration cap.  Inner
-    infeasibility terminates the run with the partial trace preserved.
+    Each level's inner solves start from the configured random starts plus
+    at most max(1, starts) points of the previous level's argmax cloud,
+    evenly spaced along its lexicographic order with both ends kept (the
+    first alone when starts <= 1).  Stops when the next level drops below
+    t_min, when the leader iterate stalls for two consecutive levels, or at
+    the iteration cap.  Inner infeasibility terminates the run with the
+    partial trace preserved.
     """
     params = params or RelaxationParams()
     if x0 is None:
@@ -264,7 +268,13 @@ def scholtes_solve(
         dx = float(np.linalg.norm(step.x - x))
         small_steps = small_steps + 1 if dx <= params.x_tol else 0
         x = step.x
-        warm = tuple(step.inner.argmax.points)
+        # Passing the whole cloud on would grow the start set by up to
+        # `starts` per level, since nearly every polished start reaches the max.
+        cloud = step.inner.argmax.points
+        keep = max(1, params.outer.inner.starts)
+        if len(cloud) > keep:
+            cloud = cloud[np.linspace(0, len(cloud) - 1, keep).round().astype(int)]
+        warm = tuple(cloud)
         if small_steps >= 2:
             trace.terminal = "x_converged"
             return trace

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbopt
 from pbopt import GridSpec, InnerConfig, TriplePoint, brute_force_psi_t, evaluate_psi_t
-from pbopt.maxmin import InnerInfeasibleError, approximate_argmax_set, dedup_points
+from pbopt import maxmin
+from pbopt.maxmin import DEDUP_TOL, InnerInfeasibleError, approximate_argmax_set, dedup_points
 from pbopt.kkt import kkt_residual
 
 from toys import make_empty_lower_toy, make_q0_toy
@@ -223,6 +226,34 @@ def test_dedup_points_tolerance():
     assert out[0][0] <= out[1][0]
 
 
+def dedup_points_loop(pts, tol=DEDUP_TOL):
+    """Reference: compare each sorted point with every kept point, one pair at a time."""
+    kept = []
+    for idx in np.lexsort(pts.T[::-1]):
+        p = pts[idx]
+        if all(np.max(np.abs(p - k)) > tol for k in kept):
+            kept.append(p)
+    return np.array(kept).reshape(-1, pts.shape[1])
+
+
+@st.composite
+def near_duplicate_clouds(draw):
+    """Lattice points plus copies moved by 0, +-DEDUP_TOL/2, +-DEDUP_TOL or +-2 DEDUP_TOL per coordinate."""
+    dim = draw(st.integers(1, 4))
+    lattice = st.lists(st.integers(-2, 2).map(lambda k: 0.5 * k), min_size=dim, max_size=dim)
+    base = draw(st.lists(lattice, min_size=1, max_size=8))
+    shift = st.sampled_from([0.0, 0.5, 1.0, 2.0]).flatmap(lambda a: st.sampled_from([a, -a])).map(lambda a: a * DEDUP_TOL)
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.lists(shift, min_size=dim, max_size=dim)), max_size=16))
+    pts = [list(b) for b in base] + [[c + s for c, s in zip(base[i], d)] for i, d in copies]
+    return np.array(draw(st.permutations(pts)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pts=near_duplicate_clouds())
+def test_dedup_points_matches_pairwise_loop(pts):
+    np.testing.assert_array_equal(dedup_points(pts), dedup_points_loop(pts))
+
+
 def test_warm_starts_are_used(example1, light_cfg):
     problem, _ = example1
     from dataclasses import replace
@@ -245,6 +276,15 @@ def test_warm_starts_are_used(example1, light_cfg):
         {"u_max": 0.0},
         {"feas_tol": float("nan")},
         {"eps_lvl": float("inf")},
+        # each of these returned "solved" with psi below the closed form 0.2
+        # on example1 at x = 0.5, t = 0.1
+        {"penalty_init": 0.0},
+        {"penalty_init": -5.0},
+        {"penalty_init": float("nan")},
+        {"penalty_init": float("inf")},
+        {"penalty_growth": 0.5},
+        {"penalty_growth": float("inf")},
+        {"penalty_growth": float("nan")},
     ],
 )
 def test_inner_config_rejects_bad_values(kw):
@@ -282,3 +322,42 @@ def test_brute_force_refuses_bad_input(example1, x, t):
     # a NaN level used to read as an empty set, and a two-entry x was broadcast
     with pytest.raises(ValueError):
         brute_force_psi_t(example1[0], x, t, BRUTE_GRID)
+
+
+def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
+    """sweeps + 1 polishes per lockstep group, and evals counts all of their iterations."""
+    problem, _ = example2
+    polish, lbfgsb = maxmin.polish_onto_relaxed_set, maxmin._lockstep_lbfgsb
+    polished, ascended = [], []
+
+    def count_polish(*args):
+        out = polish(*args)
+        polished.append(int(out[2].sum()))
+        return out
+
+    def count_ascent(*args):
+        out = lbfgsb(*args)
+        ascended.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
+    monkeypatch.setattr(maxmin, "_lockstep_lbfgsb", count_ascent)
+    cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=60)
+    results = maxmin.evaluate_psi_t_batch(problem, [[-0.3], [0.4]], 0.1, cfg)
+    assert len(polished) == cfg.sweeps + 1 and len(ascended) == cfg.sweeps
+    assert sum(res.evals for res in results) == sum(polished) + sum(ascended)
+
+
+CLOSED_FORM_CFG = InnerConfig(starts=10, sweeps=3, local_maxiter=80)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(0.05, 1.0), negative=st.booleans(), t=st.floats(1e-3, 0.6))
+def test_psi_matches_closed_form_off_the_corner(name, u, negative, t):
+    # The corner 0 < x < 0.05, t < x is a known defect of the penalised ascent.
+    problem, oracle = pbopt.get_problem(name)
+    x = -u if negative and problem.x_box[0, 0] < 0 else u
+    res = evaluate_psi_t(problem, [x], t, CLOSED_FORM_CFG)
+    assert res.status == "solved"
+    assert abs(res.value - oracle.psi_p_t(x, t)) <= 1e-3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import OuterConfig, RelaxationParams, minimize_psi_t, scholtes_solve
+from pbopt import OuterConfig, RelaxationParams, minimize_psi_t, scholtes, scholtes_solve
 from pbopt.problem_model import DimensionError
 from toys import make_empty_lower_toy
 
@@ -172,3 +172,33 @@ def test_negative_x_tol_switches_the_stall_stop_off():
     # the schedule test relies on it to run every level
     assert RelaxationParams(x_tol=-1.0).x_tol == -1.0
     assert OuterConfig(decrease_tol=0.0).decrease_tol == 0.0
+
+
+def test_warm_starts_are_capped_at_starts(monkeypatch, example2, light_cfg):
+    """Each level gets at most `starts` points of the last cloud, its first and last among them."""
+    problem, _ = example2
+    real = scholtes.minimize_psi_t
+
+    def run():
+        levels = []
+
+        def spy(problem, t, x, cfg):
+            step = real(problem, t, x, cfg)
+            levels.append((np.array(cfg.inner.warm_starts), step.inner.argmax.points))
+            return step
+
+        monkeypatch.setattr(scholtes, "minimize_psi_t", spy)
+        params = RelaxationParams(t0=1.0, rho=0.5, t_min=0.1, x_tol=-1.0, outer=_outer(light_cfg))
+        scholtes_solve(problem, params, [0.5])
+        return levels
+
+    levels = run()
+    assert len(levels[0][0]) == 0
+    assert any(len(cloud) > light_cfg.starts for _, cloud in levels[:-1])
+    for (_, cloud), (warm, _) in zip(levels, levels[1:]):
+        assert len(warm) == min(len(cloud), light_cfg.starts)
+        np.testing.assert_array_equal(warm[0], cloud[0])
+        np.testing.assert_array_equal(warm[-1], cloud[-1])
+        assert all((cloud == w).all(axis=1).any() for w in warm)
+    for (warm, _), (again, _) in zip(levels, run(), strict=True):
+        np.testing.assert_array_equal(warm, again)
