@@ -368,9 +368,15 @@ def polish_onto_relaxed_set(
     Returns the polished rows, their largest violations and their iteration
     counts.
     """
+    return _polish(problem, x, Z, t, cfg, *follower_box(problem, cfg))
+
+
+def _polish(
+    problem: BilevelProblem, x: Array, Z: Array, t: float, cfg: InnerConfig, lo: Array, hi: Array
+) -> tuple[Array, Array, Array]:
+    """:func:`polish_onto_relaxed_set` inside the box [lo, hi] the caller already holds."""
     m, q = problem.dims.m, problem.dims.q
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    lo, hi = follower_box(problem, cfg)
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
     # g, v and viol always belong to the current Z: a step's line search has
     # already evaluated them at the point it accepts.
@@ -490,14 +496,14 @@ def _solve_group(
     for s in range(cfg.sweeps):
         # Each sweep starts on (or near) D_t, so the ascent only has to trade
         # a little feasibility for F instead of first finding the set.
-        Z, _, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, cfg)
+        Z, _, polish_iters = _polish(problem, X, Z, t, cfg, lo, hi)
         evals += polish_iters
         rho = cfg.penalty_init * cfg.penalty_growth**s
         Z, nfev, _ = _lockstep_lbfgsb(
             lambda B, rows: _penalty_batch(problem, _take(X, rows), B, t, rho), Z, lo, hi, cfg.local_maxiter
         )
         evals += nfev
-    Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, cfg)
+    Z, viol, polish_iters = _polish(problem, X, Z, t, cfg, lo, hi)
     evals += polish_iters
     fval = problem.F_rows(X, Z[:, :m])
     return [

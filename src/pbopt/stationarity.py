@@ -6,15 +6,23 @@ used by the convergence theory, and the relaxed-problem qualification
 condition.  Branch conditions over the biactive set are handled by exact
 enumeration of sign patterns; each pattern is one linear feasibility
 problem, and its least-norm multipliers (chosen for reproducibility) are one
-least-distance solve, ``simplex.least_norm_point``.
+least-distance solve.
 
 The qualification conditions ask whether a polyhedral cone
-{A_eq z = 0, A_ineq z >= 0} holds a nonzero ray, decided by
-``simplex.cone_has_nonzero`` with one rank test and at most one
-least-distance solve, or whether a ray of it moves a leader row, one
-least-distance solve per signed row (``simplex.cone_ray``).  A solve that
-stops at scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the
-question is refused, never answered "no".
+{A_eq z = 0, A_ineq z >= 0} holds a nonzero ray, decided with one rank test
+and at most one least-distance solve, or whether a ray of it moves a leader
+row, one least-distance solve per signed row.
+
+The enumeration is batched: patterns go in lexicographic order, in chunks
+of 1, 2, 4, ... up to CHUNK_MAX.  The rows of every pattern's system are
+stacked once per point (:func:`_pattern_rows`), each chunk picks its systems
+from them by index, and systems of one shape are decided as one stack by
+``simplex.least_norm_points`` and ``simplex.ConeRows``: one SVD rank test
+and one least-distance set-up per stack.  The NNLS solves alone run one
+pattern at a time, in order, so every answer, and the pattern it stops at,
+is the one-pattern-at-a-time answer bit for bit.  A solve that stops at
+scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
+is refused, never answered "no".
 """
 from __future__ import annotations
 
@@ -28,7 +36,7 @@ import numpy as np
 from .kkt import IndexSets, InfeasiblePointError, classify_indices, kkt_residual
 from .maxmin import InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
-from .simplex import cone_has_nonzero, cone_ray, least_norm_point
+from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 PATTERN_CAP_DEFAULT = 12
 
@@ -133,31 +141,6 @@ def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
     return out
 
 
-def _exact_system(data: _SystemData, idx: IndexSets, homogeneous: bool):
-    """(A_eq, b, A_ineq, theta_rows) of the exact stationarity system.
-
-    Columns [alpha_{I_G}, beta, gamma_{theta u nu}]; rows: leader gradient,
-    follower gradient, d_i = 0 on nu.  A_ineq is alpha >= 0 and theta_rows the
-    (gamma_i unit row, d_i row) pair of each biactive index.  The homogeneous
-    twin has no alpha columns and b = 0.
-    """
-    n, m, q = data.gFx.size, data.gFy.size, data.g.size
-    i_a = [] if homogeneous else list(idx.i_G)
-    free = sorted(set(idx.theta) | set(idx.nu))
-    beta = slice(len(i_a), len(i_a) + m)
-    x, y, w = slice(0, n), slice(n, n + m), slice(n + m, None)
-    a = np.zeros((n + m + q, beta.stop + len(free)))  # w: the d_i row of every constraint
-    a[x, : beta.start] = data.jacG[i_a].T
-    a[x, beta], a[y, beta], a[w, beta] = data.Lx.T, data.Ly.T, data.Jgy
-    a[x, beta.stop :], a[y, beta.stop :] = data.Jgx[free].T, data.Jgy[free].T
-    a_eq = a[[*range(n + m), *(n + m + i for i in idx.nu)]]
-    b = np.zeros(len(a_eq)) if homogeneous else np.concatenate(
-        [-data.gFx, -data.gFy, np.zeros(len(idx.nu))])
-    unit = np.eye(a.shape[1])
-    theta_rows = [(unit[beta.stop + free.index(i)], a[n + m + i]) for i in idx.theta]
-    return a_eq, b, unit[: beta.start], theta_rows
-
-
 def _relaxed_system(data: _SystemData, idx: IndexSets, u: Array, homogeneous: bool):
     """(A_eq, b, A_ineq) of the relaxed optimality system.
 
@@ -195,19 +178,65 @@ _BRANCHES = {
     ("M", False): (_LE, _G0, _D0), ("M", True): (_GE, _G0, _D0),
     ("S", False): (_LE,), ("S", True): (_LE,),
 }
+_PICKS = ("+g", "-g", "+d", "-d")  # the order of each biactive index's branch rows in the pool
+CHUNK_MAX = 256  # sign patterns per stacked batch; batches double up to it from one pattern
 
 
-def _pattern_systems(kind: str, qualification: bool, a_eq: Array, a_ineq: Array, theta_rows):
-    """(A_eq, A_ineq or None) of every sign pattern over the biactive set, in order:
-    the base system with the pattern's branch rows appended."""
-    if theta_rows and (kind, qualification) not in _BRANCHES:
+def _check_kind(kind: str) -> None:
+    if kind not in ("S", "M", "C"):
         raise ValueError(f"unknown stationarity kind {kind!r}")
-    picks = [{"+g": g, "-g": -g, "+d": d, "-d": -d} for g, d in theta_rows]
-    for pattern in itertools.product(*[_BRANCHES[kind, qualification]] * len(theta_rows)):
-        eq = [rows[r] for rows, (eqs, _) in zip(picks, pattern) for r in eqs]
-        ineq = [rows[r] for rows, (_, ineqs) in zip(picks, pattern) for r in ineqs]
-        ineq = np.vstack([a_ineq, *ineq]) if ineq else a_ineq
-        yield (np.vstack([a_eq, *eq]) if eq else a_eq), (ineq if len(ineq) else None)
+
+
+def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
+    """(rows, rhs, patterns): the rows of every sign pattern's exact stationarity system.
+
+    Columns [alpha_{I_G}, beta, gamma_{theta u nu}].  rows stacks, once per
+    point: the rows every pattern has as equalities (leader gradient,
+    follower gradient, d_i = 0 on nu) with right-hand sides rhs; the unit
+    rows of alpha >= 0; and each biactive index's signed gamma_i unit row
+    and d_i row, in the order of _PICKS.  The qualification system is the
+    homogeneous twin: no alpha columns and rhs = 0.  patterns yields, in
+    lexicographic order, each pattern's (eq, ineq) row indices: the base
+    system with the pattern's branch rows appended in the order of the
+    biactive set.
+    """
+    n, m = data.gFx.size, data.gFy.size
+    i_a = [] if qualification else list(idx.i_G)
+    nu, theta = list(idx.nu), list(idx.theta)
+    free = sorted(set(theta) | set(nu))
+    beta, gamma = slice(len(i_a), len(i_a) + m), slice(len(i_a) + m, None)
+    n_eq = n + m + len(nu)
+    at = n_eq + len(i_a)  # the first branch row
+    rows = np.zeros((at + 4 * len(theta), gamma.start + len(free)))
+    rows[:n, : beta.start] = data.jacG[i_a].T
+    rows[:n, beta], rows[n : n + m, beta], rows[n + m : n_eq, beta] = data.Lx.T, data.Ly.T, data.Jgy[nu]
+    rows[:n, gamma], rows[n : n + m, gamma] = data.Jgx[free].T, data.Jgy[free].T
+    rows[n_eq:at, : beta.start] = np.eye(beta.start)
+    for j, i in enumerate(theta):
+        g, d = at + 4 * j, at + 4 * j + 2
+        rows[g, gamma.start + free.index(i)], rows[d, beta] = 1.0, data.Jgy[i]
+        rows[g + 1], rows[d + 1] = -rows[g], -rows[d]
+    rhs = np.zeros(len(rows))
+    if not qualification:
+        rhs[:n], rhs[n : n + m] = -data.gFx, -data.gFy
+    base_eq, base_ineq = list(range(n_eq)), list(range(n_eq, at))
+    options = [
+        [tuple(tuple(at + 4 * j + _PICKS.index(r) for r in picks) for picks in branch) for branch in _BRANCHES[kind, qualification]]
+        for j in range(len(theta))
+    ]
+    patterns = (
+        (base_eq + [i for eq, _ in pattern for i in eq], base_ineq + [i for _, ineq in pattern for i in ineq])
+        for pattern in itertools.product(*options)
+    )
+    return rows, rhs, patterns
+
+
+def _chunks(patterns):
+    """The patterns in lists of 1, 2, 4, ... and then CHUNK_MAX, in order."""
+    size = 1
+    while chunk := list(itertools.islice(patterns, size)):
+        yield chunk
+        size = min(2 * size, CHUNK_MAX)
 
 
 def recover_c_multipliers(
@@ -220,20 +249,26 @@ def recover_c_multipliers(
 ) -> Optional[Multipliers]:
     """Least-norm multipliers for the kind-dependent exact stationarity system.
 
-    Enumerates sign patterns over the biactive set in a fixed order; each
-    pattern is a linear feasibility problem and the first feasible pattern's
-    least-norm solution is returned.  None means every pattern is infeasible.
+    Enumerates sign patterns over the biactive set in lexicographic order;
+    each pattern is a least-distance problem and the first feasible
+    pattern's least-norm solution is returned.  None means every pattern is
+    infeasible.  Patterns go in batches of 1, 2, 4, ... (up to CHUNK_MAX)
+    through :func:`~pbopt.simplex.least_norm_points`, which picks each
+    system's rows from one pool built per point and stacks everything but
+    the NNLS solves; those run one pattern at a time, in order, and stop at
+    the first feasible pattern, so the result is the sequential one.
     """
+    _check_kind(kind)
     idx, data = _setup(problem, pt, 0.0, tol, eps_act, pattern_cap)
-    a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
+    rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
-    for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
-        z, status = least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
-        if z is not None:
-            k = len(idx.i_G)
-            free = sorted(set(idx.theta) | set(idx.nu))
-            alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
-            return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]), status)
+    for chunk in _chunks(patterns):
+        for z in least_norm_points(rows, rhs, chunk):
+            if z is not None:
+                k = len(idx.i_G)
+                free = sorted(set(idx.theta) | set(idx.nu))
+                alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
+                return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]), "least_norm")
     return None
 
 
@@ -243,9 +278,7 @@ def _theta_violation(kind: str, gamma_i: float, d_i: float) -> float:
         return neg_branch
     if kind == "M":
         return min(neg_branch, abs(gamma_i), abs(d_i))
-    if kind == "C":
-        return max(0.0, -gamma_i * d_i)
-    raise ValueError(f"unknown stationarity kind {kind!r}")
+    return max(0.0, -gamma_i * d_i)  # C
 
 
 def _graph_rows(
@@ -292,6 +325,7 @@ def check_stationarity(
     exact follower KKT set and F must reach the inner max value within
     eps_lvl (the inner solver supplies that value).
     """
+    _check_kind(kind)
     problem.check_point(pt)
     data = _system_data(problem, pt)
     idx = classify_indices(problem, pt, 0.0, eps_act)
@@ -419,40 +453,50 @@ def check_qualification_Am(
     The first holds iff the full homogeneous multiplier set contains only
     zero; the second iff every element of the follower-only variant also
     annihilates the leader-derivative rows.  Both are decided per sign
-    pattern.  The follower-only cone holds the full one, so when
-    :func:`~pbopt.simplex.cone_has_nonzero` finds it trivial (a rank test
-    and at most one least-distance solve) the pattern breaks neither
-    condition.  Otherwise a1 asks :func:`~pbopt.simplex.cone_has_nonzero`
-    of the full cone, and a2 asks :func:`~pbopt.simplex.cone_ray` for a
-    follower-cone ray with w@z > 0, one least-distance solve per signed
-    leader row w.  The enumeration stops once both conditions have failed.
+    pattern, in lexicographic order.  The follower-only cone holds the full
+    one, so when it is trivial (a rank test and at most one least-distance
+    solve, as in :func:`~pbopt.simplex.cone_has_nonzero`) the pattern
+    breaks neither condition.  Otherwise a1 asks the same of the full cone,
+    and a2 looks for a follower-cone ray with w@z > 0, one least-distance
+    solve per signed leader row w (:func:`~pbopt.simplex.cone_ray`).  The
+    enumeration stops once both conditions have failed.
+
+    Patterns go in batches of 1, 2, 4, ... (up to CHUNK_MAX).  The rows of
+    every pattern are unit-scaled once per point in a
+    :class:`~pbopt.simplex.ConeRows` pool, and the follower cones of a
+    batch are decided as stacks of one shape: one SVD rank test and one
+    least-distance set-up per stack.  Only the NNLS solves run one pattern
+    at a time, in order, so the enumeration stops at the same pattern, with
+    the same rays and the same refusals, as one pattern at a time would.
     """
+    _check_kind(kind)
     idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
-    a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
-    n, dim = problem.dims.n, a_eq.shape[1]
-    leader = [sign * row for row in a_eq[:n] if np.any(row) for sign in (1.0, -1.0)]
+    n = problem.dims.n
+    rows, _, patterns = _pattern_rows(kind, True, data, idx)
+    leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
+    pool = ConeRows(rows)
     a1 = a2 = True
     certs: dict[str, Array] = {}
+    checked = 0
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
-    systems = _pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
-    for patterns, (a_pat, ineq) in enumerate(systems, 1):
-        if cone_has_nonzero(a_pat[n:], ineq, dim) is None:
-            continue  # the follower cone holds the a1 cone, so this pattern breaks neither
-        if a1:
-            ray = cone_has_nonzero(a_pat, ineq, dim)
-            if ray is not None:
-                a1 = False
-                certs["a1"] = ray
-        if a2:
-            for w in leader:
-                ray = cone_ray(a_pat[n:], ineq, w)
+    for chunk in _chunks(patterns):
+        for (eq, ineq), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for eq, ineq in chunk])):
+            checked += 1
+            if follower is None:
+                continue  # the follower cone holds the a1 cone, so this pattern breaks neither
+            if a1:
+                ray = next(pool.has_nonzero([(eq, ineq)]))
+                if ray is not None:
+                    a1 = False
+                    certs["a1"] = ray
+            if a2:
+                ray = next((z for z in pool.rays([(eq[n:], ineq, w) for w in leader]) if z is not None), None)
                 if ray is not None:
                     a2 = False
                     certs["a2"] = ray
-                    break
-        if not (a1 or a2):
-            break  # both verdicts and their rays are settled
-    return QualificationReport(a1, a2, kind, certs, patterns_checked=patterns)
+            if not (a1 or a2):
+                return QualificationReport(a1, a2, kind, certs, patterns_checked=checked)  # both settled
+    return QualificationReport(a1, a2, kind, certs, patterns_checked=checked)
 
 
 def check_cq1(

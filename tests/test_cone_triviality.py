@@ -117,13 +117,13 @@ def corpus() -> tuple:
         n = problem.dims.n
         if t == 0.0:
             idx, data = stn._setup(problem, pt, 0.0, eps, eps, stn.PATTERN_CAP_DEFAULT)
-            a_eq, _, a_ineq, theta_rows = stn._exact_system(data, idx, homogeneous=True)
             for kind in KINDS:
                 visited = _pinned()[label][f"qual_{kind}"]["patterns_checked"]
-                patterns = stn._pattern_systems(kind, True, a_eq, a_ineq, theta_rows)
-                for a_pat, ineq in itertools.islice(patterns, visited):
-                    add(a_pat, ineq, a_eq.shape[1])
-                    add(a_pat[n:], ineq, a_eq.shape[1], a_eq[:n])
+                rows, _, patterns = stn._pattern_rows(kind, True, data, idx)
+                for eq, ineq in itertools.islice(patterns, visited):
+                    a_pat, ineq = rows[eq], (rows[ineq] if ineq else None)
+                    add(a_pat, ineq, rows.shape[1])
+                    add(a_pat[n:], ineq, rows.shape[1], rows[:n])
         else:
             idx, data = stn._setup(problem, pt, t, eps, eps)
             a_eq, _, a_ineq = stn._relaxed_system(data, idx, pt.u, homogeneous=True)

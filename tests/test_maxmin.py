@@ -327,7 +327,7 @@ def test_brute_force_refuses_bad_input(example1, x, t):
 def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
     """sweeps + 1 polishes per lockstep group, and evals counts all of their iterations."""
     problem, _ = example2
-    polish, lbfgsb = maxmin.polish_onto_relaxed_set, maxmin._lockstep_lbfgsb
+    polish, lbfgsb = maxmin._polish, maxmin._lockstep_lbfgsb
     polished, ascended = [], []
 
     def count_polish(*args):
@@ -340,7 +340,7 @@ def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
         ascended.append(int(out[1].sum()))
         return out
 
-    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
+    monkeypatch.setattr(maxmin, "_polish", count_polish)
     monkeypatch.setattr(maxmin, "_lockstep_lbfgsb", count_ascent)
     cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=60)
     results = maxmin.evaluate_psi_t_batch(problem, [[-0.3], [0.4]], 0.1, cfg)

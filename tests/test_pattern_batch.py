@@ -1,0 +1,262 @@
+"""The stacked sign-pattern enumeration against the one-pattern-at-a-time loops.
+
+``recover_c_multipliers`` and ``check_qualification_Am`` walk the sign
+patterns over the biactive set in batches of 1, 2, 4, ... patterns: the rows
+of every pattern are picked from one pool per point, and the rank tests and
+least-distance set-ups of a batch run as stacks, so only the NNLS solves go
+one pattern at a time.  The reference here is the assembly and the loop they
+replaced: one system per pattern, assembled with ``np.vstack`` and decided
+by the single-system functions of ``simplex``.  On the pinned certifier corpus and
+on generated biactive families (k = 0..7, with and without duplicated rows,
+with rows scaled by 1e-6..1e6) both must give the same verdicts, pattern
+counts and certificate keys, and the same multipliers and rays bit for bit.
+NNLS solves run in the same order and stop at the same pattern, so a solve
+that stops at its iteration limit after that pattern changes nothing, and
+one at or before it is still refused.
+"""
+from __future__ import annotations
+
+import itertools
+import json
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from pbopt import TriplePoint, cli, simplex
+from pbopt import stationarity as stn
+
+from test_cone_triviality import assert_ray
+from test_stationarity_pinned import KINDS, _cases
+from toys import biactive_family_data, make_linear_follower
+
+
+def _exact_system(data, idx, homogeneous: bool):
+    """(A_eq, b, A_ineq, theta_rows) of the exact stationarity system, assembled on its own.
+
+    Columns [alpha_{I_G}, beta, gamma_{theta u nu}]; rows: leader gradient,
+    follower gradient, d_i = 0 on nu.  A_ineq is alpha >= 0 and theta_rows the
+    (gamma_i unit row, d_i row) pair of each biactive index.  The homogeneous
+    twin has no alpha columns and b = 0.
+    """
+    n, m, q = data.gFx.size, data.gFy.size, data.g.size
+    i_a = [] if homogeneous else list(idx.i_G)
+    free = sorted(set(idx.theta) | set(idx.nu))
+    beta = slice(len(i_a), len(i_a) + m)
+    x, y, w = slice(0, n), slice(n, n + m), slice(n + m, None)
+    a = np.zeros((n + m + q, beta.stop + len(free)))  # w: the d_i row of every constraint
+    a[x, : beta.start] = data.jacG[i_a].T
+    a[x, beta], a[y, beta], a[w, beta] = data.Lx.T, data.Ly.T, data.Jgy
+    a[x, beta.stop :], a[y, beta.stop :] = data.Jgx[free].T, data.Jgy[free].T
+    a_eq = a[[*range(n + m), *(n + m + i for i in idx.nu)]]
+    b = np.zeros(len(a_eq)) if homogeneous else np.concatenate([-data.gFx, -data.gFy, np.zeros(len(idx.nu))])
+    unit = np.eye(a.shape[1])
+    theta_rows = [(unit[beta.stop + free.index(i)], a[n + m + i]) for i in idx.theta]
+    return a_eq, b, unit[: beta.start], theta_rows
+
+
+def _pattern_systems(kind, qualification, a_eq, a_ineq, theta_rows):
+    """(A_eq, A_ineq or None) of every sign pattern, in order: the base system with its branch rows appended."""
+    picks = [{"+g": g, "-g": -g, "+d": d, "-d": -d} for g, d in theta_rows]
+    for pattern in itertools.product(*[stn._BRANCHES[kind, qualification]] * len(theta_rows)):
+        eq = [rows[r] for rows, (eqs, _) in zip(picks, pattern) for r in eqs]
+        ineq = [rows[r] for rows, (_, ineqs) in zip(picks, pattern) for r in ineqs]
+        ineq = np.vstack([a_ineq, *ineq]) if ineq else a_ineq
+        yield (np.vstack([a_eq, *eq]) if eq else a_eq), (ineq if len(ineq) else None)
+
+
+def reference_recover(problem, pt, kind, tol=1e-8, eps_act=1e-6):
+    """recover_c_multipliers, one least_norm_point per pattern."""
+    idx, data = stn._setup(problem, pt, 0.0, tol, eps_act, stn.PATTERN_CAP_DEFAULT)
+    a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
+    d = problem.dims
+    for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
+        z, status = simplex.least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
+        if z is not None:
+            k = len(idx.i_G)
+            free = sorted(set(idx.theta) | set(idx.nu))
+            alpha = stn._scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
+            return stn.Multipliers(alpha, z[k : k + d.m], stn._scatter(d.q, free, z[k + d.m :]), status)
+    return None
+
+
+def reference_qualification(problem, pt, kind, eps_act=1e-6):
+    """check_qualification_Am one pattern at a time: (a1, a2, certificates, patterns, cones).
+
+    cones[name] is the (a_eq, a_ineq, w) cone the certificate ray was found in.
+    """
+    idx, data = stn._setup(problem, pt, 0.0, eps_act, eps_act, stn.PATTERN_CAP_DEFAULT)
+    a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
+    n, dim = problem.dims.n, a_eq.shape[1]
+    leader = [sign * row for row in a_eq[:n] if np.any(row) for sign in (1.0, -1.0)]
+    a1 = a2 = True
+    certs, cones = {}, {}
+    for patterns, (a_pat, ineq) in enumerate(_pattern_systems(kind, True, a_eq, a_ineq, theta_rows), 1):
+        if simplex.cone_has_nonzero(a_pat[n:], ineq, dim) is None:
+            continue
+        if a1:
+            ray = simplex.cone_has_nonzero(a_pat, ineq, dim)
+            if ray is not None:
+                a1, certs["a1"], cones["a1"] = False, ray, (a_pat, ineq, None)
+        if a2:
+            for w in leader:
+                ray = simplex.cone_ray(a_pat[n:], ineq, w)
+                if ray is not None:
+                    a2, certs["a2"], cones["a2"] = False, ray, (a_pat[n:], ineq, w)
+                    break
+        if not (a1 or a2):
+            break
+    return a1, a2, certs, patterns, cones
+
+
+def _family(k: int, duplicate: bool, scaled: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    B, c, d, Jgy, Jgx = biactive_family_data(k, rng, duplicate=duplicate)
+    if scaled:  # the same constraints, each row scaled by 1e-6..1e6
+        s = 10.0 ** rng.uniform(-6.0, 6.0, size=(len(Jgy), 1))
+        Jgy, Jgx = Jgy * s, Jgx * s
+    problem = make_linear_follower(B, c, d, Jgy, Jgx, name=f"biactive{k}")
+    return problem, TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+
+
+@lru_cache(maxsize=None)
+def _corpus() -> dict:
+    """label -> (problem, point): the pinned t = 0 points and the generated families."""
+    corpus = {label: (problem, pt) for label, (problem, t, pt) in _cases().items() if t == 0.0}
+    for k in range(8):
+        for duplicate in (False, True) if k else (False,):
+            # k = 7 without duplicates walks all 3^7 patterns one at a time in the reference: once is enough
+            for scaled in (False, True) if k < 7 or duplicate else (False,):
+                label = f"gen{k}{'_dup' if duplicate else ''}{'_scaled' if scaled else ''}"
+                corpus[label] = _family(k, duplicate, scaled, seed=100 + 4 * k + 2 * duplicate + scaled)
+    return corpus
+
+
+@pytest.mark.parametrize("label", sorted(_corpus()))
+def test_batched_enumeration_matches_the_sequential_loops(label):
+    problem, pt = _corpus()[label]
+    for kind in KINDS:
+        want, got = reference_recover(problem, pt, kind), stn.recover_c_multipliers(problem, pt, kind=kind)
+        assert (got is None) == (want is None), kind
+        if want is not None:
+            assert got.status == want.status
+            for name in ("alpha", "beta", "gamma"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=f"{kind}.{name}")
+        a1, a2, certs, patterns, cones = reference_qualification(problem, pt, kind)
+        rep = stn.check_qualification_Am(problem, pt, kind=kind)
+        assert (rep.a1, rep.a2, rep.patterns_checked) == (a1, a2, patterns), kind
+        assert sorted(rep.certificates) == sorted(certs)
+        for name, ray in rep.certificates.items():
+            np.testing.assert_array_equal(ray, certs[name], err_msg=f"{kind}.{name}")
+            a_eq, a_ineq, w = cones[name]
+            assert_ray(ray, a_eq, a_ineq, a_eq.shape[1], w)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts the SVDs and NNLS solves made while the fixture is active."""
+    calls = {"svd": 0, "nnls": 0}
+    svd, solve = np.linalg.svd, simplex.nnls
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_nnls(*args, **kwargs):
+        calls["nnls"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(simplex, "nnls", counted_nnls)
+    return calls
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_qualification_stacks_its_rank_tests_and_least_distance_set_ups(solver_calls, duplicate):
+    problem = make_linear_follower(*biactive_family_data(5, np.random.default_rng(3), duplicate=duplicate))
+    pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    a1, a2, _, patterns, _ = reference_qualification(problem, pt, "M")
+    sequential = dict(solver_calls)
+    solver_calls.update(svd=0, nnls=0)
+    rep = stn.check_qualification_Am(problem, pt, kind="M")
+    assert (rep.a1, rep.a2, rep.patterns_checked) == (a1, a2, patterns)
+    # the same NNLS solves, so never more than one per pattern the rank test leaves open
+    assert solver_calls["nnls"] == sequential["nnls"]
+    if not duplicate:  # all 243 patterns: one rank test each when one pattern goes at a time
+        assert a1 and a2 and patterns == 243 and sequential["svd"] >= patterns
+        idx, data = stn._setup(problem, pt, 0.0, 1e-6, 1e-6, stn.PATTERN_CAP_DEFAULT)
+        _, _, systems = stn._pattern_rows("M", True, data, idx)
+        stacks = sum(len({(len(eq), len(ineq)) for eq, ineq in chunk}) for chunk in stn._chunks(systems))
+        # per chunk and shape of system: one stacked rank test and at most one stacked least-distance SVD
+        assert solver_calls["svd"] <= 2 * stacks < patterns / 4
+
+
+def _nnls_limit_from(monkeypatch, first: int, solve=simplex.nnls):
+    """Make simplex.nnls stop at its iteration limit from its first-th call on."""
+    calls = []
+
+    def limited(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= first:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "nnls", limited)
+    return calls
+
+
+def _sequential_solves(monkeypatch, run) -> int:
+    """The NNLS solves the one-pattern-at-a-time loop makes up to its stop point."""
+    calls = _nnls_limit_from(monkeypatch, np.inf)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_nnls_limits_keep_their_place_in_the_order(monkeypatch, k):
+    problem, pt = _family(k, duplicate=True, scaled=False, seed=7)
+
+    def recover():
+        return stn.recover_c_multipliers(problem, pt, kind="C").gamma.tolist()
+
+    def qualify():
+        rep = stn.check_qualification_Am(problem, pt, kind="M")
+        return rep.a1, rep.a2, rep.patterns_checked, sorted(rep.certificates)
+
+    def recover_sequentially():
+        return reference_recover(problem, pt, "C").gamma.tolist()
+
+    def qualify_sequentially():
+        a1, a2, certs, patterns, _ = reference_qualification(problem, pt, "M")
+        return a1, a2, patterns, sorted(certs)
+
+    for batched, reference in ((recover, recover_sequentially), (qualify, qualify_sequentially)):
+        want = reference()
+        solves = _sequential_solves(monkeypatch, reference)
+        assert solves > 1
+        # a limit only on solves after the sequential stop point: the answer stands
+        _nnls_limit_from(monkeypatch, solves + 1)
+        assert batched() == want
+        # a limit at the last solve before the stop point, or at the first: refused
+        for first in (solves, 1):
+            _nnls_limit_from(monkeypatch, first)
+            with pytest.raises(simplex.NnlsLimitError):
+                batched()
+        monkeypatch.undo()
+
+
+def test_check_reports_a_limit_before_the_stop_point_as_exit_3(monkeypatch, tmp_path, capsys):
+    problem, _ = _family(3, duplicate=True, scaled=False, seed=7)
+    monkeypatch.setattr(cli, "get_problem", lambda name: (problem, None))
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [0.0], "y": [0.0] * problem.dims.m, "u": [0.0] * problem.dims.q}))
+    argv = ["check", "--problem", problem.name, "--point", str(point), "--kind", "C"]
+    pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    solves = _sequential_solves(monkeypatch, lambda: reference_recover(problem, pt, "C"))
+    assert cli.main(argv) == 0
+    answer = json.loads(capsys.readouterr().out)
+    _nnls_limit_from(monkeypatch, solves + 1)
+    assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out) == answer
+    _nnls_limit_from(monkeypatch, solves)
+    assert cli.main(argv) == 3
+    assert "iteration limit" in json.loads(capsys.readouterr().out)["error"]

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from pbopt import simplex
 from pbopt.simplex import (
@@ -263,3 +266,35 @@ def test_nnls_iteration_limit_is_an_error_not_a_verdict(monkeypatch):
         least_norm_point(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([[1.0, -3.0]]))
     with pytest.raises(simplex.NnlsLimitError):
         cone_has_nonzero(None, np.eye(2), dim=2)
+
+
+def test_scipy_nnls_raises_at_its_iteration_limit(monkeypatch):
+    # The contract NnlsLimitError rests on, against the installed scipy rather than a stub:
+    # this system needs two active-set steps, and one is not enough.
+    a, b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]), np.array([1.0, 2.0, 3.0, 1.0])
+    w, _ = nnls(a, b)
+    np.testing.assert_allclose(w, [0.0, 2.0 / 3.0, 5.0 / 3.0], atol=1e-12)
+    with pytest.raises(RuntimeError):
+        nnls(a, b, maxiter=1)
+    monkeypatch.setattr(simplex, "nnls", functools.partial(nnls, maxiter=1))
+    with pytest.raises(simplex.NnlsLimitError):
+        simplex.least_distance(np.zeros((0, 3)), np.zeros(0), np.eye(3), np.ones(3))
+    with pytest.raises(simplex.NnlsLimitError):
+        cone_has_nonzero(None, np.eye(3), dim=3)
+
+
+def test_a_stack_with_equality_blocks_of_different_rank_matches_one_system_at_a_time():
+    # one shape, equality ranks 2, 1, 1 (inconsistent) and 2: the stack splits by rank and reads back in order
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
+    rhs = np.array([1.0, -1.0, 2.0, 0.0, 0.0, 3.0])
+    systems = [([0, 1], [3]), ([0, 2], [4]), ([0, 5], [3]), ([1, 2], [3])]
+    got = list(simplex.least_norm_points(rows, rhs, systems))
+    for (eq, ineq), z in zip(systems, got):
+        want, _ = least_norm_point(rows[eq], rhs[eq], rows[ineq])
+        assert (z is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(z, want)
+    np.testing.assert_allclose(got[0], [1.0, -1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(got[1], [1.0, 0.0, 0.0], atol=1e-12)
+    assert got[2] is None  # z1 = 1 and 2 z1 = 3
+    np.testing.assert_allclose(got[3], [1.0, -1.0, 0.0], atol=1e-12)

@@ -337,3 +337,16 @@ def test_cq1_borderline_warns(example1):
     pt = TriplePoint([0.5], [0.0], [0.5 + 3e-6, 3e-6])
     with pytest.warns(pbopt.BorderlineActivityWarning):
         check_cq1(problem, 0.1, pt)
+
+
+@pytest.mark.parametrize("kind", ["Q", "m", "relaxed", ""])
+def test_unknown_kind_is_refused_up_front(example2, kind):
+    # EX2_PT has an empty biactive set, where the kind used to go unread
+    problem, _ = example2
+    zero = Multipliers(np.zeros(problem.dims.p), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    with pytest.raises(ValueError, match="unknown stationarity kind"):
+        recover_c_multipliers(problem, EX2_PT, kind=kind)
+    with pytest.raises(ValueError, match="unknown stationarity kind"):
+        check_qualification_Am(problem, EX2_PT, kind=kind)
+    with pytest.raises(ValueError, match="unknown stationarity kind"):
+        check_stationarity(problem, EX2_PT, zero, kind=kind, graph_check=False)
