@@ -248,13 +248,8 @@ def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
         xv = _scalar(x)
         meta = {"kind": "oracle", "x": xv, "t": float(t)}
         if t <= 0.0:
-            if xv > _ZERO_X:
-                pairs = [(0.0, xv)]
-            elif xv < -_ZERO_X:
-                pairs = [(1.0, 0.0)]
-            else:
-                pairs = [(1.0, 0.0)]
-        elif xv < -_ZERO_X or xv <= _ZERO_X:
+            pairs = [(0.0, xv)] if xv > _ZERO_X else [(1.0, 0.0)]
+        elif xv <= _ZERO_X:
             pairs = [(1.0, u1) for u1 in _interval(0.0, t, count)]
         elif t <= xv:
             pairs = [(t / xv, xv)]
@@ -338,7 +333,7 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
     def d_set(x, t, count: int = 0) -> SampledSet:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         pts = grid.points()
-        mask = batch_feasibility(problem, x, pts, max(0.0, float(t)), 0.75 * grid.max_step())
+        mask = batch_feasibility(problem, x, pts, max(0.0, float(t)), grid.tolerance())
         return SampledSet(dedup_points(pts[mask]), {"kind": "grid-oracle", "t": float(t)})
 
     oracle = AnalyticOracle(
@@ -388,14 +383,12 @@ def get_problem(name: str) -> tuple[BilevelProblem, AnalyticOracle]:
 
 
 def oracle_grid(problem: BilevelProblem, res: int = 60, u_cap: float = 3.5) -> GridSpec:
-    """Shared grid over (y, u) used by grid oracles and set sampling."""
-    axes = []
-    yb = problem.y_box if problem.y_box is not None else np.tile([-10.0, 10.0], (problem.dims.m, 1))
-    for i in range(problem.dims.m):
-        axes.append((float(yb[i, 0]), float(yb[i, 1]), res))
-    for _ in range(problem.dims.q):
-        axes.append((0.0, u_cap, res))
-    return GridSpec(tuple(axes))
+    """Shared grid over (y, u) used by grid oracles and set sampling.
+
+    The y axes span the problem's ``y_box``, the multiplier axes [0, u_cap].
+    """
+    axes = [(float(lo), float(hi), res) for lo, hi in problem.y_box]
+    return GridSpec(tuple(axes + [(0.0, u_cap, res)] * problem.dims.q))
 
 
 def crosscheck_grid(problem: BilevelProblem, x: float, t: float, res: int = 400, y_res: int = 1000) -> GridSpec:
@@ -445,7 +438,7 @@ def oracle_crosscheck(
                 # must sit near the sampled near-optimal cloud.
                 uni = oracle_grid(problem, res=48, u_cap=2.2)
                 pts = uni.points()
-                tau = 0.75 * uni.max_step()
+                tau = uni.tolerance()
                 mask = batch_feasibility(problem, x, pts, float(t), tau)
                 if mask.any():
                     F = batch_objective(problem, x, pts[mask][:, : problem.dims.m])

@@ -142,7 +142,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_outer_iters=cfg.max_outer,
         x_tol=cfg.x_tol,
         outer=OuterConfig(inner=_inner_config(cfg)),
-        seed=cfg.seed,
     )
     x0 = _parse_vector(cfg.x0) if cfg.x0 else None
     trace = scholtes_solve(problem, params, x0)
@@ -385,7 +384,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     d = problem.dims
     xb = problem.x_box if problem.x_box is not None else np.tile([-1.0, 1.0], (d.n, 1))
-    yb = problem.y_box if problem.y_box is not None else np.tile([-1.0, 1.0], (d.m, 1))
+    yb = problem.y_box
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     worst: dict[str, float] = {}

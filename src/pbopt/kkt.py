@@ -35,28 +35,15 @@ class KktResidual:
     compl: float  # |u @ g|
     relax_viol: Array  # max(0, -u_i g_i - t)
     t: float
+    g: Array  # the follower constraints g(x, y) the record was built from
 
-    def max_violation(self) -> float:
-        """Largest violation of the membership system at this t.
+    def _field_maxima(self) -> dict[str, float]:
+        """Largest violation of each field, in a fixed order.
 
         The aggregate complementarity |u @ g| participates only at t = 0,
         where exact complementarity is part of the definition; for t > 0 a
         member may legitimately have a nonzero product.
         """
-        parts = [
-            np.max(np.abs(self.stationarity), initial=0.0),
-            np.max(self.dual_viol, initial=0.0),
-            np.max(self.primal_viol, initial=0.0),
-            np.max(self.relax_viol, initial=0.0),
-        ]
-        if self.t == 0.0:
-            parts.append(self.compl)
-        return float(max(parts))
-
-    def is_feasible(self, tol: float = FEAS_TOL_DEFAULT) -> bool:
-        return self.max_violation() <= tol
-
-    def worst_field(self) -> str:
         fields = {
             "stationarity": float(np.max(np.abs(self.stationarity), initial=0.0)),
             "dual_viol": float(np.max(self.dual_viol, initial=0.0)),
@@ -65,6 +52,17 @@ class KktResidual:
         }
         if self.t == 0.0:
             fields["compl"] = self.compl
+        return fields
+
+    def max_violation(self) -> float:
+        """Largest violation of the membership system at this t."""
+        return float(max(self._field_maxima().values()))
+
+    def is_feasible(self, tol: float = FEAS_TOL_DEFAULT) -> bool:
+        return self.max_violation() <= tol
+
+    def worst_field(self) -> str:
+        fields = self._field_maxima()
         return max(fields, key=fields.get)
 
 
@@ -84,6 +82,7 @@ def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> Kk
         compl=float(abs(pt.u @ g)) if problem.dims.q else 0.0,
         relax_viol=np.maximum(0.0, -pt.u * g - t),
         t=t,
+        g=g,
     )
 
 
@@ -114,14 +113,18 @@ def classify_indices(
     eps_act: float = EPS_ACT_DEFAULT,
 ) -> IndexSets:
     """Classify active sets at a point feasible for the level-t system."""
-    res = kkt_residual(problem, pt, t)
+    return classify_residual(problem, pt, kkt_residual(problem, pt, t), eps_act)
+
+
+def classify_residual(problem: BilevelProblem, pt: TriplePoint, res: KktResidual, eps_act: float) -> IndexSets:
+    """:func:`classify_indices` at pt from its residual record res = kkt_residual(problem, pt, t)."""
+    t, g = res.t, res.g
     if not res.is_feasible(eps_act):
         raise InfeasiblePointError(
             f"point infeasible at t={t}: field '{res.worst_field()}' violates "
             f"by {res.max_violation():.3e} (> eps_act={eps_act:.1e})"
         )
     q = problem.dims.q
-    g = np.asarray(problem.eval_g(pt.x, pt.y), dtype=float) if q else np.zeros(0)
     u = pt.u
     eta, theta, nu = [], [], []
     for i in range(q):
@@ -172,8 +175,17 @@ def check_slater(
     seed: int = 0,
     eps_strict: float = 1e-6,
 ) -> SlaterResult:
-    """Search for y with g_i(x, y) <= -eps_strict for all i via multistart descent."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Search for y with g_i(x, y) <= -eps_strict for all i via multistart descent.
+
+    The starts are drawn in the problem's ``y_box``.  A wrongly shaped or
+    non-finite x, fewer than one start and a non-finite or negative
+    eps_strict are refused with ValueError.
+    """
+    x = problem.leader_point(x)
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
+    if not (np.isfinite(eps_strict) and eps_strict >= 0):
+        raise ValueError(f"eps_strict must be finite and nonnegative, got {eps_strict}")
     m, q = problem.dims.m, problem.dims.q
     if q == 0:
         return SlaterResult(found=True, y=np.zeros(m), max_g=-np.inf, starts_used=0)
@@ -184,9 +196,8 @@ def check_slater(
             return np.inf
         return float(np.max(g))
 
-    box = problem.y_box if problem.y_box is not None else np.tile([-10.0, 10.0], (m, 1))
     rng = np.random.default_rng(seed)
-    y0s = rng.uniform(box[:, 0], box[:, 1], size=(starts, m))
+    y0s = rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1], size=(starts, m))
     best_val = np.inf
     best_y = None
     for y0 in y0s:

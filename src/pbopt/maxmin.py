@@ -23,8 +23,18 @@ from scipy.optimize._lbfgsb import setulb
 
 from .problem_model import Array, BilevelProblem, relaxation_level
 
+# Level slack of the argmax cloud: every feasible start within it of the best
+# value joins the cloud.  The certifier's graph-value row uses it too.
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
+# Penalty weight of the first ascent sweep, and its growth factor per sweep.
+PENALTY_INIT = 100.0
+PENALTY_GROWTH = 10.0
+# Gauss-Newton iterations of one feasibility polish.
+POLISH_MAXITER = 60
+# GridSpec.tolerance: the grid-scaled feasibility tolerance of the grid samplers and oracles
+GRID_TOL_FACTOR = 0.75
+GRID_TOL_FLOOR = 1e-8
 NEAR_FEAS_BAND = 1e-3
 # Most starts that advance in lockstep at once.  Each holds about 10 kB of
 # L-BFGS-B workspace; a halving ladder of hundreds of starts in one group
@@ -76,6 +86,10 @@ class GridSpec:
         ]
         return max(steps) if steps else 0.0
 
+    def tolerance(self) -> float:
+        """Feasibility tolerance of a grid point: GRID_TOL_FACTOR * max_step, floored at GRID_TOL_FLOOR."""
+        return max(GRID_TOL_FACTOR * self.max_step(), GRID_TOL_FLOOR)
+
 
 @dataclass
 class SampledSet:
@@ -113,23 +127,24 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
 
 @dataclass
 class InnerConfig:
-    """Tuning knobs for the multistart inner maximiser.
+    """Starts and budgets of the multistart inner maximiser.
 
-    ``starts`` random starts run alongside the ``warm_starts``; together they
-    must give at least one start.
+    ``starts`` seeded random starts (``seed``) run alongside the
+    ``warm_starts``; together they must give at least one start.  Each of
+    the ``sweeps`` penalised ascents runs at most ``local_maxiter`` L-BFGS-B
+    iterations, with weight PENALTY_INIT * PENALTY_GROWTH**sweep.  Follower
+    multipliers are searched in [0, ``u_max``], the follower variables in
+    the problem's ``y_box``, and a point counts as feasible when its largest
+    violation is at most ``feas_tol``.  The polish budget (POLISH_MAXITER)
+    and the argmax level slack (EPS_LVL_DEFAULT) are module constants.
     """
 
     starts: int = 32
     sweeps: int = 5
-    penalty_init: float = 100.0
-    penalty_growth: float = 10.0
     u_max: float = 10.0
-    eps_lvl: float = EPS_LVL_DEFAULT
     feas_tol: float = 1e-8
     seed: int = 0
     local_maxiter: int = 120
-    polish_maxiter: int = 60
-    y_box: Optional[Array] = None
     warm_starts: tuple = ()
 
     def __post_init__(self) -> None:
@@ -137,17 +152,13 @@ class InnerConfig:
             raise ValueError(f"starts must be nonnegative, got {self.starts}")
         if self.starts + len(self.warm_starts) < 1:
             raise ValueError("the inner solver needs at least one random or warm start")
-        for name in ("sweeps", "local_maxiter", "polish_maxiter"):
+        for name in ("sweeps", "local_maxiter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("u_max", "feas_tol", "eps_lvl", "penalty_init"):
+        for name in ("u_max", "feas_tol"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val}")
-        # A weight that is zero, negative or shrinking lets the ascent trade
-        # feasibility for F, so the polish lands on a point below the maximum.
-        if not (math.isfinite(self.penalty_growth) and self.penalty_growth >= 1):
-            raise ValueError(f"penalty_growth must be finite and at least 1, got {self.penalty_growth}")
 
 
 @dataclass
@@ -159,18 +170,13 @@ class InnerSolveResult:
 
 
 def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
-    """Lower and upper bounds of the stacked (y, u) block searched by the inner solver."""
-    m, q = problem.dims.m, problem.dims.q
-    if cfg.y_box is not None:
-        yb = np.asarray(cfg.y_box, dtype=float).reshape(m, 2)
-    elif problem.y_box is not None:
-        yb = problem.y_box
-    else:
-        yb = np.tile([-10.0, 10.0], (m, 1))
-    ub = np.tile([0.0, cfg.u_max], (q, 1)) if q else np.zeros((0, 2))
-    if not (np.isfinite(yb).all() and (yb[:, 0] <= yb[:, 1]).all()):
-        raise ValueError(f"follower box must be finite with lower <= upper, got {yb.tolist()}")
-    return np.concatenate([yb[:, 0], ub[:, 0]]), np.concatenate([yb[:, 1], ub[:, 1]])
+    """Lower and upper bounds of the stacked (y, u) block searched by the inner solver.
+
+    The y part is the problem's ``y_box`` (decided, and checked, when the
+    problem is built); each multiplier runs over [0, cfg.u_max].
+    """
+    yb, q = problem.y_box, problem.dims.q
+    return np.concatenate([yb[:, 0], np.zeros(q)]), np.concatenate([yb[:, 1], np.full(q, cfg.u_max)])
 
 
 def _take(X: Array, rows) -> Array:
@@ -350,31 +356,25 @@ def _gauss_newton_steps(JtJ: Array, Jtv: Array, free: Array) -> Array:
 
 
 def polish_onto_relaxed_set(
-    problem: BilevelProblem, x: Array, Z: Array, t: float, cfg: InnerConfig
+    problem: BilevelProblem, x: Array, Z: Array, t: float, lo: Array, hi: Array, feas_tol: float
 ) -> tuple[Array, Array, Array]:
     """Drive every row of Z onto the level-t follower KKT set at its leader point.
 
     x is one leader point of shape (n,) or (1, n) for every row, or a block
     of shape (N, n) with one leader point per row of Z.  Active-set
-    Gauss-Newton on the constraint violations inside the box of
-    :func:`follower_box`, stopping per row once its largest violation is at
-    most cfg.feas_tol, when a step no longer reduces the squared violation,
-    or after cfg.polish_maxiter iterations.  Each step solves the normal
-    equations (J^T J + 1e-14 tr(J^T J) I) dz = -J^T v on the row's free
-    coordinates for all rows in one batched solve, so a rank-deficient J
-    still gets the near-minimum-norm step; coordinates at a bound whose step
-    points outside are pinned and the step is solved again.
+    Gauss-Newton on the constraint violations inside the box [lo, hi]
+    (the inner solver passes :func:`follower_box`), stopping per row once
+    its largest violation is at most feas_tol, when a step no longer
+    reduces the squared violation, or after POLISH_MAXITER iterations.
+    Each step solves the normal equations (J^T J + 1e-14 tr(J^T J) I) dz =
+    -J^T v on the row's free coordinates for all rows in one batched solve,
+    so a rank-deficient J still gets the near-minimum-norm step;
+    coordinates at a bound whose step points outside are pinned and the
+    step is solved again.
 
     Returns the polished rows, their largest violations and their iteration
     counts.
     """
-    return _polish(problem, x, Z, t, cfg, *follower_box(problem, cfg))
-
-
-def _polish(
-    problem: BilevelProblem, x: Array, Z: Array, t: float, cfg: InnerConfig, lo: Array, hi: Array
-) -> tuple[Array, Array, Array]:
-    """:func:`polish_onto_relaxed_set` inside the box [lo, hi] the caller already holds."""
     m, q = problem.dims.m, problem.dims.q
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
@@ -383,8 +383,8 @@ def _polish(
     _, g, v = _residuals(problem, X, Z, t)
     viol = np.abs(v).max(axis=1, initial=0.0)
     iters = np.ones(Z.shape[0], dtype=int)
-    todo = np.flatnonzero(viol > cfg.feas_tol)
-    for k in range(cfg.polish_maxiter):
+    todo = np.flatnonzero(viol > feas_tol)
+    for k in range(POLISH_MAXITER):
         if not todo.size:
             break
         Xt, Zt, vt = _take(X, todo), Z[todo], v[todo]
@@ -421,10 +421,10 @@ def _polish(
                 break
             step *= 0.5
         todo = todo[accepted]
-        # iters counts the iterates a row is checked at, at most polish_maxiter
-        if k + 1 < cfg.polish_maxiter:
+        # iters counts the iterates a row is checked at, at most POLISH_MAXITER
+        if k + 1 < POLISH_MAXITER:
             iters[todo] += 1
-        todo = todo[viol[todo] > cfg.feas_tol]
+        todo = todo[viol[todo] > feas_tol]
     return Z, viol, iters
 
 
@@ -442,8 +442,8 @@ def evaluate_psi_t(
     sweep, so a solve runs cfg.sweeps + 1 polishes; ``evals`` counts the
     L-BFGS-B evaluations and the iterations of every polish.  The reported
     value comes only from points feasible within cfg.feas_tol.  The argmax
-    cloud collects every polished maximiser within cfg.eps_lvl of the best
-    value.  All starts advance together, so each penalty evaluation covers
+    cloud collects every polished maximiser within EPS_LVL_DEFAULT of the
+    best value.  All starts advance together, so each penalty evaluation covers
     the whole batch.
     """
     x = problem.leader_point(x)
@@ -496,14 +496,14 @@ def _solve_group(
     for s in range(cfg.sweeps):
         # Each sweep starts on (or near) D_t, so the ascent only has to trade
         # a little feasibility for F instead of first finding the set.
-        Z, _, polish_iters = _polish(problem, X, Z, t, cfg, lo, hi)
+        Z, _, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
         evals += polish_iters
-        rho = cfg.penalty_init * cfg.penalty_growth**s
+        rho = PENALTY_INIT * PENALTY_GROWTH**s
         Z, nfev, _ = _lockstep_lbfgsb(
             lambda B, rows: _penalty_batch(problem, _take(X, rows), B, t, rho), Z, lo, hi, cfg.local_maxiter
         )
         evals += nfev
-    Z, viol, polish_iters = _polish(problem, X, Z, t, cfg, lo, hi)
+    Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
     evals += polish_iters
     fval = problem.F_rows(X, Z[:, :m])
     return [
@@ -533,7 +533,7 @@ def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cf
             evals=int(evals.sum()),
         )
     value = float(fval[feas].max())
-    pts = dedup_points(Z[feas & (fval >= value - cfg.eps_lvl)], DEDUP_TOL)
+    pts = dedup_points(Z[feas & (fval >= value - EPS_LVL_DEFAULT)], DEDUP_TOL)
     meta = {"kind": "multistart", "seed": cfg.seed, "starts": cfg.starts, "t": float(t)}
     return InnerSolveResult(value=value, argmax=SampledSet(pts, meta), status="solved", evals=int(evals.sum()))
 
@@ -590,13 +590,11 @@ def brute_force_psi_t(
     x: Array,
     t: float,
     grid: GridSpec,
-    tol_factor: float = 0.75,
 ) -> BruteForceResult:
     """Independent grid oracle: max F over grid points near-feasible at level t.
 
-    Feasibility is tested within a grid-scaled tolerance
-    tau = tol_factor * (largest grid step), floored at 1e-8.
-    Restricted to m + q <= 4.
+    Feasibility is tested within the grid-scaled tolerance
+    :meth:`GridSpec.tolerance`.  Restricted to m + q <= 4.
     """
     t = relaxation_level(t)
     x = problem.leader_point(x)
@@ -605,7 +603,7 @@ def brute_force_psi_t(
         raise ValueError("brute force limited to m + q <= 4")
     if len(grid.axes) != m + q:
         raise ValueError(f"grid must cover all {m + q} follower coordinates")
-    tau = max(tol_factor * grid.max_step(), 1e-8)
+    tau = grid.tolerance()
     best_F, best_z = None, None
     size = math.prod(grid.shape())
     for start in range(0, size, GRID_CHUNK_ROWS):

@@ -16,6 +16,8 @@ import numpy as np
 Array = np.ndarray
 
 FD_STEP = 1e-6
+# Half-width of the follower box of a problem built without one.
+Y_BOX_HALF_WIDTH = 10.0
 
 
 def relaxation_level(t) -> float:
@@ -79,6 +81,11 @@ class BilevelProblem:
     mathematical domain should return non-finite values instead of raising;
     callers treat non-finite as infeasible.
 
+    ``y_box`` is the (m, 2) follower search box of the inner solver, the
+    Slater probe and the oracle grids.  A problem built without one gets
+    [-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH] per coordinate; a box that is not
+    finite with lower <= upper is refused.
+
     Second-derivative providers are optional.  When omitted they are replaced
     by central finite differences of the registered first derivatives
     (step ``FD_STEP``) and ``hess_is_fd`` is set.
@@ -117,7 +124,7 @@ class BilevelProblem:
     hess_g_yx: Optional[Callable[[Array, Array], list[Array]]] = None
     hess_g_yy: Optional[Callable[[Array, Array], list[Array]]] = None
     x_box: Optional[Array] = None
-    y_box: Optional[Array] = None
+    y_box: Optional[Array] = None  # filled in by __post_init__
     name: str = ""
     batch_F: Optional[Callable[[Array, Array], Array]] = None
     batch_g: Optional[Callable[[Array, Array], Array]] = None
@@ -129,8 +136,11 @@ class BilevelProblem:
     def __post_init__(self) -> None:
         if self.x_box is not None:
             self.x_box = np.asarray(self.x_box, dtype=float).reshape(self.dims.n, 2)
-        if self.y_box is not None:
-            self.y_box = np.asarray(self.y_box, dtype=float).reshape(self.dims.m, 2)
+        if self.y_box is None:
+            self.y_box = np.tile([-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH], (self.dims.m, 1))
+        self.y_box = np.asarray(self.y_box, dtype=float).reshape(self.dims.m, 2)
+        if not (np.isfinite(self.y_box).all() and (self.y_box[:, 0] <= self.y_box[:, 1]).all()):
+            raise ValueError(f"follower box must be finite with lower <= upper, got {self.y_box.tolist()}")
         missing = (
             self.hess_f_yx is None
             or self.hess_f_yy is None
@@ -349,8 +359,8 @@ def check_gradients_fd(
 
     Non-finite evaluations are flagged in the report rather than raised.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
     problem.check_point(pt)
     d = problem.dims
     x, y = pt.x, pt.y

@@ -18,6 +18,14 @@ from .maxmin import InnerConfig, InnerSolveResult, SampledSet, evaluate_psi_t_ba
 from .problem_model import Array, BilevelProblem
 
 X_MEMBERSHIP_TOL = 1e-8
+# First poll step of a level, as a fraction of the leader box diameter.
+MESH_INIT_FRAC = 0.25
+# Least decrease a poll point must make to replace the incumbent.
+DECREASE_TOL = 1e-10
+# Most poll rounds of one level.
+MAX_ROUNDS = 400
+# Weight of the leader-constraint violation added to psi outside a box-free leader set.
+INFEAS_PENALTY = 1e8
 
 
 class OuterInfeasibleError(RuntimeError):
@@ -26,24 +34,21 @@ class OuterInfeasibleError(RuntimeError):
 
 @dataclass
 class OuterConfig:
-    """Pattern-search controls for one fixed relaxation level."""
+    """Pattern-search controls for one fixed relaxation level.
 
-    mesh_init_frac: float = 0.25
+    The search stops once the poll step falls below ``mesh_tol``; every
+    inner solve uses ``inner``.  The first step (MESH_INIT_FRAC of the
+    leader box diameter), the decrease a poll must make (DECREASE_TOL), the
+    round cap (MAX_ROUNDS) and the leader-infeasibility weight
+    (INFEAS_PENALTY) are module constants.
+    """
+
     mesh_tol: float = 1e-5
-    decrease_tol: float = 1e-10
-    max_rounds: int = 400
-    infeas_penalty: float = 1e8
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        for name in ("mesh_init_frac", "mesh_tol", "infeas_penalty"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be finite and positive, got {val}")
-        if not (math.isfinite(self.decrease_tol) and self.decrease_tol >= 0):
-            raise ValueError(f"decrease_tol must be finite and nonnegative, got {self.decrease_tol}")
+        if not (math.isfinite(self.mesh_tol) and self.mesh_tol > 0):
+            raise ValueError(f"mesh_tol must be finite and positive, got {self.mesh_tol}")
 
 
 @dataclass
@@ -56,7 +61,6 @@ class RelaxationParams:
     max_outer_iters: int = 60
     x_tol: float = 1e-9
     outer: OuterConfig = field(default_factory=OuterConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rho < 1.0):
@@ -110,13 +114,13 @@ def _project_x(problem: BilevelProblem, x: Array) -> Array:
     return x.copy()
 
 
-def _leader_penalty(problem: BilevelProblem, x: Array, cfg: OuterConfig) -> float:
+def _leader_penalty(problem: BilevelProblem, x: Array) -> float:
     # Box-shaped sets are handled by projection; anything else is penalised.
     if problem.x_box is not None or problem.dims.p == 0:
         return 0.0
     G = np.asarray(problem.eval_G(x), dtype=float)
     viol = float(np.max(np.maximum(0.0, G), initial=0.0))
-    return 0.0 if viol <= X_MEMBERSHIP_TOL else cfg.infeas_penalty * viol
+    return 0.0 if viol <= X_MEMBERSHIP_TOL else INFEAS_PENALTY * viol
 
 
 def minimize_psi_t(
@@ -128,7 +132,7 @@ def minimize_psi_t(
     """Coordinate pattern search on x -> psi(x, t) over the leader set.
 
     Returns a mesh-local minimiser: once the mesh is below mesh_tol no poll
-    point improves the incumbent by more than decrease_tol.
+    point improves the incumbent by more than DECREASE_TOL.
 
     Each round's new poll points are solved in one batched inner call, the
     first round's together with the starting point.  Once the starting
@@ -153,7 +157,7 @@ def minimize_psi_t(
         if fresh:
             results = evaluate_psi_t_batch(problem, np.array(list(fresh.values())), t, cfg.inner)
             for (key, xq), res in zip(fresh.items(), results):
-                val = math.inf if res.status != "solved" else res.value + _leader_penalty(problem, xq, cfg)
+                val = math.inf if res.status != "solved" else res.value + _leader_penalty(problem, xq)
                 cache[key] = (val, res)
 
     def objective(xq: Array) -> tuple[float, InnerSolveResult]:
@@ -176,14 +180,12 @@ def minimize_psi_t(
         diam = float(np.max(problem.x_box[:, 1] - problem.x_box[:, 0]))
     else:
         diam = 4.0
-    mesh = cfg.mesh_init_frac * diam if diam > 0 else cfg.mesh_tol
-    if mesh <= 0:
-        mesh = cfg.mesh_tol
+    mesh = MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
 
     solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
     moved = ladder = False
-    for r in range(cfg.max_rounds):
+    for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
         points = poll_points(x, mesh)
@@ -196,7 +198,7 @@ def minimize_psi_t(
             )
         # Best poll wins; exact ties go to the lexicographically smallest point.
         polls.sort(key=lambda rec: (rec[0], rec[1]))
-        if polls and polls[0][0] < center_val - cfg.decrease_tol:
+        if polls and polls[0][0] < center_val - DECREASE_TOL:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
             moved = True
@@ -204,7 +206,7 @@ def minimize_psi_t(
             mesh *= 0.5
             if not (moved or ladder):
                 ladder, h, rest = True, mesh, []
-                for _ in range(r + 1, cfg.max_rounds):
+                for _ in range(r + 1, MAX_ROUNDS):
                     if h < cfg.mesh_tol:
                         break
                     rest += poll_points(x, h)
@@ -245,7 +247,7 @@ def scholtes_solve(
     warm: tuple = ()
     small_steps = 0
     for k in range(params.max_outer_iters):
-        inner_cfg = replace(params.outer.inner, warm_starts=warm, seed=params.outer.inner.seed)
+        inner_cfg = replace(params.outer.inner, warm_starts=warm)
         cfg_k = replace(params.outer, inner=inner_cfg)
         try:
             step = minimize_psi_t(problem, t, x, cfg_k)

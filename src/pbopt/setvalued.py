@@ -13,16 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maxmin import (
-    GridSpec,
-    InnerConfig,
-    SampledSet,
-    approximate_argmax_set,
-    batch_feasibility,
-    dedup_points,
-    follower_box,
-    polish_onto_relaxed_set,
-)
+from .maxmin import GridSpec, InnerConfig, SampledSet, approximate_argmax_set, batch_feasibility, dedup_points
 from .problem_model import Array, BilevelProblem, relaxation_level
 
 INF = math.inf
@@ -51,43 +42,21 @@ def hausdorff(a, b) -> float:
     return max(excess(a, b), excess(b, a))
 
 
-def sample_relaxed_set(
-    problem: BilevelProblem,
-    x: Array,
-    t: float,
-    grid: Optional[GridSpec] = None,
-    method: str = "grid",
-    tol_factor: float = 0.75,
-    starts: int = 64,
-    seed: int = 0,
-    feas_tol: float = 1e-8,
-) -> SampledSet:
-    """Finite sample of the level-t follower KKT set at x.
+def sample_relaxed_set(problem: BilevelProblem, x: Array, t: float, grid: GridSpec) -> SampledSet:
+    """Finite sample of the level-t follower KKT set at x on a grid.
 
-    Grid mode keeps every grid point feasible within a grid-scaled tolerance;
-    comparisons between levels must share one grid so inclusion relations are
-    exact.  Multistart mode polishes random starts onto the set instead.
+    Keeps every grid point feasible within :meth:`GridSpec.tolerance`, the
+    tolerance of the brute-force oracle; comparisons between levels must
+    share one grid so inclusion relations are exact.
     """
     x, t = problem.leader_point(x), relaxation_level(t)
-    if method == "grid":
-        if grid is None:
-            raise ValueError("grid mode requires a GridSpec")
-        pts = grid.points()
-        tau = max(tol_factor * grid.max_step(), feas_tol)
-        mask = batch_feasibility(problem, x, pts, t, tau)
-        return SampledSet(
-            dedup_points(pts[mask]),
-            meta={"kind": "grid", "t": float(t), "tau": tau, "axes": grid.axes},
-        )
-    if method == "multistart":
-        cfg = InnerConfig(starts=starts, seed=seed, feas_tol=feas_tol)
-        lo, hi = follower_box(problem, cfg)
-        rng = np.random.default_rng(seed)
-        z0s = rng.uniform(lo, hi, size=(starts, lo.size))
-        Z, viol, _ = polish_onto_relaxed_set(problem, x, z0s, t, cfg)
-        pts = dedup_points(Z[viol <= feas_tol])
-        return SampledSet(pts, meta={"kind": "multistart", "t": float(t), "seed": seed})
-    raise ValueError(f"unknown sampling method {method!r}")
+    pts = grid.points()
+    tau = grid.tolerance()
+    mask = batch_feasibility(problem, x, pts, t, tau)
+    return SampledSet(
+        dedup_points(pts[mask]),
+        meta={"kind": "grid", "t": float(t), "tau": tau, "axes": grid.axes},
+    )
 
 
 @dataclass

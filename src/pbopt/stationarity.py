@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import IndexSets, InfeasiblePointError, classify_indices, kkt_residual
-from .maxmin import InnerConfig, evaluate_psi_t
+from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
+from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
@@ -92,7 +92,8 @@ class _SystemData:
     g: Array
 
 
-def _system_data(problem: BilevelProblem, pt: TriplePoint) -> _SystemData:
+def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemData:
+    """The derivative blocks at pt; g is g(x, y) there, as the residual record holds it."""
     d = problem.dims
     gFx, gFy = (np.asarray(v, dtype=float) for v in problem.grad_F(pt.x, pt.y))
     Lx, Ly, _ = lagrangian_jacobians(problem, pt)
@@ -107,7 +108,7 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint) -> _SystemData:
         np.asarray(Jgx, dtype=float).reshape(d.q, d.n),
         np.asarray(Jgy, dtype=float).reshape(d.q, d.m),
         np.asarray(problem.eval_G(pt.x) if d.p else np.zeros(0), dtype=float),
-        np.asarray(problem.eval_g(pt.x, pt.y) if d.q else np.zeros(0), dtype=float),
+        g,
     )
 
 
@@ -115,24 +116,28 @@ def _setup(
     problem: BilevelProblem,
     pt: TriplePoint,
     t: float,
-    feas_tol: float,
+    feas_tol: Optional[float],
     eps_act: float,
     pattern_cap: Optional[int] = None,
-) -> tuple[IndexSets, _SystemData]:
-    """Index sets and system data at a point that must lie in the level-t KKT set."""
+) -> tuple[KktResidual, IndexSets, _SystemData]:
+    """The level-t residual, index sets and system data at pt, from one residual evaluation.
+
+    A point whose violation exceeds feas_tol (when given) is refused first,
+    then one that exceeds eps_act, by the classification.
+    """
     problem.check_point(pt)
     res = kkt_residual(problem, pt, t)
-    if not res.is_feasible(feas_tol):
+    if feas_tol is not None and not res.is_feasible(feas_tol):
         raise InfeasiblePointError(
             f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
             f"{res.max_violation():.3e}"
         )
-    idx = classify_indices(problem, pt, t, eps_act)
+    idx = classify_residual(problem, pt, res, eps_act)
     if pattern_cap is not None and len(idx.theta) > pattern_cap:
         raise PatternCapError(
             f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
         )
-    return idx, _system_data(problem, pt)
+    return res, idx, _system_data(problem, pt, res.g)
 
 
 def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
@@ -259,7 +264,7 @@ def recover_c_multipliers(
     the first feasible pattern, so the result is the sequential one.
     """
     _check_kind(kind)
-    idx, data = _setup(problem, pt, 0.0, tol, eps_act, pattern_cap)
+    _, idx, data = _setup(problem, pt, 0.0, tol, eps_act, pattern_cap)
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
     for chunk in _chunks(patterns):
@@ -284,21 +289,21 @@ def _theta_violation(kind: str, gamma_i: float, d_i: float) -> float:
 def _graph_rows(
     problem: BilevelProblem,
     pt: TriplePoint,
-    t: float,
-    eps_lvl: float,
+    res: KktResidual,
     inner_cfg: Optional[InnerConfig],
     graph_check: bool,
 ) -> dict[str, float]:
-    """Graph-membership rows: level-t KKT violation and the inner-max value gap."""
-    rows = {"graph_feasibility": kkt_residual(problem, pt, t).max_violation()}
+    """Graph-membership rows: the level-t KKT violation of res and the inner-max value gap."""
+    t = res.t
+    rows = {"graph_feasibility": res.max_violation()}
     if graph_check:
-        # Feasibility is kept well below eps_lvl so near-feasible points at
+        # Feasibility is kept well below the level slack so near-feasible points at
         # degenerate corners cannot inflate the reference value past the slack.
         cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
         inner = evaluate_psi_t(problem, pt.x, t, cfg)
         fval = problem.eval_F(pt.x, pt.y)
         rows["graph_value"] = (
-            0.0 if inner.status != "solved" else max(0.0, inner.value - eps_lvl - fval)
+            0.0 if inner.status != "solved" else max(0.0, inner.value - EPS_LVL_DEFAULT - fval)
         )
     return rows
 
@@ -315,7 +320,6 @@ def check_stationarity(
     kind: str = "C",
     tol: float = 1e-8,
     eps_act: float = 1e-6,
-    eps_lvl: float = 1e-4,
     inner_cfg: Optional[InnerConfig] = None,
     graph_check: bool = True,
 ) -> StationarityReport:
@@ -323,19 +327,18 @@ def check_stationarity(
 
     The graph-membership row is verified numerically: pt must lie in the
     exact follower KKT set and F must reach the inner max value within
-    eps_lvl (the inner solver supplies that value).
+    EPS_LVL_DEFAULT, the argmax slack of the inner solver, which supplies
+    that value.
     """
     _check_kind(kind)
-    problem.check_point(pt)
-    data = _system_data(problem, pt)
-    idx = classify_indices(problem, pt, 0.0, eps_act)
+    res, idx, data = _setup(problem, pt, 0.0, None, eps_act)
     d = problem.dims
     alpha, beta, gamma = (
         np.asarray(v, dtype=float).reshape(size)
         for v, size in ((mults.alpha, d.p), (mults.beta, d.m), (mults.gamma, d.q))
     )
 
-    rows = _graph_rows(problem, pt, 0.0, eps_lvl, inner_cfg, graph_check)
+    rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
     res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
     rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
     res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
@@ -369,7 +372,7 @@ def recover_relaxed_multipliers(
     set to zero, so one linear feasibility problem with sign constraints
     remains.
     """
-    idx, data = _setup(problem, pt, t, tol, eps_act)
+    _, idx, data = _setup(problem, pt, t, tol, eps_act)
     a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
     z, status = least_norm_point(a_eq, b, a_ineq)
     if z is None:
@@ -394,21 +397,21 @@ def check_relaxed_stationarity(
     rm: RelaxedMultipliers,
     tol: float = 1e-8,
     eps_act: float = 1e-6,
-    eps_lvl: float = 1e-4,
     inner_cfg: Optional[InnerConfig] = None,
     graph_check: bool = True,
 ) -> StationarityReport:
-    """Residuals of the relaxed optimality system at (pt, rm) for level t."""
-    problem.check_point(pt)
-    data = _system_data(problem, pt)
-    idx = classify_indices(problem, pt, t, eps_act)  # refuses a point outside D_t before the inner solve
+    """Residuals of the relaxed optimality system at (pt, rm) for level t.
+
+    The graph rows are those of :func:`check_stationarity` at level t.
+    """
+    res, idx, data = _setup(problem, pt, t, None, eps_act)  # refuses a point outside D_t before the inner solve
     d = problem.dims
     alpha, beta, gamma, mu, delta = (
         np.asarray(v, dtype=float).reshape(size)
         for v, size in zip((rm.alpha, rm.beta, rm.gamma, rm.mu, rm.delta), (d.p, d.m, d.q, d.q, d.q))
     )
 
-    rows = _graph_rows(problem, pt, t, eps_lvl, inner_cfg, graph_check)
+    rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
     coeff = gamma - delta * pt.u
     res_x = data.gFx + data.jacG.T @ alpha - data.Lx.T @ beta - data.Jgx.T @ coeff
     rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
@@ -470,7 +473,7 @@ def check_qualification_Am(
     the same rays and the same refusals, as one pattern at a time would.
     """
     _check_kind(kind)
-    idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
+    _, idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
     n = problem.dims.n
     rows, _, patterns = _pattern_rows(kind, True, data, idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
@@ -514,7 +517,7 @@ def check_cq1(
     within a decade of eps_act) triggers a warning since the support
     decomposition is only clean away from the threshold.
     """
-    idx, data = _setup(problem, pt, t, eps_act, eps_act)
+    _, idx, data = _setup(problem, pt, t, eps_act, eps_act)
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
     border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
     if border.size:

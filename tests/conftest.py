@@ -27,5 +27,5 @@ def light_cfg():
 
 @pytest.fixture(scope="session")
 def tiny_cfg():
-    # Tight feasibility: used where checks compare values at eps_lvl slack.
+    # Tight feasibility: used where checks compare values at the EPS_LVL_DEFAULT slack.
     return pbopt.InnerConfig(starts=6, sweeps=3, local_maxiter=60, feas_tol=1e-10)

@@ -27,6 +27,7 @@ from pbopt import (
     scholtes_solve,
 )
 from pbopt.cli import main as cli_main
+from pbopt.maxmin import EPS_LVL_DEFAULT
 
 from test_stationarity import _implication_corpus
 
@@ -107,7 +108,7 @@ def test_criterion_05_monotonicity_suite(example1, example2, synthetic):
             s1 = evaluate_psi_t(problem, x, t1, SOLVE_CFG)
             s2 = evaluate_psi_t(problem, x, t2, SOLVE_CFG)
             if s1.status == "solved" and s2.status == "solved":
-                solver_ok &= s1.value <= s2.value + 2 * SOLVE_CFG.eps_lvl
+                solver_ok &= s1.value <= s2.value + 2 * EPS_LVL_DEFAULT
             else:
                 solver_ok = False
     report(5, brute_ok and solver_ok, f"monotonicity over 200 pairs x 3 problems: brute exact {brute_ok}, solver within 2*eps_lvl {solver_ok}")

@@ -142,15 +142,15 @@ def sequential_minimize(problem, t, x_init, cfg):
         key = xq.tobytes()
         if key not in cache:
             res = evaluate_psi_t(problem, xq, t, cfg.inner)
-            val = math.inf if res.status != "solved" else res.value + scholtes._leader_penalty(problem, xq, cfg)
+            val = math.inf if res.status != "solved" else res.value + scholtes._leader_penalty(problem, xq)
             cache[key] = (val, res)
             evals += 1
         return cache[key]
 
     diam = float(np.max(problem.x_box[:, 1] - problem.x_box[:, 0]))
-    mesh = cfg.mesh_init_frac * diam if diam > 0 else cfg.mesh_tol
+    mesh = scholtes.MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
     center_val, center_res = objective(x)
-    for _ in range(cfg.max_rounds):
+    for _ in range(scholtes.MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
         polls = []
@@ -165,7 +165,7 @@ def sequential_minimize(problem, t, x_init, cfg):
         if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
             raise scholtes.OuterInfeasibleError("infeasible")
         polls.sort(key=lambda rec: (rec[0], rec[1]))
-        if polls and polls[0][0] < center_val - cfg.decrease_tol:
+        if polls and polls[0][0] < center_val - scholtes.DECREASE_TOL:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
         else:

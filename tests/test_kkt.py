@@ -114,6 +114,24 @@ def test_slater_failure_is_reported_as_evidence():
     assert res.max_g >= -1e-6
 
 
+@pytest.mark.parametrize(
+    "x, kw",
+    [
+        ([0.5], {"starts": 0}),
+        ([0.5], {"starts": -2}),
+        ([float("nan")], {}),
+        ([0.5, 0.5, 0.5], {}),
+        ([0.5], {"eps_strict": float("nan")}),
+        ([0.5], {"eps_strict": float("inf")}),
+        ([0.5], {"eps_strict": -1e-6}),
+    ],
+)
+def test_slater_refuses_bad_input(example1, x, kw):
+    # each of these used to return an answer: found=False after no search, or found=True at a bad x
+    with pytest.raises(ValueError):
+        check_slater(example1[0], x, **kw)
+
+
 def test_upper_regularity_example1(example1):
     problem, _ = example1
     assert check_upper_regularity(problem, [1.0])

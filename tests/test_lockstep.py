@@ -161,7 +161,7 @@ def test_penalty_batch_flags_nonfinite_rows(example1):
 @pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "synthetic2d_fd"])
 def test_start_path_does_not_depend_on_its_batch(name):
     problem = named_problem(name)
-    cfg = InnerConfig(starts=8, polish_maxiter=60)
+    cfg = InnerConfig(starts=8)
     lo, hi = follower_box(problem, cfg)
     rng = np.random.default_rng(3)
     x = leader_point(problem, rng)
@@ -169,12 +169,12 @@ def test_start_path_does_not_depend_on_its_batch(name):
     Z0 = rng.uniform(lo, hi, size=(8, lo.size))
     fun = lambda Z, rows: _penalty_batch(problem, x[None], Z, t, 1e3)
     X, nfev, nit = _lockstep_lbfgsb(fun, Z0, lo, hi, 80)
-    P, viol, iters = polish_onto_relaxed_set(problem, x, X, t, cfg)
+    P, viol, iters = polish_onto_relaxed_set(problem, x, X, t, lo, hi, cfg.feas_tol)
     for i in range(len(Z0)):
         Xi, nfev_i, nit_i = _lockstep_lbfgsb(fun, Z0[i : i + 1], lo, hi, 80)
         np.testing.assert_array_equal(Xi[0], X[i])
         assert (nfev_i[0], nit_i[0]) == (nfev[i], nit[i])
-        Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, X[i : i + 1], t, cfg)
+        Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, X[i : i + 1], t, lo, hi, cfg.feas_tol)
         np.testing.assert_array_equal(Pi[0], P[i])
         assert (viol_i[0], iters_i[0]) == (viol[i], iters[i])
 

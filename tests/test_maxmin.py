@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import pbopt
 from pbopt import GridSpec, InnerConfig, TriplePoint, brute_force_psi_t, evaluate_psi_t
 from pbopt import maxmin
-from pbopt.maxmin import DEDUP_TOL, InnerInfeasibleError, approximate_argmax_set, dedup_points
+from pbopt.maxmin import DEDUP_TOL, EPS_LVL_DEFAULT, InnerInfeasibleError, approximate_argmax_set, dedup_points
 from pbopt.kkt import kkt_residual
 
 from toys import make_empty_lower_toy, make_q0_toy
@@ -69,7 +71,7 @@ def test_argmax_members_are_feasible(example1, example2, light_cfg):
         for z in res.argmax.points:
             pt = TriplePoint(x, z[: prob.dims.m], z[prob.dims.m :])
             assert kkt_residual(prob, pt, t).is_feasible(1e-7)
-            assert prob.eval_F(pt.x, pt.y) >= res.value - light_cfg.eps_lvl - 1e-12
+            assert prob.eval_F(pt.x, pt.y) >= res.value - EPS_LVL_DEFAULT - 1e-12
 
 
 def test_brute_force_example1_matches_formula(example1):
@@ -151,7 +153,7 @@ def test_value_monotone_in_t(example1, example2, light_cfg):
             assert b1 <= b2  # exact: shared grid, nested feasibility
             s1 = evaluate_psi_t(problem, [x], t1, light_cfg)
             s2 = evaluate_psi_t(problem, [x], t2, light_cfg)
-            assert s1.value <= s2.value + 2 * light_cfg.eps_lvl
+            assert s1.value <= s2.value + 2 * EPS_LVL_DEFAULT
 
 
 def test_exact_value_below_every_relaxed_value(example1, example2, light_cfg):
@@ -169,7 +171,7 @@ def test_exact_value_below_every_relaxed_value(example1, example2, light_cfg):
             )
             s0 = evaluate_psi_t(problem, [x], 0.0, light_cfg)
             st = evaluate_psi_t(problem, [x], t, light_cfg)
-            assert s0.value <= st.value + 2 * light_cfg.eps_lvl
+            assert s0.value <= st.value + 2 * EPS_LVL_DEFAULT
 
 
 def test_solver_brackets_brute_force(example1, example2, light_cfg):
@@ -288,7 +290,10 @@ def test_warm_starts_are_used(example1, light_cfg):
     ],
 )
 def test_inner_config_rejects_bad_values(kw):
-    with pytest.raises(ValueError):
+    # polish_maxiter, eps_lvl, penalty_init and penalty_growth are module
+    # constants now: passing one at all is refused as an unknown keyword.
+    removed = {"polish_maxiter", "eps_lvl", "penalty_init", "penalty_growth"}
+    with pytest.raises(TypeError if removed & kw.keys() else ValueError):
         InnerConfig(**kw)
 
 
@@ -305,13 +310,24 @@ def test_bad_leader_point_or_level_rejected(example1, light_cfg, x, t):
         evaluate_psi_t(problem, x, t, light_cfg)
 
 
-def test_infinite_follower_box_rejected(example1, light_cfg):
-    problem, _ = example1
-    from dataclasses import replace
+def _rebuilt(problem, **kw):
+    fields = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem) if f.name != "hess_is_fd"}
+    return pbopt.BilevelProblem(**{**fields, **kw})
 
-    cfg = replace(light_cfg, y_box=np.array([[-np.inf, 1.0]]))
-    with pytest.raises(ValueError):
-        evaluate_psi_t(problem, [0.5], 0.1, cfg)
+
+def test_infinite_follower_box_rejected(example1):
+    # the box is decided when the problem is built, so a bad one never reaches a solve
+    for box in ([[-np.inf, 1.0]], [[0.0, np.nan]], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="follower box"):
+            _rebuilt(example1[0], y_box=np.array(box))
+
+
+def test_missing_follower_box_gets_the_shared_default(example1, light_cfg):
+    problem = _rebuilt(example1[0], y_box=None)
+    assert problem.y_box.tolist() == [[-10.0, 10.0]]
+    lo, hi = maxmin.follower_box(problem, light_cfg)
+    assert lo.tolist() == [-10.0, 0.0, 0.0] and hi.tolist() == [10.0, light_cfg.u_max, light_cfg.u_max]
+    assert pbopt.oracle_grid(problem, res=5).axes[0] == (-10.0, 10.0, 5)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +343,7 @@ def test_brute_force_refuses_bad_input(example1, x, t):
 def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
     """sweeps + 1 polishes per lockstep group, and evals counts all of their iterations."""
     problem, _ = example2
-    polish, lbfgsb = maxmin._polish, maxmin._lockstep_lbfgsb
+    polish, lbfgsb = maxmin.polish_onto_relaxed_set, maxmin._lockstep_lbfgsb
     polished, ascended = [], []
 
     def count_polish(*args):
@@ -340,7 +356,7 @@ def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
         ascended.append(int(out[1].sum()))
         return out
 
-    monkeypatch.setattr(maxmin, "_polish", count_polish)
+    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
     monkeypatch.setattr(maxmin, "_lockstep_lbfgsb", count_ascent)
     cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=60)
     results = maxmin.evaluate_psi_t_batch(problem, [[-0.3], [0.4]], 0.1, cfg)

@@ -195,6 +195,14 @@ def test_gradcheck_rejects_bad_step(example1):
         check_gradients_fd(problem, TriplePoint([0.3], [0.4], [0.3, 0.0]), h=0.0)
 
 
+def test_gradcheck_rejects_non_finite_step(example1):
+    # a NaN step used to report every derivative as non-finite instead of refusing it
+    problem, _ = example1
+    for h in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            check_gradients_fd(problem, TriplePoint([0.3], [0.4], [0.3, 0.0]), h=h)
+
+
 def test_dimension_mismatch_raises(example1):
     problem, _ = example1
     with pytest.raises(DimensionError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import GridSpec, SampledSet, convergence_diagnostic, excess, hausdorff, sample_relaxed_set
+from pbopt import GridSpec, SampledSet, brute_force_psi_t, convergence_diagnostic, excess, hausdorff, sample_relaxed_set
 
 
 def test_excess_identity_and_singletons():
@@ -76,20 +76,30 @@ def test_sample_example1_origin_fills_segment(example1):
 
 
 def test_sample_multistart_mode(example1):
+    # sampling is grid-only: the multistart mode and its keywords are refused
     problem, _ = example1
-    s = sample_relaxed_set(problem, [0.5], 0.1, method="multistart", starts=40, seed=3)
-    assert len(s) >= 1
-    from pbopt.kkt import kkt_residual
-    from pbopt import TriplePoint
-
-    for z in s.points:
-        assert kkt_residual(problem, TriplePoint([0.5], z[:1], z[1:]), 0.1).is_feasible(1e-7)
+    grid = GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 3), (0.0, 1.0, 3)))
+    for kw in ({"method": "multistart"}, {"starts": 40}, {"seed": 3}, {"feas_tol": 1e-8}, {"tol_factor": 0.75}):
+        with pytest.raises(TypeError):
+            sample_relaxed_set(problem, [0.5], 0.1, grid=grid, **kw)
 
 
 def test_sample_requires_grid_in_grid_mode(example1):
     problem, _ = example1
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sample_relaxed_set(problem, [0.5], 0.1)
+
+
+def test_sample_tolerance_is_the_brute_force_tolerance(example1):
+    # one grid rule: tau = max(0.75 * max_step, 1e-8) for the sampler and the oracle
+    problem, _ = example1
+    for grid in (
+        GridSpec(((0.0, 1.0, 21), (0.0, 1.2, 25), (0.0, 1.2, 25))),
+        GridSpec(((0.0, 1.0, 15), (0.0, 0.0, 1), (0.0, 2.0, 9))),
+        GridSpec(((0.0, 1e-9, 2), (0.0, 0.0, 1), (0.0, 0.0, 1))),
+    ):
+        tau = sample_relaxed_set(problem, [0.5], 0.1, grid).meta["tau"]
+        assert tau == brute_force_psi_t(problem, [0.5], 0.1, grid).tol == max(0.75 * grid.max_step(), 1e-8)
 
 
 def test_set_limit_diagnostic_shrinks(example1, example2):
@@ -144,10 +154,9 @@ def test_convergence_diagnostic_empty_trace(example1, light_cfg):
         convergence_diagnostic(problem, [], [1.0], light_cfg)
 
 
-@pytest.mark.parametrize("method", ["grid", "multistart"])
 @pytest.mark.parametrize("x, t", [([0.5], float("nan")), ([0.5], float("inf")), ([0.5], -0.1), ([0.5, 0.5], 0.1)])
-def test_sample_relaxed_set_refuses_bad_input(example1, method, x, t):
+def test_sample_relaxed_set_refuses_bad_input(example1, x, t):
     # a NaN level used to give an empty sample
     grid = GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 3), (0.0, 1.0, 3)))
     with pytest.raises(ValueError):
-        sample_relaxed_set(example1[0], x, t, grid=grid, method=method, starts=2)
+        sample_relaxed_set(example1[0], x, t, grid=grid)

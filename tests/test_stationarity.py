@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,30 @@ def test_certifier_solves_no_lp(example1, example2, monkeypatch):
     assert recover_relaxed_multipliers(p1, 0.1, TriplePoint([0.0], [1.0], [0.0, 0.0])) is None
     assert check_cq1(p1, 0.1, TriplePoint([1.0], [0.1], [1.0, 0.0]))
     assert check_upper_regularity(p2, [-1.0])
+
+
+def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
+    """One recovery or check makes one kkt_residual call and at most two g evaluations."""
+    calls = {"kkt_residual": 0, "eval_g": 0}
+    residual = pbopt.kkt.kkt_residual
+
+    def counted_residual(*args, **kwargs):
+        calls["kkt_residual"] += 1
+        return residual(*args, **kwargs)
+
+    def counted_g(x, y):
+        calls["eval_g"] += 1
+        return example2[0].eval_g(x, y)
+
+    for module in (pbopt.kkt, stationarity):
+        monkeypatch.setattr(module, "kkt_residual", counted_residual)
+    problem = dataclasses.replace(example2[0], eval_g=counted_g)
+    pt = TriplePoint([0.3], [0.0], [0.3, 0.0])
+    recover_c_multipliers(problem, pt)  # None here: the point is not C-stationary
+    assert calls == {"kkt_residual": 1, "eval_g": 1}
+    calls.update(kkt_residual=0, eval_g=0)
+    check_stationarity(problem, pt, Multipliers(np.zeros(2), np.zeros(1), np.zeros(2)), graph_check=False)
+    assert calls == {"kkt_residual": 1, "eval_g": 1}
 
 
 def test_relaxed_precondition_negative_u(example1):
