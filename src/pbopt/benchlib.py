@@ -3,7 +3,7 @@
 ``example1`` and ``example2`` are tiny one-dimensional pessimistic programs
 whose relaxed value functions, argmax sets and follower KKT sets are known in
 closed form; ``synthetic2d`` adds a 2-D leader / 2-D follower instance whose
-oracle is backed by the brute-force grid maximiser only.
+follower separates per coordinate, so its oracle is closed-form too.
 """
 from __future__ import annotations
 
@@ -275,10 +275,12 @@ def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
 
 
 def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
-    """2-D leader / 2-D follower instance with a brute-force-backed oracle.
+    """2-D leader / 2-D follower instance with a closed-form oracle.
 
-    Follower: min 0.5*|y|^2 + c(x)@y over y >= 0 with c(x) = (x1, x1 + x2),
-    so the follower KKT set is a singleton for every x.
+    Follower: min 0.5*|y|^2 + c(x)@y over y >= 0 with c(x) = (x1, x1 + x2).
+    It separates per coordinate, with u = y + c: D_t(x) is the product of
+    the segments y_i in [max(0, -c_i), min(y_hi, r_i)], r_i >= 0 the root of
+    y_i (y_i + c_i) = t, and psi_t(x) is F at the upper corner.
     """
     lin = np.array([0.3, 0.1])
     lag_jac = np.hstack([np.eye(2), -np.eye(2)])[None]  # [L_y | L_u] at every point
@@ -311,30 +313,26 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
         batch_lagrangian_jac=lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     )
 
-    grid = oracle_grid(problem, res=25)
+    def segments(x, t) -> tuple[Array, Array, Array]:
+        """c(x) and the per-coordinate ends (lower, upper) of the y-segments of D_t(x)."""
+        c = c_of(np.atleast_1d(np.asarray(x, dtype=float)))
+        root = (-c + np.sqrt(c * c + 4.0 * max(0.0, float(t)))) / 2.0
+        return c, np.maximum(0.0, -c), np.minimum(problem.y_box[:, 1], root)
 
     def psi_p_t(x, t) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        res = brute_force_psi_t(problem, x, max(0.0, float(t)), grid)
-        return res.value
+        return float(segments(x, t)[2].sum() + lin @ np.atleast_1d(np.asarray(x, dtype=float)))
 
     def psi_p(x) -> float:
         return psi_p_t(x, 0.0)
 
     def s_p_t(x, t, count: int = 0) -> SampledSet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        res = brute_force_psi_t(problem, x, max(0.0, float(t)), grid)
-        pts = grid.points()
-        mask = batch_feasibility(problem, x, pts, max(0.0, float(t)), res.tol)
-        F = batch_objective(problem, x, pts[mask][:, :2])
-        sel = pts[mask][F >= res.value - 2 * res.tol]
-        return SampledSet(dedup_points(sel), {"kind": "grid-oracle", "t": float(t)})
+        c, _, hi = segments(x, t)
+        return SampledSet(np.concatenate([hi, hi + c])[None], {"kind": "oracle", "t": float(t)})
 
-    def d_set(x, t, count: int = 0) -> SampledSet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pts = grid.points()
-        mask = batch_feasibility(problem, x, pts, max(0.0, float(t)), grid.tolerance())
-        return SampledSet(dedup_points(pts[mask]), {"kind": "grid-oracle", "t": float(t)})
+    def d_set(x, t, count: int = 15) -> SampledSet:
+        c, lo, hi = segments(x, t)
+        Y = np.stack(np.meshgrid(*(_interval(a, b, count) for a, b in zip(lo, hi)), indexing="ij"), axis=-1).reshape(-1, 2)
+        return SampledSet(dedup_points(np.hstack([Y, Y + c])), {"kind": "oracle", "t": float(t)})
 
     oracle = AnalyticOracle(
         psi_p=psi_p,

@@ -16,6 +16,7 @@ import numpy as np
 Array = np.ndarray
 
 FD_STEP = 1e-6
+HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
 # Half-width of the follower box of a problem built without one.
 Y_BOX_HALF_WIDTH = 10.0
 
@@ -86,9 +87,12 @@ class BilevelProblem:
     [-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH] per coordinate; a box that is not
     finite with lower <= upper is refused.
 
-    Second-derivative providers are optional.  When omitted they are replaced
-    by central finite differences of the registered first derivatives
-    (step ``FD_STEP``) and ``hess_is_fd`` is set.
+    Second-derivative providers are optional, but only all four together
+    count.  A problem missing any of them has all four ``hess_*`` fields set
+    to None and ``hess_is_fd`` true (derived here, not a constructor
+    argument); every Jacobian of the stationarity map is then a difference
+    of ``lagrangian_rows`` (see ``lagrangian_jac_rows``), so it follows the
+    evaluators the problem holds, also after ``dataclasses.replace``.
 
     Optional vectorised hooks evaluate an (N, m) block Y of follower points,
     and U an (N, q) block of multipliers, at a leader block X: either (N, n),
@@ -104,10 +108,8 @@ class BilevelProblem:
 
     The ``*_rows`` methods take the same 2-D leader block, call a hook when
     it is set and otherwise loop over the rows with the per-point
-    evaluators.  With
-    finite-difference Hessians (``hess_is_fd``) ``batch_lagrangian_jac`` is
-    ignored and ``lagrangian_jac_rows`` differences ``lagrangian_rows``
-    instead.
+    evaluators.  With finite-difference Hessians (``hess_is_fd``)
+    ``batch_lagrangian_jac`` is ignored.
     """
 
     dims: ProblemDims
@@ -131,7 +133,7 @@ class BilevelProblem:
     batch_lagrangian: Optional[Callable[[Array, Array, Array], Array]] = None
     batch_grad_F: Optional[Callable[[Array, Array], Array]] = None
     batch_lagrangian_jac: Optional[Callable[[Array, Array, Array], Array]] = None
-    hess_is_fd: bool = field(default=False)
+    hess_is_fd: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.x_box is not None:
@@ -141,69 +143,10 @@ class BilevelProblem:
         self.y_box = np.asarray(self.y_box, dtype=float).reshape(self.dims.m, 2)
         if not (np.isfinite(self.y_box).all() and (self.y_box[:, 0] <= self.y_box[:, 1]).all()):
             raise ValueError(f"follower box must be finite with lower <= upper, got {self.y_box.tolist()}")
-        missing = (
-            self.hess_f_yx is None
-            or self.hess_f_yy is None
-            or self.hess_g_yx is None
-            or self.hess_g_yy is None
-        )
-        if missing:
-            self._install_fd_hessians()
-            self.hess_is_fd = True
-
-    def _install_fd_hessians(self) -> None:
-        grad_f, jac_g = self.grad_f, self.jac_g
-        m, q = self.dims.m, self.dims.q
-        h = FD_STEP
-
-        def fd_f_yx(x: Array, y: Array) -> Array:
-            out = np.zeros((m, len(x)))
-            for j in range(len(x)):
-                e = np.zeros(len(x))
-                e[j] = h
-                out[:, j] = (grad_f(x + e, y)[1] - grad_f(x - e, y)[1]) / (2 * h)
-            return out
-
-        def fd_f_yy(x: Array, y: Array) -> Array:
-            out = np.zeros((m, m))
-            for j in range(m):
-                e = np.zeros(m)
-                e[j] = h
-                out[:, j] = (grad_f(x, y + e)[1] - grad_f(x, y - e)[1]) / (2 * h)
-            return out
-
-        def fd_g_yx(x: Array, y: Array) -> list[Array]:
-            mats = [np.zeros((m, len(x))) for _ in range(q)]
-            for j in range(len(x)):
-                e = np.zeros(len(x))
-                e[j] = h
-                dplus = jac_g(x + e, y)[1]
-                dminus = jac_g(x - e, y)[1]
-                col = (dplus - dminus) / (2 * h)
-                for i in range(q):
-                    mats[i][:, j] = col[i]
-            return mats
-
-        def fd_g_yy(x: Array, y: Array) -> list[Array]:
-            mats = [np.zeros((m, m)) for _ in range(q)]
-            for j in range(m):
-                e = np.zeros(m)
-                e[j] = h
-                dplus = jac_g(x, y + e)[1]
-                dminus = jac_g(x, y - e)[1]
-                col = (dplus - dminus) / (2 * h)
-                for i in range(q):
-                    mats[i][:, j] = col[i]
-            return mats
-
-        if self.hess_f_yx is None:
-            self.hess_f_yx = fd_f_yx
-        if self.hess_f_yy is None:
-            self.hess_f_yy = fd_f_yy
-        if self.hess_g_yx is None:
-            self.hess_g_yx = fd_g_yx
-        if self.hess_g_yy is None:
-            self.hess_g_yy = fd_g_yy
+        self.hess_is_fd = any(getattr(self, h) is None for h in HESS_FIELDS)
+        if self.hess_is_fd:
+            for h in HESS_FIELDS:
+                setattr(self, h, None)
 
     def F_rows(self, X: Array, Y: Array) -> Array:
         if self.batch_F is not None:
@@ -228,18 +171,28 @@ class BilevelProblem:
     def lagrangian_jac_rows(self, X: Array, Y: Array, U: Array) -> Array:
         """Stacked [L_y | L_u] of the follower-stationarity map, shape (N, m, m + q).
 
-        With finite-difference Hessians the whole block comes from one
-        ``lagrangian_rows`` call on 1 + 2m + q stacked copies of (X, Y, U):
-        central differences of step ``FD_STEP`` in y, and unit steps in u,
-        which are exact up to rounding because L is linear in u.
+        With finite-difference Hessians this is ``_fd_stationarity_jac``.
         """
         d = self.dims
-        if not self.hess_is_fd:
-            if self.batch_lagrangian_jac is not None:
-                return np.asarray(self.batch_lagrangian_jac(X, Y, U), dtype=float)
-            return _gather(lambda x, y, u: np.concatenate(_lagrangian_yu(self, x, y, u), axis=1), X, (Y, U), (d.m, d.m + d.q))
+        if self.hess_is_fd:
+            return self._fd_stationarity_jac(X, Y, U)
+        if self.batch_lagrangian_jac is not None:
+            return np.asarray(self.batch_lagrangian_jac(X, Y, U), dtype=float)
+        return _gather(lambda x, y, u: np.concatenate(_lagrangian_yu(self, x, y, u), axis=1), X, (Y, U), (d.m, d.m + d.q))
+
+    def _fd_stationarity_jac(self, X: Array, Y: Array, U: Array, x_steps: bool = False) -> Array:
+        """[L_y | L_u], shape (N, m, m + q), or with ``x_steps`` [L_y | L_u | L_x], shape (N, m, m + q + n).
+
+        The whole block comes from one ``lagrangian_rows`` call on stacked
+        copies of (X, Y, U): central differences of step ``FD_STEP`` in y
+        (and x), and unit steps in u, which are exact up to rounding because
+        L is linear in u.  Each copy is a row of its own, so the x-steps do
+        not change the other columns.
+        """
+        d = self.dims
         m, q, n_rows = d.m, d.q, Y.shape[0]
-        k = 1 + 2 * m + q
+        nx = d.n if x_steps else 0
+        k = 1 + 2 * m + q + 2 * nx
         Ys, Us = np.empty((k, n_rows, m)), np.empty((k, n_rows, q))
         Ys[:], Us[:] = Y, U
         for j in range(m):
@@ -247,12 +200,19 @@ class BilevelProblem:
             Ys[1 + m + j, :, j] -= FD_STEP
         for i in range(q):
             Us[1 + 2 * m + i, :, i] += 1.0
-        if len(X) > 1:
-            X = np.broadcast_to(X, (k,) + X.shape).reshape(k * n_rows, d.n)
+        if x_steps or len(X) > 1:  # a lone leader row without x-steps is broadcast by lagrangian_rows
+            Xs = np.empty((k, n_rows, d.n))
+            Xs[:] = X
+            for j in range(nx):
+                Xs[1 + 2 * m + q + j, :, j] += FD_STEP
+                Xs[1 + 2 * m + q + nx + j, :, j] -= FD_STEP
+            X = Xs.reshape(k * n_rows, d.n)
         L = self.lagrangian_rows(X, Ys.reshape(k * n_rows, m), Us.reshape(k * n_rows, q)).reshape(k, n_rows, m)
-        J = np.empty((n_rows, m, m + q))
-        J[:, :, :m] = ((L[1 : 1 + m] - L[1 + m : 1 + 2 * m]) / (2 * FD_STEP)).transpose(1, 2, 0)
-        J[:, :, m:] = (L[1 + 2 * m :] - L[0]).transpose(1, 2, 0)
+        central = lambda lo, width: ((L[lo : lo + width] - L[lo + width : lo + 2 * width]) / (2 * FD_STEP)).transpose(1, 2, 0)
+        J = np.empty((n_rows, m, m + q + nx))
+        J[:, :, :m] = central(1, m)
+        J[:, :, m : m + q] = (L[1 + 2 * m : 1 + 2 * m + q] - L[0]).transpose(1, 2, 0)
+        J[:, :, m + q :] = central(1 + 2 * m + q, nx)
         return J
 
     def _lagrangian_point(self, x: Array, y: Array, u: Array) -> Array:
@@ -320,9 +280,17 @@ def lagrangian_grad(problem: BilevelProblem, pt: TriplePoint) -> Array:
 def lagrangian_jacobians(
     problem: BilevelProblem, pt: TriplePoint
 ) -> tuple[Array, Array, Array]:
-    """Jacobians of the follower-stationarity map with respect to x, y and u."""
+    """Jacobians of the follower-stationarity map with respect to x, y and u.
+
+    With finite-difference Hessians they are one row of the stacked
+    difference of ``lagrangian_jac_rows``, with the x-steps added; L_y and
+    L_u are then the one-row ``lagrangian_jac_rows`` bit for bit.
+    """
     problem.check_point(pt)
     d = problem.dims
+    if problem.hess_is_fd:
+        J = problem._fd_stationarity_jac(pt.x[None], pt.y[None], pt.u[None], x_steps=True)[0]
+        return J[:, d.m + d.q :], J[:, : d.m], J[:, d.m : d.m + d.q]
     lx = np.array(problem.hess_f_yx(pt.x, pt.y), dtype=float).reshape(d.m, d.n)
     if d.q:
         gyx = problem.hess_g_yx(pt.x, pt.y)

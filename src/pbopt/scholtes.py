@@ -106,6 +106,7 @@ class MinimizeResult:
     final_mesh: float
     inner: InnerSolveResult
     unread: int  # inner solves of the halving ladder that the search never read
+    flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
 
 
 def _project_x(problem: BilevelProblem, x: Array) -> Array:
@@ -139,7 +140,9 @@ def minimize_psi_t(
     point survives a round, one call also solves the polls of every later
     round that would keep it (the rest of the halving ladder), so a search
     that stays put costs two calls.  Only evaluations the search reads count
-    in ``evals``; the rest are reported as ``unread``.
+    in ``evals``; the rest are reported as ``unread``.  A search that read
+    at least one poll, every one of them tied with the centre, reports
+    ``flat``: it stayed put without evidence of a minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -185,6 +188,7 @@ def minimize_psi_t(
     solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
     moved = ladder = False
+    tied = None  # every poll read so far tied the centre; None until one is read
     for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
@@ -196,6 +200,8 @@ def minimize_psi_t(
                 f"inner problem infeasible at the incumbent and every poll point "
                 f"(t={t}, mesh={mesh:.3g}, x={x})"
             )
+        if polls:
+            tied = tied is not False and all(abs(v - center_val) <= DECREASE_TOL for v, _, _ in polls)
         # Best poll wins; exact ties go to the lexicographically smallest point.
         polls.sort(key=lambda rec: (rec[0], rec[1]))
         if polls and polls[0][0] < center_val - DECREASE_TOL:
@@ -216,7 +222,8 @@ def minimize_psi_t(
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")
     return MinimizeResult(
-        x=x, value=center_val, evals=len(read), final_mesh=mesh, inner=center_res, unread=len(cache) - len(read)
+        x=x, value=center_val, evals=len(read), final_mesh=mesh, inner=center_res, unread=len(cache) - len(read),
+        flat=bool(tied),
     )
 
 
@@ -231,9 +238,10 @@ def scholtes_solve(
     at most max(1, starts) points of the previous level's argmax cloud,
     evenly spaced along its lexicographic order with both ends kept (the
     first alone when starts <= 1).  Stops when the next level drops below
-    t_min, when the leader iterate stalls for two consecutive levels, or at
-    the iteration cap.  Inner infeasibility terminates the run with the
-    partial trace preserved.
+    t_min, when the leader iterate stalls for two levels in a row, or at
+    the iteration cap.  A flat level (``MinimizeResult.flat``) is no evidence
+    of a stall: it neither counts toward the two nor breaks the row.  Inner
+    infeasibility terminates the run with the partial trace preserved.
     """
     params = params or RelaxationParams()
     if x0 is None:
@@ -268,7 +276,10 @@ def scholtes_solve(
             )
         )
         dx = float(np.linalg.norm(step.x - x))
-        small_steps = small_steps + 1 if dx <= params.x_tol else 0
+        if dx > params.x_tol:
+            small_steps = 0
+        elif not step.flat:
+            small_steps += 1
         x = step.x
         # Passing the whole cloud on would grow the start set by up to
         # `starts` per level, since nearly every polished start reaches the max.

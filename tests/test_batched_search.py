@@ -12,13 +12,11 @@ import math
 import numpy as np
 import pytest
 
-import pbopt
 from pbopt import (
     BilevelProblem,
     InnerConfig,
     MinimizeResult,
     OuterConfig,
-    ProblemDims,
     RelaxationParams,
     evaluate_psi_t,
     evaluate_psi_t_batch,
@@ -29,55 +27,9 @@ from pbopt import (
 from pbopt import maxmin
 from pbopt.problem_model import DimensionError
 
-HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
-BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
+from toys import BATCH_HOOKS, DIP, make_dip_toy, named_problem
+
 CFG = InnerConfig(starts=6, sweeps=2, local_maxiter=60)
-DIP = (0.375, 0.01)  # centre and width of the dip toy's narrow well
-
-
-def make_dip_toy() -> BilevelProblem:
-    """Hook-free toy whose psi_t(x) is a narrow well at DIP[0] on a flat floor.
-
-    The follower tracks the leader (y = x, no constraints), and F is
-    phi(x) = -exp(-((x - c) / w)^2).  From x = 0.5 the first poll round
-    (x = 0.25, 0.75) sees no decrease, and the second finds the well at
-    0.375, so the rest of the halving ladder goes unread.
-    """
-    c, w = DIP
-    phi = lambda x: -math.exp(-(((x[0] - c) / w) ** 2))
-    dphi = lambda x: 2.0 * (x[0] - c) / w**2 * -phi(x)
-    return BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=2, q=0),
-        eval_F=lambda x, y: float(phi(x)),
-        eval_f=lambda x, y: float(0.5 * (y[0] - x[0]) ** 2),
-        eval_G=lambda x: np.array([-x[0], x[0] - 1.0]),
-        eval_g=lambda x, y: np.zeros(0),
-        grad_F=lambda x, y: (np.array([dphi(x)]), np.zeros(1)),
-        grad_f=lambda x, y: (np.array([x[0] - y[0]]), np.array([y[0] - x[0]])),
-        jac_G=lambda x: np.array([[-1.0], [1.0]]),
-        jac_g=lambda x, y: (np.zeros((0, 1)), np.zeros((0, 1))),
-        hess_f_yx=lambda x, y: np.array([[-1.0]]),
-        hess_f_yy=lambda x, y: np.array([[1.0]]),
-        hess_g_yx=lambda x, y: [],
-        hess_g_yy=lambda x, y: [],
-        x_box=np.array([[0.0, 1.0]]),
-        y_box=np.array([[-1.0, 2.0]]),
-        name="dip_toy",
-    )
-
-
-def fd_copy(problem: BilevelProblem) -> BilevelProblem:
-    kw = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem) if f.name not in HESS_FIELDS + ("hess_is_fd",)}
-    return BilevelProblem(**kw)
-
-
-def named_problem(name: str) -> BilevelProblem:
-    if name == "dip_toy":
-        return make_dip_toy()
-    if name == "example2_bare":
-        return dataclasses.replace(pbopt.get_problem("example2")[0], **{h: None for h in BATCH_HOOKS})
-    problem = pbopt.get_problem(name.removesuffix("_fd"))[0]
-    return fd_copy(problem) if name.endswith("_fd") else problem
 
 
 def leader_block(problem: BilevelProblem, rng, rows: int) -> np.ndarray:
@@ -134,7 +86,7 @@ def test_batch_refuses_bad_blocks(example2):
 def sequential_minimize(problem, t, x_init, cfg):
     """The pattern search with one lone inner solve per new poll point."""
     n = problem.dims.n
-    x = scholtes._project_x(problem, problem.leader_point(x_init, "x_init"))
+    x = x_start = scholtes._project_x(problem, problem.leader_point(x_init, "x_init"))
     cache, evals = {}, 0
 
     def objective(xq):
@@ -150,6 +102,7 @@ def sequential_minimize(problem, t, x_init, cfg):
     diam = float(np.max(problem.x_box[:, 1] - problem.x_box[:, 0]))
     mesh = scholtes.MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
     center_val, center_res = objective(x)
+    ties = []  # per poll read: did it tie the centre?
     for _ in range(scholtes.MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
@@ -164,13 +117,15 @@ def sequential_minimize(problem, t, x_init, cfg):
                 polls.append((objective(xp)[0], tuple(xp), xp))
         if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
             raise scholtes.OuterInfeasibleError("infeasible")
+        ties += [abs(v - center_val) <= scholtes.DECREASE_TOL for v, _, _ in polls]
         polls.sort(key=lambda rec: (rec[0], rec[1]))
         if polls and polls[0][0] < center_val - scholtes.DECREASE_TOL:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
         else:
             mesh *= 0.5
-    return MinimizeResult(x=x, value=center_val, evals=evals, final_mesh=mesh, inner=center_res, unread=0)
+    flat = bool(ties) and all(ties) and np.array_equal(x, x_start)
+    return MinimizeResult(x=x, value=center_val, evals=evals, final_mesh=mesh, inner=center_res, unread=0, flat=flat)
 
 
 def counting_batches(monkeypatch) -> list:
@@ -205,7 +160,7 @@ def test_minimize_follows_the_sequential_search(monkeypatch, name, x0, t):
     got = minimize_psi_t(problem, t, x0, cfg)
     want = sequential_minimize(problem, t, x0, cfg)
     np.testing.assert_array_equal(got.x, want.x)
-    assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
+    assert (got.value, got.evals, got.final_mesh, got.flat) == (want.value, want.evals, want.final_mesh, want.flat)
     assert_same_result(got.inner, want.inner)
     assert got.unread == sum(sizes) - got.evals >= 0
 
@@ -228,7 +183,7 @@ def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
     assert len(sizes) == 2 and res.unread == 0 and res.evals == sum(sizes)
 
 
-@pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2])])
+@pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2]), ("example1", [0.1])])
 def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
     problem = named_problem(name)
     params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.05, outer=OuterConfig(inner=CFG, mesh_tol=1e-4))

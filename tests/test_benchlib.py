@@ -124,39 +124,41 @@ def test_example1_exact_value_is_discontinuous_at_zero(example1):
 
 def test_synthetic_oracle_consistent_with_solver(synthetic, light_cfg):
     problem, oracle = synthetic
-    grid = oracle_grid(problem, res=25)
-    tau = 0.75 * grid.max_step()
     rng = np.random.default_rng(23)
-    for _ in range(5):
+    for _ in range(20):
         x = rng.uniform(-1, 1, size=2)
         t = rng.uniform(0.02, 0.5)
         solver = pbopt.evaluate_psi_t(problem, x, t, light_cfg)
         assert solver.status == "solved"
-        bf = oracle.psi_p_t(x, t)
-        # the grid oracle is inflated by at most a few tolerance widths
-        assert solver.value <= bf + 1e-6
-        assert solver.value >= bf - 6.0 * tau
+        assert abs(solver.value - oracle.psi_p_t(x, t)) <= 1e-6
+
+
+def test_synthetic_oracle_sets_are_exact_members(synthetic):
+    problem, oracle = synthetic
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        x = rng.uniform(-1, 1, size=2)
+        for t in (0.0, 0.07, 0.35):
+            for z in oracle.d_set(x, t, count=6).points:
+                assert kkt_residual(problem, TriplePoint(x, z[:2], z[2:]), t).is_feasible(1e-9), (x, t, z)
+            (z,) = oracle.s_p_t(x, t).points
+            assert kkt_residual(problem, TriplePoint(x, z[:2], z[2:]), t).is_feasible(1e-9)
+            assert problem.eval_F(x, z[:2]) == pytest.approx(oracle.psi_p_t(x, t), abs=1e-12)
 
 
 def test_synthetic_oracle_brackets_exact_value(synthetic):
-    # The exact value has the closed form lin@x + sum_i max(0, -c_i) at t = 0
-    # (singleton follower KKT set); the grid oracle may exceed it by at most
-    # 2*sqrt(tau) per coordinate, where tau is the grid feasibility slack.
+    # A grid point within tau of D_t has, per coordinate, u >= y + c - tau and
+    # u*y <= t + tau, so y <= r + tau + sqrt(tau) for the exact upper end r:
+    # the grid value exceeds the formula by at most 2*(tau + sqrt(tau)).
     problem, oracle = synthetic
     grid = oracle_grid(problem, res=25)
-    tau = 0.75 * grid.max_step()
-    inflate = 2 * 2 * np.sqrt(tau) + grid.max_step()
-
-    def exact(x):
-        c = np.array([x[0], x[0] + x[1]])
-        return 0.3 * x[0] + 0.1 * x[1] + np.maximum(0.0, -c).sum()
-
+    tau = grid.tolerance()
+    inflate = 2 * (tau + np.sqrt(tau))
     rng = np.random.default_rng(5)
-    for _ in range(10):
+    for _ in range(5):
         x = rng.uniform(-1, 1, size=2)
-        v = oracle.psi_p(x)
-        assert v >= exact(x) - 0.2  # quantisation can only lose a little
-        assert v <= exact(x) + inflate
+        for t in (0.0, 0.05, 0.3):
+            exact, bf = oracle.psi_p_t(x, t), pbopt.brute_force_psi_t(problem, x, t, grid).value
+            assert exact - 0.2 <= bf <= exact + inflate  # quantisation can only lose a little
     x_opt, val = oracle.known_optimum
-    assert exact(x_opt) == val
-    assert oracle.psi_p(x_opt) <= val + inflate
+    assert oracle.psi_p(x_opt) == val

@@ -5,8 +5,9 @@ holds a nonzero ray by a rank test and at most one least-distance solve,
 and ``simplex.cone_ray`` with a vector w whether some ray has w@z > 0.  The
 reference is the per-coordinate loop that decided every cone before:
 maximise each +-coordinate (or w) over the cone and the unit box with
-``simplex.cone_max_linear``, which is HiGHS, and take a ray when the value
-exceeds RAY_TOL.  Cones come from:
+HiGHS, and take a ray when the value exceeds RAY_TOL.  The 2*dim
+coordinate maximisations of one cone run as one block-diagonal LP.  Cones
+come from:
 
 - the pinned certifier corpus: for every sign pattern the qualification
   check visits, the full and the follower-only cone with each signed leader
@@ -35,6 +36,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from pbopt import simplex
 from pbopt import stationarity as stn
@@ -67,18 +70,42 @@ def violation(z, eq, ineq) -> float:
     return max(np.max(np.abs(eq @ z), initial=0.0), np.max(-(ineq @ z), initial=0.0))
 
 
+def signed_units(dim, width):
+    """The 2*dim objectives +-e_j, j < dim, as rows of length width."""
+    return np.repeat(np.eye(width)[:dim], 2, axis=0) * np.tile([1.0, -1.0], dim)[:, None]
+
+
+def max_each(W, eq, ineq, dim):
+    """(values, points) of max w@z over {eq@z = 0, ineq@z >= 0, |z| <= 1} for every row w of W.
+
+    One HiGHS LP over len(W) copies of z with block-diagonal rows: the
+    copies share no variable or row, so each copy's part of an optimum is an
+    optimum of its own LP.
+    """
+    k = len(W)
+    block = lambda A: sparse.block_diag([A] * k, format="csr") if len(A) else None
+    res = linprog(
+        -W.ravel(),
+        A_ub=None if block(ineq) is None else -block(ineq), b_ub=np.zeros(k * len(ineq)) if len(ineq) else None,
+        A_eq=block(eq), b_eq=np.zeros(k * len(eq)) if len(eq) else None,
+        bounds=(-1.0, 1.0), method="highs",
+    )
+    if res.status:
+        return np.full(k, -np.inf), [None] * k
+    Z = res.x.reshape(k, dim)
+    return (W * Z).sum(axis=1), list(Z)
+
+
 def reference(a_eq, a_ineq, dim) -> str:
-    """"ray", "trivial" or "tolerance-bound", by the HiGHS loop."""
+    """"ray", "trivial" or "tolerance-bound", by the HiGHS loop, its 2*dim LPs stacked into one."""
     eq, ineq = unit_rows(a_eq, dim), unit_rows(a_ineq, dim)
-    for w in (sign * e for e in np.eye(dim) for sign in (1.0, -1.0)):
-        val, z = simplex.cone_max_linear(w, eq, ineq, dim)
+    for val, z in zip(*max_each(signed_units(dim, dim), eq, ineq, dim)):
         if z is not None and val > RAY_TOL and violation(z, eq, ineq) <= VERIFY_TOL:
             return "ray"
     # the loop again over (z, s) with |eq@z| <= SLACK_TOL s and ineq@z >= -SLACK_TOL s, s <= 1
     relaxed = np.vstack([eq, -eq, ineq])
     relaxed = np.hstack([relaxed, np.full((len(relaxed), 1), SLACK_TOL)])
-    best = max(simplex.cone_max_linear(w, None, relaxed, dim + 1)[0]
-               for w in (sign * e for e in np.eye(dim + 1)[:dim] for sign in (1.0, -1.0)))
+    best = max(max_each(signed_units(dim, dim + 1), np.zeros((0, dim + 1)), relaxed, dim + 1)[0])
     return "trivial" if best < WIDE else "tolerance-bound"
 
 

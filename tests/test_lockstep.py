@@ -5,38 +5,22 @@ penalty must match a per-point formula, a start must not notice the other
 starts of its batch, and the vectorised problem hooks must only be a faster
 way to compute what the per-point evaluators compute.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import pbopt
-from pbopt import BilevelProblem, InnerConfig, TriplePoint, evaluate_psi_t, lagrangian_grad, lagrangian_jacobians
+from pbopt import InnerConfig, TriplePoint, evaluate_psi_t, lagrangian_grad, lagrangian_jacobians
 from pbopt.maxmin import _lockstep_lbfgsb, _penalty_batch, follower_box, polish_onto_relaxed_set
 from pbopt.problem_model import FD_STEP
 
-from toys import make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy
+from toys import fd_copy, make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy, named_problem
 
-HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
-BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
 LBFGSB_OPTIONS = {"ftol": 1e-14, "gtol": 1e-12}
-
-
-def fd_copy(problem: BilevelProblem) -> BilevelProblem:
-    """The same problem without second derivatives: Hessians by finite differences."""
-    kw = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem) if f.name not in HESS_FIELDS + ("hess_is_fd",)}
-    return BilevelProblem(**kw)
 
 
 def benchlib_problems():
     return [pbopt.get_problem(name)[0] for name in ("example1", "example2", "synthetic2d")]
-
-
-def named_problem(name: str) -> BilevelProblem:
-    """A benchlib problem; a ``_fd`` suffix gives its finite-difference copy."""
-    problem = pbopt.get_problem(name.removesuffix("_fd"))[0]
-    return fd_copy(problem) if name.endswith("_fd") else problem
 
 
 def penalty_problems():
@@ -190,8 +174,7 @@ HOOK_CASES = {
 
 @pytest.mark.parametrize("name", sorted(HOOK_CASES))
 def test_batch_hooks_only_change_speed(name):
-    problem, _ = pbopt.get_problem(name)
-    bare = dataclasses.replace(problem, **{h: None for h in BATCH_HOOKS})
+    problem, bare = named_problem(name), named_problem(name + "_bare")
     cfg = InnerConfig(starts=10, sweeps=3, local_maxiter=80)
     for x in HOOK_CASES[name]:
         for t in (0.02, 0.1, 0.4):

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pbopt
 from pbopt import BilevelProblem, ProblemDims, TriplePoint
-from pbopt.problem_model import DimensionError, check_gradients_fd, lagrangian_grad, lagrangian_jacobians
+from pbopt.problem_model import HESS_FIELDS, DimensionError, check_gradients_fd, lagrangian_grad, lagrangian_jacobians
+
+from toys import named_problem
 
 
 def test_dims_validation():
@@ -116,6 +120,50 @@ def test_fd_fallback_close_to_analytic(example2):
     pt = TriplePoint([-0.3], [0.6], [0.2, 0.5])
     for a, b in zip(lagrangian_jacobians(analytic, pt), lagrangian_jacobians(fallback, pt)):
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
+
+def test_one_missing_hessian_makes_the_problem_fd_throughout(example2):
+    problem, _ = example2
+    partial = dataclasses.replace(problem, hess_g_yy=None)
+    assert partial.hess_is_fd
+    assert all(getattr(partial, h) is None for h in HESS_FIELDS)
+    assert not problem.hess_is_fd and all(getattr(problem, h) is not None for h in HESS_FIELDS)
+
+
+def test_hess_is_fd_is_not_a_constructor_argument(example1):
+    problem, _ = example1
+    kw = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem) if f.name != "hess_is_fd"}
+    with pytest.raises(TypeError):
+        BilevelProblem(**kw, hess_is_fd=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1_fd", "example2_fd", "synthetic2d_fd", "example2_bare_fd", "biactive_toy_fd", "q0_toy_fd", "quartic_toy_fd"]
+)
+def test_certifier_jacobians_are_the_solver_row(name):
+    # one finite-difference rule: [L_y | L_u] of lagrangian_jacobians is the one-row lagrangian_jac_rows, bit for bit
+    problem = named_problem(name)
+    assert problem.hess_is_fd
+    d = problem.dims
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        pt = TriplePoint(rng.uniform(-1, 1, d.n), rng.uniform(-1, 1, d.m), rng.uniform(0, 2, d.q))
+        lx, ly, lu = lagrangian_jacobians(problem, pt)
+        assert lx.shape == (d.m, d.n) and ly.shape == (d.m, d.m) and lu.shape == (d.m, d.q)
+        row = problem.lagrangian_jac_rows(pt.x[None], pt.y[None], pt.u[None])[0]
+        np.testing.assert_array_equal(np.hstack([ly, lu]), row)
+
+
+def test_fd_problem_follows_a_replaced_gradient():
+    # f = y^2/2 - x*y becomes 3y^2/2 - x*y: L_yy goes from 1 to 3; the certifier must see the new gradient
+    fd = named_problem("biactive_toy_fd")
+    steeper = dataclasses.replace(fd, grad_f=lambda x, y: (np.array([-y[0]]), np.array([3.0 * y[0] - x[0]])))
+    pt = TriplePoint([0.2], [0.4], [0.1])
+    lx, ly, lu = lagrangian_jacobians(steeper, pt)
+    np.testing.assert_allclose(ly, [[3.0]], atol=1e-8)
+    np.testing.assert_allclose(lx, [[-1.0]], atol=1e-8)
+    np.testing.assert_allclose(lu, [[-1.0]], atol=1e-12)
+    np.testing.assert_allclose(lagrangian_jacobians(fd, pt)[1], [[1.0]], atol=1e-8)
 
 
 def test_gradcheck_example1_clean(example1):

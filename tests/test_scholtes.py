@@ -86,6 +86,23 @@ def test_homotopy_example1_tracks_t(example1, light_cfg):
             assert abs(rec.psi - rec.t) <= 1e-3
 
 
+@pytest.mark.parametrize("x0", [0.02, 0.05, 0.1, 0.15, 0.2, 0.25])
+def test_homotopy_example1_leaves_the_flat_levels(example1, light_cfg, x0):
+    # psi_t is flat near x0 at t = 1 and 0.5: every poll ties the centre, which is no stall
+    problem, _ = example1
+    params = RelaxationParams(t0=1.0, rho=0.5, t_min=1e-4, outer=_outer(light_cfg))
+    trace = scholtes_solve(problem, params, [x0])
+    assert abs(trace.final().x[0] - 1.0) <= 1e-3
+
+
+def test_minimize_reports_a_flat_level(example1, light_cfg):
+    problem, _ = example1
+    flat = minimize_psi_t(problem, 1.0, [0.1], _outer(light_cfg))
+    assert flat.flat and flat.x[0] == 0.1 and flat.value == pytest.approx(1.0, abs=1e-6)
+    moved = minimize_psi_t(problem, 0.1, [0.5], _outer(light_cfg))
+    assert not moved.flat and moved.x[0] == pytest.approx(1.0, abs=1e-3)
+
+
 def test_psi_dominates_exact_value_along_run(example1, example2, light_cfg):
     for problem, oracle in (example1, example2):
         params = RelaxationParams(t0=0.5, rho=0.5, t_min=5e-3, outer=_outer(light_cfg))

@@ -20,6 +20,7 @@ from pbopt.stationarity import (
 
 from toys import (
     biactive_family_data,
+    fd_copy,
     make_biactive_toy,
     make_duplicated_g_toy,
     make_interior_toy,
@@ -144,6 +145,20 @@ def test_s_implies_m_implies_c_on_corpus(example1, example2, synthetic, tiny_cfg
                 )
                 assert rep.verdict, (problem.name, kind, w, rep.rows)
         assert (not feas["S"] or feas["M"]) and (not feas["M"] or feas["C"])
+
+
+def test_fd_copies_give_the_analytic_verdicts_on_corpus(example1, example2, synthetic):
+    # a problem without Hessians is differenced; the certifier must reach the same answers
+    for problem, pt in _implication_corpus(example1, example2, synthetic):
+        fd = fd_copy(problem)
+        for kind in ("S", "M", "C"):
+            want, got = recover_c_multipliers(problem, pt, kind=kind), recover_c_multipliers(fd, pt, kind=kind)
+            assert (got is None) == (want is None), (problem.name, pt, kind)
+            if want is not None:
+                for name in ("alpha", "beta", "gamma"):
+                    np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-9)
+            qa, qf = check_qualification_Am(problem, pt, kind=kind), check_qualification_Am(fd, pt, kind=kind)
+            assert (qf.a1, qf.a2, qf.patterns_checked) == (qa.a1, qa.a2, qa.patterns_checked), (problem.name, pt, kind)
 
 
 def test_recovered_multipliers_scale_with_objective(example2):

@@ -1,7 +1,66 @@
-"""Small hand-built problems exercising corner cases of the checkers."""
+"""Small hand-built problems exercising corner cases of the checkers, and the
+helpers that name a test problem or copy one without its second derivatives or
+batch hooks."""
+import dataclasses
+import math
+
 import numpy as np
 
+import pbopt
 from pbopt import BilevelProblem, ProblemDims
+from pbopt.problem_model import HESS_FIELDS
+
+BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
+DIP = (0.375, 0.01)  # centre and width of the dip toy's narrow well
+
+
+def fd_copy(problem: BilevelProblem) -> BilevelProblem:
+    """The same problem without second derivatives: Hessians by finite differences."""
+    return dataclasses.replace(problem, **{h: None for h in HESS_FIELDS})
+
+
+def named_problem(name: str) -> BilevelProblem:
+    """A toy of this module (``<kind>_toy``) or a benchlib problem; a ``_fd``
+    suffix gives its finite-difference copy, a ``_bare`` suffix its copy
+    without batch hooks."""
+    if name.endswith("_toy"):
+        return globals()[f"make_{name}"]()
+    if name.endswith("_fd"):
+        return fd_copy(named_problem(name.removesuffix("_fd")))
+    if name.endswith("_bare"):
+        return dataclasses.replace(named_problem(name.removesuffix("_bare")), **{h: None for h in BATCH_HOOKS})
+    return pbopt.get_problem(name)[0]
+
+
+def make_dip_toy() -> BilevelProblem:
+    """Hook-free toy whose psi_t(x) is a narrow well at DIP[0] on a flat floor.
+
+    The follower tracks the leader (y = x, no constraints), and F is
+    phi(x) = -exp(-((x - c) / w)^2).  From x = 0.5 the first poll round
+    (x = 0.25, 0.75) sees no decrease, and the second finds the well at
+    0.375, so the rest of the halving ladder goes unread.
+    """
+    c, w = DIP
+    phi = lambda x: -math.exp(-(((x[0] - c) / w) ** 2))
+    dphi = lambda x: 2.0 * (x[0] - c) / w**2 * -phi(x)
+    return BilevelProblem(
+        dims=ProblemDims(n=1, m=1, p=2, q=0),
+        eval_F=lambda x, y: float(phi(x)),
+        eval_f=lambda x, y: float(0.5 * (y[0] - x[0]) ** 2),
+        eval_G=lambda x: np.array([-x[0], x[0] - 1.0]),
+        eval_g=lambda x, y: np.zeros(0),
+        grad_F=lambda x, y: (np.array([dphi(x)]), np.zeros(1)),
+        grad_f=lambda x, y: (np.array([x[0] - y[0]]), np.array([y[0] - x[0]])),
+        jac_G=lambda x: np.array([[-1.0], [1.0]]),
+        jac_g=lambda x, y: (np.zeros((0, 1)), np.zeros((0, 1))),
+        hess_f_yx=lambda x, y: np.array([[-1.0]]),
+        hess_f_yy=lambda x, y: np.array([[1.0]]),
+        hess_g_yx=lambda x, y: [],
+        hess_g_yy=lambda x, y: [],
+        x_box=np.array([[0.0, 1.0]]),
+        y_box=np.array([[-1.0, 2.0]]),
+        name="dip_toy",
+    )
 
 
 def make_biactive_toy() -> BilevelProblem:
