@@ -169,6 +169,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "seed": cfg.seed,
         # inner solves of the batched pattern search that no poll round read
         "unread_evals": trace.unread_evals,
+        # batched inner solves the pattern search made, over all levels
+        "inner_calls": trace.inner_calls,
     }
     if trace.records:
         final = trace.final()

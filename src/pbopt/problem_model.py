@@ -325,7 +325,12 @@ def check_gradients_fd(
 ) -> GradCheckReport:
     """Compare every registered analytic derivative to central differences at pt.
 
-    Non-finite evaluations are flagged in the report rather than raised.
+    Every registered batch hook is also compared, on the one-row block of pt,
+    with the per-point evaluator it stands for, one row per hook: a hook
+    shadows that evaluator in the inner solver, so a hook left stale by
+    ``dataclasses.replace`` shows here.  ``batch_lagrangian_jac`` is skipped
+    with finite-difference Hessians, where nothing calls it.  Non-finite
+    evaluations are flagged in the report rather than raised.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h}")
@@ -379,5 +384,18 @@ def check_gradients_fd(
             jgy = lambda xx, yy: problem.jac_g(xx, yy)[1]
             record("hess_g_yx", ayx, central_vec(jgy, x, d.n, wrt_x=True))
             record("hess_g_yy", ayy, central_vec(jgy, y, d.m, wrt_x=False))
+
+    X, Y, U = x[None], y[None], pt.u[None]
+    if problem.batch_F is not None:
+        record("batch_F", problem.batch_F(X, Y)[0], problem.eval_F(x, y))
+    if problem.batch_g is not None:
+        record("batch_g", problem.batch_g(X, Y)[0], problem.eval_g(x, y))
+    if problem.batch_grad_F is not None:
+        record("batch_grad_F", problem.batch_grad_F(X, Y)[0], problem.grad_F(x, y)[1])
+    if problem.batch_lagrangian is not None:
+        record("batch_lagrangian", problem.batch_lagrangian(X, Y, U)[0], problem._lagrangian_point(x, y, pt.u))
+    if problem.batch_lagrangian_jac is not None and not problem.hess_is_fd:
+        _, ly, lu = lagrangian_jacobians(problem, pt)
+        record("batch_lagrangian_jac", problem.batch_lagrangian_jac(X, Y, U)[0], np.concatenate([ly, lu], axis=1))
 
     return GradCheckReport(errors=errors, nonfinite=nonfinite, fd_fallback=problem.hess_is_fd, h=h)

@@ -91,6 +91,7 @@ class RunTrace:
     records: list[TraceRecord] = field(default_factory=list)
     terminal: str = ""
     unread_evals: int = 0  # summed MinimizeResult.unread of the levels
+    inner_calls: int = 0  # summed MinimizeResult.calls of the levels
 
     def final(self) -> TraceRecord:
         if not self.records:
@@ -107,6 +108,7 @@ class MinimizeResult:
     inner: InnerSolveResult
     unread: int  # inner solves of the halving ladder that the search never read
     flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
+    calls: int = 0  # batched inner solves (evaluate_psi_t_batch calls) the search made
 
 
 def _project_x(problem: BilevelProblem, x: Array) -> Array:
@@ -136,13 +138,17 @@ def minimize_psi_t(
     point improves the incumbent by more than DECREASE_TOL.
 
     Each round's new poll points are solved in one batched inner call, the
-    first round's together with the starting point.  Once the starting
-    point survives a round, one call also solves the polls of every later
-    round that would keep it (the rest of the halving ladder), so a search
-    that stays put costs two calls.  Only evaluations the search reads count
-    in ``evals``; the rest are reported as ``unread``.  A search that read
-    at least one poll, every one of them tied with the centre, reports
-    ``flat``: it stayed put without evidence of a minimum.
+    first round's together with the starting point.  Halving rounds are
+    solved ahead with a doubling lookahead: after the f-th round the
+    incumbent survives (the count restarts whenever x moves), one call also
+    solves the polls of the next 2**(f-1) rounds that would keep it, so a
+    run of L halvings at one incumbent costs about log2(L) calls.  At the
+    level's starting point the first survived round already solves the
+    whole rest of the halving ladder, so a search that stays put costs two
+    calls.  Only evaluations the search reads count in ``evals``; the rest
+    are reported as ``unread``, and ``calls`` counts the batched solves.  A
+    search that read at least one poll, every one of them tied with the
+    centre, reports ``flat``: it stayed put without evidence of a minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -150,14 +156,17 @@ def minimize_psi_t(
 
     cache: dict[bytes, tuple[float, InnerSolveResult]] = {}
     read: set[bytes] = set()
+    calls = 0
 
     def solve(points: list[Array]) -> None:
+        nonlocal calls
         fresh = {}
         for xq in points:
             key = xq.tobytes()
             if key not in cache:
                 fresh.setdefault(key, xq)
         if fresh:
+            calls += 1
             results = evaluate_psi_t_batch(problem, np.array(list(fresh.values())), t, cfg.inner)
             for (key, xq), res in zip(fresh.items(), results):
                 val = math.inf if res.status != "solved" else res.value + _leader_penalty(problem, xq)
@@ -187,7 +196,9 @@ def minimize_psi_t(
 
     solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
-    moved = ladder = False
+    moved = False
+    # rounds x has survived since it last moved; rounds from the current mesh on whose polls at x are solved
+    survived = ahead = 0
     tied = None  # every poll read so far tied the centre; None until one is read
     for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
@@ -207,23 +218,24 @@ def minimize_psi_t(
         if polls and polls[0][0] < center_val - DECREASE_TOL:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
-            moved = True
+            moved, survived, ahead = True, 0, 0
         else:
             mesh *= 0.5
-            if not (moved or ladder):
-                ladder, h, rest = True, mesh, []
-                for _ in range(r + 1, MAX_ROUNDS):
-                    if h < cfg.mesh_tol:
-                        break
-                    rest += poll_points(x, h)
-                    h *= 0.5
-                solve(rest)
+            survived += 1
+            ahead = max(ahead - 1, 0)
+            want = min(2 ** (survived - 1) if moved else MAX_ROUNDS, MAX_ROUNDS - r - 1)
+            h, rest = mesh * 0.5**ahead, []
+            while ahead < want and h >= cfg.mesh_tol:
+                rest += poll_points(x, h)
+                h *= 0.5
+                ahead += 1
+            solve(rest)
 
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")
     return MinimizeResult(
         x=x, value=center_val, evals=len(read), final_mesh=mesh, inner=center_res, unread=len(cache) - len(read),
-        flat=bool(tied),
+        flat=bool(tied), calls=calls,
     )
 
 
@@ -263,6 +275,7 @@ def scholtes_solve(
             trace.terminal = f"failure: {err}"
             return trace
         trace.unread_evals += step.unread
+        trace.inner_calls += step.calls
         trace.records.append(
             TraceRecord(
                 k=k,

@@ -183,6 +183,31 @@ def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
     assert len(sizes) == 2 and res.unread == 0 and res.evals == sum(sizes)
 
 
+@pytest.mark.parametrize("name,x0,t", [("example2", [0.3], 1.0), ("example1", [0.3], 0.5)])
+def test_halvings_after_a_move_are_solved_ahead(monkeypatch, name, x0, t):
+    # x walks to a box edge and then survives 15 halvings there: with one call
+    # per halving round this takes 19 (example2) and 18 (example1) calls
+    problem = named_problem(name)
+    cfg = OuterConfig(inner=CFG)
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(problem, t, x0, cfg)
+    want = sequential_minimize(problem, t, x0, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.evals, got.final_mesh) == (want.evals, want.final_mesh)
+    assert got.calls == len(sizes) <= 10
+    assert got.unread == 0 and sum(sizes) == got.evals
+
+
+def test_lookahead_keeps_a_2d_search_from_overreaching(monkeypatch):
+    # a 2-D walk survives short runs of rounds between moves, where each
+    # solved-ahead round is four polls the next move may leave unread
+    problem = named_problem("synthetic2d")
+    sizes = counting_batches(monkeypatch)
+    res = minimize_psi_t(problem, 0.5, [0.4, -0.2], OuterConfig(inner=CFG))
+    assert res.calls == len(sizes) < 28  # one call per halving round makes 28
+    assert res.unread == sum(sizes) - res.evals <= sum(sizes) / 4
+
+
 @pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2]), ("example1", [0.1])])
 def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
     problem = named_problem(name)
@@ -200,6 +225,14 @@ def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
         )
         np.testing.assert_array_equal(a.argmax.points, b.argmax.points)
     assert got.unread_evals == sum(sizes) - sum(rec.outer_evals for rec in got.records)
+
+
+def test_run_trace_sums_the_batched_calls(monkeypatch):
+    params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.1, outer=OuterConfig(inner=CFG, mesh_tol=1e-4))
+    sizes = counting_batches(monkeypatch)
+    trace = scholtes_solve(named_problem("example2"), params, [0.3])
+    assert len(trace.records) > 1
+    assert trace.inner_calls == len(sizes)
 
 
 def hook_args(problem, rng, rows):

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from pbopt import scholtes
 from pbopt.cli import main
 
 FAST_SOLVE = ["--starts", "8", "--sweeps", "3", "--seed", "7"]
@@ -388,6 +389,24 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
     code, out, err = run_cli(capsys, *BAD_INPUTS[name])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_summary_counts_the_batched_inner_calls(monkeypatch, tmp_path, capsys):
+    calls = []
+    solve = scholtes.evaluate_psi_t_batch
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(scholtes, "evaluate_psi_t_batch", counted)
+    summary = tmp_path / "s.json"
+    code, _, _ = run_cli(
+        capsys, "solve", "--problem", "example2", "--t0", "0.5", "--tmin", "0.1",
+        "--trace", str(tmp_path / "tr.csv"), "--summary", str(summary), *FAST_SOLVE,
+    )
+    assert code == 0
+    assert json.loads(summary.read_text())["inner_calls"] == len(calls) > 0
 
 
 def test_reports_carry_unread_evals_and_multiplier_status(tmp_path, capsys):

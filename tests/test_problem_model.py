@@ -7,7 +7,7 @@ import pbopt
 from pbopt import BilevelProblem, ProblemDims, TriplePoint
 from pbopt.problem_model import HESS_FIELDS, DimensionError, check_gradients_fd, lagrangian_grad, lagrangian_jacobians
 
-from toys import named_problem
+from toys import BATCH_HOOKS, named_problem
 
 
 def test_dims_validation():
@@ -172,6 +172,44 @@ def test_gradcheck_example1_clean(example1):
     assert report.errors
     assert report.max_error() <= 1e-6
     assert not report.nonfinite
+
+
+def test_gradcheck_flags_batch_hooks_left_stale_by_replace(example1):
+    # f = x*y + 1.5 y^2, replaced consistently in every per-point evaluator;
+    # the Lagrangian hooks still describe f = x*y
+    problem, _ = example1
+    steeper = dataclasses.replace(
+        problem,
+        eval_f=lambda x, y: float(x[0] * y[0] + 1.5 * y[0] ** 2),
+        grad_f=lambda x, y: (np.array([y[0]]), np.array([x[0] + 3.0 * y[0]])),
+        hess_f_yx=lambda x, y: np.array([[1.0]]),
+        hess_f_yy=lambda x, y: np.array([[3.0]]),
+    )
+    pt = TriplePoint([0.5], [0.2], [0.1, 0.0])
+    np.testing.assert_allclose(lagrangian_grad(steeper, pt), [1.0])
+    np.testing.assert_allclose(steeper.lagrangian_rows(pt.x[None], pt.y[None], pt.u[None])[0], [0.4])
+    errors = check_gradients_fd(steeper, pt).errors
+    assert errors["batch_lagrangian"] >= 0.5 and errors["batch_lagrangian_jac"] >= 0.5
+    assert max(v for k, v in errors.items() if not k.startswith("batch_lagrangian")) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "example2_bare"])
+def test_gradcheck_finds_the_built_in_hooks_consistent(name):
+    problem = named_problem(name)
+    d = problem.dims
+    rng = np.random.default_rng(31)
+    hooks = [h for h in BATCH_HOOKS if getattr(problem, h)]
+    if problem.hess_is_fd:
+        hooks.remove("batch_lagrangian_jac")  # unused with finite-difference Hessians
+    for _ in range(5):
+        pt = TriplePoint(
+            rng.uniform(problem.x_box[:, 0], problem.x_box[:, 1]),
+            rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1]),
+            rng.uniform(0.0, 1.0, size=d.q),
+        )
+        errors = check_gradients_fd(problem, pt).errors
+        assert sorted(k for k in errors if k.startswith("batch_")) == sorted(hooks)
+        assert all(errors[h] <= 1e-12 for h in hooks)
 
 
 def test_gradcheck_constant_problem_exact_zero():
