@@ -417,16 +417,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
+    # Each subcommand registers only the flags it reads; config-file keys stay shared.
     def add_common(p):
         p.add_argument("--problem", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None)
+
+    def add_inner(p):
+        add_seed(p)
         p.add_argument("--starts", type=int, default=None)
         p.add_argument("--sweeps", type=int, default=None)
         p.add_argument("--u-max", dest="u_max", type=float, default=None)
 
     p_solve = sub.add_parser("solve", help="run the relaxation homotopy")
     add_common(p_solve)
+    add_inner(p_solve)
     p_solve.add_argument("--t0", type=float, default=None)
     p_solve.add_argument("--rho", type=float, default=None)
     p_solve.add_argument("--tmin", type=float, default=None)
@@ -439,6 +446,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate the relaxed value function")
     add_common(p_eval)
+    add_inner(p_eval)
     p_eval.add_argument("--x", type=str, default=None)
     p_eval.add_argument("--t", type=float, default=None)
 
@@ -451,12 +459,14 @@ def _build_parser() -> _Parser:
 
     p_diag = sub.add_parser("diagnose", help="excess series along a trace")
     add_common(p_diag)
+    add_inner(p_diag)
     p_diag.add_argument("--trace", dest="trace_file", type=str, default=None)
     p_diag.add_argument("--x-bar", dest="x_bar", type=str, default=None)
     p_diag.add_argument("--out", type=str, default=None)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference derivative audit")
     add_common(p_grad)
+    add_seed(p_grad)
     p_grad.add_argument("--points", type=int, default=50)
 
     return parser

@@ -4,10 +4,11 @@ For fixed leader point x and relaxation level t >= 0 this evaluates
 
     psi(x, t) = max { F(x, y) : (y, u) in the level-t follower KKT set }
 
-by multistart penalised ascent from points first polished onto that set by
-Gauss-Newton, plus a final polish, and
-approximates the set of near-maximisers.  The starts advance in lockstep,
-so every ascent or polish step evaluates the problem once for the batch.
+by a multistart feasible-direction ascent (gradient projection with
+restoration) that stays on that set, from points first polished onto it by
+Gauss-Newton, and approximates the set of near-maximisers.  The starts
+advance in lockstep, so every ascent or polish step evaluates the problem
+once for the batch.
 A brute-force grid maximiser is provided as an independent oracle for
 low-dimensional problems.
 """
@@ -19,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
-from scipy.optimize._lbfgsb import setulb
 
 from .problem_model import Array, BilevelProblem, relaxation_level
 
@@ -27,21 +27,21 @@ from .problem_model import Array, BilevelProblem, relaxation_level
 # value joins the cloud.  The certifier's graph-value row uses it too.
 EPS_LVL_DEFAULT = 1e-4
 DEDUP_TOL = 1e-9
-# Penalty weight of the first ascent sweep, and its growth factor per sweep.
-PENALTY_INIT = 100.0
-PENALTY_GROWTH = 10.0
 # Gauss-Newton iterations of one feasibility polish.
 POLISH_MAXITER = 60
 # GridSpec.tolerance: the grid-scaled feasibility tolerance of the grid samplers and oracles
 GRID_TOL_FACTOR = 0.75
 GRID_TOL_FLOOR = 1e-8
 NEAR_FEAS_BAND = 1e-3
-# Most starts that advance in lockstep at once.  Each holds about 10 kB of
-# L-BFGS-B workspace; a halving ladder of hundreds of starts in one group
-# left megabytes in the malloc heap (raising the homotopy peak RSS), while
-# groups of this size kept it at the single-point level with no measurable
-# loss of speed.
-LOCKSTEP_ROWS = 128
+# Ascent: inequality rows within ACTIVE_TOL of zero are active; singular
+# values below RANK_TOL times the largest are dropped, and a projected
+# gradient within RANK_TOL * (1 + |grad F|) counts as zero.
+ACTIVE_TOL = 1e-7
+RANK_TOL = 1e-10
+# Ascent step per row: first length, growth on an accepted step, floor.
+STEP_INIT = 0.5
+STEP_GROWTH = 4.0
+STEP_MIN = 1e-9
 # Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
 GRID_CHUNK_ROWS = 65536
@@ -106,9 +106,6 @@ class SampledSet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
 
 def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
     """Lexicographically sorted points with near-duplicates (inf-norm tol) removed."""
@@ -130,13 +127,14 @@ class InnerConfig:
     """Starts and budgets of the multistart inner maximiser.
 
     ``starts`` seeded random starts (``seed``) run alongside the
-    ``warm_starts``; together they must give at least one start.  Each of
-    the ``sweeps`` penalised ascents runs at most ``local_maxiter`` L-BFGS-B
-    iterations, with weight PENALTY_INIT * PENALTY_GROWTH**sweep.  Follower
-    multipliers are searched in [0, ``u_max``], the follower variables in
-    the problem's ``y_box``, and a point counts as feasible when its largest
-    violation is at most ``feas_tol``.  The polish budget (POLISH_MAXITER)
-    and the argmax level slack (EPS_LVL_DEFAULT) are module constants.
+    ``warm_starts``; together they must give at least one start.  A solve
+    runs ``sweeps`` polish-then-ascend rounds, each ascent at most
+    ``local_maxiter`` iterations.  Follower multipliers are searched in
+    [0, ``u_max``], the follower variables in the problem's ``y_box``, and
+    a point counts as feasible when its largest violation is at most
+    ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's step
+    rule (STEP_INIT, STEP_GROWTH, STEP_MIN) and the argmax level slack
+    (EPS_LVL_DEFAULT) are module constants.
     """
 
     starts: int = 32
@@ -166,7 +164,7 @@ class InnerSolveResult:
     value: float
     argmax: SampledSet
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
-    evals: int
+    evals: int  # polish iterations plus ascent trial evaluations, summed over the starts
 
 
 def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
@@ -185,29 +183,31 @@ def _take(X: Array, rows) -> Array:
 
 
 def _residuals(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
-    """Per row of Z: U, g and the violations v = [L | g+ | u- | w+], w = -U*g - t.
+    """Per row of Z: U, g and the signed rows r = [L | g | -u | w], w = -U*g - t.
 
-    X is the leader block of the rows.  Rows of v with a non-finite entry
-    become inf.
+    X is the leader block of the rows.  The level-t set is L = 0 with every
+    other row <= 0.  Rows of r with a non-finite entry become inf.
     """
     m = problem.dims.m
     Y, U = Z[:, :m], Z[:, m:]
     g = problem.g_rows(X, Y)
-    w = -U * g - t
-    v = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U, w], axis=1)
-    np.maximum(v[:, m:], 0.0, out=v[:, m:])
-    finite = np.isfinite(v)
+    r = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U, -U * g - t], axis=1)
+    finite = np.isfinite(r)
     if not finite.all():  # the common all-finite case costs one reduction
-        v[~finite.all(axis=1)] = np.inf
-    return U, g, v
+        r[~finite.all(axis=1)] = np.inf
+    return U, g, r
 
 
-def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array, v: Array) -> Array:
-    """Jacobian of each row of v in (y, u), shape (N, m + 3q, m + q).
+def _violations(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
+    """Per row of Z: g, the violations v = [L | g+ | u- | w+] of its signed rows and the largest of them."""
+    m = problem.dims.m
+    _, g, v = _residuals(problem, X, Z, t)
+    np.maximum(v[:, m:], 0.0, out=v[:, m:])
+    return g, v, np.abs(v).max(axis=1, initial=0.0)
 
-    Rows of inactive constraints (zero entries of v) are zero, so they do
-    not enter the Gauss-Newton least squares.
-    """
+
+def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array) -> Array:
+    """Jacobian of each row's signed rows r in (y, u), shape (N, m + 3q, m + q)."""
     m, q = problem.dims.m, problem.dims.q
     eye = np.eye(q)
     J = np.zeros((Z.shape[0], m + 3 * q, m + q))
@@ -217,113 +217,7 @@ def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g:
     J[:, m + q : m + 2 * q, m:] = -eye
     J[:, m + 2 * q :, :m] = -U[:, :, None] * Jgy
     J[:, m + 2 * q :, m:] = -g[:, :, None] * eye
-    J[:, m:] *= (v[:, m:] > 0.0)[:, :, None]
     return J
-
-
-def _penalty_batch(problem: BilevelProblem, X: Array, Z: Array, t: float, rho: float) -> tuple[Array, Array]:
-    """Penalised negative leader objective and its gradient at every row of Z, with leader block X.
-
-    -F + rho * (|L|^2 + |g+|^2 + |u-|^2 + |w+|^2); rows where it is not
-    finite get the value 1e30 and a zero gradient.  The gradient is
-    -grad F + 2 rho J^T v with J the residual Jacobian, written out
-    block by block because the penalty is the hot path.
-    """
-    m, q = problem.dims.m, problem.dims.q
-    Y = Z[:, :m]
-    U, g, v = _residuals(problem, X, Z, t)
-    val = rho * (v * v).sum(axis=1) - problem.F_rows(X, Y)
-    finite = np.isfinite(val)
-    bad = None if finite.all() else ~finite
-    if bad is not None:
-        val[bad] = 1e30
-        v[bad] = 0.0
-    L, gp, un, wp = v[:, :m], v[:, m : m + q], v[:, m + q : m + 2 * q], v[:, m + 2 * q :]
-    J = problem.lagrangian_jac_rows(X, Y, U)  # [L_y | L_u], L_u = J_gy^T
-    r2 = 2.0 * rho
-    grad = r2 * (L[:, :, None] * J).sum(axis=1)
-    grad[:, :m] += r2 * (J[:, :, m:] * (gp - wp * U)[:, None, :]).sum(axis=2) - problem.grad_F_rows(X, Y)
-    grad[:, m:] -= r2 * (un + wp * g)
-    if bad is not None:
-        grad[bad] = 0.0
-    return val, grad
-
-
-# L-BFGS-B settings of the penalised ascent: scipy's defaults except ftol and gtol.
-_LBFGSB_MAXCOR = 10
-_LBFGSB_MAXLS = 20
-_LBFGSB_MAXFUN = 15000
-_LBFGSB_FTOL = 1e-14
-_LBFGSB_GTOL = 1e-12
-
-
-def _lockstep_lbfgsb(fun_batch, Z0: Array, lo: Array, hi: Array, maxiter: int):
-    """Bounded L-BFGS-B on every row of Z0 at once, one batched evaluation per step.
-
-    Row i follows exactly the path of ``scipy.optimize.minimize(f_i, Z0[i],
-    jac=True, method="L-BFGS-B", bounds=zip(lo, hi), options={"maxiter":
-    maxiter, "ftol": 1e-14, "gtol": 1e-12})``: the same start clipped into
-    the finite box, the same ``setulb`` core and workspace, and the same rule
-    that a point equal to the last evaluated one reuses its (f, g).
-    ``fun_batch(Z, rows) -> (f, G)`` evaluates Z, the current points of the
-    given rows of Z0 (a list of indices, or ``slice(None)`` for all).
-
-    Returns the final points and per-row evaluation and iteration counts.
-    """
-    X = np.clip(np.array(Z0, dtype=np.float64), lo, hi)
-    N, n = X.shape
-    mc, maxls, gtol = _LBFGSB_MAXCOR, _LBFGSB_MAXLS, _LBFGSB_GTOL
-    factr = _LBFGSB_FTOL / np.finfo(float).eps
-    lower, upper = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    nbd = np.full(n, 2, np.int32)  # both bounds active
-
-    # The minimize wrapper evaluates once at the clipped start before stepping;
-    # setulb reads f and g only once it has asked for them.
-    fv, gv = fun_batch(X.copy(), slice(None))
-    f = np.asarray(fv, dtype=np.float64).tolist()
-    g = np.array(gv, dtype=np.float64)
-    last = X.tolist()  # point of each row's latest (f, g)
-    wa = np.zeros((N, 2 * mc * n + 5 * n + 11 * mc * mc + 8 * mc))
-    iwa = np.zeros((N, 3 * n), np.int32)
-    task = np.zeros((N, 2), np.int32)
-    ln_task = np.zeros((N, 2), np.int32)
-    lsave = np.zeros((N, 4), np.int32)
-    isave = np.zeros((N, 44), np.int32)
-    dsave = np.zeros((N, 29))
-    nfev = [1] * N
-    nit = [0] * N
-    rows = [(X[i], g[i], wa[i], iwa[i], task[i], lsave[i], isave[i], dsave[i], ln_task[i]) for i in range(N)]
-
-    active = list(range(N))
-    while active:
-        wanted = []
-        for i in active:
-            x, gi, wai, iwai, ti, lsi, isi, dsi, lni = rows[i]
-            while True:
-                setulb(mc, x, lower, upper, nbd, f[i], gi, factr, gtol, wai, iwai, ti, lsi, isi, dsi, maxls, lni)
-                code = ti[0]
-                if code == 3:  # wants f and g at x; list == treats -0.0 as 0.0, like array_equal
-                    if x.tolist() != last[i]:
-                        wanted.append(i)
-                        break
-                elif code == 1:  # new iterate
-                    nit[i] += 1
-                    if nit[i] >= maxiter:
-                        ti[0], ti[1] = 5, 504
-                    elif nfev[i] > _LBFGSB_MAXFUN:
-                        ti[0], ti[1] = 5, 502
-                else:
-                    break
-        if wanted:
-            Xw = X[wanted]
-            fv, gv = fun_batch(Xw.copy(), wanted)
-            g[wanted] = gv
-            for i, fi, xi in zip(wanted, np.asarray(fv, dtype=np.float64).tolist(), Xw.tolist()):
-                f[i] = fi
-                last[i] = xi
-                nfev[i] += 1
-        active = wanted
-    return X, np.array(nfev), np.array(nit)
 
 
 # Relative Tikhonov weight of the polish's normal equations: tiny enough to
@@ -380,15 +274,16 @@ def polish_onto_relaxed_set(
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
     # g, v and viol always belong to the current Z: a step's line search has
     # already evaluated them at the point it accepts.
-    _, g, v = _residuals(problem, X, Z, t)
-    viol = np.abs(v).max(axis=1, initial=0.0)
+    g, v, viol = _violations(problem, X, Z, t)
     iters = np.ones(Z.shape[0], dtype=int)
     todo = np.flatnonzero(viol > feas_tol)
     for k in range(POLISH_MAXITER):
         if not todo.size:
             break
         Xt, Zt, vt = _take(X, todo), Z[todo], v[todo]
-        J = _residual_jacobian(problem, Xt, Zt, Zt[:, m:], g[todo], vt)
+        J = _residual_jacobian(problem, Xt, Zt, Zt[:, m:], g[todo])
+        # rows of satisfied inequalities stay out of the least squares
+        J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
         at_lo = Zt <= lo + 1e-12
@@ -410,11 +305,11 @@ def polish_onto_relaxed_set(
         step = 1.0
         for _ in range(10):
             cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
-            _, gc, vc = _residuals(problem, _take(Xt, pending), cand, t)
+            gc, vc, violc = _violations(problem, _take(Xt, pending), cand, t)
             better = (vc * vc).sum(axis=1) < base[pending] - 1e-18
             rows = todo[pending[better]]
             Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
-            viol[rows] = np.abs(vc[better]).max(axis=1, initial=0.0)
+            viol[rows] = violc[better]
             accepted[pending[better]] = True
             pending = pending[~better]
             if not pending.size:
@@ -428,6 +323,125 @@ def polish_onto_relaxed_set(
     return Z, viol, iters
 
 
+def _signed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, jac: bool = False):
+    """The signed rows of Z with its box rows, [L | g | -u | w | z - hi | lo - z]; with ``jac`` also their Jacobian."""
+    U, g, r = _residuals(problem, X, Z, t)
+    r = np.concatenate([r, Z - hi, lo - Z], axis=1)
+    if not jac:
+        return r
+    eye = np.eye(Z.shape[1])
+    box = np.broadcast_to(np.vstack([eye, -eye]), (Z.shape[0], 2 * Z.shape[1], Z.shape[1]))
+    return r, np.concatenate([_residual_jacobian(problem, X, Z, U, g), box], axis=1)
+
+
+def _project(A: Array, act: Array, grad: Array) -> tuple[Array, Array, Array]:
+    """grad minus its projection onto the row space of the active rows of A.
+
+    One stacked SVD of the masked A, with singular values below RANK_TOL
+    times the largest dropped, gives the projected gradient d, the
+    least-norm multipliers lam (A_act^T lam = grad - d) and the
+    pseudo-inverse of A_act, of shape (N, m + q, rows).
+    """
+    W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
+    keep = s > RANK_TOL * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    d = grad - np.einsum("nji,nj->ni", Vt, np.einsum("nij,nj->ni", Vt, grad) * keep)
+    pinv = np.einsum("nji,nj,nkj->nik", Vt, inv, W)
+    lam = np.where(act, np.einsum("nik,ni->nk", pinv, grad), 0.0)
+    return d, lam, pinv
+
+
+def _directions(
+    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array
+) -> tuple[Array, Array, Array, Array, Array]:
+    """Projected-gradient ascent directions at every row of Z.
+
+    grad F is projected onto the tangent space of the active rows (the L
+    rows, and the inequality and box rows within ACTIVE_TOL of zero); while
+    that projection vanishes, the active inequality with the most negative
+    multiplier is dropped.  Returns whether each row has a direction (it is
+    no KKT point, and its rows, Jacobian and grad F are finite), the
+    direction d, the active mask, the active rows' pseudo-inverse and the
+    step cap: the first inactive row that the linearised step would cross.
+    """
+    m = problem.dims.m
+    r, A = _signed_rows(problem, X, Z, t, lo, hi, jac=True)
+    grad = np.zeros(Z.shape)
+    grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
+    bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
+    r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0  # d = 0: no direction
+    act = r >= -ACTIVE_TOL
+    act[:, :m] = True
+    small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
+    d, lam, pinv = _project(A, act, grad)
+    for _ in range(r.shape[1]):
+        lam[:, :m] = 0.0  # the L rows are equalities
+        drop = (np.abs(d).max(axis=1, initial=0.0) <= small) & (lam.min(axis=1) < 0.0)
+        if not drop.any():
+            break
+        act[drop, lam[drop].argmin(axis=1)] = False
+        d[drop], lam[drop], pinv[drop] = _project(A[drop], act[drop], grad[drop])
+    slope = np.einsum("nkj,nj->nk", A, d)
+    cross = (r < -ACTIVE_TOL) & (slope > 0.0)
+    cap = np.where(cross, -r / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
+    return np.abs(d).max(axis=1, initial=0.0) > small, d, act, pinv, cap
+
+
+def _ascend(
+    problem: BilevelProblem, X: Array, Z: Array, viol: Array, t: float, lo: Array, hi: Array, cfg: InnerConfig
+) -> tuple[Array, Array, Array, Array]:
+    """Feasible-direction ascent of F from every row of Z that lies on D_t.
+
+    Gradient projection with restoration, all rows in lockstep.  A row
+    steps along its :func:`_directions` direction, as far as the step cap
+    allows, and the trial is restored by two chord steps with the active
+    rows' pseudo-inverse and, where that leaves a violation above
+    cfg.feas_tol, by :func:`polish_onto_relaxed_set`.  A restored point
+    that is feasible with a higher F is accepted and the row's step grows
+    by STEP_GROWTH; otherwise the step halves.  A row stops at a KKT point,
+    below STEP_MIN, or after cfg.local_maxiter trials.
+
+    Returns the points, their violations, their F values and the residual
+    evaluations of each row (restoration polish iterations included).
+    """
+    m, q = problem.dims.m, problem.dims.q
+    N, k = Z.shape[0], m + 3 * q + 2 * (m + q)
+    Z, viol = Z.copy(), viol.copy()
+    f = problem.F_rows(X, Z[:, :m])
+    evals = np.zeros(N, dtype=int)
+    step = np.full(N, STEP_INIT)
+    d, act, pinv, cap = np.zeros((N, m + q)), np.zeros((N, k), dtype=bool), np.zeros((N, m + q, k)), np.zeros(N)
+    running = (viol <= cfg.feas_tol) & np.isfinite(f)
+    fresh = np.flatnonzero(running)
+    for _ in range(cfg.local_maxiter):
+        if fresh.size:  # new directions at the rows that moved
+            moving, d[fresh], act[fresh], pinv[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi)
+            evals[fresh] += 1
+            running[fresh[~moving]] = False
+        run = np.flatnonzero(running)
+        if not run.size:
+            break
+        Xr = _take(X, run)
+        Zt = np.clip(Z[run] + np.minimum(step[run], cap[run])[:, None] * d[run], lo, hi)
+        for _ in range(2):  # chord steps z <- z - A_act^+ r_act(z)
+            r = np.where(act[run], _signed_rows(problem, Xr, Zt, t, lo, hi), 0.0)
+            Zt = np.clip(Zt - np.einsum("nik,nk->ni", pinv[run], r), lo, hi)
+        vt = _violations(problem, Xr, Zt, t)[2]
+        evals[run] += 3
+        far = np.flatnonzero(vt > cfg.feas_tol)
+        if far.size:
+            Zt[far], vt[far], iters = polish_onto_relaxed_set(problem, _take(Xr, far), Zt[far], t, lo, hi, cfg.feas_tol)
+            evals[run[far]] += iters
+        ft = problem.F_rows(Xr, Zt[:, :m])
+        up = (vt <= cfg.feas_tol) & (ft > f[run])
+        fresh, back = run[up], run[~up]
+        Z[fresh], viol[fresh], f[fresh] = Zt[up], vt[up], ft[up]
+        step[fresh] *= STEP_GROWTH
+        step[back] *= 0.5
+        running[back] = step[back] >= STEP_MIN
+    return Z, viol, f, evals
+
+
 def evaluate_psi_t(
     problem: BilevelProblem,
     x: Array,
@@ -436,15 +450,13 @@ def evaluate_psi_t(
 ) -> InnerSolveResult:
     """Best feasible leader objective over the level-t follower KKT set at x.
 
-    Multistart penalised local ascent with the penalty weight grown each
-    sweep.  Every sweep starts from points polished onto the set by
-    :func:`polish_onto_relaxed_set`, and a last polish follows the last
-    sweep, so a solve runs cfg.sweeps + 1 polishes; ``evals`` counts the
-    L-BFGS-B evaluations and the iterations of every polish.  The reported
-    value comes only from points feasible within cfg.feas_tol.  The argmax
-    cloud collects every polished maximiser within EPS_LVL_DEFAULT of the
-    best value.  All starts advance together, so each penalty evaluation covers
-    the whole batch.
+    Multistart feasible-direction ascent in cfg.sweeps rounds: each polishes
+    every start onto the set (:func:`polish_onto_relaxed_set`) and then runs
+    :func:`_ascend` from the points that reached it.  ``evals`` counts the
+    polish iterations plus the ascent trial evaluations.  The reported value
+    comes only from points feasible within cfg.feas_tol, and the argmax cloud
+    collects every one within EPS_LVL_DEFAULT of the best value.  All starts
+    advance together, so each evaluation covers the whole batch.
     """
     x = problem.leader_point(x)
     return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
@@ -459,16 +471,17 @@ def evaluate_psi_t_batch(
     """:func:`evaluate_psi_t` at every row of the (N, n) leader block X.
 
     Every row gets the same seeded and warm starts, and the starts of all
-    rows advance together (in groups of at most LOCKSTEP_ROWS starts), so
-    one penalty evaluation covers many leader points.  Each result is bit
-    for bit the one a lone call at that row returns.
+    rows advance together, so one evaluation covers many leader points.
+    The ascent uses only row-independent linear algebra (stacked SVDs and
+    solves, einsum, elementwise operations), so each result is bit for bit
+    the one a lone call at that row returns.
     """
     X = problem.leader_block(X)
     return _solve_rows(problem, X, t, cfg or InnerConfig())
 
 
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
-    """The inner solves at the rows of X, in lockstep groups of at most LOCKSTEP_ROWS starts."""
+    """The inner solves at the rows of X, every start of every row in lockstep."""
     t = relaxation_level(t)
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
@@ -476,40 +489,24 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     rand = rng.uniform(lo, hi, size=(cfg.starts, m + q))
     warm = np.asarray(cfg.warm_starts, dtype=float).reshape(-1, m + q)
     Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
-    group = max(1, LOCKSTEP_ROWS // len(Z0))
-    # Overflow only turns rows non-finite, which the penalty and the polish
-    # already handle and _inner_result reports; numpy's warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [res for i in range(0, len(X), group) for res in _solve_group(problem, X[i : i + group], Z0, lo, hi, t, cfg)]
-
-
-def _solve_group(
-    problem: BilevelProblem, X: Array, Z0: Array, lo: Array, hi: Array, t: float, cfg: InnerConfig
-) -> list[InnerSolveResult]:
-    """Polished ascent sweeps and a last polish of the starts Z0 at every leader point of X, all in lockstep."""
-    m, n_starts = problem.dims.m, len(Z0)
-    Z = Z0
+    n_starts, Z = len(Z0), Z0
+    if not len(X):
+        return []
     if len(X) > 1:  # row r * n_starts + s is start s at leader point r
         Z = np.tile(Z0, (len(X), 1))
         X = np.repeat(X, n_starts, axis=0)
     evals = np.zeros(Z.shape[0], dtype=int)
-    for s in range(cfg.sweeps):
-        # Each sweep starts on (or near) D_t, so the ascent only has to trade
-        # a little feasibility for F instead of first finding the set.
-        Z, _, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
-        evals += polish_iters
-        rho = PENALTY_INIT * PENALTY_GROWTH**s
-        Z, nfev, _ = _lockstep_lbfgsb(
-            lambda B, rows: _penalty_batch(problem, _take(X, rows), B, t, rho), Z, lo, hi, cfg.local_maxiter
-        )
-        evals += nfev
-    Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
-    evals += polish_iters
-    fval = problem.F_rows(X, Z[:, :m])
-    return [
-        _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg)
-        for r in range(0, Z.shape[0], n_starts)
-    ]
+    # Overflow only turns rows non-finite, which the polish and the ascent
+    # already handle and _inner_result reports; numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.sweeps):
+            Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
+            Z, viol, fval, ascent_evals = _ascend(problem, X, Z, viol, t, lo, hi, cfg)
+            evals += polish_iters + ascent_evals
+        return [
+            _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg)
+            for r in range(0, Z.shape[0], n_starts)
+        ]
 
 
 def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig) -> InnerSolveResult:

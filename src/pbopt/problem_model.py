@@ -69,10 +69,6 @@ class TriplePoint:
         object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
         object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
 
-    def z(self) -> Array:
-        """Follower block (y, u) as one flat vector."""
-        return np.concatenate([self.y, self.u])
-
 
 @dataclass
 class BilevelProblem:

@@ -24,7 +24,6 @@ from pbopt import (
     scholtes,
     scholtes_solve,
 )
-from pbopt import maxmin
 from pbopt.problem_model import DimensionError
 
 from toys import BATCH_HOOKS, DIP, make_dip_toy, named_problem
@@ -62,11 +61,10 @@ def test_batch_rows_equal_lone_calls(name):
             assert_same_result(res, evaluate_psi_t(problem, x, t, CFG))
 
 
-def test_batch_with_warm_starts_across_lockstep_groups(monkeypatch, example2):
+def test_batch_with_warm_starts_across_lockstep_groups(example2):
     problem, _ = example2
     warm = evaluate_psi_t(problem, [-1.0], 0.2, CFG).argmax.points
     cfg = dataclasses.replace(CFG, warm_starts=tuple(warm))
-    monkeypatch.setattr(maxmin, "LOCKSTEP_ROWS", 3 * (cfg.starts + len(warm)))  # groups of three leader points
     X = leader_block(problem, np.random.default_rng(3), 6)
     for x, res in zip(X, evaluate_psi_t_batch(problem, X, 0.1, cfg)):
         assert_same_result(res, evaluate_psi_t(problem, x, 0.1, cfg))

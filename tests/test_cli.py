@@ -423,3 +423,31 @@ def test_reports_carry_unread_evals_and_multiplier_status(tmp_path, capsys):
     point.write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
     code, out, _ = run_cli(capsys, "check", "--problem", "example1", "--point", str(point))
     assert code == 0 and json.loads(out)["multipliers"] == "least_norm"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--problem", "example1", "--point", "pt.json", "--starts", "0", "--sweeps", "0", "--u-max", "-3"],
+        ["check", "--problem", "example1", "--point", "pt.json", "--seed", "1"],
+        ["gradcheck", "--problem", "example1", "--starts", "0", "--sweeps", "0"],
+        ["gradcheck", "--problem", "example1", "--points", "1", "--u-max", "2"],
+    ],
+)
+def test_flags_a_subcommand_never_reads_are_refused(tmp_path, capsys, monkeypatch, argv):
+    # check reads no inner-solver flag and gradcheck only --seed; both used to exit 0 on them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pt.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+def test_config_keys_stay_shared_across_subcommands(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pt.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"problem": "example1", "seed": 3, "starts": 4, "sweeps": 1, "u_max": 5.0}))
+    code, _, _ = run_cli(capsys, "check", "--config", "cfg.json", "--point", "pt.json")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "gradcheck", "--config", "cfg.json", "--points", "1", "--seed", "4")
+    assert code == 0

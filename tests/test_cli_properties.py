@@ -28,13 +28,14 @@ POOLS = {
     "--out": FILES, "--x0": VECTORS, "--x": VECTORS, "--x-bar": VECTORS, "--check": ("C", "M", "S", "Q"),
     "--kind": ("C", "M", "S", "relaxed", "Q"),
 }
-COMMON = ("--problem", "--config", "--seed", "--starts", "--sweeps", "--u-max")
+COMMON = ("--problem", "--config")
+INNER = ("--seed", "--starts", "--sweeps", "--u-max")  # only the subcommands that run the inner solver
 FLAGS = {
-    "solve": COMMON + ("--t0", "--rho", "--tmin", "--x0", "--max-outer", "--x-tol", "--trace", "--summary", "--check"),
-    "eval": COMMON + ("--x", "--t"),
+    "solve": COMMON + INNER + ("--t0", "--rho", "--tmin", "--x0", "--max-outer", "--x-tol", "--trace", "--summary", "--check"),
+    "eval": COMMON + INNER + ("--x", "--t"),
     "check": COMMON + ("--point", "--kind", "--t", "--pattern-cap"),
-    "diagnose": COMMON + ("--trace", "--x-bar", "--out"),
-    "gradcheck": COMMON + ("--points",),
+    "diagnose": COMMON + INNER + ("--trace", "--x-bar", "--out"),
+    "gradcheck": COMMON + ("--seed", "--points"),
 }
 ANY_TOKEN = tuple(sorted({f for flags in FLAGS.values() for f in flags})) + ("--help", "--no-such-flag") + NUMBERS + FILES
 # Flags each command needs to get past its argument checks.

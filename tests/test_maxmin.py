@@ -25,6 +25,9 @@ def test_psi_values_match_closed_form(example1, example2, light_cfg):
         (p1, [0.05], 0.2, 1.0),
         (p2, [-1.0], 0.3, 0.0),
         (p1, [0.5], 0.0, 0.0),
+        # the x -> 0 corner, where a penalised ascent read 0.0 and 0.3555
+        (p1, [0.01], 0.002, 0.2),
+        (p1, [0.0168], 0.00697, 0.41488095238095),
     ]
     for problem, x, t, expected in cases:
         res = evaluate_psi_t(problem, x, t, light_cfg)
@@ -341,27 +344,34 @@ def test_brute_force_refuses_bad_input(example1, x, t):
 
 
 def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
-    """sweeps + 1 polishes per lockstep group, and evals counts all of their iterations."""
+    """Each round polishes every start and ascends from the polished points.
+
+    evals counts the iterations of the round polishes plus the ascent's
+    evaluations, which include the iterations of its restoration polishes.
+    """
     problem, _ = example2
-    polish, lbfgsb = maxmin.polish_onto_relaxed_set, maxmin._lockstep_lbfgsb
+    polish, ascend = maxmin.polish_onto_relaxed_set, maxmin._ascend
     polished, ascended = [], []
 
     def count_polish(*args):
         out = polish(*args)
-        polished.append(int(out[2].sum()))
+        polished.append(out)
         return out
 
-    def count_ascent(*args):
-        out = lbfgsb(*args)
-        ascended.append(int(out[1].sum()))
+    def count_ascent(problem, X, Z, viol, *rest):
+        start = polished[-1]
+        assert Z is start[0] and viol is start[1]  # the round's polish, not a restoration
+        del polished[-1]
+        out = ascend(problem, X, Z, viol, *rest)
+        ascended.append((start, out))
         return out
 
     monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
-    monkeypatch.setattr(maxmin, "_lockstep_lbfgsb", count_ascent)
+    monkeypatch.setattr(maxmin, "_ascend", count_ascent)
     cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=60)
     results = maxmin.evaluate_psi_t_batch(problem, [[-0.3], [0.4]], 0.1, cfg)
-    assert len(polished) == cfg.sweeps + 1 and len(ascended) == cfg.sweeps
-    assert sum(res.evals for res in results) == sum(polished) + sum(ascended)
+    assert len(ascended) == cfg.sweeps
+    assert sum(res.evals for res in results) == sum(int(start[2].sum() + out[3].sum()) for start, out in ascended)
 
 
 CLOSED_FORM_CFG = InnerConfig(starts=10, sweeps=3, local_maxiter=80)
@@ -369,9 +379,13 @@ CLOSED_FORM_CFG = InnerConfig(starts=10, sweeps=3, local_maxiter=80)
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(u=st.floats(0.05, 1.0), negative=st.booleans(), t=st.floats(1e-3, 0.6))
-def test_psi_matches_closed_form_off_the_corner(name, u, negative, t):
-    # The corner 0 < x < 0.05, t < x is a known defect of the penalised ascent.
+@given(
+    u=st.one_of(st.floats(0.05, 1.0), st.floats(0.0, 0.05, exclude_min=True)),
+    negative=st.booleans(),
+    t=st.floats(1e-3, 0.6),
+)
+def test_psi_matches_closed_form_on_and_off_the_corner(name, u, negative, t):
+    # The corner 0 < x < 0.05, t < x, where D_t is a thin sliver, is drawn as well.
     problem, oracle = pbopt.get_problem(name)
     x = -u if negative and problem.x_box[0, 0] < 0 else u
     res = evaluate_psi_t(problem, [x], t, CLOSED_FORM_CFG)

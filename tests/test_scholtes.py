@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ def test_minimize_degenerate_single_point_box(example1, light_cfg):
     res = minimize_psi_t(pinned, 0.1, [0.9], _outer(light_cfg))
     assert res.x[0] == 0.3
     assert res.value == pytest.approx(oracle.psi_p_t(0.3, 0.1), abs=1e-4)
+
+
+def test_leader_set_without_a_box_is_searched_by_penalty(example2, light_cfg):
+    # Example2 without its box: the leader set is G(x) = (-x - 1, x - 1) <= 0,
+    # so the first mesh is the box-free default and infeasible polls are penalised.
+    problem = dataclasses.replace(example2[0], x_box=None)
+    res = minimize_psi_t(problem, 0.25, [0.3], _outer(light_cfg))
+    assert res.x[0] == pytest.approx(-1.0, abs=1e-3)
+    assert res.value == pytest.approx(0.0, abs=1e-3)
+    with pytest.raises(ValueError, match="x0 required"):
+        scholtes_solve(problem, RelaxationParams(outer=_outer(light_cfg)))
 
 
 def test_schedule_is_exactly_geometric(example2, light_cfg):
