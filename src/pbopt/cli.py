@@ -70,16 +70,16 @@ class RunConfig:
     """Flat run configuration; file values are overridden by flags."""
 
     problem: Optional[str] = None
-    t0: float = 1.0
-    rho: float = 0.5
-    tmin: float = 1e-6
+    t0: float = RelaxationParams.t0
+    rho: float = RelaxationParams.rho
+    tmin: float = RelaxationParams.t_min
     x0: Optional[str] = None
-    seed: int = 0
-    max_outer: int = 60
-    x_tol: float = 1e-9
-    starts: int = 32
-    sweeps: int = 5
-    u_max: float = 10.0
+    seed: int = InnerConfig.seed
+    max_outer: int = RelaxationParams.max_outer_iters
+    x_tol: float = RelaxationParams.x_tol
+    starts: int = InnerConfig.starts
+    sweeps: int = InnerConfig.sweeps
+    u_max: float = InnerConfig.u_max
     trace: Optional[str] = None
     summary: Optional[str] = None
     check: Optional[str] = None

@@ -17,8 +17,15 @@ from scipy.optimize import minimize
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad, relaxation_level
 from .simplex import cone_has_nonzero
 
+# The certifier's tolerances: a value within EPS_ACT_DEFAULT of zero counts as
+# active, and multiplier recovery refuses a point violating by more than FEAS_TOL_DEFAULT.
 EPS_ACT_DEFAULT = 1e-6
 FEAS_TOL_DEFAULT = 1e-8
+# The Slater probe: seeded Nelder-Mead starts drawn in y_box, and the margin
+# max_i g_i(x, y) <= -SLATER_EPS_STRICT a strictly feasible y must clear.
+SLATER_STARTS = 12
+SLATER_SEED = 0
+SLATER_EPS_STRICT = 1e-6
 
 
 class InfeasiblePointError(ValueError):
@@ -88,7 +95,7 @@ def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> Kk
 
 @dataclass(frozen=True)
 class IndexSets:
-    """Active-set classification of a feasible point at tolerance eps_act.
+    """Active-set classification of a feasible point at margin EPS_ACT_DEFAULT.
 
     eta / theta / nu partition the follower constraints of an exactly
     complementary point (u_i ~ 0 & g_i < 0, both ~ 0, u_i > 0 & g_i ~ 0);
@@ -103,22 +110,21 @@ class IndexSets:
     i_u: tuple[int, ...]
     i_g: tuple[int, ...]
     i_ug: tuple[int, ...]
-    eps_act: float
 
 
-def classify_indices(
-    problem: BilevelProblem,
-    pt: TriplePoint,
-    t: float = 0.0,
-    eps_act: float = EPS_ACT_DEFAULT,
-) -> IndexSets:
-    """Classify active sets at a point feasible for the level-t system."""
-    return classify_residual(problem, pt, kkt_residual(problem, pt, t), eps_act)
+def classify_indices(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> IndexSets:
+    """Classify active sets at a point feasible for the level-t system.
+
+    A value counts as zero within EPS_ACT_DEFAULT, and a point whose
+    violation exceeds it is refused with InfeasiblePointError.
+    """
+    return classify_residual(problem, pt, kkt_residual(problem, pt, t))
 
 
-def classify_residual(problem: BilevelProblem, pt: TriplePoint, res: KktResidual, eps_act: float) -> IndexSets:
+def classify_residual(problem: BilevelProblem, pt: TriplePoint, res: KktResidual) -> IndexSets:
     """:func:`classify_indices` at pt from its residual record res = kkt_residual(problem, pt, t)."""
     t, g = res.t, res.g
+    eps_act = EPS_ACT_DEFAULT
     if not res.is_feasible(eps_act):
         raise InfeasiblePointError(
             f"point infeasible at t={t}: field '{res.worst_field()}' violates "
@@ -150,7 +156,6 @@ def classify_residual(problem: BilevelProblem, pt: TriplePoint, res: KktResidual
         i_u=i_u,
         i_g=i_g,
         i_ug=i_ug,
-        eps_act=eps_act,
     )
 
 
@@ -165,30 +170,18 @@ class SlaterResult:
     found: bool
     y: Optional[Array]
     max_g: float
-    starts_used: int
 
 
-def check_slater(
-    problem: BilevelProblem,
-    x: Array,
-    starts: int = 12,
-    seed: int = 0,
-    eps_strict: float = 1e-6,
-) -> SlaterResult:
-    """Search for y with g_i(x, y) <= -eps_strict for all i via multistart descent.
+def check_slater(problem: BilevelProblem, x: Array) -> SlaterResult:
+    """Search for y with g_i(x, y) <= -SLATER_EPS_STRICT for all i via multistart descent.
 
-    The starts are drawn in the problem's ``y_box``.  A wrongly shaped or
-    non-finite x, fewer than one start and a non-finite or negative
-    eps_strict are refused with ValueError.
+    SLATER_STARTS starts are drawn in the problem's ``y_box`` from seed
+    SLATER_SEED.  A wrongly shaped or non-finite x is refused with ValueError.
     """
     x = problem.leader_point(x)
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts}")
-    if not (np.isfinite(eps_strict) and eps_strict >= 0):
-        raise ValueError(f"eps_strict must be finite and nonnegative, got {eps_strict}")
     m, q = problem.dims.m, problem.dims.q
     if q == 0:
-        return SlaterResult(found=True, y=np.zeros(m), max_g=-np.inf, starts_used=0)
+        return SlaterResult(found=True, y=np.zeros(m), max_g=-np.inf)
 
     def worst(y: Array) -> float:
         g = np.asarray(problem.eval_g(x, y), dtype=float)
@@ -196,8 +189,8 @@ def check_slater(
             return np.inf
         return float(np.max(g))
 
-    rng = np.random.default_rng(seed)
-    y0s = rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1], size=(starts, m))
+    rng = np.random.default_rng(SLATER_SEED)
+    y0s = rng.uniform(problem.y_box[:, 0], problem.y_box[:, 1], size=(SLATER_STARTS, m))
     best_val = np.inf
     best_y = None
     for y0 in y0s:
@@ -209,24 +202,23 @@ def check_slater(
         ):
             best_val = val
             best_y = res.x
-    found = best_val <= -eps_strict
-    return SlaterResult(found=found, y=best_y if found else None, max_g=best_val, starts_used=starts)
+    found = best_val <= -SLATER_EPS_STRICT
+    return SlaterResult(found=found, y=best_y if found else None, max_g=best_val)
 
 
-def check_upper_regularity(
-    problem: BilevelProblem, x: Array, eps: float = EPS_ACT_DEFAULT
-) -> bool:
+def check_upper_regularity(problem: BilevelProblem, x: Array) -> bool:
     """True iff only alpha = 0 solves jac_G(x)^T alpha = 0 with alpha >= 0 on I_G.
 
     That is, the cone {alpha : J_act^T alpha = 0, alpha >= 0} of the active
     leader gradients is {0}, decided by :func:`~pbopt.simplex.cone_has_nonzero`.
+    I_G holds the leader constraints with |G_i(x)| <= EPS_ACT_DEFAULT.
     """
     x = problem.leader_point(x)
     p = problem.dims.p
     if p == 0:
         return True
     G = np.asarray(problem.eval_G(x), dtype=float)
-    active = [i for i in range(p) if abs(G[i]) <= eps]
+    active = [i for i in range(p) if abs(G[i]) <= EPS_ACT_DEFAULT]
     if not active:
         return True
     J = np.asarray(problem.jac_G(x), dtype=float).reshape(p, problem.dims.n)

@@ -80,8 +80,9 @@ class BilevelProblem:
 
     ``y_box`` is the (m, 2) follower search box of the inner solver, the
     Slater probe and the oracle grids.  A problem built without one gets
-    [-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH] per coordinate; a box that is not
-    finite with lower <= upper is refused.
+    [-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH] per coordinate.  ``x_box``, the
+    optional (n, 2) leader box, and ``y_box`` are refused unless finite with
+    lower <= upper.
 
     Second-derivative providers are optional, but only all four together
     count.  A problem missing any of them has all four ``hess_*`` fields set
@@ -133,12 +134,10 @@ class BilevelProblem:
 
     def __post_init__(self) -> None:
         if self.x_box is not None:
-            self.x_box = np.asarray(self.x_box, dtype=float).reshape(self.dims.n, 2)
+            self.x_box = _box(self.x_box, self.dims.n, "leader")
         if self.y_box is None:
             self.y_box = np.tile([-Y_BOX_HALF_WIDTH, Y_BOX_HALF_WIDTH], (self.dims.m, 1))
-        self.y_box = np.asarray(self.y_box, dtype=float).reshape(self.dims.m, 2)
-        if not (np.isfinite(self.y_box).all() and (self.y_box[:, 0] <= self.y_box[:, 1]).all()):
-            raise ValueError(f"follower box must be finite with lower <= upper, got {self.y_box.tolist()}")
+        self.y_box = _box(self.y_box, self.dims.m, "follower")
         self.hess_is_fd = any(getattr(self, h) is None for h in HESS_FIELDS)
         if self.hess_is_fd:
             for h in HESS_FIELDS:
@@ -244,6 +243,14 @@ class BilevelProblem:
             )
 
 
+def _box(box, size: int, what: str) -> Array:
+    """box as a float array of shape (size, 2); one that is not finite with lower <= upper is refused."""
+    box = np.asarray(box, dtype=float).reshape(size, 2)
+    if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+        raise ValueError(f"{what} box must be finite with lower <= upper, got {box.tolist()}")
+    return box
+
+
 def _gather(fn, X: Array, blocks: tuple, shape: tuple) -> Array:
     """fn(x, *row) for every row of the (N, k) blocks, stacked into (N, *shape).
 
@@ -303,7 +310,6 @@ class GradCheckReport:
     errors: dict[str, float]
     nonfinite: list[str]
     fd_fallback: bool
-    h: float
 
     def max_error(self) -> float:
         return max(self.errors.values()) if self.errors else 0.0
@@ -316,10 +322,8 @@ def _rel_err(a: Array, b: Array) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def check_gradients_fd(
-    problem: BilevelProblem, pt: TriplePoint, h: float = FD_STEP
-) -> GradCheckReport:
-    """Compare every registered analytic derivative to central differences at pt.
+def check_gradients_fd(problem: BilevelProblem, pt: TriplePoint) -> GradCheckReport:
+    """Compare every registered analytic derivative to central differences of step FD_STEP at pt.
 
     Every registered batch hook is also compared, on the one-row block of pt,
     with the per-point evaluator it stands for, one row per hook: a hook
@@ -328,10 +332,9 @@ def check_gradients_fd(
     with finite-difference Hessians, where nothing calls it.  Non-finite
     evaluations are flagged in the report rather than raised.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
     problem.check_point(pt)
     d = problem.dims
+    h = FD_STEP
     x, y = pt.x, pt.y
     errors: dict[str, float] = {}
     nonfinite: list[str] = []
@@ -394,4 +397,4 @@ def check_gradients_fd(
         _, ly, lu = lagrangian_jacobians(problem, pt)
         record("batch_lagrangian_jac", problem.batch_lagrangian_jac(X, Y, U)[0], np.concatenate([ly, lu], axis=1))
 
-    return GradCheckReport(errors=errors, nonfinite=nonfinite, fd_fallback=problem.hess_is_fd, h=h)
+    return GradCheckReport(errors=errors, nonfinite=nonfinite, fd_fallback=problem.hess_is_fd)

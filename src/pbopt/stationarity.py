@@ -33,12 +33,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
-PATTERN_CAP_DEFAULT = 12
+PATTERN_CAP_DEFAULT = 12  # largest biactive set enumerated; check_qualification_Am always uses it
 
 
 class PatternCapError(RuntimeError):
@@ -117,13 +118,12 @@ def _setup(
     pt: TriplePoint,
     t: float,
     feas_tol: Optional[float],
-    eps_act: float,
     pattern_cap: Optional[int] = None,
 ) -> tuple[KktResidual, IndexSets, _SystemData]:
     """The level-t residual, index sets and system data at pt, from one residual evaluation.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
-    then one that exceeds eps_act, by the classification.
+    then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.
     """
     problem.check_point(pt)
     res = kkt_residual(problem, pt, t)
@@ -132,7 +132,7 @@ def _setup(
             f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
             f"{res.max_violation():.3e}"
         )
-    idx = classify_residual(problem, pt, res, eps_act)
+    idx = classify_residual(problem, pt, res)
     if pattern_cap is not None and len(idx.theta) > pattern_cap:
         raise PatternCapError(
             f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
@@ -248,15 +248,15 @@ def recover_c_multipliers(
     problem: BilevelProblem,
     pt: TriplePoint,
     kind: str = "C",
-    tol: float = 1e-8,
-    eps_act: float = 1e-6,
     pattern_cap: int = PATTERN_CAP_DEFAULT,
 ) -> Optional[Multipliers]:
     """Least-norm multipliers for the kind-dependent exact stationarity system.
 
-    Enumerates sign patterns over the biactive set in lexicographic order;
-    each pattern is a least-distance problem and the first feasible
-    pattern's least-norm solution is returned.  None means every pattern is
+    A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
+    refused with InfeasiblePointError, and a biactive set larger than
+    pattern_cap with PatternCapError.  Enumerates sign patterns over the
+    biactive set in lexicographic order; each pattern is a least-distance
+    problem and the first feasible pattern's least-norm solution is returned.  None means every pattern is
     infeasible.  Patterns go in batches of 1, 2, 4, ... (up to CHUNK_MAX)
     through :func:`~pbopt.simplex.least_norm_points`, which picks each
     system's rows from one pool built per point and stacks everything but
@@ -264,7 +264,7 @@ def recover_c_multipliers(
     the first feasible pattern, so the result is the sequential one.
     """
     _check_kind(kind)
-    _, idx, data = _setup(problem, pt, 0.0, tol, eps_act, pattern_cap)
+    _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, pattern_cap)
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
     for chunk in _chunks(patterns):
@@ -318,20 +318,20 @@ def check_stationarity(
     pt: TriplePoint,
     mults: Multipliers,
     kind: str = "C",
-    tol: float = 1e-8,
-    eps_act: float = 1e-6,
+    tol: float = kkt.FEAS_TOL_DEFAULT,
     inner_cfg: Optional[InnerConfig] = None,
     graph_check: bool = True,
 ) -> StationarityReport:
     """Residuals of the kind-dependent stationarity system at (pt, mults).
 
-    The graph-membership row is verified numerically: pt must lie in the
+    The verdict holds when every residual row is at most tol.  The
+    graph-membership row is verified numerically: pt must lie in the
     exact follower KKT set and F must reach the inner max value within
     EPS_LVL_DEFAULT, the argmax slack of the inner solver, which supplies
-    that value.
+    that value.  The index sets use the activity margin kkt.EPS_ACT_DEFAULT.
     """
     _check_kind(kind)
-    res, idx, data = _setup(problem, pt, 0.0, None, eps_act)
+    res, idx, data = _setup(problem, pt, 0.0, None)
     d = problem.dims
     alpha, beta, gamma = (
         np.asarray(v, dtype=float).reshape(size)
@@ -359,20 +359,15 @@ def check_stationarity(
     return _report(kind, rows, mults, branch, idx, tol)
 
 
-def recover_relaxed_multipliers(
-    problem: BilevelProblem,
-    t: float,
-    pt: TriplePoint,
-    tol: float = 1e-8,
-    eps_act: float = 1e-6,
-) -> Optional[RelaxedMultipliers]:
+def recover_relaxed_multipliers(problem: BilevelProblem, t: float, pt: TriplePoint) -> Optional[RelaxedMultipliers]:
     """Least-norm multipliers of the relaxed optimality system, or None.
 
-    The complementarity conditions pin every multiplier outside its active
-    set to zero, so one linear feasibility problem with sign constraints
-    remains.
+    A point whose level-t KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
+    refused with InfeasiblePointError.  The complementarity conditions pin
+    every multiplier outside its active set to zero, so one linear
+    feasibility problem with sign constraints remains.
     """
-    _, idx, data = _setup(problem, pt, t, tol, eps_act)
+    _, idx, data = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
     a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
     z, status = least_norm_point(a_eq, b, a_ineq)
     if z is None:
@@ -395,16 +390,16 @@ def check_relaxed_stationarity(
     t: float,
     pt: TriplePoint,
     rm: RelaxedMultipliers,
-    tol: float = 1e-8,
-    eps_act: float = 1e-6,
+    tol: float = kkt.FEAS_TOL_DEFAULT,
     inner_cfg: Optional[InnerConfig] = None,
     graph_check: bool = True,
 ) -> StationarityReport:
     """Residuals of the relaxed optimality system at (pt, rm) for level t.
 
-    The graph rows are those of :func:`check_stationarity` at level t.
+    The verdict holds when every residual row is at most tol.  The graph
+    rows are those of :func:`check_stationarity` at level t.
     """
-    res, idx, data = _setup(problem, pt, t, None, eps_act)  # refuses a point outside D_t before the inner solve
+    res, idx, data = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
     d = problem.dims
     alpha, beta, gamma, mu, delta = (
         np.asarray(v, dtype=float).reshape(size)
@@ -444,17 +439,13 @@ class QualificationReport:
     patterns_checked: int = 0  # sign patterns visited before both verdicts were settled
 
 
-def check_qualification_Am(
-    problem: BilevelProblem,
-    pt: TriplePoint,
-    kind: str = "M",
-    eps_act: float = 1e-6,
-    pattern_cap: int = PATTERN_CAP_DEFAULT,
-) -> QualificationReport:
+def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str = "M") -> QualificationReport:
     """Decide the two multiplier-set qualification conditions at pt.
 
-    The first holds iff the full homogeneous multiplier set contains only
-    zero; the second iff every element of the follower-only variant also
+    A point whose exact KKT violation exceeds kkt.EPS_ACT_DEFAULT is refused
+    with InfeasiblePointError, and a biactive set larger than
+    PATTERN_CAP_DEFAULT with PatternCapError.  The first holds iff the full
+    homogeneous multiplier set contains only zero; the second iff every element of the follower-only variant also
     annihilates the leader-derivative rows.  Both are decided per sign
     pattern, in lexicographic order.  The follower-only cone holds the full
     one, so when it is trivial (a rank test and at most one least-distance
@@ -473,7 +464,7 @@ def check_qualification_Am(
     the same rays and the same refusals, as one pattern at a time would.
     """
     _check_kind(kind)
-    _, idx, data = _setup(problem, pt, 0.0, eps_act, eps_act, pattern_cap)
+    _, idx, data = _setup(problem, pt, 0.0, kkt.EPS_ACT_DEFAULT, PATTERN_CAP_DEFAULT)
     n = problem.dims.n
     rows, _, patterns = _pattern_rows(kind, True, data, idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
@@ -502,22 +493,20 @@ def check_qualification_Am(
     return QualificationReport(a1, a2, kind, certs, patterns_checked=checked)
 
 
-def check_cq1(
-    problem: BilevelProblem,
-    t: float,
-    pt: TriplePoint,
-    eps_act: float = 1e-6,
-) -> bool:
+def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:
     """True iff the homogeneous relaxed multiplier system has only the zero solution.
 
     Complementarity pins each multiplier outside its active set to zero; the
     remaining sign-constrained homogeneous system is a polyhedral cone,
     decided by :func:`~pbopt.simplex.cone_has_nonzero` with a rank test
-    and at most one least-distance solve.  Borderline activity (values
-    within a decade of eps_act) triggers a warning since the support
-    decomposition is only clean away from the threshold.
+    and at most one least-distance solve.  A point whose level-t violation
+    exceeds kkt.EPS_ACT_DEFAULT is refused with InfeasiblePointError.
+    Borderline activity (values within a decade of EPS_ACT_DEFAULT) triggers
+    a warning since the support decomposition is only clean away from the
+    threshold.
     """
-    _, idx, data = _setup(problem, pt, t, eps_act, eps_act)
+    eps_act = kkt.EPS_ACT_DEFAULT
+    _, idx, data = _setup(problem, pt, t, eps_act)
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
     border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
     if border.size:

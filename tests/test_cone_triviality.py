@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from pbopt import simplex
+from pbopt import kkt, simplex
 from pbopt import stationarity as stn
 
 from test_stationarity_pinned import KINDS, _cases, _pinned
@@ -139,11 +139,10 @@ def corpus() -> tuple:
         key = (a_eq.shape, a_eq.tobytes(), None if a_ineq is None else a_ineq.tobytes(), leader.tobytes())
         cones.setdefault(key, ((a_eq, a_ineq, dim), leader))
 
-    eps = 1e-6  # the certifier's default eps_act
     for label, (problem, t, pt) in sorted(_cases().items()):
         n = problem.dims.n
         if t == 0.0:
-            _, idx, data = stn._setup(problem, pt, 0.0, eps, eps, stn.PATTERN_CAP_DEFAULT)
+            _, idx, data = stn._setup(problem, pt, 0.0, kkt.EPS_ACT_DEFAULT, stn.PATTERN_CAP_DEFAULT)
             for kind in KINDS:
                 visited = _pinned()[label][f"qual_{kind}"]["patterns_checked"]
                 rows, _, patterns = stn._pattern_rows(kind, True, data, idx)
@@ -152,7 +151,7 @@ def corpus() -> tuple:
                     add(a_pat, ineq, rows.shape[1])
                     add(a_pat[n:], ineq, rows.shape[1], rows[:n])
         else:
-            _, idx, data = stn._setup(problem, pt, t, eps, eps)
+            _, idx, data = stn._setup(problem, pt, t, kkt.EPS_ACT_DEFAULT)
             a_eq, _, a_ineq = stn._relaxed_system(data, idx, pt.u, homogeneous=True)
             add(-a_eq[n:], a_ineq if len(a_ineq) else None, a_eq.shape[1])
     return tuple(cones.values())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import TriplePoint, check_slater, check_upper_regularity, classify_indices, kkt_residual
+from pbopt import TriplePoint, check_slater, check_upper_regularity, classify_indices, kkt, kkt_residual
 from pbopt.kkt import InfeasiblePointError
 
 from toys import make_no_slater_toy, make_opposing_leader_toy, make_q0_toy
@@ -76,11 +76,12 @@ def test_classify_rejects_complementarity_violation(example1):
         classify_indices(problem, TriplePoint([0.5], [0.5], [1.0, 0.5]), 0.0)
 
 
-def test_classify_stable_under_eps_change(example2):
+def test_classify_stable_under_eps_change(example2, monkeypatch):
     problem, _ = example2
     pt = TriplePoint([-1.0], [1.0], [0.0, 1.0])
-    a = classify_indices(problem, pt, 0.0, eps_act=1e-6)
-    b = classify_indices(problem, pt, 0.0, eps_act=1e-8)
+    a = classify_indices(problem, pt, 0.0)
+    monkeypatch.setattr(kkt, "EPS_ACT_DEFAULT", 1e-8)
+    b = classify_indices(problem, pt, 0.0)
     assert (a.eta, a.theta, a.nu) == (b.eta, b.theta, b.nu)
 
 
@@ -95,7 +96,7 @@ def test_relaxed_index_sets_disjoint(example1):
 
 def test_slater_example1_interior(example1):
     problem, _ = example1
-    res = check_slater(problem, [0.5], starts=8, seed=1)
+    res = check_slater(problem, [0.5])
     assert res.found
     g = problem.eval_g(np.array([0.5]), res.y)
     assert np.max(g) <= -1e-6
@@ -108,28 +109,17 @@ def test_slater_vacuous_without_lower_constraints():
 
 
 def test_slater_failure_is_reported_as_evidence():
-    res = check_slater(make_no_slater_toy(), [0.5], starts=10, seed=3)
+    res = check_slater(make_no_slater_toy(), [0.5])
     assert not res.found
     assert res.y is None
     assert res.max_g >= -1e-6
 
 
-@pytest.mark.parametrize(
-    "x, kw",
-    [
-        ([0.5], {"starts": 0}),
-        ([0.5], {"starts": -2}),
-        ([float("nan")], {}),
-        ([0.5, 0.5, 0.5], {}),
-        ([0.5], {"eps_strict": float("nan")}),
-        ([0.5], {"eps_strict": float("inf")}),
-        ([0.5], {"eps_strict": -1e-6}),
-    ],
-)
-def test_slater_refuses_bad_input(example1, x, kw):
-    # each of these used to return an answer: found=False after no search, or found=True at a bad x
+@pytest.mark.parametrize("x", [[float("nan")], [0.5, 0.5, 0.5]])
+def test_slater_refuses_bad_input(example1, x):
+    # each of these used to return an answer: found=True at a bad x
     with pytest.raises(ValueError):
-        check_slater(example1[0], x, **kw)
+        check_slater(example1[0], x)
 
 
 def test_upper_regularity_example1(example1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import TriplePoint, stationarity
+from pbopt import TriplePoint, kkt, stationarity
 from pbopt.kkt import InfeasiblePointError, check_upper_regularity
 from pbopt.stationarity import (
     Multipliers,
@@ -391,3 +391,50 @@ def test_unknown_kind_is_refused_up_front(example2, kind):
         check_qualification_Am(problem, EX2_PT, kind=kind)
     with pytest.raises(ValueError, match="unknown stationarity kind"):
         check_stationarity(problem, EX2_PT, zero, kind=kind, graph_check=False)
+
+
+
+EX1_RM = (0.1, TriplePoint([1.0], [0.1], [1.0, 0.0]))  # a level-0.1 point with relaxed multipliers
+CERTIFIER_CALLS = {
+    "classify_indices": lambda p, **kw: kkt.classify_indices(p, EX1_PT, 0.0, **kw),
+    "recover_c_multipliers": lambda p, **kw: recover_c_multipliers(p, EX1_PT, **kw),
+    "check_stationarity": lambda p, **kw: check_stationarity(
+        p, EX1_PT, recover_c_multipliers(p, EX1_PT), graph_check=False, **kw
+    ),
+    "recover_relaxed_multipliers": lambda p, **kw: recover_relaxed_multipliers(p, *EX1_RM, **kw),
+    "check_relaxed_stationarity": lambda p, **kw: check_relaxed_stationarity(
+        p, *EX1_RM, recover_relaxed_multipliers(p, *EX1_RM), graph_check=False, **kw
+    ),
+    "check_qualification_Am": lambda p, **kw: check_qualification_Am(p, EX1_PT, **kw),
+    "check_cq1": lambda p, **kw: check_cq1(p, *EX1_RM, **kw),
+    "check_upper_regularity": lambda p, **kw: check_upper_regularity(p, [1.0], **kw),
+    "check_slater": lambda p, **kw: kkt.check_slater(p, [0.5], **kw),
+    "check_gradients_fd": lambda p, **kw: pbopt.check_gradients_fd(p, EX1_PT, **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "name, keyword",
+    [
+        *((name, "eps_act") for name in (
+            "classify_indices", "recover_c_multipliers", "check_stationarity", "recover_relaxed_multipliers",
+            "check_relaxed_stationarity", "check_qualification_Am", "check_cq1",
+        )),
+        ("check_upper_regularity", "eps"),
+        ("recover_c_multipliers", "tol"),
+        ("recover_relaxed_multipliers", "tol"),
+        ("check_qualification_Am", "pattern_cap"),
+        ("check_slater", "starts"),
+        ("check_slater", "seed"),
+        ("check_slater", "eps_strict"),
+        ("check_gradients_fd", "h"),
+    ],
+)
+def test_removed_certifier_keywords_are_refused(example1, name, keyword):
+    # values no caller varied are module constants: kkt.EPS_ACT_DEFAULT,
+    # kkt.FEAS_TOL_DEFAULT, stationarity.PATTERN_CAP_DEFAULT, kkt.SLATER_*
+    # and problem_model.FD_STEP
+    call = CERTIFIER_CALLS[name]
+    call(example1[0])
+    with pytest.raises(TypeError, match=keyword):
+        call(example1[0], **{keyword: 1})
