@@ -241,6 +241,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "status": res.status,
         "value": None if res.status != "solved" else float(res.value),
         "evals": res.evals,
+        "rounds": res.rounds,
         "argmax": [[float(v) for v in row] for row in res.argmax.points],
     }
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -18,7 +18,8 @@ from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad, 
 from .simplex import cone_has_nonzero
 
 # The certifier's tolerances: a value within EPS_ACT_DEFAULT of zero counts as
-# active, and multiplier recovery refuses a point violating by more than FEAS_TOL_DEFAULT.
+# active, and multiplier recovery and the qualification checks refuse a point
+# violating by more than FEAS_TOL_DEFAULT.
 EPS_ACT_DEFAULT = 1e-6
 FEAS_TOL_DEFAULT = 1e-8
 # The Slater probe: seeded Nelder-Mead starts drawn in y_box, and the margin

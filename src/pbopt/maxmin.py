@@ -127,12 +127,14 @@ class InnerConfig:
     """Starts and budgets of the multistart inner maximiser.
 
     ``starts`` seeded random starts (``seed``) run alongside the
-    ``warm_starts``; together they must give at least one start.  A solve
-    runs ``sweeps`` polish-then-ascend rounds, each ascent at most
-    ``local_maxiter`` iterations.  Follower multipliers are searched in
-    [0, ``u_max``], the follower variables in the problem's ``y_box``, and
-    a point counts as feasible when its largest violation is at most
-    ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's step
+    ``warm_starts`` (each a finite vector of m + q entries); together they
+    must give at least one start.  A solve runs at most ``sweeps``
+    polish-then-ascend rounds, each ascent at most ``local_maxiter``
+    iterations; a start the ascent leaves settled skips the later rounds,
+    and the solve stops once every start is settled.  Follower multipliers
+    are searched in [0, ``u_max``], the follower variables in the problem's
+    ``y_box``, and a point counts as feasible when its largest violation is
+    at most ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's step
     rule (STEP_INIT, STEP_GROWTH, STEP_MIN) and the argmax level slack
     (EPS_LVL_DEFAULT) are module constants.
     """
@@ -164,7 +166,10 @@ class InnerSolveResult:
     value: float
     argmax: SampledSet
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
-    evals: int  # polish iterations plus ascent trial evaluations, summed over the starts
+    # polish iterations plus ascent trial evaluations, summed over the starts
+    # and over the rounds they ran (a settled start's skipped rounds count nothing)
+    evals: int
+    rounds: int = 0  # rounds in which the leader point still had an unsettled start, at most sweeps
 
 
 def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
@@ -401,8 +406,16 @@ def _ascend(
     by STEP_GROWTH; otherwise the step halves.  A row stops at a KKT point,
     below STEP_MIN, or after cfg.local_maxiter trials.
 
-    Returns the points, their violations, their F values and the residual
-    evaluations of each row (restoration polish iterations included).
+    A row is settled when it stopped at a KKT point, or below STEP_MIN
+    without accepting a step: another ascent from its point starts at
+    STEP_INIT as this one did and repeats it bit for bit, so it cannot move
+    the row (Rosen's stopping rule).  A row that accepted a step and then
+    stopped below STEP_MIN or at cfg.local_maxiter is not settled, nor is
+    one that started off D_t or with a non-finite F.
+
+    Returns the points, their violations, their F values, the residual
+    evaluations of each row (restoration polish iterations included) and
+    the settled mask.
     """
     m, q = problem.dims.m, problem.dims.q
     N, k = Z.shape[0], m + 3 * q + 2 * (m + q)
@@ -413,11 +426,13 @@ def _ascend(
     d, act, pinv, cap = np.zeros((N, m + q)), np.zeros((N, k), dtype=bool), np.zeros((N, m + q, k)), np.zeros(N)
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
+    at_kkt, moved = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
             moving, d[fresh], act[fresh], pinv[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi)
             evals[fresh] += 1
             running[fresh[~moving]] = False
+            at_kkt[fresh[~moving]] = True
         run = np.flatnonzero(running)
         if not run.size:
             break
@@ -436,10 +451,11 @@ def _ascend(
         up = (vt <= cfg.feas_tol) & (ft > f[run])
         fresh, back = run[up], run[~up]
         Z[fresh], viol[fresh], f[fresh] = Zt[up], vt[up], ft[up]
+        moved[fresh] = True
         step[fresh] *= STEP_GROWTH
         step[back] *= 0.5
         running[back] = step[back] >= STEP_MIN
-    return Z, viol, f, evals
+    return Z, viol, f, evals, at_kkt | (~moved & (step < STEP_MIN))
 
 
 def evaluate_psi_t(
@@ -450,10 +466,13 @@ def evaluate_psi_t(
 ) -> InnerSolveResult:
     """Best feasible leader objective over the level-t follower KKT set at x.
 
-    Multistart feasible-direction ascent in cfg.sweeps rounds: each polishes
-    every start onto the set (:func:`polish_onto_relaxed_set`) and then runs
-    :func:`_ascend` from the points that reached it.  ``evals`` counts the
-    polish iterations plus the ascent trial evaluations.  The reported value
+    Multistart feasible-direction ascent in at most cfg.sweeps rounds: each
+    polishes the starts onto the set (:func:`polish_onto_relaxed_set`) and
+    then runs :func:`_ascend` from the points that reached it.  A start the
+    ascent leaves settled would come out of every later round unchanged, so
+    it skips them, and the solve ends once every start is settled;
+    ``rounds`` counts the rounds that ran.  ``evals`` counts the polish
+    iterations plus the ascent trial evaluations.  The reported value
     comes only from points feasible within cfg.feas_tol, and the argmax cloud
     collects every one within EPS_LVL_DEFAULT of the best value.  All starts
     advance together, so each evaluation covers the whole batch.
@@ -480,14 +499,29 @@ def evaluate_psi_t_batch(
     return _solve_rows(problem, X, t, cfg or InnerConfig())
 
 
+def _warm_block(cfg: InnerConfig, k: int) -> Array:
+    """cfg.warm_starts as a (len, k) block; a start that is not a finite k-vector is refused."""
+    warm = [np.asarray(w, dtype=float) for w in cfg.warm_starts]
+    for w in warm:
+        if w.shape != (k,) or not np.isfinite(w).all():
+            raise ValueError(f"each warm start must be a finite vector of m + q = {k} entries")
+    return np.reshape(warm, (len(warm), k))
+
+
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
-    """The inner solves at the rows of X, every start of every row in lockstep."""
+    """The inner solves at the rows of X, every start of every row in lockstep.
+
+    Each round polishes and ascends only the live rows, the ones no earlier
+    round left settled; since every operation is row-independent, a settled
+    row keeps exactly the point, violation and F that running it again
+    would give.
+    """
     t = relaxation_level(t)
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
+    warm = _warm_block(cfg, m + q)
     rng = np.random.default_rng(cfg.seed)
     rand = rng.uniform(lo, hi, size=(cfg.starts, m + q))
-    warm = np.asarray(cfg.warm_starts, dtype=float).reshape(-1, m + q)
     Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
     n_starts, Z = len(Z0), Z0
     if not len(X):
@@ -496,20 +530,28 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
         Z = np.tile(Z0, (len(X), 1))
         X = np.repeat(X, n_starts, axis=0)
     evals = np.zeros(Z.shape[0], dtype=int)
+    viol, fval = np.empty(Z.shape[0]), np.empty(Z.shape[0])
+    rounds = np.zeros(len(Z) // n_starts, dtype=int)
+    live = np.arange(Z.shape[0])
     # Overflow only turns rows non-finite, which the polish and the ascent
     # already handle and _inner_result reports; numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.sweeps):
-            Z, viol, polish_iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
-            Z, viol, fval, ascent_evals = _ascend(problem, X, Z, viol, t, lo, hi, cfg)
-            evals += polish_iters + ascent_evals
+            Xl = _take(X, live)
+            P, pviol, polish_iters = polish_onto_relaxed_set(problem, Xl, Z[live], t, lo, hi, cfg.feas_tol)
+            Z[live], viol[live], fval[live], ascent_evals, settled = _ascend(problem, Xl, P, pviol, t, lo, hi, cfg)
+            evals[live] += polish_iters + ascent_evals
+            rounds[np.unique(live // n_starts)] += 1
+            live = live[~settled]
+            if not live.size:
+                break
         return [
-            _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg)
+            _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg, int(rounds[r // n_starts]))
             for r in range(0, Z.shape[0], n_starts)
         ]
 
 
-def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig) -> InnerSolveResult:
+def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig, rounds: int) -> InnerSolveResult:
     """The value, status and argmax cloud of one leader point's polished starts.
 
     With no start feasible the status is "budget_exhausted" when one came
@@ -528,11 +570,12 @@ def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cf
             argmax=SampledSet(np.zeros((0, Z.shape[1])), meta={"seed": cfg.seed}),
             status=status,
             evals=int(evals.sum()),
+            rounds=rounds,
         )
     value = float(fval[feas].max())
     pts = dedup_points(Z[feas & (fval >= value - EPS_LVL_DEFAULT)], DEDUP_TOL)
     meta = {"kind": "multistart", "seed": cfg.seed, "starts": cfg.starts, "t": float(t)}
-    return InnerSolveResult(value=value, argmax=SampledSet(pts, meta), status="solved", evals=int(evals.sum()))
+    return InnerSolveResult(value=value, argmax=SampledSet(pts, meta), status="solved", evals=int(evals.sum()), rounds=rounds)
 
 
 def approximate_argmax_set(

@@ -442,11 +442,12 @@ class QualificationReport:
 def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str = "M") -> QualificationReport:
     """Decide the two multiplier-set qualification conditions at pt.
 
-    A point whose exact KKT violation exceeds kkt.EPS_ACT_DEFAULT is refused
-    with InfeasiblePointError, and a biactive set larger than
-    PATTERN_CAP_DEFAULT with PatternCapError.  The first holds iff the full
-    homogeneous multiplier set contains only zero; the second iff every element of the follower-only variant also
-    annihilates the leader-derivative rows.  Both are decided per sign
+    A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
+    refused with InfeasiblePointError, as the multiplier recoveries refuse
+    it, and a biactive set larger than PATTERN_CAP_DEFAULT with
+    PatternCapError.  The first holds iff the full homogeneous multiplier
+    set contains only zero; the second iff every element of the
+    follower-only variant also annihilates the leader-derivative rows.  Both are decided per sign
     pattern, in lexicographic order.  The follower-only cone holds the full
     one, so when it is trivial (a rank test and at most one least-distance
     solve, as in :func:`~pbopt.simplex.cone_has_nonzero`) the pattern
@@ -464,7 +465,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     the same rays and the same refusals, as one pattern at a time would.
     """
     _check_kind(kind)
-    _, idx, data = _setup(problem, pt, 0.0, kkt.EPS_ACT_DEFAULT, PATTERN_CAP_DEFAULT)
+    _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, PATTERN_CAP_DEFAULT)
     n = problem.dims.n
     rows, _, patterns = _pattern_rows(kind, True, data, idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
@@ -500,13 +501,14 @@ def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:
     remaining sign-constrained homogeneous system is a polyhedral cone,
     decided by :func:`~pbopt.simplex.cone_has_nonzero` with a rank test
     and at most one least-distance solve.  A point whose level-t violation
-    exceeds kkt.EPS_ACT_DEFAULT is refused with InfeasiblePointError.
+    exceeds kkt.FEAS_TOL_DEFAULT is refused with InfeasiblePointError, as
+    :func:`recover_relaxed_multipliers` refuses it.
     Borderline activity (values within a decade of EPS_ACT_DEFAULT) triggers
     a warning since the support decomposition is only clean away from the
     threshold.
     """
     eps_act = kkt.EPS_ACT_DEFAULT
-    _, idx, data = _setup(problem, pt, t, eps_act)
+    _, idx, data = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
     border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
     if border.size:

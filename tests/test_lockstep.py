@@ -67,14 +67,14 @@ def test_start_path_does_not_depend_on_its_batch(name):
     Z0 = rng.uniform(lo, hi, size=(8, lo.size))
     P, viol, iters = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
     assert (viol <= cfg.feas_tol).sum() >= 2  # the ascent runs on several starts at once
-    Q, qviol, fval, evals = _ascend(problem, x[None], P, viol, t, lo, hi, cfg)
+    Q, qviol, fval, evals, settled = _ascend(problem, x[None], P, viol, t, lo, hi, cfg)
     for i in range(len(Z0)):
         Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, Z0[i : i + 1], t, lo, hi, cfg.feas_tol)
         np.testing.assert_array_equal(Pi[0], P[i])
         assert (viol_i[0], iters_i[0]) == (viol[i], iters[i])
-        Qi, qviol_i, fval_i, evals_i = _ascend(problem, x[None], Pi, viol_i, t, lo, hi, cfg)
+        Qi, qviol_i, fval_i, evals_i, settled_i = _ascend(problem, x[None], Pi, viol_i, t, lo, hi, cfg)
         np.testing.assert_array_equal(Qi[0], Q[i])
-        assert (qviol_i[0], fval_i[0], evals_i[0]) == (qviol[i], fval[i], evals[i])
+        assert (qviol_i[0], fval_i[0], evals_i[0], settled_i[0]) == (qviol[i], fval[i], evals[i], settled[i])
 
 
 # Leader points of each problem; example1's x = 0.01 lies in the x -> 0 corner,

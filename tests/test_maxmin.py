@@ -11,7 +11,7 @@ from pbopt import maxmin
 from pbopt.maxmin import DEDUP_TOL, EPS_LVL_DEFAULT, InnerInfeasibleError, approximate_argmax_set, dedup_points
 from pbopt.kkt import kkt_residual
 
-from toys import make_empty_lower_toy, make_q0_toy
+from toys import make_empty_lower_toy, make_q0_toy, named_problem
 
 
 BRUTE_GRID = GridSpec(((0.0, 1.0, 41), (0.0, 2.2, 45), (0.0, 2.2, 45)))
@@ -343,35 +343,108 @@ def test_brute_force_refuses_bad_input(example1, x, t):
         brute_force_psi_t(example1[0], x, t, BRUTE_GRID)
 
 
-def test_every_sweep_starts_from_polished_points(monkeypatch, example2):
-    """Each round polishes every start and ascends from the polished points.
+def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, example2):
+    """A round polishes and ascends exactly the rows the last round left unsettled.
 
     evals counts the iterations of the round polishes plus the ascent's
-    evaluations, which include the iterations of its restoration polishes.
+    evaluations, which include the iterations of its restoration polishes;
+    rounds counts the rounds that ran a start of the leader point.
     """
     problem, _ = example2
     polish, ascend = maxmin.polish_onto_relaxed_set, maxmin._ascend
-    polished, ascended = [], []
+    polished, ran = [], []
 
     def count_polish(*args):
         out = polish(*args)
-        polished.append(out)
+        polished.append((args[1].copy(), args[2].copy(), out))
         return out
 
     def count_ascent(problem, X, Z, viol, *rest):
-        start = polished[-1]
+        X0, Z0, start = polished[-1]
         assert Z is start[0] and viol is start[1]  # the round's polish, not a restoration
-        del polished[-1]
         out = ascend(problem, X, Z, viol, *rest)
-        ascended.append((start, out))
+        ran.append((X0, Z0, start, out))
         return out
 
     monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
     monkeypatch.setattr(maxmin, "_ascend", count_ascent)
-    cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=60)
-    results = maxmin.evaluate_psi_t_batch(problem, [[-0.3], [0.4]], 0.1, cfg)
-    assert len(ascended) == cfg.sweeps
-    assert sum(res.evals for res in results) == sum(int(start[2].sum() + out[3].sum()) for start, out in ascended)
+    cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=2)  # an ascent this short leaves starts unsettled
+    X = [[-0.3], [0.4]]
+    results = maxmin.evaluate_psi_t_batch(problem, X, 0.1, cfg)
+    assert len(ran[0][1]) == 2 * cfg.starts
+    for (X_prev, _, _, prev), (X0, Z0, _, _) in zip(ran, ran[1:]):
+        unsettled = ~prev[4]
+        assert unsettled.any()
+        np.testing.assert_array_equal(X0, X_prev[unsettled])
+        np.testing.assert_array_equal(Z0, prev[0][unsettled])
+    assert 1 < len(ran) <= cfg.sweeps
+    assert len(ran) == cfg.sweeps or ran[-1][3][4].all()
+    assert [res.rounds for res in results] == [sum(x[0] in X0 for X0, *_ in ran) for x in X] == [2, 3]
+    assert sum(res.evals for res in results) == sum(int(start[2].sum() + out[3].sum()) for _, _, start, out in ran)
+
+
+def every_round_on_every_start(problem, X, t, cfg):
+    """The inner solves of X, one leader point at a time, with every start in every round."""
+    k = problem.dims.m + problem.dims.q
+    lo, hi = maxmin.follower_box(problem, cfg)
+    rand = np.random.default_rng(cfg.seed).uniform(lo, hi, size=(cfg.starts, k))
+    Z0 = np.clip(np.vstack([np.reshape(cfg.warm_starts, (-1, k)), rand]), lo, hi)
+    out = []
+    for x in np.atleast_2d(X):
+        Z = Z0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.sweeps):
+                Z, viol, _ = maxmin.polish_onto_relaxed_set(problem, x, Z, t, lo, hi, cfg.feas_tol)
+                Z, viol, fval = maxmin._ascend(problem, x[None], Z, viol, t, lo, hi, cfg)[:3]
+        out.append(maxmin._inner_result(Z, viol, fval, np.zeros(len(Z), dtype=int), t, cfg, cfg.sweeps))
+    return out
+
+
+SKIP_CFGS = {
+    "acceptance": InnerConfig(starts=10, sweeps=3, local_maxiter=80),
+    "certifier": InnerConfig(starts=12, sweeps=4, feas_tol=1e-10),
+    "one_trial": InnerConfig(starts=8, sweeps=4, local_maxiter=1),  # starts stay unsettled, later rounds run
+}
+
+
+@pytest.mark.parametrize("cfg_name", sorted(SKIP_CFGS))
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example1_fd", "example2_fd", "synthetic2d_fd"])
+def test_skipping_settled_starts_changes_no_result(name, cfg_name):
+    problem, cfg = named_problem(name), SKIP_CFGS[cfg_name]
+    n = problem.dims.n
+    rng = np.random.default_rng(17)
+    X = np.vstack([rng.uniform(problem.x_box[:, 0], problem.x_box[:, 1], size=(3, n)), np.full((1, n), 0.01)])
+    for t in (0.3, 0.004):
+        want = every_round_on_every_start(problem, X, t, cfg)
+        batch = maxmin.evaluate_psi_t_batch(problem, X, t, cfg)
+        for x, ref, got in zip(X, want, batch):
+            lone = evaluate_psi_t(problem, x, t, cfg)
+            for res in (got, lone):
+                assert res.status == ref.status
+                np.testing.assert_array_equal([res.value], [ref.value])
+                np.testing.assert_array_equal(res.argmax.points, ref.argmax.points)
+            assert 1 <= lone.rounds == got.rounds <= cfg.sweeps
+        if cfg_name == "one_trial":
+            assert max(res.rounds for res in batch) > 1
+
+
+@pytest.mark.parametrize(
+    "warm",
+    [
+        (np.zeros(6),),  # was silently read as two starts
+        (np.zeros(3), np.zeros(2)),
+        (np.array([0.2, np.nan, 0.0]),),
+        (np.array([0.2, 0.5, np.inf]),),
+        (np.zeros((1, 3)),),
+        (0.5,),
+    ],
+)
+def test_misshaped_or_nonfinite_warm_starts_refused(example1, warm):
+    cfg = InnerConfig(starts=0, warm_starts=warm)
+    with pytest.raises(ValueError, match="m \\+ q = 3"):
+        evaluate_psi_t(example1[0], [0.5], 0.1, cfg)
+    with pytest.raises(ValueError, match="m \\+ q = 3"):
+        maxmin.evaluate_psi_t_batch(example1[0], [[0.5], [0.2]], 0.1, cfg)
 
 
 CLOSED_FORM_CFG = InnerConfig(starts=10, sweeps=3, local_maxiter=80)

@@ -85,7 +85,7 @@ def reference_qualification(problem, pt, kind):
 
     cones[name] is the (a_eq, a_ineq, w) cone the certificate ray was found in.
     """
-    _, idx, data = stn._setup(problem, pt, 0.0, kkt.EPS_ACT_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+    _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
     a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
     n, dim = problem.dims.n, a_eq.shape[1]
     leader = [sign * row for row in a_eq[:n] if np.any(row) for sign in (1.0, -1.0)]
@@ -184,7 +184,7 @@ def test_qualification_stacks_its_rank_tests_and_least_distance_set_ups(solver_c
     assert solver_calls["nnls"] == sequential["nnls"]
     if not duplicate:  # all 243 patterns: one rank test each when one pattern goes at a time
         assert a1 and a2 and patterns == 243 and sequential["svd"] >= patterns
-        _, idx, data = stn._setup(problem, pt, 0.0, kkt.EPS_ACT_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+        _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
         _, _, systems = stn._pattern_rows("M", True, data, idx)
         stacks = sum(len({(len(eq), len(ineq)) for eq, ineq in chunk}) for chunk in stn._chunks(systems))
         # per chunk and shape of system: one stacked rank test and at most one stacked least-distance SVD

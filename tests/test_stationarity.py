@@ -289,6 +289,21 @@ def test_relaxed_precondition_negative_u(example1):
         recover_relaxed_multipliers(problem, 0.1, TriplePoint([0.5], [0.1], [-0.5, 0.0]))
 
 
+def test_qualification_checks_refuse_what_the_recoveries_refuse(example1):
+    # stationarity violated by 1e-7: above kkt.FEAS_TOL_DEFAULT, below kkt.EPS_ACT_DEFAULT;
+    # the qualification checks used to answer here (a1 = a2 = True) while no multiplier was recovered
+    problem, _ = example1
+    pt = TriplePoint([0.5], [0.0], [0.5, 1e-7])
+    for certify in (
+        lambda: recover_c_multipliers(problem, pt),
+        lambda: recover_relaxed_multipliers(problem, 0.0, pt),
+        lambda: check_qualification_Am(problem, pt, kind="M"),
+        lambda: check_cq1(problem, 0.0, pt),
+    ):
+        with pytest.raises(InfeasiblePointError, match="'stationarity' violates by 1.000e-07"):
+            certify()
+
+
 def test_relaxed_check_refuses_before_the_inner_solve(example1, monkeypatch):
     # u = (-0.5, 0) lies outside D_t: the refusal must not pay for a graph-value solve
     problem, _ = example1
