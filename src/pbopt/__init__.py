@@ -5,7 +5,7 @@ maximisation over the relaxed follower KKT set, minimises it over the
 leader's feasible set along a decreasing relaxation schedule, and certifies
 stationarity and qualification conditions at candidate solutions.
 """
-from .benchlib import AnalyticOracle, get_problem, make_example1, make_example2, make_synthetic2d, oracle_crosscheck, oracle_grid, problem_names
+from .benchlib import AnalyticOracle, get_problem, make_example1, make_example2, make_synthetic2d, oracle_grid, problem_names
 from .kkt import (
     IndexSets,
     InfeasiblePointError,

@@ -12,14 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .maxmin import (
-    GridSpec,
-    SampledSet,
-    batch_feasibility,
-    batch_objective,
-    brute_force_psi_t,
-    dedup_points,
-)
+from .maxmin import GridSpec, SampledSet, dedup_points
 from .problem_model import Array, BilevelProblem, ProblemDims
 
 _ZERO_X = 1e-12
@@ -344,27 +337,11 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
     return problem, oracle
 
 
-def _complementarity_grid(x: float, t: float, res: int, y_res: int) -> GridSpec:
-    """Crosscheck grid of the shared example1/example2 follower at (x, t).
-
-    Complementarity guarantees an inner maximum with one of the two follower
-    multipliers at zero, so that axis is pinned and the other resolved on a
-    window around the stationarity band.
-    """
-    pad = 0.05
-    if x >= 0.0:
-        u1 = (max(0.0, x - pad), x + t + pad, res)
-        return GridSpec(((0.0, 1.0, y_res), u1, (0.0, 0.0, 1)))
-    u2 = (max(0.0, -x - pad), -x + t + pad, res)
-    return GridSpec(((0.0, 1.0, y_res), (0.0, 0.0, 1), u2))
-
-
-# name -> (maker, crosscheck grid hint (x, t, res, y_res) -> GridSpec, or None
-# for the shared oracle grid)
+# name -> maker
 _REGISTRY = {
-    "example1": (make_example1, _complementarity_grid),
-    "example2": (make_example2, _complementarity_grid),
-    "synthetic2d": (make_synthetic2d, None),
+    "example1": make_example1,
+    "example2": make_example2,
+    "synthetic2d": make_synthetic2d,
 }
 
 
@@ -374,7 +351,7 @@ def problem_names() -> list[str]:
 
 def get_problem(name: str) -> tuple[BilevelProblem, AnalyticOracle]:
     try:
-        maker, _ = _REGISTRY[name]
+        maker = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(problem_names())}") from None
     return maker()
@@ -387,61 +364,3 @@ def oracle_grid(problem: BilevelProblem, res: int = 60, u_cap: float = 3.5) -> G
     """
     axes = [(float(lo), float(hi), res) for lo, hi in problem.y_box]
     return GridSpec(tuple(axes + [(0.0, u_cap, res)] * problem.dims.q))
-
-
-def crosscheck_grid(problem: BilevelProblem, x: float, t: float, res: int = 400, y_res: int = 1000) -> GridSpec:
-    """Value-oracle grid adapted to the follower structure of one benchmark.
-
-    The registry entry of the problem supplies the grid hint; a problem
-    without one gets the shared oracle grid.  Window placement uses only the
-    constraint structure; the maximised value still comes from the raw grid
-    scan.
-    """
-    _, hint = _REGISTRY.get(problem.name, (None, None))
-    if hint is None:
-        return oracle_grid(problem, res=25)
-    return hint(float(x), t, res, y_res)
-
-
-@dataclass
-class CrosscheckReport:
-    max_value_gap: float
-    max_argmax_excess: float
-    entries: int
-
-
-def oracle_crosscheck(
-    example_id: str,
-    x_values: Array,
-    t_values: Array,
-    grid_res: int = 400,
-) -> CrosscheckReport:
-    """Compare the closed-form oracle with the brute-force grid maximiser."""
-    problem, oracle = get_problem(example_id)
-    max_gap = 0.0
-    max_excess = 0.0
-    entries = 0
-    for xv in np.atleast_1d(x_values):
-        x = np.atleast_1d(np.asarray(xv, dtype=float))
-        for t in np.atleast_1d(t_values):
-            grid = crosscheck_grid(problem, float(x[0]), float(t), res=grid_res)
-            bf = brute_force_psi_t(problem, x, float(t), grid)
-            if not bf.feasible:
-                continue
-            entries += 1
-            max_gap = max(max_gap, abs(oracle.psi_p_t(x, float(t)) - bf.value))
-            sample = oracle.s_p_t(x, float(t))
-            if len(sample):
-                # Set-level check on a uniform grid: every oracle argmax point
-                # must sit near the sampled near-optimal cloud.
-                uni = oracle_grid(problem, res=48, u_cap=2.2)
-                pts = uni.points()
-                tau = uni.tolerance()
-                mask = batch_feasibility(problem, x, pts, float(t), tau)
-                if mask.any():
-                    F = batch_objective(problem, x, pts[mask][:, : problem.dims.m])
-                    cloud = pts[mask][F >= bf.value - (2 * tau + 0.02)]
-                    from .setvalued import excess
-
-                    max_excess = max(max_excess, excess(sample, SampledSet(cloud)))
-    return CrosscheckReport(max_value_gap=float(max_gap), max_argmax_excess=float(max_excess), entries=entries)

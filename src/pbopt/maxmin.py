@@ -166,8 +166,10 @@ class InnerSolveResult:
     value: float
     argmax: SampledSet
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
-    # polish iterations plus ascent trial evaluations, summed over the starts
-    # and over the rounds they ran (a settled start's skipped rounds count nothing)
+    # polish iterations plus the ascent's evaluations (one per new direction,
+    # 1-3 per trial, and the iterations of its restoration polishes), summed
+    # over the starts and over the rounds they ran (a settled start's skipped
+    # rounds count nothing)
     evals: int
     rounds: int = 0  # rounds in which the leader point still had an unsettled start, at most sweeps
 
@@ -211,17 +213,25 @@ def _violations(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[
     return g, v, np.abs(v).max(axis=1, initial=0.0)
 
 
-def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array) -> Array:
-    """Jacobian of each row's signed rows r in (y, u), shape (N, m + 3q, m + q)."""
+def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array, box: bool = False) -> Array:
+    """Jacobian of each row's signed rows r in (y, u), shape (N, m + 3q, m + q).
+
+    With ``box`` the rows of z - hi and lo - z follow, +I then -I, written
+    in place: shape (N, m + 3q + 2(m + q), m + q).
+    """
     m, q = problem.dims.m, problem.dims.q
-    eye = np.eye(q)
-    J = np.zeros((Z.shape[0], m + 3 * q, m + q))
+    J = np.zeros((Z.shape[0], m + 3 * q + (2 * (m + q) if box else 0), m + q))
     J[:, :m] = problem.lagrangian_jac_rows(X, Z[:, :m], U)
     Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
     J[:, m : m + q, :m] = Jgy
-    J[:, m + q : m + 2 * q, m:] = -eye
-    J[:, m + 2 * q :, :m] = -U[:, :, None] * Jgy
-    J[:, m + 2 * q :, m:] = -g[:, :, None] * eye
+    J[:, m + 2 * q : m + 3 * q, :m] = -U[:, :, None] * Jgy
+    j = np.arange(q)
+    J[:, m + q + j, m + j] = -1.0
+    J[:, m + 2 * q + j, m + j] = -g
+    if box:
+        j = np.arange(m + q)
+        J[:, m + 3 * q + j, j] = 1.0
+        J[:, 2 * m + 4 * q + j, j] = -1.0
     return J
 
 
@@ -334,25 +344,25 @@ def _signed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Arra
     r = np.concatenate([r, Z - hi, lo - Z], axis=1)
     if not jac:
         return r
-    eye = np.eye(Z.shape[1])
-    box = np.broadcast_to(np.vstack([eye, -eye]), (Z.shape[0], 2 * Z.shape[1], Z.shape[1]))
-    return r, np.concatenate([_residual_jacobian(problem, X, Z, U, g), box], axis=1)
+    return r, _residual_jacobian(problem, X, Z, U, g, box=True)
 
 
 def _project(A: Array, act: Array, grad: Array) -> tuple[Array, Array, Array]:
     """grad minus its projection onto the row space of the active rows of A.
 
-    One stacked SVD of the masked A, with singular values below RANK_TOL
-    times the largest dropped, gives the projected gradient d, the
-    least-norm multipliers lam (A_act^T lam = grad - d) and the
-    pseudo-inverse of A_act, of shape (N, m + q, rows).
+    One stacked SVD of the masked A = W diag(s) V^T, with singular values
+    below RANK_TOL times the largest dropped, gives the projected gradient
+    d, the least-norm multipliers lam (A_act^T lam = grad - d) and the
+    pseudo-inverse V diag(1/s) W^T of A_act, of shape (N, m + q, rows).
+    Every product is a stacked matmul, one matrix per row.
     """
     W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
     keep = s > RANK_TOL * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    d = grad - np.einsum("nji,nj->ni", Vt, np.einsum("nij,nj->ni", Vt, grad) * keep)
-    pinv = np.einsum("nji,nj,nkj->nik", Vt, inv, W)
-    lam = np.where(act, np.einsum("nik,ni->nk", pinv, grad), 0.0)
+    V = np.swapaxes(Vt, 1, 2)
+    d = grad - (V @ ((Vt @ grad[:, :, None]) * keep[:, :, None]))[:, :, 0]
+    pinv = (V * inv[:, None, :]) @ np.swapaxes(W, 1, 2)
+    lam = np.where(act, (grad[:, None, :] @ pinv)[:, 0], 0.0)
     return d, lam, pinv
 
 
@@ -373,8 +383,9 @@ def _directions(
     r, A = _signed_rows(problem, X, Z, t, lo, hi, jac=True)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
-    bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
-    r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0  # d = 0: no direction
+    if not (np.isfinite(A).all() and np.isfinite(r).all() and np.isfinite(grad).all()):
+        bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
+        r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0  # d = 0: no direction
     act = r >= -ACTIVE_TOL
     act[:, :m] = True
     small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
@@ -386,7 +397,7 @@ def _directions(
             break
         act[drop, lam[drop].argmin(axis=1)] = False
         d[drop], lam[drop], pinv[drop] = _project(A[drop], act[drop], grad[drop])
-    slope = np.einsum("nkj,nj->nk", A, d)
+    slope = (A @ d[:, :, None])[:, :, 0]
     cross = (r < -ACTIVE_TOL) & (slope > 0.0)
     cap = np.where(cross, -r / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
     return np.abs(d).max(axis=1, initial=0.0) > small, d, act, pinv, cap
@@ -399,11 +410,14 @@ def _ascend(
 
     Gradient projection with restoration, all rows in lockstep.  A row
     steps along its :func:`_directions` direction, as far as the step cap
-    allows, and the trial is restored by two chord steps with the active
-    rows' pseudo-inverse and, where that leaves a violation above
-    cfg.feas_tol, by :func:`polish_onto_relaxed_set`.  A restored point
-    that is feasible with a higher F is accepted and the row's step grows
-    by STEP_GROWTH; otherwise the step halves.  A row stops at a KKT point,
+    allows, and the trial is restored by at most two chord steps with the
+    active rows' pseudo-inverse and, where the third evaluation still finds
+    a violation above cfg.feas_tol, by :func:`polish_onto_relaxed_set`.
+    Each restoration point is evaluated once: its signed rows give both the
+    chord step and the trial's violation, and a row stops restoring at the
+    first evaluation that finds it feasible.  A restored point that is
+    feasible with a higher F is accepted and the row's step grows by
+    STEP_GROWTH; otherwise the step halves.  A row stops at a KKT point,
     below STEP_MIN, or after cfg.local_maxiter trials.
 
     A row is settled when it stopped at a KKT point, or below STEP_MIN
@@ -414,8 +428,8 @@ def _ascend(
     one that started off D_t or with a non-finite F.
 
     Returns the points, their violations, their F values, the residual
-    evaluations of each row (restoration polish iterations included) and
-    the settled mask.
+    evaluations of each row (one per new direction, 1-3 per trial, and the
+    restoration polish iterations) and the settled mask.
     """
     m, q = problem.dims.m, problem.dims.q
     N, k = Z.shape[0], m + 3 * q + 2 * (m + q)
@@ -438,12 +452,19 @@ def _ascend(
             break
         Xr = _take(X, run)
         Zt = np.clip(Z[run] + np.minimum(step[run], cap[run])[:, None] * d[run], lo, hi)
-        for _ in range(2):  # chord steps z <- z - A_act^+ r_act(z)
-            r = np.where(act[run], _signed_rows(problem, Xr, Zt, t, lo, hi), 0.0)
-            Zt = np.clip(Zt - np.einsum("nik,nk->ni", pinv[run], r), lo, hi)
-        vt = _violations(problem, Xr, Zt, t)[2]
-        evals[run] += 3
-        far = np.flatnonzero(vt > cfg.feas_tol)
+        vt = np.empty(run.size)
+        far = np.arange(run.size)
+        for e in range(3):  # three evaluations, with a chord step z <- z - A_act^+ r_act(z) between two
+            r = _signed_rows(problem, _take(Xr, far), Zt[far], t, lo, hi)
+            evals[run[far]] += 1
+            # the largest violation, as _violations reads it off the same rows
+            vt[far] = np.maximum(np.abs(r[:, :m]).max(axis=1, initial=0.0), r[:, m : m + 3 * q].max(axis=1, initial=0.0))
+            off = vt[far] > cfg.feas_tol
+            far, r = far[off], r[off]
+            if e == 2 or not far.size:
+                break
+            r[~act[run[far]]] = 0.0
+            Zt[far] = np.clip(Zt[far] - (pinv[run[far]] @ r[:, :, None])[:, :, 0], lo, hi)
         if far.size:
             Zt[far], vt[far], iters = polish_onto_relaxed_set(problem, _take(Xr, far), Zt[far], t, lo, hi, cfg.feas_tol)
             evals[run[far]] += iters
@@ -472,10 +493,11 @@ def evaluate_psi_t(
     ascent leaves settled would come out of every later round unchanged, so
     it skips them, and the solve ends once every start is settled;
     ``rounds`` counts the rounds that ran.  ``evals`` counts the polish
-    iterations plus the ascent trial evaluations.  The reported value
-    comes only from points feasible within cfg.feas_tol, and the argmax cloud
-    collects every one within EPS_LVL_DEFAULT of the best value.  All starts
-    advance together, so each evaluation covers the whole batch.
+    iterations plus the ascent's evaluations (see :class:`InnerSolveResult`).
+    The reported value comes only from points feasible within cfg.feas_tol,
+    and the argmax cloud collects every one within EPS_LVL_DEFAULT of the
+    best value.  All starts advance together, so each evaluation covers the
+    whole batch.
     """
     x = problem.leader_point(x)
     return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
@@ -491,9 +513,10 @@ def evaluate_psi_t_batch(
 
     Every row gets the same seeded and warm starts, and the starts of all
     rows advance together, so one evaluation covers many leader points.
-    The ascent uses only row-independent linear algebra (stacked SVDs and
-    solves, einsum, elementwise operations), so each result is bit for bit
-    the one a lone call at that row returns.
+    The ascent uses only row-independent linear algebra (stacked SVDs,
+    solves and matmuls, one matrix per row, and elementwise operations), and
+    a row's restoration stops on its own evaluations, so each result is bit
+    for bit the one a lone call at that row returns.
     """
     X = problem.leader_block(X)
     return _solve_rows(problem, X, t, cfg or InnerConfig())

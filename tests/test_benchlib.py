@@ -4,8 +4,10 @@ import pytest
 import pbopt
 from pbopt import TriplePoint
 from pbopt import GridSpec
-from pbopt.benchlib import crosscheck_grid, get_problem, oracle_crosscheck, oracle_grid, problem_names, u1_star
+from pbopt.benchlib import get_problem, oracle_grid, problem_names, u1_star
 from pbopt.kkt import kkt_residual
+
+from crosscheck import crosscheck_grid, oracle_crosscheck
 
 
 def test_registry():

@@ -10,7 +10,8 @@ import pytest
 
 import pbopt
 from pbopt import InnerConfig, evaluate_psi_t
-from pbopt.maxmin import _ascend, _signed_rows, follower_box, polish_onto_relaxed_set
+from pbopt import maxmin
+from pbopt.maxmin import RANK_TOL, _ascend, _project, _signed_rows, _violations, follower_box, polish_onto_relaxed_set
 
 from toys import fd_copy, make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy, named_problem
 
@@ -75,6 +76,125 @@ def test_start_path_does_not_depend_on_its_batch(name):
         Qi, qviol_i, fval_i, evals_i, settled_i = _ascend(problem, x[None], Pi, viol_i, t, lo, hi, cfg)
         np.testing.assert_array_equal(Qi[0], Q[i])
         assert (qviol_i[0], fval_i[0], evals_i[0], settled_i[0]) == (qviol[i], fval[i], evals[i], settled[i])
+
+
+def ascent_log(monkeypatch, problem, log):
+    """Record, in call order, the ascent's events at a lone row.
+
+    "D" is a new direction, "E" a trial evaluation of the signed rows,
+    ("P", iterations) a restoration polish and "F" the F evaluation that
+    ends every trial (the first "F" is the starting value).
+    """
+    rows, polish, F_rows = maxmin._signed_rows, maxmin.polish_onto_relaxed_set, problem.F_rows
+
+    def logged_rows(*args, jac=False):
+        log.append("D" if jac else "E")
+        return rows(*args, jac=jac)
+
+    def logged_polish(*args):
+        out = polish(*args)
+        log.append(("P", int(out[2][0])))
+        return out
+
+    def logged_F(*args):
+        log.append("F")
+        return F_rows(*args)
+
+    monkeypatch.setattr(maxmin, "_signed_rows", logged_rows)
+    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", logged_polish)
+    monkeypatch.setattr(problem, "F_rows", logged_F)
+
+
+@pytest.mark.parametrize("problem", penalty_problems(), ids=lambda p: p.name + ("_fd" if p.hess_is_fd else ""))
+def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem):
+    """A trial evaluates its restoration points once each and stops at the first feasible one.
+
+    The returned violations are those of the returned points, every row
+    that moved is feasible, and evals counts one per direction, 1-3 per
+    trial, and the iterations of a restoration polish, which runs only after
+    the third evaluation found the trial still off D_t.
+    """
+    cfg = InnerConfig(local_maxiter=40)
+    lo, hi = follower_box(problem, cfg)
+    rng = np.random.default_rng(29)
+    trials = 0
+    for t in (0.2, 1e-3):
+        x = leader_point(problem, rng)[None]
+        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
+        Q, qviol, fval, evals, _ = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+        np.testing.assert_array_equal(qviol, _violations(problem, x, Q, t)[2])
+        moved = (Q != P).any(axis=1)
+        assert (qviol[moved] <= cfg.feas_tol).all()
+        with monkeypatch.context() as patch:
+            for i in range(len(P)):
+                log = []
+                ascent_log(patch, problem, log)
+                assert _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)[3][0] == evals[i]
+                patch.undo()
+                assert log[0] == "F"
+                *done, tail = "".join(e if isinstance(e, str) else "P" for e in log[1:]).split("F")
+                assert tail in ("", "D")  # a last direction that found a KKT point
+                for trial in done:
+                    assert trial in ("E", "EE", "EEE", "EEEP", "DE", "DEE", "DEEE", "DEEEP"), trial
+                trials += len(done)
+                polish_iters = sum(e[1] for e in log if isinstance(e, tuple))
+                assert evals[i] == log.count("D") + log.count("E") + polish_iters
+    # q0_toy's D_t is the point y = x, at which the first direction vanishes; empty_lower_toy's is empty
+    assert (trials > 0) != (problem.name in ("q0_toy", "empty_lower_toy"))
+
+
+def reference_project(A, act, grad):
+    """_project by the stacked SVD with einsum contractions, as an independent reference."""
+    W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
+    keep = s > RANK_TOL * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    d = grad - np.einsum("nji,nj->ni", Vt, np.einsum("nij,nj->ni", Vt, grad) * keep)
+    pinv = np.einsum("nji,nj,nkj->nik", Vt, inv, W)
+    lam = np.where(act, np.einsum("nik,ni->nk", pinv, grad), 0.0)
+    return d, lam, pinv
+
+
+def project_stacks(rng):
+    """Random row stacks with masks: Gaussian ones, and example1's rows with the -u rows
+    active together with the lower u-box rows they duplicate (rank-deficient)."""
+    A = rng.normal(size=(30, 13, 3))
+    act = rng.uniform(size=(30, 13)) < 0.4
+    yield A, act, rng.normal(size=(30, 3))
+    problem = pbopt.get_problem("example1")[0]
+    m, q = problem.dims.m, problem.dims.q
+    lo, hi = follower_box(problem, InnerConfig())
+    Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(30, lo.size))
+    A = _signed_rows(problem, rng.uniform(-1.0, 1.0, size=(30, 1)), Z, 0.1, lo, hi, jac=True)[1]
+    act = rng.uniform(size=A.shape[:2]) < 0.3
+    act[:, :m] = True
+    u_rows = np.arange(m + q, m + 2 * q)  # -u <= 0 ...
+    box_rows = m + 3 * q + (m + q) + np.arange(m, m + q)  # ... and lo - u <= 0 with lo = 0
+    np.testing.assert_array_equal(A[:, u_rows], A[:, box_rows])
+    act[:, u_rows] = act[:, box_rows] = rng.uniform(size=(30, q)) < 0.6
+    yield A, act, rng.normal(size=(30, m + q))
+
+
+def test_project_matches_the_svd_reference():
+    rng = np.random.default_rng(31)
+    deficient = 0
+    for A, act, grad in project_stacks(rng):
+        d, lam, pinv = _project(A, act, grad)
+        ref = reference_project(A, act, grad)
+        for got, want in zip((d, lam, pinv), ref):
+            scale = np.abs(want).max(axis=tuple(range(1, want.ndim)), keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)).all()
+        Aa = A * act[:, :, None]
+        tol = 1e-12 * (1.0 + np.abs(Aa).max()) * (1.0 + np.abs(pinv).max()) ** 2
+        assert np.abs(Aa @ d[:, :, None]).max() <= tol * np.abs(grad).max()  # d is tangent to the active rows
+        np.testing.assert_allclose(np.swapaxes(Aa, 1, 2) @ lam[:, :, None], (grad - d)[:, :, None], rtol=0, atol=tol * np.abs(grad).max())
+        # the Moore-Penrose identities
+        AP, PA = Aa @ pinv, pinv @ Aa
+        np.testing.assert_allclose(AP @ Aa, Aa, rtol=0, atol=tol)
+        np.testing.assert_allclose(PA @ pinv, pinv, rtol=0, atol=tol)
+        np.testing.assert_allclose(AP, np.swapaxes(AP, 1, 2), rtol=0, atol=tol)
+        np.testing.assert_allclose(PA, np.swapaxes(PA, 1, 2), rtol=0, atol=tol)
+        deficient += (np.linalg.matrix_rank(Aa) < np.minimum(act.sum(axis=1), A.shape[2])).sum()
+    assert deficient > 0
 
 
 # Leader points of each problem; example1's x = 0.01 lies in the x -> 0 corner,

@@ -369,7 +369,7 @@ def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, e
     monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
     monkeypatch.setattr(maxmin, "_ascend", count_ascent)
     cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=2)  # an ascent this short leaves starts unsettled
-    X = [[-0.3], [0.4]]
+    X = [[-0.3], [0.6]]  # at t = 0.1 the second point keeps an unsettled start through all three rounds
     results = maxmin.evaluate_psi_t_batch(problem, X, 0.1, cfg)
     assert len(ran[0][1]) == 2 * cfg.starts
     for (X_prev, _, _, prev), (X0, Z0, _, _) in zip(ran, ran[1:]):
