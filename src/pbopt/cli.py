@@ -127,7 +127,7 @@ def _require_problem(cfg_problem: Optional[str]):
     try:
         return get_problem(cfg_problem)
     except KeyError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(err.args[0]) from None  # str(KeyError) would quote the message
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

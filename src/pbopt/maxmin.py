@@ -167,7 +167,7 @@ class InnerSolveResult:
     argmax: SampledSet
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
     # polish iterations plus the ascent's evaluations (one per new direction,
-    # 1-3 per trial, and the iterations of its restoration polishes), summed
+    # one per trial, and the iterations of its restoration polishes), summed
     # over the starts and over the rounds they ran (a settled start's skipped
     # rounds count nothing)
     evals: int
@@ -347,28 +347,27 @@ def _signed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Arra
     return r, _residual_jacobian(problem, X, Z, U, g, box=True)
 
 
-def _project(A: Array, act: Array, grad: Array) -> tuple[Array, Array, Array]:
+def _project(A: Array, act: Array, grad: Array) -> tuple[Array, Array]:
     """grad minus its projection onto the row space of the active rows of A.
 
     One stacked SVD of the masked A = W diag(s) V^T, with singular values
     below RANK_TOL times the largest dropped, gives the projected gradient
-    d, the least-norm multipliers lam (A_act^T lam = grad - d) and the
-    pseudo-inverse V diag(1/s) W^T of A_act, of shape (N, m + q, rows).
-    Every product is a stacked matmul, one matrix per row.
+    d = grad - V V^T grad and the least-norm multipliers
+    lam = W diag(1/s) V^T grad (A_act^T lam = grad - d).  Every product is a
+    stacked matmul, one matrix per row.
     """
     W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
     keep = s > RANK_TOL * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    V = np.swapaxes(Vt, 1, 2)
-    d = grad - (V @ ((Vt @ grad[:, :, None]) * keep[:, :, None]))[:, :, 0]
-    pinv = (V * inv[:, None, :]) @ np.swapaxes(W, 1, 2)
-    lam = np.where(act, (grad[:, None, :] @ pinv)[:, 0], 0.0)
-    return d, lam, pinv
+    c = Vt @ grad[:, :, None]
+    d = grad - (np.swapaxes(Vt, 1, 2) @ (c * keep[:, :, None]))[:, :, 0]
+    lam = np.where(act, (W @ (c * inv[:, :, None]))[:, :, 0], 0.0)
+    return d, lam
 
 
 def _directions(
     problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array
-) -> tuple[Array, Array, Array, Array, Array]:
+) -> tuple[Array, Array, Array]:
     """Projected-gradient ascent directions at every row of Z.
 
     grad F is projected onto the tangent space of the active rows (the L
@@ -376,8 +375,8 @@ def _directions(
     that projection vanishes, the active inequality with the most negative
     multiplier is dropped.  Returns whether each row has a direction (it is
     no KKT point, and its rows, Jacobian and grad F are finite), the
-    direction d, the active mask, the active rows' pseudo-inverse and the
-    step cap: the first inactive row that the linearised step would cross.
+    direction d and the step cap: the first inactive row that the
+    linearised step would cross.
     """
     m = problem.dims.m
     r, A = _signed_rows(problem, X, Z, t, lo, hi, jac=True)
@@ -389,36 +388,33 @@ def _directions(
     act = r >= -ACTIVE_TOL
     act[:, :m] = True
     small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
-    d, lam, pinv = _project(A, act, grad)
+    d, lam = _project(A, act, grad)
     for _ in range(r.shape[1]):
         lam[:, :m] = 0.0  # the L rows are equalities
         drop = (np.abs(d).max(axis=1, initial=0.0) <= small) & (lam.min(axis=1) < 0.0)
         if not drop.any():
             break
         act[drop, lam[drop].argmin(axis=1)] = False
-        d[drop], lam[drop], pinv[drop] = _project(A[drop], act[drop], grad[drop])
+        d[drop], lam[drop] = _project(A[drop], act[drop], grad[drop])
     slope = (A @ d[:, :, None])[:, :, 0]
     cross = (r < -ACTIVE_TOL) & (slope > 0.0)
     cap = np.where(cross, -r / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
-    return np.abs(d).max(axis=1, initial=0.0) > small, d, act, pinv, cap
+    return np.abs(d).max(axis=1, initial=0.0) > small, d, cap
 
 
 def _ascend(
     problem: BilevelProblem, X: Array, Z: Array, viol: Array, t: float, lo: Array, hi: Array, cfg: InnerConfig
-) -> tuple[Array, Array, Array, Array]:
+) -> tuple[Array, Array, Array, Array, Array]:
     """Feasible-direction ascent of F from every row of Z that lies on D_t.
 
     Gradient projection with restoration, all rows in lockstep.  A row
     steps along its :func:`_directions` direction, as far as the step cap
-    allows, and the trial is restored by at most two chord steps with the
-    active rows' pseudo-inverse and, where the third evaluation still finds
-    a violation above cfg.feas_tol, by :func:`polish_onto_relaxed_set`.
-    Each restoration point is evaluated once: its signed rows give both the
-    chord step and the trial's violation, and a row stops restoring at the
-    first evaluation that finds it feasible.  A restored point that is
-    feasible with a higher F is accepted and the row's step grows by
-    STEP_GROWTH; otherwise the step halves.  A row stops at a KKT point,
-    below STEP_MIN, or after cfg.local_maxiter trials.
+    allows, and the trial is evaluated once by :func:`_violations`; a trial
+    off D_t by more than cfg.feas_tol is restored by
+    :func:`polish_onto_relaxed_set`.  A restored point that is feasible with
+    a higher F is accepted and the row's step grows by STEP_GROWTH;
+    otherwise the step halves.  A row stops at a KKT point, below STEP_MIN,
+    or after cfg.local_maxiter trials.
 
     A row is settled when it stopped at a KKT point, or below STEP_MIN
     without accepting a step: another ascent from its point starts at
@@ -428,22 +424,22 @@ def _ascend(
     one that started off D_t or with a non-finite F.
 
     Returns the points, their violations, their F values, the residual
-    evaluations of each row (one per new direction, 1-3 per trial, and the
+    evaluations of each row (one per new direction, one per trial, and the
     restoration polish iterations) and the settled mask.
     """
     m, q = problem.dims.m, problem.dims.q
-    N, k = Z.shape[0], m + 3 * q + 2 * (m + q)
+    N = Z.shape[0]
     Z, viol = Z.copy(), viol.copy()
     f = problem.F_rows(X, Z[:, :m])
     evals = np.zeros(N, dtype=int)
     step = np.full(N, STEP_INIT)
-    d, act, pinv, cap = np.zeros((N, m + q)), np.zeros((N, k), dtype=bool), np.zeros((N, m + q, k)), np.zeros(N)
+    d, cap = np.zeros((N, m + q)), np.zeros(N)
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
     at_kkt, moved = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
-            moving, d[fresh], act[fresh], pinv[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi)
+            moving, d[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi)
             evals[fresh] += 1
             running[fresh[~moving]] = False
             at_kkt[fresh[~moving]] = True
@@ -452,19 +448,9 @@ def _ascend(
             break
         Xr = _take(X, run)
         Zt = np.clip(Z[run] + np.minimum(step[run], cap[run])[:, None] * d[run], lo, hi)
-        vt = np.empty(run.size)
-        far = np.arange(run.size)
-        for e in range(3):  # three evaluations, with a chord step z <- z - A_act^+ r_act(z) between two
-            r = _signed_rows(problem, _take(Xr, far), Zt[far], t, lo, hi)
-            evals[run[far]] += 1
-            # the largest violation, as _violations reads it off the same rows
-            vt[far] = np.maximum(np.abs(r[:, :m]).max(axis=1, initial=0.0), r[:, m : m + 3 * q].max(axis=1, initial=0.0))
-            off = vt[far] > cfg.feas_tol
-            far, r = far[off], r[off]
-            if e == 2 or not far.size:
-                break
-            r[~act[run[far]]] = 0.0
-            Zt[far] = np.clip(Zt[far] - (pinv[run[far]] @ r[:, :, None])[:, :, 0], lo, hi)
+        vt = _violations(problem, Xr, Zt, t)[2]
+        evals[run] += 1
+        far = np.flatnonzero(vt > cfg.feas_tol)
         if far.size:
             Zt[far], vt[far], iters = polish_onto_relaxed_set(problem, _take(Xr, far), Zt[far], t, lo, hi, cfg.feas_tol)
             evals[run[far]] += iters
@@ -515,8 +501,8 @@ def evaluate_psi_t_batch(
     rows advance together, so one evaluation covers many leader points.
     The ascent uses only row-independent linear algebra (stacked SVDs,
     solves and matmuls, one matrix per row, and elementwise operations), and
-    a row's restoration stops on its own evaluations, so each result is bit
-    for bit the one a lone call at that row returns.
+    a trial is polished only when its own evaluation finds it off the set,
+    so each result is bit for bit the one a lone call at that row returns.
     """
     X = problem.leader_block(X)
     return _solve_rows(problem, X, t, cfg or InnerConfig())

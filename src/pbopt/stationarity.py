@@ -308,8 +308,19 @@ def _graph_rows(
     return rows
 
 
+def _multiplier_blocks(mults, sizes: dict[str, int]) -> list[Array]:
+    """The named blocks of mults as float vectors; a block of the wrong length or with a non-finite entry is refused."""
+    blocks = []
+    for name, size in sizes.items():
+        v = np.asarray(getattr(mults, name), dtype=float)
+        if v.size != size or not np.isfinite(v).all():
+            raise ValueError(f"multiplier block {name} must be a finite vector of {size} entries")
+        blocks.append(v.reshape(size))
+    return blocks
+
+
 def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) -> StationarityReport:
-    residual = float(max(rows.values()))
+    residual = float(np.max(list(rows.values())))  # a NaN row gives NaN, which fails the verdict
     return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
 
 
@@ -329,14 +340,13 @@ def check_stationarity(
     exact follower KKT set and F must reach the inner max value within
     EPS_LVL_DEFAULT, the argmax slack of the inner solver, which supplies
     that value.  The index sets use the activity margin kkt.EPS_ACT_DEFAULT.
+    A multiplier block that is not a finite vector of its length is refused
+    with ValueError.
     """
     _check_kind(kind)
     res, idx, data = _setup(problem, pt, 0.0, None)
     d = problem.dims
-    alpha, beta, gamma = (
-        np.asarray(v, dtype=float).reshape(size)
-        for v, size in ((mults.alpha, d.p), (mults.beta, d.m), (mults.gamma, d.q))
-    )
+    alpha, beta, gamma = _multiplier_blocks(mults, {"alpha": d.p, "beta": d.m, "gamma": d.q})
 
     rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
     res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
@@ -397,14 +407,12 @@ def check_relaxed_stationarity(
     """Residuals of the relaxed optimality system at (pt, rm) for level t.
 
     The verdict holds when every residual row is at most tol.  The graph
-    rows are those of :func:`check_stationarity` at level t.
+    rows are those of :func:`check_stationarity` at level t, and
+    multiplier blocks are refused as there.
     """
     res, idx, data = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
     d = problem.dims
-    alpha, beta, gamma, mu, delta = (
-        np.asarray(v, dtype=float).reshape(size)
-        for v, size in zip((rm.alpha, rm.beta, rm.gamma, rm.mu, rm.delta), (d.p, d.m, d.q, d.q, d.q))
-    )
+    alpha, beta, gamma, mu, delta = _multiplier_blocks(rm, {"alpha": d.p, "beta": d.m, "gamma": d.q, "mu": d.q, "delta": d.q})
 
     rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
     coeff = gamma - delta * pt.u

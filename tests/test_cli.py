@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import pbopt
 from pbopt import scholtes
 from pbopt.cli import main
 
@@ -149,6 +150,28 @@ def test_check_corrupted_multipliers_flags_row(tmp_path, capsys):
     data = json.loads(out)
     assert data["verdict"] is False
     assert data["rows"]["eta_gamma"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, multipliers, message",
+    [
+        ("C", {"alpha": [0, 0], "beta": [0], "gamma": [float("nan"), 0]}, "multiplier block gamma must be a finite vector of 2 entries"),
+        ("S", {"alpha": [0, 0], "beta": [0, 0, 0], "gamma": [1, 0]}, "multiplier block beta must be a finite vector of 1 entries"),
+        ("relaxed", {"alpha": [0, 0], "beta": [0], "gamma": [1, 0], "mu": [0, 0], "delta": [0, float("inf")]}, "multiplier block delta must be a finite vector of 2 entries"),
+    ],
+)
+def test_check_refuses_nonfinite_or_misshaped_multipliers(tmp_path, capsys, kind, multipliers, message):
+    # NaN multipliers used to exit 0 with verdict true; a misshaped block printed numpy's reshape error
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [1.0], "y": [0.0], "u": [1.0, 0.0], "multipliers": multipliers}))
+    code, out, err = run_cli(capsys, "check", "--problem", "example1", "--point", str(point), "--kind", kind)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_unknown_problem_error_is_unquoted(capsys):
+    code, out, err = run_cli(capsys, "eval", "--problem", "nope", "--x", "0.5", "--t", "0.1")
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown problem 'nope'; available: {', '.join(pbopt.problem_names())}\n"
 
 
 def test_check_kind_s_fails_on_c_only_point(tmp_path, capsys):

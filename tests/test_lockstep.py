@@ -78,21 +78,29 @@ def test_start_path_does_not_depend_on_its_batch(name):
         assert (qviol_i[0], fval_i[0], evals_i[0], settled_i[0]) == (qviol[i], fval[i], evals[i], settled[i])
 
 
-def ascent_log(monkeypatch, problem, log):
+def ascent_log(monkeypatch, problem, log, feas_tol):
     """Record, in call order, the ascent's events at a lone row.
 
-    "D" is a new direction, "E" a trial evaluation of the signed rows,
-    ("P", iterations) a restoration polish and "F" the F evaluation that
-    ends every trial (the first "F" is the starting value).
+    "D" is a new direction, "E" a trial evaluation of the violations that
+    finds the trial on D_t and "X" one that finds it off, ("P", iterations)
+    a restoration polish (its own evaluations are not logged) and "F" the F
+    evaluation that ends every trial (the first "F" is the starting value).
     """
-    rows, polish, F_rows = maxmin._signed_rows, maxmin.polish_onto_relaxed_set, problem.F_rows
+    rows, violations, polish, F_rows = maxmin._signed_rows, maxmin._violations, maxmin.polish_onto_relaxed_set, problem.F_rows
 
     def logged_rows(*args, jac=False):
-        log.append("D" if jac else "E")
+        log.append("D" if jac else "R")
         return rows(*args, jac=jac)
 
+    def logged_violations(*args):
+        out = violations(*args)
+        log.append("E" if out[2][0] <= feas_tol else "X")
+        return out
+
     def logged_polish(*args):
+        start = len(log)
         out = polish(*args)
+        del log[start:]
         log.append(("P", int(out[2][0])))
         return out
 
@@ -101,18 +109,18 @@ def ascent_log(monkeypatch, problem, log):
         return F_rows(*args)
 
     monkeypatch.setattr(maxmin, "_signed_rows", logged_rows)
+    monkeypatch.setattr(maxmin, "_violations", logged_violations)
     monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", logged_polish)
     monkeypatch.setattr(problem, "F_rows", logged_F)
 
 
 @pytest.mark.parametrize("problem", penalty_problems(), ids=lambda p: p.name + ("_fd" if p.hess_is_fd else ""))
 def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem):
-    """A trial evaluates its restoration points once each and stops at the first feasible one.
+    """A trial is evaluated once, and polished only when that evaluation finds it off D_t.
 
     The returned violations are those of the returned points, every row
-    that moved is feasible, and evals counts one per direction, 1-3 per
-    trial, and the iterations of a restoration polish, which runs only after
-    the third evaluation found the trial still off D_t.
+    that moved is feasible, and evals counts one per direction, one per
+    trial and the iterations of each restoration polish.
     """
     cfg = InnerConfig(local_maxiter=40)
     lo, hi = follower_box(problem, cfg)
@@ -128,17 +136,17 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
         with monkeypatch.context() as patch:
             for i in range(len(P)):
                 log = []
-                ascent_log(patch, problem, log)
+                ascent_log(patch, problem, log, cfg.feas_tol)
                 assert _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)[3][0] == evals[i]
                 patch.undo()
                 assert log[0] == "F"
                 *done, tail = "".join(e if isinstance(e, str) else "P" for e in log[1:]).split("F")
                 assert tail in ("", "D")  # a last direction that found a KKT point
                 for trial in done:
-                    assert trial in ("E", "EE", "EEE", "EEEP", "DE", "DEE", "DEEE", "DEEEP"), trial
+                    assert trial in ("E", "XP", "DE", "DXP"), trial
                 trials += len(done)
                 polish_iters = sum(e[1] for e in log if isinstance(e, tuple))
-                assert evals[i] == log.count("D") + log.count("E") + polish_iters
+                assert evals[i] == log.count("D") + len(done) + polish_iters
     # q0_toy's D_t is the point y = x, at which the first direction vanishes; empty_lower_toy's is empty
     assert (trials > 0) != (problem.name in ("q0_toy", "empty_lower_toy"))
 
@@ -151,7 +159,7 @@ def reference_project(A, act, grad):
     d = grad - np.einsum("nji,nj->ni", Vt, np.einsum("nij,nj->ni", Vt, grad) * keep)
     pinv = np.einsum("nji,nj,nkj->nik", Vt, inv, W)
     lam = np.where(act, np.einsum("nik,ni->nk", pinv, grad), 0.0)
-    return d, lam, pinv
+    return d, lam
 
 
 def project_stacks(rng):
@@ -178,21 +186,14 @@ def test_project_matches_the_svd_reference():
     rng = np.random.default_rng(31)
     deficient = 0
     for A, act, grad in project_stacks(rng):
-        d, lam, pinv = _project(A, act, grad)
-        ref = reference_project(A, act, grad)
-        for got, want in zip((d, lam, pinv), ref):
-            scale = np.abs(want).max(axis=tuple(range(1, want.ndim)), keepdims=True)
+        d, lam = _project(A, act, grad)
+        for got, want in zip((d, lam), reference_project(A, act, grad)):
+            scale = np.abs(want).max(axis=1, keepdims=True)
             assert (np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)).all()
         Aa = A * act[:, :, None]
-        tol = 1e-12 * (1.0 + np.abs(Aa).max()) * (1.0 + np.abs(pinv).max()) ** 2
+        tol = 1e-12 * (1.0 + np.abs(Aa).max()) * (1.0 + np.abs(lam).max())
         assert np.abs(Aa @ d[:, :, None]).max() <= tol * np.abs(grad).max()  # d is tangent to the active rows
         np.testing.assert_allclose(np.swapaxes(Aa, 1, 2) @ lam[:, :, None], (grad - d)[:, :, None], rtol=0, atol=tol * np.abs(grad).max())
-        # the Moore-Penrose identities
-        AP, PA = Aa @ pinv, pinv @ Aa
-        np.testing.assert_allclose(AP @ Aa, Aa, rtol=0, atol=tol)
-        np.testing.assert_allclose(PA @ pinv, pinv, rtol=0, atol=tol)
-        np.testing.assert_allclose(AP, np.swapaxes(AP, 1, 2), rtol=0, atol=tol)
-        np.testing.assert_allclose(PA, np.swapaxes(PA, 1, 2), rtol=0, atol=tol)
         deficient += (np.linalg.matrix_rank(Aa) < np.minimum(act.sum(axis=1), A.shape[2])).sum()
     assert deficient > 0
 

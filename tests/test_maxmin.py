@@ -450,17 +450,18 @@ def test_misshaped_or_nonfinite_warm_starts_refused(example1, warm):
 CLOSED_FORM_CFG = InnerConfig(starts=10, sweeps=3, local_maxiter=80)
 
 
-@pytest.mark.parametrize("name", ["example1", "example2"])
+# One leader coordinate: in the box away from 0, or in the corner 0 < |x| < 0.05.
+LEADER_COORD = st.tuples(st.one_of(st.floats(0.05, 1.0), st.floats(0.0, 0.05, exclude_min=True)), st.booleans())
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d"])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
-    u=st.one_of(st.floats(0.05, 1.0), st.floats(0.0, 0.05, exclude_min=True)),
-    negative=st.booleans(),
-    t=st.floats(1e-3, 0.6),
-)
-def test_psi_matches_closed_form_on_and_off_the_corner(name, u, negative, t):
-    # The corner 0 < x < 0.05, t < x, where D_t is a thin sliver, is drawn as well.
+@given(coords=st.lists(LEADER_COORD, min_size=2, max_size=2), t=st.floats(1e-3, 0.6))
+def test_psi_matches_closed_form_on_and_off_the_corner(name, coords, t):
+    # The corner 0 < x < 0.05, t < x, where D_t is a thin sliver, is drawn as
+    # well; synthetic2d draws each of its two coordinates so.
     problem, oracle = pbopt.get_problem(name)
-    x = -u if negative and problem.x_box[0, 0] < 0 else u
-    res = evaluate_psi_t(problem, [x], t, CLOSED_FORM_CFG)
+    x = [-u if negative and lo < 0 else u for (u, negative), lo in zip(coords, problem.x_box[:, 0])]
+    res = evaluate_psi_t(problem, x, t, CLOSED_FORM_CFG)
     assert res.status == "solved"
     assert abs(res.value - oracle.psi_p_t(x, t)) <= 1e-3

@@ -67,6 +67,45 @@ def test_wrong_gamma_flags_eta_row(example1, tiny_cfg):
     assert rep.rows["eta_gamma"] == pytest.approx(0.5)
 
 
+# example1 at the top of its leader box, where G_2 = x - 1 is active
+EX1_TOP = TriplePoint([1.0], [0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("block", ["alpha", "beta", "gamma"])
+def test_nonfinite_or_misshaped_multipliers_are_refused(example1, block):
+    # a NaN used to pass as stationary: max over the rows skipped it
+    problem, _ = example1
+    mults = recover_c_multipliers(problem, EX1_TOP)
+    assert check_stationarity(problem, EX1_TOP, mults, graph_check=False).verdict
+    size = len(getattr(mults, block))
+    for i in range(size):
+        bad = getattr(mults, block).copy()
+        bad[i] = np.nan
+        for kind in ("C", "M", "S"):
+            with pytest.raises(ValueError, match=f"multiplier block {block} must be a finite vector of {size} entries"):
+                check_stationarity(problem, EX1_TOP, dataclasses.replace(mults, **{block: bad}), kind=kind, graph_check=False)
+    longer = dataclasses.replace(mults, **{block: np.zeros(size + 1)})
+    with pytest.raises(ValueError, match=f"multiplier block {block} must be a finite vector of {size} entries"):
+        check_stationarity(problem, EX1_TOP, longer, graph_check=False)
+
+
+@pytest.mark.parametrize("block", ["alpha", "beta", "gamma", "mu", "delta"])
+def test_relaxed_check_refuses_nonfinite_or_misshaped_multipliers(example1, block):
+    problem, _ = example1
+    pt = TriplePoint([1.0], [0.1], [1.0, 0.0])
+    rm = recover_relaxed_multipliers(problem, 0.1, pt)
+    size = len(getattr(rm, block))
+    for bad in (np.full(size, np.inf), np.zeros(size - 1)):
+        with pytest.raises(ValueError, match=f"multiplier block {block} must be a finite vector of {size} entries"):
+            check_relaxed_stationarity(problem, 0.1, pt, dataclasses.replace(rm, **{block: bad}), graph_check=False)
+
+
+@pytest.mark.parametrize("rows", [{"a": float("nan"), "b": 0.0}, {"a": 0.0, "b": float("nan")}])
+def test_a_nan_row_fails_the_verdict(rows):
+    rep = stationarity._report("C", rows, None, None, None, 1e-8)
+    assert np.isnan(rep.residual_inf) and rep.verdict is False
+
+
 def test_recover_infeasible_point_raises(example1):
     problem, _ = example1
     with pytest.raises(InfeasiblePointError):
