@@ -108,18 +108,67 @@ class SampledSet:
 
 
 def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
-    """Lexicographically sorted points with near-duplicates (inf-norm tol) removed."""
+    """Lexicographically sorted points with near-duplicates (inf-norm tol) removed.
+
+    Greedy in sorted order: a point is dropped when its inf-norm distance to
+    a point kept before it is at most tol or NaN, so a row with a NaN is
+    kept only when it sorts first, and then it is kept alone.  Only the
+    pairs of :func:`_close_pairs` are compared.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim == 2 else 0)
-    kept = np.empty_like(pts)
-    n = 0
-    for p in pts[np.lexsort(pts.T[::-1])]:
-        # min over kept points of the inf-norm distance; NaN keeps the point out
-        if n == 0 or np.abs(kept[:n] - p).max(axis=1).min() > tol:
-            kept[n] = p
-            n += 1
-    return kept[:n]
+    P = pts[np.lexsort(pts.T[::-1])]
+    j, i = _close_pairs(P, tol)
+    # keep[i] = no kept j close before i, solved by fixed-point sweeps from the
+    # rows no pair drops; the pairs point forward, so every sweep settles at
+    # least one more row and the first repeated sweep is the greedy answer.
+    keep = np.ones(len(P), dtype=bool)
+    keep[i] = False
+    while True:
+        sweep = np.ones(len(P), dtype=bool)
+        sweep[i[keep[j]]] = False
+        if (sweep == keep).all():
+            return P[keep]
+        keep = sweep
+
+
+def _close_pairs(P: Array, tol: float) -> tuple[Array, Array]:
+    """The row pairs (j, i), j < i, of a sorted block whose inf-norm distance is at most tol or NaN.
+
+    A finite row is compared only with the finite rows before it whose
+    first coordinate (which ascends) lies within about 2 tol of its own,
+    at most GRID_CHUNK_ROWS pairs at a time; a row with a non-finite entry
+    is compared with every row.
+    """
+    finite = np.isfinite(P).all(axis=1)
+    F = finite.nonzero()[0]
+    Q, idx = P[F], np.arange(F.size)
+    v = Q[:, 0]
+    # a lower edge below v - 2 tol even after rounding, so no close row is missed
+    first = np.minimum(v.searchsorted(v - (2.0 * tol + 1e-15 * np.abs(v))), idx)
+    count = idx - first
+    ends = count.cumsum()
+    # pair number g of row r (ends[r] - count[r] <= g < ends[r]) compares it with row g + shift[r]
+    shift = first - ends + count
+    pairs_j, pairs_i = [], []
+    a = 0
+    while a < F.size:
+        b = max(a + 1, int(ends.searchsorted(ends[a] - count[a] + GRID_CHUNK_ROWS, side="right")))
+        ii = idx[a:b].repeat(count[a:b])
+        jj = np.arange(ends[a] - count[a], ends[b - 1]) + shift[a:b].repeat(count[a:b])
+        close = np.abs(Q[jj] - Q[ii]).max(axis=1) <= tol
+        pairs_j.append(F[jj[close]])
+        pairs_i.append(F[ii[close]])
+        a = b
+    for s in (~finite).nonzero()[0]:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in any other comparison
+            close = ~(np.abs(P - P[s]).max(axis=1) > tol)
+        close[s] = False
+        other = close.nonzero()[0]
+        pairs_j.append(np.minimum(other, s))
+        pairs_i.append(np.maximum(other, s))
+    return np.concatenate(pairs_j), np.concatenate(pairs_i)
 
 
 @dataclass
@@ -167,7 +216,7 @@ class InnerSolveResult:
     argmax: SampledSet
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
     # polish iterations plus the ascent's evaluations (one per new direction,
-    # one per trial, and the iterations of its restoration polishes), summed
+    # one per trial, and the new iterates of its restoration polishes), summed
     # over the starts and over the rounds they ran (a settled start's skipped
     # rounds count nothing)
     evals: int
@@ -282,15 +331,28 @@ def polish_onto_relaxed_set(
     step is solved again.
 
     Returns the polished rows, their largest violations and their iteration
-    counts.
+    counts: the iterates each row is checked at, the clipped input first.
     """
     m, q = problem.dims.m, problem.dims.q
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
+    Z, viol, iters = _polish(problem, X, Z, *_violations(problem, X, Z, t), t, lo, hi, feas_tol)
+    return Z, viol, iters + 1
+
+
+def _polish(
+    problem: BilevelProblem, X: Array, Z: Array, g: Array, v: Array, viol: Array, t: float, lo: Array, hi: Array, feas_tol: float
+) -> tuple[Array, Array, Array]:
+    """:func:`polish_onto_relaxed_set` from rows of Z inside [lo, hi] whose
+    :func:`_violations` g, v and viol are already known.
+
+    Z, g, v and viol are updated in place.  The iteration counts leave out
+    the check at the given rows, so they count only new iterates.
+    """
+    m, q = problem.dims.m, problem.dims.q
     # g, v and viol always belong to the current Z: a step's line search has
     # already evaluated them at the point it accepts.
-    g, v, viol = _violations(problem, X, Z, t)
-    iters = np.ones(Z.shape[0], dtype=int)
+    iters = np.zeros(Z.shape[0], dtype=int)
     todo = np.flatnonzero(viol > feas_tol)
     for k in range(POLISH_MAXITER):
         if not todo.size:
@@ -331,7 +393,7 @@ def polish_onto_relaxed_set(
                 break
             step *= 0.5
         todo = todo[accepted]
-        # iters counts the iterates a row is checked at, at most POLISH_MAXITER
+        # with the check at the given rows, at most POLISH_MAXITER iterates
         if k + 1 < POLISH_MAXITER:
             iters[todo] += 1
         todo = todo[viol[todo] > feas_tol]
@@ -410,8 +472,9 @@ def _ascend(
     Gradient projection with restoration, all rows in lockstep.  A row
     steps along its :func:`_directions` direction, as far as the step cap
     allows, and the trial is evaluated once by :func:`_violations`; a trial
-    off D_t by more than cfg.feas_tol is restored by
-    :func:`polish_onto_relaxed_set`.  A restored point that is feasible with
+    off D_t by more than cfg.feas_tol is restored by the polish of
+    :func:`polish_onto_relaxed_set`, which starts from that evaluation
+    (:func:`_polish`).  A restored point that is feasible with
     a higher F is accepted and the row's step grows by STEP_GROWTH;
     otherwise the step halves.  A row stops at a KKT point, below STEP_MIN,
     or after cfg.local_maxiter trials.
@@ -425,7 +488,7 @@ def _ascend(
 
     Returns the points, their violations, their F values, the residual
     evaluations of each row (one per new direction, one per trial, and the
-    restoration polish iterations) and the settled mask.
+    new iterates of the restoration polishes) and the settled mask.
     """
     m, q = problem.dims.m, problem.dims.q
     N = Z.shape[0]
@@ -448,11 +511,11 @@ def _ascend(
             break
         Xr = _take(X, run)
         Zt = np.clip(Z[run] + np.minimum(step[run], cap[run])[:, None] * d[run], lo, hi)
-        vt = _violations(problem, Xr, Zt, t)[2]
+        gt, vv, vt = _violations(problem, Xr, Zt, t)
         evals[run] += 1
         far = np.flatnonzero(vt > cfg.feas_tol)
         if far.size:
-            Zt[far], vt[far], iters = polish_onto_relaxed_set(problem, _take(Xr, far), Zt[far], t, lo, hi, cfg.feas_tol)
+            Zt[far], vt[far], iters = _polish(problem, _take(Xr, far), Zt[far], gt[far], vv[far], vt[far], t, lo, hi, cfg.feas_tol)
             evals[run[far]] += iters
         ft = problem.F_rows(Xr, Zt[:, :m])
         up = (vt <= cfg.feas_tol) & (ft > f[run])

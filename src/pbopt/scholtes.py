@@ -139,16 +139,19 @@ def minimize_psi_t(
 
     Each round's new poll points are solved in one batched inner call, the
     first round's together with the starting point.  Halving rounds are
-    solved ahead with a doubling lookahead: after the f-th round the
-    incumbent survives (the count restarts whenever x moves), one call also
-    solves the polls of the next 2**(f-1) rounds that would keep it, so a
-    run of L halvings at one incumbent costs about log2(L) calls.  At the
-    level's starting point the first survived round already solves the
-    whole rest of the halving ladder, so a search that stays put costs two
-    calls.  Only evaluations the search reads count in ``evals``; the rest
-    are reported as ``unread``, and ``calls`` counts the batched solves.  A
-    search that read at least one poll, every one of them tied with the
-    centre, reports ``flat``: it stayed put without evidence of a minimum.
+    solved ahead.  At the level's starting point, and after every move when
+    n = 1, the first round the incumbent survives also solves the whole
+    rest of the halving ladder, so a search that stays put costs two calls
+    and a 1-D move at most two more.  After a move when n >= 2, where a
+    round is up to 2n polls that the next move leaves unread, the lookahead
+    doubles instead: after the f-th round the incumbent survives (the count
+    restarts whenever x moves), one call also solves the polls of the next
+    2**(f-1) rounds that would keep it, so a run of L halvings at one
+    incumbent costs about log2(L) calls.  Only evaluations the search reads
+    count in ``evals``; the rest are reported as ``unread``, and ``calls``
+    counts the batched solves.  A search that read at least one poll, every
+    one of them tied with the centre, reports ``flat``: it stayed put
+    without evidence of a minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -223,7 +226,7 @@ def minimize_psi_t(
             mesh *= 0.5
             survived += 1
             ahead = max(ahead - 1, 0)
-            want = min(2 ** (survived - 1) if moved else MAX_ROUNDS, MAX_ROUNDS - r - 1)
+            want = min(2 ** (survived - 1) if moved and n > 1 else MAX_ROUNDS, MAX_ROUNDS - r - 1)
             h, rest = mesh * 0.5**ahead, []
             while ahead < want and h >= cfg.mesh_tol:
                 rest += poll_points(x, h)

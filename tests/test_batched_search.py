@@ -165,12 +165,19 @@ def test_minimize_follows_the_sequential_search(monkeypatch, name, x0, t):
 
 def test_ladder_reports_unread_evaluations(monkeypatch):
     problem = make_dip_toy()
+    cfg = OuterConfig(inner=CFG, mesh_tol=1e-4)
     sizes = counting_batches(monkeypatch)
-    res = minimize_psi_t(problem, 0.1, [0.5], OuterConfig(inner=CFG, mesh_tol=1e-4))
+    res = minimize_psi_t(problem, 0.1, [0.5], cfg)
+    want = sequential_minimize(problem, 0.1, [0.5], cfg)
+    np.testing.assert_array_equal(res.x, want.x)
+    assert (res.value, res.evals, res.final_mesh, res.flat) == (want.value, want.evals, want.final_mesh, want.flat)
     assert res.x[0] == DIP[0]
-    # first round (centre, 0.75, 0.25) in one call, then the ladder at 0.5, then polls around the well
-    assert sizes[0] == 3 and sizes[1] > 10
-    assert res.unread > 0
+    # first round (centre, 0.75, 0.25) in one call, then the ladder at 0.5,
+    # whose 19 lower rungs go unread once it finds the well, then the whole
+    # ladder at the well, all of it read; the doubling lookahead took four
+    # calls there ([3, 22, 1, 4, 6, 8]) and left the same 19 unread
+    assert sizes == [3, 22, 19]
+    assert res.unread == sum(sizes) - res.evals == 19
 
 
 def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
@@ -181,10 +188,15 @@ def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
     assert len(sizes) == 2 and res.unread == 0 and res.evals == sum(sizes)
 
 
+# Batch sizes of a 1-D walk to a box edge: the start and its first polls, a
+# poll round per move, then one call for the 15 (example2) or 14 (example1)
+# halving rounds left.  One call per round took 19 and 18 calls, and the
+# doubling lookahead 9: [3, 1, 2, 1, 1, 2, 3, 5, 4] and [3, 2, 1, 1, 1, 2, 3, 5, 3].
+LADDER_AFTER_A_MOVE = {"example2": [3, 1, 2, 1, 15], "example1": [3, 2, 1, 1, 14]}
+
+
 @pytest.mark.parametrize("name,x0,t", [("example2", [0.3], 1.0), ("example1", [0.3], 0.5)])
 def test_halvings_after_a_move_are_solved_ahead(monkeypatch, name, x0, t):
-    # x walks to a box edge and then survives 15 halvings there: with one call
-    # per halving round this takes 19 (example2) and 18 (example1) calls
     problem = named_problem(name)
     cfg = OuterConfig(inner=CFG)
     sizes = counting_batches(monkeypatch)
@@ -192,7 +204,8 @@ def test_halvings_after_a_move_are_solved_ahead(monkeypatch, name, x0, t):
     want = sequential_minimize(problem, t, x0, cfg)
     np.testing.assert_array_equal(got.x, want.x)
     assert (got.evals, got.final_mesh) == (want.evals, want.final_mesh)
-    assert got.calls == len(sizes) <= 10
+    assert sizes == LADDER_AFTER_A_MOVE[name]
+    assert got.calls == len(sizes)
     assert got.unread == 0 and sum(sizes) == got.evals
 
 
@@ -204,6 +217,8 @@ def test_lookahead_keeps_a_2d_search_from_overreaching(monkeypatch):
     res = minimize_psi_t(problem, 0.5, [0.4, -0.2], OuterConfig(inner=CFG))
     assert res.calls == len(sizes) < 28  # one call per halving round makes 28
     assert res.unread == sum(sizes) - res.evals <= sum(sizes) / 4
+    # the doubling lookahead's batches, which the 1-D rule leaves alone
+    assert sizes == [5, 3, 2, 4, 3, 2, 6, 1, 2, 1, 3, 1, 3, 1, 3, 1, 3, 6, 9, 9, 1, 2, 1, 2, 1, 3, 6]
 
 
 @pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2]), ("example1", [0.1])])

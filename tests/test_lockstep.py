@@ -78,15 +78,16 @@ def test_start_path_does_not_depend_on_its_batch(name):
         assert (qviol_i[0], fval_i[0], evals_i[0], settled_i[0]) == (qviol[i], fval[i], evals[i], settled[i])
 
 
-def ascent_log(monkeypatch, problem, log, feas_tol):
+def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
     """Record, in call order, the ascent's events at a lone row.
 
     "D" is a new direction, "E" a trial evaluation of the violations that
     finds the trial on D_t and "X" one that finds it off, ("P", iterations)
     a restoration polish (its own evaluations are not logged) and "F" the F
     evaluation that ends every trial (the first "F" is the starting value).
+    Each polish's arguments and output go to ``polishes``.
     """
-    rows, violations, polish, F_rows = maxmin._signed_rows, maxmin._violations, maxmin.polish_onto_relaxed_set, problem.F_rows
+    rows, violations, polish, F_rows = maxmin._signed_rows, maxmin._violations, maxmin._polish, problem.F_rows
 
     def logged_rows(*args, jac=False):
         log.append("D" if jac else "R")
@@ -99,9 +100,13 @@ def ascent_log(monkeypatch, problem, log, feas_tol):
 
     def logged_polish(*args):
         start = len(log)
+        given = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
         out = polish(*args)
+        # every new iterate was evaluated by the polish's line search
+        assert out[2][0] <= len(log) - start
         del log[start:]
         log.append(("P", int(out[2][0])))
+        polishes.append((given, [a.copy() for a in out]))
         return out
 
     def logged_F(*args):
@@ -110,7 +115,7 @@ def ascent_log(monkeypatch, problem, log, feas_tol):
 
     monkeypatch.setattr(maxmin, "_signed_rows", logged_rows)
     monkeypatch.setattr(maxmin, "_violations", logged_violations)
-    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", logged_polish)
+    monkeypatch.setattr(maxmin, "_polish", logged_polish)
     monkeypatch.setattr(problem, "F_rows", logged_F)
 
 
@@ -120,12 +125,15 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
 
     The returned violations are those of the returned points, every row
     that moved is feasible, and evals counts one per direction, one per
-    trial and the iterations of each restoration polish.
+    trial and the iterations of each restoration polish after the trial's
+    own evaluation: the polish starts from that evaluation, and returns
+    what ``polish_onto_relaxed_set`` returns at the trial, with one
+    iteration fewer.
     """
     cfg = InnerConfig(local_maxiter=40)
     lo, hi = follower_box(problem, cfg)
     rng = np.random.default_rng(29)
-    trials = 0
+    trials = restored = 0
     for t in (0.2, 1e-3):
         x = leader_point(problem, rng)[None]
         P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
@@ -135,10 +143,17 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
         assert (qviol[moved] <= cfg.feas_tol).all()
         with monkeypatch.context() as patch:
             for i in range(len(P)):
-                log = []
-                ascent_log(patch, problem, log, cfg.feas_tol)
+                log, polishes = [], []
+                ascent_log(patch, problem, log, cfg.feas_tol, polishes)
                 assert _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)[3][0] == evals[i]
                 patch.undo()
+                restored += len(polishes)
+                for (_, X, Z, *given, _, _, _, _), out in polishes:
+                    for got, want in zip(given, _violations(problem, X, Z, t)):
+                        np.testing.assert_array_equal(got, want)
+                    Zp, vp, iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
+                    for got, want in zip(out, (Zp, vp, iters - 1)):
+                        np.testing.assert_array_equal(got, want)
                 assert log[0] == "F"
                 *done, tail = "".join(e if isinstance(e, str) else "P" for e in log[1:]).split("F")
                 assert tail in ("", "D")  # a last direction that found a KKT point
@@ -149,6 +164,7 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
                 assert evals[i] == log.count("D") + len(done) + polish_iters
     # q0_toy's D_t is the point y = x, at which the first direction vanishes; empty_lower_toy's is empty
     assert (trials > 0) != (problem.name in ("q0_toy", "empty_lower_toy"))
+    assert (restored > 0) == (trials > 0)
 
 
 def reference_project(A, act, grad):

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,31 +234,64 @@ def test_dedup_points_tolerance():
 
 
 def dedup_points_loop(pts, tol=DEDUP_TOL):
-    """Reference: compare each sorted point with every kept point, one pair at a time."""
-    kept = []
-    for idx in np.lexsort(pts.T[::-1]):
-        p = pts[idx]
-        if all(np.max(np.abs(p - k)) > tol for k in kept):
-            kept.append(p)
-    return np.array(kept).reshape(-1, pts.shape[1])
+    """Reference: the greedy loop over the sorted points, each compared with every point kept so far."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, pts.shape[-1] if pts.ndim == 2 else 0)
+    kept = np.empty_like(pts)
+    n = 0
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        # min over kept points of the inf-norm distance; NaN keeps the point out
+        if n == 0 or np.abs(kept[:n] - p).max(axis=1).min() > tol:
+            kept[n] = p
+            n += 1
+    return kept[:n]
 
 
 @st.composite
 def near_duplicate_clouds(draw):
-    """Lattice points plus copies moved by 0, +-DEDUP_TOL/2, +-DEDUP_TOL or +-2 DEDUP_TOL per coordinate."""
+    """Lattice points plus copies moved by 0, +-DEDUP_TOL/2 ... +-2 DEDUP_TOL per
+    coordinate, some with one entry set to NaN or +-inf.
+
+    Copies moved by 0.6 and 1.2 DEDUP_TOL make chains, whose last point is
+    far from the first and close only to a dropped one.
+    """
     dim = draw(st.integers(1, 4))
     lattice = st.lists(st.integers(-2, 2).map(lambda k: 0.5 * k), min_size=dim, max_size=dim)
     base = draw(st.lists(lattice, min_size=1, max_size=8))
-    shift = st.sampled_from([0.0, 0.5, 1.0, 2.0]).flatmap(lambda a: st.sampled_from([a, -a])).map(lambda a: a * DEDUP_TOL)
+    shift = st.sampled_from([0.0, 0.5, 0.6, 1.0, 1.2, 2.0]).flatmap(lambda a: st.sampled_from([a, -a])).map(lambda a: a * DEDUP_TOL)
     copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.lists(shift, min_size=dim, max_size=dim)), max_size=16))
     pts = [list(b) for b in base] + [[c + s for c, s in zip(base[i], d)] for i, d in copies]
+    bad = st.tuples(st.integers(0, len(pts) - 1), st.integers(0, dim - 1), st.sampled_from([np.nan, np.inf, -np.inf]))
+    for row, col, value in draw(st.lists(bad, max_size=3)):
+        pts.append(list(pts[row]))
+        pts[-1][col] = value
     return np.array(draw(st.permutations(pts)), dtype=float)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(pts=near_duplicate_clouds())
-def test_dedup_points_matches_pairwise_loop(pts):
-    np.testing.assert_array_equal(dedup_points(pts), dedup_points_loop(pts))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pts=near_duplicate_clouds(), chunk=st.sampled_from([1, 3, maxmin.GRID_CHUNK_ROWS]))
+def test_dedup_points_matches_pairwise_loop(pts, chunk):
+    # a small chunk splits the compared pairs across several passes
+    with np.errstate(invalid="ignore"), mock.patch.object(maxmin, "GRID_CHUNK_ROWS", chunk):
+        got = dedup_points(pts)
+        want = dedup_points_loop(pts)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_dedup_points_memory_follows_the_close_pairs():
+    # a whole 20^3 grid: 8000 distinct rows, 400 to each first coordinate;
+    # its 8000 x 8000 x 3 distance block alone would take 1.5 GB
+    pts = GridSpec(((0.0, 1.0, 20),) * 3).points()
+    tracemalloc.start()
+    try:
+        out = dedup_points(pts[::-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, pts)
+    assert peak < 32 * 2**20
 
 
 def test_warm_starts_are_used(example1, light_cfg):
