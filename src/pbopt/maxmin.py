@@ -179,7 +179,7 @@ class InnerConfig:
     ``warm_starts`` (each a finite vector of m + q entries); together they
     must give at least one start.  A solve runs at most ``sweeps``
     polish-then-ascend rounds, each ascent at most ``local_maxiter``
-    iterations; a start the ascent leaves settled skips the later rounds,
+    iterations; a start a round leaves settled skips the later rounds,
     and the solve stops once every start is settled.  Follower multipliers
     are searched in [0, ``u_max``], the follower variables in the problem's
     ``y_box``, and a point counts as feasible when its largest violation is
@@ -239,15 +239,16 @@ def _take(X: Array, rows) -> Array:
 
 
 def _residuals(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
-    """Per row of Z: U, g and the signed rows r = [L | g | -u | w], w = -U*g - t.
+    """Per row of Z: U, g and the signed rows r = [L | g | w], w = -U*g - t.
 
     X is the leader block of the rows.  The level-t set is L = 0 with every
-    other row <= 0.  Rows of r with a non-finite entry become inf.
+    other row <= 0 and u >= 0, which the box (:func:`follower_box`) keeps.
+    Rows of r with a non-finite entry become inf.
     """
     m = problem.dims.m
     Y, U = Z[:, :m], Z[:, m:]
     g = problem.g_rows(X, Y)
-    r = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U, -U * g - t], axis=1)
+    r = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U * g - t], axis=1)
     finite = np.isfinite(r)
     if not finite.all():  # the common all-finite case costs one reduction
         r[~finite.all(axis=1)] = np.inf
@@ -255,32 +256,22 @@ def _residuals(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[A
 
 
 def _violations(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
-    """Per row of Z: g, the violations v = [L | g+ | u- | w+] of its signed rows and the largest of them."""
+    """Per row of Z: g, the violations v = [L | g+ | w+] of its signed rows and the largest of them."""
     m = problem.dims.m
     _, g, v = _residuals(problem, X, Z, t)
     np.maximum(v[:, m:], 0.0, out=v[:, m:])
     return g, v, np.abs(v).max(axis=1, initial=0.0)
 
 
-def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array, box: bool = False) -> Array:
-    """Jacobian of each row's signed rows r in (y, u), shape (N, m + 3q, m + q).
-
-    With ``box`` the rows of z - hi and lo - z follow, +I then -I, written
-    in place: shape (N, m + 3q + 2(m + q), m + q).
-    """
+def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array) -> Array:
+    """Jacobian of each row's signed rows r = [L | g | w] in (y, u), shape (N, m + 2q, m + q)."""
     m, q = problem.dims.m, problem.dims.q
-    J = np.zeros((Z.shape[0], m + 3 * q + (2 * (m + q) if box else 0), m + q))
+    J = np.zeros((Z.shape[0], m + 2 * q, m + q))
     J[:, :m] = problem.lagrangian_jac_rows(X, Z[:, :m], U)
     Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
     J[:, m : m + q, :m] = Jgy
-    J[:, m + 2 * q : m + 3 * q, :m] = -U[:, :, None] * Jgy
-    j = np.arange(q)
-    J[:, m + q + j, m + j] = -1.0
-    J[:, m + 2 * q + j, m + j] = -g
-    if box:
-        j = np.arange(m + q)
-        J[:, m + 3 * q + j, j] = 1.0
-        J[:, 2 * m + 4 * q + j, j] = -1.0
+    J[:, m + q :, :m] = -U[:, :, None] * Jgy
+    np.einsum("nii->ni", J[:, m + q :, m:])[:] = -g  # dw/du = -diag(g)
     return J
 
 
@@ -320,8 +311,9 @@ def polish_onto_relaxed_set(
 
     x is one leader point of shape (n,) or (1, n) for every row, or a block
     of shape (N, n) with one leader point per row of Z.  Active-set
-    Gauss-Newton on the constraint violations inside the box [lo, hi]
-    (the inner solver passes :func:`follower_box`), stopping per row once
+    Gauss-Newton on the constraint violations inside the box [lo, hi] (the
+    inner solver passes :func:`follower_box`; its rows leave u >= 0 to the
+    box, so lo < 0 on a multiplier is refused), stopping per row once
     its largest violation is at most feas_tol, when a step no longer
     reduces the squared violation, or after POLISH_MAXITER iterations.
     Each step solves the normal equations (J^T J + 1e-14 tr(J^T J) I) dz =
@@ -334,6 +326,8 @@ def polish_onto_relaxed_set(
     counts: the iterates each row is checked at, the clipped input first.
     """
     m, q = problem.dims.m, problem.dims.q
+    if not (np.asarray(lo, dtype=float)[m:] >= 0.0).all():
+        raise ValueError("the multiplier part of the box must not reach below 0")
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
     Z, viol, iters = _polish(problem, X, Z, *_violations(problem, X, Z, t), t, lo, hi, feas_tol)
@@ -400,67 +394,70 @@ def _polish(
     return Z, viol, iters
 
 
-def _signed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, jac: bool = False):
-    """The signed rows of Z with its box rows, [L | g | -u | w | z - hi | lo - z]; with ``jac`` also their Jacobian."""
-    U, g, r = _residuals(problem, X, Z, t)
-    r = np.concatenate([r, Z - hi, lo - Z], axis=1)
-    if not jac:
-        return r
-    return r, _residual_jacobian(problem, X, Z, U, g, box=True)
+def _project(A: Array, on: Array, grad: Array) -> tuple[Array, Array]:
+    """grad projected onto the tangent space of the active rows of A, the fixed coordinates held.
 
-
-def _project(A: Array, act: Array, grad: Array) -> tuple[Array, Array]:
-    """grad minus its projection onto the row space of the active rows of A.
-
-    One stacked SVD of the masked A = W diag(s) V^T, with singular values
-    below RANK_TOL times the largest dropped, gives the projected gradient
-    d = grad - V V^T grad and the least-norm multipliers
-    lam = W diag(1/s) V^T grad (A_act^T lam = grad - d).  Every product is a
-    stacked matmul, one matrix per row.
+    ``on`` marks the active rows, then the upper and the lower bounds that
+    fix a coordinate.  One stacked SVD of the active rows with the fixed
+    columns zeroed, W diag(s) V^T less the singular values below RANK_TOL
+    times the largest, gives d = g - V V^T g, g being grad zeroed on the
+    fixed coordinates, and the least-norm row multipliers lam = W diag(1/s) V^T g.
     """
-    W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
+    rows, k = A.shape[1:]
+    act, fixed = on[:, :rows], on[:, rows : rows + k] | on[:, rows + k :]
+    W, s, Vt = np.linalg.svd(A * (act[:, :, None] & ~fixed[:, None, :]), full_matrices=False)
     keep = s > RANK_TOL * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    c = Vt @ grad[:, :, None]
-    d = grad - (np.swapaxes(Vt, 1, 2) @ (c * keep[:, :, None]))[:, :, 0]
+    c = Vt @ np.where(fixed, 0.0, grad)[:, :, None]
+    d = np.where(fixed, 0.0, grad - (np.swapaxes(Vt, 1, 2) @ (c * keep[:, :, None]))[:, :, 0])
     lam = np.where(act, (W @ (c * inv[:, :, None]))[:, :, 0], 0.0)
     return d, lam
 
 
-def _directions(
-    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array
-) -> tuple[Array, Array, Array]:
+def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
+    """Multipliers of the rows and bounds ``on`` (else 0): lam, then side (grad - A_act^T lam), side +1 upper and -1 lower."""
+    res = grad - (np.swapaxes(A, 1, 2) @ lam[:, :, None])[:, :, 0]
+    return np.where(on, np.concatenate([lam, res, -res], axis=1), 0.0)
+
+
+def _directions(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array) -> tuple[Array, Array, Array]:
     """Projected-gradient ascent directions at every row of Z.
 
-    grad F is projected onto the tangent space of the active rows (the L
-    rows, and the inequality and box rows within ACTIVE_TOL of zero); while
-    that projection vanishes, the active inequality with the most negative
-    multiplier is dropped.  Returns whether each row has a direction (it is
-    no KKT point, and its rows, Jacobian and grad F are finite), the
-    direction d and the step cap: the first inactive row that the
-    linearised step would cross.
+    grad F is projected onto the active rows (the L rows, and the inequality
+    rows within ACTIVE_TOL of zero) with every coordinate within ACTIVE_TOL
+    of a bound fixed (:func:`_project`); while it vanishes, the active row or
+    bound with the most negative multiplier (computed only then) is freed.
+    Returns whether each row has a direction (it is no KKT point, and its
+    rows, Jacobian and grad F are finite), the direction d and the step
+    cap: the first inactive row or bound that the step would cross.
     """
     m = problem.dims.m
-    r, A = _signed_rows(problem, X, Z, t, lo, hi, jac=True)
+    U, g, r = _residuals(problem, X, Z, t)
+    A = _residual_jacobian(problem, X, Z, U, g)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
     if not (np.isfinite(A).all() and np.isfinite(r).all() and np.isfinite(grad).all()):
         bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
         r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0  # d = 0: no direction
-    act = r >= -ACTIVE_TOL
-    act[:, :m] = True
+    gap = np.concatenate([r, Z - hi, lo - Z], axis=1)  # the signed rows, then the upper and lower bounds
+    on = gap >= -ACTIVE_TOL
+    on[:, :m] = True
     small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
-    d, lam = _project(A, act, grad)
-    for _ in range(r.shape[1]):
-        lam[:, :m] = 0.0  # the L rows are equalities
-        drop = (np.abs(d).max(axis=1, initial=0.0) <= small) & (lam.min(axis=1) < 0.0)
-        if not drop.any():
+    d, lam = _project(A, on, grad)
+    todo = np.arange(Z.shape[0])
+    for _ in range(on.shape[1]):
+        todo = todo[np.abs(d[todo]).max(axis=1, initial=0.0) <= small[todo]]
+        mult = _multipliers(A[todo], on[todo], lam[todo], grad[todo])
+        mult[:, :m] = 0.0  # the L rows are equalities
+        neg = mult.min(axis=1) < 0.0
+        todo = todo[neg]
+        if not todo.size:
             break
-        act[drop, lam[drop].argmin(axis=1)] = False
-        d[drop], lam[drop] = _project(A[drop], act[drop], grad[drop])
-    slope = (A @ d[:, :, None])[:, :, 0]
-    cross = (r < -ACTIVE_TOL) & (slope > 0.0)
-    cap = np.where(cross, -r / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
+        on[todo, mult[neg].argmin(axis=1)] = False
+        d[todo], lam[todo] = _project(A[todo], on[todo], grad[todo])
+    slope = np.concatenate([(A @ d[:, :, None])[:, :, 0], d, -d], axis=1)
+    cross = (gap < -ACTIVE_TOL) & (slope > 0.0)
+    cap = np.where(cross, -gap / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
     return np.abs(d).max(axis=1, initial=0.0) > small, d, cap
 
 
@@ -538,10 +535,10 @@ def evaluate_psi_t(
 
     Multistart feasible-direction ascent in at most cfg.sweeps rounds: each
     polishes the starts onto the set (:func:`polish_onto_relaxed_set`) and
-    then runs :func:`_ascend` from the points that reached it.  A start the
-    ascent leaves settled would come out of every later round unchanged, so
-    it skips them, and the solve ends once every start is settled;
-    ``rounds`` counts the rounds that ran.  ``evals`` counts the polish
+    then runs :func:`_ascend` from the points that reached it.  A start a
+    round leaves settled (:func:`_solve_rows`) would come out of every later
+    round unchanged, so it skips them, and the solve ends once every start
+    is settled; ``rounds`` counts the rounds that ran.  ``evals`` counts the polish
     iterations plus the ascent's evaluations (see :class:`InnerSolveResult`).
     The reported value comes only from points feasible within cfg.feas_tol,
     and the argmax cloud collects every one within EPS_LVL_DEFAULT of the
@@ -584,9 +581,10 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     """The inner solves at the rows of X, every start of every row in lockstep.
 
     Each round polishes and ascends only the live rows, the ones no earlier
-    round left settled; since every operation is row-independent, a settled
-    row keeps exactly the point, violation and F that running it again
-    would give.
+    round left settled: settled by the ascent, or stalled off D_t by the
+    polish before POLISH_MAXITER (a polish from where it stalled stalls at
+    once).  Since every operation is row-independent, a settled row keeps
+    exactly the point, violation and F that running it again would give.
     """
     t = relaxation_level(t)
     m, q = problem.dims.m, problem.dims.q
@@ -614,7 +612,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
             Z[live], viol[live], fval[live], ascent_evals, settled = _ascend(problem, Xl, P, pviol, t, lo, hi, cfg)
             evals[live] += polish_iters + ascent_evals
             rounds[np.unique(live // n_starts)] += 1
-            live = live[~settled]
+            live = live[~(settled | ((pviol > cfg.feas_tol) & (polish_iters < POLISH_MAXITER)))]
             if not live.size:
                 break
         return [

@@ -81,7 +81,6 @@ def convergence_diagnostic(
     trace,
     x_bar: Array,
     cfg: Optional[InnerConfig] = None,
-    reference: Optional[SampledSet] = None,
 ) -> ExcessSeries:
     """Excess of each iterate's argmax sample over the sampled argmax set at x_bar.
 
@@ -92,7 +91,7 @@ def convergence_diagnostic(
     if not records:
         raise ValueError("trace is empty")
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    ref = reference if reference is not None else approximate_argmax_set(problem, x_bar, 0.0, cfg)
+    ref = approximate_argmax_set(problem, x_bar, 0.0, cfg)
     series = ExcessSeries()
     for rec in records:
         sample = rec.argmax

@@ -11,7 +11,17 @@ import pytest
 import pbopt
 from pbopt import InnerConfig, evaluate_psi_t
 from pbopt import maxmin
-from pbopt.maxmin import RANK_TOL, _ascend, _project, _signed_rows, _violations, follower_box, polish_onto_relaxed_set
+from pbopt.maxmin import (
+    RANK_TOL,
+    _ascend,
+    _multipliers,
+    _project,
+    _residual_jacobian,
+    _residuals,
+    _violations,
+    follower_box,
+    polish_onto_relaxed_set,
+)
 
 from toys import fd_copy, make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy, named_problem
 
@@ -39,22 +49,22 @@ def test_ascent_jacobian_matches_central_differences(problem):
         x = leader_point(problem, rng)[None]
         # Widen the box so that negative multipliers and violated constraints occur.
         Z = rng.uniform(lo - 0.5, np.minimum(hi, 3.0) + 0.5, size=(25, k))
-        r, A = _signed_rows(problem, x, Z, t, lo, hi, jac=True)
-        np.testing.assert_array_equal(r, _signed_rows(problem, x, Z, t, lo, hi))
-        assert A.shape == r.shape + (k,)
+        U, g, r = _residuals(problem, x, Z, t)
+        A = _residual_jacobian(problem, x, Z, U, g)
+        assert A.shape == r.shape + (k,) == (len(Z), problem.dims.m + 2 * problem.dims.q, k)
         for j, e in enumerate(h * np.eye(k)):
-            fd = (_signed_rows(problem, x, Z + e, t, lo, hi) - _signed_rows(problem, x, Z - e, t, lo, hi)) / (2 * h)
+            fd = (_residuals(problem, x, Z + e, t)[2] - _residuals(problem, x, Z - e, t)[2]) / (2 * h)
             scale = np.maximum(1.0, np.abs(A[:, :, j]))
             assert (np.abs(fd - A[:, :, j]) <= 1e-6 * scale).all(), (j, np.abs(fd - A[:, :, j]).max())
 
 
-def test_signed_rows_flag_nonfinite_rows(example1):
+def test_residuals_flag_nonfinite_rows(example1):
     problem, _ = example1
-    lo, hi = follower_box(problem, InnerConfig())
     Z = np.array([[0.5, 0.2, 0.1], [np.nan, 0.2, 0.1]])
-    r = _signed_rows(problem, np.array([[0.5]]), Z, 0.1, lo, hi)
+    r = _residuals(problem, np.array([[0.5]]), Z, 0.1)[2]
+    assert r.shape == (2, problem.dims.m + 2 * problem.dims.q)
     assert np.isfinite(r[0]).all()
-    assert (r[1, : problem.dims.m + 3 * problem.dims.q] == np.inf).all()
+    assert (r[1] == np.inf).all()
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "synthetic2d_fd"])
@@ -87,11 +97,11 @@ def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
     evaluation that ends every trial (the first "F" is the starting value).
     Each polish's arguments and output go to ``polishes``.
     """
-    rows, violations, polish, F_rows = maxmin._signed_rows, maxmin._violations, maxmin._polish, problem.F_rows
+    directions, violations, polish, F_rows = maxmin._directions, maxmin._violations, maxmin._polish, problem.F_rows
 
-    def logged_rows(*args, jac=False):
-        log.append("D" if jac else "R")
-        return rows(*args, jac=jac)
+    def logged_directions(*args):
+        log.append("D")
+        return directions(*args)
 
     def logged_violations(*args):
         out = violations(*args)
@@ -113,7 +123,7 @@ def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
         log.append("F")
         return F_rows(*args)
 
-    monkeypatch.setattr(maxmin, "_signed_rows", logged_rows)
+    monkeypatch.setattr(maxmin, "_directions", logged_directions)
     monkeypatch.setattr(maxmin, "_violations", logged_violations)
     monkeypatch.setattr(maxmin, "_polish", logged_polish)
     monkeypatch.setattr(problem, "F_rows", logged_F)
@@ -167,51 +177,85 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
     assert (restored > 0) == (trials > 0)
 
 
-def reference_project(A, act, grad):
-    """_project by the stacked SVD with einsum contractions, as an independent reference."""
-    W, s, Vt = np.linalg.svd(A * act[:, :, None], full_matrices=False)
+def reference_project(A, on, grad):
+    """The projection with the bounds as rows: [A; I; -I] masked by ``on``, one stacked SVD.
+
+    Returns d and the least-norm multipliers of all the stacked rows.
+    """
+    k = A.shape[2]
+    eye = np.broadcast_to(np.eye(k), (len(A), k, k))
+    W, s, Vt = np.linalg.svd(np.concatenate([A, eye, -eye], axis=1) * on[:, :, None], full_matrices=False)
     keep = s > RANK_TOL * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     d = grad - np.einsum("nji,nj->ni", Vt, np.einsum("nij,nj->ni", Vt, grad) * keep)
-    pinv = np.einsum("nji,nj,nkj->nik", Vt, inv, W)
-    lam = np.where(act, np.einsum("nik,ni->nk", pinv, grad), 0.0)
-    return d, lam
+    return d, np.where(on, np.einsum("nij,nj,njl,nl->ni", W, inv, Vt, grad), 0.0)
 
 
 def project_stacks(rng):
-    """Random row stacks with masks: Gaussian ones, and example1's rows with the -u rows
-    active together with the lower u-box rows they duplicate (rank-deficient)."""
-    A = rng.normal(size=(30, 13, 3))
-    act = rng.uniform(size=(30, 13)) < 0.4
-    yield A, act, rng.normal(size=(30, 3))
+    """Random row stacks with masks [active rows | upper bounds | lower bounds], no
+    coordinate at both bounds: Gaussian ones, and example1's rows [L | g | w],
+    whose active g and w rows at a multiplier 0 are parallel (rank-deficient)."""
+    A = rng.normal(size=(30, 5, 3))
+    up = rng.uniform(size=(30, 3)) < 0.3
+    yield A, np.concatenate([rng.uniform(size=(30, 5)) < 0.4, up, ~up & (rng.uniform(size=(30, 3)) < 0.3)], axis=1), rng.normal(size=(30, 3))
     problem = pbopt.get_problem("example1")[0]
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, InnerConfig())
     Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(30, lo.size))
-    A = _signed_rows(problem, rng.uniform(-1.0, 1.0, size=(30, 1)), Z, 0.1, lo, hi, jac=True)[1]
-    act = rng.uniform(size=A.shape[:2]) < 0.3
+    Z[:, m:] *= rng.uniform(size=(30, q)) < 0.5  # multipliers at their lower bound 0
+    X = rng.uniform(-1.0, 1.0, size=(30, 1))
+    U, g, _ = _residuals(problem, X, Z, 0.1)
+    A = _residual_jacobian(problem, X, Z, U, g)
+    act = rng.uniform(size=A.shape[:2]) < 0.5
     act[:, :m] = True
-    u_rows = np.arange(m + q, m + 2 * q)  # -u <= 0 ...
-    box_rows = m + 3 * q + (m + q) + np.arange(m, m + q)  # ... and lo - u <= 0 with lo = 0
-    np.testing.assert_array_equal(A[:, u_rows], A[:, box_rows])
-    act[:, u_rows] = act[:, box_rows] = rng.uniform(size=(30, q)) < 0.6
-    yield A, act, rng.normal(size=(30, m + q))
+    up = rng.uniform(size=(30, m + q)) < 0.2
+    yield A, np.concatenate([act, up, ~up & (Z <= lo)], axis=1), rng.normal(size=(30, m + q))
 
 
 def test_project_matches_the_svd_reference():
+    """_project with fixed coordinates gives the d of the projection with the bounds
+    stacked as rows, its multipliers reproduce grad - d, and on full-rank stacks
+    they are the stacked projection's multipliers."""
     rng = np.random.default_rng(31)
-    deficient = 0
-    for A, act, grad in project_stacks(rng):
-        d, lam = _project(A, act, grad)
-        for got, want in zip((d, lam), reference_project(A, act, grad)):
-            scale = np.abs(want).max(axis=1, keepdims=True)
-            assert (np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)).all()
-        Aa = A * act[:, :, None]
-        tol = 1e-12 * (1.0 + np.abs(Aa).max()) * (1.0 + np.abs(lam).max())
-        assert np.abs(Aa @ d[:, :, None]).max() <= tol * np.abs(grad).max()  # d is tangent to the active rows
-        np.testing.assert_allclose(np.swapaxes(Aa, 1, 2) @ lam[:, :, None], (grad - d)[:, :, None], rtol=0, atol=tol * np.abs(grad).max())
-        deficient += (np.linalg.matrix_rank(Aa) < np.minimum(act.sum(axis=1), A.shape[2])).sum()
-    assert deficient > 0
+    deficient = full = 0
+    for A, on, grad in project_stacks(rng):
+        rows, k = A.shape[1:]
+        d, lam = _project(A, on, grad)
+        mult = _multipliers(A, on, lam, grad)
+        d_ref, mult_ref = reference_project(A, on, grad)
+        assert (np.abs(d - d_ref) <= 1e-12 * np.maximum(np.abs(d_ref).max(axis=1, keepdims=True), 1.0)).all()
+        fixed = on[:, rows : rows + k] | on[:, rows + k :]
+        assert (d[fixed] == 0.0).all()
+        Aa = A * on[:, :rows, None]
+        tol = 1e-12 * (1.0 + np.abs(Aa).max()) * (1.0 + np.abs(lam).max()) * np.abs(grad).max()
+        assert np.abs(Aa @ d[:, :, None]).max() <= tol  # d is tangent to the active rows
+        # A_act^T lam + sum_j side_j mu_j e_j = grad - d, side +1 at the upper bound and -1 at the lower
+        rebuilt = (np.swapaxes(Aa, 1, 2) @ mult[:, :rows, None])[:, :, 0] + mult[:, rows : rows + k] - mult[:, rows + k :]
+        np.testing.assert_allclose(rebuilt, grad - d, rtol=0, atol=tol)
+        stacked = np.concatenate([Aa, np.eye(k) * fixed[:, :, None]], axis=1)
+        rank = np.linalg.matrix_rank(stacked) == on.sum(axis=1)
+        deficient += (~rank).sum()
+        full += rank.sum()
+        assert (np.abs(mult - mult_ref)[rank] <= 1e-10 * (1.0 + np.abs(mult_ref[rank]))).all()
+    assert deficient > 0 and full > 0
+
+
+def test_a_coordinate_fixed_at_both_bounds_stays_fixed():
+    """With lo == hi both bounds fix the coordinate; freeing the one with a
+    negative multiplier leaves the other, whose multiplier is >= 0, and d = 0 there."""
+    rng = np.random.default_rng(37)
+    A, grad = rng.normal(size=(20, 4, 3)), rng.normal(size=(20, 3))
+    on = np.concatenate([rng.uniform(size=(20, 4)) < 0.5, np.tile([False, True, False], (20, 2))], axis=1)
+    d, lam = _project(A, on, grad)
+    mult = _multipliers(A, on, lam, grad)
+    upper, lower = mult[:, 5], mult[:, 8]
+    np.testing.assert_array_equal(upper, -lower)
+    on[:, 5] &= upper >= 0.0
+    on[:, 8] &= lower >= 0.0
+    d2, lam2 = _project(A, on, grad)
+    np.testing.assert_array_equal(d2, d)
+    assert (d[:, 1] == 0.0).all()
+    assert (_multipliers(A, on, lam2, grad)[:, [5, 8]] >= 0.0).all()
 
 
 # Leader points of each problem; example1's x = 0.01 lies in the x -> 0 corner,

@@ -378,10 +378,17 @@ def test_brute_force_refuses_bad_input(example1, x, t):
         brute_force_psi_t(example1[0], x, t, BRUTE_GRID)
 
 
+def left_settled(cfg, start, out):
+    """The rows a round leaves settled: the ascent settled them, or the polish
+    left them off D_t before its iteration budget ran out (they stalled)."""
+    return out[4] | ((start[1] > cfg.feas_tol) & (start[2] < maxmin.POLISH_MAXITER))
+
+
 def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, example2):
     """A round polishes and ascends exactly the rows the last round left unsettled.
 
-    evals counts the iterations of the round polishes plus the ascent's
+    A row the round's polish left stalled off D_t counts as settled.  evals
+    counts the iterations of the round polishes plus the ascent's
     evaluations, which include the iterations of its restoration polishes;
     rounds counts the rounds that ran a start of the leader point.
     """
@@ -407,13 +414,13 @@ def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, e
     X = [[-0.3], [0.6]]  # at t = 0.1 the second point keeps an unsettled start through all three rounds
     results = maxmin.evaluate_psi_t_batch(problem, X, 0.1, cfg)
     assert len(ran[0][1]) == 2 * cfg.starts
-    for (X_prev, _, _, prev), (X0, Z0, _, _) in zip(ran, ran[1:]):
-        unsettled = ~prev[4]
+    for (X_prev, _, start, prev), (X0, Z0, _, _) in zip(ran, ran[1:]):
+        unsettled = ~left_settled(cfg, start, prev)
         assert unsettled.any()
         np.testing.assert_array_equal(X0, X_prev[unsettled])
         np.testing.assert_array_equal(Z0, prev[0][unsettled])
     assert 1 < len(ran) <= cfg.sweeps
-    assert len(ran) == cfg.sweeps or ran[-1][3][4].all()
+    assert len(ran) == cfg.sweeps or left_settled(cfg, *ran[-1][2:]).all()
     assert [res.rounds for res in results] == [sum(x[0] in X0 for X0, *_ in ran) for x in X] == [2, 3]
     assert sum(res.evals for res in results) == sum(int(start[2].sum() + out[3].sum()) for _, _, start, out in ran)
 
@@ -461,6 +468,44 @@ def test_skipping_settled_starts_changes_no_result(name, cfg_name):
             assert 1 <= lone.rounds == got.rounds <= cfg.sweeps
         if cfg_name == "one_trial":
             assert max(res.rounds for res in batch) > 1
+
+
+def test_a_start_the_polish_leaves_stalled_is_settled(example1):
+    """Under the certifier's config at example1, x = 0.5, t = 0.1, some starts
+    stall off D_t in the polish; they are settled, so one round runs, and the
+    result is the one every start in every round gives."""
+    problem, _ = example1
+    cfg = SKIP_CFGS["certifier"]
+    res = evaluate_psi_t(problem, [0.5], 0.1, cfg)
+    ref = every_round_on_every_start(problem, [[0.5]], 0.1, cfg)[0]
+    assert res.status == ref.status == "solved"
+    assert res.rounds == 1
+    assert res.value == ref.value == 0.20000000000011967
+    np.testing.assert_array_equal(res.argmax.points, ref.argmax.points)
+
+
+def test_polish_refuses_a_box_below_zero_in_the_multipliers(example1):
+    """The solver's rows leave u >= 0 to the box, so a box that admits u < 0 is refused."""
+    problem, _ = example1
+    lo, hi = maxmin.follower_box(problem, InnerConfig())
+    Z = np.array([[0.5, 0.2, 0.1]])
+    maxmin.polish_onto_relaxed_set(problem, [0.5], Z, 0.1, lo, hi, 1e-8)
+    for bad in (-1.0, np.nan):
+        low = lo.copy()
+        low[problem.dims.m + 1] = bad
+        with pytest.raises(ValueError, match="multiplier part"):
+            maxmin.polish_onto_relaxed_set(problem, [0.5], Z, 0.1, low, hi, 1e-8)
+
+
+@pytest.mark.parametrize("x, status", [(0.05, "solved"), (0.2, "solved"), (0.5, "infeasible")])
+def test_a_follower_coordinate_fixed_at_both_bounds(example1, x, status):
+    """With y_box [[0.3, 0.3]], y stays at 0.3: psi = F = 0.3 where y = 0.3 lies in D_t."""
+    problem = dataclasses.replace(example1[0], y_box=np.array([[0.3, 0.3]]))
+    res = evaluate_psi_t(problem, [x], 0.1, InnerConfig(starts=10, sweeps=3, local_maxiter=80))
+    assert res.status == status
+    if status == "solved":
+        assert res.value == 0.3
+        assert (res.argmax.points[:, 0] == 0.3).all()
 
 
 @pytest.mark.parametrize(

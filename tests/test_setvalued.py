@@ -154,6 +154,14 @@ def test_convergence_diagnostic_empty_trace(example1, light_cfg):
         convergence_diagnostic(problem, [], [1.0], light_cfg)
 
 
+def test_convergence_diagnostic_has_no_reference_keyword(example1, light_cfg):
+    # the limit set is always the inner solver's argmax at x_bar, t = 0
+    problem, _ = example1
+    records = [SimpleNamespace(k=0, t=0.1, x=np.array([0.5]), argmax=SampledSet(np.array([[0.1, 0.5, 0.0]])))]
+    with pytest.raises(TypeError, match="reference"):
+        convergence_diagnostic(problem, records, [1.0], light_cfg, reference=SampledSet(np.array([[1.0, 0.0, 0.0]])))
+
+
 @pytest.mark.parametrize("x, t", [([0.5], float("nan")), ([0.5], float("inf")), ([0.5], -0.1), ([0.5, 0.5], 0.1)])
 def test_sample_relaxed_set_refuses_bad_input(example1, x, t):
     # a NaN level used to give an empty sample
