@@ -13,6 +13,8 @@ pbopt eval --problem synthetic2d --x=0.4,-0.2 --t 0.05 > "$tmp/synthetic2d.json"
 python -c 'import json, sys; from pbopt import benchlib; r = json.load(open(sys.argv[1])); psi = benchlib.get_problem("synthetic2d")[1].psi_p_t([0.4, -0.2], 0.05); ok = r["status"] == "solved" and abs(r["value"] - psi) <= 1e-3; sys.exit(0 if ok else f"synthetic2d eval: {r}, closed form {psi}")' "$tmp/synthetic2d.json"
 pbopt solve --problem example2 --t0 1 --rho 0.5 --tmin 0.25 --trace "$tmp/trace.csv" --summary "$tmp/summary.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = abs(r["final_x"][0] + 1.0) <= 1e-3 and r["unread_evals"] == 0; sys.exit(0 if ok else f"example2 solve summary: {r}")' "$tmp/summary.json"
+pbopt solve --problem synthetic2d --t0 0.5 --rho 0.5 --tmin 0.25 --trace "$tmp/trace2d.csv" --summary "$tmp/summary2d.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["unread_evals"] == 0 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
 echo '{"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}' > "$tmp/pt.json"
 pbopt check --problem example1 --point "$tmp/pt.json" --kind C
 pbopt gradcheck --problem example2 --points 3

@@ -19,9 +19,9 @@ import numpy as np
 
 from .benchlib import get_problem, problem_names
 from .kkt import InfeasiblePointError
-from .maxmin import InnerConfig, evaluate_psi_t, approximate_argmax_set
+from .maxmin import InnerConfig, InnerInfeasibleError, evaluate_psi_t, approximate_argmax_set
 from .problem_model import TriplePoint, check_gradients_fd
-from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, scholtes_solve
+from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, leader_violation, scholtes_solve
 from .setvalued import convergence_diagnostic
 from .simplex import NnlsLimitError
 from .stationarity import (
@@ -211,16 +211,6 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
     }
 
 
-def _leader_infeasible(problem, x: np.ndarray) -> bool:
-    """x lies outside the leader set: outside its box or G(x) > 0, beyond X_MEMBERSHIP_TOL."""
-    viol = [0.0]
-    if problem.x_box is not None:
-        viol += [*(problem.x_box[:, 0] - x), *(x - problem.x_box[:, 1])]
-    if problem.dims.p:
-        viol += list(np.asarray(problem.eval_G(x), dtype=float))
-    return bool(max(viol) > X_MEMBERSHIP_TOL)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args)
     problem, _ = _require_problem(cfg.problem)
@@ -237,7 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "problem": cfg.problem,
         "t": float(args.t),
         "x": [float(v) for v in x],
-        "leader_infeasible": _leader_infeasible(problem, x),
+        "leader_infeasible": leader_violation(problem, x) > X_MEMBERSHIP_TOL,
         "status": res.status,
         "value": None if res.status != "solved" else float(res.value),
         "evals": res.evals,
@@ -357,14 +347,18 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     n = problem.dims.n
     inner_cfg = _inner_config(cfg)
     records = []
-    for row in rows:
-        try:
-            k, t, x = int(row["k"]), float(row["t"]), np.array([float(row[f"x{i}"]) for i in range(n)])
-        except (KeyError, TypeError, ValueError) as err:
-            raise UsageError(f"malformed trace row {row}: {err!r}") from None
-        sample = approximate_argmax_set(problem, x, t, inner_cfg)
-        records.append(SimpleNamespace(k=k, t=t, x=x, argmax=sample))
-    series = convergence_diagnostic(problem, records, x_bar, inner_cfg)
+    try:
+        for row in rows:
+            try:
+                k, t, x = int(row["k"]), float(row["t"]), np.array([float(row[f"x{i}"]) for i in range(n)])
+            except (KeyError, TypeError, ValueError) as err:
+                raise UsageError(f"malformed trace row {row}: {err!r}") from None
+            sample = approximate_argmax_set(problem, x, t, inner_cfg)
+            records.append(SimpleNamespace(k=k, t=t, x=x, argmax=sample))
+        series = convergence_diagnostic(problem, records, x_bar, inner_cfg)
+    except InnerInfeasibleError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     out_path = args.out or "excess_series.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={EXCESS_SCHEMA}\n")

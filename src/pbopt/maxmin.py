@@ -315,7 +315,8 @@ def polish_onto_relaxed_set(
     inner solver passes :func:`follower_box`; its rows leave u >= 0 to the
     box, so lo < 0 on a multiplier is refused), stopping per row once
     its largest violation is at most feas_tol, when a step no longer
-    reduces the squared violation, or after POLISH_MAXITER iterations.
+    reduces the squared violation by more than (feas_tol / 10)**2, or after
+    POLISH_MAXITER iterations.
     Each step solves the normal equations (J^T J + 1e-14 tr(J^T J) I) dz =
     -J^T v on the row's free coordinates for all rows in one batched solve,
     so a rank-deficient J still gets the near-minimum-norm step;
@@ -347,6 +348,7 @@ def _polish(
     # g, v and viol always belong to the current Z: a step's line search has
     # already evaluated them at the point it accepts.
     iters = np.zeros(Z.shape[0], dtype=int)
+    floor = (0.1 * feas_tol) ** 2  # least decrease of the squared violation a step must make
     todo = np.flatnonzero(viol > feas_tol)
     for k in range(POLISH_MAXITER):
         if not todo.size:
@@ -377,7 +379,7 @@ def _polish(
         for _ in range(10):
             cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
             gc, vc, violc = _violations(problem, _take(Xt, pending), cand, t)
-            better = (vc * vc).sum(axis=1) < base[pending] - 1e-18
+            better = (vc * vc).sum(axis=1) < base[pending] - floor
             rows = todo[pending[better]]
             Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
             viol[rows] = violc[better]

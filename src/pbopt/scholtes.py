@@ -24,7 +24,7 @@ MESH_INIT_FRAC = 0.25
 DECREASE_TOL = 1e-10
 # Most poll rounds of one level.
 MAX_ROUNDS = 400
-# Weight of the leader-constraint violation added to psi outside a box-free leader set.
+# Weight of the leader-set violation added to psi beyond X_MEMBERSHIP_TOL.
 INFEAS_PENALTY = 1e8
 
 
@@ -117,12 +117,18 @@ def _project_x(problem: BilevelProblem, x: Array) -> Array:
     return x.copy()
 
 
+def leader_violation(problem: BilevelProblem, x: Array) -> float:
+    """Largest violation of the leader set at x: of its box and of G(x) <= 0 (0 inside)."""
+    viol = [np.zeros(1)]
+    if problem.x_box is not None:
+        viol += [problem.x_box[:, 0] - x, x - problem.x_box[:, 1]]
+    if problem.dims.p:
+        viol.append(np.asarray(problem.eval_G(x), dtype=float).ravel())
+    return float(np.max(np.concatenate(viol)))
+
+
 def _leader_penalty(problem: BilevelProblem, x: Array) -> float:
-    # Box-shaped sets are handled by projection; anything else is penalised.
-    if problem.x_box is not None or problem.dims.p == 0:
-        return 0.0
-    G = np.asarray(problem.eval_G(x), dtype=float)
-    viol = float(np.max(np.maximum(0.0, G), initial=0.0))
+    viol = leader_violation(problem, x)
     return 0.0 if viol <= X_MEMBERSHIP_TOL else INFEAS_PENALTY * viol
 
 
@@ -138,20 +144,15 @@ def minimize_psi_t(
     point improves the incumbent by more than DECREASE_TOL.
 
     Each round's new poll points are solved in one batched inner call, the
-    first round's together with the starting point.  Halving rounds are
-    solved ahead.  At the level's starting point, and after every move when
-    n = 1, the first round the incumbent survives also solves the whole
-    rest of the halving ladder, so a search that stays put costs two calls
-    and a 1-D move at most two more.  After a move when n >= 2, where a
-    round is up to 2n polls that the next move leaves unread, the lookahead
-    doubles instead: after the f-th round the incumbent survives (the count
-    restarts whenever x moves), one call also solves the polls of the next
-    2**(f-1) rounds that would keep it, so a run of L halvings at one
-    incumbent costs about log2(L) calls.  Only evaluations the search reads
-    count in ``evals``; the rest are reported as ``unread``, and ``calls``
-    counts the batched solves.  A search that read at least one poll, every
-    one of them tied with the centre, reports ``flat``: it stayed put
-    without evidence of a minimum.
+    first round's together with the starting point.  When n = 1, the first
+    round an incumbent survives (the level's starting point counts as one)
+    also solves the whole rest of its halving ladder in one call, so a
+    search that stays put costs two calls and a move at most two more; when
+    n >= 2 every round is solved in its own call.  Only evaluations the
+    search reads count in ``evals``; the rest are reported as ``unread``,
+    and ``calls`` counts the batched solves.  A search that read at least
+    one poll, every one of them tied with the centre, reports ``flat``: it
+    stayed put without evidence of a minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -199,9 +200,7 @@ def minimize_psi_t(
 
     solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
-    moved = False
-    # rounds x has survived since it last moved; rounds from the current mesh on whose polls at x are solved
-    survived = ahead = 0
+    ladder = False  # the rest of the halving ladder at x is solved
     tied = None  # every poll read so far tied the centre; None until one is read
     for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
@@ -221,18 +220,17 @@ def minimize_psi_t(
         if polls and polls[0][0] < center_val - DECREASE_TOL:
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
-            moved, survived, ahead = True, 0, 0
+            ladder = False
         else:
             mesh *= 0.5
-            survived += 1
-            ahead = max(ahead - 1, 0)
-            want = min(2 ** (survived - 1) if moved and n > 1 else MAX_ROUNDS, MAX_ROUNDS - r - 1)
-            h, rest = mesh * 0.5**ahead, []
-            while ahead < want and h >= cfg.mesh_tol:
-                rest += poll_points(x, h)
-                h *= 0.5
-                ahead += 1
-            solve(rest)
+            if n == 1 and not ladder:
+                ladder, h, rest = True, mesh, []
+                for _ in range(r + 1, MAX_ROUNDS):
+                    if h < cfg.mesh_tol:
+                        break
+                    rest += poll_points(x, h)
+                    h *= 0.5
+                solve(rest)
 
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")

@@ -302,8 +302,9 @@ def _graph_rows(
         cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
         inner = evaluate_psi_t(problem, pt.x, t, cfg)
         fval = problem.eval_F(pt.x, pt.y)
+        # an unsolved reference verifies nothing: NaN fails the verdict
         rows["graph_value"] = (
-            0.0 if inner.status != "solved" else max(0.0, inner.value - EPS_LVL_DEFAULT - fval)
+            np.nan if inner.status != "solved" else max(0.0, inner.value - EPS_LVL_DEFAULT - fval)
         )
     return rows
 

@@ -209,16 +209,21 @@ def test_halvings_after_a_move_are_solved_ahead(monkeypatch, name, x0, t):
     assert got.unread == 0 and sum(sizes) == got.evals
 
 
-def test_lookahead_keeps_a_2d_search_from_overreaching(monkeypatch):
-    # a 2-D walk survives short runs of rounds between moves, where each
-    # solved-ahead round is four polls the next move may leave unread
+def test_a_2d_search_solves_each_round_in_its_own_call(monkeypatch):
+    # a 2-D walk survives short runs of rounds between moves, so rounds
+    # solved ahead would be polls the next move leaves unread
     problem = named_problem("synthetic2d")
+    cfg = OuterConfig(inner=CFG)
     sizes = counting_batches(monkeypatch)
-    res = minimize_psi_t(problem, 0.5, [0.4, -0.2], OuterConfig(inner=CFG))
-    assert res.calls == len(sizes) < 28  # one call per halving round makes 28
-    assert res.unread == sum(sizes) - res.evals <= sum(sizes) / 4
-    # the doubling lookahead's batches, which the 1-D rule leaves alone
-    assert sizes == [5, 3, 2, 4, 3, 2, 6, 1, 2, 1, 3, 1, 3, 1, 3, 1, 3, 6, 9, 9, 1, 2, 1, 2, 1, 3, 6]
+    got = minimize_psi_t(problem, 0.5, [0.4, -0.2], cfg)
+    want = sequential_minimize(problem, 0.5, [0.4, -0.2], cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
+    # one call per poll round: 12 moves and 16 halvings (0.5 down to 2**-17)
+    assert got.final_mesh == 0.5 * 2.0**-16
+    assert got.calls == len(sizes) == 28
+    assert sizes[0] <= 5 and max(sizes[1:]) <= 4
+    assert got.unread == 0 and sum(sizes) == got.evals
 
 
 @pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2]), ("example1", [0.1])])

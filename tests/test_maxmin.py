@@ -470,18 +470,37 @@ def test_skipping_settled_starts_changes_no_result(name, cfg_name):
             assert max(res.rounds for res in batch) > 1
 
 
-def test_a_start_the_polish_leaves_stalled_is_settled(example1):
-    """Under the certifier's config at example1, x = 0.5, t = 0.1, some starts
-    stall off D_t in the polish; they are settled, so one round runs, and the
-    result is the one every start in every round gives."""
-    problem, _ = example1
+def test_a_start_the_polish_leaves_stalled_is_settled(monkeypatch, example1):
+    """With y_box [[0.3, 0.3]] at x = 0.5, t = 0.1, where y = 0.3 lies outside
+    D_t, the certifier config's starts stall off D_t in the polish; they are
+    settled, so one round runs, and the result is the one every start in
+    every round gives."""
+    problem = dataclasses.replace(example1[0], y_box=np.array([[0.3, 0.3]]))
     cfg = SKIP_CFGS["certifier"]
+    polish, stalled = maxmin.polish_onto_relaxed_set, []
+
+    def count_stalled(*args):
+        out = polish(*args)
+        stalled.append(int(((out[1] > cfg.feas_tol) & (out[2] < maxmin.POLISH_MAXITER)).sum()))
+        return out
+
+    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_stalled)
     res = evaluate_psi_t(problem, [0.5], 0.1, cfg)
+    assert stalled[0] > 0
+    monkeypatch.undo()
     ref = every_round_on_every_start(problem, [[0.5]], 0.1, cfg)[0]
-    assert res.status == ref.status == "solved"
+    assert res.status == ref.status == "infeasible"
     assert res.rounds == 1
-    assert res.value == ref.value == 0.20000000000011967
-    np.testing.assert_array_equal(res.argmax.points, ref.argmax.points)
+
+
+def test_the_polish_reaches_a_tight_feas_tol(synthetic):
+    """The polish's least decrease scales with feas_tol, so under the
+    certifier's feas_tol = 1e-10 its starts at the synthetic2d origin reach
+    D_0 instead of stalling between 1e-10 and 1e-9."""
+    problem, oracle = synthetic
+    res = evaluate_psi_t(problem, [0.0, 0.0], 0.0, SKIP_CFGS["certifier"])
+    assert res.status == "solved"
+    assert abs(res.value - oracle.psi_p_t([0.0, 0.0], 0.0)) <= 1e-3
 
 
 def test_polish_refuses_a_box_below_zero_in_the_multipliers(example1):

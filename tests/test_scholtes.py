@@ -67,6 +67,22 @@ def test_leader_set_without_a_box_is_searched_by_penalty(example2, light_cfg):
         scholtes_solve(problem, RelaxationParams(outer=_outer(light_cfg)))
 
 
+def test_a_boxed_leader_set_still_reads_G(example1, light_cfg):
+    # Example1 with the extra leader constraint x - 0.5 <= 0 inside its box
+    # [0, 1]: psi falls toward x = 1, so a search blind to G ends there.
+    problem = example1[0]
+    problem = dataclasses.replace(
+        problem,
+        dims=dataclasses.replace(problem.dims, p=3),
+        eval_G=lambda x: np.array([-x[0], x[0] - 1.0, x[0] - 0.5]),
+        jac_G=lambda x: np.array([[-1.0], [1.0], [1.0]]),
+    )
+    params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.05, outer=OuterConfig(inner=light_cfg, mesh_tol=1e-4))
+    x = scholtes_solve(problem, params, [0.25]).final().x
+    assert max(problem.eval_G(x)) <= scholtes.X_MEMBERSHIP_TOL
+    assert x[0] == pytest.approx(0.5, abs=1e-3)
+
+
 def test_schedule_is_exactly_geometric(example2, light_cfg):
     problem, _ = example2
     params = RelaxationParams(t0=1.0, rho=0.5, t_min=1e-2, x_tol=-1.0, outer=_outer(light_cfg))

@@ -148,6 +148,22 @@ def test_synthetic_origin_is_c_but_not_m(synthetic, tiny_cfg):
     np.testing.assert_allclose(mc.gamma, [0.8, 0.9], atol=1e-8)
 
 
+def test_an_unsolved_reference_fails_the_graph_row(monkeypatch, synthetic, tiny_cfg):
+    """A graph row whose reference solve is not solved was never verified."""
+    problem, _ = synthetic
+    pt = TriplePoint([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    mc = recover_c_multipliers(problem, pt, kind="C")
+    solve = stationarity.evaluate_psi_t
+
+    def unsolved(*args):
+        return dataclasses.replace(solve(*args), value=np.nan, status="budget_exhausted")
+
+    monkeypatch.setattr(stationarity, "evaluate_psi_t", unsolved)
+    rep = check_stationarity(problem, pt, mc, kind="C", inner_cfg=tiny_cfg)
+    assert np.isnan(rep.rows["graph_value"])
+    assert not rep.verdict
+
+
 def _implication_corpus(example1, example2, synthetic):
     corpus = []
     p1, o1 = example1
