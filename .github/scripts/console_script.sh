@@ -9,6 +9,10 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 pbopt eval --problem example1 --x 0.5 --t 0.1
 pbopt eval --problem example1 --x 0.01 --t 0.002 > "$tmp/corner.json"
 python -c 'import json, sys, pbopt; r = json.load(open(sys.argv[1])); ok = r["status"] == "solved" and abs(r["value"] - 0.2) <= 1e-3 and 1 <= r["rounds"] <= pbopt.InnerConfig.sweeps; sys.exit(0 if ok else f"x -> 0 corner eval: {r}")' "$tmp/corner.json"
+# at x = 0.1 the argmax of example2 is a segment of multipliers at y = 1, so
+# every row of the deduplicated cloud shares its first coordinate
+pbopt eval --problem example2 --x 0.1 --t 0.3 > "$tmp/segment.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); P = [tuple(p) for p in r["argmax"]]; ok = r["status"] == "solved" and abs(r["value"] - 1.1) <= 1e-3 and len(P) >= 2 and P == sorted(P) and all(max(abs(a - b) for a, b in zip(p, q)) > 1e-9 for i, p in enumerate(P) for q in P[:i]); sys.exit(0 if ok else f"example2 segment eval: {r}")' "$tmp/segment.json"
 pbopt eval --problem synthetic2d --x=0.4,-0.2 --t 0.05 > "$tmp/synthetic2d.json"
 python -c 'import json, sys; from pbopt import benchlib; r = json.load(open(sys.argv[1])); psi = benchlib.get_problem("synthetic2d")[1].psi_p_t([0.4, -0.2], 0.05); ok = r["status"] == "solved" and abs(r["value"] - psi) <= 1e-3; sys.exit(0 if ok else f"synthetic2d eval: {r}, closed form {psi}")' "$tmp/synthetic2d.json"
 pbopt solve --problem example2 --t0 1 --rho 0.5 --tmin 0.25 --trace "$tmp/trace.csv" --summary "$tmp/summary.json"

@@ -33,9 +33,8 @@ POLISH_MAXITER = 60
 GRID_TOL_FACTOR = 0.75
 GRID_TOL_FLOOR = 1e-8
 NEAR_FEAS_BAND = 1e-3
-# Ascent: inequality rows within ACTIVE_TOL of zero are active; singular
-# values below RANK_TOL times the largest are dropped, and a projected
-# gradient within RANK_TOL * (1 + |grad F|) counts as zero.
+# Ascent: inequality rows within ACTIVE_TOL of zero are active, and a
+# projected gradient within RANK_TOL * (1 + |grad F|) counts as zero.
 ACTIVE_TOL = 1e-7
 RANK_TOL = 1e-10
 # Ascent step per row: first length, growth on an accepted step, floor.
@@ -136,21 +135,18 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
 def _close_pairs(P: Array, tol: float) -> tuple[Array, Array]:
     """The row pairs (j, i), j < i, of a sorted block whose inf-norm distance is at most tol or NaN.
 
-    A finite row is compared only with the finite rows before it whose
-    first coordinate (which ascends) lies within about 2 tol of its own,
-    at most GRID_CHUNK_ROWS pairs at a time; a row with a non-finite entry
-    is compared with every row.
+    A finite row is compared only with the finite rows from its
+    :func:`_window_starts` entry up to itself, at most GRID_CHUNK_ROWS
+    pairs at a time; a row with a non-finite entry is compared with every
+    row.
     """
     finite = np.isfinite(P).all(axis=1)
     F = finite.nonzero()[0]
     Q, idx = P[F], np.arange(F.size)
-    v = Q[:, 0]
-    # a lower edge below v - 2 tol even after rounding, so no close row is missed
-    first = np.minimum(v.searchsorted(v - (2.0 * tol + 1e-15 * np.abs(v))), idx)
-    count = idx - first
+    count = idx - _window_starts(Q, tol)
     ends = count.cumsum()
     # pair number g of row r (ends[r] - count[r] <= g < ends[r]) compares it with row g + shift[r]
-    shift = first - ends + count
+    shift = idx - ends
     pairs_j, pairs_i = [], []
     a = 0
     while a < F.size:
@@ -169,6 +165,32 @@ def _close_pairs(P: Array, tol: float) -> tuple[Array, Array]:
         pairs_j.append(np.minimum(other, s))
         pairs_i.append(np.maximum(other, s))
     return np.concatenate(pairs_j), np.concatenate(pairs_i)
+
+
+def _window_starts(Q: Array, tol: float) -> Array:
+    """The first row each row of a sorted finite block is compared with, the rows up to it following.
+
+    A row is compared with the rows before it whose first coordinate lies
+    within about 2 tol of its own.  When all of those share its first
+    coordinate, only the ones whose second coordinate also lies within
+    about 2 tol of its own are left: in a block of equal first coordinates
+    the second coordinate ascends.  Every pair within tol is compared.
+    """
+    n = len(Q)
+    v = Q[:, 0]
+    block = v.searchsorted(v)  # the first row of each row's block
+    # lower edges below v - 2 tol even after rounding, so no close row is missed
+    first = v.searchsorted(v - (2.0 * tol + 1e-15 * np.abs(v)))
+    if Q.shape[1] > 1:
+        # With the second coordinate c replaced by its rank among all the
+        # rows, (block, rank) is one ascending integer key that orders
+        # exactly as (block, c) does.
+        c = Q[:, 1]
+        s = np.sort(c)
+        key = block * (n + 1) + s.searchsorted(c)
+        edge = block * (n + 1) + s.searchsorted(c - (2.0 * tol + 1e-15 * np.abs(c)))
+        first = np.where(first < block, first, key.searchsorted(edge))
+    return np.minimum(first, np.arange(n))
 
 
 @dataclass
@@ -275,33 +297,37 @@ def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g:
     return J
 
 
-# Relative Tikhonov weight of the polish's normal equations: tiny enough to
-# leave well-conditioned steps alone, large enough that a rank-deficient
-# J^T J still gets the near-minimum-norm step.
+# Relative Tikhonov weight of the normal equations of the polish and of the
+# ascent's projection: tiny enough to leave well-conditioned systems alone,
+# large enough that a rank-deficient one still gets the near-minimum-norm
+# solution.
 _POLISH_REG = 1e-14
 
 
-def _gauss_newton_steps(JtJ: Array, Jtv: Array, free: Array) -> Array:
-    """Gauss-Newton steps dz of every row restricted to its free coordinates.
+def _regularised_solve(M: Array, rhs: Array, free: Optional[Array] = None, refine: bool = False) -> Array:
+    """Solutions x of (M + _POLISH_REG * tr(M) * I) x = rhs for a stack of PSD matrices M.
 
-    Solves (J^T J + _POLISH_REG * tr(J^T J) * I) dz = -J^T v over the free
-    coordinates of each row, with dz = 0 on the pinned ones, in one batched
-    solve.  Rows with a non-finite entry on their free coordinates get
-    dz = 0.
+    With ``free`` given, only the free rows and columns of each M take part
+    and x = 0 on the others.  ``refine`` adds one refinement step against
+    the unregularised M.  Rows with a non-finite entry get x = 0.
     """
-    A = np.where(free[:, :, None] & free[:, None, :], JtJ, 0.0)
-    rhs = np.where(free, -Jtv, 0.0)[:, :, None]
-    diag = np.einsum("nii->ni", A)  # a writable view of the diagonals
-    # tiny keeps an all-zero J^T J (whose rhs is zero too) nonsingular
-    diag += np.where(free, _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny, 1.0)
-    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
-    if ok.all():
-        # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
-        return np.linalg.solve(A, rhs)[:, :, 0]
-    dz = np.zeros(Jtv.shape)
-    if ok.any():
-        dz[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
-    return dz
+    if free is not None:
+        M = np.where(free[:, :, None] & free[:, None, :], M, 0.0)
+        rhs = np.where(free, rhs, 0.0)
+    Mr = M.copy()
+    diag = np.einsum("nii->ni", Mr)  # a writable view of the diagonals
+    # tiny keeps an all-zero M (whose rhs is zero too) nonsingular
+    reg = _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny
+    diag += reg if free is None else np.where(free, reg, 1.0)
+    # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
+    rhs = rhs[:, :, None]
+    if not (np.isfinite(Mr).all() and np.isfinite(rhs).all()):
+        ok = (np.isfinite(Mr).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))[:, None, None]
+        M, Mr, rhs = np.where(ok, M, 0.0), np.where(ok, Mr, np.eye(M.shape[1])), np.where(ok, rhs, 0.0)
+    x = np.linalg.solve(Mr, rhs)
+    if refine:
+        x += np.linalg.solve(Mr, rhs - M @ x)
+    return x[:, :, 0]
 
 
 def polish_onto_relaxed_set(
@@ -357,21 +383,22 @@ def _polish(
         J = _residual_jacobian(problem, Xt, Zt, Zt[:, m:], g[todo])
         # rows of satisfied inequalities stay out of the least squares
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
+        JtJ = np.swapaxes(J, 1, 2) @ J
+        Jtv = (J * vt[:, :, None]).sum(axis=1)
+        dz = _regularised_solve(JtJ, -Jtv)  # nothing is pinned yet
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
         at_lo = Zt <= lo + 1e-12
         at_hi = Zt >= hi - 1e-12
-        JtJ = np.swapaxes(J, 1, 2) @ J
-        Jtv = (J * vt[:, :, None]).sum(axis=1)
-        free = np.ones(Zt.shape, dtype=bool)
-        dz = _gauss_newton_steps(JtJ, Jtv, free)
-        for _ in range(m + q):
-            pinned = free & ((at_lo & (dz < 0.0)) | (at_hi & (dz > 0.0)))
-            redo = pinned.any(axis=1)
-            if not redo.any():
-                break
-            free[redo] &= ~pinned[redo]
-            dz[redo] = _gauss_newton_steps(JtJ[redo], Jtv[redo], free[redo])
+        if (at_lo | at_hi).any():
+            free = np.ones(Zt.shape, dtype=bool)
+            for _ in range(m + q):
+                pinned = free & ((at_lo & (dz < 0.0)) | (at_hi & (dz > 0.0)))
+                redo = pinned.any(axis=1)
+                if not redo.any():
+                    break
+                free[redo] &= ~pinned[redo]
+                dz[redo] = _regularised_solve(JtJ[redo], -Jtv[redo], free[redo])
         base = (vt * vt).sum(axis=1)
         accepted = np.zeros(todo.size, dtype=bool)
         pending = np.arange(todo.size)
@@ -400,20 +427,20 @@ def _project(A: Array, on: Array, grad: Array) -> tuple[Array, Array]:
     """grad projected onto the tangent space of the active rows of A, the fixed coordinates held.
 
     ``on`` marks the active rows, then the upper and the lower bounds that
-    fix a coordinate.  One stacked SVD of the active rows with the fixed
-    columns zeroed, W diag(s) V^T less the singular values below RANK_TOL
-    times the largest, gives d = g - V V^T g, g being grad zeroed on the
-    fixed coordinates, and the least-norm row multipliers lam = W diag(1/s) V^T g.
+    fix a coordinate.  With B the active rows with the fixed columns zeroed
+    and g grad zeroed on the fixed coordinates, the row multipliers solve
+    the normal equations B B^T lam = B g, regularised as the polish's are
+    (:func:`_regularised_solve`), so a rank-deficient B gets the
+    near-least-norm lam; one refinement step against the unregularised
+    B B^T follows.  Returns d = g - B^T lam and lam (0 on inactive rows).
     """
     rows, k = A.shape[1:]
     act, fixed = on[:, :rows], on[:, rows : rows + k] | on[:, rows + k :]
-    W, s, Vt = np.linalg.svd(A * (act[:, :, None] & ~fixed[:, None, :]), full_matrices=False)
-    keep = s > RANK_TOL * s[:, :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    c = Vt @ np.where(fixed, 0.0, grad)[:, :, None]
-    d = np.where(fixed, 0.0, grad - (np.swapaxes(Vt, 1, 2) @ (c * keep[:, :, None]))[:, :, 0])
-    lam = np.where(act, (W @ (c * inv[:, :, None]))[:, :, 0], 0.0)
-    return d, lam
+    B = A * (act[:, :, None] & ~fixed[:, None, :])
+    Bt = np.swapaxes(B, 1, 2)
+    g = np.where(fixed, 0.0, grad)
+    lam = _regularised_solve(B @ Bt, (B @ g[:, :, None])[:, :, 0], refine=True)
+    return g - (Bt @ lam[:, :, None])[:, :, 0], lam
 
 
 def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
@@ -449,6 +476,8 @@ def _directions(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array
     todo = np.arange(Z.shape[0])
     for _ in range(on.shape[1]):
         todo = todo[np.abs(d[todo]).max(axis=1, initial=0.0) <= small[todo]]
+        if not todo.size:
+            break
         mult = _multipliers(A[todo], on[todo], lam[todo], grad[todo])
         mult[:, :m] = 0.0  # the L rows are equalities
         neg = mult.min(axis=1) < 0.0
@@ -561,10 +590,11 @@ def evaluate_psi_t_batch(
 
     Every row gets the same seeded and warm starts, and the starts of all
     rows advance together, so one evaluation covers many leader points.
-    The ascent uses only row-independent linear algebra (stacked SVDs,
-    solves and matmuls, one matrix per row, and elementwise operations), and
-    a trial is polished only when its own evaluation finds it off the set,
-    so each result is bit for bit the one a lone call at that row returns.
+    The ascent uses only row-independent linear algebra (stacked solves
+    and matmuls, one matrix per row, and elementwise operations), a trial
+    is polished only when its own evaluation finds it off the set, and the
+    argmax clouds of different rows are never compared with each other, so
+    each result is bit for bit the one a lone call at that row returns.
     """
     X = problem.leader_block(X)
     return _solve_rows(problem, X, t, cfg or InnerConfig())
@@ -587,6 +617,8 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     polish before POLISH_MAXITER (a polish from where it stalled stalls at
     once).  Since every operation is row-independent, a settled row keeps
     exactly the point, violation and F that running it again would give.
+    The results of all leader points are then built in one pass
+    (:func:`_inner_results`).
     """
     t = relaxation_level(t)
     m, q = problem.dims.m, problem.dims.q
@@ -606,7 +638,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     rounds = np.zeros(len(Z) // n_starts, dtype=int)
     live = np.arange(Z.shape[0])
     # Overflow only turns rows non-finite, which the polish and the ascent
-    # already handle and _inner_result reports; numpy's warnings add nothing.
+    # already handle and _inner_results reports; numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.sweeps):
             Xl = _take(X, live)
@@ -617,37 +649,45 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
             live = live[~(settled | ((pviol > cfg.feas_tol) & (polish_iters < POLISH_MAXITER)))]
             if not live.size:
                 break
-        return [
-            _inner_result(Z[r : r + n_starts], viol[r : r + n_starts], fval[r : r + n_starts], evals[r : r + n_starts], t, cfg, int(rounds[r // n_starts]))
-            for r in range(0, Z.shape[0], n_starts)
-        ]
+        return _inner_results(Z, viol, fval, evals, t, cfg, rounds)
 
 
-def _inner_result(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig, rounds: int) -> InnerSolveResult:
-    """The value, status and argmax cloud of one leader point's polished starts.
+def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, cfg: InnerConfig, rounds: Array) -> list[InnerSolveResult]:
+    """The value, status and argmax cloud of every leader point from its polished starts.
 
-    With no start feasible the status is "budget_exhausted" when one came
-    within NEAR_FEAS_BAND, "nonfinite" when every start's squared violation
-    overflows (the verdict would be an artefact of overflow, not an empty
-    set), and "infeasible" otherwise.
+    Leader point r owns rows r * S to (r + 1) * S - 1 of Z, viol, fval and
+    evals, S = len(Z) // len(rounds).  With no start feasible the status is
+    "budget_exhausted" when one came within NEAR_FEAS_BAND, "nonfinite"
+    when every start's squared violation overflows (the verdict would be an
+    artefact of overflow, not an empty set), and "infeasible" otherwise.
+    The clouds of all leader points are deduplicated in one
+    :func:`dedup_points` call, each point keyed by its leader point's index.
     """
+    R, k = len(rounds), Z.shape[1]
+    viol, fval = viol.reshape(R, -1), fval.reshape(R, -1)
     feas = viol <= cfg.feas_tol
-    if not feas.any():
-        if (viol <= NEAR_FEAS_BAND).any():
-            status = "budget_exhausted"
-        else:
-            status = "infeasible" if np.isfinite(viol * viol).any() else "nonfinite"
-        return InnerSolveResult(
-            value=float("nan"),
-            argmax=SampledSet(np.zeros((0, Z.shape[1])), meta={"seed": cfg.seed}),
-            status=status,
-            evals=int(evals.sum()),
-            rounds=rounds,
-        )
-    value = float(fval[feas].max())
-    pts = dedup_points(Z[feas & (fval >= value - EPS_LVL_DEFAULT)], DEDUP_TOL)
+    solved = feas.any(axis=1)
+    value = np.where(feas, fval, -np.inf).max(axis=1)
+    value[~solved] = np.nan
+    status = np.where(
+        solved, 0, np.where((viol <= NEAR_FEAS_BAND).any(axis=1), 1, np.where(np.isfinite(viol * viol).any(axis=1), 2, 3))
+    )
+    row, start = (feas & (fval >= value[:, None] - EPS_LVL_DEFAULT)).nonzero()
+    cloud = dedup_points(np.column_stack([row, Z.reshape(R, -1, k)[row, start]]), DEDUP_TOL)
+    ends = cloud[:, 0].searchsorted(np.arange(R + 1))  # the cloud is sorted by its key
+    cloud = cloud[:, 1:].copy()
+    evals = evals.reshape(R, -1).sum(axis=1)
     meta = {"kind": "multistart", "seed": cfg.seed, "starts": cfg.starts, "t": float(t)}
-    return InnerSolveResult(value=value, argmax=SampledSet(pts, meta), status="solved", evals=int(evals.sum()), rounds=rounds)
+    return [
+        InnerSolveResult(
+            value=float(value[r]),
+            argmax=SampledSet(cloud[ends[r] : ends[r + 1]], dict(meta) if solved[r] else {"seed": cfg.seed}),
+            status=("solved", "budget_exhausted", "infeasible", "nonfinite")[status[r]],
+            evals=int(evals[r]),
+            rounds=int(rounds[r]),
+        )
+        for r in range(R)
+    ]
 
 
 def approximate_argmax_set(

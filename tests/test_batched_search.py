@@ -48,17 +48,35 @@ def assert_same_result(got, want):
 
 @pytest.mark.parametrize(
     "name",
-    ["example1", "example2", "synthetic2d", "example1_fd", "example2_fd", "synthetic2d_fd", "example2_bare", "dip_toy"],
+    [
+        "example1",
+        "example2",
+        "synthetic2d",
+        "example1_fd",
+        "example2_fd",
+        "synthetic2d_fd",
+        "example2_bare",
+        "dip_toy",
+        "duplicated_g_toy",
+        "example2_far",
+    ],
 )
 def test_batch_rows_equal_lone_calls(name):
-    problem = named_problem(name)
+    problem = named_problem(name.removesuffix("_far"))
     rng = np.random.default_rng(17)
     X = leader_block(problem, rng, 5)
+    if name.endswith("_far"):
+        # Leader points far outside X, between solved rows, where no start is
+        # feasible: at x = 20 the multipliers D_t needs lie beyond u_max, and
+        # at x = 1e200 every row overflows.
+        X = np.insert(X, [1, 3], [[20.0], [1e200]], axis=0)
     for t in (0.3, 0.02):
         batch = evaluate_psi_t_batch(problem, X, t, CFG)
         assert len(batch) == len(X)
         for x, res in zip(X, batch):
             assert_same_result(res, evaluate_psi_t(problem, x, t, CFG))
+        if name.endswith("_far"):
+            assert [res.status for res in batch[:5]] == ["solved", "infeasible", "solved", "solved", "nonfinite"]
 
 
 def test_batch_with_warm_starts_across_lockstep_groups(example2):

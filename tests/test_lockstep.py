@@ -23,7 +23,15 @@ from pbopt.maxmin import (
     polish_onto_relaxed_set,
 )
 
-from toys import fd_copy, make_biactive_toy, make_empty_lower_toy, make_q0_toy, make_quartic_toy, named_problem
+from toys import (
+    fd_copy,
+    make_biactive_toy,
+    make_duplicated_g_toy,
+    make_empty_lower_toy,
+    make_q0_toy,
+    make_quartic_toy,
+    named_problem,
+)
 
 
 def benchlib_problems():
@@ -193,8 +201,10 @@ def reference_project(A, on, grad):
 
 def project_stacks(rng):
     """Random row stacks with masks [active rows | upper bounds | lower bounds], no
-    coordinate at both bounds: Gaussian ones, and example1's rows [L | g | w],
-    whose active g and w rows at a multiplier 0 are parallel (rank-deficient)."""
+    coordinate at both bounds: Gaussian ones, example1's rows [L | g | w],
+    whose active g and w rows at a multiplier 0 are parallel (rank-deficient),
+    and duplicated_g_toy's, whose g rows and, at equal multipliers, w rows
+    repeat exactly."""
     A = rng.normal(size=(30, 5, 3))
     up = rng.uniform(size=(30, 3)) < 0.3
     yield A, np.concatenate([rng.uniform(size=(30, 5)) < 0.4, up, ~up & (rng.uniform(size=(30, 3)) < 0.3)], axis=1), rng.normal(size=(30, 3))
@@ -207,6 +217,18 @@ def project_stacks(rng):
     U, g, _ = _residuals(problem, X, Z, 0.1)
     A = _residual_jacobian(problem, X, Z, U, g)
     act = rng.uniform(size=A.shape[:2]) < 0.5
+    act[:, :m] = True
+    up = rng.uniform(size=(30, m + q)) < 0.2
+    yield A, np.concatenate([act, up, ~up & (Z <= lo)], axis=1), rng.normal(size=(30, m + q))
+    toy = make_duplicated_g_toy()
+    m, q = toy.dims.m, toy.dims.q
+    lo, hi = follower_box(toy, InnerConfig())
+    Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(30, lo.size))
+    Z[:, m:] = Z[:, m : m + 1] * (rng.uniform(size=(30, 1)) < 0.7)  # u1 = u2, some at their lower bound 0
+    X = rng.uniform(toy.x_box[:, 0], toy.x_box[:, 1], size=(30, 1))
+    U, g, _ = _residuals(toy, X, Z, 0.5)
+    A = _residual_jacobian(toy, X, Z, U, g)
+    act = rng.uniform(size=A.shape[:2]) < 0.7
     act[:, :m] = True
     up = rng.uniform(size=(30, m + q)) < 0.2
     yield A, np.concatenate([act, up, ~up & (Z <= lo)], axis=1), rng.normal(size=(30, m + q))

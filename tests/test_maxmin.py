@@ -294,6 +294,16 @@ def test_dedup_points_memory_follows_the_close_pairs():
     assert peak < 32 * 2**20
 
 
+def test_dedup_points_windows_blocks_of_one_first_coordinate():
+    # the 20^3 grid again: in each block of one first coordinate a row is
+    # compared only with the rows before it that share its second coordinate,
+    # 20 * 20 * (0 + 1 + ... + 19) pairs, where a window on the first
+    # coordinate alone compares 20 * (0 + 1 + ... + 399)
+    pts = GridSpec(((0.0, 1.0, 20),) * 3).points()
+    compared = np.arange(len(pts)) - maxmin._window_starts(pts, DEDUP_TOL)
+    assert compared.sum() == 20 * 20 * 190
+
+
 def test_warm_starts_are_used(example1, light_cfg):
     problem, _ = example1
     from dataclasses import replace
@@ -438,7 +448,7 @@ def every_round_on_every_start(problem, X, t, cfg):
             for _ in range(cfg.sweeps):
                 Z, viol, _ = maxmin.polish_onto_relaxed_set(problem, x, Z, t, lo, hi, cfg.feas_tol)
                 Z, viol, fval = maxmin._ascend(problem, x[None], Z, viol, t, lo, hi, cfg)[:3]
-        out.append(maxmin._inner_result(Z, viol, fval, np.zeros(len(Z), dtype=int), t, cfg, cfg.sweeps))
+        out += maxmin._inner_results(Z, viol, fval, np.zeros(len(Z), dtype=int), t, cfg, np.array([cfg.sweeps]))
     return out
 
 
