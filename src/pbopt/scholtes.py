@@ -106,7 +106,7 @@ class MinimizeResult:
     evals: int  # inner solves the search read
     final_mesh: float
     inner: InnerSolveResult
-    unread: int  # inner solves of the halving ladder that the search never read
+    unread: int  # inner solves of a ladder solved ahead that a later move left unread
     flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
     calls: int = 0  # batched inner solves (evaluate_psi_t_batch calls) the search made
 
@@ -144,15 +144,21 @@ def minimize_psi_t(
     point improves the incumbent by more than DECREASE_TOL.
 
     Each round's new poll points are solved in one batched inner call, the
-    first round's together with the starting point.  When n = 1, the first
-    round an incumbent survives (the level's starting point counts as one)
-    also solves the whole rest of its halving ladder in one call, so a
-    search that stays put costs two calls and a move at most two more; when
-    n >= 2 every round is solved in its own call.  Only evaluations the
-    search reads count in ``evals``; the rest are reported as ``unread``,
-    and ``calls`` counts the batched solves.  A search that read at least
-    one poll, every one of them tied with the centre, reports ``flat``: it
-    stayed put without evidence of a minimum.
+    first round's together with the starting point.  When n = 1, each
+    incumbent's whole halving ladder is solved ahead once: with its first
+    poll round when it lies on the leader box's boundary (its outward poll
+    projects onto it, so the round has one point), at the level's start or
+    after a move there; otherwise in one call after its first survived
+    round.  So a search that starts and stays on the boundary costs one
+    call, an interior one that stays put two, and each move at most two
+    more.  The worst case is a boundary start whose inward poll wins: its
+    ladder goes unread, though the search makes no more calls than with a
+    ladder after the survived round.  When n >= 2 every round is solved in
+    its own call.  Only evaluations the search reads count in ``evals``;
+    the rest are reported as ``unread``, and ``calls`` counts the batched
+    solves.  A search that read at least one poll, every one of them tied
+    with the centre, reports ``flat``: it stayed put without evidence of a
+    minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -198,15 +204,34 @@ def minimize_psi_t(
         diam = 4.0
     mesh = MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
 
-    solve([x, *poll_points(x, mesh)] if mesh >= cfg.mesh_tol else [x])
-    center_val, center_res = objective(x)
+    def ladder_from(h: float, r: int) -> list[Array]:
+        """Poll points at x of rounds r, r + 1, ... on meshes h, h / 2, ... down to mesh_tol."""
+        rest = []
+        for _ in range(r, MAX_ROUNDS):
+            if h < cfg.mesh_tol:
+                break
+            rest += poll_points(x, h)
+            h *= 0.5
+        return rest
+
+    def poll_round(points: list[Array], r: int) -> list[Array]:
+        """Round r's poll points, plus the rest of x's ladder when x is a 1-D
+        incumbent on the box boundary (its outward poll projects onto x)."""
+        nonlocal ladder
+        if n == 1 and not ladder and len(points) == 1:
+            ladder = True
+            return points + ladder_from(0.5 * mesh, r + 1)
+        return points
+
     ladder = False  # the rest of the halving ladder at x is solved
+    solve([x, *poll_round(poll_points(x, mesh), 0)] if mesh >= cfg.mesh_tol else [x])
+    center_val, center_res = objective(x)
     tied = None  # every poll read so far tied the centre; None until one is read
     for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
         points = poll_points(x, mesh)
-        solve(points)
+        solve(poll_round(points, r))
         polls = [(objective(xp)[0], tuple(xp), xp) for xp in points]
         if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
             raise OuterInfeasibleError(
@@ -224,13 +249,8 @@ def minimize_psi_t(
         else:
             mesh *= 0.5
             if n == 1 and not ladder:
-                ladder, h, rest = True, mesh, []
-                for _ in range(r + 1, MAX_ROUNDS):
-                    if h < cfg.mesh_tol:
-                        break
-                    rest += poll_points(x, h)
-                    h *= 0.5
-                solve(rest)
+                ladder = True
+                solve(ladder_from(mesh, r + 1))
 
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")

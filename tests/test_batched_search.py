@@ -198,19 +198,37 @@ def test_ladder_reports_unread_evaluations(monkeypatch):
     assert res.unread == sum(sizes) - res.evals == 19
 
 
-def test_ladder_costs_two_calls_at_a_box_edge(monkeypatch, example2):
+def test_ladder_costs_one_call_at_a_box_edge(monkeypatch, example2):
     problem, _ = example2
     sizes = counting_batches(monkeypatch)
     res = minimize_psi_t(problem, 0.05, [-1.0], OuterConfig(inner=CFG))
     assert res.x[0] == -1.0
-    assert len(sizes) == 2 and res.unread == 0 and res.evals == sum(sizes)
+    # the start, its one inward poll and the 15 halving rounds left
+    assert sizes == [17] and res.calls == 1
+    assert res.unread == 0 and res.evals == sum(sizes)
+
+
+def test_a_box_edge_start_that_walks_inward_leaves_its_ladder_unread(monkeypatch):
+    problem = named_problem("example1")
+    cfg = OuterConfig(inner=CFG)
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(problem, 0.125, [0.0], cfg)
+    want = sequential_minimize(problem, 0.125, [0.0], cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
+    # the start's 14 lower rungs go unread once its inward poll wins; the
+    # ladder at the interior minimiser follows its first survived round
+    assert sizes == [16, 1, 1, 1, 14]
+    assert got.unread == sum(sizes) - got.evals == 14
 
 
 # Batch sizes of a 1-D walk to a box edge: the start and its first polls, a
-# poll round per move, then one call for the 15 (example2) or 14 (example1)
-# halving rounds left.  One call per round took 19 and 18 calls, and the
-# doubling lookahead 9: [3, 1, 2, 1, 1, 2, 3, 5, 4] and [3, 2, 1, 1, 1, 2, 3, 5, 3].
-LADDER_AFTER_A_MOVE = {"example2": [3, 1, 2, 1, 15], "example1": [3, 2, 1, 1, 14]}
+# poll round per move, and the poll round at the edge together with the 15
+# (example2) or 14 (example1) halving rounds left.  One call per round took
+# 19 and 18 calls, the doubling lookahead 9 ([3, 1, 2, 1, 1, 2, 3, 5, 4] and
+# [3, 2, 1, 1, 1, 2, 3, 5, 3]), and a ladder after the edge's poll round 5
+# ([3, 1, 2, 1, 15] and [3, 2, 1, 1, 14]).
+LADDER_AFTER_A_MOVE = {"example2": [3, 1, 2, 16], "example1": [3, 2, 1, 15]}
 
 
 @pytest.mark.parametrize("name,x0,t", [("example2", [0.3], 1.0), ("example1", [0.3], 0.5)])
@@ -244,7 +262,17 @@ def test_a_2d_search_solves_each_round_in_its_own_call(monkeypatch):
     assert got.unread == 0 and sum(sizes) == got.evals
 
 
-@pytest.mark.parametrize("name,x0", [("example1", [0.5]), ("example2", [0.3]), ("synthetic2d", [0.4, -0.2]), ("example1", [0.1])])
+@pytest.mark.parametrize(
+    "name,x0",
+    [
+        ("example1", [0.5]),
+        ("example2", [0.3]),
+        ("synthetic2d", [0.4, -0.2]),
+        ("example1", [0.1]),
+        ("example2", [-1.0]),
+        ("example1", [1.0]),
+    ],
+)
 def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
     problem = named_problem(name)
     params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.05, outer=OuterConfig(inner=CFG, mesh_tol=1e-4))
@@ -261,6 +289,11 @@ def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
         )
         np.testing.assert_array_equal(a.argmax.points, b.argmax.points)
     assert got.unread_evals == sum(sizes) - sum(rec.outer_evals for rec in got.records)
+    if x0 in ([-1.0], [1.0]):
+        # a 1-D level that starts and stays on the box edge solves its poll
+        # and its whole halving ladder with the start, in one call
+        assert got.inner_calls == len(sizes) == len(got.records)
+        assert all(np.array_equal(rec.x, x0) for rec in got.records)
 
 
 def test_run_trace_sums_the_batched_calls(monkeypatch):
