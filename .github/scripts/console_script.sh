@@ -18,6 +18,15 @@ python -c 'import json, sys; from pbopt import benchlib; r = json.load(open(sys.
 # the warm levels start and stay on the box edge x = -1: one batched call each
 pbopt solve --problem example2 --t0 1 --rho 0.5 --tmin 0.25 --trace "$tmp/trace.csv" --summary "$tmp/summary.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = abs(r["final_x"][0] + 1.0) <= 1e-3 and r["unread_evals"] == 0 and r["inner_calls"] == 5; sys.exit(0 if ok else f"example2 solve summary: {r}")' "$tmp/summary.json"
+# the excess series of that trace against its limit point is finite
+pbopt diagnose --problem example2 --trace "$tmp/trace.csv" --x-bar -1 --out "$tmp/excess.csv" > "$tmp/diagnose.json"
+python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); ok = r["entries"] >= 1 and math.isfinite(r["limit_estimate"]); sys.exit(0 if ok else f"example2 diagnose: {r}")' "$tmp/diagnose.json"
+# every inner start overflows at x-bar = 1e308: one error line and exit 1, not an infinite excess
+code=0
+pbopt diagnose --problem example2 --trace "$tmp/trace.csv" --x-bar 1e308 --out "$tmp/excess_far.csv" > "$tmp/diagnose_far.json" 2> "$tmp/diagnose_far.err" || code=$?
+if [ "$code" -ne 1 ] || [ "$(wc -l < "$tmp/diagnose_far.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/diagnose_far.err"; then
+    echo "example2 diagnose at x-bar 1e308: exit $code, stderr:"; cat "$tmp/diagnose_far.err"; exit 1
+fi
 pbopt solve --problem synthetic2d --t0 0.5 --rho 0.5 --tmin 0.25 --trace "$tmp/trace2d.csv" --summary "$tmp/summary2d.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["unread_evals"] == 0 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
 echo '{"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}' > "$tmp/pt.json"

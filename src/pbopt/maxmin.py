@@ -110,13 +110,15 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
     """Lexicographically sorted points with near-duplicates (inf-norm tol) removed.
 
     Greedy in sorted order: a point is dropped when its inf-norm distance to
-    a point kept before it is at most tol or NaN, so a row with a NaN is
-    kept only when it sorts first, and then it is kept alone.  Only the
-    pairs of :func:`_close_pairs` are compared.
+    a point kept before it is at most tol.  Only the pairs of
+    :func:`_close_pairs` are compared.  A point with a NaN or infinite entry
+    is refused with ValueError.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim == 2 else 0)
+    if not np.isfinite(pts).all():
+        raise ValueError("dedup_points takes finite points only")
     P = pts[np.lexsort(pts.T[::-1])]
     j, i = _close_pairs(P, tol)
     # keep[i] = no kept j close before i, solved by fixed-point sweeps from the
@@ -133,64 +135,29 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
 
 
 def _close_pairs(P: Array, tol: float) -> tuple[Array, Array]:
-    """The row pairs (j, i), j < i, of a sorted block whose inf-norm distance is at most tol or NaN.
+    """The row pairs (j, i), j < i, of a sorted finite block whose inf-norm distance is at most tol.
 
-    A finite row is compared only with the finite rows from its
-    :func:`_window_starts` entry up to itself, at most GRID_CHUNK_ROWS
-    pairs at a time; a row with a non-finite entry is compared with every
-    row.
+    A row is compared only with the rows before it whose first coordinate
+    lies within about 2 tol of its own, at most GRID_CHUNK_ROWS pairs at a
+    time.
     """
-    finite = np.isfinite(P).all(axis=1)
-    F = finite.nonzero()[0]
-    Q, idx = P[F], np.arange(F.size)
-    count = idx - _window_starts(Q, tol)
+    v, idx = P[:, 0], np.arange(len(P))
+    # lower edges below v - 2 tol even after rounding, so no close row is missed
+    count = idx - np.minimum(v.searchsorted(v - (2.0 * tol + 1e-15 * np.abs(v))), idx)
     ends = count.cumsum()
     # pair number g of row r (ends[r] - count[r] <= g < ends[r]) compares it with row g + shift[r]
     shift = idx - ends
     pairs_j, pairs_i = [], []
     a = 0
-    while a < F.size:
+    while a < len(P):
         b = max(a + 1, int(ends.searchsorted(ends[a] - count[a] + GRID_CHUNK_ROWS, side="right")))
         ii = idx[a:b].repeat(count[a:b])
         jj = np.arange(ends[a] - count[a], ends[b - 1]) + shift[a:b].repeat(count[a:b])
-        close = np.abs(Q[jj] - Q[ii]).max(axis=1) <= tol
-        pairs_j.append(F[jj[close]])
-        pairs_i.append(F[ii[close]])
+        close = np.abs(P[jj] - P[ii]).max(axis=1) <= tol
+        pairs_j.append(jj[close])
+        pairs_i.append(ii[close])
         a = b
-    for s in (~finite).nonzero()[0]:
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in any other comparison
-            close = ~(np.abs(P - P[s]).max(axis=1) > tol)
-        close[s] = False
-        other = close.nonzero()[0]
-        pairs_j.append(np.minimum(other, s))
-        pairs_i.append(np.maximum(other, s))
     return np.concatenate(pairs_j), np.concatenate(pairs_i)
-
-
-def _window_starts(Q: Array, tol: float) -> Array:
-    """The first row each row of a sorted finite block is compared with, the rows up to it following.
-
-    A row is compared with the rows before it whose first coordinate lies
-    within about 2 tol of its own.  When all of those share its first
-    coordinate, only the ones whose second coordinate also lies within
-    about 2 tol of its own are left: in a block of equal first coordinates
-    the second coordinate ascends.  Every pair within tol is compared.
-    """
-    n = len(Q)
-    v = Q[:, 0]
-    block = v.searchsorted(v)  # the first row of each row's block
-    # lower edges below v - 2 tol even after rounding, so no close row is missed
-    first = v.searchsorted(v - (2.0 * tol + 1e-15 * np.abs(v)))
-    if Q.shape[1] > 1:
-        # With the second coordinate c replaced by its rank among all the
-        # rows, (block, rank) is one ascending integer key that orders
-        # exactly as (block, c) does.
-        c = Q[:, 1]
-        s = np.sort(c)
-        key = block * (n + 1) + s.searchsorted(c)
-        edge = block * (n + 1) + s.searchsorted(c - (2.0 * tol + 1e-15 * np.abs(c)))
-        first = np.where(first < block, first, key.searchsorted(edge))
-    return np.minimum(first, np.arange(n))
 
 
 @dataclass
@@ -661,7 +628,9 @@ def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, c
     when every start's squared violation overflows (the verdict would be an
     artefact of overflow, not an empty set), and "infeasible" otherwise.
     The clouds of all leader points are deduplicated in one
-    :func:`dedup_points` call, each point keyed by its leader point's index.
+    :func:`dedup_points` call, each (feasible, so finite) point keyed by its
+    leader point's index in the first coordinate, so only points of one
+    leader point are compared.
     """
     R, k = len(rounds), Z.shape[1]
     viol, fval = viol.reshape(R, -1), fval.reshape(R, -1)
@@ -696,10 +665,15 @@ def approximate_argmax_set(
     t: float,
     cfg: Optional[InnerConfig] = None,
 ) -> SampledSet:
-    """Sampled near-argmax set of the inner maximisation at (x, t)."""
+    """Sampled near-argmax set of the inner maximisation at (x, t); an unsolved solve raises.
+
+    Status "nonfinite" raises ValueError, any other unsolved status InnerInfeasibleError.
+    """
     res = evaluate_psi_t(problem, x, t, cfg)
-    if res.status == "infeasible":
-        raise InnerInfeasibleError(f"inner problem infeasible at x={x}, t={t}")
+    if res.status == "nonfinite":
+        raise ValueError(f"inner problem nonfinite at x={x}, t={t}: every start overflows")
+    if res.status != "solved":
+        raise InnerInfeasibleError(f"inner problem {res.status} at x={x}, t={t}")
     return res.argmax
 
 

@@ -284,6 +284,20 @@ def test_diagnose_infeasible_inner_problem_exits_2(tmp_path, capsys, x0, x_bar):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("x0,x_bar", [("1e308", "1.0"), ("0.5", "1e308")])
+def test_diagnose_nonfinite_inner_problem_exits_1(tmp_path, capsys, x0, x_bar):
+    # every start overflows there: an error line, not an empty cloud whose excess reads inf
+    trace = tmp_path / "tr.csv"
+    trace.write_text(f"# schema=pbopt-trace-1\nk,t,x0\n0,0.5,{x0}\n")
+    out_csv = tmp_path / "ex.csv"
+    code, out, err = run_cli(
+        capsys, "diagnose", "--problem", "example1", "--trace", str(trace), "--x-bar", x_bar, "--out", str(out_csv)
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and "nonfinite" in err and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_gradcheck_small(capsys):
     code, out, _ = run_cli(capsys, "gradcheck", "--problem", "example2", "--points", "5")
     assert code == 0
