@@ -15,9 +15,14 @@ pbopt eval --problem example2 --x 0.1 --t 0.3 > "$tmp/segment.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); P = [tuple(p) for p in r["argmax"]]; ok = r["status"] == "solved" and abs(r["value"] - 1.1) <= 1e-3 and len(P) >= 2 and P == sorted(P) and all(max(abs(a - b) for a, b in zip(p, q)) > 1e-9 for i, p in enumerate(P) for q in P[:i]); sys.exit(0 if ok else f"example2 segment eval: {r}")' "$tmp/segment.json"
 pbopt eval --problem synthetic2d --x=0.4,-0.2 --t 0.05 > "$tmp/synthetic2d.json"
 python -c 'import json, sys; from pbopt import benchlib; r = json.load(open(sys.argv[1])); psi = benchlib.get_problem("synthetic2d")[1].psi_p_t([0.4, -0.2], 0.05); ok = r["status"] == "solved" and abs(r["value"] - psi) <= 1e-3; sys.exit(0 if ok else f"synthetic2d eval: {r}, closed form {psi}")' "$tmp/synthetic2d.json"
-# the warm levels start and stay on the box edge x = -1: one batched call each
+# the first level walks to the box edge x = -1 in one batched call after its
+# first, and the warm levels start and stay there: one batched call each
 pbopt solve --problem example2 --t0 1 --rho 0.5 --tmin 0.25 --trace "$tmp/trace.csv" --summary "$tmp/summary.json"
-python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = abs(r["final_x"][0] + 1.0) <= 1e-3 and r["unread_evals"] == 0 and r["inner_calls"] == 5; sys.exit(0 if ok else f"example2 solve summary: {r}")' "$tmp/summary.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = abs(r["final_x"][0] + 1.0) <= 1e-3 and r["unread_evals"] == 0 and r["inner_calls"] == 4; sys.exit(0 if ok else f"example2 solve summary: {r}")' "$tmp/summary.json"
+# an interior local minimum (x = 0.5 at t = 0.25), where most solves made
+# ahead go unread: they must not add a batched call (19 without the rays)
+pbopt solve --problem example2 --x0 7 --t0 0.5 --tmin 0.25 --trace "$tmp/trace_interior.csv" --summary "$tmp/summary_interior.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["inner_calls"] <= 19 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"example2 interior solve summary: {r}")' "$tmp/summary_interior.json"
 # the excess series of that trace against its limit point is finite
 pbopt diagnose --problem example2 --trace "$tmp/trace.csv" --x-bar -1 --out "$tmp/excess.csv" > "$tmp/diagnose.json"
 python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); ok = r["entries"] >= 1 and math.isfinite(r["limit_estimate"]); sys.exit(0 if ok else f"example2 diagnose: {r}")' "$tmp/diagnose.json"

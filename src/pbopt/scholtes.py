@@ -9,6 +9,7 @@ the previous minimiser and argmax samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -49,6 +50,8 @@ class OuterConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mesh_tol) and self.mesh_tol > 0):
             raise ValueError(f"mesh_tol must be finite and positive, got {self.mesh_tol}")
+        if not isinstance(self.inner, InnerConfig):
+            raise ValueError(f"inner must be an InnerConfig, got {self.inner!r}")
 
 
 @dataclass
@@ -65,10 +68,12 @@ class RelaxationParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.rho < 1.0):
             raise ValueError("reduction factor rho must lie in (0, 1)")
-        if not (self.t0 > self.t_min > 0.0):
-            raise ValueError("need t0 > t_min > 0")
-        if self.max_outer_iters < 1:
-            raise ValueError(f"max_outer_iters must be at least 1, got {self.max_outer_iters}")
+        if not (math.isfinite(self.t0) and self.t0 > self.t_min > 0.0):
+            raise ValueError(f"need a finite t0 > t_min > 0, got t0={self.t0}, t_min={self.t_min}")
+        if not (isinstance(self.max_outer_iters, numbers.Integral) and self.max_outer_iters >= 1):
+            raise ValueError(f"max_outer_iters must be an integer of at least 1, got {self.max_outer_iters!r}")
+        if not isinstance(self.outer, OuterConfig):
+            raise ValueError(f"outer must be an OuterConfig, got {self.outer!r}")
         # a negative x_tol is allowed: it switches the stall stop off
         if not math.isfinite(self.x_tol):
             raise ValueError(f"x_tol must be finite, got {self.x_tol}")
@@ -106,7 +111,7 @@ class MinimizeResult:
     evals: int  # inner solves the search read
     final_mesh: float
     inner: InnerSolveResult
-    unread: int  # inner solves of a ladder solved ahead that a later move left unread
+    unread: int  # inner solves of a ladder or ray solved ahead that the search never read
     flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
     calls: int = 0  # batched inner solves (evaluate_psi_t_batch calls) the search made
 
@@ -144,21 +149,24 @@ def minimize_psi_t(
     point improves the incumbent by more than DECREASE_TOL.
 
     Each round's new poll points are solved in one batched inner call, the
-    first round's together with the starting point.  When n = 1, each
-    incumbent's whole halving ladder is solved ahead once: with its first
-    poll round when it lies on the leader box's boundary (its outward poll
-    projects onto it, so the round has one point), at the level's start or
-    after a move there; otherwise in one call after its first survived
-    round.  So a search that starts and stays on the boundary costs one
-    call, an interior one that stays put two, and each move at most two
-    more.  The worst case is a boundary start whose inward poll wins: its
-    ladder goes unread, though the search makes no more calls than with a
-    ladder after the survived round.  When n >= 2 every round is solved in
-    its own call.  Only evaluations the search reads count in ``evals``;
-    the rest are reported as ``unread``, and ``calls`` counts the batched
-    solves.  A search that read at least one poll, every one of them tied
-    with the centre, reports ``flat``: it stayed put without evidence of a
-    minimum.
+    first round's together with the starting point.  When n = 1, a round
+    that needs a fresh point also solves what the search reads next if it
+    keeps going.  On the leader box's boundary (its outward poll projects
+    onto x, so the round has one point), and after a survived round, that is
+    the rest of x's halving ladder.  After a move it is the move's ray: each
+    further step to the box edge with its poll round, backward polls
+    included (rounding can leave one an ulp off the previous incumbent),
+    then the edge's poll round and halving ladder, solved only when the edge
+    lies within L steps, L being the halving rounds left below the mesh.  So
+    a search that starts and stays on the boundary costs one call, and a
+    walk to the box edge one call after its first move.  The worst case is
+    an interior minimum: the walk turns and leaves most of a ray or ladder
+    unread, though every call is made by a round that needs a fresh point.
+    When n >= 2 every round is solved in its own call.  Only evaluations
+    the search reads count in ``evals``; the rest are reported as
+    ``unread``, and ``calls`` counts the batched solves.  A search that read
+    at least one poll, every one of them tied with the centre, reports
+    ``flat``: it stayed put without evidence of a minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -204,26 +212,46 @@ def minimize_psi_t(
         diam = 4.0
     mesh = MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
 
-    def ladder_from(h: float, r: int) -> list[Array]:
-        """Poll points at x of rounds r, r + 1, ... on meshes h, h / 2, ... down to mesh_tol."""
+    def ladder_from(xc: Array, h: float, r: int) -> list[Array]:
+        """Poll points at xc of rounds r, r + 1, ... on meshes h, h / 2, ... down to mesh_tol."""
         rest = []
         for _ in range(r, MAX_ROUNDS):
             if h < cfg.mesh_tol:
                 break
-            rest += poll_points(x, h)
+            rest += poll_points(xc, h)
             h *= 0.5
         return rest
 
+    def ray_from(sign: float, r: int) -> list[Array]:
+        """Poll points of rounds r, r + 1, ... of a walk that keeps moving from
+        x by sign * mesh to the box edge and then stays there: each walk point's
+        round, then the edge's halving ladder.  Empty when the edge lies more
+        than L steps from x, L being the halving rounds left below mesh."""
+        rungs = math.floor(math.log2(mesh) - math.log2(cfg.mesh_tol))
+        xc, ray = x, []
+        for rk in range(r, min(r + rungs + 1, MAX_ROUNDS)):
+            ray += poll_points(xc, mesh)
+            xf = _project_x(problem, xc + sign * mesh)
+            if np.array_equal(xf, xc):
+                return ray + ladder_from(xc, 0.5 * mesh, rk + 1)
+            xc = xf
+        return []
+
     def poll_round(points: list[Array], r: int) -> list[Array]:
-        """Round r's poll points, plus the rest of x's ladder when x is a 1-D
-        incumbent on the box boundary (its outward poll projects onto x)."""
-        nonlocal ladder
-        if n == 1 and not ladder and len(points) == 1:
-            ladder = True
-            return points + ladder_from(0.5 * mesh, r + 1)
+        """Round r's poll points, plus, when x is a 1-D incumbent and the round
+        needs a fresh point, what the search reads next if it keeps going: the
+        rest of x's halving ladder when x lies on the box boundary (its outward
+        poll projects onto x) or has just survived a round, or the ray of the
+        move that reached x (``ray_from``)."""
+        if n > 1 or all(xp.tobytes() in cache for xp in points):
+            return points
+        if len(points) == 1 or heading == 0.0:
+            return points + ladder_from(x, 0.5 * mesh, r + 1)
+        if heading:
+            return ray_from(heading, r) or points
         return points
 
-    ladder = False  # the rest of the halving ladder at x is solved
+    heading = None  # sign of the move that reached x; 0.0 after a survived round, None at the start
     solve([x, *poll_round(poll_points(x, mesh), 0)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = objective(x)
     tied = None  # every poll read so far tied the centre; None until one is read
@@ -243,14 +271,12 @@ def minimize_psi_t(
         # Best poll wins; exact ties go to the lexicographically smallest point.
         polls.sort(key=lambda rec: (rec[0], rec[1]))
         if polls and polls[0][0] < center_val - DECREASE_TOL:
+            heading = 1.0 if polls[0][2][0] > x[0] else -1.0
             x, center_val = polls[0][2], polls[0][0]
             center_res = cache[x.tobytes()][1]
-            ladder = False
         else:
             mesh *= 0.5
-            if n == 1 and not ladder:
-                ladder = True
-                solve(ladder_from(mesh, r + 1))
+            heading = 0.0
 
     if not math.isfinite(center_val):
         raise OuterInfeasibleError(f"no inner-feasible leader point found at t={t}")

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbopt import (
     BilevelProblem,
@@ -217,18 +219,22 @@ def test_a_box_edge_start_that_walks_inward_leaves_its_ladder_unread(monkeypatch
     np.testing.assert_array_equal(got.x, want.x)
     assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
     # the start's 14 lower rungs go unread once its inward poll wins; the
-    # ladder at the interior minimiser follows its first survived round
-    assert sizes == [16, 1, 1, 1, 14]
+    # round after that move solves the walk to the box edge x = 1 with the
+    # edge's poll and its halving ladder (one call per move took [16, 1, 1, 1, 14])
+    assert sizes == [16, 17]
     assert got.unread == sum(sizes) - got.evals == 14
 
 
-# Batch sizes of a 1-D walk to a box edge: the start and its first polls, a
-# poll round per move, and the poll round at the edge together with the 15
-# (example2) or 14 (example1) halving rounds left.  One call per round took
-# 19 and 18 calls, the doubling lookahead 9 ([3, 1, 2, 1, 1, 2, 3, 5, 4] and
-# [3, 2, 1, 1, 1, 2, 3, 5, 3]), and a ladder after the edge's poll round 5
-# ([3, 1, 2, 1, 15] and [3, 2, 1, 1, 14]).
-LADDER_AFTER_A_MOVE = {"example2": [3, 1, 2, 16], "example1": [3, 2, 1, 15]}
+# Batch sizes of a 1-D walk to a box edge: the start and its first polls,
+# then, in the round after the first move, the rest of the walk (each move's
+# round, with the backward poll that rounding can leave one ulp off the
+# previous incumbent), the edge's poll round and its 15 (example2) or 14
+# (example1) halving rounds left.  One call per round took 19 and 18 calls,
+# the doubling lookahead 9 ([3, 1, 2, 1, 1, 2, 3, 5, 4] and
+# [3, 2, 1, 1, 1, 2, 3, 5, 3]), a ladder after the edge's poll round 5
+# ([3, 1, 2, 1, 15] and [3, 2, 1, 1, 14]), and the edge's ladder with its
+# poll round 4 ([3, 1, 2, 16] and [3, 2, 1, 15]).
+LADDER_AFTER_A_MOVE = {"example2": [3, 19], "example1": [3, 18]}
 
 
 @pytest.mark.parametrize("name,x0,t", [("example2", [0.3], 1.0), ("example1", [0.3], 0.5)])
@@ -243,6 +249,63 @@ def test_halvings_after_a_move_are_solved_ahead(monkeypatch, name, x0, t):
     assert sizes == LADDER_AFTER_A_MOVE[name]
     assert got.calls == len(sizes)
     assert got.unread == 0 and sum(sizes) == got.evals
+
+
+@pytest.mark.parametrize("mesh_tol,batches", [(0.1, [3, 1, 5]), (0.06, [3, 7])])
+def test_a_walk_is_solved_ahead_only_within_its_ladders_length(monkeypatch, mesh_tol, batches):
+    # example2 from 0.8 at t = 1 moves to 0.3, three steps of 0.5 from the
+    # edge x = -1.  With mesh_tol = 0.1 two halving rounds are left below the
+    # mesh, so the round at 0.3 is solved alone and the walk is solved from
+    # -0.2, two steps from the edge; with mesh_tol = 0.06 three are left and
+    # the round at 0.3 solves the whole walk.
+    problem = named_problem("example2")
+    cfg = OuterConfig(inner=CFG, mesh_tol=mesh_tol)
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(problem, 1.0, [0.8], cfg)
+    want = sequential_minimize(problem, 1.0, [0.8], cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.x[0] == -1.0
+    assert (got.evals, got.final_mesh) == (want.evals, want.final_mesh)
+    assert sizes == batches
+    assert got.unread == 0 and sum(sizes) == got.evals
+
+
+def test_an_interior_minimum_costs_no_more_calls(monkeypatch):
+    # the search walks inward from the box edge x = 1 to the local minimiser
+    # 1/sqrt(2) and leaves most of what it solves ahead unread; that must not
+    # add a call to the 9 that a ladder after each first survived round took
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(named_problem("example2"), 0.5, [1.0])
+    assert abs(got.x[0] - 2**-0.5) < 1e-4
+    assert got.calls == len(sizes) <= 9
+    assert got.unread == sum(sizes) - got.evals
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["example1", "example2"]),
+    u=st.floats(0.0, 1.0),
+    log_t=st.floats(math.log(1e-3), 0.0),
+    mesh_tol=st.sampled_from([1e-5, 1e-3]),
+)
+def test_solving_ahead_never_changes_the_search(name, u, log_t, mesh_tol):
+    problem = named_problem(name)
+    lo, hi = problem.x_box[0]
+    x0, t = [lo + u * (hi - lo)], math.exp(log_t)
+    cfg = OuterConfig(inner=CFG, mesh_tol=mesh_tol)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = counting_batches(mp)
+        got = minimize_psi_t(problem, t, x0, cfg)
+    want = sequential_minimize(problem, t, x0, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.value, got.evals, got.final_mesh, got.flat) == (want.value, want.evals, want.final_mesh, want.flat)
+    assert_same_result(got.inner, want.inner)
+    assert got.unread == sum(sizes) - got.evals
+    # with L halving rounds below the first mesh, an interior ladder has at
+    # most 2L rows and a walk, at most L steps long, no more than that plus
+    # its first round and a few backward polls
+    rungs = math.floor(math.log2(scholtes.MESH_INIT_FRAC * (hi - lo) / mesh_tol))
+    assert max(sizes) <= 2 * rungs + 3
 
 
 def test_a_2d_search_solves_each_round_in_its_own_call(monkeypatch):

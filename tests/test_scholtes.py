@@ -199,18 +199,32 @@ def test_trace_records_final_mesh_diagnostic(example2, light_cfg):
         ("infeas_penalty", float("inf")),
         ("decrease_tol", -1e-10),
         ("decrease_tol", float("inf")),
+        ("inner", None),
     ],
 )
 def test_outer_config_validation(field, value):
-    # only mesh_tol is left to configure; the other four are module constants,
-    # and passing one is refused as an unknown keyword
-    with pytest.raises(ValueError if field == "mesh_tol" else TypeError, match=field):
+    # only mesh_tol and inner are left to configure; the other four are module
+    # constants, and passing one is refused as an unknown keyword.  A missing
+    # inner config used to construct: minimize_psi_t then fell back on
+    # InnerConfig() and scholtes_solve raised TypeError from replace()
+    with pytest.raises(ValueError if field in ("mesh_tol", "inner") else TypeError, match=field):
         OuterConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_outer_iters", 0), ("max_outer_iters", -1), ("x_tol", float("nan")), ("x_tol", float("inf"))],
+    [
+        ("max_outer_iters", 0),
+        ("max_outer_iters", -1),
+        ("x_tol", float("nan")),
+        ("x_tol", float("inf")),
+        # these used to construct and fail mid-run: an infinite t0 in the first
+        # inner solve, a fractional cap with a bare TypeError from range(), a
+        # missing outer config with an AttributeError
+        ("t0", float("inf")),
+        ("max_outer_iters", 2.5),
+        ("outer", None),
+    ],
 )
 def test_relaxation_params_count_validation(field, value):
     with pytest.raises(ValueError, match=field):
