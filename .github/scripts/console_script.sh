@@ -20,9 +20,10 @@ python -c 'import json, sys; from pbopt import benchlib; r = json.load(open(sys.
 pbopt solve --problem example2 --t0 1 --rho 0.5 --tmin 0.25 --trace "$tmp/trace.csv" --summary "$tmp/summary.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = abs(r["final_x"][0] + 1.0) <= 1e-3 and r["unread_evals"] == 0 and r["inner_calls"] == 4; sys.exit(0 if ok else f"example2 solve summary: {r}")' "$tmp/summary.json"
 # an interior local minimum (x = 0.5 at t = 0.25), where most solves made
-# ahead go unread: they must not add a batched call (19 without the rays)
+# ahead go unread; both counts are pinned, so a change to what the search
+# solves ahead fails here rather than passing quietly
 pbopt solve --problem example2 --x0 7 --t0 0.5 --tmin 0.25 --trace "$tmp/trace_interior.csv" --summary "$tmp/summary_interior.json"
-python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["inner_calls"] <= 19 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"example2 interior solve summary: {r}")' "$tmp/summary_interior.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["inner_calls"] == 17 and r["unread_evals"] == 200 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"example2 interior solve summary: {r}")' "$tmp/summary_interior.json"
 # the excess series of that trace against its limit point is finite
 pbopt diagnose --problem example2 --trace "$tmp/trace.csv" --x-bar -1 --out "$tmp/excess.csv" > "$tmp/diagnose.json"
 python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); ok = r["entries"] >= 1 and math.isfinite(r["limit_estimate"]); sys.exit(0 if ok else f"example2 diagnose: {r}")' "$tmp/diagnose.json"

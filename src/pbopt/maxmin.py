@@ -15,6 +15,7 @@ low-dimensional problems.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -186,13 +187,12 @@ class InnerConfig:
     warm_starts: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.starts < 0:
-            raise ValueError(f"starts must be nonnegative, got {self.starts}")
+        for name, least in (("starts", 0), ("seed", 0), ("sweeps", 1), ("local_maxiter", 1)):
+            val = getattr(self, name)
+            if not (isinstance(val, numbers.Integral) and val >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {val!r}")
         if self.starts + len(self.warm_starts) < 1:
             raise ValueError("the inner solver needs at least one random or warm start")
-        for name in ("sweeps", "local_maxiter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("u_max", "feas_tol"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
@@ -271,21 +271,16 @@ def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g:
 _POLISH_REG = 1e-14
 
 
-def _regularised_solve(M: Array, rhs: Array, free: Optional[Array] = None, refine: bool = False) -> Array:
+def _regularised_solve(M: Array, rhs: Array, refine: bool = False) -> Array:
     """Solutions x of (M + _POLISH_REG * tr(M) * I) x = rhs for a stack of PSD matrices M.
 
-    With ``free`` given, only the free rows and columns of each M take part
-    and x = 0 on the others.  ``refine`` adds one refinement step against
-    the unregularised M.  Rows with a non-finite entry get x = 0.
+    ``refine`` adds one refinement step against the unregularised M.  Rows
+    with a non-finite entry get x = 0.
     """
-    if free is not None:
-        M = np.where(free[:, :, None] & free[:, None, :], M, 0.0)
-        rhs = np.where(free, rhs, 0.0)
     Mr = M.copy()
     diag = np.einsum("nii->ni", Mr)  # a writable view of the diagonals
     # tiny keeps an all-zero M (whose rhs is zero too) nonsingular
-    reg = _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny
-    diag += reg if free is None else np.where(free, reg, 1.0)
+    diag += _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny
     # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
     rhs = rhs[:, :, None]
     if not (np.isfinite(Mr).all() and np.isfinite(rhs).all()):
@@ -352,7 +347,7 @@ def _polish(
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
         JtJ = np.swapaxes(J, 1, 2) @ J
         Jtv = (J * vt[:, :, None]).sum(axis=1)
-        dz = _regularised_solve(JtJ, -Jtv)  # nothing is pinned yet
+        dz = _regularised_solve(JtJ, -Jtv)
         # Bound-active variables whose step points outside must be pinned,
         # otherwise clipping can turn the step into an ascent direction.
         at_lo = Zt <= lo + 1e-12
@@ -364,8 +359,10 @@ def _polish(
                 redo = pinned.any(axis=1)
                 if not redo.any():
                     break
-                free[redo] &= ~pinned[redo]
-                dz[redo] = _regularised_solve(JtJ[redo], -Jtv[redo], free[redo])
+                fr = free[redo] = free[redo] & ~pinned[redo]
+                # a pinned coordinate's zeroed row, column and rhs give it the step 0 / reg = 0
+                pair = fr[:, :, None] & fr[:, None, :]
+                dz[redo] = _regularised_solve(np.where(pair, JtJ[redo], 0.0), np.where(fr, -Jtv[redo], 0.0))
         base = (vt * vt).sum(axis=1)
         accepted = np.zeros(todo.size, dtype=bool)
         pending = np.arange(todo.size)

@@ -111,7 +111,7 @@ class MinimizeResult:
     evals: int  # inner solves the search read
     final_mesh: float
     inner: InnerSolveResult
-    unread: int  # inner solves of a ladder or ray solved ahead that the search never read
+    unread: int  # inner solves of a forward walk solved ahead that the search never read
     flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
     calls: int = 0  # batched inner solves (evaluate_psi_t_batch calls) the search made
 
@@ -150,23 +150,22 @@ def minimize_psi_t(
 
     Each round's new poll points are solved in one batched inner call, the
     first round's together with the starting point.  When n = 1, a round
-    that needs a fresh point also solves what the search reads next if it
-    keeps going.  On the leader box's boundary (its outward poll projects
-    onto x, so the round has one point), and after a survived round, that is
-    the rest of x's halving ladder.  After a move it is the move's ray: each
-    further step to the box edge with its poll round, backward polls
-    included (rounding can leave one an ulp off the previous incumbent),
-    then the edge's poll round and halving ladder, solved only when the edge
-    lies within L steps, L being the halving rounds left below the mesh.  So
-    a search that starts and stays on the boundary costs one call, and a
-    walk to the box edge one call after its first move.  The worst case is
-    an interior minimum: the walk turns and leaves most of a ray or ladder
-    unread, though every call is made by a round that needs a fresh point.
-    When n >= 2 every round is solved in its own call.  Only evaluations
-    the search reads count in ``evals``; the rest are reported as
-    ``unread``, and ``calls`` counts the batched solves.  A search that read
-    at least one poll, every one of them tied with the centre, reports
-    ``flat``: it stayed put without evidence of a minimum.
+    that needs a fresh point also solves the later rounds of a forward walk
+    that repeats the last outcome: after a move it keeps moving by the mesh
+    (each step's round has a backward poll, which rounding can leave an ulp
+    off the previous incumbent) and halves the mesh from the box edge on;
+    after a survived round, or on the box boundary (the round has one
+    point), it halves the mesh.  The walk runs until the mesh falls below
+    mesh_tol, and is solved only if it reaches the edge within L steps and
+    MAX_ROUNDS rounds, L being the halving rounds left below the mesh.  So a
+    level that starts and stays on the boundary costs one call, a walk to
+    the edge one call after its first move, and an interior minimum leaves
+    most of a walk unread.  An interior start solves its first round alone,
+    and when n >= 2 every round is solved alone.  ``evals`` counts the
+    solves the search reads, ``unread`` the rest, and ``calls`` the batched
+    solves.  A search that read at least one poll, every one of them tied
+    with the centre, reports ``flat``: it stayed put without evidence of a
+    minimum.
     """
     cfg = cfg or OuterConfig()
     n = problem.dims.n
@@ -212,44 +211,26 @@ def minimize_psi_t(
         diam = 4.0
     mesh = MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
 
-    def ladder_from(xc: Array, h: float, r: int) -> list[Array]:
-        """Poll points at xc of rounds r, r + 1, ... on meshes h, h / 2, ... down to mesh_tol."""
-        rest = []
+    def poll_round(points: list[Array], r: int) -> list[Array]:
+        """Round r's poll points, plus, when x is a 1-D incumbent and the round
+        needs a fresh point, those of the later rounds of a forward walk from
+        x (see ``minimize_psi_t``); only the round's when a moving walk does
+        not reach the box edge within L steps or before MAX_ROUNDS."""
+        if n > 1 or (heading is None and len(points) > 1) or all(xp.tobytes() in cache for xp in points):
+            return points
+        xc, h, step, ahead = x, mesh, heading if len(points) > 1 else 0.0, []
+        steps_left = math.floor(math.log2(mesh) - math.log2(cfg.mesh_tol))
         for _ in range(r, MAX_ROUNDS):
             if h < cfg.mesh_tol:
                 break
-            rest += poll_points(xc, h)
-            h *= 0.5
-        return rest
-
-    def ray_from(sign: float, r: int) -> list[Array]:
-        """Poll points of rounds r, r + 1, ... of a walk that keeps moving from
-        x by sign * mesh to the box edge and then stays there: each walk point's
-        round, then the edge's halving ladder.  Empty when the edge lies more
-        than L steps from x, L being the halving rounds left below mesh."""
-        rungs = math.floor(math.log2(mesh) - math.log2(cfg.mesh_tol))
-        xc, ray = x, []
-        for rk in range(r, min(r + rungs + 1, MAX_ROUNDS)):
-            ray += poll_points(xc, mesh)
-            xf = _project_x(problem, xc + sign * mesh)
-            if np.array_equal(xf, xc):
-                return ray + ladder_from(xc, 0.5 * mesh, rk + 1)
-            xc = xf
-        return []
-
-    def poll_round(points: list[Array], r: int) -> list[Array]:
-        """Round r's poll points, plus, when x is a 1-D incumbent and the round
-        needs a fresh point, what the search reads next if it keeps going: the
-        rest of x's halving ladder when x lies on the box boundary (its outward
-        poll projects onto x) or has just survived a round, or the ray of the
-        move that reached x (``ray_from``)."""
-        if n > 1 or all(xp.tobytes() in cache for xp in points):
-            return points
-        if len(points) == 1 or heading == 0.0:
-            return points + ladder_from(x, 0.5 * mesh, r + 1)
-        if heading:
-            return ray_from(heading, r) or points
-        return points
+            ahead += poll_points(xc, h)
+            if not step or np.array_equal(xf := _project_x(problem, xc + step * h), xc):
+                step, h = 0.0, 0.5 * h
+            elif steps_left == 0:
+                return points
+            else:
+                xc, steps_left = xf, steps_left - 1
+        return points if step else ahead
 
     heading = None  # sign of the move that reached x; 0.0 after a survived round, None at the start
     solve([x, *poll_round(poll_points(x, mesh), 0)] if mesh >= cfg.mesh_tol else [x])

@@ -281,6 +281,41 @@ def test_an_interior_minimum_costs_no_more_calls(monkeypatch):
     assert got.unread == sum(sizes) - got.evals
 
 
+# Batch sizes of 1-D searches under a small round cap (MAX_ROUNDS): a walk
+# to the box edge (example2 from 0.3 at t = 1), boundary starts (example2
+# from -1, example1 from 0) and a box-edge start whose rounds survive
+# (example2 from 1 at t = 0.5).  Under the cap 3 the walk from -0.2 would
+# reach the edge -1 only in round 3, so each of its rounds is solved alone;
+# under the cap 6 the round at -0.2 solves the walk and the edge's rounds 3
+# to 5.  A boundary start solves its ladder down to round cap - 1.
+ROUND_CAP_BATCHES = {
+    3: {("example2", 0.3): [3, 1, 2], ("example2", -1.0): [4], ("example1", 0.0): [4, 1, 1], ("example2", 1.0): [4]},
+    6: {("example2", 0.3): [3, 6], ("example2", -1.0): [7], ("example1", 0.0): [7, 4], ("example2", 1.0): [7, 5]},
+}
+
+
+@pytest.mark.parametrize("cap", [3, 6])
+@pytest.mark.parametrize(
+    "name,x0,t", [("example2", [0.3], 1.0), ("example2", [-1.0], 0.05), ("example1", [0.0], 0.125), ("example2", [1.0], 0.5)]
+)
+def test_no_round_at_or_past_the_cap_is_solved_ahead(monkeypatch, cap, name, x0, t):
+    monkeypatch.setattr(scholtes, "MAX_ROUNDS", cap)  # sequential_minimize reads it too
+    problem = named_problem(name)
+    cfg = OuterConfig(inner=CFG)
+    sizes = counting_batches(monkeypatch)
+    got = minimize_psi_t(problem, t, x0, cfg)
+    want = sequential_minimize(problem, t, x0, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.value, got.evals, got.final_mesh, got.flat) == (want.value, want.evals, want.final_mesh, want.flat)
+    assert_same_result(got.inner, want.inner)
+    assert got.unread == sum(sizes) - got.evals
+    # call k is made in round k or later and a 1-D round has at most two
+    # poll points, so a call that stops before the cap has at most 2 (cap - k)
+    # rows, besides the starting point in the first
+    assert all(size <= 2 * (cap - k) + (k == 0) for k, size in enumerate(sizes))
+    assert sizes == ROUND_CAP_BATCHES[cap][name, x0[0]]
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     name=st.sampled_from(["example1", "example2"]),

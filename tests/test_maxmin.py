@@ -346,6 +346,13 @@ def test_warm_starts_are_used(example1, light_cfg):
         {"penalty_growth": 0.5},
         {"penalty_growth": float("inf")},
         {"penalty_growth": float("nan")},
+        # each of these was accepted, and the first solve then failed with an
+        # error that did not name the field
+        {"starts": 2.5},
+        {"sweeps": 2.5},
+        {"local_maxiter": 2.5},
+        {"seed": 1.5},
+        {"seed": -1},
     ],
 )
 def test_inner_config_rejects_bad_values(kw):
