@@ -88,8 +88,8 @@ class RunConfig:
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    cfg, path = RunConfig(), args.config
     known = {f.name for f in fields(RunConfig)}
     if path:
         try:
@@ -125,14 +125,12 @@ def _require_problem(cfg_problem: Optional[str]):
     if not cfg_problem:
         raise UsageError(f"--problem is required (one of: {', '.join(problem_names())})")
     try:
-        return get_problem(cfg_problem)
+        return get_problem(cfg_problem)[0]
     except KeyError as err:
         raise UsageError(err.args[0]) from None  # str(KeyError) would quote the message
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args)
-    problem, _ = _require_problem(cfg.problem)
+def cmd_solve(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     if cfg.check not in (None, "C", "M", "S"):
         raise UsageError(f"check must be one of C, M, S, got {cfg.check!r}")
     params = RelaxationParams(
@@ -211,15 +209,11 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args)
-    problem, _ = _require_problem(cfg.problem)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     if args.x is None:
         raise UsageError("--x is required")
-    x = _parse_vector(args.x)
-    if x.size != problem.dims.n:
-        raise UsageError(f"--x must have {problem.dims.n} components, got {x.size}")
-    if args.t is None or args.t < 0:
+    x = problem.leader_point(_parse_vector(args.x), "--x")
+    if args.t is None:
         raise UsageError("--t is required and must be nonnegative")
     res = evaluate_psi_t(problem, x, args.t, _inner_config(cfg))
     out = {
@@ -255,9 +249,7 @@ def _load_point(problem, path: str):
     return data, pt
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args)
-    problem, _ = _require_problem(cfg.problem)
+def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     if not args.point:
         raise UsageError("--point FILE is required")
     data, pt = _load_point(problem, args.point)
@@ -268,8 +260,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise UsageError(f"t must be a number, got {data.get('t')!r}") from None
     if not (np.isfinite(t) and t >= 0):
         raise UsageError(f"t must be finite and nonnegative, got {t}")
-    if args.pattern_cap is not None and args.pattern_cap < 0:
-        raise UsageError(f"--pattern-cap must be nonnegative, got {args.pattern_cap}")
     try:
         if kind == "relaxed":
             if "multipliers" in data:
@@ -335,9 +325,7 @@ def _read_trace(path: str):
     return rows
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args)
-    problem, _ = _require_problem(cfg.problem)
+def cmd_diagnose(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     if not args.trace_file:
         raise UsageError("--trace FILE is required")
     if args.x_bar is None:
@@ -375,9 +363,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args)
-    problem, _ = _require_problem(cfg.problem)
+def cmd_gradcheck(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     rng = np.random.default_rng(cfg.seed)
     d = problem.dims
     xb = problem.x_box if problem.x_box is not None else np.tile([-1.0, 1.0], (d.n, 1))
@@ -482,7 +468,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (solve, eval, check, diagnose, gradcheck)")
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args)
+        problem = _require_problem(cfg.problem)
+        return _COMMANDS[args.command](args, cfg, problem)
     except (UsageError, ValueError, OSError) as err:  # ValueError: inputs refused by the library
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -105,7 +105,8 @@ class BilevelProblem:
 
     The ``*_rows`` methods take the same 2-D leader block, call a hook when
     it is set and otherwise loop over the rows with the per-point
-    evaluators.  With finite-difference Hessians (``hess_is_fd``)
+    evaluators; there a leader block of neither 1 nor N rows is refused
+    with DimensionError.  With finite-difference Hessians (``hess_is_fd``)
     ``batch_lagrangian_jac`` is ignored.
     """
 
@@ -254,9 +255,13 @@ def _box(box, size: int, what: str) -> Array:
 def _gather(fn, X: Array, blocks: tuple, shape: tuple) -> Array:
     """fn(x, *row) for every row of the (N, k) blocks, stacked into (N, *shape).
 
-    x is the matching row of the leader block X, or its only row.
+    x is the matching row of the leader block X, or its only row; a leader
+    block with any other number of rows is refused with DimensionError.
     """
-    out = np.empty((blocks[0].shape[0],) + shape)
+    n_rows = blocks[0].shape[0]
+    if len(X) not in (1, n_rows):
+        raise DimensionError(f"leader block has {len(X)} rows, expected 1 or {n_rows}")
+    out = np.empty((n_rows,) + shape)
     xs = itertools.repeat(X[0]) if len(X) == 1 else X
     for i, (x, *row) in enumerate(zip(xs, *blocks)):
         out[i] = fn(x, *row)

@@ -27,7 +27,14 @@ def _points(s) -> Array:
 
 
 def excess(a, b) -> float:
-    """sup over a in A of the Euclidean distance from a to B."""
+    """sup over a in A of the Euclidean distance from a to B.
+
+    An inner-solver argmax cloud on a flat face (part of D_t where F is
+    constant) holds wherever each start's ascent stopped on that face, so it
+    moves with rounding: with psi bit-identical, points have moved by up to
+    9.0e-3 between two versions of the solver.  An excess between the
+    clouds of two solver versions can read such a move as a real change.
+    """
     A, B = _points(a), _points(b)
     if A.shape[0] == 0:
         return 0.0

@@ -252,10 +252,11 @@ def recover_c_multipliers(
 ) -> Optional[Multipliers]:
     """Least-norm multipliers for the kind-dependent exact stationarity system.
 
-    A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
-    refused with InfeasiblePointError, and a biactive set larger than
-    pattern_cap with PatternCapError.  Enumerates sign patterns over the
-    biactive set in lexicographic order; each pattern is a least-distance
+    A pattern_cap that is not a nonnegative integer is refused with
+    ValueError.  A point whose exact KKT violation exceeds
+    kkt.FEAS_TOL_DEFAULT is refused with InfeasiblePointError, and a
+    biactive set larger than pattern_cap with PatternCapError.  Enumerates
+    sign patterns over the biactive set in lexicographic order; each pattern is a least-distance
     problem and the first feasible pattern's least-norm solution is returned.  None means every pattern is
     infeasible.  Patterns go in batches of 1, 2, 4, ... (up to CHUNK_MAX)
     through :func:`~pbopt.simplex.least_norm_points`, which picks each
@@ -264,6 +265,8 @@ def recover_c_multipliers(
     the first feasible pattern, so the result is the sequential one.
     """
     _check_kind(kind)
+    if not isinstance(pattern_cap, (int, np.integer)) or pattern_cap < 0:
+        raise ValueError(f"pattern_cap must be a nonnegative integer, got {pattern_cap!r}")
     _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, pattern_cap)
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
@@ -320,6 +323,11 @@ def _multiplier_blocks(mults, sizes: dict[str, int]) -> list[Array]:
     return blocks
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) -> StationarityReport:
     residual = float(np.max(list(rows.values())))  # a NaN row gives NaN, which fails the verdict
     return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
@@ -341,10 +349,11 @@ def check_stationarity(
     exact follower KKT set and F must reach the inner max value within
     EPS_LVL_DEFAULT, the argmax slack of the inner solver, which supplies
     that value.  The index sets use the activity margin kkt.EPS_ACT_DEFAULT.
-    A multiplier block that is not a finite vector of its length is refused
-    with ValueError.
+    A tol that is not finite and nonnegative, and a multiplier block that
+    is not a finite vector of its length, are refused with ValueError.
     """
     _check_kind(kind)
+    _check_tol(tol)
     res, idx, data = _setup(problem, pt, 0.0, None)
     d = problem.dims
     alpha, beta, gamma = _multiplier_blocks(mults, {"alpha": d.p, "beta": d.m, "gamma": d.q})
@@ -408,9 +417,10 @@ def check_relaxed_stationarity(
     """Residuals of the relaxed optimality system at (pt, rm) for level t.
 
     The verdict holds when every residual row is at most tol.  The graph
-    rows are those of :func:`check_stationarity` at level t, and
-    multiplier blocks are refused as there.
+    rows are those of :func:`check_stationarity` at level t, and tol and
+    the multiplier blocks are refused as there.
     """
+    _check_tol(tol)
     res, idx, data = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
     d = problem.dims
     alpha, beta, gamma, mu, delta = _multiplier_blocks(rm, {"alpha": d.p, "beta": d.m, "gamma": d.q, "mu": d.q, "delta": d.q})

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from pbopt import maxmin
 from pbopt.maxmin import DEDUP_TOL, EPS_LVL_DEFAULT, InnerInfeasibleError, approximate_argmax_set, dedup_points
 from pbopt.kkt import kkt_residual
 
-from toys import make_empty_lower_toy, make_q0_toy, named_problem
+from toys import make_biactive_family, make_empty_lower_toy, make_q0_toy, named_problem
 
 
 BRUTE_GRID = GridSpec(((0.0, 1.0, 41), (0.0, 2.2, 45), (0.0, 2.2, 45)))
@@ -144,6 +145,31 @@ def test_brute_force_rejects_high_dimension():
     bad = GridSpec(tuple((0.0, 1.0, 3) for _ in range(5)))
     with pytest.raises(ValueError):
         brute_force_psi_t(problem, [0.0, 0.0], 0.1, bad)
+    # m + q = 6, with a grid that covers every coordinate: only the dimension cap refuses it
+    family = make_biactive_family(3, np.random.default_rng(0))
+    assert family.dims.m + family.dims.q == 6
+    grid = GridSpec(tuple((0.0, 1.0, 3) for _ in range(6)))
+    with pytest.raises(ValueError, match="m \\+ q <= 4"):
+        brute_force_psi_t(family, np.zeros(family.dims.n), 0.1, grid)
+
+
+def test_overflowing_leader_point_takes_the_nonfinite_solve_branch(synthetic, monkeypatch):
+    # c(x) = x1 + x2 overflows at x = (1e308, 1e308): the regularised solve
+    # gives the non-finite systems x = 0 instead of NaN, and the result is "nonfinite"
+    solves, solve = [], maxmin._regularised_solve
+
+    def spy(M, rhs, refine=False):
+        x = solve(M, rhs, refine)
+        solves.append((np.isfinite(M).all() and np.isfinite(rhs).all(), x))
+        return x
+
+    monkeypatch.setattr(maxmin, "_regularised_solve", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = evaluate_psi_t(synthetic[0], (1e308, 1e308), 0.1)
+    assert res.status == "nonfinite"
+    assert any(not finite for finite, _ in solves)
+    assert all(np.isfinite(x).all() for _, x in solves)
 
 
 def test_value_monotone_in_t(example1, example2, light_cfg):

@@ -164,6 +164,21 @@ def test_certifier_jacobians_are_the_solver_row(name):
         np.testing.assert_array_equal(np.hstack([ly, lu]), row)
 
 
+@pytest.mark.parametrize("rows", [3, 7])
+@pytest.mark.parametrize("method", ["F_rows", "g_rows", "lagrangian_rows", "grad_F_rows", "lagrangian_jac_rows"])
+@pytest.mark.parametrize("name", ["example2_bare", "dip_toy"])
+def test_hook_free_rows_refuse_a_mismatched_leader_block(name, method, rows):
+    # the per-point loop zipped the leader rows with the follower rows, so a
+    # 3-row leader block against 5 follower rows left two rows unwritten
+    problem = named_problem(name)
+    d = problem.dims
+    rng = np.random.default_rng(5)
+    X, Y, U = rng.uniform(0, 1, (rows, d.n)), rng.uniform(0, 1, (5, d.m)), rng.uniform(0, 1, (5, d.q))
+    args = (X, Y, U) if method.startswith("lagrangian") else (X, Y)
+    with pytest.raises(DimensionError, match=f"leader block has {rows} rows, expected 1 or 5"):
+        getattr(problem, method)(*args)
+
+
 def test_fd_problem_follows_a_replaced_gradient():
     # f = y^2/2 - x*y becomes 3y^2/2 - x*y: L_yy goes from 1 to 3; the certifier must see the new gradient
     fd = named_problem("biactive_toy_fd")

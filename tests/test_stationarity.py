@@ -118,6 +118,26 @@ def test_pattern_cap_refusal():
         recover_c_multipliers(toy, TriplePoint([0.0], [0.0], [0.0]), kind="C", pattern_cap=0)
 
 
+@pytest.mark.parametrize("cap", [-1, 2.5])
+def test_pattern_cap_that_is_not_a_nonnegative_integer_is_refused(example1, cap):
+    # -1 used to come back as PatternCapError, the refusal of a point, and 2.5 was accepted
+    with pytest.raises(ValueError, match="pattern_cap must be a nonnegative integer"):
+        recover_c_multipliers(example1[0], EX1_PT, kind="C", pattern_cap=cap)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_certifier_refuses_a_tol_it_cannot_honour(example1, tol):
+    # tol = inf passed a residual of 7; nan and -1 failed every point
+    problem = example1[0]
+    mults = Multipliers(alpha=np.zeros(2), beta=np.array([7.0]), gamma=np.array([3.0, -2.0]))
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        check_stationarity(problem, EX1_PT, mults, kind="C", tol=tol, graph_check=False)
+    rm = RelaxedMultipliers(np.zeros(2), np.array([7.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        check_relaxed_stationarity(problem, 0.1, EX1_PT, rm, tol=tol, graph_check=False)
+    assert check_stationarity(problem, EX1_PT, mults, kind="C", graph_check=False).residual_inf == 7.0
+
+
 def test_biactive_toy_separates_kinds(tiny_cfg):
     # gamma is forced to +1 while the biactive gradient term vanishes: the
     # C- and M-systems are satisfiable, the S-system is not.
