@@ -20,7 +20,7 @@ import numpy as np
 from .benchlib import get_problem, problem_names
 from .kkt import InfeasiblePointError
 from .maxmin import InnerConfig, InnerInfeasibleError, evaluate_psi_t, approximate_argmax_set
-from .problem_model import TriplePoint, check_gradients_fd
+from .problem_model import TriplePoint, check_gradients_fd, relaxation_level
 from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, leader_violation, scholtes_solve
 from .setvalued import convergence_diagnostic
 from .simplex import NnlsLimitError
@@ -258,8 +258,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         t = float(args.t if args.t is not None else data.get("t", 0.0))
     except (TypeError, ValueError):
         raise UsageError(f"t must be a number, got {data.get('t')!r}") from None
-    if not (np.isfinite(t) and t >= 0):
-        raise UsageError(f"t must be finite and nonnegative, got {t}")
+    t = relaxation_level(t)
     try:
         if kind == "relaxed":
             if "multipliers" in data:

@@ -76,7 +76,11 @@ class BilevelProblem:
 
     All callables must be pure and deterministic.  Evaluations outside the
     mathematical domain should return non-finite values instead of raising;
-    callers treat non-finite as infeasible.
+    callers treat non-finite as infeasible.  Build a changed problem with
+    ``dataclasses.replace``: the certifier keeps the data of the last point
+    it set up, keyed on the problem object and its attribute objects, so
+    data that a callable reads but that is changed in place (an array it
+    closes over, say) goes unseen.
 
     ``y_box`` is the (m, 2) follower search box of the inner solver, the
     Slater probe and the oracle grids.  A problem built without one gets

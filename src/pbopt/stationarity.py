@@ -23,10 +23,20 @@ pattern at a time, in order, so every answer, and the pattern it stops at,
 is the one-pattern-at-a-time answer bit for bit.  A solve that stops at
 scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
 is refused, never answered "no".
+
+Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`):
+the residual record, the index sets and the derivative blocks are computed
+once and handed out as read-only arrays.  A call sets up afresh when it gets
+another problem object, when one of the problem's attributes is no longer
+the object it was at the set-up (``problem.eval_g = ...`` or a
+``dataclasses.replace`` copy), or when x, y, u or the relaxation level
+differ in any bit.  Only the last point is kept.  The refusals of a point
+(``feas_tol``, the classification, ``pattern_cap``) run on every call.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,7 +46,7 @@ import numpy as np
 from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians
+from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians, relaxation_level
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 PATTERN_CAP_DEFAULT = 12  # largest biactive set enumerated; check_qualification_Am always uses it
@@ -93,14 +103,32 @@ class _SystemData:
     g: Array
 
 
+def _frozen(a) -> Array:
+    """A read-only view of a; the array it views keeps its own flags."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+class _Residual(KktResidual):
+    """A KktResidual of read-only arrays whose largest violation is computed once."""
+
+    def __init__(self, res: KktResidual) -> None:
+        super().__init__(**{k: _frozen(v) if isinstance(v, np.ndarray) else v for k, v in vars(res).items()})
+        self.violation = res.max_violation()
+
+    def max_violation(self) -> float:
+        return self.violation
+
+
 def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemData:
-    """The derivative blocks at pt; g is g(x, y) there, as the residual record holds it."""
+    """The derivative blocks at pt, read-only; g is g(x, y) there, as the residual record holds it."""
     d = problem.dims
-    gFx, gFy = (np.asarray(v, dtype=float) for v in problem.grad_F(pt.x, pt.y))
+    gFx, gFy = problem.grad_F(pt.x, pt.y)
     Lx, Ly, _ = lagrangian_jacobians(problem, pt)
     Jgx, Jgy = problem.jac_g(pt.x, pt.y) if d.q else (np.zeros((0, d.n)), np.zeros((0, d.m)))
     jacG = problem.jac_G(pt.x) if d.p else np.zeros((0, d.n))
-    return _SystemData(
+    return _SystemData(*map(_frozen, (
         gFx,
         gFy,
         np.asarray(jacG, dtype=float).reshape(d.p, d.n),
@@ -108,9 +136,24 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemD
         Ly,
         np.asarray(Jgx, dtype=float).reshape(d.q, d.n),
         np.asarray(Jgy, dtype=float).reshape(d.q, d.m),
-        np.asarray(problem.eval_G(pt.x) if d.p else np.zeros(0), dtype=float),
+        problem.eval_G(pt.x) if d.p else np.zeros(0),
         g,
-    )
+    )))
+
+
+# The last point set up: (key, residual, index sets and system data, or the
+# classification's refusal message).  It is read and replaced as one tuple, so
+# a concurrent caller never pairs one point's key with another point's data.
+_last_setup: Optional[tuple] = None
+
+
+def _point_key(problem: BilevelProblem, pt: TriplePoint, level: float) -> tuple:
+    return problem, tuple(vars(problem).values()), np.concatenate([pt.x, pt.y, pt.u, [level]]).tobytes()
+
+
+def _same_point(a: tuple, b: tuple) -> bool:
+    """The same problem object with the same attribute objects, and the same bits of x, y, u and t."""
+    return a[0] is b[0] and a[2] == b[2] and len(a[1]) == len(b[1]) and all(map(operator.is_, a[1], b[1]))
 
 
 def _setup(
@@ -123,21 +166,39 @@ def _setup(
     """The level-t residual, index sets and system data at pt, from one residual evaluation.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
-    then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.
+    then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.  The
+    point's data are kept for the next call at the same point (see
+    _same_point), and the refusals run on every call.
     """
+    global _last_setup
     problem.check_point(pt)
-    res = kkt_residual(problem, pt, t)
+    key = _point_key(problem, pt, relaxation_level(t))
+    entry = _last_setup
+    if entry is None or not _same_point(entry[0], key):
+        entry = _last_setup = (key, _Residual(kkt_residual(problem, pt, t)), None)
+    _, res, point = entry
     if feas_tol is not None and not res.is_feasible(feas_tol):
         raise InfeasiblePointError(
             f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
             f"{res.max_violation():.3e}"
         )
-    idx = classify_residual(problem, pt, res)
+    if point is None:
+        try:
+            point = classify_residual(problem, pt, res), None
+        except InfeasiblePointError as err:
+            point = str(err)
+        entry = _last_setup = (*entry[:2], point)
+    if isinstance(point, str):
+        raise InfeasiblePointError(point)
+    idx, data = point
     if pattern_cap is not None and len(idx.theta) > pattern_cap:
         raise PatternCapError(
             f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
         )
-    return res, idx, _system_data(problem, pt, res.g)
+    if data is None:
+        data = _system_data(problem, pt, res.g)
+        _last_setup = (*entry[:2], (idx, data))
+    return res, idx, data
 
 
 def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
@@ -257,12 +318,20 @@ def recover_c_multipliers(
     kkt.FEAS_TOL_DEFAULT is refused with InfeasiblePointError, and a
     biactive set larger than pattern_cap with PatternCapError.  Enumerates
     sign patterns over the biactive set in lexicographic order; each pattern is a least-distance
-    problem and the first feasible pattern's least-norm solution is returned.  None means every pattern is
-    infeasible.  Patterns go in batches of 1, 2, 4, ... (up to CHUNK_MAX)
-    through :func:`~pbopt.simplex.least_norm_points`, which picks each
-    system's rows from one pool built per point and stacks everything but
-    the NNLS solves; those run one pattern at a time, in order, and stop at
-    the first feasible pattern, so the result is the sequential one.
+    problem, and the first feasible pattern's least-norm solution that
+    passes its own check is returned: every multiplier row of
+    :func:`check_stationarity` for kind (all but the graph rows and
+    leader_feas, which the point alone sets) must be at most
+    kkt.FEAS_TOL_DEFAULT.  The least-distance solve meets a pattern's rows
+    only to simplex.ZERO_TOL times the norm of its solution, so a large
+    solution can break its own branch condition; the enumeration then goes
+    on.  None means no pattern gives such multipliers.  Patterns go in
+    batches of 1, 2, 4, ... (up to CHUNK_MAX) through
+    :func:`~pbopt.simplex.least_norm_points`, which picks each system's
+    rows from one pool built per point and stacks everything but the NNLS
+    solves; those run one pattern at a time, in order, and stop at the
+    first pattern whose multipliers are returned, so the result is the
+    sequential one.
     """
     _check_kind(kind)
     if not isinstance(pattern_cap, (int, np.integer)) or pattern_cap < 0:
@@ -270,13 +339,17 @@ def recover_c_multipliers(
     _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, pattern_cap)
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
+    k = len(idx.i_G)
+    free = sorted(set(idx.theta) | set(idx.nu))
     for chunk in _chunks(patterns):
         for z in least_norm_points(rows, rhs, chunk):
-            if z is not None:
-                k = len(idx.i_G)
-                free = sorted(set(idx.theta) | set(idx.nu))
-                alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
-                return Multipliers(alpha, z[k : k + d.m], _scatter(d.q, free, z[k + d.m :]), "least_norm")
+            if z is None:
+                continue
+            alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
+            beta, gamma = z[k : k + d.m], _scatter(d.q, free, z[k + d.m :])
+            own = _multiplier_rows(kind, idx, data, alpha, beta, gamma)
+            if max(v for name, v in own.items() if name != "leader_feas") <= kkt.FEAS_TOL_DEFAULT:
+                return Multipliers(alpha, beta, gamma, "least_norm")
     return None
 
 
@@ -333,6 +406,25 @@ def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) ->
     return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
 
 
+def _multiplier_rows(
+    kind: str, idx: IndexSets, data: _SystemData, alpha: Array, beta: Array, gamma: Array
+) -> dict[str, float]:
+    """The rows of the kind-dependent exact stationarity system at (alpha, beta, gamma), graph rows aside."""
+    res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
+    res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
+    dvec = data.Jgy @ beta
+    return {
+        "leader_gradient": float(abs(res_x).max(initial=0.0)),
+        "follower_gradient": float(abs(res_y).max(initial=0.0)),
+        "alpha_sign": float((-alpha).max(initial=0.0)),
+        "leader_feas": float(data.G.max(initial=0.0)),
+        "alpha_compl": float(abs(alpha * data.G).max(initial=0.0)),
+        "nu_gradient": float(abs(dvec[list(idx.nu)]).max(initial=0.0)),
+        "eta_gamma": float(abs(gamma[list(idx.eta)]).max(initial=0.0)),
+        "theta_condition": float(max((_theta_violation(kind, gamma[i], dvec[i]) for i in idx.theta), default=0.0)),
+    }
+
+
 def check_stationarity(
     problem: BilevelProblem,
     pt: TriplePoint,
@@ -359,20 +451,8 @@ def check_stationarity(
     alpha, beta, gamma = _multiplier_blocks(mults, {"alpha": d.p, "beta": d.m, "gamma": d.q})
 
     rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
-    res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
-    rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
-    res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
-    rows["follower_gradient"] = float(np.max(np.abs(res_y), initial=0.0))
-    rows["alpha_sign"] = float(np.max(-alpha, initial=0.0))
-    rows["leader_feas"] = float(np.max(data.G, initial=0.0))
-    rows["alpha_compl"] = float(np.max(np.abs(alpha * data.G), initial=0.0))
+    rows.update(_multiplier_rows(kind, idx, data, alpha, beta, gamma))
     dvec = data.Jgy @ beta
-    rows["nu_gradient"] = float(max((abs(dvec[i]) for i in idx.nu), default=0.0))
-    rows["eta_gamma"] = float(max((abs(gamma[i]) for i in idx.eta), default=0.0))
-    rows["theta_condition"] = float(
-        max((_theta_violation(kind, gamma[i], dvec[i]) for i in idx.theta), default=0.0)
-    )
-
     branch = tuple(
         "-" if gamma[i] <= 0 and dvec[i] <= 0 else "+" for i in idx.theta
     ) if idx.theta else None

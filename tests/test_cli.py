@@ -442,6 +442,16 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", ["C", "M", "S", "relaxed"])
+def test_check_leaves_the_level_refusal_to_the_library(tmp_path, capsys, kind):
+    # every kind refuses a negative level with relaxation_level's message
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    code, out, err = run_cli(capsys, "check", "--problem", "example1", "--point", str(point), "--kind", kind, "--t", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: relaxation level t must be finite and nonnegative, got -1.0\n"
+
+
 def test_summary_counts_the_batched_inner_calls(monkeypatch, tmp_path, capsys):
     calls = []
     solve = scholtes.evaluate_psi_t_batch

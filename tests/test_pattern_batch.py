@@ -66,7 +66,11 @@ def _pattern_systems(kind, qualification, a_eq, a_ineq, theta_rows):
 
 
 def reference_recover(problem, pt, kind):
-    """recover_c_multipliers, one least_norm_point per pattern."""
+    """recover_c_multipliers, one least_norm_point per pattern.
+
+    The first multipliers whose check_stationarity rows, graph and
+    leader_feas rows aside, are at most kkt.FEAS_TOL_DEFAULT are returned.
+    """
     _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
     a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
     d = problem.dims
@@ -76,7 +80,10 @@ def reference_recover(problem, pt, kind):
             k = len(idx.i_G)
             free = sorted(set(idx.theta) | set(idx.nu))
             alpha = stn._scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
-            return stn.Multipliers(alpha, z[k : k + d.m], stn._scatter(d.q, free, z[k + d.m :]), status)
+            mults = stn.Multipliers(alpha, z[k : k + d.m], stn._scatter(d.q, free, z[k + d.m :]), status)
+            rows = stn.check_stationarity(problem, pt, mults, kind=kind, graph_check=False).rows
+            if max(v for name, v in rows.items() if name != "leader_feas") <= kkt.FEAS_TOL_DEFAULT:
+                return mults
     return None
 
 

@@ -1,4 +1,8 @@
+import copy
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -222,6 +226,43 @@ def test_s_implies_m_implies_c_on_corpus(example1, example2, synthetic, tiny_cfg
         assert (not feas["S"] or feas["M"]) and (not feas["M"] or feas["C"])
 
 
+# (B, c, d, e) of two drawn duplicate-row families (see toys.biactive_family_data):
+# the first feasible C pattern's least-norm multipliers had gamma ~ 1e3 on the
+# duplicate pair and broke their own theta condition by 2.4e-8 and 3.0e-7.
+DUPLICATE_FAMILIES = {
+    "biactive2_dup": (
+        [[0.030115934458471574], [-0.47342322815068716]],
+        [-2.1555677078314606, -0.9708322507176723],
+        [-0.27990681122277455],
+        [-0.00011095408477677055],
+    ),
+    "biactive5_dup": (
+        [[-1.1465891240628079], [-0.7010953406797424], [-0.6345872912577584], [-0.5096210726408573], [-2.44550475878096]],
+        [-1.9920809657765415, -0.8571732355997004, -1.4131604987192938, -1.8481036367584294, -2.3970242716305705],
+        [-5.1860361284831376],
+        [-0.0003933234295340694],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DUPLICATE_FAMILIES)
+def test_recovered_multipliers_pass_their_own_checks(name):
+    B, c, d, e = DUPLICATE_FAMILIES[name]
+    k = len(c)
+    Jgy, Jgx = np.zeros((k + 2, k)), np.zeros((k + 2, 1))
+    Jgy[:k] = -np.eye(k)
+    Jgy[k:, k - 1] = -1.0
+    Jgx[k + 1] = e
+    problem = make_linear_follower(B, c, d, Jgy, Jgx, name=name)
+    zero = TriplePoint([0.0], np.zeros(k), np.zeros(k + 2))
+    for kind, weaker in {"S": ("S", "M", "C"), "M": ("M", "C"), "C": ("C",)}.items():
+        mults = recover_c_multipliers(problem, zero, kind=kind)
+        assert mults is not None
+        for w in weaker:
+            rep = check_stationarity(problem, zero, mults, kind=w, tol=kkt.FEAS_TOL_DEFAULT, graph_check=False)
+            assert rep.verdict, (kind, w, rep.rows)
+
+
 def test_fd_copies_give_the_analytic_verdicts_on_corpus(example1, example2, synthetic):
     # a problem without Hessians is differenced; the certifier must reach the same answers
     for problem, pt in _implication_corpus(example1, example2, synthetic):
@@ -334,8 +375,8 @@ def test_certifier_solves_no_lp(example1, example2, monkeypatch):
     assert check_upper_regularity(p2, [-1.0])
 
 
-def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
-    """One recovery or check makes one kkt_residual call and at most two g evaluations."""
+def _counted(problem, monkeypatch):
+    """A copy of problem and the counts of its kkt_residual calls and g evaluations."""
     calls = {"kkt_residual": 0, "eval_g": 0}
     residual = pbopt.kkt.kkt_residual
 
@@ -345,17 +386,175 @@ def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
 
     def counted_g(x, y):
         calls["eval_g"] += 1
-        return example2[0].eval_g(x, y)
+        return problem.eval_g(x, y)
 
     for module in (pbopt.kkt, stationarity):
         monkeypatch.setattr(module, "kkt_residual", counted_residual)
-    problem = dataclasses.replace(example2[0], eval_g=counted_g)
-    pt = TriplePoint([0.3], [0.0], [0.3, 0.0])
-    recover_c_multipliers(problem, pt)  # None here: the point is not C-stationary
+    return dataclasses.replace(problem, eval_g=counted_g), calls
+
+
+EX2_MID = TriplePoint([0.3], [0.0], [0.3, 0.0])  # feasible, not C-stationary
+
+
+def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
+    """Calls in a row at one point share one kkt_residual call and one g evaluation."""
+    problem, calls = _counted(example2[0], monkeypatch)
+    assert recover_c_multipliers(problem, EX2_MID) is None
     assert calls == {"kkt_residual": 1, "eval_g": 1}
-    calls.update(kkt_residual=0, eval_g=0)
-    check_stationarity(problem, pt, Multipliers(np.zeros(2), np.zeros(1), np.zeros(2)), graph_check=False)
+    check_stationarity(problem, EX2_MID, Multipliers(np.zeros(2), np.zeros(1), np.zeros(2)), graph_check=False)
+    for kind in ("S", "M"):
+        recover_c_multipliers(problem, EX2_MID, kind=kind)
+        check_qualification_Am(problem, EX2_MID, kind=kind)
     assert calls == {"kkt_residual": 1, "eval_g": 1}
+
+
+def _reassign_g(problem, pt):
+    g = problem.eval_g
+    problem.eval_g = lambda x, y: g(x, y)
+    return problem, pt, 0.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda problem, pt: (problem, TriplePoint(pt.x, pt.y, [0.3, 1e-12]), 0.0),
+        lambda problem, pt: (problem, pt, 0.1),
+        lambda problem, pt: (dataclasses.replace(problem), pt, 0.0),
+        lambda problem, pt: (copy.copy(problem), pt, 0.0),  # another object with the same attribute objects
+        _reassign_g,
+    ],
+    ids=["new_point", "new_t", "replaced_problem", "copied_problem", "reassigned_attribute"],
+)
+def test_a_new_point_level_or_problem_is_set_up_afresh(example2, monkeypatch, change):
+    problem, calls = _counted(example2[0], monkeypatch)
+    recover_c_multipliers(problem, EX2_MID)
+    problem, pt, t = change(problem, EX2_MID)
+    recover_relaxed_multipliers(problem, t, pt)
+    recover_relaxed_multipliers(problem, t, pt)
+    assert calls == {"kkt_residual": 2, "eval_g": 2}
+
+
+ORDERS = {"recovery_first": (0, 1), "check_first": (1, 0)}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+def test_refusals_do_not_depend_on_the_call_order(example1, order):
+    zero = Multipliers(np.zeros(2), np.zeros(1), np.zeros(2))
+    # stationarity violated by 1e-7: the recovery refuses, the check answers
+    near = TriplePoint([0.5], [0.0], [0.5, 1e-7])
+    # complementarity violated by 1: both refuse, each with its own message
+    far = TriplePoint([0.5], [0.5], [1.0, 1.0])
+    for pt, want in (
+        (near, ("point not in the level-0 follower KKT set: 'stationarity' violates by 1.000e-07", 1.0)),
+        (
+            far,
+            (
+                "point not in the level-0 follower KKT set: 'compl' violates by 1.000e+00",
+                "point infeasible at t=0.0: field 'compl' violates by 1.000e+00 (> eps_act=1.0e-06)",
+            ),
+        ),
+    ):
+        problem = dataclasses.replace(example1[0])
+        calls = (
+            lambda: recover_c_multipliers(problem, pt),
+            lambda: check_stationarity(problem, pt, zero, graph_check=False).residual_inf,
+        )
+        got = [None, None]
+        for i in order:
+            try:
+                got[i] = calls[i]()
+            except InfeasiblePointError as err:
+                got[i] = str(err)
+        assert tuple(got) == want
+
+
+def _yielding(problem):
+    """A copy of problem whose eval_g, eval_G and jac_g hand the interpreter to another thread first."""
+    hand_over = lambda f: lambda *args: time.sleep(0) or f(*args)
+    return dataclasses.replace(
+        problem, eval_g=hand_over(problem.eval_g), eval_G=hand_over(problem.eval_G), jac_g=hand_over(problem.jac_g)
+    )
+
+
+def test_concurrent_callers_get_their_own_points_data(example1, example2, synthetic):
+    """Threads certifying different points at once get the answers of serial calls."""
+    p1, p2, p3 = (_yielding(problem) for problem, _ in (example1, example2, synthetic))
+    cases = [
+        (p1, EX1_PT),
+        (p2, EX2_PT),
+        (p3, TriplePoint([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])),
+        (p3, TriplePoint([0.5, 0.5], [0.0, 0.0], [0.5, 1.0])),
+    ]
+
+    def answer(problem, pt):
+        d = problem.dims
+        mults = recover_c_multipliers(problem, pt)
+        zero = Multipliers(np.zeros(d.p), np.zeros(d.m), np.zeros(d.q))
+        rows = check_stationarity(problem, pt, zero, graph_check=False).rows
+        return None if mults is None else mults.gamma.tobytes(), rows
+
+    want = [answer(*case) for case in cases]
+    assert len({repr(w) for w in want}) == len(cases)
+    got = [[] for _ in cases]
+
+    def certify(i):
+        for _ in range(150):
+            got[i].append(answer(*cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=certify, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[w] * 150 for w in want]
+
+
+def test_a_call_made_inside_a_set_up_leaves_both_points_data_intact(example1, example2):
+    """A certifier call at another point from inside a set-up, as a concurrent caller makes it, mixes no data."""
+    zero = Multipliers(np.zeros(2), np.zeros(1), np.zeros(2))
+
+    def rows(problem, pt):
+        return check_stationarity(problem, pt, zero, graph_check=False).rows
+
+    def mults(problem):
+        m = recover_c_multipliers(problem, EX1_PT)
+        return m.alpha.tobytes(), m.beta.tobytes(), m.gamma.tobytes()
+
+    other = dataclasses.replace(example2[0])
+    plain = dataclasses.replace(example1[0])
+    want, want_rows, want_other = mults(plain), rows(plain, EX1_PT), rows(other, EX2_PT)
+    nested = []
+
+    def nesting(f):
+        def call(*args):
+            if f not in nested:  # once from the classification (eval_G), once from the derivative blocks (grad_F)
+                nested.append(f)
+                assert rows(other, EX2_PT) == want_other
+            return f(*args)
+
+        return call
+
+    problem = dataclasses.replace(example1[0], eval_G=nesting(example1[0].eval_G), grad_F=nesting(example1[0].grad_F))
+    assert mults(problem) == want
+    assert len(nested) == 2
+    assert rows(other, EX2_PT) == want_other
+    assert rows(problem, EX1_PT) == want_rows
+
+
+def test_set_up_blocks_are_read_only(example1):
+    res, _, data = stationarity._setup(dataclasses.replace(example1[0]), EX1_PT, 0.0, None)
+    blocks = [getattr(data, f.name) for f in dataclasses.fields(data)]
+    blocks += [v for v in vars(res).values() if isinstance(v, np.ndarray)]
+    assert len(blocks) == 14
+    for block in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0.0
 
 
 def test_relaxed_precondition_negative_u(example1):
