@@ -36,12 +36,13 @@ fi
 pbopt solve --problem synthetic2d --t0 0.5 --rho 0.5 --tmin 0.25 --trace "$tmp/trace2d.csv" --summary "$tmp/summary2d.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["unread_evals"] == 0 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
 # the C check at a point of example1 and the relaxed check at a level-0.1
-# point both pass with recovered multipliers (set -e asserts exit 0)
+# point both pass with recovered multipliers (set -e asserts exit 0), and
+# neither report prints a negative zero
 echo '{"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}' > "$tmp/pt.json"
 pbopt check --problem example1 --point "$tmp/pt.json" --kind C > "$tmp/check_c.json"
 echo '{"x": [1.0], "y": [0.1], "u": [1.0, 0.0]}' > "$tmp/pt_relaxed.json"
 pbopt check --problem example1 --point "$tmp/pt_relaxed.json" --kind relaxed --t 0.1 > "$tmp/check_relaxed.json"
 for report in "$tmp/check_c.json" "$tmp/check_relaxed.json"; do
-    python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["verdict"] is True and r["multipliers"] == "least_norm"; sys.exit(0 if ok else f"example1 check: {r}")' "$report"
+    python -c 'import json, math, sys; floats = []; r = json.load(open(sys.argv[1]), parse_float=lambda s: floats.append(float(s)) or floats[-1]); ok = r["verdict"] is True and r["multipliers"] == "least_norm" and not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in floats); sys.exit(0 if ok else f"example1 check: {r}")' "$report"
 done
 pbopt gradcheck --problem example2 --points 3

@@ -14,6 +14,7 @@ low-dimensional problems.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -306,10 +307,12 @@ def polish_onto_relaxed_set(
     reduces the squared violation by more than (feas_tol / 10)**2, or after
     POLISH_MAXITER iterations.
     Each step solves the normal equations (J^T J + 1e-14 tr(J^T J) I) dz =
-    -J^T v on the row's free coordinates for all rows in one batched solve,
-    so a rank-deficient J still gets the near-minimum-norm step;
-    coordinates at a bound whose step points outside are pinned and the
-    step is solved again.
+    -J^T v once, for all rows in one batched solve, so a rank-deficient J
+    still gets the near-minimum-norm step.  The binding set is fixed: the
+    coordinates at a bound whose steepest descent -J^T v points out of the
+    box (Bertsekas's projected Newton rule) keep their row, column and rhs
+    zeroed, so their step is 0.  The step is clipped to the box and halved
+    until it lowers the squared violation.
 
     Returns the polished rows, their largest violations and their iteration
     counts: the iterates each row is checked at, the clipped input first.
@@ -329,10 +332,12 @@ def _polish(
     """:func:`polish_onto_relaxed_set` from rows of Z inside [lo, hi] whose
     :func:`_violations` g, v and viol are already known.
 
-    Z, g, v and viol are updated in place.  The iteration counts leave out
-    the check at the given rows, so they count only new iterates.
+    Z, g, v and viol are updated in place, so on return g and v are those
+    of the returned points.  Each iteration makes one regularised solve,
+    with the binding set fixed.  The iteration counts leave out the check
+    at the given rows, so they count only new iterates.
     """
-    m, q = problem.dims.m, problem.dims.q
+    m = problem.dims.m
     # g, v and viol always belong to the current Z: a step's line search has
     # already evaluated them at the point it accepts.
     iters = np.zeros(Z.shape[0], dtype=int)
@@ -346,23 +351,17 @@ def _polish(
         # rows of satisfied inequalities stay out of the least squares
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
         JtJ = np.swapaxes(J, 1, 2) @ J
-        Jtv = (J * vt[:, :, None]).sum(axis=1)
-        dz = _regularised_solve(JtJ, -Jtv)
-        # Bound-active variables whose step points outside must be pinned,
-        # otherwise clipping can turn the step into an ascent direction.
-        at_lo = Zt <= lo + 1e-12
-        at_hi = Zt >= hi - 1e-12
-        if (at_lo | at_hi).any():
-            free = np.ones(Zt.shape, dtype=bool)
-            for _ in range(m + q):
-                pinned = free & ((at_lo & (dz < 0.0)) | (at_hi & (dz > 0.0)))
-                redo = pinned.any(axis=1)
-                if not redo.any():
-                    break
-                fr = free[redo] = free[redo] & ~pinned[redo]
-                # a pinned coordinate's zeroed row, column and rhs give it the step 0 / reg = 0
-                pair = fr[:, :, None] & fr[:, None, :]
-                dz[redo] = _regularised_solve(np.where(pair, JtJ[redo], 0.0), np.where(fr, -Jtv[redo], 0.0))
+        rhs = -(J * vt[:, :, None]).sum(axis=1)  # -J^T v, steepest descent of |v|^2 / 2
+        # The binding set of Bertsekas's projected Newton method: coordinates at
+        # a bound whose steepest descent points out of the box.  They are fixed,
+        # otherwise clipping can turn the step into an ascent direction; a fixed
+        # coordinate's zeroed row, column and rhs give it the step 0 / reg = 0.
+        bind = ((Zt <= lo + 1e-12) & (rhs < 0.0)) | ((Zt >= hi - 1e-12) & (rhs > 0.0))
+        if bind.any():
+            free = ~bind
+            JtJ = np.where(free[:, :, None] & free[:, None, :], JtJ, 0.0)
+            rhs = np.where(free, rhs, 0.0)
+        dz = _regularised_solve(JtJ, rhs)
         base = (vt * vt).sum(axis=1)
         accepted = np.zeros(todo.size, dtype=bool)
         pending = np.arange(todo.size)
@@ -413,19 +412,29 @@ def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
     return np.where(on, np.concatenate([lam, res, -res], axis=1), 0.0)
 
 
-def _directions(problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array) -> tuple[Array, Array, Array]:
+def _directions(
+    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, known: Optional[tuple[Array, Array]] = None
+) -> tuple[Array, Array, Array]:
     """Projected-gradient ascent directions at every row of Z.
 
     grad F is projected onto the active rows (the L rows, and the inequality
     rows within ACTIVE_TOL of zero) with every coordinate within ACTIVE_TOL
     of a bound fixed (:func:`_project`); while it vanishes, the active row or
     bound with the most negative multiplier (computed only then) is freed.
+    ``known`` is the rows' g and L rows when an evaluation at Z has already
+    found every row finite and on D_t; the signed rows are then rebuilt
+    from them as :func:`_residuals` builds them, bit for bit, and
+    :func:`_residuals` runs only when ``known`` is None.
     Returns whether each row has a direction (it is no KKT point, and its
     rows, Jacobian and grad F are finite), the direction d and the step
     cap: the first inactive row or bound that the step would cross.
     """
     m = problem.dims.m
-    U, g, r = _residuals(problem, X, Z, t)
+    if known is None:
+        U, g, r = _residuals(problem, X, Z, t)
+    else:
+        (g, L), U = known, Z[:, m:]
+        r = np.concatenate([L, g, -U * g - t], axis=1)
     A = _residual_jacobian(problem, X, Z, U, g)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
@@ -468,7 +477,10 @@ def _ascend(
     :func:`polish_onto_relaxed_set`, which starts from that evaluation
     (:func:`_polish`).  A restored point that is feasible with
     a higher F is accepted and the row's step grows by STEP_GROWTH;
-    otherwise the step halves.  A row stops at a KKT point, below STEP_MIN,
+    otherwise the step halves.  An accepted trial's g and L rows, from its
+    own evaluation or from its restoration polish, go to its next
+    :func:`_directions` call, so only the first directions evaluate
+    residuals.  A row stops at a KKT point, below STEP_MIN,
     or after cfg.local_maxiter trials.
 
     A row is settled when it stopped at a KKT point, or below STEP_MIN
@@ -491,10 +503,11 @@ def _ascend(
     d, cap = np.zeros((N, m + q)), np.zeros(N)
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
+    known = None  # g and L rows at the fresh rows, once their trials have evaluated them
     at_kkt, moved = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
-            moving, d[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi)
+            moving, d[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
             evals[fresh] += 1
             running[fresh[~moving]] = False
             at_kkt[fresh[~moving]] = True
@@ -507,11 +520,15 @@ def _ascend(
         evals[run] += 1
         far = np.flatnonzero(vt > cfg.feas_tol)
         if far.size:
-            Zt[far], vt[far], iters = _polish(problem, _take(Xr, far), Zt[far], gt[far], vv[far], vt[far], t, lo, hi, cfg.feas_tol)
+            # the polish updates gf and vf in place to those of the points it returns
+            gf, vf = gt[far], vv[far]
+            Zt[far], vt[far], iters = _polish(problem, _take(Xr, far), Zt[far], gf, vf, vt[far], t, lo, hi, cfg.feas_tol)
+            gt[far], vv[far] = gf, vf
             evals[run[far]] += iters
         ft = problem.F_rows(Xr, Zt[:, :m])
         up = (vt <= cfg.feas_tol) & (ft > f[run])
         fresh, back = run[up], run[~up]
+        known = gt[up], vv[up, :m]
         Z[fresh], viol[fresh], f[fresh] = Zt[up], vt[up], ft[up]
         moved[fresh] = True
         step[fresh] *= STEP_GROWTH
@@ -573,6 +590,18 @@ def _warm_block(cfg: InnerConfig, k: int) -> Array:
     return np.reshape(warm, (len(warm), k))
 
 
+# A solve's seeded starts depend only on the seed, the start count and the
+# follower box, so each such block is drawn once; the box goes in as the
+# bytes of its bounds, so boxes that differ in any bit get their own block.
+@functools.lru_cache(maxsize=32)
+def _seeded_starts(seed: int, starts: int, lo_bytes: bytes, hi_bytes: bytes) -> Array:
+    """``starts`` uniform draws of ``default_rng(seed)`` in the box [lo, hi], as a read-only block."""
+    lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
+    block = np.random.default_rng(seed).uniform(lo, hi, size=(starts, lo.size))
+    block.flags.writeable = False
+    return block
+
+
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
     """The inner solves at the rows of X, every start of every row in lockstep.
 
@@ -588,8 +617,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
     warm = _warm_block(cfg, m + q)
-    rng = np.random.default_rng(cfg.seed)
-    rand = rng.uniform(lo, hi, size=(cfg.starts, m + q))
+    rand = _seeded_starts(cfg.seed, cfg.starts, lo.tobytes(), hi.tobytes())
     Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
     n_starts, Z = len(Z0), Z0
     if not len(X):

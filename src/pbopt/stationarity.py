@@ -402,6 +402,9 @@ def _check_tol(tol: float) -> None:
 
 
 def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) -> StationarityReport:
+    # a max over -0.0 and the 0.0 floor can keep -0.0; adding 0.0 turns it into
+    # +0.0 and leaves every other value as it is
+    rows = {name: val + 0.0 for name, val in rows.items()}
     residual = float(np.max(list(rows.values())))  # a NaN row gives NaN, which fails the verdict
     return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
 

@@ -185,6 +185,118 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
     assert (restored > 0) == (trials > 0)
 
 
+@pytest.mark.parametrize("problem", benchlib_problems() + [make_quartic_toy()], ids=lambda p: p.name)
+def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
+    """Only the first direction evaluates residuals: every accepted trial hands its
+    g and L rows, from its own evaluation or from its restoration polish, to its
+    next direction, and the ascent is bit for bit the one whose directions
+    evaluate them again."""
+    cfg = InnerConfig(local_maxiter=40)
+    lo, hi = follower_box(problem, cfg)
+    directions, residuals = maxmin._directions, maxmin._residuals
+    rng = np.random.default_rng(41)
+    later = 0  # directions after an accepted trial
+    for t in (0.2, 1e-3):
+        x = leader_point(problem, rng)[None]
+        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmin, "_directions", lambda *args: directions(*args[:6]))
+            want = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+        evaluated, per_direction = [0], []
+
+        def counted_residuals(*args):
+            evaluated[0] += 1
+            return residuals(*args)
+
+        def counted_directions(*args):
+            before = evaluated[0]
+            out = directions(*args)
+            per_direction.append(evaluated[0] - before)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmin, "_residuals", counted_residuals)
+            patch.setattr(maxmin, "_directions", counted_directions)
+            got = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert per_direction == [1] + [0] * (len(per_direction) - 1)
+        later += len(per_direction) - 1
+    assert later > 0
+
+
+BOX_FACE_PROBLEMS = ["example1", "example1_fd", "synthetic2d", "synthetic2d_fd", "duplicated_g_toy"]
+
+
+def box_face_starts(problem, lo, hi, rng, count=24):
+    """Starts with each coordinate, at random, at its lower bound (y at the bottom
+    of y_box, u = 0), at its upper bound (the top of y_box, u = u_max) or inside."""
+    Z = rng.uniform(lo, hi, size=(count, lo.size))
+    face = rng.integers(0, 3, size=Z.shape)
+    return np.where(face == 0, lo, np.where(face == 1, hi, Z))
+
+
+@pytest.mark.parametrize("name", BOX_FACE_PROBLEMS)
+def test_polish_from_box_faces_equals_its_lone_rows(name):
+    """From starts on the box faces, every polished row equals its lone polish bit
+    for bit, and the returned violations are those of the returned points."""
+    problem = named_problem(name)
+    cfg = InnerConfig()
+    lo, hi = follower_box(problem, cfg)
+    rng = np.random.default_rng(43)
+    for t in (0.1, 1e-3, 0.0):
+        x = leader_point(problem, rng)
+        Z0 = box_face_starts(problem, lo, hi, rng)
+        P, viol, iters = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
+        np.testing.assert_array_equal(viol, _violations(problem, x[None], P, t)[2])
+        for i in range(len(Z0)):
+            Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, Z0[i : i + 1], t, lo, hi, cfg.feas_tol)
+            np.testing.assert_array_equal(Pi[0], P[i])
+            assert (viol_i[0], iters_i[0]) == (viol[i], iters[i])
+
+
+@pytest.mark.parametrize("name", BOX_FACE_PROBLEMS)
+def test_polish_solves_each_step_once_with_the_binding_set_fixed(monkeypatch, name):
+    """One regularised solve per Gauss-Newton iteration, and no step moves a coordinate
+    of the binding set: a coordinate at a bound whose steepest descent of
+    |v|^2 / 2, -J^T v over the violated rows, points out of the box."""
+    problem = named_problem(name)
+    m = problem.dims.m
+    cfg = InnerConfig()
+    lo, hi = follower_box(problem, cfg)
+    jacobian, solve = maxmin._residual_jacobian, maxmin._regularised_solve
+    rng = np.random.default_rng(47)
+    binding = 0
+    for t in (0.1, 1e-3, 0.0):
+        x = leader_point(problem, rng)
+        steps = []  # per iteration: the rows' leader points, points and step
+
+        def logged_jacobian(problem, X, Z, *rest):
+            steps.append([X, Z.copy()])
+            return jacobian(problem, X, Z, *rest)
+
+        def logged_solve(M, rhs, refine=False):
+            dz = solve(M, rhs, refine)
+            steps[-1].append(dz)
+            return dz
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmin, "_residual_jacobian", logged_jacobian)
+            patch.setattr(maxmin, "_regularised_solve", logged_solve)
+            polish_onto_relaxed_set(problem, x, box_face_starts(problem, lo, hi, rng), t, lo, hi, cfg.feas_tol)
+        assert steps
+        for X, Z, *solved in steps:
+            assert len(solved) == 1
+            g, v, _ = _violations(problem, X, Z, t)
+            J = _residual_jacobian(problem, X, Z, Z[:, m:], g)
+            J[:, m:] *= (v[:, m:] > 0.0)[:, :, None]
+            descent = -(J * v[:, :, None]).sum(axis=1)
+            bind = ((Z <= lo + 1e-12) & (descent < 0.0)) | ((Z >= hi - 1e-12) & (descent > 0.0))
+            assert (solved[0][bind] == 0.0).all()
+            binding += bind.sum()
+    assert binding > 0
+
+
 def reference_project(A, on, grad):
     """The projection with the bounds as rows: [A; I; -I] masked by ``on``, one stacked SVD.
 

@@ -235,6 +235,35 @@ def test_deterministic_reruns(example2):
     assert r1.evals == r2.evals == r3.evals
 
 
+def test_seeded_starts_are_drawn_once_per_seed_count_and_box(monkeypatch, example1, example2, synthetic):
+    """A solve makes a default_rng(seed) only for a (seed, starts, follower box) no
+    solve has met before; the others reuse its read-only block of the same draws."""
+    made, default_rng = [], np.random.default_rng
+
+    def counted_rng(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    seed = 918273  # no other test solves with it, so no block of it is drawn yet
+    cfg = InnerConfig(starts=4, sweeps=1, local_maxiter=2, seed=seed)
+    for x in (0.3, 0.7):
+        evaluate_psi_t(example1[0], [x], 0.1, cfg)
+    maxmin.evaluate_psi_t_batch(example1[0], [[0.2], [0.4]], 0.01, cfg)
+    evaluate_psi_t(example2[0], [0.3], 0.1, cfg)  # example2 has example1's follower box
+    assert made == [seed]
+    evaluate_psi_t(example1[0], [0.3], 0.1, dataclasses.replace(cfg, starts=5))
+    evaluate_psi_t(example1[0], [0.3], 0.1, dataclasses.replace(cfg, u_max=5.0))
+    evaluate_psi_t(synthetic[0], [0.3, 0.1], 0.1, cfg)
+    evaluate_psi_t(example1[0], [0.3], 0.1, dataclasses.replace(cfg, seed=seed + 1))
+    assert made == [seed] * 4 + [seed + 1]
+    lo, hi = maxmin.follower_box(example1[0], cfg)
+    block = maxmin._seeded_starts(seed, 4, lo.tobytes(), hi.tobytes())
+    np.testing.assert_array_equal(block, default_rng(seed).uniform(lo, hi, size=(4, lo.size)))
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0.0
+
+
 def test_infeasible_inner_status(light_cfg):
     toy = make_empty_lower_toy()
     res = evaluate_psi_t(toy, [0.5], 0.2, light_cfg)

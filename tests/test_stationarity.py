@@ -315,6 +315,20 @@ def test_relaxed_recovery_at_relaxed_minimiser(example1, tiny_cfg):
     assert rep.verdict, rep.rows
 
 
+def test_reports_hold_no_negative_zero(example1):
+    """A row whose largest term is a zero multiplier or slack reads +0.0, not -0.0:
+    the C report at EX1_PT (alpha = 0) and the relaxed report at a level-0.1
+    point, the two reports `pbopt check` prints in the console smoke test."""
+    problem, _ = example1
+    c = check_stationarity(problem, EX1_PT, recover_c_multipliers(problem, EX1_PT, kind="C"), kind="C")
+    pt = TriplePoint([1.0], [0.1], [1.0, 0.0])
+    relaxed = check_relaxed_stationarity(problem, 0.1, pt, recover_relaxed_multipliers(problem, 0.1, pt))
+    for rep, zeros in ((c, ["alpha_sign"]), (relaxed, ["alpha_block", "gamma_block", "mu_block", "delta_block"])):
+        assert rep.verdict
+        assert [rep.rows[name] for name in zeros] == [0.0] * len(zeros)
+        assert not np.signbit([rep.residual_inf, *rep.rows.values()]).any(), rep.rows
+
+
 def test_relaxed_recovery_infeasible_off_minimiser(example1):
     # the inner argmax at x = 0.5 is not a relaxed-stationary leader point
     problem, _ = example1
