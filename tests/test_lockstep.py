@@ -228,7 +228,7 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
 BOX_FACE_PROBLEMS = ["example1", "example1_fd", "synthetic2d", "synthetic2d_fd", "duplicated_g_toy"]
 
 
-def box_face_starts(problem, lo, hi, rng, count=24):
+def box_face_starts(lo, hi, rng, count=24):
     """Starts with each coordinate, at random, at its lower bound (y at the bottom
     of y_box, u = 0), at its upper bound (the top of y_box, u = u_max) or inside."""
     Z = rng.uniform(lo, hi, size=(count, lo.size))
@@ -246,7 +246,7 @@ def test_polish_from_box_faces_equals_its_lone_rows(name):
     rng = np.random.default_rng(43)
     for t in (0.1, 1e-3, 0.0):
         x = leader_point(problem, rng)
-        Z0 = box_face_starts(problem, lo, hi, rng)
+        Z0 = box_face_starts(lo, hi, rng)
         P, viol, iters = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
         np.testing.assert_array_equal(viol, _violations(problem, x[None], P, t)[2])
         for i in range(len(Z0)):
@@ -283,7 +283,7 @@ def test_polish_solves_each_step_once_with_the_binding_set_fixed(monkeypatch, na
         with monkeypatch.context() as patch:
             patch.setattr(maxmin, "_residual_jacobian", logged_jacobian)
             patch.setattr(maxmin, "_regularised_solve", logged_solve)
-            polish_onto_relaxed_set(problem, x, box_face_starts(problem, lo, hi, rng), t, lo, hi, cfg.feas_tol)
+            polish_onto_relaxed_set(problem, x, box_face_starts(lo, hi, rng), t, lo, hi, cfg.feas_tol)
         assert steps
         for X, Z, *solved in steps:
             assert len(solved) == 1
