@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -259,32 +260,26 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     except (TypeError, ValueError):
         raise UsageError(f"t must be a number, got {data.get('t')!r}") from None
     t = relaxation_level(t)
+    if kind == "relaxed":
+        block = RelaxedMultipliers
+        recover = functools.partial(recover_relaxed_multipliers, problem, t, pt)
+        check = functools.partial(check_relaxed_stationarity, problem, t, pt)
+    else:
+        block = Multipliers
+        kw = {} if args.pattern_cap is None else {"pattern_cap": args.pattern_cap}
+        recover = functools.partial(recover_c_multipliers, problem, pt, kind=kind, **kw)
+        check = functools.partial(check_stationarity, problem, pt, kind=kind)
     try:
-        if kind == "relaxed":
-            if "multipliers" in data:
-                md = data["multipliers"]
-                rm = RelaxedMultipliers(*(np.asarray(md[k], dtype=float) for k in ("alpha", "beta", "gamma", "mu", "delta")))
-            else:
-                rm = recover_relaxed_multipliers(problem, t, pt)
-            if rm is None:
-                report_dict = {"verdict": False, "status": "no feasible multipliers"}
-            else:
-                rep = check_relaxed_stationarity(problem, t, pt, rm)
-                report_dict = _report_dict(rep)
-                report_dict["multipliers"] = rm.status
+        if "multipliers" in data:
+            md = data["multipliers"]
+            mults = block(*(np.asarray(md[f.name], dtype=float) for f in fields(block) if f.name != "status"))
         else:
-            if "multipliers" in data:
-                md = data["multipliers"]
-                mults = Multipliers(*(np.asarray(md[k], dtype=float) for k in ("alpha", "beta", "gamma")))
-            else:
-                kw = {} if args.pattern_cap is None else {"pattern_cap": args.pattern_cap}
-                mults = recover_c_multipliers(problem, pt, kind=kind, **kw)
-            if mults is None:
-                report_dict = {"verdict": False, "status": "no feasible multipliers"}
-            else:
-                rep = check_stationarity(problem, pt, mults, kind=kind)
-                report_dict = _report_dict(rep)
-                report_dict["multipliers"] = mults.status
+            mults = recover()
+        if mults is None:
+            report_dict = {"verdict": False, "status": "no feasible multipliers"}
+        else:
+            report_dict = _report_dict(check(mults))
+            report_dict["multipliers"] = mults.status
     except (PatternCapError, NnlsLimitError) as err:
         print(json.dumps({"schema": REPORT_SCHEMA, "error": str(err)}, indent=2))
         return EXIT_REFUSED

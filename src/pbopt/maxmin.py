@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
 
-from .problem_model import Array, BilevelProblem, relaxation_level
+from .problem_model import Array, BilevelProblem, is_number, relaxation_level
 
 # Level slack of the argmax cloud: every feasible start within it of the best
 # value joins the cloud.  The certifier's graph-value row uses it too.
@@ -39,9 +38,7 @@ NEAR_FEAS_BAND = 1e-3
 # projected gradient within RANK_TOL * (1 + |grad F|) counts as zero.
 ACTIVE_TOL = 1e-7
 RANK_TOL = 1e-10
-# Ascent step per row: first length, growth on an accepted step, floor.
-STEP_INIT = 0.5
-STEP_GROWTH = 4.0
+# Ascent: a row stops once its halved trial length falls below STEP_MIN.
 STEP_MIN = 1e-9
 # Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
@@ -174,8 +171,8 @@ class InnerConfig:
     and the solve stops once every start is settled.  Follower multipliers
     are searched in [0, ``u_max``], the follower variables in the problem's
     ``y_box``, and a point counts as feasible when its largest violation is
-    at most ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's step
-    rule (STEP_INIT, STEP_GROWTH, STEP_MIN) and the argmax level slack
+    at most ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's
+    least trial length (STEP_MIN) and the argmax level slack
     (EPS_LVL_DEFAULT) are module constants.
     """
 
@@ -190,14 +187,16 @@ class InnerConfig:
     def __post_init__(self) -> None:
         for name, least in (("starts", 0), ("seed", 0), ("sweeps", 1), ("local_maxiter", 1)):
             val = getattr(self, name)
-            if not (isinstance(val, numbers.Integral) and val >= least):
+            if not (is_number(val, integral=True) and val >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {val!r}")
+        if not isinstance(self.warm_starts, tuple):
+            raise ValueError(f"warm_starts must be a tuple of vectors, got {self.warm_starts!r}")
         if self.starts + len(self.warm_starts) < 1:
             raise ValueError("the inner solver needs at least one random or warm start")
         for name in ("u_max", "feas_tol"):
             val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be finite and positive, got {val}")
+            if not (is_number(val) and math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 
 @dataclass
@@ -427,7 +426,10 @@ def _directions(
     :func:`_residuals` runs only when ``known`` is None.
     Returns whether each row has a direction (it is no KKT point, and its
     rows, Jacobian and grad F are finite), the direction d and the step
-    cap: the first inactive row or bound that the step would cross.
+    cap: the length at which the step first crosses an inactive row or
+    bound.  The box is bounded and d is 0 on every fixed coordinate, so
+    the cap is finite unless d moves only coordinates toward bounds that
+    were freed.
     """
     m = problem.dims.m
     if known is None:
@@ -470,25 +472,25 @@ def _ascend(
 ) -> tuple[Array, Array, Array, Array, Array]:
     """Feasible-direction ascent of F from every row of Z that lies on D_t.
 
-    Gradient projection with restoration, all rows in lockstep.  A row
-    steps along its :func:`_directions` direction, as far as the step cap
-    allows, and the trial is evaluated once by :func:`_violations`; a trial
-    off D_t by more than cfg.feas_tol is restored by the polish of
-    :func:`polish_onto_relaxed_set`, which starts from that evaluation
-    (:func:`_polish`).  A restored point that is feasible with
-    a higher F is accepted and the row's step grows by STEP_GROWTH;
-    otherwise the step halves.  An accepted trial's g and L rows, from its
-    own evaluation or from its restoration polish, go to its next
-    :func:`_directions` call, so only the first directions evaluate
-    residuals.  A row stops at a KKT point, below STEP_MIN,
-    or after cfg.local_maxiter trials.
+    Gradient projection with restoration, all rows in lockstep, with
+    Rosen's step rule: a new :func:`_directions` direction's first trial
+    steps to its cap, the first inactive row or bound it crosses, and each
+    rejected trial halves the length.  A trial is evaluated once by
+    :func:`_violations`; one off D_t by more than cfg.feas_tol is restored
+    by the polish of :func:`polish_onto_relaxed_set`, which starts from
+    that evaluation (:func:`_polish`).  A restored point that is feasible
+    with a higher F is accepted and gets a new direction.  An accepted
+    trial's g and L rows, from its own evaluation or from its restoration
+    polish, go to its next :func:`_directions` call, so only the first
+    directions evaluate residuals.  A row stops at a KKT point, once its
+    length falls below STEP_MIN, or after cfg.local_maxiter trials.
 
     A row is settled when it stopped at a KKT point, or below STEP_MIN
-    without accepting a step: another ascent from its point starts at
-    STEP_INIT as this one did and repeats it bit for bit, so it cannot move
-    the row (Rosen's stopping rule).  A row that accepted a step and then
-    stopped below STEP_MIN or at cfg.local_maxiter is not settled, nor is
-    one that started off D_t or with a non-finite F.
+    without accepting a step: another ascent from its point starts at that
+    point's cap as this one did and repeats it bit for bit, so it cannot
+    move the row (Rosen's stopping rule).  A row that accepted a step and
+    then stopped below STEP_MIN or at cfg.local_maxiter is not settled, nor
+    is one that started off D_t or with a non-finite F.
 
     Returns the points, their violations, their F values, the residual
     evaluations of each row (one per new direction, one per trial, and the
@@ -499,15 +501,15 @@ def _ascend(
     Z, viol = Z.copy(), viol.copy()
     f = problem.F_rows(X, Z[:, :m])
     evals = np.zeros(N, dtype=int)
-    step = np.full(N, STEP_INIT)
-    d, cap = np.zeros((N, m + q)), np.zeros(N)
+    # trial lengths; a row that never tries one keeps inf, so it is not settled
+    step, d = np.full(N, np.inf), np.zeros((N, m + q))
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
     known = None  # g and L rows at the fresh rows, once their trials have evaluated them
     at_kkt, moved = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
-            moving, d[fresh], cap[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
+            moving, d[fresh], step[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
             evals[fresh] += 1
             running[fresh[~moving]] = False
             at_kkt[fresh[~moving]] = True
@@ -515,7 +517,7 @@ def _ascend(
         if not run.size:
             break
         Xr = _take(X, run)
-        Zt = np.clip(Z[run] + np.minimum(step[run], cap[run])[:, None] * d[run], lo, hi)
+        Zt = np.clip(Z[run] + step[run, None] * d[run], lo, hi)
         gt, vv, vt = _violations(problem, Xr, Zt, t)
         evals[run] += 1
         far = np.flatnonzero(vt > cfg.feas_tol)
@@ -531,7 +533,6 @@ def _ascend(
         known = gt[up], vv[up, :m]
         Z[fresh], viol[fresh], f[fresh] = Zt[up], vt[up], ft[up]
         moved[fresh] = True
-        step[fresh] *= STEP_GROWTH
         step[back] *= 0.5
         running[back] = step[back] >= STEP_MIN
     return Z, viol, f, evals, at_kkt | (~moved & (step < STEP_MIN))

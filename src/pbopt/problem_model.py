@@ -8,6 +8,7 @@ of f and g with respect to the follower variables.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,6 +20,11 @@ FD_STEP = 1e-6
 HESS_FIELDS = ("hess_f_yx", "hess_f_yy", "hess_g_yx", "hess_g_yy")
 # Half-width of the follower box of a problem built without one.
 Y_BOX_HALF_WIDTH = 10.0
+
+
+def is_number(val, integral: bool = False) -> bool:
+    """Whether val is a real number (with ``integral``, an integer); a bool is neither."""
+    return isinstance(val, numbers.Integral if integral else numbers.Real) and not isinstance(val, bool)
 
 
 def relaxation_level(t) -> float:

@@ -5,8 +5,12 @@ residual, a start must not notice the other starts of its batch, and the
 vectorised problem hooks must only be a faster way to compute what the
 per-point evaluators compute.
 """
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbopt
 from pbopt import InnerConfig, evaluate_psi_t
@@ -223,6 +227,89 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
         assert per_direction == [1] + [0] * (len(per_direction) - 1)
         later += len(per_direction) - 1
     assert later > 0
+
+
+def test_a_new_direction_first_steps_to_its_cap_and_a_rejection_halves_the_length(monkeypatch):
+    """Rosen's step rule, traced at lone rows: the first trial after each new
+    direction is the step to its cap, the first inactive row or bound it
+    crosses, and each rejected trial halves the last tried length."""
+    cfg = InnerConfig(local_maxiter=40)
+    directions, violations, polish = maxmin._directions, maxmin._violations, maxmin._polish
+    rng = np.random.default_rng(53)
+    firsts = halvings = 0
+    for problem, t in itertools.product(benchlib_problems() + [make_quartic_toy(), make_duplicated_g_toy()], (0.4, 0.05, 1e-3, 0.0)):
+        lo, hi = follower_box(problem, cfg)
+        x = leader_point(problem, rng)[None]
+        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
+        for i in range(len(P)):
+            log, polishing = [], [False]  # ("D", point, d, cap) per new direction, ("T", point) per trial
+
+            def logged_directions(problem, X, Z, *rest):
+                moving, d, cap = out = directions(problem, X, Z, *rest)
+                log.append(("D", Z[0].copy(), d[0].copy(), cap[0]) if moving[0] else ("KKT",))
+                return out
+
+            def logged_violations(problem, X, Z, t):
+                if not polishing[0]:  # the ascent's own evaluation of a trial
+                    log.append(("T", Z[0].copy()))
+                return violations(problem, X, Z, t)
+
+            def logged_polish(*args):
+                polishing[0] = True
+                try:
+                    return polish(*args)
+                finally:
+                    polishing[0] = False
+
+            with monkeypatch.context() as patch:
+                patch.setattr(maxmin, "_directions", logged_directions)
+                patch.setattr(maxmin, "_violations", logged_violations)
+                patch.setattr(maxmin, "_polish", logged_polish)
+                _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)
+            length, first = None, False  # the length the next trial must have, and whether it is the first
+            for kind, *event in log:
+                if kind == "D":
+                    (Z, d, length), first = event, True
+                elif kind == "KKT":
+                    length = None
+                else:
+                    assert length is not None, "a trial without a direction"
+                    np.testing.assert_array_equal(event[0], np.clip(Z + length * d, lo, hi))
+                    firsts, halvings = firsts + first, halvings + (not first)
+                    length, first = 0.5 * length, False
+    assert firsts > 0 and halvings > 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [base + fd for base in ("example1", "example2", "synthetic2d") for fd in ("", "_fd")]
+    + ["dip_toy", "biactive_toy", "q0_toy", "empty_lower_toy", "no_slater_toy", "opposing_leader_toy", "duplicated_g_toy", "interior_toy", "quartic_toy"],
+)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([0.0, 1e-3, 0.1]))
+def test_every_row_with_a_direction_has_a_finite_cap(name, seed, t):
+    """The ascent's first trial steps to the cap, so a row with a direction needs
+    a finite positive one (0 * inf is NaN): at box-face starts, off D_t, and at
+    every direction of an ascent from their polished points."""
+    problem = named_problem(name)
+    cfg = InnerConfig(local_maxiter=40)
+    lo, hi = follower_box(problem, cfg)
+    rng = np.random.default_rng(seed)
+    x = leader_point(problem, rng)[None]
+    Z0 = box_face_starts(lo, hi, rng, count=12)
+    directions, seen = maxmin._directions, []
+
+    def logged_directions(*args):
+        seen.append(directions(*args))
+        return seen[-1]
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        seen.append(directions(problem, x, Z0, t, lo, hi))
+        P, viol, _ = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
+        patch.setattr(maxmin, "_directions", logged_directions)
+        _ascend(problem, x, P, viol, t, lo, hi, cfg)
+    for moving, _, cap in seen:
+        assert np.isfinite(cap[moving]).all() and (cap[moving] > 0.0).all()
 
 
 BOX_FACE_PROBLEMS = ["example1", "example1_fd", "synthetic2d", "synthetic2d_fd", "duplicated_g_toy"]

@@ -408,6 +408,14 @@ def test_warm_starts_are_used(example1, light_cfg):
         {"local_maxiter": 2.5},
         {"seed": 1.5},
         {"seed": -1},
+        # each of these raised a TypeError that did not name the field
+        {"u_max": "3"},
+        {"feas_tol": None},
+        {"warm_starts": 5},
+        # a bool is no number: each of these was accepted
+        {"u_max": True},
+        {"starts": True},
+        {"sweeps": True},
     ],
 )
 def test_inner_config_rejects_bad_values(kw):
@@ -493,8 +501,8 @@ def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, e
 
     monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
     monkeypatch.setattr(maxmin, "_ascend", count_ascent)
-    cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=2)  # an ascent this short leaves starts unsettled
-    X = [[-0.3], [0.6]]  # at t = 0.1 the second point keeps an unsettled start through all three rounds
+    cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=1)  # an ascent this short leaves starts unsettled
+    X = [[-0.6], [0.6]]  # at t = 0.1 the second point keeps an unsettled start through all three rounds
     results = maxmin.evaluate_psi_t_batch(problem, X, 0.1, cfg)
     assert len(ran[0][1]) == 2 * cfg.starts
     for (X_prev, _, start, prev), (X0, Z0, _, _) in zip(ran, ran[1:]):

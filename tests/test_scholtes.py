@@ -200,6 +200,9 @@ def test_trace_records_final_mesh_diagnostic(example2, light_cfg):
         ("decrease_tol", -1e-10),
         ("decrease_tol", float("inf")),
         ("inner", None),
+        # a TypeError that did not name the field, and an accepted bool
+        ("mesh_tol", "1e-5"),
+        ("mesh_tol", True),
     ],
 )
 def test_outer_config_validation(field, value):
@@ -224,11 +227,22 @@ def test_outer_config_validation(field, value):
         ("t0", float("inf")),
         ("max_outer_iters", 2.5),
         ("outer", None),
+        # a TypeError that did not name the field, and accepted bools
+        ("rho", "0.5"),
+        ("t0", True),
+        ("max_outer_iters", True),
+        ("x_tol", "1e-9"),
     ],
 )
 def test_relaxation_params_count_validation(field, value):
     with pytest.raises(ValueError, match=field):
         RelaxationParams(**{field: value})
+
+
+def test_relaxation_params_refuse_a_bool_t_min():
+    # t0 = 2.0 > True > 0, so the schedule check alone accepted it
+    with pytest.raises(ValueError, match="t_min"):
+        RelaxationParams(t_min=True, t0=2.0)
 
 
 def test_negative_x_tol_switches_the_stall_stop_off():
