@@ -230,7 +230,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         "argmax": [[float(v) for v in row] for row in res.argmax.points],
     }
     print(json.dumps(out, indent=2, sort_keys=True))
-    if res.status == "nonfinite":  # x too large for the residuals to be computed: bad input, not an empty set
+    if res.status == "nonfinite":  # overflow, or a non-finite F on D_t: bad input, not an empty set
         return EXIT_USAGE
     return EXIT_OK if res.status == "solved" else EXIT_INFEASIBLE
 
@@ -255,11 +255,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         raise UsageError("--point FILE is required")
     data, pt = _load_point(problem, args.point)
     kind = args.kind
-    try:
-        t = float(args.t if args.t is not None else data.get("t", 0.0))
-    except (TypeError, ValueError):
-        raise UsageError(f"t must be a number, got {data.get('t')!r}") from None
-    t = relaxation_level(t)
+    t = relaxation_level(args.t if args.t is not None else data.get("t", 0.0))
     if kind == "relaxed":
         block = RelaxedMultipliers
         recover = functools.partial(recover_relaxed_multipliers, problem, t, pt)

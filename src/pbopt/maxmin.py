@@ -167,8 +167,8 @@ class InnerConfig:
     ``warm_starts`` (each a finite vector of m + q entries); together they
     must give at least one start.  A solve runs at most ``sweeps``
     polish-then-ascend rounds, each ascent at most ``local_maxiter``
-    iterations; a start a round leaves settled skips the later rounds,
-    and the solve stops once every start is settled.  Follower multipliers
+    trials; a start whose ascent was still running after them runs the
+    next round, and the solve stops once none was.  Follower multipliers
     are searched in [0, ``u_max``], the follower variables in the problem's
     ``y_box``, and a point counts as feasible when its largest violation is
     at most ``feas_tol``.  The polish budget (POLISH_MAXITER), the ascent's
@@ -206,10 +206,10 @@ class InnerSolveResult:
     status: str  # "solved" | "infeasible" | "budget_exhausted" | "nonfinite"
     # polish iterations plus the ascent's evaluations (one per new direction,
     # one per trial, and the new iterates of its restoration polishes), summed
-    # over the starts and over the rounds they ran (a settled start's skipped
-    # rounds count nothing)
+    # over the starts and over the rounds they ran (a start's skipped rounds
+    # count nothing)
     evals: int
-    rounds: int = 0  # rounds in which the leader point still had an unsettled start, at most sweeps
+    rounds: int = 0  # rounds that ran a start of the leader point, at most sweeps
 
 
 def follower_box(problem: BilevelProblem, cfg: InnerConfig) -> tuple[Array, Array]:
@@ -483,14 +483,13 @@ def _ascend(
     trial's g and L rows, from its own evaluation or from its restoration
     polish, go to its next :func:`_directions` call, so only the first
     directions evaluate residuals.  A row stops at a KKT point, once its
-    length falls below STEP_MIN, or after cfg.local_maxiter trials.
+    length falls below STEP_MIN, or after cfg.local_maxiter trials; a row
+    that starts off D_t or with a non-finite F does not run.
 
-    A row is settled when it stopped at a KKT point, or below STEP_MIN
-    without accepting a step: another ascent from its point starts at that
-    point's cap as this one did and repeats it bit for bit, so it cannot
-    move the row (Rosen's stopping rule).  A row that accepted a step and
-    then stopped below STEP_MIN or at cfg.local_maxiter is not settled, nor
-    is one that started off D_t or with a non-finite F.
+    A row is settled unless it was still running after cfg.local_maxiter
+    trials.  A row that stopped by itself has not moved since its last
+    direction, so another ascent from its point would find that direction
+    and cap again and repeat this one bit for bit (Rosen's stopping rule).
 
     Returns the points, their violations, their F values, the residual
     evaluations of each row (one per new direction, one per trial, and the
@@ -501,18 +500,15 @@ def _ascend(
     Z, viol = Z.copy(), viol.copy()
     f = problem.F_rows(X, Z[:, :m])
     evals = np.zeros(N, dtype=int)
-    # trial lengths; a row that never tries one keeps inf, so it is not settled
-    step, d = np.full(N, np.inf), np.zeros((N, m + q))
+    step, d = np.zeros(N), np.zeros((N, m + q))  # trial lengths and directions
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
     known = None  # g and L rows at the fresh rows, once their trials have evaluated them
-    at_kkt, moved = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
             moving, d[fresh], step[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
             evals[fresh] += 1
             running[fresh[~moving]] = False
-            at_kkt[fresh[~moving]] = True
         run = np.flatnonzero(running)
         if not run.size:
             break
@@ -532,10 +528,9 @@ def _ascend(
         fresh, back = run[up], run[~up]
         known = gt[up], vv[up, :m]
         Z[fresh], viol[fresh], f[fresh] = Zt[up], vt[up], ft[up]
-        moved[fresh] = True
         step[back] *= 0.5
         running[back] = step[back] >= STEP_MIN
-    return Z, viol, f, evals, at_kkt | (~moved & (step < STEP_MIN))
+    return Z, viol, f, evals, ~running
 
 
 def evaluate_psi_t(
@@ -548,15 +543,15 @@ def evaluate_psi_t(
 
     Multistart feasible-direction ascent in at most cfg.sweeps rounds: each
     polishes the starts onto the set (:func:`polish_onto_relaxed_set`) and
-    then runs :func:`_ascend` from the points that reached it.  A start a
-    round leaves settled (:func:`_solve_rows`) would come out of every later
-    round unchanged, so it skips them, and the solve ends once every start
-    is settled; ``rounds`` counts the rounds that ran.  ``evals`` counts the polish
-    iterations plus the ascent's evaluations (see :class:`InnerSolveResult`).
-    The reported value comes only from points feasible within cfg.feas_tol,
-    and the argmax cloud collects every one within EPS_LVL_DEFAULT of the
-    best value.  All starts advance together, so each evaluation covers the
-    whole batch.
+    then runs :func:`_ascend` from the points that reached it.  Only a
+    start whose ascent ran out of cfg.local_maxiter trials runs the next
+    round (:func:`_solve_rows`); any other would come out of every later
+    round unchanged.  ``rounds`` counts the rounds that ran.  ``evals``
+    counts the polish iterations plus the ascent's evaluations (see
+    :class:`InnerSolveResult`).  The reported value comes only from points
+    feasible within cfg.feas_tol with a finite F, and the argmax cloud
+    collects every one within EPS_LVL_DEFAULT of the best value.  All
+    starts advance together, so each evaluation covers the whole batch.
     """
     x = problem.leader_point(x)
     return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
@@ -606,12 +601,11 @@ def _seeded_starts(seed: int, starts: int, lo_bytes: bytes, hi_bytes: bytes) -> 
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
     """The inner solves at the rows of X, every start of every row in lockstep.
 
-    Each round polishes and ascends only the live rows, the ones no earlier
-    round left settled: settled by the ascent, or stalled off D_t by the
-    polish before POLISH_MAXITER (a polish from where it stalled stalls at
-    once).  Since every operation is row-independent, a settled row keeps
-    exactly the point, violation and F that running it again would give.
-    The results of all leader points are then built in one pass
+    Each round polishes and ascends only the live rows: all rows in the
+    first round, then those whose ascent still ran when cfg.local_maxiter
+    trials ran out (the round polish's POLISH_MAXITER budget is final).
+    Every operation is row-independent, so which rows run changes no row's
+    result.  The results of all leader points are then built in one pass
     (:func:`_inner_results`).
     """
     t = relaxation_level(t)
@@ -639,7 +633,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
             Z[live], viol[live], fval[live], ascent_evals, settled = _ascend(problem, Xl, P, pviol, t, lo, hi, cfg)
             evals[live] += polish_iters + ascent_evals
             rounds[np.unique(live // n_starts)] += 1
-            live = live[~(settled | ((pviol > cfg.feas_tol) & (polish_iters < POLISH_MAXITER)))]
+            live = live[~settled]
             if not live.size:
                 break
         return _inner_results(Z, viol, fval, evals, t, cfg, rounds)
@@ -649,10 +643,12 @@ def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, c
     """The value, status and argmax cloud of every leader point from its polished starts.
 
     Leader point r owns rows r * S to (r + 1) * S - 1 of Z, viol, fval and
-    evals, S = len(Z) // len(rounds).  With no start feasible the status is
-    "budget_exhausted" when one came within NEAR_FEAS_BAND, "nonfinite"
-    when every start's squared violation overflows (the verdict would be an
-    artefact of overflow, not an empty set), and "infeasible" otherwise.
+    evals, S = len(Z) // len(rounds).  A start counts only when it is on
+    D_t within cfg.feas_tol with a finite F.  With none, the status is
+    "nonfinite" when a start reached D_t with a non-finite F or every
+    start's squared violation overflows (the verdict would be an artefact,
+    not an empty set), "budget_exhausted" when one came within
+    NEAR_FEAS_BAND, and "infeasible" otherwise.
     The clouds of all leader points are deduplicated in one
     :func:`dedup_points` call, each (feasible, so finite) point keyed by its
     leader point's index in the first coordinate, so only points of one
@@ -660,13 +656,13 @@ def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, c
     """
     R, k = len(rounds), Z.shape[1]
     viol, fval = viol.reshape(R, -1), fval.reshape(R, -1)
-    feas = viol <= cfg.feas_tol
+    on_set = viol <= cfg.feas_tol
+    feas = on_set & np.isfinite(fval)
     solved = feas.any(axis=1)
     value = np.where(feas, fval, -np.inf).max(axis=1)
     value[~solved] = np.nan
-    status = np.where(
-        solved, 0, np.where((viol <= NEAR_FEAS_BAND).any(axis=1), 1, np.where(np.isfinite(viol * viol).any(axis=1), 2, 3))
-    )
+    near = (viol <= NEAR_FEAS_BAND).any(axis=1)
+    status = np.select([solved, on_set.any(axis=1), near, np.isfinite(viol * viol).any(axis=1)], [0, 3, 1, 2], 3)
     row, start = (feas & (fval >= value[:, None] - EPS_LVL_DEFAULT)).nonzero()
     cloud = dedup_points(np.column_stack([row, Z.reshape(R, -1, k)[row, start]]), DEDUP_TOL)
     ends = cloud[:, 0].searchsorted(np.arange(R + 1))  # the cloud is sorted by its key
@@ -697,7 +693,7 @@ def approximate_argmax_set(
     """
     res = evaluate_psi_t(problem, x, t, cfg)
     if res.status == "nonfinite":
-        raise ValueError(f"inner problem nonfinite at x={x}, t={t}: every start overflows")
+        raise ValueError(f"inner problem nonfinite at x={x}, t={t}: every start overflows or has a non-finite F on D_t")
     if res.status != "solved":
         raise InnerInfeasibleError(f"inner problem {res.status} at x={x}, t={t}")
     return res.argmax

@@ -8,6 +8,7 @@ of f and g with respect to the follower variables.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,11 +29,10 @@ def is_number(val, integral: bool = False) -> bool:
 
 
 def relaxation_level(t) -> float:
-    """t as a float; a relaxation level that is not finite and nonnegative is refused."""
-    t = float(t)
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"relaxation level t must be finite and nonnegative, got {t}")
-    return t
+    """t as a float; a relaxation level that is not a finite nonnegative number (:func:`is_number`) is refused."""
+    if not (is_number(t) and math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"relaxation level t must be finite and nonnegative, got {t!r}")
+    return float(t)
 
 
 class DimensionError(ValueError):

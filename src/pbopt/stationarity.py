@@ -46,7 +46,7 @@ import numpy as np
 from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians, relaxation_level
+from .problem_model import Array, BilevelProblem, TriplePoint, is_number, lagrangian_jacobians, relaxation_level
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 PATTERN_CAP_DEFAULT = 12  # largest biactive set enumerated; check_qualification_Am always uses it
@@ -334,7 +334,7 @@ def recover_c_multipliers(
     sequential one.
     """
     _check_kind(kind)
-    if not isinstance(pattern_cap, (int, np.integer)) or pattern_cap < 0:
+    if not (is_number(pattern_cap, integral=True) and pattern_cap >= 0):
         raise ValueError(f"pattern_cap must be a nonnegative integer, got {pattern_cap!r}")
     _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, pattern_cap)
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)

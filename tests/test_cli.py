@@ -425,6 +425,7 @@ BAD_INPUTS = {
     "no_gradcheck_points": ["gradcheck", "--problem", "example1", "--points", "0"],
     "negative_pattern_cap": ["check", "--problem", "example1", "--point", "pt.json", "--pattern-cap", "-1"],
     "nan_level": ["check", "--problem", "example1", "--point", "pt.json", "--kind", "relaxed", "--t", "nan"],
+    "bool_level_in_point": ["check", "--problem", "example1", "--point", "pt_bool_t.json", "--kind", "relaxed"],
 }
 
 
@@ -437,6 +438,7 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
     (tmp_path / "cfg_check.json").write_text(json.dumps({"problem": "example2", "check": "Q", "max_outer": 1}))
     (tmp_path / "tr1.csv").write_text("# schema=pbopt-trace-1\nk,t,x0,psi,inner_status,evals\n0,0.5,-1,0,solved,3\n")
     (tmp_path / "pt.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
+    (tmp_path / "pt_bool_t.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0], "t": True}))
     code, out, err = run_cli(capsys, *BAD_INPUTS[name])
     assert code == 1
     assert err.startswith("error:")

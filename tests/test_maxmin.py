@@ -432,7 +432,9 @@ def test_inner_config_warm_starts_alone_suffice(example1):
     assert evaluate_psi_t(problem, [0.5], 0.1, cfg).value == pytest.approx(0.2, abs=1e-4)
 
 
-@pytest.mark.parametrize("x, t", [([float("nan")], 0.1), ([0.5], float("inf")), ([0.5], float("nan")), ([0.5, 0.5], 0.1)])
+@pytest.mark.parametrize(
+    "x, t", [([float("nan")], 0.1), ([0.5], float("inf")), ([0.5], float("nan")), ([0.5, 0.5], 0.1), ([0.5], "0.1"), ([0.5], True)]
+)
 def test_bad_leader_point_or_level_rejected(example1, light_cfg, x, t):
     problem, _ = example1
     with pytest.raises(ValueError):
@@ -541,7 +543,9 @@ SKIP_CFGS = {
 
 
 @pytest.mark.parametrize("cfg_name", sorted(SKIP_CFGS))
-@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example1_fd", "example2_fd", "synthetic2d_fd"])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "synthetic2d", "example1_fd", "example2_fd", "synthetic2d_fd", "nan_region_toy"]
+)
 def test_skipping_settled_starts_changes_no_result(name, cfg_name):
     problem, cfg = named_problem(name), SKIP_CFGS[cfg_name]
     n = problem.dims.n
@@ -582,6 +586,27 @@ def test_a_start_the_polish_leaves_stalled_is_settled(monkeypatch, example1):
     ref = every_round_on_every_start(problem, [[0.5]], 0.1, cfg)[0]
     assert res.status == ref.status == "infeasible"
     assert res.rounds == 1
+
+
+def test_a_start_with_a_nonfinite_F_does_not_count(light_cfg):
+    """On the NaN-region toy a start on D_t counts only with a finite F.
+
+    At (-0.5, 0.05) the value is the top of the finite part, x + 0.95, up
+    to the ascent's last rejected trial (shorter than 2 STEP_MIN along a
+    direction whose y entry is at most |grad F| = 1).  At (-0.9, 0.01)
+    every start that reaches D_t has F = NaN: the solve is "nonfinite",
+    not "solved" with a NaN value, and those starts run one round only.
+    """
+    problem = named_problem("nan_region_toy")
+    res = evaluate_psi_t(problem, [-0.5], 0.05, light_cfg)
+    assert res.status == "solved"
+    assert 0.0 <= 0.45 - res.value <= 2 * maxmin.STEP_MIN
+    assert len(res.argmax) and (res.argmax.points[:, 0] <= 0.95).all()
+    res = evaluate_psi_t(problem, [-0.9], 0.01, light_cfg)
+    assert (res.status, res.rounds, len(res.argmax)) == ("nonfinite", 1, 0)
+    assert np.isnan(res.value)
+    with pytest.raises(ValueError, match="nonfinite"):
+        approximate_argmax_set(problem, [-0.9], 0.01, light_cfg)
 
 
 def test_the_polish_reaches_a_tight_feas_tol(synthetic):

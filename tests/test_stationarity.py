@@ -122,9 +122,9 @@ def test_pattern_cap_refusal():
         recover_c_multipliers(toy, TriplePoint([0.0], [0.0], [0.0]), kind="C", pattern_cap=0)
 
 
-@pytest.mark.parametrize("cap", [-1, 2.5])
+@pytest.mark.parametrize("cap", [-1, 2.5, True])
 def test_pattern_cap_that_is_not_a_nonnegative_integer_is_refused(example1, cap):
-    # -1 used to come back as PatternCapError, the refusal of a point, and 2.5 was accepted
+    # -1 used to come back as PatternCapError, the refusal of a point, and 2.5 and True were accepted
     with pytest.raises(ValueError, match="pattern_cap must be a nonnegative integer"):
         recover_c_multipliers(example1[0], EX1_PT, kind="C", pattern_cap=cap)
 

@@ -251,6 +251,22 @@ def make_quartic_toy() -> BilevelProblem:
     )
 
 
+def make_nan_region_toy() -> BilevelProblem:
+    """example2 with F = NaN where y > 0.95.
+
+    At x < 0 the level-t follower set is y in [1 + t/x, 1], so at
+    (x, t) = (-0.5, 0.05) the finite part of F tops out at x + 0.95 = 0.45,
+    and at (-0.9, 0.01) every point of the set has F = NaN.
+    """
+    F = lambda X, Y: np.where(Y[:, 0] > 0.95, np.nan, X[:, 0] + Y[:, 0])
+    return dataclasses.replace(
+        pbopt.get_problem("example2")[0],
+        eval_F=lambda x, y: float(F(np.atleast_2d(x), np.atleast_2d(y))[0]),
+        batch_F=F,
+        name="nan_region_toy",
+    )
+
+
 def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower") -> BilevelProblem:
     """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
 
