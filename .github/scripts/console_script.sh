@@ -36,6 +36,9 @@ if [ "$code" -ne 1 ] || [ "$(wc -l < "$tmp/diagnose_far.err")" -ne 1 ] || ! grep
 fi
 pbopt solve --problem synthetic2d --t0 0.5 --rho 0.5 --tmin 0.25 --trace "$tmp/trace2d.csv" --summary "$tmp/summary2d.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["unread_evals"] == 0 and not r["terminal"].startswith("failure"); sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
+# the default example1 run certifies its final argmax point after the polish onto D_0
+pbopt solve --problem example1 --check C --trace "$tmp/trace_check.csv" --summary "$tmp/summary_check.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1]))["stationarity"]; ok = r["status"] == "checked" and r["verdict"] is True and r["polished_violation"] <= 1e-12; sys.exit(0 if ok else f"example1 solve --check C: {r}")' "$tmp/summary_check.json"
 # the C check at a point of example1 and the relaxed check at a level-0.1
 # point both pass with recovered multipliers (set -e asserts exit 0), and
 # neither report prints a negative zero

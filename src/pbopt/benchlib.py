@@ -1,9 +1,11 @@
 """Built-in benchmark problems with closed-form value-function oracles.
 
-``example1`` and ``example2`` are tiny one-dimensional pessimistic programs
-whose relaxed value functions, argmax sets and follower KKT sets are known in
-closed form; ``synthetic2d`` adds a 2-D leader / 2-D follower instance whose
-follower separates per coordinate, so its oracle is closed-form too.
+``example1`` and ``example2`` are tiny one-dimensional pessimistic programs,
+one family F = a*x + y (a = 0 and 1) over the shared follower min x*y on
+[0, 1], whose relaxed value functions, argmax sets and follower KKT sets are
+known in closed form; ``synthetic2d`` adds a 2-D leader / 2-D follower
+instance whose follower separates per coordinate, so its oracle is
+closed-form too.
 """
 from __future__ import annotations
 
@@ -42,45 +44,6 @@ def _interval(lo: float, hi: float, count: int) -> Array:
     if hi <= lo:
         return np.array([lo])
     return np.linspace(lo, hi, max(2, count))
-
-
-def _shared_lower_level(n: int) -> dict:
-    """Follower data common to example1/example2: f = x*y on K = [0, 1]."""
-
-    def eval_f(x, y):
-        return float(x[0] * y[0])
-
-    def eval_g(x, y):
-        return np.array([-y[0], y[0] - 1.0])
-
-    def grad_f(x, y):
-        gx = np.zeros(n)
-        gx[0] = y[0]
-        return gx, np.array([x[0]])
-
-    def jac_g(x, y):
-        return np.zeros((2, n)), np.array([[-1.0], [1.0]])
-
-    def hess_f_yx(x, y):
-        h = np.zeros((1, n))
-        h[0, 0] = 1.0
-        return h
-
-    lag_jac = np.array([[[0.0, -1.0, 1.0]]])  # [L_y | L_u] at every point
-
-    return {
-        "eval_f": eval_f,
-        "eval_g": eval_g,
-        "grad_f": grad_f,
-        "jac_g": jac_g,
-        "hess_f_yx": hess_f_yx,
-        "hess_f_yy": lambda x, y: np.zeros((1, 1)),
-        "hess_g_yx": lambda x, y: [np.zeros((1, n)), np.zeros((1, n))],
-        "hess_g_yy": lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        "batch_g": lambda X, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
-        "batch_lagrangian": lambda X, Y, U: (X[:, 0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
-        "batch_lagrangian_jac": lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
-    }
 
 
 def _d_set_nonneg_x(x: float, t: float, count: int) -> list[tuple[float, float]]:
@@ -153,89 +116,51 @@ def _pack(pairs: list[tuple[float, float]], x: float, meta: dict) -> SampledSet:
     return SampledSet(dedup_points(pts), meta)
 
 
-def make_example1() -> tuple[BilevelProblem, AnalyticOracle]:
-    """Leader minimises the worst follower response of max y with f = x*y on [0, 1]."""
-    n = 1
-    shared = _shared_lower_level(n)
+def _make_shared_follower(name: str, a: int, lo: float, x_opt: float) -> tuple[BilevelProblem, AnalyticOracle]:
+    """F = a*x + y (a = 0 or 1) on the leader box [lo, 1] over the follower min x*y on K = [0, 1].
+
+    psi_t(x) = a*x + phi_t(x), where phi_t(x) = t/x for x >= t > 0 and 1
+    otherwise; phi_0 is 1 for x <= _ZERO_X and 0 above.  The argmax and
+    D_t sets do not depend on a.
+    """
+    off = 0.0 - lo  # G_1 = -x - off keeps the sign of a zero: -0.0 at x = 0 when lo = 0, +0.0 at x = -1
+    lag_jac = np.array([[[0.0, -1.0, 1.0]]])  # [L_y | L_u] at every point
+
+    def lead(v):
+        """The leader's term a*v for a in {0, 1}: v, or -0.0, which leaves any float it is added to as it is."""
+        return v if a else -0.0
+
     problem = BilevelProblem(
         dims=ProblemDims(n=1, m=1, p=2, q=2),
-        eval_F=lambda x, y: float(y[0]),
-        eval_G=lambda x: np.array([-x[0], x[0] - 1.0]),
-        grad_F=lambda x, y: (np.zeros(1), np.ones(1)),
+        eval_F=lambda x, y: float(y[0] + lead(x[0])),
+        eval_f=lambda x, y: float(x[0] * y[0]),
+        eval_G=lambda x: np.array([-x[0] - off, x[0] - 1.0]),
+        eval_g=lambda x, y: np.array([-y[0], y[0] - 1.0]),
+        grad_F=lambda x, y: (np.full(1, float(a)), np.ones(1)),
+        grad_f=lambda x, y: (np.array([y[0]], dtype=float), np.array([x[0]], dtype=float)),
         jac_G=lambda x: np.array([[-1.0], [1.0]]),
-        x_box=np.array([[0.0, 1.0]]),
+        jac_g=lambda x, y: (np.zeros((2, 1)), np.array([[-1.0], [1.0]])),
+        hess_f_yx=lambda x, y: np.ones((1, 1)),
+        hess_f_yy=lambda x, y: np.zeros((1, 1)),
+        hess_g_yx=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
+        hess_g_yy=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
+        x_box=np.array([[lo, 1.0]]),
         y_box=np.array([[0.0, 1.0]]),
-        name="example1",
-        batch_F=lambda X, Y: Y[:, 0].copy(),
+        name=name,
+        batch_F=lambda X, Y: Y[:, 0] + lead(X[:, 0]),
+        batch_g=lambda X, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
+        batch_lagrangian=lambda X, Y, U: (X[:, 0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
         batch_grad_F=lambda X, Y: np.ones_like(Y),
-        **shared,
+        batch_lagrangian_jac=lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
     )
-
-    def psi_p(x) -> float:
-        xv = _scalar(x)
-        return 1.0 if xv <= _ZERO_X else 0.0
 
     def psi_p_t(x, t) -> float:
         xv = _scalar(x)
         if t <= 0.0:
-            return psi_p(xv)
-        return t / xv if t <= xv else 1.0
-
-    def s_p_t(x, t, count: int = 9) -> SampledSet:
-        xv = _scalar(x)
-        meta = {"kind": "oracle", "x": xv, "t": float(t)}
-        if t <= 0.0:
-            pairs = [(1.0, 0.0)] if xv <= _ZERO_X else [(0.0, xv)]
-        elif xv <= _ZERO_X:
-            pairs = [(1.0, u1) for u1 in _interval(0.0, t, count)]
-            return SampledSet(np.array([[y, u1, u1] for y, u1 in pairs]), meta)
-        elif t <= xv:
-            pairs = [(t / xv, xv)]
+            phi = 1.0 if xv <= _ZERO_X else 0.0
         else:
-            pairs = [(1.0, u1) for u1 in _interval(xv, t, count)]
-        return _pack(pairs, xv, meta)
-
-    def d_set(x, t, count: int = 15) -> SampledSet:
-        xv = _scalar(x)
-        return _pack(_d_set_nonneg_x(xv, t, count), xv, {"kind": "oracle", "x": xv, "t": float(t)})
-
-    oracle = AnalyticOracle(
-        psi_p=psi_p,
-        psi_p_t=psi_p_t,
-        s_p_t=s_p_t,
-        d_set=d_set,
-        known_optimum=(np.array([1.0]), 0.0),
-    )
-    return problem, oracle
-
-
-def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
-    """Variant with F = x + y on X = [-1, 1]; global optimum at x = -1."""
-    n = 1
-    shared = _shared_lower_level(n)
-    problem = BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=2, q=2),
-        eval_F=lambda x, y: float(x[0] + y[0]),
-        eval_G=lambda x: np.array([-x[0] - 1.0, x[0] - 1.0]),
-        grad_F=lambda x, y: (np.ones(1), np.ones(1)),
-        jac_G=lambda x: np.array([[-1.0], [1.0]]),
-        x_box=np.array([[-1.0, 1.0]]),
-        y_box=np.array([[0.0, 1.0]]),
-        name="example2",
-        batch_F=lambda X, Y: X[:, 0] + Y[:, 0],
-        batch_grad_F=lambda X, Y: np.ones_like(Y),
-        **shared,
-    )
-
-    def psi_p(x) -> float:
-        xv = _scalar(x)
-        return xv if xv > _ZERO_X else xv + 1.0
-
-    def psi_p_t(x, t) -> float:
-        xv = _scalar(x)
-        if t <= 0.0:
-            return psi_p(xv)
-        return xv + t / xv if t <= xv else xv + 1.0
+            phi = t / xv if t <= xv else 1.0
+        return phi + lead(xv)
 
     def s_p_t(x, t, count: int = 9) -> SampledSet:
         xv = _scalar(x)
@@ -252,19 +177,27 @@ def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
 
     def d_set(x, t, count: int = 15) -> SampledSet:
         xv = _scalar(x)
-        meta = {"kind": "oracle", "x": xv, "t": float(t)}
-        if xv < -_ZERO_X:
-            return _pack(_d_set_negative_x(xv, t, count), xv, meta)
-        return _pack(_d_set_nonneg_x(xv, t, count), xv, meta)
+        pairs = (_d_set_negative_x if xv < -_ZERO_X else _d_set_nonneg_x)(xv, t, count)
+        return _pack(pairs, xv, {"kind": "oracle", "x": xv, "t": float(t)})
 
     oracle = AnalyticOracle(
-        psi_p=psi_p,
+        psi_p=lambda x: psi_p_t(x, 0.0),
         psi_p_t=psi_p_t,
         s_p_t=s_p_t,
         d_set=d_set,
-        known_optimum=(np.array([-1.0]), 0.0),
+        known_optimum=(np.array([float(x_opt)]), 0.0),
     )
     return problem, oracle
+
+
+def make_example1() -> tuple[BilevelProblem, AnalyticOracle]:
+    """Leader minimises the worst follower response of max y with f = x*y on [0, 1]."""
+    return _make_shared_follower("example1", 0, 0, 1)
+
+
+def make_example2() -> tuple[BilevelProblem, AnalyticOracle]:
+    """Variant with F = x + y on X = [-1, 1]; global optimum at x = -1."""
+    return _make_shared_follower("example2", 1, -1, -1)
 
 
 def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:

@@ -177,7 +177,9 @@ def check_slater(problem: BilevelProblem, x: Array) -> SlaterResult:
     """Search for y with g_i(x, y) <= -SLATER_EPS_STRICT for all i via multistart descent.
 
     SLATER_STARTS starts are drawn in the problem's ``y_box`` from seed
-    SLATER_SEED.  A wrongly shaped or non-finite x is refused with ValueError.
+    SLATER_SEED, and each bounded Nelder-Mead descent stays in that box, so
+    a witness lies in it.  A wrongly shaped or non-finite x is refused with
+    ValueError.
     """
     x = problem.leader_point(x)
     m, q = problem.dims.m, problem.dims.q
@@ -195,7 +197,10 @@ def check_slater(problem: BilevelProblem, x: Array) -> SlaterResult:
     best_val = np.inf
     best_y = None
     for y0 in y0s:
-        res = minimize(worst, y0, method="Nelder-Mead", options={"maxiter": 200 * m, "xatol": 1e-9, "fatol": 1e-12})
+        res = minimize(
+            worst, y0, method="Nelder-Mead", bounds=problem.y_box,
+            options={"maxiter": 200 * m, "xatol": 1e-9, "fatol": 1e-12},
+        )
         val = worst(res.x)
         if val < best_val - 1e-12 or (
             abs(val - best_val) <= 1e-12

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
 
-from .problem_model import Array, BilevelProblem, is_number, relaxation_level
+from .problem_model import Array, BilevelProblem, is_finite_number, is_number, relaxation_level
 
 # Level slack of the argmax cloud: every feasible start within it of the best
 # value joins the cloud.  The certifier's graph-value row uses it too.
@@ -195,7 +195,7 @@ class InnerConfig:
             raise ValueError("the inner solver needs at least one random or warm start")
         for name in ("u_max", "feas_tol"):
             val = getattr(self, name)
-            if not (is_number(val) and math.isfinite(val) and val > 0):
+            if not (is_finite_number(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 

@@ -28,9 +28,17 @@ def is_number(val, integral: bool = False) -> bool:
     return isinstance(val, numbers.Integral if integral else numbers.Real) and not isinstance(val, bool)
 
 
+def is_finite_number(val) -> bool:
+    """Whether val is a real number (:func:`is_number`) whose float is finite; an int too large for a float is not."""
+    try:
+        return is_number(val) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def relaxation_level(t) -> float:
-    """t as a float; a relaxation level that is not a finite nonnegative number (:func:`is_number`) is refused."""
-    if not (is_number(t) and math.isfinite(t) and t >= 0.0):
+    """t as a float; a relaxation level that is not a finite nonnegative number (:func:`is_finite_number`) is refused."""
+    if not (is_finite_number(t) and t >= 0.0):
         raise ValueError(f"relaxation level t must be finite and nonnegative, got {t!r}")
     return float(t)
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .maxmin import InnerConfig, InnerSolveResult, SampledSet, evaluate_psi_t_batch
-from .problem_model import Array, BilevelProblem, is_number
+from .problem_model import Array, BilevelProblem, is_finite_number, is_number
 
 X_MEMBERSHIP_TOL = 1e-8
 # First poll step of a level, as a fraction of the leader box diameter.
@@ -47,7 +47,7 @@ class OuterConfig:
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self) -> None:
-        if not (is_number(self.mesh_tol) and math.isfinite(self.mesh_tol) and self.mesh_tol > 0):
+        if not (is_finite_number(self.mesh_tol) and self.mesh_tol > 0):
             raise ValueError(f"mesh_tol must be finite and positive, got {self.mesh_tol!r}")
         if not isinstance(self.inner, InnerConfig):
             raise ValueError(f"inner must be an InnerConfig, got {self.inner!r}")
@@ -67,14 +67,14 @@ class RelaxationParams:
     def __post_init__(self) -> None:
         if not (is_number(self.rho) and 0.0 < self.rho < 1.0):
             raise ValueError(f"reduction factor rho must lie in (0, 1), got {self.rho!r}")
-        if not (is_number(self.t0) and is_number(self.t_min) and math.isfinite(self.t0) and self.t0 > self.t_min > 0.0):
+        if not (is_finite_number(self.t0) and is_number(self.t_min) and self.t0 > self.t_min > 0.0):
             raise ValueError(f"need a finite t0 > t_min > 0, got t0={self.t0!r}, t_min={self.t_min!r}")
         if not (is_number(self.max_outer_iters, integral=True) and self.max_outer_iters >= 1):
             raise ValueError(f"max_outer_iters must be an integer of at least 1, got {self.max_outer_iters!r}")
         if not isinstance(self.outer, OuterConfig):
             raise ValueError(f"outer must be an OuterConfig, got {self.outer!r}")
         # a negative x_tol is allowed: it switches the stall stop off
-        if not (is_number(self.x_tol) and math.isfinite(self.x_tol)):
+        if not is_finite_number(self.x_tol):
             raise ValueError(f"x_tol must be finite, got {self.x_tol!r}")
 
 

@@ -70,6 +70,24 @@ def test_solve_with_stationarity_check(tmp_path, capsys):
     assert data["stationarity"]["verdict"] is True
 
 
+def test_solve_check_polishes_the_final_point_onto_the_level_0_set(tmp_path, capsys):
+    # the last level's argmax point lies in D_t, not D_0: example1's check
+    # answered "not checked" on it, and synthetic2d's on a 3.8e-6 violation
+    for problem, verdict in (("example1", True), ("synthetic2d", None)):
+        summary = tmp_path / f"{problem}.json"
+        code, _, _ = run_cli(
+            capsys, "solve", "--problem", problem, "--check", "C",
+            "--trace", str(tmp_path / f"{problem}.csv"), "--summary", str(summary),
+        )
+        assert code == 0
+        st = json.loads(summary.read_text())["stationarity"]
+        assert st["polished_violation"] <= 1e-12
+        if verdict is None:  # no C-multipliers exist at x = (0.0021, 0.0016)
+            assert st["status"] == "infeasible"
+        else:
+            assert st["status"] == "checked" and st["verdict"] is verdict
+
+
 def test_solve_missing_problem_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "solve")
     assert code == 1
@@ -426,6 +444,8 @@ BAD_INPUTS = {
     "negative_pattern_cap": ["check", "--problem", "example1", "--point", "pt.json", "--pattern-cap", "-1"],
     "nan_level": ["check", "--problem", "example1", "--point", "pt.json", "--kind", "relaxed", "--t", "nan"],
     "bool_level_in_point": ["check", "--problem", "example1", "--point", "pt_bool_t.json", "--kind", "relaxed"],
+    "config_huge_u_max": ["eval", "--config", "cfg_huge.json", "--x", "0.5", "--t", "0.1"],
+    "huge_int_in_point": ["check", "--problem", "example1", "--point", "pt_huge.json"],
 }
 
 
@@ -439,9 +459,12 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
     (tmp_path / "tr1.csv").write_text("# schema=pbopt-trace-1\nk,t,x0,psi,inner_status,evals\n0,0.5,-1,0,solved,3\n")
     (tmp_path / "pt.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}))
     (tmp_path / "pt_bool_t.json").write_text(json.dumps({"x": [0.5], "y": [0.0], "u": [0.5, 0.0], "t": True}))
+    # a JSON integer too large for a float; it raised OverflowError
+    (tmp_path / "cfg_huge.json").write_text(json.dumps({"problem": "example1", "u_max": 10**400}))
+    (tmp_path / "pt_huge.json").write_text(json.dumps({"x": [10**400], "y": [0.0], "u": [0.5, 0.0]}))
     code, out, err = run_cli(capsys, *BAD_INPUTS[name])
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["C", "M", "S", "relaxed"])

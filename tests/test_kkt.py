@@ -5,7 +5,7 @@ import pbopt
 from pbopt import TriplePoint, check_slater, check_upper_regularity, classify_indices, kkt, kkt_residual
 from pbopt.kkt import InfeasiblePointError
 
-from toys import make_no_slater_toy, make_opposing_leader_toy, make_q0_toy
+from toys import make_duplicated_g_toy, make_no_slater_toy, make_opposing_leader_toy, make_q0_toy
 
 
 def test_residual_example1_member(example1):
@@ -100,6 +100,25 @@ def test_slater_example1_interior(example1):
     assert res.found
     g = problem.eval_g(np.array([0.5]), res.y)
     assert np.max(g) <= -1e-6
+
+
+@pytest.mark.parametrize(
+    "problem, x",
+    [
+        (pbopt.get_problem("example1")[0], [0.5]),
+        (pbopt.get_problem("example2")[0], [-0.5]),
+        (pbopt.get_problem("synthetic2d")[0], [0.0021, 0.0016]),
+        (make_duplicated_g_toy(), [0.5]),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_slater_witness_lies_in_the_follower_box(problem, x):
+    # the unbounded descent returned y ~ (6.8e88, 9.7e88) on synthetic2d and
+    # y ~ -1.45e59 on duplicated_g_toy
+    res = check_slater(problem, x)
+    assert res.found
+    assert np.all(problem.y_box[:, 0] <= res.y) and np.all(res.y <= problem.y_box[:, 1])
+    assert np.max(problem.eval_g(np.asarray(x, dtype=float), res.y)) <= -1e-6
 
 
 def test_slater_vacuous_without_lower_constraints():

@@ -416,6 +416,9 @@ def test_warm_starts_are_used(example1, light_cfg):
         {"u_max": True},
         {"starts": True},
         {"sweeps": True},
+        # an int too large for a float raised OverflowError
+        {"u_max": 10**400},
+        {"feas_tol": 10**400},
     ],
 )
 def test_inner_config_rejects_bad_values(kw):
@@ -433,7 +436,8 @@ def test_inner_config_warm_starts_alone_suffice(example1):
 
 
 @pytest.mark.parametrize(
-    "x, t", [([float("nan")], 0.1), ([0.5], float("inf")), ([0.5], float("nan")), ([0.5, 0.5], 0.1), ([0.5], "0.1"), ([0.5], True)]
+    "x, t",
+    [([float("nan")], 0.1), ([0.5], float("inf")), ([0.5], float("nan")), ([0.5, 0.5], 0.1), ([0.5], "0.1"), ([0.5], True), pytest.param([0.5], 10**400, id="huge_int_t")],
 )
 def test_bad_leader_point_or_level_rejected(example1, light_cfg, x, t):
     problem, _ = example1

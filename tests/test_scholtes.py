@@ -203,6 +203,8 @@ def test_trace_records_final_mesh_diagnostic(example2, light_cfg):
         # a TypeError that did not name the field, and an accepted bool
         ("mesh_tol", "1e-5"),
         ("mesh_tol", True),
+        # an int too large for a float raised OverflowError
+        pytest.param("mesh_tol", 10**400, id="mesh_tol-huge_int"),
     ],
 )
 def test_outer_config_validation(field, value):
@@ -232,6 +234,9 @@ def test_outer_config_validation(field, value):
         ("t0", True),
         ("max_outer_iters", True),
         ("x_tol", "1e-9"),
+        # an int too large for a float raised OverflowError
+        pytest.param("t0", 10**400, id="t0-huge_int"),
+        pytest.param("x_tol", 10**400, id="x_tol-huge_int"),
     ],
 )
 def test_relaxation_params_count_validation(field, value):
