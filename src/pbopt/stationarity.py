@@ -15,14 +15,15 @@ row, one least-distance solve per signed row.
 
 The enumeration is batched: patterns go in lexicographic order, in chunks
 of 1, 2, 4, ... up to CHUNK_MAX.  The rows of every pattern's system are
-stacked once per point (:func:`_pattern_rows`), each chunk picks its systems
+stacked once per point (:func:`_pattern_pool`), each chunk picks its systems
 from them by index, and systems of one shape are decided as one stack by
 ``simplex.least_norm_points`` and ``simplex.ConeRows``: one SVD rank test
 and one least-distance set-up per stack.  The NNLS solves alone run one
 pattern at a time, in order, so every answer, and the pattern it stops at,
 is the one-pattern-at-a-time answer bit for bit.  A solve that stops at
 scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
-is refused, never answered "no".
+is refused, never answered "no".  A walk that needs solves for more than
+PATTERN_BUDGET patterns raises PatternCapError.
 
 Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`):
 the residual record, the index sets and the derivative blocks are computed
@@ -36,6 +37,7 @@ differ in any bit.  Only the last point is kept.  The refusals of a point
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -50,10 +52,13 @@ from .problem_model import Array, BilevelProblem, TriplePoint, is_number, lagran
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 PATTERN_CAP_DEFAULT = 12  # largest biactive set enumerated; check_qualification_Am always uses it
+# Sign patterns one walk may decide by solves; 3^8 of them took 0.3-1.8 s on one thread of a 2-core
+# Xeon VM.  Patterns that the qualification screen settles without a solve of their own do not count.
+PATTERN_BUDGET = 3**8
 
 
 class PatternCapError(RuntimeError):
-    """The biactive set is too large for exact sign-pattern enumeration."""
+    """The biactive set, or the sign patterns that need solves, are too many for exact enumeration."""
 
 
 class BorderlineActivityWarning(UserWarning):
@@ -246,6 +251,7 @@ _BRANCHES = {
 }
 _PICKS = ("+g", "-g", "+d", "-d")  # the order of each biactive index's branch rows in the pool
 CHUNK_MAX = 256  # sign patterns per stacked batch; batches double up to it from one pattern
+SPLIT_AFTER = 7  # patterns (three batches) a qualification walk decides before it looks for blocks
 
 
 def _check_kind(kind: str) -> None:
@@ -253,18 +259,17 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown stationarity kind {kind!r}")
 
 
-def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
-    """(rows, rhs, patterns): the rows of every sign pattern's exact stationarity system.
+def _pattern_pool(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
+    """(rows, rhs, base, options): the rows every sign pattern's exact stationarity system picks from.
 
     Columns [alpha_{I_G}, beta, gamma_{theta u nu}].  rows stacks, once per
     point: the rows every pattern has as equalities (leader gradient,
     follower gradient, d_i = 0 on nu) with right-hand sides rhs; the unit
     rows of alpha >= 0; and each biactive index's signed gamma_i unit row
     and d_i row, in the order of _PICKS.  The qualification system is the
-    homogeneous twin: no alpha columns and rhs = 0.  patterns yields, in
-    lexicographic order, each pattern's (eq, ineq) row indices: the base
-    system with the pattern's branch rows appended in the order of the
-    biactive set.
+    homogeneous twin: no alpha columns and rhs = 0.  base is the (eq, ineq)
+    row indices every pattern has, and options[j] the (eq, ineq) row
+    indices of each branch of the j-th biactive index.
     """
     n, m = data.gFx.size, data.gFy.size
     i_a = [] if qualification else list(idx.i_G)
@@ -285,24 +290,111 @@ def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexS
     rhs = np.zeros(len(rows))
     if not qualification:
         rhs[:n], rhs[n : n + m] = -data.gFx, -data.gFy
-    base_eq, base_ineq = list(range(n_eq)), list(range(n_eq, at))
     options = [
         [tuple(tuple(at + 4 * j + _PICKS.index(r) for r in picks) for picks in branch) for branch in _BRANCHES[kind, qualification]]
         for j in range(len(theta))
     ]
-    patterns = (
+    return rows, rhs, (list(range(n_eq)), list(range(n_eq, at))), options
+
+
+def _systems(base, patterns):
+    """(eq, ineq) row indices of each pattern, a tuple of branches: base with the branches' rows appended in order."""
+    base_eq, base_ineq = base
+    return (
         (base_eq + [i for eq, _ in pattern for i in eq], base_ineq + [i for _, ineq in pattern for i in ineq])
-        for pattern in itertools.product(*options)
+        for pattern in patterns
     )
-    return rows, rhs, patterns
 
 
-def _chunks(patterns):
-    """The patterns in lists of 1, 2, 4, ... and then CHUNK_MAX, in order."""
-    size = 1
+def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
+    """(rows, rhs, patterns): the pool of :func:`_pattern_pool` and every pattern's (eq, ineq), in lexicographic order."""
+    rows, rhs, base, options = _pattern_pool(kind, qualification, data, idx)
+    return rows, rhs, _systems(base, itertools.product(*options))
+
+
+def _chunks(patterns, size: int = 1, used: int = 0):
+    """The patterns in lists of size, twice that, ... and then CHUNK_MAX, in order.
+
+    The list that reaches PATTERN_BUDGET patterns, used of them before
+    these, is cut there, and asking for more raises PatternCapError.
+    """
     while chunk := list(itertools.islice(patterns, size)):
+        used += len(chunk)
+        if used > PATTERN_BUDGET:
+            yield chunk[: len(chunk) - used + PATTERN_BUDGET]
+            raise PatternCapError(f"the enumeration needs solves for more than {PATTERN_BUDGET} sign patterns")
         yield chunk
         size = min(2 * size, CHUNK_MAX)
+
+
+def _blocks(rows: Array, n: int, k: int) -> list:
+    """(columns, base rows, biactive positions) of each block of a qualification pool with k biactive indices.
+
+    A block is a connected component of the columns under the follower rows
+    (an index's four branch rows count as one row); the n leader rows stay
+    out.  Empty when a column meets no follower row: its axis lies in every
+    follower cone, so no split settles a pattern.
+    """
+    follower = rows[n:] != 0.0
+    at = len(follower) - 4 * k
+    touch = np.vstack([follower[:at], follower[at:].reshape(k, 4, -1).any(axis=1)])
+    if not touch.any(axis=0).all():
+        return []
+    reach = touch.T @ touch  # boolean: columns that share a row, then their transitive closure
+    while not np.array_equal(reach, closer := reach @ reach):
+        reach = closer
+    first = reach.argmax(axis=1)  # the first column of each column's block
+    owner = np.where(touch.any(axis=1), first[touch.argmax(axis=1)], -1).tolist()
+    blocks: dict = {}
+    for col, b in enumerate(first.tolist()):
+        blocks.setdefault(b, ([], [], []))[0].append(col)
+    for row, b in enumerate(owner[:at]):
+        if b >= 0:  # a zero row meets no block
+            blocks[b][1].append(n + row)
+    for j, b in enumerate(owner[at:]):  # a branch row is never zero
+        blocks[b][2].append(j)
+    return list(blocks.values())
+
+
+# The blocks of the last point split: (its set-up's _SystemData, _blocks of its qualification pool).
+_last_blocks: tuple = (None, [])
+
+
+def _point_blocks(data: _SystemData, rows: Array, n: int, k: int) -> list:
+    """:func:`_blocks` of the point whose set-up handed out data (one object per point), kept for the next call."""
+    global _last_blocks
+    entry = _last_blocks
+    if entry[0] is not data:
+        entry = _last_blocks = (data, _blocks(rows, n, k))
+    return entry[1]
+
+
+def _screen(rows: Array, blocks: list, options: list) -> Array:
+    """Whether each sign pattern's follower cone is nontrivial, flat in lexicographic order.
+
+    A pattern's follower cone is the product of its blocks' cones.  Each
+    block's branch tuples are decided on its own columns; blocks of one
+    width share a ConeRows pool, so their cones of one shape are one stack.
+    """
+    shape = tuple(map(len, options))
+    nontrivial = np.zeros(shape, dtype=bool)
+    widths: dict = {}
+    for block in blocks:
+        widths.setdefault(len(block[0]), []).append(block)
+    for width, group in widths.items():
+        sub, cones, spans = np.zeros((len(rows), width)), [], []
+        for cols, base, thetas in group:
+            tuples = list(_systems((base, []), itertools.product(*(options[j] for j in thetas))))
+            own = sorted({i for eq, ineq in tuples for i in eq + ineq})
+            sub[own] = rows[np.ix_(own, cols)]
+            cones += tuples
+            spans.append(([size if j in thetas else 1 for j, size in enumerate(shape)], len(tuples)))
+        rays = [z is not None for z in ConeRows(sub).has_nonzero(cones)]
+        at = 0
+        for axes, count in spans:
+            nontrivial |= np.reshape(rays[at : at + count], axes)
+            at += count
+    return nontrivial.reshape(-1)
 
 
 def recover_c_multipliers(
@@ -331,7 +423,8 @@ def recover_c_multipliers(
     rows from one pool built per point and stacks everything but the NNLS
     solves; those run one pattern at a time, in order, and stop at the
     first pattern whose multipliers are returned, so the result is the
-    sequential one.
+    sequential one.  A walk that needs more than PATTERN_BUDGET patterns
+    is refused with PatternCapError.
     """
     _check_kind(kind)
     if not (is_number(pattern_cap, integral=True) and pattern_cap >= 0):
@@ -538,7 +631,9 @@ class QualificationReport:
     a2: bool
     kind: str
     certificates: dict = field(default_factory=dict)
-    patterns_checked: int = 0  # sign patterns visited before both verdicts were settled
+    # sign patterns passed in lexicographic order before both verdicts were settled (all of them
+    # when one holds), whether decided one by one or settled by the block screen
+    patterns_checked: int = 0
 
 
 def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str = "M") -> QualificationReport:
@@ -564,21 +659,52 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     batch are decided as stacks of one shape: one SVD rank test and one
     least-distance set-up per stack.  Only the NNLS solves run one pattern
     at a time, in order, so the enumeration stops at the same pattern, with
-    the same rays and the same refusals, as one pattern at a time would.
+    the same rays, as one pattern at a time would.
+
+    When the follower rows split into blocks that share no column
+    (:func:`_blocks`), the blocks' branch tuples (Σ_b 3^{k_b} cones for
+    kind M, :func:`_screen`) settle every pattern whose blocks are all
+    trivial, which then counts without a solve.  The walk looks for blocks
+    only after its first SPLIT_AFTER patterns, so a walk that settles in
+    them never splits.  It goes on one by one up to its largest block's
+    tuple count, when that is more, and screens only when more patterns are
+    left than the screen decides; a one-block system takes the walk above.
+    Answers stay bit for bit; a refusal comes from the solves this walk
+    makes.  A walk that needs solves for more than PATTERN_BUDGET patterns
+    is refused with PatternCapError.
     """
     _check_kind(kind)
     _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, PATTERN_CAP_DEFAULT)
     n = problem.dims.n
-    rows, _, patterns = _pattern_rows(kind, True, data, idx)
+    rows, _, base, options = _pattern_pool(kind, True, data, idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
     pool = ConeRows(rows)
+    shape = tuple(map(len, options))
+    total = math.prod(shape)
+    patterns = enumerate(_systems(base, itertools.product(*options)))
+    # too few patterns for even singleton blocks to screen: no split
+    split = len(shape) >= 2 and SPLIT_AFTER + len(shape) * shape[0] < total
+
+    def walk():
+        """Chunks of (position, (eq, ineq)): the patterns in order up to the screen, then those it leaves open."""
+        yield from _chunks(itertools.islice(patterns, SPLIT_AFTER))
+        blocks = _point_blocks(data, rows, n, len(shape))
+        tuples = [math.prod(shape[j] for j in thetas) for _, _, thetas in blocks]
+        screen_at = max(SPLIT_AFTER, *tuples) if blocks else total
+        if screen_at + sum(tuples) >= total:
+            screen_at = total
+        yield from _chunks(itertools.islice(patterns, screen_at - SPLIT_AFTER), SPLIT_AFTER + 1, SPLIT_AFTER)
+        if screen_at < total:
+            later = np.flatnonzero(_screen(rows, blocks, options)[screen_at:]) + screen_at
+            picks = zip(*(digits.tolist() for digits in np.unravel_index(later, shape)))
+            systems = _systems(base, (tuple(map(operator.getitem, options, p)) for p in picks))
+            yield from _chunks(zip(later.tolist(), systems), used=screen_at)
+
     a1 = a2 = True
     certs: dict[str, Array] = {}
-    checked = 0
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
-    for chunk in _chunks(patterns):
-        for (eq, ineq), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for eq, ineq in chunk])):
-            checked += 1
+    for chunk in walk() if split else _chunks(patterns):
+        for (at, (eq, ineq)), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for _, (eq, ineq) in chunk])):
             if follower is None:
                 continue  # the follower cone holds the a1 cone, so this pattern breaks neither
             if a1:
@@ -592,8 +718,8 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
                     a2 = False
                     certs["a2"] = ray
             if not (a1 or a2):
-                return QualificationReport(a1, a2, kind, certs, patterns_checked=checked)  # both settled
-    return QualificationReport(a1, a2, kind, certs, patterns_checked=checked)
+                return QualificationReport(a1, a2, kind, certs, patterns_checked=at + 1)  # both settled
+    return QualificationReport(a1, a2, kind, certs, patterns_checked=total)
 
 
 def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:

@@ -8,14 +8,16 @@ one pattern at a time.  The reference here is the assembly and the loop they
 replaced: one system per pattern, assembled with ``np.vstack`` and decided
 by the single-system functions of ``simplex``.  On the pinned certifier corpus and
 on generated biactive families (k = 0..7, with and without duplicated rows,
-with rows scaled by 1e-6..1e6) both must give the same verdicts, pattern
-counts and certificate keys, and the same multipliers and rays bit for bit.
+and families whose follower rows split into blocks, each also with rows
+scaled by 1e-6..1e6) both must give the same verdicts, pattern counts and
+certificate keys, and the same multipliers and rays bit for bit.
 NNLS solves run in the same order and stop at the same pattern, so a solve
 that stops at its iteration limit after that pattern changes nothing, and
 one at or before it is still refused.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from functools import lru_cache
@@ -126,6 +128,43 @@ def _family(k: int, duplicate: bool, scaled: bool, seed: int):
     return problem, TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
 
 
+# Edits of the five-singleton family (constraint i is -y_i <= 0) whose follower blocks the
+# qualification screen meets in three ways:
+#   late:   constraint 1 repeats constraint 0, so indices 0 and 1 are one block of 9 tuples, and the
+#           walk screens after 9 patterns (more than SPLIT_AFTER); the block's cone is first nontrivial
+#           at pattern 54 of 243, so the walk skips ahead to it, and a1 fails there while a2 holds;
+#   leader: constraint 2 repeats constraint 0 with a leader term, so the rays of the block {0, 2}
+#           (axes apart) move the leader row: a2 fails at pattern 18, and a1 holds (unscaled), so the
+#           walk goes on;
+#   flat:   y_4 has no curvature, so beta_4 and gamma_4 meet only through index 4's branch rows,
+#           which join them into one block; its cone is nontrivial for two branches of three, so a2
+#           fails at pattern 0 and the walk decides 162 of 243 patterns for a1, which holds;
+#   free:   a sixth follower coordinate with no curvature is in no constraint, so its beta column
+#           meets no follower row, and the walk does not screen.
+# edit -> (the first pattern the screen leaves open, the blocks' biactive counts), None: no blocks
+SPLITS = {"late": (54, [0, 1, 1, 1, 2]), "leader": (18, [0, 1, 1, 1, 2]), "flat": (0, [1] * 5), "free": None}
+
+
+def _split_family(edit: str, scaled: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    B, c, d, Jgy, Jgx = biactive_family_data(5, rng)
+    H = None
+    if edit == "late":
+        Jgy[1] = Jgy[0]
+    elif edit == "leader":
+        Jgy[2], Jgx[2] = Jgy[0], rng.normal(size=1)
+    elif edit == "flat":
+        H = np.diag([1.0] * 4 + [0.0])
+    else:
+        B, c = np.vstack([B, rng.normal(size=(1, 1))]), np.append(c, -1.0)
+        Jgy, H = np.hstack([Jgy, np.zeros((5, 1))]), np.diag([1.0] * 5 + [0.0])
+    if scaled:  # the same constraints, each row scaled by 1e-6..1e6
+        s = 10.0 ** rng.uniform(-6.0, 6.0, size=(len(Jgy), 1))
+        Jgy, Jgx = Jgy * s, Jgx * s
+    problem = make_linear_follower(B, c, d, Jgy, Jgx, H, name=f"split_{edit}")
+    return problem, TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+
+
 @lru_cache(maxsize=None)
 def _corpus() -> dict:
     """label -> (problem, point): the pinned t = 0 points and the generated families."""
@@ -136,7 +175,25 @@ def _corpus() -> dict:
             for scaled in (False, True) if k < 7 or duplicate else (False,):
                 label = f"gen{k}{'_dup' if duplicate else ''}{'_scaled' if scaled else ''}"
                 corpus[label] = _family(k, duplicate, scaled, seed=100 + 4 * k + 2 * duplicate + scaled)
+    for j, edit in enumerate(SPLITS):
+        for scaled in (False, True):
+            corpus[f"split_{edit}{'_scaled' if scaled else ''}"] = _split_family(edit, scaled, seed=200 + 2 * j + scaled)
     return corpus
+
+
+@pytest.mark.parametrize("edit", sorted(SPLITS))
+def test_split_families_meet_the_screen_as_described(edit):
+    for scaled in (False, True):
+        problem, pt = _corpus()[f"split_{edit}{'_scaled' if scaled else ''}"]
+        _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+        rows, _, _, options = stn._pattern_pool("M", True, data, idx)
+        blocks = stn._blocks(rows, problem.dims.n, len(options))
+        if SPLITS[edit] is None:
+            assert blocks == []
+            continue
+        first_open, sizes = SPLITS[edit]
+        assert sorted(len(thetas) for _, _, thetas in blocks) == sizes
+        assert np.flatnonzero(stn._screen(rows, blocks, options))[0] == first_open
 
 
 @pytest.mark.parametrize("label", sorted(_corpus()))
@@ -196,6 +253,60 @@ def test_qualification_stacks_its_rank_tests_and_least_distance_set_ups(solver_c
         stacks = sum(len({(len(eq), len(ineq)) for eq, ineq in chunk}) for chunk in stn._chunks(systems))
         # per chunk and shape of system: one stacked rank test and at most one stacked least-distance SVD
         assert solver_calls["svd"] <= 2 * stacks < patterns / 4
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_a_split_biactive_set_costs_its_blocks_not_its_patterns(solver_calls, k):
+    problem = make_linear_follower(*biactive_family_data(k, np.random.default_rng(k)))
+    pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    rep = stn.check_qualification_Am(problem, pt, kind="M")
+    assert (rep.a1, rep.a2, rep.patterns_checked) == (True, True, 3**k)
+    # k singleton blocks: the walk decides its first SPLIT_AFTER patterns one by one, then the screen
+    # decides the 3k tuples; each decided cone costs at most two SVDs and one NNLS
+    decided = stn.SPLIT_AFTER + 3 * k
+    assert solver_calls["svd"] <= 2 * decided and solver_calls["nnls"] <= decided
+
+
+def test_blocks_are_found_once_per_point(monkeypatch):
+    problem, pt = _corpus()["gen4"]
+    problem = dataclasses.replace(problem)  # an object no earlier call has set up
+    found = []
+    blocks = stn._blocks
+    monkeypatch.setattr(stn, "_blocks", lambda *args: found.append(1) or blocks(*args))
+    want = stn.check_qualification_Am(problem, pt, kind="M")
+    for kind in ("M", "C", "M"):  # the kinds share the point's blocks
+        stn.check_qualification_Am(problem, pt, kind=kind)
+    assert len(found) == 1
+    # another problem object is another point, and its blocks are its own
+    other, _ = _corpus()["split_late"]
+    stn.check_qualification_Am(other, TriplePoint(pt.x, np.zeros(other.dims.m), np.zeros(other.dims.q)), kind="M")
+    rep = stn.check_qualification_Am(dataclasses.replace(problem), pt, kind="M")
+    assert len(found) == 3
+    assert (rep.a1, rep.a2, rep.patterns_checked) == (want.a1, want.a2, want.patterns_checked)
+
+
+def test_a_walk_beyond_the_pattern_budget_is_refused(monkeypatch, tmp_path, capsys):
+    # a dense H couples every follower coordinate: one block, so every pattern needs its own solve;
+    # with B = 0 the leader row reads d = 0, so no pattern has multipliers and the recovery walks all 27
+    B, c, d, Jgy, Jgx = biactive_family_data(3, np.random.default_rng(5))
+    problem = make_linear_follower(np.zeros_like(B), c, d, Jgy, Jgx, np.eye(3) + 0.5, name="dense3")
+    pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+    rows, _, _, options = stn._pattern_pool("M", True, data, idx)
+    assert len(stn._blocks(rows, problem.dims.n, len(options))) == 1
+    monkeypatch.setattr(stn, "PATTERN_BUDGET", 27)
+    assert stn.check_qualification_Am(problem, pt, kind="M").patterns_checked == 27
+    assert stn.recover_c_multipliers(problem, pt, kind="M") is None
+    monkeypatch.setattr(stn, "PATTERN_BUDGET", 26)
+    with pytest.raises(stn.PatternCapError, match="more than 26 sign patterns"):
+        stn.check_qualification_Am(problem, pt, kind="M")
+    with pytest.raises(stn.PatternCapError, match="more than 26 sign patterns"):
+        stn.recover_c_multipliers(problem, pt, kind="M")
+    monkeypatch.setattr(cli, "get_problem", lambda name: (problem, None))
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"x": [0.0], "y": [0.0] * 3, "u": [0.0] * 3}))
+    assert cli.main(["check", "--problem", problem.name, "--point", str(point), "--kind", "M"]) == 3
+    assert "more than 26 sign patterns" in json.loads(capsys.readouterr().out)["error"]
 
 
 def _nnls_limit_from(monkeypatch, first: int, solve=simplex.nnls):
