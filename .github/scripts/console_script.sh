@@ -49,4 +49,16 @@ pbopt check --problem example1 --point "$tmp/pt_relaxed.json" --kind relaxed --t
 for report in "$tmp/check_c.json" "$tmp/check_relaxed.json"; do
     python -c 'import json, math, sys; floats = []; r = json.load(open(sys.argv[1]), parse_float=lambda s: floats.append(float(s)) or floats[-1]); ok = r["verdict"] is True and r["multipliers"] == "least_norm" and not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in floats); sys.exit(0 if ok else f"example1 check: {r}")' "$report"
 done
+# synthetic2d's biactive origin is C-stationary, S recovers no multipliers
+# there, and the removed --pattern-cap flag is a usage error
+echo '{"x": [0.0, 0.0], "y": [0.0, 0.0], "u": [0.0, 0.0]}' > "$tmp/pt_origin.json"
+pbopt check --problem synthetic2d --point "$tmp/pt_origin.json" --kind C > "$tmp/check_origin_c.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if r["verdict"] is True else f"synthetic2d origin check C: {r}")' "$tmp/check_origin_c.json"
+pbopt check --problem synthetic2d --point "$tmp/pt_origin.json" --kind S > "$tmp/check_origin_s.json"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); ok = r["verdict"] is False and r["status"] == "no feasible multipliers"; sys.exit(0 if ok else f"synthetic2d origin check S: {r}")' "$tmp/check_origin_s.json"
+code=0
+pbopt check --problem synthetic2d --point "$tmp/pt_origin.json" --pattern-cap 3 > "$tmp/check_cap.json" 2> "$tmp/check_cap.err" || code=$?
+if [ "$code" -ne 1 ] || [ "$(wc -l < "$tmp/check_cap.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/check_cap.err"; then
+    echo "check --pattern-cap 3: exit $code, stderr:"; cat "$tmp/check_cap.err"; exit 1
+fi
 pbopt gradcheck --problem example2 --points 3

@@ -283,8 +283,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         check = functools.partial(check_relaxed_stationarity, problem, t, pt)
     else:
         block = Multipliers
-        kw = {} if args.pattern_cap is None else {"pattern_cap": args.pattern_cap}
-        recover = functools.partial(recover_c_multipliers, problem, pt, kind=kind, **kw)
+        recover = functools.partial(recover_c_multipliers, problem, pt, kind=kind)
         check = functools.partial(check_stationarity, problem, pt, kind=kind)
     try:
         if "multipliers" in data:
@@ -447,7 +446,6 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--point", type=str, default=None)
     p_check.add_argument("--kind", type=str, choices=["C", "M", "S", "relaxed"], default="C")
     p_check.add_argument("--t", type=float, default=None)
-    p_check.add_argument("--pattern-cap", dest="pattern_cap", type=int, default=None)
 
     p_diag = sub.add_parser("diagnose", help="excess series along a trace")
     add_common(p_diag)

@@ -52,8 +52,8 @@ class ProblemDims:
     """Sizes of the four variable/constraint blocks.
 
     n: leader variables, m: follower variables, p: leader constraints,
-    q: follower constraints.  n and m must be positive; p and q may be zero
-    but not both.
+    q: follower constraints.  Each is an integer (:func:`is_number`); n and m
+    must be positive, and p and q may be zero but not both.
     """
 
     n: int
@@ -62,6 +62,8 @@ class ProblemDims:
     q: int
 
     def __post_init__(self) -> None:
+        if not all(is_number(size, integral=True) for size in (self.n, self.m, self.p, self.q)):
+            raise DimensionError(f"sizes must be integers, got {self}")
         if self.n <= 0 or self.m <= 0:
             raise DimensionError("leader and follower dimensions must be positive")
         if self.p < 0 or self.q < 0:

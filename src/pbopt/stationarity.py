@@ -25,14 +25,16 @@ scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
 is refused, never answered "no".  A walk that needs solves for more than
 PATTERN_BUDGET patterns raises PatternCapError.
 
-Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`):
-the residual record, the index sets and the derivative blocks are computed
-once and handed out as read-only arrays.  A call sets up afresh when it gets
+Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`),
+one record per point: the residual record, the index sets, the derivative
+blocks and the qualification's blocks are computed once, each on first use,
+and handed out as read-only arrays.  A call sets up afresh when it gets
 another problem object, when one of the problem's attributes is no longer
 the object it was at the set-up (``problem.eval_g = ...`` or a
 ``dataclasses.replace`` copy), or when x, y, u or the relaxation level
 differ in any bit.  Only the last point is kept.  The refusals of a point
-(``feas_tol``, the classification, ``pattern_cap``) run on every call.
+(``feas_tol``, the classification, the qualification's PATTERN_CAP_DEFAULT)
+run on every call.
 """
 from __future__ import annotations
 
@@ -48,17 +50,17 @@ import numpy as np
 from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
-from .problem_model import Array, BilevelProblem, TriplePoint, is_number, lagrangian_jacobians, relaxation_level
+from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians, relaxation_level
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
-PATTERN_CAP_DEFAULT = 12  # largest biactive set enumerated; check_qualification_Am always uses it
+PATTERN_CAP_DEFAULT = 12  # largest biactive set check_qualification_Am takes: its screen holds all 3^k patterns
 # Sign patterns one walk may decide by solves; 3^8 of them took 0.3-1.8 s on one thread of a 2-core
 # Xeon VM.  Patterns that the qualification screen settles without a solve of their own do not count.
 PATTERN_BUDGET = 3**8
 
 
 class PatternCapError(RuntimeError):
-    """The biactive set, or the sign patterns that need solves, are too many for exact enumeration."""
+    """A biactive set beyond PATTERN_CAP_DEFAULT (qualification only), or a walk beyond PATTERN_BUDGET solved patterns."""
 
 
 class BorderlineActivityWarning(UserWarning):
@@ -146,10 +148,24 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemD
     )))
 
 
-# The last point set up: (key, residual, index sets and system data, or the
-# classification's refusal message).  It is read and replaced as one tuple, so
-# a concurrent caller never pairs one point's key with another point's data.
-_last_setup: Optional[tuple] = None
+@dataclass(eq=False)
+class _Point:
+    """The record of one point: its key and residual, and each later part once a call has needed it.
+
+    idx is the classification's IndexSets or its refusal message, and blocks
+    are :func:`_blocks` of the qualification pool.  A part is filled in place
+    on its own point's record, so a concurrent caller never pairs one point's
+    key with another point's data.
+    """
+
+    key: tuple
+    res: _Residual
+    idx: object = None
+    data: Optional[_SystemData] = None
+    blocks: Optional[list] = None
+
+
+_last_point: Optional[_Point] = None  # the last point set up
 
 
 def _point_key(problem: BilevelProblem, pt: TriplePoint, level: float) -> tuple:
@@ -161,49 +177,36 @@ def _same_point(a: tuple, b: tuple) -> bool:
     return a[0] is b[0] and a[2] == b[2] and len(a[1]) == len(b[1]) and all(map(operator.is_, a[1], b[1]))
 
 
-def _setup(
-    problem: BilevelProblem,
-    pt: TriplePoint,
-    t: float,
-    feas_tol: Optional[float],
-    pattern_cap: Optional[int] = None,
-) -> tuple[KktResidual, IndexSets, _SystemData]:
-    """The level-t residual, index sets and system data at pt, from one residual evaluation.
+def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optional[float]) -> _Point:
+    """The record of pt at level t, with its residual, index sets and system data, from one residual evaluation.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
     then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.  The
-    point's data are kept for the next call at the same point (see
-    _same_point), and the refusals run on every call.
+    record is kept for the next call at the same point (see _same_point),
+    and the refusals run on every call.
     """
-    global _last_setup
+    global _last_point
     problem.check_point(pt)
     key = _point_key(problem, pt, relaxation_level(t))
-    entry = _last_setup
-    if entry is None or not _same_point(entry[0], key):
-        entry = _last_setup = (key, _Residual(kkt_residual(problem, pt, t)), None)
-    _, res, point = entry
+    point = _last_point
+    if point is None or not _same_point(point.key, key):
+        point = _last_point = _Point(key, _Residual(kkt_residual(problem, pt, t)))
+    res = point.res
     if feas_tol is not None and not res.is_feasible(feas_tol):
         raise InfeasiblePointError(
             f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
             f"{res.max_violation():.3e}"
         )
-    if point is None:
+    if point.idx is None:
         try:
-            point = classify_residual(problem, pt, res), None
+            point.idx = classify_residual(problem, pt, res)
         except InfeasiblePointError as err:
-            point = str(err)
-        entry = _last_setup = (*entry[:2], point)
-    if isinstance(point, str):
-        raise InfeasiblePointError(point)
-    idx, data = point
-    if pattern_cap is not None and len(idx.theta) > pattern_cap:
-        raise PatternCapError(
-            f"biactive set size {len(idx.theta)} exceeds the enumeration cap {pattern_cap}"
-        )
-    if data is None:
-        data = _system_data(problem, pt, res.g)
-        _last_setup = (*entry[:2], (idx, data))
-    return res, idx, data
+            point.idx = str(err)
+    if isinstance(point.idx, str):
+        raise InfeasiblePointError(point.idx)
+    if point.data is None:
+        point.data = _system_data(problem, pt, res.g)
+    return point
 
 
 def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
@@ -356,19 +359,6 @@ def _blocks(rows: Array, n: int, k: int) -> list:
     return list(blocks.values())
 
 
-# The blocks of the last point split: (its set-up's _SystemData, _blocks of its qualification pool).
-_last_blocks: tuple = (None, [])
-
-
-def _point_blocks(data: _SystemData, rows: Array, n: int, k: int) -> list:
-    """:func:`_blocks` of the point whose set-up handed out data (one object per point), kept for the next call."""
-    global _last_blocks
-    entry = _last_blocks
-    if entry[0] is not data:
-        entry = _last_blocks = (data, _blocks(rows, n, k))
-    return entry[1]
-
-
 def _screen(rows: Array, blocks: list, options: list) -> Array:
     """Whether each sign pattern's follower cone is nontrivial, flat in lexicographic order.
 
@@ -401,15 +391,12 @@ def recover_c_multipliers(
     problem: BilevelProblem,
     pt: TriplePoint,
     kind: str = "C",
-    pattern_cap: int = PATTERN_CAP_DEFAULT,
 ) -> Optional[Multipliers]:
     """Least-norm multipliers for the kind-dependent exact stationarity system.
 
-    A pattern_cap that is not a nonnegative integer is refused with
-    ValueError.  A point whose exact KKT violation exceeds
-    kkt.FEAS_TOL_DEFAULT is refused with InfeasiblePointError, and a
-    biactive set larger than pattern_cap with PatternCapError.  Enumerates
-    sign patterns over the biactive set in lexicographic order; each pattern is a least-distance
+    A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
+    refused with InfeasiblePointError.  Enumerates sign patterns over the
+    biactive set in lexicographic order; each pattern is a least-distance
     problem, and the first feasible pattern's least-norm solution that
     passes its own check is returned: every multiplier row of
     :func:`check_stationarity` for kind (all but the graph rows and
@@ -427,9 +414,8 @@ def recover_c_multipliers(
     is refused with PatternCapError.
     """
     _check_kind(kind)
-    if not (is_number(pattern_cap, integral=True) and pattern_cap >= 0):
-        raise ValueError(f"pattern_cap must be a nonnegative integer, got {pattern_cap!r}")
-    _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, pattern_cap)
+    point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    idx, data = point.idx, point.data
     rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
     d = problem.dims
     k = len(idx.i_G)
@@ -542,11 +528,12 @@ def check_stationarity(
     """
     _check_kind(kind)
     _check_tol(tol)
-    res, idx, data = _setup(problem, pt, 0.0, None)
+    point = _setup(problem, pt, 0.0, None)
+    idx, data = point.idx, point.data
     d = problem.dims
     alpha, beta, gamma = _multiplier_blocks(mults, {"alpha": d.p, "beta": d.m, "gamma": d.q})
 
-    rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
+    rows = _graph_rows(problem, pt, point.res, inner_cfg, graph_check)
     rows.update(_multiplier_rows(kind, idx, data, alpha, beta, gamma))
     dvec = data.Jgy @ beta
     branch = tuple(
@@ -563,8 +550,9 @@ def recover_relaxed_multipliers(problem: BilevelProblem, t: float, pt: TriplePoi
     every multiplier outside its active set to zero, so one linear
     feasibility problem with sign constraints remains.
     """
-    _, idx, data = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
-    a_eq, b, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=False)
+    point = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
+    idx = point.idx
+    a_eq, b, a_ineq = _relaxed_system(point.data, idx, pt.u, homogeneous=False)
     z, status = least_norm_point(a_eq, b, a_ineq)
     if z is None:
         return None
@@ -597,11 +585,12 @@ def check_relaxed_stationarity(
     the multiplier blocks are refused as there.
     """
     _check_tol(tol)
-    res, idx, data = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
+    point = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
+    data = point.data
     d = problem.dims
     alpha, beta, gamma, mu, delta = _multiplier_blocks(rm, {"alpha": d.p, "beta": d.m, "gamma": d.q, "mu": d.q, "delta": d.q})
 
-    rows = _graph_rows(problem, pt, res, inner_cfg, graph_check)
+    rows = _graph_rows(problem, pt, point.res, inner_cfg, graph_check)
     coeff = gamma - delta * pt.u
     res_x = data.gFx + data.jacG.T @ alpha - data.Lx.T @ beta - data.Jgx.T @ coeff
     rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
@@ -622,7 +611,7 @@ def check_relaxed_stationarity(
             np.max(slack, initial=0.0),
             np.max(np.abs(mult * slack), initial=0.0),
         ))
-    return _report("relaxed", rows, rm, None, idx, tol)
+    return _report("relaxed", rows, rm, None, point.idx, tol)
 
 
 @dataclass
@@ -641,7 +630,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
 
     A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
     refused with InfeasiblePointError, as the multiplier recoveries refuse
-    it, and a biactive set larger than PATTERN_CAP_DEFAULT with
+    it, and then a biactive set larger than PATTERN_CAP_DEFAULT with
     PatternCapError.  The first holds iff the full homogeneous multiplier
     set contains only zero; the second iff every element of the
     follower-only variant also annihilates the leader-derivative rows.  Both are decided per sign
@@ -668,32 +657,37 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     only after its first SPLIT_AFTER patterns, so a walk that settles in
     them never splits.  It goes on one by one up to its largest block's
     tuple count, when that is more, and screens only when more patterns are
-    left than the screen decides; a one-block system takes the walk above.
-    Answers stay bit for bit; a refusal comes from the solves this walk
-    makes.  A walk that needs solves for more than PATTERN_BUDGET patterns
+    left than the screen decides.  A system too small to split walks on
+    without blocks, in the same batches.  Answers stay bit for bit; a
+    refusal comes from the solves this walk makes.  A walk that needs solves for more than PATTERN_BUDGET patterns
     is refused with PatternCapError.
     """
     _check_kind(kind)
-    _, idx, data = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, PATTERN_CAP_DEFAULT)
+    point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    k = len(point.idx.theta)
+    if k > PATTERN_CAP_DEFAULT:
+        raise PatternCapError(f"biactive set size {k} exceeds the enumeration cap {PATTERN_CAP_DEFAULT}")
     n = problem.dims.n
-    rows, _, base, options = _pattern_pool(kind, True, data, idx)
+    rows, _, base, options = _pattern_pool(kind, True, point.data, point.idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
     pool = ConeRows(rows)
     shape = tuple(map(len, options))
     total = math.prod(shape)
     patterns = enumerate(_systems(base, itertools.product(*options)))
     # too few patterns for even singleton blocks to screen: no split
-    split = len(shape) >= 2 and SPLIT_AFTER + len(shape) * shape[0] < total
+    split = k >= 2 and SPLIT_AFTER + k * shape[0] < total
 
     def walk():
         """Chunks of (position, (eq, ineq)): the patterns in order up to the screen, then those it leaves open."""
         yield from _chunks(itertools.islice(patterns, SPLIT_AFTER))
-        blocks = _point_blocks(data, rows, n, len(shape))
+        if split and point.blocks is None:  # the kinds share a point's blocks
+            point.blocks = _blocks(rows, n, k)
+        blocks = point.blocks if split else []
         tuples = [math.prod(shape[j] for j in thetas) for _, _, thetas in blocks]
         screen_at = max(SPLIT_AFTER, *tuples) if blocks else total
         if screen_at + sum(tuples) >= total:
             screen_at = total
-        yield from _chunks(itertools.islice(patterns, screen_at - SPLIT_AFTER), SPLIT_AFTER + 1, SPLIT_AFTER)
+        yield from _chunks(itertools.islice(patterns, max(0, screen_at - SPLIT_AFTER)), SPLIT_AFTER + 1, SPLIT_AFTER)
         if screen_at < total:
             later = np.flatnonzero(_screen(rows, blocks, options)[screen_at:]) + screen_at
             picks = zip(*(digits.tolist() for digits in np.unravel_index(later, shape)))
@@ -703,7 +697,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     a1 = a2 = True
     certs: dict[str, Array] = {}
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
-    for chunk in walk() if split else _chunks(patterns):
+    for chunk in walk():
         for (at, (eq, ineq)), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for _, (eq, ineq) in chunk])):
             if follower is None:
                 continue  # the follower cone holds the a1 cone, so this pattern breaks neither
@@ -736,7 +730,8 @@ def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:
     threshold.
     """
     eps_act = kkt.EPS_ACT_DEFAULT
-    _, idx, data = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
+    point = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
+    data = point.data
     margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
     border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
     if border.size:
@@ -746,5 +741,5 @@ def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:
             stacklevel=2,
         )
     # the y and u rows, negated: the homogeneous twin of the relaxed recovery
-    a_eq, _, a_ineq = _relaxed_system(data, idx, pt.u, homogeneous=True)
+    a_eq, _, a_ineq = _relaxed_system(data, point.idx, pt.u, homogeneous=True)
     return cone_has_nonzero(-a_eq[problem.dims.n :], a_ineq, a_eq.shape[1]) is None

@@ -208,13 +208,16 @@ def test_check_kind_s_fails_on_c_only_point(tmp_path, capsys):
 
 
 def test_check_pattern_cap_refusal(tmp_path, capsys):
+    # PATTERN_BUDGET is a walk's only limit, so check has no such flag; a refused walk
+    # exits 3 (test_pattern_batch.py::test_a_walk_beyond_the_pattern_budget_is_refused)
     point = tmp_path / "pt.json"
     point.write_text(json.dumps({"x": [0.0, 0.0], "y": [0.0, 0.0], "u": [0.0, 0.0]}))
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "check", "--problem", "synthetic2d", "--point", str(point),
         "--kind", "C", "--pattern-cap", "1",
     )
-    assert code == 3
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unrecognized arguments: --pattern-cap") and err.count("\n") == 1
 
 
 def test_check_refuses_when_nnls_stops_at_its_limit(tmp_path, capsys, monkeypatch):

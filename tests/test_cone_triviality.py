@@ -142,7 +142,8 @@ def corpus() -> tuple:
     for label, (problem, t, pt) in sorted(_cases().items()):
         n = problem.dims.n
         if t == 0.0:
-            _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+            point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+            idx, data = point.idx, point.data
             for kind in KINDS:
                 visited = _pinned()[label][f"qual_{kind}"]["patterns_checked"]
                 rows, _, patterns = stn._pattern_rows(kind, True, data, idx)
@@ -151,7 +152,8 @@ def corpus() -> tuple:
                     add(a_pat, ineq, rows.shape[1])
                     add(a_pat[n:], ineq, rows.shape[1], rows[:n])
         else:
-            _, idx, data = stn._setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
+            point = stn._setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
+            idx, data = point.idx, point.data
             a_eq, _, a_ineq = stn._relaxed_system(data, idx, pt.u, homogeneous=True)
             add(-a_eq[n:], a_ineq if len(a_ineq) else None, a_eq.shape[1])
     return tuple(cones.values())

@@ -73,7 +73,8 @@ def reference_recover(problem, pt, kind):
     The first multipliers whose check_stationarity rows, graph and
     leader_feas rows aside, are at most kkt.FEAS_TOL_DEFAULT are returned.
     """
-    _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+    point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    idx, data = point.idx, point.data
     a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
     d = problem.dims
     for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
@@ -94,7 +95,8 @@ def reference_qualification(problem, pt, kind):
 
     cones[name] is the (a_eq, a_ineq, w) cone the certificate ray was found in.
     """
-    _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+    point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    idx, data = point.idx, point.data
     a_eq, _, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=True)
     n, dim = problem.dims.n, a_eq.shape[1]
     leader = [sign * row for row in a_eq[:n] if np.any(row) for sign in (1.0, -1.0)]
@@ -185,7 +187,8 @@ def _corpus() -> dict:
 def test_split_families_meet_the_screen_as_described(edit):
     for scaled in (False, True):
         problem, pt = _corpus()[f"split_{edit}{'_scaled' if scaled else ''}"]
-        _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+        point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+        idx, data = point.idx, point.data
         rows, _, _, options = stn._pattern_pool("M", True, data, idx)
         blocks = stn._blocks(rows, problem.dims.n, len(options))
         if SPLITS[edit] is None:
@@ -248,7 +251,8 @@ def test_qualification_stacks_its_rank_tests_and_least_distance_set_ups(solver_c
     assert solver_calls["nnls"] == sequential["nnls"]
     if not duplicate:  # all 243 patterns: one rank test each when one pattern goes at a time
         assert a1 and a2 and patterns == 243 and sequential["svd"] >= patterns
-        _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+        point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+        idx, data = point.idx, point.data
         _, _, systems = stn._pattern_rows("M", True, data, idx)
         stacks = sum(len({(len(eq), len(ineq)) for eq, ineq in chunk}) for chunk in stn._chunks(systems))
         # per chunk and shape of system: one stacked rank test and at most one stacked least-distance SVD
@@ -291,7 +295,8 @@ def test_a_walk_beyond_the_pattern_budget_is_refused(monkeypatch, tmp_path, caps
     B, c, d, Jgy, Jgx = biactive_family_data(3, np.random.default_rng(5))
     problem = make_linear_follower(np.zeros_like(B), c, d, Jgy, Jgx, np.eye(3) + 0.5, name="dense3")
     pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
-    _, idx, data = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT, stn.PATTERN_CAP_DEFAULT)
+    point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    idx, data = point.idx, point.data
     rows, _, _, options = stn._pattern_pool("M", True, data, idx)
     assert len(stn._blocks(rows, problem.dims.n, len(options))) == 1
     monkeypatch.setattr(stn, "PATTERN_BUDGET", 27)

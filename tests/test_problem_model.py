@@ -18,6 +18,14 @@ def test_dims_validation():
     ProblemDims(n=1, m=1, p=0, q=1)  # one of p, q may be zero
 
 
+@pytest.mark.parametrize("sizes", [(1.5, 1, 0, 1), (True, 1, 0, 1), (1, 1, 0.5, 1), (1, 2.0, 1, 1), (1, 1, 1, "2")], ids=["float_n", "bool_n", "float_p", "float_m", "str_q"])
+def test_dims_that_are_not_integers_are_refused(sizes):
+    # 1.5, True and 0.5 were accepted and failed later with a traceback (a reshape, say)
+    with pytest.raises(DimensionError, match="sizes must be integers"):
+        ProblemDims(*sizes)
+    assert ProblemDims(np.int64(1), 1, 0, 1).n == 1
+
+
 def test_lagrangian_example1(example1):
     problem, _ = example1
     pt = TriplePoint([0.5], [0.2], [0.5, 0.0])

@@ -10,6 +10,7 @@ import pytest
 import pbopt
 from pbopt import TriplePoint, kkt, stationarity
 from pbopt.kkt import InfeasiblePointError, check_upper_regularity
+from pbopt.maxmin import InnerConfig, evaluate_psi_t, follower_box, polish_onto_relaxed_set
 from pbopt.stationarity import (
     Multipliers,
     PatternCapError,
@@ -25,6 +26,7 @@ from pbopt.stationarity import (
 from toys import (
     biactive_family_data,
     fd_copy,
+    make_biactive_family,
     make_biactive_toy,
     make_duplicated_g_toy,
     make_interior_toy,
@@ -116,17 +118,45 @@ def test_recover_infeasible_point_raises(example1):
         recover_c_multipliers(problem, TriplePoint([0.5], [0.5], [1.0, 1.0]), kind="C")
 
 
-def test_pattern_cap_refusal():
-    toy = make_biactive_toy()
-    with pytest.raises(PatternCapError):
-        recover_c_multipliers(toy, TriplePoint([0.0], [0.0], [0.0]), kind="C", pattern_cap=0)
+def _family13():
+    problem = make_biactive_family(13, np.random.default_rng(13))
+    return problem, TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
 
 
-@pytest.mark.parametrize("cap", [-1, 2.5, True])
-def test_pattern_cap_that_is_not_a_nonnegative_integer_is_refused(example1, cap):
-    # -1 used to come back as PatternCapError, the refusal of a point, and 2.5 and True were accepted
-    with pytest.raises(ValueError, match="pattern_cap must be a nonnegative integer"):
-        recover_c_multipliers(example1[0], EX1_PT, kind="C", pattern_cap=cap)
+def test_qualification_refuses_a_biactive_set_beyond_its_cap(monkeypatch):
+    # the screen holds all 3^k patterns, so the set's size is refused before any block is looked for
+    problem, pt = _family13()
+    monkeypatch.setattr(stationarity, "_blocks", lambda *args: pytest.fail("_blocks called"))
+    with pytest.raises(PatternCapError, match="^biactive set size 13 exceeds the enumeration cap 12$"):
+        check_qualification_Am(problem, pt, kind="M")
+
+
+def test_the_recoveries_are_bounded_by_the_pattern_budget_alone():
+    # a biactive set of 13 used to be refused up front; S and M settle at their first pattern
+    problem, pt = _family13()
+    for kind in ("S", "M"):
+        mults = recover_c_multipliers(problem, pt, kind=kind)
+        assert check_stationarity(problem, pt, mults, kind=kind, graph_check=False).verdict, kind
+    # C has 2^13 patterns and none passes: the walk stops at the budget
+    with pytest.raises(PatternCapError, match=f"^the enumeration needs solves for more than {3**8} sign patterns$"):
+        recover_c_multipliers(problem, pt, kind="C")
+
+
+def test_a_t0_argmax_point_certifies_c_once_polished_onto_d0(synthetic):
+    # at synthetic2d's biactive origin the solver's t = 0 argmax point sits about 1e-4 off D_0, so the
+    # certifier finds no multipliers there; polished to EPS_ACT_DEFAULT**2 it is C- but not M- or S-stationary
+    problem, _ = synthetic
+    x, cfg, m = np.zeros(2), InnerConfig(), problem.dims.m
+    z = evaluate_psi_t(problem, x, 0.0, cfg).argmax.points[:1]
+    raw = TriplePoint(x, z[0, :m], z[0, m:])
+    assert recover_c_multipliers(problem, raw, kind="C") is None
+    Z, viol, _ = polish_onto_relaxed_set(problem, x, z, 0.0, *follower_box(problem, cfg), kkt.EPS_ACT_DEFAULT**2)
+    assert viol[0] <= kkt.EPS_ACT_DEFAULT**2
+    polished = TriplePoint(x, Z[0, :m], Z[0, m:])
+    mults = recover_c_multipliers(problem, polished, kind="C")
+    assert check_stationarity(problem, polished, mults, kind="C").verdict
+    for kind in ("M", "S"):
+        assert recover_c_multipliers(problem, polished, kind=kind) is None, kind
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
@@ -562,9 +592,9 @@ def test_a_call_made_inside_a_set_up_leaves_both_points_data_intact(example1, ex
 
 
 def test_set_up_blocks_are_read_only(example1):
-    res, _, data = stationarity._setup(dataclasses.replace(example1[0]), EX1_PT, 0.0, None)
-    blocks = [getattr(data, f.name) for f in dataclasses.fields(data)]
-    blocks += [v for v in vars(res).values() if isinstance(v, np.ndarray)]
+    point = stationarity._setup(dataclasses.replace(example1[0]), EX1_PT, 0.0, None)
+    blocks = [getattr(point.data, f.name) for f in dataclasses.fields(point.data)]
+    blocks += [v for v in vars(point.res).values() if isinstance(v, np.ndarray)]
     assert len(blocks) == 14
     for block in blocks:
         with pytest.raises(ValueError, match="read-only"):
@@ -725,6 +755,7 @@ CERTIFIER_CALLS = {
         )),
         ("check_upper_regularity", "eps"),
         ("recover_c_multipliers", "tol"),
+        ("recover_c_multipliers", "pattern_cap"),
         ("recover_relaxed_multipliers", "tol"),
         ("check_qualification_Am", "pattern_cap"),
         ("check_slater", "starts"),
@@ -735,8 +766,8 @@ CERTIFIER_CALLS = {
 )
 def test_removed_certifier_keywords_are_refused(example1, name, keyword):
     # values no caller varied are module constants: kkt.EPS_ACT_DEFAULT,
-    # kkt.FEAS_TOL_DEFAULT, stationarity.PATTERN_CAP_DEFAULT, kkt.SLATER_*
-    # and problem_model.FD_STEP
+    # kkt.FEAS_TOL_DEFAULT, stationarity.PATTERN_CAP_DEFAULT and PATTERN_BUDGET,
+    # kkt.SLATER_* and problem_model.FD_STEP
     call = CERTIFIER_CALLS[name]
     call(example1[0])
     with pytest.raises(TypeError, match=keyword):
