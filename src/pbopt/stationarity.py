@@ -22,13 +22,18 @@ and one least-distance set-up per stack.  The NNLS solves alone run one
 pattern at a time, in order, so every answer, and the pattern it stops at,
 is the one-pattern-at-a-time answer bit for bit.  A solve that stops at
 scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
-is refused, never answered "no".  A walk that needs solves for more than
-PATTERN_BUDGET patterns raises PatternCapError.
+is refused, never answered "no".  When the follower rows split into blocks
+that share no column (:func:`_blocks`), both walks decide each block's
+branch tuples once and then pass only the patterns those answers leave
+open (:func:`_walk`): the qualification skips a pattern whose blocks are
+all trivial, a recovery one with a block that has no solution.  A walk that
+needs solves for more than PATTERN_BUDGET patterns raises PatternCapError.
 
 Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`),
 one record per point: the residual record, the index sets, the derivative
-blocks and the qualification's blocks are computed once, each on first use,
-and handed out as read-only arrays.  A call sets up afresh when it gets
+blocks, the follower blocks, the recovery pool that S, M and C pick from and
+the answers of the recovery systems solved there are computed once, each on
+first use (the arrays handed out read-only).  A call sets up afresh when it gets
 another problem object, when one of the problem's attributes is no longer
 the object it was at the set-up (``problem.eval_g = ...`` or a
 ``dataclasses.replace`` copy), or when x, y, u or the relaxation level
@@ -55,7 +60,8 @@ from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_po
 
 PATTERN_CAP_DEFAULT = 12  # largest biactive set check_qualification_Am takes: its screen holds all 3^k patterns
 # Sign patterns one walk may decide by solves; 3^8 of them took 0.3-1.8 s on one thread of a 2-core
-# Xeon VM.  Patterns that the qualification screen settles without a solve of their own do not count.
+# Xeon VM.  Patterns that a block screen settles without a solve of their own do not count, and
+# neither do the block systems that settle them.
 PATTERN_BUDGET = 3**8
 
 
@@ -152,10 +158,15 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemD
 class _Point:
     """The record of one point: its key and residual, and each later part once a call has needed it.
 
-    idx is the classification's IndexSets or its refusal message, and blocks
-    are :func:`_blocks` of the qualification pool.  A part is filled in place
-    on its own point's record, so a concurrent caller never pairs one point's
-    key with another point's data.
+    idx is the classification's IndexSets or its refusal message; blocks
+    are :func:`_blocks` of the follower rows, which both walks and every
+    kind share; pool is the (rows, rhs, base) of :func:`_pattern_pool` that
+    the S, M and C recoveries pick from (only their branch rows differ);
+    answers maps the (eq, ineq) rows of each recovery system solved here to
+    its least-norm point or None, so S's one system is solved once for M's
+    first pattern and C's last.  A part is filled in place on its own
+    point's record, so a concurrent caller never pairs one point's key with
+    another point's data.
     """
 
     key: tuple
@@ -163,6 +174,8 @@ class _Point:
     idx: object = None
     data: Optional[_SystemData] = None
     blocks: Optional[list] = None
+    pool: Optional[tuple] = None
+    answers: dict = field(default_factory=dict)
 
 
 _last_point: Optional[_Point] = None  # the last point set up
@@ -254,7 +267,7 @@ _BRANCHES = {
 }
 _PICKS = ("+g", "-g", "+d", "-d")  # the order of each biactive index's branch rows in the pool
 CHUNK_MAX = 256  # sign patterns per stacked batch; batches double up to it from one pattern
-SPLIT_AFTER = 7  # patterns (three batches) a qualification walk decides before it looks for blocks
+SPLIT_AFTER = 7  # patterns (three batches) a walk decides before it looks for blocks
 
 
 def _check_kind(kind: str) -> None:
@@ -293,26 +306,29 @@ def _pattern_pool(kind: str, qualification: bool, data: _SystemData, idx: IndexS
     rhs = np.zeros(len(rows))
     if not qualification:
         rhs[:n], rhs[n : n + m] = -data.gFx, -data.gFy
-    options = [
+    base = list(range(n_eq)), list(range(n_eq, at))
+    return rows, rhs, base, _options(kind, qualification, base, len(theta))
+
+
+def _options(kind: str, qualification: bool, base, k: int) -> list:
+    """options[j]: the (eq, ineq) pool rows of each branch of the j-th of k biactive indices, whose rows follow base."""
+    at = len(base[0]) + len(base[1])
+    return [
         [tuple(tuple(at + 4 * j + _PICKS.index(r) for r in picks) for picks in branch) for branch in _BRANCHES[kind, qualification]]
-        for j in range(len(theta))
+        for j in range(k)
     ]
-    return rows, rhs, (list(range(n_eq)), list(range(n_eq, at))), options
 
 
-def _systems(base, patterns):
-    """(eq, ineq) row indices of each pattern, a tuple of branches: base with the branches' rows appended in order."""
+def _system(base, pattern) -> tuple[list, list]:
+    """(eq, ineq) row indices of a pattern, a tuple of branches: base with the branches' rows appended in order."""
     base_eq, base_ineq = base
-    return (
-        (base_eq + [i for eq, _ in pattern for i in eq], base_ineq + [i for _, ineq in pattern for i in ineq])
-        for pattern in patterns
-    )
+    return base_eq + [i for eq, _ in pattern for i in eq], base_ineq + [i for _, ineq in pattern for i in ineq]
 
 
 def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
     """(rows, rhs, patterns): the pool of :func:`_pattern_pool` and every pattern's (eq, ineq), in lexicographic order."""
     rows, rhs, base, options = _pattern_pool(kind, qualification, data, idx)
-    return rows, rhs, _systems(base, itertools.product(*options))
+    return rows, rhs, (_system(base, pattern) for pattern in itertools.product(*options))
 
 
 def _chunks(patterns, size: int = 1, used: int = 0):
@@ -359,32 +375,108 @@ def _blocks(rows: Array, n: int, k: int) -> list:
     return list(blocks.values())
 
 
+def _block_tuples(rows: Array, blocks: list, options: list, decide) -> list:
+    """Per block, decide's yes or no for each branch tuple of its biactive indices, in lexicographic order.
+
+    A block's system for a tuple is its base rows and the tuple's branch
+    rows, on the block's own columns.  Blocks of one width share one pool,
+    and decide(pool, systems) answers all of their systems, lazily and in
+    order, so systems of one shape are one stack.
+    """
+    widths: dict = {}
+    for b, (cols, _, _) in enumerate(blocks):
+        widths.setdefault(len(cols), []).append(b)
+    answers = [None] * len(blocks)
+    for width, group in widths.items():
+        sub, systems = np.zeros((len(rows), width)), []
+        for b in group:
+            cols, base, thetas = blocks[b]
+            tuples = [_system((base, []), branches) for branches in itertools.product(*(options[j] for j in thetas))]
+            own = sorted({i for eq, ineq in tuples for i in eq + ineq})
+            sub[own] = rows[np.ix_(own, cols)]
+            systems += tuples
+        found = (z is not None for z in decide(sub, systems))
+        for b in group:
+            answers[b] = list(itertools.islice(found, math.prod(len(options[j]) for j in blocks[b][2])))
+    return answers
+
+
 def _screen(rows: Array, blocks: list, options: list) -> Array:
     """Whether each sign pattern's follower cone is nontrivial, flat in lexicographic order.
 
-    A pattern's follower cone is the product of its blocks' cones.  Each
-    block's branch tuples are decided on its own columns; blocks of one
-    width share a ConeRows pool, so their cones of one shape are one stack.
+    A pattern's follower cone is the product of its blocks' cones, so it is
+    nontrivial when one block's cone is (:func:`_block_tuples`).
     """
     shape = tuple(map(len, options))
     nontrivial = np.zeros(shape, dtype=bool)
-    widths: dict = {}
-    for block in blocks:
-        widths.setdefault(len(block[0]), []).append(block)
-    for width, group in widths.items():
-        sub, cones, spans = np.zeros((len(rows), width)), [], []
-        for cols, base, thetas in group:
-            tuples = list(_systems((base, []), itertools.product(*(options[j] for j in thetas))))
-            own = sorted({i for eq, ineq in tuples for i in eq + ineq})
-            sub[own] = rows[np.ix_(own, cols)]
-            cones += tuples
-            spans.append(([size if j in thetas else 1 for j, size in enumerate(shape)], len(tuples)))
-        rays = [z is not None for z in ConeRows(sub).has_nonzero(cones)]
-        at = 0
-        for axes, count in spans:
-            nontrivial |= np.reshape(rays[at : at + count], axes)
-            at += count
+    decided = _block_tuples(rows, blocks, options, lambda sub, cones: ConeRows(sub).has_nonzero(cones))
+    for (_, _, thetas), rays in zip(blocks, decided):
+        nontrivial |= np.reshape(rays, [size if j in thetas else 1 for j, size in enumerate(shape)])
     return nontrivial.reshape(-1)
+
+
+def _open_patterns(shape: tuple, blocks: list, feasible: list, start: int):
+    """(position, digits) of each pattern from position start on whose every block's tuple is in feasible, in order.
+
+    feasible[b] is the set of block b's digit tuples.  The digits are chosen
+    depth first; a digit after which its block's digits so far begin no
+    feasible tuple ends its subtree, so every step off the start's own path
+    leads to a pattern, and no array over the patterns is built.
+    """
+    if not all(feasible):  # a block without biactive indices whose own system has no solution
+        return iter(())
+    owner = {j: (b, at + 1) for b, (_, _, thetas) in enumerate(blocks) for at, j in enumerate(thetas)}
+    prefixes = [{t[:end] for t in tuples for end in range(1, len(t) + 1)} for tuples in feasible]
+    low, rest = [], start
+    for size in reversed(shape):
+        rest, digit = divmod(rest, size)
+        low.insert(0, digit)
+    digits = [0] * len(shape)
+
+    def descend(j: int, position: int, tight: bool):
+        if j == len(shape):
+            yield position, tuple(digits)
+            return
+        b, end = owner[j]
+        thetas = blocks[b][2][:end]
+        for digit in range(low[j] if tight else 0, shape[j]):
+            digits[j] = digit
+            if tuple(digits[i] for i in thetas) in prefixes[b]:
+                yield from descend(j + 1, position * shape[j] + digit, tight and digit == low[j])
+
+    return descend(0, 0, True)
+
+
+def _walk(point: _Point, find_blocks, base, options: list, open_after):
+    """Chunks of (position, (eq, ineq)): the sign patterns in lexicographic order up to the block screen, then those it leaves open.
+
+    The walk looks for blocks only after its first SPLIT_AFTER patterns, and
+    only when more patterns are left than singleton blocks would decide;
+    find_blocks() gives them (:func:`_blocks`) once per point, and every
+    kind and both walks share them.  It goes on one by one up to its largest
+    block's tuple count, when that is more, and screens only when more
+    patterns are left than the screen decides: open_after(blocks, at) gives
+    the (position, digits) of the patterns from position at on that the
+    screen leaves open, in order.  A walk without blocks is the batched walk
+    alone.  The budget counts the patterns handed out.
+    """
+    shape = tuple(map(len, options))
+    total = math.prod(shape)
+    patterns = enumerate(_system(base, pattern) for pattern in itertools.product(*options))
+    yield from _chunks(itertools.islice(patterns, SPLIT_AFTER))
+    # too few patterns for even singleton blocks to screen: no split
+    split = len(shape) >= 2 and SPLIT_AFTER + len(shape) * shape[0] < total
+    if split and point.blocks is None:
+        point.blocks = find_blocks()
+    blocks = point.blocks if split else []
+    tuples = [math.prod(shape[j] for j in thetas) for _, _, thetas in blocks]
+    screen_at = max(SPLIT_AFTER, *tuples) if blocks else total
+    if screen_at + sum(tuples) >= total:
+        screen_at = total
+    yield from _chunks(itertools.islice(patterns, max(0, screen_at - SPLIT_AFTER)), SPLIT_AFTER + 1, SPLIT_AFTER)
+    if screen_at < total:
+        later = ((at, _system(base, tuple(map(operator.getitem, options, digits)))) for at, digits in open_after(blocks, screen_at))
+        yield from _chunks(later, used=screen_at)
 
 
 def recover_c_multipliers(
@@ -410,22 +502,60 @@ def recover_c_multipliers(
     rows from one pool built per point and stacks everything but the NNLS
     solves; those run one pattern at a time, in order, and stop at the
     first pattern whose multipliers are returned, so the result is the
-    sequential one.  A walk that needs more than PATTERN_BUDGET patterns
-    is refused with PatternCapError.
+    sequential one.
+
+    When the follower rows split into blocks that share no column
+    (:func:`_blocks`), a pattern has no solution when one block's system
+    (its follower rows with its indices' branch rows, on its own columns)
+    has none.  So after the same first patterns and start rule as
+    :func:`check_qualification_Am` (:func:`_walk`), the walk decides each
+    block's branch tuples once, Σ_b 2^{k_b} systems for kind C, and solves
+    in order only the patterns whose every block has a solution: the cost
+    is exponential in the largest block, not in the biactive set, and the
+    answer is the one above.  A block is decided at its own scale, so on
+    badly scaled rows a pattern whose whole system passes only to ZERO_TOL
+    times a large solution norm can be passed over.  A block decision that
+    stops at the NNLS iteration limit refuses, and a walk that needs solves
+    for more than PATTERN_BUDGET patterns is refused with PatternCapError;
+    screened patterns do not count.  The systems solved at a point are kept on its
+    record, so a kind takes the answers another kind solved there.
     """
     _check_kind(kind)
     point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
     idx, data = point.idx, point.data
-    rows, rhs, patterns = _pattern_rows(kind, False, data, idx)
+    if point.pool is None:
+        point.pool = _pattern_pool(kind, False, data, idx)[:3]
+    rows, rhs, base = point.pool
+    options = _options(kind, False, base, len(idx.theta))
+    answers = point.answers
     d = problem.dims
     k = len(idx.i_G)
     free = sorted(set(idx.theta) | set(idx.nu))
-    for chunk in _chunks(patterns):
-        for z in least_norm_points(rows, rhs, chunk):
+    shape = tuple(map(len, options))
+
+    def open_after(blocks, at):
+        shifted = [([col + k for col in cols], rows_b, thetas) for cols, rows_b, thetas in blocks]  # past the alpha columns
+        decided = _block_tuples(rows, shifted, options, lambda sub, systems: least_norm_points(sub, rhs, systems))
+        feasible = [
+            set(itertools.compress(itertools.product(*(range(shape[j]) for j in thetas)), solved))
+            for (_, _, thetas), solved in zip(blocks, decided)
+        ]
+        return _open_patterns(shape, blocks, feasible, at)
+
+    def find_blocks():  # on the qualification's rows: no alpha rows or columns
+        return _blocks(np.delete(rows, base[1], axis=0)[:, k:], d.n, len(shape))
+
+    for chunk in _walk(point, find_blocks, base, options, open_after):
+        keys = [(tuple(eq), tuple(ineq)) for _, (eq, ineq) in chunk]
+        fresh = least_norm_points(rows, rhs, [system for key, (_, system) in zip(keys, chunk) if key not in answers])
+        for key in keys:
+            if key not in answers:
+                answers[key] = next(fresh)
+            z = answers[key]
             if z is None:
                 continue
             alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
-            beta, gamma = z[k : k + d.m], _scatter(d.q, free, z[k + d.m :])
+            beta, gamma = z[k : k + d.m].copy(), _scatter(d.q, free, z[k + d.m :])  # z stays on the record
             own = _multiplier_rows(kind, idx, data, alpha, beta, gamma)
             if max(v for name, v in own.items() if name != "leader_feas") <= kkt.FEAS_TOL_DEFAULT:
                 return Multipliers(alpha, beta, gamma, "least_norm")
@@ -657,10 +787,11 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     only after its first SPLIT_AFTER patterns, so a walk that settles in
     them never splits.  It goes on one by one up to its largest block's
     tuple count, when that is more, and screens only when more patterns are
-    left than the screen decides.  A system too small to split walks on
-    without blocks, in the same batches.  Answers stay bit for bit; a
-    refusal comes from the solves this walk makes.  A walk that needs solves for more than PATTERN_BUDGET patterns
-    is refused with PatternCapError.
+    left than the screen decides (:func:`_walk`, which the recoveries take
+    too).  A system too small to split walks on without blocks, in the same
+    batches.  Answers stay bit for bit; a refusal comes from the solves this
+    walk makes.  A walk that needs solves for more than PATTERN_BUDGET
+    patterns is refused with PatternCapError.
     """
     _check_kind(kind)
     point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
@@ -672,32 +803,15 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
     pool = ConeRows(rows)
     shape = tuple(map(len, options))
-    total = math.prod(shape)
-    patterns = enumerate(_systems(base, itertools.product(*options)))
-    # too few patterns for even singleton blocks to screen: no split
-    split = k >= 2 and SPLIT_AFTER + k * shape[0] < total
 
-    def walk():
-        """Chunks of (position, (eq, ineq)): the patterns in order up to the screen, then those it leaves open."""
-        yield from _chunks(itertools.islice(patterns, SPLIT_AFTER))
-        if split and point.blocks is None:  # the kinds share a point's blocks
-            point.blocks = _blocks(rows, n, k)
-        blocks = point.blocks if split else []
-        tuples = [math.prod(shape[j] for j in thetas) for _, _, thetas in blocks]
-        screen_at = max(SPLIT_AFTER, *tuples) if blocks else total
-        if screen_at + sum(tuples) >= total:
-            screen_at = total
-        yield from _chunks(itertools.islice(patterns, max(0, screen_at - SPLIT_AFTER)), SPLIT_AFTER + 1, SPLIT_AFTER)
-        if screen_at < total:
-            later = np.flatnonzero(_screen(rows, blocks, options)[screen_at:]) + screen_at
-            picks = zip(*(digits.tolist() for digits in np.unravel_index(later, shape)))
-            systems = _systems(base, (tuple(map(operator.getitem, options, p)) for p in picks))
-            yield from _chunks(zip(later.tolist(), systems), used=screen_at)
+    def open_after(blocks, at):
+        later = np.flatnonzero(_screen(rows, blocks, options)[at:]) + at
+        return zip(later.tolist(), zip(*(digits.tolist() for digits in np.unravel_index(later, shape))))
 
     a1 = a2 = True
     certs: dict[str, Array] = {}
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
-    for chunk in walk():
+    for chunk in _walk(point, lambda: _blocks(rows, n, k), base, options, open_after):
         for (at, (eq, ineq)), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for _, (eq, ineq) in chunk])):
             if follower is None:
                 continue  # the follower cone holds the a1 cone, so this pattern breaks neither
@@ -713,7 +827,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
                     certs["a2"] = ray
             if not (a1 or a2):
                 return QualificationReport(a1, a2, kind, certs, patterns_checked=at + 1)  # both settled
-    return QualificationReport(a1, a2, kind, certs, patterns_checked=total)
+    return QualificationReport(a1, a2, kind, certs, patterns_checked=math.prod(shape))
 
 
 def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:

@@ -444,7 +444,7 @@ BAD_INPUTS = {
     "trace_unwritable": ["solve", "--problem", "example2", "--max-outer", "1", "--trace", "no_dir/tr.csv", *FAST_SOLVE],
     "trace_of_other_problem": ["diagnose", "--problem", "synthetic2d", "--trace", "tr1.csv", "--x-bar", "0,0"],
     "no_gradcheck_points": ["gradcheck", "--problem", "example1", "--points", "0"],
-    "negative_pattern_cap": ["check", "--problem", "example1", "--point", "pt.json", "--pattern-cap", "-1"],
+    "removed_pattern_cap_flag": ["check", "--problem", "example1", "--point", "pt.json", "--pattern-cap", "-1"],
     "nan_level": ["check", "--problem", "example1", "--point", "pt.json", "--kind", "relaxed", "--t", "nan"],
     "bool_level_in_point": ["check", "--problem", "example1", "--point", "pt_bool_t.json", "--kind", "relaxed"],
     "config_huge_u_max": ["eval", "--config", "cfg_huge.json", "--x", "0.5", "--t", "0.1"],

@@ -33,7 +33,7 @@ INNER = ("--seed", "--starts", "--sweeps", "--u-max")  # only the subcommands th
 FLAGS = {
     "solve": COMMON + INNER + ("--t0", "--rho", "--tmin", "--x0", "--max-outer", "--x-tol", "--trace", "--summary", "--check"),
     "eval": COMMON + INNER + ("--x", "--t"),
-    "check": COMMON + ("--point", "--kind", "--t", "--pattern-cap"),
+    "check": COMMON + ("--point", "--kind", "--t"),
     "diagnose": COMMON + INNER + ("--trace", "--x-bar", "--out"),
     "gradcheck": COMMON + ("--seed", "--points"),
 }

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -271,6 +272,89 @@ def test_a_split_biactive_set_costs_its_blocks_not_its_patterns(solver_calls, k)
     assert solver_calls["svd"] <= 2 * decided and solver_calls["nnls"] <= decided
 
 
+def _assert_same_multipliers(got, want, label=""):
+    assert (got is None) == (want is None), label
+    if want is not None:
+        assert got.status == want.status
+        for name in ("alpha", "beta", "gamma"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=f"{label}.{name}")
+
+
+def _zero(problem):
+    return TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_a_split_recovery_costs_its_blocks_not_its_patterns(solver_calls, k):
+    problem = make_linear_follower(*biactive_family_data(k, np.random.default_rng(k)))
+    pt = _zero(problem)
+    want = stn.recover_c_multipliers(problem, pt, kind="S")
+    stn._last_point = None  # a fresh record: C solves the S system itself
+    solver_calls.update(svd=0, nnls=0)
+    got = stn.recover_c_multipliers(problem, pt, kind="C")
+    _assert_same_multipliers(got, want, "C")
+    # 2^k patterns, and k singleton blocks of two branch tuples each; only the last pattern, S's
+    # system, has every block feasible: the walk's first SPLIT_AFTER patterns, the 2k block systems
+    # and that pattern, each at most one NNLS
+    blocks = stn._last_point.blocks
+    assert sorted(len(thetas) for _, _, thetas in blocks) == [1] * k
+    assert solver_calls["nnls"] <= stn.SPLIT_AFTER + sum(2 ** len(thetas) for _, _, thetas in blocks) + 3
+    # one stacked SVD per batch: three batches of the first patterns, one of blocks, one left open
+    assert solver_calls["svd"] <= 5
+
+
+def test_a_recovery_over_40_biactive_indices_holds_no_pattern_array(solver_calls):
+    problem = make_linear_follower(*biactive_family_data(40, np.random.default_rng(40)))
+    pt = _zero(problem)
+    tracemalloc.start()
+    try:
+        got = stn.recover_c_multipliers(problem, pt, kind="C")  # 2^40 patterns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one byte per pattern would be a terabyte
+    assert solver_calls["nnls"] <= stn.SPLIT_AFTER + 2 * 40 + 3
+    _assert_same_multipliers(got, stn.recover_c_multipliers(problem, pt, kind="S"), "C")
+
+
+# corpus points where C walks far enough to split, and a few where it does not
+RECORD_LABELS = ["gen0", "gen2_dup", "gen4", "gen5_dup", "gen5_dup_scaled", "gen7_dup", "split_flat", "split_late", "split_leader_scaled"]
+
+
+@pytest.mark.parametrize("label", RECORD_LABELS)
+def test_each_recovery_is_the_reference_on_a_fresh_record_and_after_the_other_kinds(label):
+    problem, pt = _corpus()[label]
+    want = {kind: reference_recover(problem, pt, kind) for kind in KINDS}
+    for kind in KINDS:
+        stn._last_point = None
+        _assert_same_multipliers(stn.recover_c_multipliers(problem, pt, kind=kind), want[kind], f"fresh {kind}")
+        stn._last_point = None
+        for other in KINDS:
+            if other != kind:
+                stn.recover_c_multipliers(problem, pt, kind=other)
+        _assert_same_multipliers(stn.recover_c_multipliers(problem, pt, kind=kind), want[kind], f"after {kind}")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_open_patterns_are_the_product_filtered_by_block(seed):
+    # blocks of interleaved biactive positions, including one without any, against the filtered product
+    rng = np.random.default_rng(seed)
+    shape = (3,) * 6 if seed % 2 else (2,) * 7
+    owner = rng.integers(0, 3, size=len(shape))
+    blocks = [([], [], [j for j in range(len(shape)) if owner[j] == b]) for b in range(3)] + [([], [], [])]
+    feasible = [{t for t in itertools.product(*(range(shape[j]) for j in thetas)) if rng.uniform() < 0.6} for _, _, thetas in blocks]
+    feasible[-1] = {()}
+    every = [
+        (at, digits)
+        for at, digits in enumerate(itertools.product(*map(range, shape)))
+        if all(tuple(digits[j] for j in thetas) in ok for (_, _, thetas), ok in zip(blocks, feasible))
+    ]
+    for start in (0, 1, int(rng.integers(np.prod(shape))), int(np.prod(shape)) - 1):
+        assert list(stn._open_patterns(shape, blocks, feasible, start)) == [p for p in every if p[0] >= start]
+    feasible[-1] = set()  # a block without biactive indices whose system has no solution: nothing is open
+    assert list(stn._open_patterns(shape, blocks, feasible, 0)) == []
+
+
 def test_blocks_are_found_once_per_point(monkeypatch):
     problem, pt = _corpus()["gen4"]
     problem = dataclasses.replace(problem)  # an object no earlier call has set up
@@ -280,11 +364,17 @@ def test_blocks_are_found_once_per_point(monkeypatch):
     want = stn.check_qualification_Am(problem, pt, kind="M")
     for kind in ("M", "C", "M"):  # the kinds share the point's blocks
         stn.check_qualification_Am(problem, pt, kind=kind)
+    for kind in ("C", "M", "S"):  # and so do the recoveries; C splits its 16 patterns
+        stn.recover_c_multipliers(problem, pt, kind=kind)
     assert len(found) == 1
-    # another problem object is another point, and its blocks are its own
+    # at another object, the recovery finds the blocks and the qualification takes them
+    fresh = dataclasses.replace(problem)
+    stn.recover_c_multipliers(fresh, pt, kind="C")
+    rep = stn.check_qualification_Am(fresh, pt, kind="M")
+    assert len(found) == 2
+    # another problem is another point, and its blocks are its own
     other, _ = _corpus()["split_late"]
     stn.check_qualification_Am(other, TriplePoint(pt.x, np.zeros(other.dims.m), np.zeros(other.dims.q)), kind="M")
-    rep = stn.check_qualification_Am(dataclasses.replace(problem), pt, kind="M")
     assert len(found) == 3
     assert (rep.a1, rep.a2, rep.patterns_checked) == (want.a1, want.a2, want.patterns_checked)
 
@@ -328,8 +418,8 @@ def _nnls_limit_from(monkeypatch, first: int, solve=simplex.nnls):
     return calls
 
 
-def _sequential_solves(monkeypatch, run) -> int:
-    """The NNLS solves the one-pattern-at-a-time loop makes up to its stop point."""
+def _solves(monkeypatch, run) -> int:
+    """The NNLS solves run makes up to its stop point."""
     calls = _nnls_limit_from(monkeypatch, np.inf)
     run()
     return len(calls)
@@ -340,6 +430,7 @@ def test_nnls_limits_keep_their_place_in_the_order(monkeypatch, k):
     problem, pt = _family(k, duplicate=True, scaled=False, seed=7)
 
     def recover():
+        stn._last_point = None  # a fresh record, so no answer is taken from an earlier call
         return stn.recover_c_multipliers(problem, pt, kind="C").gamma.tolist()
 
     def qualify():
@@ -355,12 +446,16 @@ def test_nnls_limits_keep_their_place_in_the_order(monkeypatch, k):
 
     for batched, reference in ((recover, recover_sequentially), (qualify, qualify_sequentially)):
         want = reference()
-        solves = _sequential_solves(monkeypatch, reference)
-        assert solves > 1
-        # a limit only on solves after the sequential stop point: the answer stands
+        solves = _solves(monkeypatch, batched)
+        # the qualification settles before it splits, so it solves what the loop solves; the recovery's
+        # screen skips the patterns a block rules out, so it solves fewer once it splits
+        sequential = _solves(monkeypatch, reference)
+        assert 1 < solves <= sequential
+        assert solves == sequential or batched is recover
+        # a limit only on solves after the walk's stop point: the answer stands
         _nnls_limit_from(monkeypatch, solves + 1)
         assert batched() == want
-        # a limit at the last solve before the stop point, or at the first: refused
+        # a limit at the walk's last solve before its stop point, or at its first: refused
         for first in (solves, 1):
             _nnls_limit_from(monkeypatch, first)
             with pytest.raises(simplex.NnlsLimitError):
@@ -375,11 +470,17 @@ def test_check_reports_a_limit_before_the_stop_point_as_exit_3(monkeypatch, tmp_
     point.write_text(json.dumps({"x": [0.0], "y": [0.0] * problem.dims.m, "u": [0.0] * problem.dims.q}))
     argv = ["check", "--problem", problem.name, "--point", str(point), "--kind", "C"]
     pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
-    solves = _sequential_solves(monkeypatch, lambda: reference_recover(problem, pt, "C"))
-    assert cli.main(argv) == 0
+
+    def check() -> int:
+        stn._last_point = None  # a fresh record, so the recovery solves again
+        return cli.main(argv)
+
+    stn._last_point = None
+    solves = _solves(monkeypatch, lambda: stn.recover_c_multipliers(problem, pt, kind="C"))
+    assert check() == 0
     answer = json.loads(capsys.readouterr().out)
     _nnls_limit_from(monkeypatch, solves + 1)
-    assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out) == answer
+    assert check() == 0 and json.loads(capsys.readouterr().out) == answer
     _nnls_limit_from(monkeypatch, solves)
-    assert cli.main(argv) == 3
+    assert check() == 3
     assert "iteration limit" in json.loads(capsys.readouterr().out)["error"]
