@@ -233,16 +233,16 @@ class ConeRows:
     def __init__(self, rows: Array) -> None:
         rows = np.asarray(rows, dtype=float)
         norms = _row_norms(rows)
-        self._nonzero = norms > 0.0
-        self._zero = (~self._nonzero).tolist()
-        self.unit = rows / np.where(self._nonzero, norms, 1.0)[:, None]
+        nonzero = norms > 0.0
+        self._zero = (~nonzero).tolist()
+        self.unit = rows / np.where(nonzero, norms, 1.0)[:, None]
 
     @functools.cached_property
     def pairs(self) -> list[tuple[int, int]]:
-        """The opposite (to ZERO_TOL) nonzero rows (i, j), i < j."""
-        anti = _row_norms(self.unit[:, None] + self.unit[None]) <= ZERO_TOL
-        first, second = np.nonzero(anti & self._nonzero)
-        return [(i, j) for i, j in zip(first.tolist(), second.tolist()) if i < j]
+        """The opposite (to ZERO_TOL) nonzero rows (i, j), i < j; the norm test runs only on unit rows whose dot is below -0.5."""
+        first, second = np.nonzero(self.unit @ self.unit.T < -0.5)
+        anti = _row_norms(self.unit[first] + self.unit[second]) <= ZERO_TOL
+        return [(i, j) for i, j in zip(first[anti].tolist(), second[anti].tolist()) if i < j]
 
     def _layout(self, eq: Sequence[int], ineq: Sequence[int]) -> tuple[list, list]:
         """The equality and inequality pool rows of one cone, cleaned as the class says."""

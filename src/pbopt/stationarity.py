@@ -25,9 +25,10 @@ scipy's NNLS iteration limit raises ``simplex.NnlsLimitError``: the question
 is refused, never answered "no".  When the follower rows split into blocks
 that share no column (:func:`_blocks`), both walks decide each block's
 branch tuples once and then pass only the patterns those answers leave
-open (:func:`_walk`): the qualification skips a pattern whose blocks are
-all trivial, a recovery one with a block that has no solution.  A walk that
-needs solves for more than PATTERN_BUDGET patterns raises PatternCapError.
+open, picked by one enumerator (:func:`_walk`, :func:`_open_patterns`): the
+qualification skips a pattern whose blocks are all trivial, a recovery one
+with a block that has no solution.  A walk that needs solves for more than
+PATTERN_BUDGET patterns raises PatternCapError; no other size is refused.
 
 Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`),
 one record per point: the residual record, the index sets, the derivative
@@ -38,8 +39,7 @@ another problem object, when one of the problem's attributes is no longer
 the object it was at the set-up (``problem.eval_g = ...`` or a
 ``dataclasses.replace`` copy), or when x, y, u or the relaxation level
 differ in any bit.  Only the last point is kept.  The refusals of a point
-(``feas_tol``, the classification, the qualification's PATTERN_CAP_DEFAULT)
-run on every call.
+(``feas_tol`` and the classification) run on every call.
 """
 from __future__ import annotations
 
@@ -58,15 +58,14 @@ from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
 from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians, relaxation_level
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
-PATTERN_CAP_DEFAULT = 12  # largest biactive set check_qualification_Am takes: its screen holds all 3^k patterns
-# Sign patterns one walk may decide by solves; 3^8 of them took 0.3-1.8 s on one thread of a 2-core
-# Xeon VM.  Patterns that a block screen settles without a solve of their own do not count, and
-# neither do the block systems that settle them.
+# Sign patterns one walk may decide by solves, its only limit; 3^8 of them took 0.3-1.8 s on one
+# thread of a 2-core Xeon VM.  Patterns that a block screen settles without a solve of their own do
+# not count, and neither do the block systems that settle them.
 PATTERN_BUDGET = 3**8
 
 
 class PatternCapError(RuntimeError):
-    """A biactive set beyond PATTERN_CAP_DEFAULT (qualification only), or a walk beyond PATTERN_BUDGET solved patterns."""
+    """A walk, recovery or qualification, that needs solves for more than PATTERN_BUDGET sign patterns."""
 
 
 class BorderlineActivityWarning(UserWarning):
@@ -325,12 +324,6 @@ def _system(base, pattern) -> tuple[list, list]:
     return base_eq + [i for eq, _ in pattern for i in eq], base_ineq + [i for _, ineq in pattern for i in ineq]
 
 
-def _pattern_rows(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
-    """(rows, rhs, patterns): the pool of :func:`_pattern_pool` and every pattern's (eq, ineq), in lexicographic order."""
-    rows, rhs, base, options = _pattern_pool(kind, qualification, data, idx)
-    return rows, rhs, (_system(base, pattern) for pattern in itertools.product(*options))
-
-
 def _chunks(patterns, size: int = 1, used: int = 0):
     """The patterns in lists of size, twice that, ... and then CHUNK_MAX, in order.
 
@@ -347,12 +340,14 @@ def _chunks(patterns, size: int = 1, used: int = 0):
 
 
 def _blocks(rows: Array, n: int, k: int) -> list:
-    """(columns, base rows, biactive positions) of each block of a qualification pool with k biactive indices.
+    """(columns, base rows, biactive positions) of each block of a pool with n leader rows and k biactive indices.
 
-    A block is a connected component of the columns under the follower rows
-    (an index's four branch rows count as one row); the n leader rows stay
-    out.  Empty when a column meets no follower row: its axis lies in every
-    follower cone, so no split settles a pattern.
+    The pool is the qualification's, or a recovery's past its alpha columns
+    (its alpha rows are then zero and meet no block).  A block is a
+    connected component of the columns under the follower rows (an index's
+    four branch rows count as one row); the n leader rows stay out.  Empty
+    when a column meets no follower row: its axis lies in every follower
+    cone, so no split settles a pattern.
     """
     follower = rows[n:] != 0.0
     at = len(follower) - 4 * k
@@ -376,17 +371,17 @@ def _blocks(rows: Array, n: int, k: int) -> list:
 
 
 def _block_tuples(rows: Array, blocks: list, options: list, decide) -> list:
-    """Per block, decide's yes or no for each branch tuple of its biactive indices, in lexicographic order.
+    """Per block, the set of its biactive indices' branch digit tuples whose system decide answers.
 
     A block's system for a tuple is its base rows and the tuple's branch
     rows, on the block's own columns.  Blocks of one width share one pool,
-    and decide(pool, systems) answers all of their systems, lazily and in
-    order, so systems of one shape are one stack.
+    and decide(pool, systems) answers all of their systems (None for no),
+    lazily and in order, so systems of one shape are one stack.
     """
     widths: dict = {}
     for b, (cols, _, _) in enumerate(blocks):
         widths.setdefault(len(cols), []).append(b)
-    answers = [None] * len(blocks)
+    good = [None] * len(blocks)
     for width, group in widths.items():
         sub, systems = np.zeros((len(rows), width)), []
         for b in group:
@@ -396,69 +391,61 @@ def _block_tuples(rows: Array, blocks: list, options: list, decide) -> list:
             sub[own] = rows[np.ix_(own, cols)]
             systems += tuples
         found = (z is not None for z in decide(sub, systems))
-        for b in group:
-            answers[b] = list(itertools.islice(found, math.prod(len(options[j]) for j in blocks[b][2])))
-    return answers
+        for b in group:  # compress takes one answer per tuple of b
+            good[b] = set(itertools.compress(itertools.product(*(range(len(options[j])) for j in blocks[b][2])), found))
+    return good
 
 
-def _screen(rows: Array, blocks: list, options: list) -> Array:
-    """Whether each sign pattern's follower cone is nontrivial, flat in lexicographic order.
+def _open_patterns(shape: tuple, blocks: list, good: list, start: int, need: int):
+    """(position, digits) of each pattern from position start on with at least need good blocks, in order.
 
-    A pattern's follower cone is the product of its blocks' cones, so it is
-    nontrivial when one block's cone is (:func:`_block_tuples`).
+    good[b] is the set of block b's good digit tuples.  The digits are chosen
+    depth first, with a count of the blocks whose digits so far still begin
+    a good tuple; a digit after which that count falls below need ends its
+    subtree.  The blocks share no biactive index, so the blocks counted can
+    all be made good at once: every step off the start's own path leads to a
+    pattern, and no array over the patterns is built.
     """
-    shape = tuple(map(len, options))
-    nontrivial = np.zeros(shape, dtype=bool)
-    decided = _block_tuples(rows, blocks, options, lambda sub, cones: ConeRows(sub).has_nonzero(cones))
-    for (_, _, thetas), rays in zip(blocks, decided):
-        nontrivial |= np.reshape(rays, [size if j in thetas else 1 for j, size in enumerate(shape)])
-    return nontrivial.reshape(-1)
-
-
-def _open_patterns(shape: tuple, blocks: list, feasible: list, start: int):
-    """(position, digits) of each pattern from position start on whose every block's tuple is in feasible, in order.
-
-    feasible[b] is the set of block b's digit tuples.  The digits are chosen
-    depth first; a digit after which its block's digits so far begin no
-    feasible tuple ends its subtree, so every step off the start's own path
-    leads to a pattern, and no array over the patterns is built.
-    """
-    if not all(feasible):  # a block without biactive indices whose own system has no solution
-        return iter(())
     owner = {j: (b, at + 1) for b, (_, _, thetas) in enumerate(blocks) for at, j in enumerate(thetas)}
-    prefixes = [{t[:end] for t in tuples for end in range(1, len(t) + 1)} for tuples in feasible]
+    prefixes = [{t[:end] for t in tuples for end in range(len(t) + 1)} for tuples in good]
     low, rest = [], start
     for size in reversed(shape):
         rest, digit = divmod(rest, size)
         low.insert(0, digit)
     digits = [0] * len(shape)
 
-    def descend(j: int, position: int, tight: bool):
+    def descend(j: int, position: int, tight: bool, alive: int):
         if j == len(shape):
             yield position, tuple(digits)
             return
         b, end = owner[j]
         thetas = blocks[b][2][:end]
+        was = tuple(digits[i] for i in thetas[:-1]) in prefixes[b]
         for digit in range(low[j] if tight else 0, shape[j]):
             digits[j] = digit
-            if tuple(digits[i] for i in thetas) in prefixes[b]:
-                yield from descend(j + 1, position * shape[j] + digit, tight and digit == low[j])
+            left = alive - was + (was and tuple(digits[i] for i in thetas) in prefixes[b])
+            if left >= need:
+                yield from descend(j + 1, position * shape[j] + digit, tight and digit == low[j], left)
 
-    return descend(0, 0, True)
+    alive = sum(map(bool, good))  # a block without biactive indices is good or not for every pattern
+    return descend(0, 0, True, alive) if alive >= need else iter(())
 
 
-def _walk(point: _Point, find_blocks, base, options: list, open_after):
+def _walk(point: _Point, rows: Array, n: int, base, options: list, decide, every: bool):
     """Chunks of (position, (eq, ineq)): the sign patterns in lexicographic order up to the block screen, then those it leaves open.
 
-    The walk looks for blocks only after its first SPLIT_AFTER patterns, and
-    only when more patterns are left than singleton blocks would decide;
-    find_blocks() gives them (:func:`_blocks`) once per point, and every
-    kind and both walks share them.  It goes on one by one up to its largest
-    block's tuple count, when that is more, and screens only when more
-    patterns are left than the screen decides: open_after(blocks, at) gives
-    the (position, digits) of the patterns from position at on that the
-    screen leaves open, in order.  A walk without blocks is the batched walk
-    alone.  The budget counts the patterns handed out.
+    rows is the pool of the patterns' rows on the follower blocks' columns,
+    with n leader rows first.  The walk looks for blocks only after its
+    first SPLIT_AFTER patterns, and only when more patterns are left than
+    singleton blocks would decide; it finds them (:func:`_blocks`) once per
+    point, and every kind and both walks share them.  It goes on one by one
+    up to its largest block's tuple count, when that is more, and screens
+    only when more patterns are left than the screen decides: decide answers
+    each block's branch tuples (:func:`_block_tuples`), and the walk goes on
+    with the patterns from there whose every block is good (every), or one
+    block (not every), in order (:func:`_open_patterns`).  A walk without
+    blocks is the batched walk alone.  The budget counts the patterns
+    handed out.
     """
     shape = tuple(map(len, options))
     total = math.prod(shape)
@@ -467,7 +454,7 @@ def _walk(point: _Point, find_blocks, base, options: list, open_after):
     # too few patterns for even singleton blocks to screen: no split
     split = len(shape) >= 2 and SPLIT_AFTER + len(shape) * shape[0] < total
     if split and point.blocks is None:
-        point.blocks = find_blocks()
+        point.blocks = _blocks(rows, n, len(shape))
     blocks = point.blocks if split else []
     tuples = [math.prod(shape[j] for j in thetas) for _, _, thetas in blocks]
     screen_at = max(SPLIT_AFTER, *tuples) if blocks else total
@@ -475,8 +462,9 @@ def _walk(point: _Point, find_blocks, base, options: list, open_after):
         screen_at = total
     yield from _chunks(itertools.islice(patterns, max(0, screen_at - SPLIT_AFTER)), SPLIT_AFTER + 1, SPLIT_AFTER)
     if screen_at < total:
-        later = ((at, _system(base, tuple(map(operator.getitem, options, digits)))) for at, digits in open_after(blocks, screen_at))
-        yield from _chunks(later, used=screen_at)
+        good = _block_tuples(rows, blocks, options, decide)
+        picked = _open_patterns(shape, blocks, good, screen_at, len(blocks) if every else 1)
+        yield from _chunks(((at, _system(base, tuple(map(operator.getitem, options, digits)))) for at, digits in picked), used=screen_at)
 
 
 def recover_c_multipliers(
@@ -531,21 +519,9 @@ def recover_c_multipliers(
     d = problem.dims
     k = len(idx.i_G)
     free = sorted(set(idx.theta) | set(idx.nu))
-    shape = tuple(map(len, options))
-
-    def open_after(blocks, at):
-        shifted = [([col + k for col in cols], rows_b, thetas) for cols, rows_b, thetas in blocks]  # past the alpha columns
-        decided = _block_tuples(rows, shifted, options, lambda sub, systems: least_norm_points(sub, rhs, systems))
-        feasible = [
-            set(itertools.compress(itertools.product(*(range(shape[j]) for j in thetas)), solved))
-            for (_, _, thetas), solved in zip(blocks, decided)
-        ]
-        return _open_patterns(shape, blocks, feasible, at)
-
-    def find_blocks():  # on the qualification's rows: no alpha rows or columns
-        return _blocks(np.delete(rows, base[1], axis=0)[:, k:], d.n, len(shape))
-
-    for chunk in _walk(point, find_blocks, base, options, open_after):
+    # the blocks are the qualification's: past the alpha columns, which only leader and alpha rows meet
+    walk = _walk(point, rows[:, k:], d.n, base, options, lambda sub, systems: least_norm_points(sub, rhs, systems), True)
+    for chunk in walk:
         keys = [(tuple(eq), tuple(ineq)) for _, (eq, ineq) in chunk]
         fresh = least_norm_points(rows, rhs, [system for key, (_, system) in zip(keys, chunk) if key not in answers])
         for key in keys:
@@ -750,8 +726,8 @@ class QualificationReport:
     a2: bool
     kind: str
     certificates: dict = field(default_factory=dict)
-    # sign patterns passed in lexicographic order before both verdicts were settled (all of them
-    # when one holds), whether decided one by one or settled by the block screen
+    # sign patterns passed in lexicographic order before both verdicts were settled (all of them,
+    # 3^k for kind M, when one holds), whether decided one by one or settled by the block screen
     patterns_checked: int = 0
 
 
@@ -760,8 +736,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
 
     A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
     refused with InfeasiblePointError, as the multiplier recoveries refuse
-    it, and then a biactive set larger than PATTERN_CAP_DEFAULT with
-    PatternCapError.  The first holds iff the full homogeneous multiplier
+    it.  The first holds iff the full homogeneous multiplier
     set contains only zero; the second iff every element of the
     follower-only variant also annihilates the leader-derivative rows.  Both are decided per sign
     pattern, in lexicographic order.  The follower-only cone holds the full
@@ -781,37 +756,32 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     the same rays, as one pattern at a time would.
 
     When the follower rows split into blocks that share no column
-    (:func:`_blocks`), the blocks' branch tuples (Σ_b 3^{k_b} cones for
-    kind M, :func:`_screen`) settle every pattern whose blocks are all
-    trivial, which then counts without a solve.  The walk looks for blocks
-    only after its first SPLIT_AFTER patterns, so a walk that settles in
-    them never splits.  It goes on one by one up to its largest block's
-    tuple count, when that is more, and screens only when more patterns are
-    left than the screen decides (:func:`_walk`, which the recoveries take
-    too).  A system too small to split walks on without blocks, in the same
-    batches.  Answers stay bit for bit; a refusal comes from the solves this
-    walk makes.  A walk that needs solves for more than PATTERN_BUDGET
-    patterns is refused with PatternCapError.
+    (:func:`_blocks`), a pattern's follower cone is the product of its
+    blocks' cones, so it is nontrivial when one block's cone is.  The
+    blocks' branch tuples (Σ_b 3^{k_b} cones for kind M) then settle every
+    pattern whose blocks are all trivial, which counts without a solve; the
+    walk picks the others lazily, without an array over all patterns
+    (:func:`_open_patterns`).  The walk looks for blocks only after its
+    first SPLIT_AFTER patterns, so a walk that settles in them never
+    splits.  It goes on one by one up to its largest block's tuple count,
+    when that is more, and screens only when more patterns are left than
+    the screen decides (:func:`_walk`, which the recoveries take too).  A
+    system too small to split walks on without blocks, in the same batches.
+    Answers stay bit for bit; a refusal comes from the solves this walk
+    makes.  The biactive set's size is not refused as such: a walk that
+    needs solves for more than PATTERN_BUDGET patterns is refused with
+    PatternCapError.
     """
     _check_kind(kind)
     point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
-    k = len(point.idx.theta)
-    if k > PATTERN_CAP_DEFAULT:
-        raise PatternCapError(f"biactive set size {k} exceeds the enumeration cap {PATTERN_CAP_DEFAULT}")
     n = problem.dims.n
     rows, _, base, options = _pattern_pool(kind, True, point.data, point.idx)
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
     pool = ConeRows(rows)
-    shape = tuple(map(len, options))
-
-    def open_after(blocks, at):
-        later = np.flatnonzero(_screen(rows, blocks, options)[at:]) + at
-        return zip(later.tolist(), zip(*(digits.tolist() for digits in np.unravel_index(later, shape))))
-
     a1 = a2 = True
     certs: dict[str, Array] = {}
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate
-    for chunk in _walk(point, lambda: _blocks(rows, n, k), base, options, open_after):
+    for chunk in _walk(point, rows, n, base, options, lambda sub, cones: ConeRows(sub).has_nonzero(cones), False):
         for (at, (eq, ineq)), follower in zip(chunk, pool.has_nonzero([(eq[n:], ineq) for _, (eq, ineq) in chunk])):
             if follower is None:
                 continue  # the follower cone holds the a1 cone, so this pattern breaks neither
@@ -827,7 +797,7 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
                     certs["a2"] = ray
             if not (a1 or a2):
                 return QualificationReport(a1, a2, kind, certs, patterns_checked=at + 1)  # both settled
-    return QualificationReport(a1, a2, kind, certs, patterns_checked=math.prod(shape))
+    return QualificationReport(a1, a2, kind, certs, patterns_checked=math.prod(map(len, options)))
 
 
 def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:

@@ -146,8 +146,9 @@ def corpus() -> tuple:
             idx, data = point.idx, point.data
             for kind in KINDS:
                 visited = _pinned()[label][f"qual_{kind}"]["patterns_checked"]
-                rows, _, patterns = stn._pattern_rows(kind, True, data, idx)
-                for eq, ineq in itertools.islice(patterns, visited):
+                rows, _, base, options = stn._pattern_pool(kind, True, data, idx)
+                for pattern in itertools.islice(itertools.product(*options), visited):
+                    eq, ineq = stn._system(base, pattern)
                     a_pat, ineq = rows[eq], (rows[ineq] if ineq else None)
                     add(a_pat, ineq, rows.shape[1])
                     add(a_pat[n:], ineq, rows.shape[1], rows[:n])

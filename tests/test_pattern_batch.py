@@ -184,6 +184,15 @@ def _corpus() -> dict:
     return corpus
 
 
+def filtered_product(shape, blocks, good, need):
+    """The open patterns by the dense form the enumerator replaced: the whole product, filtered by its good blocks."""
+    return [
+        (at, digits)
+        for at, digits in enumerate(itertools.product(*map(range, shape)))
+        if sum(tuple(digits[j] for j in thetas) in ok for (_, _, thetas), ok in zip(blocks, good)) >= need
+    ]
+
+
 @pytest.mark.parametrize("edit", sorted(SPLITS))
 def test_split_families_meet_the_screen_as_described(edit):
     for scaled in (False, True):
@@ -197,7 +206,28 @@ def test_split_families_meet_the_screen_as_described(edit):
             continue
         first_open, sizes = SPLITS[edit]
         assert sorted(len(thetas) for _, _, thetas in blocks) == sizes
-        assert np.flatnonzero(stn._screen(rows, blocks, options))[0] == first_open
+        # a pattern's follower cone is nontrivial when one block's cone is
+        good = stn._block_tuples(rows, blocks, options, lambda sub, cones: simplex.ConeRows(sub).has_nonzero(cones))
+        shape = tuple(map(len, options))
+        assert next(stn._open_patterns(shape, blocks, good, 0, 1))[0] == first_open
+        assert list(stn._open_patterns(shape, blocks, good, 0, 1)) == filtered_product(shape, blocks, good, 1)
+
+
+@pytest.mark.parametrize("edit", sorted(SPLITS))
+def test_the_walk_hands_out_every_pattern_up_to_its_screen_and_then_the_open_ones(edit):
+    # each once and in order: a screen that started over would hand out early open patterns twice
+    problem, pt = _corpus()[f"split_{edit}"]
+    point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
+    rows, _, base, options = stn._pattern_pool("M", True, point.data, point.idx)
+    decide = lambda sub, cones: simplex.ConeRows(sub).has_nonzero(cones)
+    walked = [at for chunk in stn._walk(point, rows, problem.dims.n, base, options, decide, False) for at, _ in chunk]
+    shape = tuple(map(len, options))
+    if point.blocks:
+        opened = [at for at, _ in filtered_product(shape, point.blocks, stn._block_tuples(rows, point.blocks, options, decide), 1)]
+    else:
+        opened = list(range(int(np.prod(shape))))
+    screen = next((p for p, at in enumerate(walked) if p != at), len(walked))
+    assert walked == list(range(screen)) + [at for at in opened if at >= screen]
 
 
 @pytest.mark.parametrize("label", sorted(_corpus()))
@@ -254,7 +284,8 @@ def test_qualification_stacks_its_rank_tests_and_least_distance_set_ups(solver_c
         assert a1 and a2 and patterns == 243 and sequential["svd"] >= patterns
         point = stn._setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
         idx, data = point.idx, point.data
-        _, _, systems = stn._pattern_rows("M", True, data, idx)
+        _, _, base, options = stn._pattern_pool("M", True, data, idx)
+        systems = (stn._system(base, pattern) for pattern in itertools.product(*options))
         stacks = sum(len({(len(eq), len(ineq)) for eq, ineq in chunk}) for chunk in stn._chunks(systems))
         # per chunk and shape of system: one stacked rank test and at most one stacked least-distance SVD
         assert solver_calls["svd"] <= 2 * stacks < patterns / 4
@@ -270,6 +301,23 @@ def test_a_split_biactive_set_costs_its_blocks_not_its_patterns(solver_calls, k)
     # decides the 3k tuples; each decided cone costs at most two SVDs and one NNLS
     decided = stn.SPLIT_AFTER + 3 * k
     assert solver_calls["svd"] <= 2 * decided and solver_calls["nnls"] <= decided
+
+
+@pytest.mark.parametrize("k", [13, 40])
+def test_a_qualification_over_many_biactive_indices_holds_no_pattern_array(solver_calls, k):
+    # k singleton blocks whose cones are all trivial: the screen leaves no pattern open, so the answer
+    # costs what the k = 10 and 12 walks cost, and its size is not refused
+    problem = make_linear_follower(*biactive_family_data(k, np.random.default_rng(k)))
+    tracemalloc.start()
+    try:
+        rep = stn.check_qualification_Am(problem, _zero(problem), kind="M")  # 3^40 patterns at k = 40
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.a1, rep.a2, rep.patterns_checked) == (True, True, 3**k)
+    decided = stn.SPLIT_AFTER + 3 * k
+    assert solver_calls["svd"] <= 2 * decided and solver_calls["nnls"] <= decided
+    assert peak < 8 * 2**20
 
 
 def _assert_same_multipliers(got, want, label=""):
@@ -337,22 +385,23 @@ def test_each_recovery_is_the_reference_on_a_fresh_record_and_after_the_other_ki
 
 @pytest.mark.parametrize("seed", range(6))
 def test_open_patterns_are_the_product_filtered_by_block(seed):
-    # blocks of interleaved biactive positions, including one without any, against the filtered product
+    # blocks of interleaved biactive positions, including one without any, against the filtered product:
+    # need = 1 is the qualification's screen, need = every block a recovery's
     rng = np.random.default_rng(seed)
     shape = (3,) * 6 if seed % 2 else (2,) * 7
     owner = rng.integers(0, 3, size=len(shape))
     blocks = [([], [], [j for j in range(len(shape)) if owner[j] == b]) for b in range(3)] + [([], [], [])]
-    feasible = [{t for t in itertools.product(*(range(shape[j]) for j in thetas)) if rng.uniform() < 0.6} for _, _, thetas in blocks]
-    feasible[-1] = {()}
-    every = [
-        (at, digits)
-        for at, digits in enumerate(itertools.product(*map(range, shape)))
-        if all(tuple(digits[j] for j in thetas) in ok for (_, _, thetas), ok in zip(blocks, feasible))
-    ]
-    for start in (0, 1, int(rng.integers(np.prod(shape))), int(np.prod(shape)) - 1):
-        assert list(stn._open_patterns(shape, blocks, feasible, start)) == [p for p in every if p[0] >= start]
-    feasible[-1] = set()  # a block without biactive indices whose system has no solution: nothing is open
-    assert list(stn._open_patterns(shape, blocks, feasible, 0)) == []
+    share = 0.3 if seed < 3 else 0.6
+    good = [{t for t in itertools.product(*(range(shape[j]) for j in thetas)) if rng.uniform() < share} for _, _, thetas in blocks]
+    starts = (0, 1, int(rng.integers(np.prod(shape))), int(np.prod(shape)) - 1)
+    # a block without biactive indices is good for every pattern or for none
+    for last in ({()}, set()):
+        good[-1] = last
+        for need in (1, 2, len(blocks)):
+            every = filtered_product(shape, blocks, good, need)
+            for start in starts:
+                assert list(stn._open_patterns(shape, blocks, good, start, need)) == [p for p in every if p[0] >= start]
+    assert list(stn._open_patterns(shape, blocks, good, 0, len(blocks))) == []  # the last block is never good
 
 
 def test_blocks_are_found_once_per_point(monkeypatch):

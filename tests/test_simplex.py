@@ -298,3 +298,27 @@ def test_a_stack_with_equality_blocks_of_different_rank_matches_one_system_at_a_
     np.testing.assert_allclose(got[1], [1.0, 0.0, 0.0], atol=1e-12)
     assert got[2] is None  # z1 = 1 and 2 z1 = 3
     np.testing.assert_allclose(got[3], [1.0, -1.0, 0.0], atol=1e-12)
+
+
+def dense_pairs(pool: simplex.ConeRows) -> list:
+    """ConeRows.pairs by the dense formula it replaced: the norm of every (i, j) sum, an (R, R, C) temporary."""
+    anti = simplex._row_norms(pool.unit[:, None] + pool.unit[None]) <= simplex.ZERO_TOL
+    first, second = np.nonzero(anti & ~np.array(pool._zero, dtype=bool))
+    return [(i, j) for i, j in zip(first.tolist(), second.tolist()) if i < j]
+
+
+def test_opposite_pairs_match_the_dense_formula():
+    # zero rows, exact opposites scaled 1e-6..1e6, and opposites off by 1e-10..1e-7 of their size,
+    # which straddle ZERO_TOL, shuffled among random rows
+    rng = np.random.default_rng(0)
+    found = 0
+    for _ in range(3000):
+        dim = int(rng.integers(1, 6))
+        rows = rng.normal(size=(int(rng.integers(1, 5)), dim))
+        opposite = -rows * 10.0 ** rng.uniform(-6.0, 6.0, size=(len(rows), 1))
+        off = opposite + 10.0 ** rng.uniform(-10.0, -7.0, size=(len(rows), 1)) * np.abs(opposite) * rng.normal(size=opposite.shape)
+        pool = np.vstack([rows, opposite[rng.uniform(size=len(rows)) < 0.5], off[rng.uniform(size=len(rows)) < 0.5], np.zeros((int(rng.integers(0, 3)), dim))])
+        pool = simplex.ConeRows(pool[rng.permutation(len(pool))])
+        assert pool.pairs == dense_pairs(pool)
+        found += len(pool.pairs)
+    assert found > 1000

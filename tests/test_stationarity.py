@@ -13,7 +13,6 @@ from pbopt.kkt import InfeasiblePointError, check_upper_regularity
 from pbopt.maxmin import InnerConfig, evaluate_psi_t, follower_box, polish_onto_relaxed_set
 from pbopt.stationarity import (
     Multipliers,
-    PatternCapError,
     RelaxedMultipliers,
     check_cq1,
     check_qualification_Am,
@@ -118,23 +117,11 @@ def test_recover_infeasible_point_raises(example1):
         recover_c_multipliers(problem, TriplePoint([0.5], [0.5], [1.0, 1.0]), kind="C")
 
 
-def _family13():
-    problem = make_biactive_family(13, np.random.default_rng(13))
-    return problem, TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
-
-
-def test_qualification_refuses_a_biactive_set_beyond_its_cap(monkeypatch):
-    # the screen holds all 3^k patterns, so the set's size is refused before any block is looked for
-    problem, pt = _family13()
-    monkeypatch.setattr(stationarity, "_blocks", lambda *args: pytest.fail("_blocks called"))
-    with pytest.raises(PatternCapError, match="^biactive set size 13 exceeds the enumeration cap 12$"):
-        check_qualification_Am(problem, pt, kind="M")
-
-
 def test_the_recoveries_are_bounded_by_the_pattern_budget_alone():
     # a biactive set of 13 used to be refused up front, and then C by the budget after 3^8 solved
     # patterns; its 13 singleton blocks leave one C pattern open, the one S solves
-    problem, pt = _family13()
+    problem = make_biactive_family(13, np.random.default_rng(13))
+    pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
     mults = {kind: recover_c_multipliers(problem, pt, kind=kind) for kind in ("S", "M", "C")}
     for kind, m in mults.items():
         assert check_stationarity(problem, pt, m, kind=kind, graph_check=False).verdict, kind
@@ -766,8 +753,8 @@ CERTIFIER_CALLS = {
 )
 def test_removed_certifier_keywords_are_refused(example1, name, keyword):
     # values no caller varied are module constants: kkt.EPS_ACT_DEFAULT,
-    # kkt.FEAS_TOL_DEFAULT, stationarity.PATTERN_CAP_DEFAULT and PATTERN_BUDGET,
-    # kkt.SLATER_* and problem_model.FD_STEP
+    # kkt.FEAS_TOL_DEFAULT, kkt.SLATER_* and problem_model.FD_STEP; both
+    # pattern_cap keywords gave way to stationarity.PATTERN_BUDGET, every walk's one limit
     call = CERTIFIER_CALLS[name]
     call(example1[0])
     with pytest.raises(TypeError, match=keyword):
