@@ -110,7 +110,10 @@ class MinimizeResult:
     evals: int  # inner solves the search read
     final_mesh: float
     inner: InnerSolveResult
-    unread: int  # inner solves of a forward walk solved ahead that the search never read
+    # inner solves made ahead that the search never read: the rest of a 1-D
+    # forward walk, or the halved round (at most 2n rows) of an n >= 2 round
+    # that moved; solving ahead changes no iterate
+    unread: int
     flat: bool  # every poll read tied the centre within DECREASE_TOL, so x never moved
     calls: int = 0  # batched inner solves (evaluate_psi_t_batch calls) the search made
 
@@ -159,10 +162,14 @@ def minimize_psi_t(
     MAX_ROUNDS rounds, L being the halving rounds left below the mesh.  So a
     level that starts and stays on the boundary costs one call, a walk to
     the edge one call after its first move, and an interior minimum leaves
-    most of a walk unread.  An interior start solves its first round alone,
-    and when n >= 2 every round is solved alone.  ``evals`` counts the
-    solves the search reads, ``unread`` the rest, and ``calls`` the batched
-    solves.  A search that read at least one poll, every one of them tied
+    most of a walk unread.  An interior 1-D start solves its first round
+    alone.  When n >= 2, a round that needs a fresh point also solves the
+    2n polls of the round that follows when no poll improves: the same
+    centre at half the mesh, added only while that mesh is >= mesh_tol.  A
+    round that moves leaves those, at most 2n rows, unread.  Every batch row
+    equals its lone solve, so what is solved ahead changes no iterate, only
+    ``calls`` and ``unread``.  ``evals`` counts the solves the search reads,
+    ``unread`` the rest, and ``calls`` the batched solves.  A search that read at least one poll, every one of them tied
     with the centre, reports ``flat``: it stayed put without evidence of a
     minimum.
     """
@@ -211,11 +218,18 @@ def minimize_psi_t(
     mesh = MESH_INIT_FRAC * diam if diam > 0 else cfg.mesh_tol
 
     def poll_round(points: list[Array], r: int) -> list[Array]:
-        """Round r's poll points, plus, when x is a 1-D incumbent and the round
-        needs a fresh point, those of the later rounds of a forward walk from
-        x (see ``minimize_psi_t``); only the round's when a moving walk does
-        not reach the box edge within L steps or before MAX_ROUNDS."""
-        if n > 1 or (heading is None and len(points) > 1) or all(xp.tobytes() in cache for xp in points):
+        """Round r's poll points, plus, when the round needs a fresh point,
+        those solved ahead with it (see ``minimize_psi_t``).  When n >= 2
+        they are the halved round's at x while its mesh is >= mesh_tol: at
+        most 2n rows, which a move leaves unread.  When n = 1 they are the
+        later rounds' of a forward walk from x, or none when a moving walk
+        does not reach the box edge within L steps or before MAX_ROUNDS.
+        Neither rule changes an iterate."""
+        if all(xp.tobytes() in cache for xp in points):
+            return points
+        if n > 1:
+            return points + poll_points(x, 0.5 * mesh) if 0.5 * mesh >= cfg.mesh_tol else points
+        if heading is None and len(points) > 1:
             return points
         xc, h, step, ahead = x, mesh, heading if len(points) > 1 else 0.0, []
         steps_left = math.floor(math.log2(mesh) - math.log2(cfg.mesh_tol))

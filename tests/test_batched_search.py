@@ -28,7 +28,7 @@ from pbopt import (
 )
 from pbopt.problem_model import DimensionError
 
-from toys import BATCH_HOOKS, DIP, make_dip_toy, named_problem
+from toys import BATCH_HOOKS, DIP, biactive_family_data, make_dip_toy, make_linear_follower, named_problem
 
 CFG = InnerConfig(starts=6, sweeps=2, local_maxiter=60)
 
@@ -343,21 +343,66 @@ def test_solving_ahead_never_changes_the_search(name, u, log_t, mesh_tol):
     assert max(sizes) <= 2 * rungs + 3
 
 
-def test_a_2d_search_solves_each_round_in_its_own_call(monkeypatch):
-    # a 2-D walk survives short runs of rounds between moves, so rounds
-    # solved ahead would be polls the next move leaves unread
+def test_a_2d_search_solves_each_round_with_its_halved_round(monkeypatch):
+    # a round that needs a fresh point also solves the polls of the round
+    # that follows when it survives: the same centre at half the mesh
     problem = named_problem("synthetic2d")
     cfg = OuterConfig(inner=CFG)
     sizes = counting_batches(monkeypatch)
     got = minimize_psi_t(problem, 0.5, [0.4, -0.2], cfg)
     want = sequential_minimize(problem, 0.5, [0.4, -0.2], cfg)
     np.testing.assert_array_equal(got.x, want.x)
-    assert (got.value, got.evals, got.final_mesh) == (want.value, want.evals, want.final_mesh)
-    # one call per poll round: 12 moves and 16 halvings (0.5 down to 2**-17)
+    assert (got.value, got.evals, got.final_mesh, got.flat) == (want.value, want.evals, want.final_mesh, want.flat)
+    assert_same_result(got.inner, want.inner)
+    # 12 moves and 16 halvings (0.5 down to 2**-17) took one call per round, 28
     assert got.final_mesh == 0.5 * 2.0**-16
-    assert got.calls == len(sizes) == 28
-    assert sizes[0] <= 5 and max(sizes[1:]) <= 4
-    assert got.unread == 0 and sum(sizes) == got.evals
+    assert got.calls == len(sizes) == 17
+    n = problem.dims.n
+    assert sizes[0] <= 1 + 4 * n and max(sizes[1:]) <= 4 * n
+    # the halved rounds of the rounds that moved go unread
+    assert got.unread == sum(sizes) - got.evals == 13
+
+
+LEADER_3D = make_linear_follower(*biactive_family_data(3, np.random.default_rng(3), n=3), name="linear3d")
+
+
+# (calls, unread) of the 3-D searches, the same at both t
+CALLS_UNREAD_3D = {0: (10, 21), 1: (8, 17), 2: (12, 28)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_3d_search_follows_the_sequential_search(seed):
+    problem, n = LEADER_3D, 3
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    cfg = OuterConfig(inner=CFG, mesh_tol=1e-2)
+    for t in (0.2, 0.02):
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = counting_batches(mp)
+            got = minimize_psi_t(problem, t, x0, cfg)
+        want = sequential_minimize(problem, t, x0, cfg)
+        np.testing.assert_array_equal(got.x, want.x)
+        assert (got.value, got.evals, got.final_mesh, got.flat) == (want.value, want.evals, want.final_mesh, want.flat)
+        assert_same_result(got.inner, want.inner)
+        assert got.calls == len(sizes)
+        assert sizes[0] <= 1 + 4 * n and max(sizes[1:]) <= 4 * n
+        assert got.unread == sum(sizes) - got.evals
+        # each move leaves its halved round unread; no round below mesh_tol is solved
+        assert (got.calls, got.unread) == CALLS_UNREAD_3D[seed]
+
+
+def test_a_3d_homotopy_follows_the_sequential_search(monkeypatch):
+    x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+    params = RelaxationParams(t0=0.2, rho=0.5, t_min=0.1, outer=OuterConfig(inner=CFG, mesh_tol=1e-2))
+    got = scholtes_solve(LEADER_3D, params, x0)
+    monkeypatch.setattr(scholtes, "minimize_psi_t", sequential_minimize)
+    want = scholtes_solve(LEADER_3D, params, x0)
+    assert got.terminal == want.terminal and len(got.records) == len(want.records) == 2
+    for a, b in zip(got.records, want.records):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.t, a.psi, a.inner_status, a.outer_evals, a.final_mesh) == (
+            b.t, b.psi, b.inner_status, b.outer_evals, b.final_mesh
+        )
+        np.testing.assert_array_equal(a.argmax.points, b.argmax.points)
 
 
 @pytest.mark.parametrize(
