@@ -14,8 +14,11 @@ low-dimensional problems.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +46,9 @@ STEP_MIN = 1e-9
 # Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
 GRID_CHUNK_ROWS = 65536
+# Leader rows whose inner-solve results the process keeps (see _solve_rows);
+# an entry of a built-in problem takes under 1 KB.
+MEMO_ROWS = 2048
 
 
 class InnerInfeasibleError(RuntimeError):
@@ -207,7 +213,8 @@ class InnerSolveResult:
     # polish iterations plus the ascent's evaluations (one per new direction,
     # one per trial, and the new iterates of its restoration polishes), summed
     # over the starts and over the rounds they ran (a start's skipped rounds
-    # count nothing)
+    # count nothing); a result the process already held (see evaluate_psi_t)
+    # reports the cost of the solve that first made it
     evals: int
     rounds: int = 0  # rounds that ran a start of the leader point, at most sweeps
 
@@ -545,13 +552,24 @@ def evaluate_psi_t(
     polishes the starts onto the set (:func:`polish_onto_relaxed_set`) and
     then runs :func:`_ascend` from the points that reached it.  Only a
     start whose ascent ran out of cfg.local_maxiter trials runs the next
-    round (:func:`_solve_rows`); any other would come out of every later
+    round (:func:`_solve_batch`); any other would come out of every later
     round unchanged.  ``rounds`` counts the rounds that ran.  ``evals``
     counts the polish iterations plus the ascent's evaluations (see
     :class:`InnerSolveResult`).  The reported value comes only from points
     feasible within cfg.feas_tol with a finite F, and the argmax cloud
     collects every one within EPS_LVL_DEFAULT of the best value.  All
     starts advance together, so each evaluation covers the whole batch.
+
+    Inputs already solved in this process return the earlier result, as a
+    fresh copy: the same problem object with the same attribute objects,
+    the same bits of x and t, and equal config fields, warm starts and
+    follower box (:func:`_solve_rows`).  So the problem's callbacks must be
+    pure functions of their arguments.  Reassigning an attribute, or
+    building a changed problem with ``dataclasses.replace``, is detected;
+    an in-place change to state that a callback closes over is not, as for
+    the certifier's point record.  ``evals`` then reports the cost of the
+    solve that first made the result.  At most MEMO_ROWS (2,048) results
+    are kept, the least recently used evicted first.
     """
     x = problem.leader_point(x)
     return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
@@ -572,6 +590,9 @@ def evaluate_psi_t_batch(
     is polished only when its own evaluation finds it off the set, and the
     argmax clouds of different rows are never compared with each other, so
     each result is bit for bit the one a lone call at that row returns.
+    Rows already solved in this process, in an earlier call or earlier in
+    X, are not solved again (see :func:`evaluate_psi_t`); the others are
+    solved in one batch.
     """
     X = problem.leader_block(X)
     return _solve_rows(problem, X, t, cfg or InnerConfig())
@@ -598,25 +619,95 @@ def _seeded_starts(seed: int, starts: int, lo_bytes: bytes, hi_bytes: bytes) -> 
     return block
 
 
-def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
-    """The inner solves at the rows of X, every start of every row in lockstep.
+class _Memo:
+    """Inner-solve results by row key (:func:`_row_keys`), least recently used first.
 
-    Each round polishes and ascends only the live rows: all rows in the
-    first round, then those whose ascent still ran when cfg.local_maxiter
-    trials ran out (the round polish's POLISH_MAXITER budget is final).
-    Every operation is row-independent, so which rows run changes no row's
-    result.  The results of all leader points are then built in one pass
-    (:func:`_inner_results`).
+    Each entry is (problem, its attribute objects, result): it holds the
+    objects whose ids its key names, so no id is reused while it lives.
+    ``hits`` counts the rows answered without a solve of their own, from
+    an entry or from a like row earlier in the same call, and ``misses``
+    the rows solved.
+    """
+
+    def __init__(self) -> None:
+        self.rows: OrderedDict = OrderedDict()
+        self.lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+
+_memo = _Memo()
+# the config fields a row key holds as they are; the warm starts go in as bytes
+_KEY_FIELDS = tuple(f.name for f in dataclasses.fields(InnerConfig) if f.name != "warm_starts")
+
+
+def _row_keys(problem: BilevelProblem, attrs: tuple, X: Array, t: float, cfg: InnerConfig, warm: Array, lo: Array, hi: Array) -> list[tuple]:
+    """The memo key of each row of X: the problem's id and its attributes' ids, as
+    stationarity._same_point compares them, the bits of t, every config
+    field with the warm block's bytes, the follower box's bytes and the row's bytes."""
+    settings = tuple(getattr(cfg, name) for name in _KEY_FIELDS)
+    base = (id(problem), tuple(map(id, attrs)), t.hex(), settings, warm.tobytes(), lo.tobytes(), hi.tobytes())
+    return [base + (row.tobytes(),) for row in X]
+
+
+def _fresh(res: InnerSolveResult) -> InnerSolveResult:
+    """res with its own argmax points and meta, so no caller writes into a kept result."""
+    return dataclasses.replace(res, argmax=SampledSet(res.argmax.points.copy(), dict(res.argmax.meta)))
+
+
+def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
+    """The inner solves at the rows of X, each distinct row solved once per process.
+
+    The inputs are checked on every call.  A row whose key (:func:`_row_keys`)
+    the memo holds, or that repeats an earlier row of X, is answered from
+    that result; the other distinct rows are solved in one batch
+    (:func:`_solve_batch`) and kept, the least recently used entries
+    evicted beyond MEMO_ROWS.  Every batch row equals its lone solve bit
+    for bit, so a kept result is exactly what a fresh solve returns.  The
+    solve runs outside the lock, and a solve that raises keeps nothing.
     """
     t = relaxation_level(t)
-    m, q = problem.dims.m, problem.dims.q
     lo, hi = follower_box(problem, cfg)
-    warm = _warm_block(cfg, m + q)
+    warm = _warm_block(cfg, problem.dims.m + problem.dims.q)
+    attrs = tuple(vars(problem).values())
+    keys = _row_keys(problem, attrs, X, t, cfg, warm, lo, hi)
+    known: dict[tuple, InnerSolveResult] = {}
+    with _memo.lock:
+        for key in keys:
+            entry = _memo.rows.get(key)
+            if entry is not None:
+                _memo.rows.move_to_end(key)
+                known[key] = entry[2]
+        todo = {key: r for r, key in enumerate(keys) if key not in known}
+        _memo.hits += len(keys) - len(todo)
+        _memo.misses += len(todo)
+    if todo:
+        rows = list(todo.values())
+        solved = _solve_batch(problem, X if len(rows) == len(X) else X[rows], t, cfg, lo, hi, warm)
+        with _memo.lock:
+            for key, res in zip(todo, solved):
+                known[key] = res
+                _memo.rows[key] = (problem, attrs, res)
+                _memo.rows.move_to_end(key)
+            while len(_memo.rows) > MEMO_ROWS:
+                _memo.rows.popitem(last=False)
+    return [_fresh(known[key]) for key in keys]
+
+
+def _solve_batch(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig, lo: Array, hi: Array, warm: Array) -> list[InnerSolveResult]:
+    """The inner solves at the rows of X, every start of every row in lockstep.
+
+    t is a checked level, [lo, hi] the follower box and warm the warm
+    block of cfg.  Each round polishes and ascends only the live rows: all
+    rows in the first round, then those whose ascent still ran when
+    cfg.local_maxiter trials ran out (the round polish's POLISH_MAXITER
+    budget is final).  Every operation is row-independent, so which rows
+    run changes no row's result.  The results of all leader points are
+    then built in one pass (:func:`_inner_results`).
+    """
     rand = _seeded_starts(cfg.seed, cfg.starts, lo.tobytes(), hi.tobytes())
     Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
     n_starts, Z = len(Z0), Z0
-    if not len(X):
-        return []
     if len(X) > 1:  # row r * n_starts + s is start s at leader point r
         Z = np.tile(Z0, (len(X), 1))
         X = np.repeat(X, n_starts, axis=0)

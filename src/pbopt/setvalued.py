@@ -2,7 +2,9 @@
 
 The excess of A over B is sup_{a in A} dist(a, B) with the conventions
 excess(empty, B) = 0 and excess(A, empty) = +inf for nonempty A; the
-Hausdorff distance is the larger of the two excesses.  Diagnostics compare
+Hausdorff distance is the larger of the two excesses.  Two nonempty clouds
+whose points have different lengths, and a point with a NaN or infinite
+entry, have no distance and are refused with ValueError.  Diagnostics compare
 sampled relaxed follower KKT sets and argmax sets along a homotopy run.
 """
 from __future__ import annotations
@@ -20,9 +22,10 @@ INF = math.inf
 
 
 def _points(s) -> Array:
-    if isinstance(s, SampledSet):
-        return s.points
-    a = np.asarray(s, dtype=float)
+    """The cloud s as an (N, k) block; a point with a NaN or infinite entry is refused."""
+    a = s.points if isinstance(s, SampledSet) else np.asarray(s, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("set distances take finite points only")
     return a.reshape(0, 0) if a.size == 0 else np.atleast_2d(a)
 
 
@@ -34,12 +37,16 @@ def excess(a, b) -> float:
     moves with rounding: with psi bit-identical, points have moved by up to
     9.0e-3 between two versions of the solver.  An excess between the
     clouds of two solver versions can read such a move as a real change.
+    Clouds the module docstring gives no distance are refused with
+    ValueError.
     """
     A, B = _points(a), _points(b)
     if A.shape[0] == 0:
         return 0.0
     if B.shape[0] == 0:
         return INF
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"points of {A.shape[1]} and of {B.shape[1]} entries have no distance")
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
     return float(np.sqrt(d2.min(axis=1)).max())
 

@@ -1,6 +1,7 @@
 import pytest
 
 import pbopt
+from pbopt import maxmin
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,15 @@ def light_cfg():
 def tiny_cfg():
     # Tight feasibility: used where checks compare values at the EPS_LVL_DEFAULT slack.
     return pbopt.InnerConfig(starts=6, sweeps=3, local_maxiter=60, feas_tol=1e-10)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """Installs an empty inner-solve memo and returns it; calling the returned
+    function installs another.  The process's own memo is back after the test."""
+
+    def install():
+        monkeypatch.setattr(maxmin, "_memo", maxmin._Memo())
+        return maxmin._memo
+
+    return install

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbopt
-from pbopt import OuterConfig, RelaxationParams, minimize_psi_t, scholtes, scholtes_solve
+from pbopt import OuterConfig, RelaxationParams, maxmin, minimize_psi_t, scholtes, scholtes_solve
 from pbopt.maxmin import EPS_LVL_DEFAULT
 from pbopt.problem_model import DimensionError
 from toys import make_empty_lower_toy
@@ -283,3 +283,56 @@ def test_warm_starts_are_capped_at_starts(monkeypatch, example2, light_cfg):
         assert all((cloud == w).all(axis=1).any() for w in warm)
     for (warm, _), (again, _) in zip(levels, run(), strict=True):
         np.testing.assert_array_equal(warm, again)
+
+
+def assert_same_trace(got, want):
+    """Records, terminal, inner_calls and unread_evals equal bit for bit."""
+    assert (got.terminal, got.inner_calls, got.unread_evals) == (want.terminal, want.inner_calls, want.unread_evals)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.k, a.inner_status, a.outer_evals) == (b.k, b.inner_status, b.outer_evals)
+        assert np.array([a.t, a.psi, a.final_mesh]).tobytes() == np.array([b.t, b.psi, b.final_mesh]).tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.argmax.points.shape == b.argmax.points.shape
+        assert a.argmax.points.tobytes() == b.argmax.points.tobytes()
+        assert a.argmax.meta == b.argmax.meta
+
+
+def test_a_second_run_reuses_the_solves_of_a_first_run_it_merges_with(empty_memo, monkeypatch, light_cfg):
+    """Two example2 runs from different x0 both end level 0 at x = -1, so the
+    second run's levels 1 and 2 solve no fresh row, and its trace is the one
+    an empty memo gives, bit for bit.  Two synthetic2d runs whose level-0
+    minimisers differ in their last bits share no later centre: the second
+    run solves fresh rows at every level, and takes from the first only the
+    polls both make at the box corner (1, 1)."""
+    fresh_ts, solve_batch = [], maxmin._solve_batch
+
+    def spy(problem, X, t, *rest):
+        fresh_ts.append(t)
+        return solve_batch(problem, X, t, *rest)
+
+    monkeypatch.setattr(maxmin, "_solve_batch", spy)
+
+    def two_runs(name, schedule, x0, x1):
+        problem = pbopt.get_problem(name)[0]
+        params = RelaxationParams(*schedule, outer=_outer(light_cfg))
+        memo = empty_memo()
+        first = scholtes_solve(problem, params, x0)
+        first_rows = set(memo.rows)
+        fresh_ts.clear()
+        second = scholtes_solve(problem, params, x1)
+        fresh = set(fresh_ts)
+        alone = empty_memo()
+        assert_same_trace(second, scholtes_solve(problem, params, x1))
+        return first, second, fresh, first_rows & set(alone.rows)
+
+    first, second, fresh, _ = two_runs("example2", (1.0, 0.5, 0.25), [0.5], [0.9])
+    assert [rec.t for rec in second.records] == [1.0, 0.5, 0.25]
+    assert first.records[0].x == second.records[0].x == -1.0
+    assert fresh == {1.0}
+
+    first, second, fresh, shared = two_runs("synthetic2d", (0.5, 0.5, 0.25), [0.0, 0.0], [-0.8, 0.8])
+    assert [rec.t for rec in second.records] == [0.5, 0.25]
+    assert first.records[0].x.tobytes() != second.records[0].x.tobytes()
+    assert fresh == {0.5, 0.25}
+    assert {tuple(np.frombuffer(key[-1])) for key in shared} == {(1.0, 1.0)}

@@ -24,6 +24,29 @@ def test_excess_empty_conventions():
     assert hausdorff(b, empty) == math.inf
 
 
+@pytest.mark.parametrize("dist", [excess, hausdorff])
+def test_set_distances_refuse_clouds_of_different_widths(dist):
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    b = np.array([[0.5], [1.5]])
+    for x, y in ((a, b), (b, a), (SampledSet(a), SampledSet(b))):
+        with pytest.raises(ValueError, match="no distance"):
+            dist(x, y)
+    # an empty cloud keeps its conventions, whatever its width
+    assert excess(np.zeros((0, 1)), a) == 0.0
+    assert excess(a, np.zeros((0, 1))) == math.inf
+    assert dist(np.zeros((0, 1)), np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("dist", [excess, hausdorff])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_set_distances_refuse_a_nonfinite_point(dist, value):
+    good = np.array([[0.0, 0.0], [1.0, 1.0]])
+    bad = np.array([[0.0, 0.0], [value, 1.0]])
+    for x, y in ((bad, good), (good, bad), (np.zeros((0, 2)), bad), (bad, np.zeros((0, 2))), (SampledSet(bad), good)):
+        with pytest.raises(ValueError, match="finite points only"):
+            dist(x, y)
+
+
 def test_excess_subset_is_zero():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(12, 3))
