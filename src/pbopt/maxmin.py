@@ -46,8 +46,9 @@ STEP_MIN = 1e-9
 # Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
 GRID_CHUNK_ROWS = 65536
-# Leader rows whose inner-solve results the process keeps (see _solve_rows);
-# an entry of a built-in problem takes under 1 KB.
+# Leader rows whose inner-solve results the process keeps (see _solve_rows).
+# A kept result of a built-in problem takes under 1 KB; the problem and
+# attribute objects each entry keeps alive are not counted.
 MEMO_ROWS = 2048
 
 

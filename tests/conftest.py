@@ -42,3 +42,9 @@ def empty_memo(monkeypatch):
         return maxmin._memo
 
     return install
+
+
+@pytest.fixture(autouse=True)
+def _each_test_starts_from_an_empty_memo(empty_memo):
+    """No test sees inner solves kept by another, whatever the test order."""
+    empty_memo()

@@ -60,10 +60,11 @@ def assert_same_result(got, want):
         "example2_bare",
         "dip_toy",
         "duplicated_g_toy",
+        "nan_region_toy",
         "example2_far",
     ],
 )
-def test_batch_rows_equal_lone_calls(name):
+def test_batch_rows_equal_lone_calls(empty_memo, name):
     problem = named_problem(name.removesuffix("_far"))
     rng = np.random.default_rng(17)
     X = leader_block(problem, rng, 5)
@@ -73,20 +74,23 @@ def test_batch_rows_equal_lone_calls(name):
         # at x = 1e200 every row overflows.
         X = np.insert(X, [1, 3], [[20.0], [1e200]], axis=0)
     for t in (0.3, 0.02):
+        empty_memo()
         batch = evaluate_psi_t_batch(problem, X, t, CFG)
         assert len(batch) == len(X)
         for x, res in zip(X, batch):
+            empty_memo()  # so the lone call is solved, not answered from the batch
             assert_same_result(res, evaluate_psi_t(problem, x, t, CFG))
         if name.endswith("_far"):
             assert [res.status for res in batch[:5]] == ["solved", "infeasible", "solved", "solved", "nonfinite"]
 
 
-def test_batch_with_warm_starts_across_lockstep_groups(example2):
+def test_batch_with_warm_starts_across_lockstep_groups(empty_memo, example2):
     problem, _ = example2
     warm = evaluate_psi_t(problem, [-1.0], 0.2, CFG).argmax.points
     cfg = dataclasses.replace(CFG, warm_starts=tuple(warm))
     X = leader_block(problem, np.random.default_rng(3), 6)
     for x, res in zip(X, evaluate_psi_t_batch(problem, X, 0.1, cfg)):
+        empty_memo()  # so the lone call is solved, not answered from the batch
         assert_same_result(res, evaluate_psi_t(problem, x, 0.1, cfg))
 
 

@@ -3,7 +3,10 @@
 A row already solved in the process returns the earlier result, so every
 answer must be the one a fresh solve gives, bit for bit; any changed input
 must miss; and no caller may write into a kept result.  Each test starts
-from an empty memo (the ``empty_memo`` fixture).
+from an empty memo (conftest installs one for every test); the
+``empty_memo`` fixture installs another mid-test and returns it.  That
+batch rows equal lone solves made in an empty memo is checked in
+test_batched_search.py and test_maxmin.py.
 """
 import dataclasses
 import sys
@@ -82,38 +85,6 @@ def test_a_batch_of_hits_and_misses_equals_fresh_lone_solves(empty_memo, draws):
     for x, res in zip(block, got):
         empty_memo()
         assert_identical(res, evaluate_psi_t(problem, x, t, cfg))
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "example1",
-        "example1_fd",
-        "example2",
-        "example2_fd",
-        "example2_bare",
-        "synthetic2d",
-        "synthetic2d_fd",
-        "dip_toy",
-        "duplicated_g_toy",
-        "nan_region_toy",
-    ],
-)
-def test_batch_rows_equal_fresh_lone_solves(empty_memo, name):
-    """Every batch row equals its lone solve, each lone call made in an empty
-    memo, so that no lone call is answered with the batch's own result."""
-    problem = named_problem(name)
-    lo, hi = problem.x_box[:, 0], problem.x_box[:, 1]
-    X = np.vstack([np.random.default_rng(23).uniform(lo, hi, size=(3, problem.dims.n)), lo, hi])
-    if name.startswith("example"):
-        # no start is feasible at x = 20, and every row overflows at x = 1e200
-        X = np.vstack([X, [[20.0], [1e200]]])
-    for t in (0.3, 0.02):
-        empty_memo()
-        batch = evaluate_psi_t_batch(problem, X, t, CFG)
-        for x, res in zip(X, batch):
-            empty_memo()
-            assert_identical(res, evaluate_psi_t(problem, x, t, CFG))
 
 
 def test_a_repeated_row_is_solved_once_and_no_caller_writes_into_the_memo(empty_memo, monkeypatch, example2):
