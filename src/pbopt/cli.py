@@ -2,7 +2,8 @@
 
 Traces are CSV (one row per homotopy level), reports and summaries are JSON;
 every output file carries a schema string.  Exit codes: 0 success, 1 usage
-error, 2 infeasibility, 3 checker refusal.
+error, 2 infeasibility, 3 checker refusal.  The certifier, which imports
+scipy, is loaded only by ``check`` and ``solve --check``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .benchlib import get_problem, problem_names
-from .kkt import EPS_ACT_DEFAULT, InfeasiblePointError
 from .maxmin import (
     InnerConfig,
     InnerInfeasibleError,
@@ -31,16 +31,6 @@ from .maxmin import (
 from .problem_model import TriplePoint, check_gradients_fd, relaxation_level
 from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, leader_violation, scholtes_solve
 from .setvalued import convergence_diagnostic
-from .simplex import NnlsLimitError
-from .stationarity import (
-    Multipliers,
-    PatternCapError,
-    RelaxedMultipliers,
-    check_relaxed_stationarity,
-    check_stationarity,
-    recover_c_multipliers,
-    recover_relaxed_multipliers,
-)
 
 TRACE_SCHEMA = "pbopt-trace-1"
 SUMMARY_SCHEMA = "pbopt-summary-1"
@@ -203,6 +193,10 @@ def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:
     smaller factor of each product -u*g within the certifier's activity
     tolerance.  A point the polish leaves above that is not checked.
     """
+    from .kkt import EPS_ACT_DEFAULT, InfeasiblePointError
+    from .simplex import NnlsLimitError
+    from .stationarity import PatternCapError, check_stationarity, recover_c_multipliers
+
     if len(final.argmax) == 0:
         return {"status": "no argmax sample"}
     tol = EPS_ACT_DEFAULT**2
@@ -272,6 +266,18 @@ def _load_point(problem, path: str):
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
+    from .kkt import InfeasiblePointError
+    from .simplex import NnlsLimitError
+    from .stationarity import (
+        Multipliers,
+        PatternCapError,
+        RelaxedMultipliers,
+        check_relaxed_stationarity,
+        check_stationarity,
+        recover_c_multipliers,
+        recover_relaxed_multipliers,
+    )
+
     if not args.point:
         raise UsageError("--point FILE is required")
     data, pt = _load_point(problem, args.point)

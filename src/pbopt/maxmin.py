@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  (the benchmark harness wraps maxmin.minimize)
 
 from .problem_model import Array, BilevelProblem, is_finite_number, is_number, relaxation_level
 
@@ -60,19 +59,30 @@ class InnerInfeasibleError(RuntimeError):
 class GridSpec:
     """Per-coordinate (lo, hi, count) axes over the stacked (y, u) block.
 
-    An axis with count 1 collapses to its lower endpoint.
+    An axis with count 1 collapses to its lower endpoint.  An axis whose count
+    is not a positive integer, or whose bounds are not finite with lo <= hi,
+    is refused with ValueError.
     """
 
     axes: tuple[tuple[float, float, int], ...]
 
-    def arrays(self) -> list[Array]:
-        out = []
+    def __post_init__(self) -> None:
         for lo, hi, n in self.axes:
-            out.append(np.array([lo]) if n <= 1 else np.linspace(lo, hi, n))
-        return out
+            if not (is_number(n, integral=True) and n >= 1):
+                raise ValueError(f"grid axis count must be a positive integer, got {n!r}")
+            if not (is_finite_number(lo) and is_finite_number(hi) and lo <= hi):
+                raise ValueError(f"grid axis bounds must be finite with lo <= hi, got ({lo!r}, {hi!r})")
+
+    def check_width(self, k: int) -> None:
+        """Refuse (ValueError) a grid without one axis per coordinate of a k-wide (y, u) block."""
+        if len(self.axes) != k:
+            raise ValueError(f"grid must cover all {k} follower coordinates")
+
+    def arrays(self) -> list[Array]:
+        return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in self.axes]
 
     def shape(self) -> tuple[int, ...]:
-        return tuple(max(n, 1) for _, _, n in self.axes)
+        return tuple(n for _, _, n in self.axes)
 
     def rows(self, start: int, stop: int) -> Array:
         """Points start..stop-1 of :meth:`points`, built by index arithmetic."""
@@ -84,12 +94,7 @@ class GridSpec:
         return self.rows(0, math.prod(self.shape()))
 
     def max_step(self) -> float:
-        steps = [
-            (hi - lo) / (n - 1)
-            for lo, hi, n in self.axes
-            if n > 1 and hi > lo
-        ]
-        return max(steps) if steps else 0.0
+        return max(((hi - lo) / (n - 1) for lo, hi, n in self.axes if n > 1), default=0.0)
 
     def tolerance(self) -> float:
         """Feasibility tolerance of a grid point: GRID_TOL_FACTOR * max_step, floored at GRID_TOL_FLOOR."""
@@ -117,9 +122,11 @@ def dedup_points(pts: Array, tol: float = DEDUP_TOL) -> Array:
 
     Greedy in sorted order: a point is dropped when its inf-norm distance to
     a point kept before it is at most tol.  Only the pairs of
-    :func:`_close_pairs` are compared.  A point with a NaN or infinite entry
-    is refused with ValueError.
+    :func:`_close_pairs` are compared.  A point with a NaN or infinite entry,
+    or a tol that is not a finite number >= 0, is refused with ValueError.
     """
+    if not (is_finite_number(tol) and tol >= 0.0):
+        raise ValueError(f"dedup tolerance must be finite and nonnegative, got {tol!r}")
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim == 2 else 0)
@@ -841,8 +848,7 @@ def brute_force_psi_t(
     m, q = problem.dims.m, problem.dims.q
     if m + q > 4:
         raise ValueError("brute force limited to m + q <= 4")
-    if len(grid.axes) != m + q:
-        raise ValueError(f"grid must cover all {m + q} follower coordinates")
+    grid.check_width(m + q)
     tau = grid.tolerance()
     best_F, best_z = None, None
     size = math.prod(grid.shape())
@@ -859,3 +865,13 @@ def brute_force_psi_t(
     if best_F is None:
         return BruteForceResult(value=-np.inf, feasible=False, argmax_point=None, tol=tau)
     return BruteForceResult(value=float(best_F), feasible=True, argmax_point=best_z, tol=tau)
+
+
+def __getattr__(name: str):
+    # maxmin.minimize is scipy's, imported on first access so that loading this
+    # module loads no scipy: the benchmark harness reads and rebinds it.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

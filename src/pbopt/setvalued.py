@@ -61,9 +61,11 @@ def sample_relaxed_set(problem: BilevelProblem, x: Array, t: float, grid: GridSp
 
     Keeps every grid point feasible within :meth:`GridSpec.tolerance`, the
     tolerance of the brute-force oracle; comparisons between levels must
-    share one grid so inclusion relations are exact.
+    share one grid so inclusion relations are exact.  A grid that does not
+    cover the m + q follower coordinates is refused with ValueError.
     """
     x, t = problem.leader_point(x), relaxation_level(t)
+    grid.check_width(problem.dims.m + problem.dims.q)
     pts = grid.points()
     tau = grid.tolerance()
     mask = batch_feasibility(problem, x, pts, t, tau)

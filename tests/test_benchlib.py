@@ -164,3 +164,9 @@ def test_synthetic_oracle_brackets_exact_value(synthetic):
             assert exact - 0.2 <= bf <= exact + inflate  # quantisation can only lose a little
     x_opt, val = oracle.known_optimum
     assert oracle.psi_p(x_opt) == val
+
+
+@pytest.mark.parametrize("res", [0, -3, 2.5])
+def test_oracle_grid_refuses_a_resolution_that_is_not_a_positive_integer(example1, res):
+    with pytest.raises(ValueError, match="count"):
+        oracle_grid(example1[0], res=res)

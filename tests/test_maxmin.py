@@ -139,6 +139,33 @@ def test_brute_force_grid_must_cover_follower_block(example1):
         brute_force_psi_t(problem, [0.5], 0.1, GridSpec(((0.0, 1.0, 10),)))
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ((0.0, 1.0, -2), "count"),
+        ((0.0, 1.0, 0), "count"),
+        ((0.0, 1.0, 2.5), "count"),
+        ((0.0, 1.0, 3.0), "count"),
+        ((0.0, 1.0, True), "count"),
+        ((float("nan"), 1.0, 3), "bounds"),
+        ((0.0, float("inf"), 3), "bounds"),
+        ((1.0, 0.0, 3), "bounds"),
+        (("0", 1.0, 3), "bounds"),
+    ],
+)
+def test_grid_refuses_an_axis_it_cannot_grid(axis, message):
+    # a negative count used to collapse the axis to one point, and a NaN bound
+    # made brute_force_psi_t report an infeasible grid that no test produced
+    with pytest.raises(ValueError, match=message):
+        GridSpec((axis, (0.0, 1.0, 3), (0.0, 1.0, 3)))
+
+
+def test_grid_takes_integer_counts_and_a_zero_width_axis():
+    grid = GridSpec(((0, 1, np.int64(3)), (0.5, 0.5, 2), (0.0, 0.0, 1)))
+    assert grid.shape() == (3, 2, 1) and grid.max_step() == 0.5
+    np.testing.assert_array_equal(grid.points()[:, 1], 0.5)
+
+
 def test_brute_force_rejects_high_dimension():
     import pbopt.benchlib as bl
     problem, _ = bl.get_problem("synthetic2d")
@@ -368,6 +395,15 @@ def test_dedup_points_refuses_a_nonfinite_point(value):
     pts[1, 1] = value
     with pytest.raises(ValueError, match="finite"):
         dedup_points(pts)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), "1e-9", None])
+def test_dedup_points_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # at tol = nan two points 1e-12 apart were both kept
+    pts = np.array([[0.0, 1.0], [0.0, 1.0 + 1e-12]])
+    with pytest.raises(ValueError, match="tolerance"):
+        dedup_points(pts, tol)
+    assert len(dedup_points(pts, 0.0)) == 2 and len(dedup_points(pts, DEDUP_TOL)) == 1
 
 
 def test_warm_starts_are_used(example1, light_cfg):

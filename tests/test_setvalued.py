@@ -191,3 +191,13 @@ def test_sample_relaxed_set_refuses_bad_input(example1, x, t):
     grid = GridSpec(((0.0, 1.0, 3), (0.0, 1.0, 3), (0.0, 1.0, 3)))
     with pytest.raises(ValueError):
         sample_relaxed_set(example1[0], x, t, grid=grid)
+
+
+def test_sample_relaxed_set_refuses_a_grid_that_misses_a_coordinate(example1):
+    # a one-axis grid used to fail in numpy with an IndexError
+    problem, _ = example1
+    grid = GridSpec(((0.0, 1.0, 3),))
+    with pytest.raises(ValueError, match="grid must cover all 3 follower coordinates"):
+        sample_relaxed_set(problem, [0.5], 0.1, grid)
+    with pytest.raises(ValueError, match="grid must cover all 3 follower coordinates"):
+        brute_force_psi_t(problem, [0.5], 0.1, grid)
