@@ -7,12 +7,13 @@ set -eo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
 # eval and solve without --check load no scipy module (only the certifier
-# does); -X importtime names every module imported on stderr
+# does), and no numpy.ma (about 14 ms, which np.unique loads); -X importtime
+# names every module imported on stderr
 python -X importtime -m pbopt.cli eval --problem example2 --x 0.1 --t 0.3 > /dev/null 2> "$tmp/import_eval.err"
 python -X importtime -m pbopt.cli solve --problem example2 --trace "$tmp/trace_import.csv" > /dev/null 2> "$tmp/import_solve.err"
 for log in "$tmp/import_eval.err" "$tmp/import_solve.err"; do
-    if grep -E '\| +scipy(\.|$)' "$log"; then
-        echo "$log: a scipy module was imported"; exit 1
+    if grep -E '\| +(scipy|numpy\.ma)(\.|$)' "$log"; then
+        echo "$log: a scipy or numpy.ma module was imported"; exit 1
     fi
 done
 

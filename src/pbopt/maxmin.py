@@ -6,9 +6,9 @@ For fixed leader point x and relaxation level t >= 0 this evaluates
 
 by a multistart feasible-direction ascent (gradient projection with
 restoration) that stays on that set, from points first polished onto it by
-Gauss-Newton, and approximates the set of near-maximisers.  The starts
-advance in lockstep, so every ascent or polish step evaluates the problem
-once for the batch.
+the same Gauss-Newton restoration, and approximates the set of
+near-maximisers.  The starts advance in lockstep, so every ascent or
+polish step evaluates the problem once for the batch.
 A brute-force grid maximiser is provided as an independent oracle for
 low-dimensional problems.
 """
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem_model import Array, BilevelProblem, is_finite_number, is_number, relaxation_level
+from .problem_model import Array, BilevelProblem, is_finite_number, is_number, problem_key, relaxation_level
 
 # Level slack of the argmax cloud: every feasible start within it of the best
 # value joins the cloud.  The certifier's graph-value row uses it too.
@@ -427,7 +427,7 @@ def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
 
 
 def _directions(
-    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, known: Optional[tuple[Array, Array]] = None
+    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, known: tuple[Array, Array]
 ) -> tuple[Array, Array, Array]:
     """Projected-gradient ascent directions at every row of Z.
 
@@ -435,10 +435,10 @@ def _directions(
     rows within ACTIVE_TOL of zero) with every coordinate within ACTIVE_TOL
     of a bound fixed (:func:`_project`); while it vanishes, the active row or
     bound with the most negative multiplier (computed only then) is freed.
-    ``known`` is the rows' g and L rows when an evaluation at Z has already
-    found every row finite and on D_t; the signed rows are then rebuilt
-    from them as :func:`_residuals` builds them, bit for bit, and
-    :func:`_residuals` runs only when ``known`` is None.
+    ``known`` is the rows' g and L rows from the evaluation that put them
+    on D_t (finite there); the signed rows are rebuilt from them as
+    :func:`_residuals` builds them, bit for bit, so no direction evaluates
+    residuals of its own.
     Returns whether each row has a direction (it is no KKT point, and its
     rows, Jacobian and grad F are finite), the direction d and the step
     cap: the length at which the step first crosses an inactive row or
@@ -447,11 +447,8 @@ def _directions(
     were freed.
     """
     m = problem.dims.m
-    if known is None:
-        U, g, r = _residuals(problem, X, Z, t)
-    else:
-        (g, L), U = known, Z[:, m:]
-        r = np.concatenate([L, g, -U * g - t], axis=1)
+    (g, L), U = known, Z[:, m:]
+    r = np.concatenate([L, g, -U * g - t], axis=1)
     A = _residual_jacobian(problem, X, Z, U, g)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
@@ -483,23 +480,22 @@ def _directions(
 
 
 def _ascend(
-    problem: BilevelProblem, X: Array, Z: Array, viol: Array, t: float, lo: Array, hi: Array, cfg: InnerConfig
+    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, cfg: InnerConfig
 ) -> tuple[Array, Array, Array, Array, Array]:
-    """Feasible-direction ascent of F from every row of Z that lies on D_t.
+    """Feasible-direction ascent of F from the starts Z in [lo, hi], each polished onto D_t first.
 
-    Gradient projection with restoration, all rows in lockstep, with
-    Rosen's step rule: a new :func:`_directions` direction's first trial
-    steps to its cap, the first inactive row or bound it crosses, and each
-    rejected trial halves the length.  A trial is evaluated once by
-    :func:`_violations`; one off D_t by more than cfg.feas_tol is restored
-    by the polish of :func:`polish_onto_relaxed_set`, which starts from
-    that evaluation (:func:`_polish`).  A restored point that is feasible
-    with a higher F is accepted and gets a new direction.  An accepted
-    trial's g and L rows, from its own evaluation or from its restoration
-    polish, go to its next :func:`_directions` call, so only the first
-    directions evaluate residuals.  A row stops at a KKT point, once its
-    length falls below STEP_MIN, or after cfg.local_maxiter trials; a row
-    that starts off D_t or with a non-finite F does not run.
+    The starts are evaluated once by :func:`_violations` and polished from
+    that evaluation by :func:`_polish`, the restoration every trial off D_t
+    gets.  Then gradient projection with restoration, all rows in lockstep,
+    with Rosen's step rule: a new :func:`_directions` direction's first
+    trial steps to its cap, the first inactive row or bound it crosses, and
+    each rejected trial halves the length.  A trial is evaluated once; one
+    off D_t by more than cfg.feas_tol is restored, and a restored point
+    that is feasible with a higher F is accepted and gets a new direction.
+    Each direction takes its g and L rows from the evaluation or polish
+    that put its point on D_t, their one source.  A row stops at a KKT
+    point, once its length falls below STEP_MIN, or after cfg.local_maxiter
+    trials; a row left off D_t, or with a non-finite F, does not run.
 
     A row is settled unless it was still running after cfg.local_maxiter
     trials.  A row that stopped by itself has not moved since its last
@@ -507,18 +503,21 @@ def _ascend(
     and cap again and repeat this one bit for bit (Rosen's stopping rule).
 
     Returns the points, their violations, their F values, the residual
-    evaluations of each row (one per new direction, one per trial, and the
-    new iterates of the restoration polishes) and the settled mask.
+    evaluations of each row (the check at the start, the new iterates of
+    every polish, one per new direction and one per trial) and the settled
+    mask.
     """
     m, q = problem.dims.m, problem.dims.q
     N = Z.shape[0]
-    Z, viol = Z.copy(), viol.copy()
+    Z = Z.copy()  # the polish writes its rows in place
+    g, v, viol = _violations(problem, X, Z, t)
+    Z, viol, evals = _polish(problem, X, Z, g, v, viol, t, lo, hi, cfg.feas_tol)
+    evals += 1  # the check at the start
     f = problem.F_rows(X, Z[:, :m])
-    evals = np.zeros(N, dtype=int)
     step, d = np.zeros(N), np.zeros((N, m + q))  # trial lengths and directions
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
     fresh = np.flatnonzero(running)
-    known = None  # g and L rows at the fresh rows, once their trials have evaluated them
+    known = g[fresh], v[fresh, :m]  # g and L rows at the fresh rows
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
             moving, d[fresh], step[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
@@ -556,12 +555,12 @@ def evaluate_psi_t(
 ) -> InnerSolveResult:
     """Best feasible leader objective over the level-t follower KKT set at x.
 
-    Multistart feasible-direction ascent in at most cfg.sweeps rounds: each
-    polishes the starts onto the set (:func:`polish_onto_relaxed_set`) and
-    then runs :func:`_ascend` from the points that reached it.  Only a
-    start whose ascent ran out of cfg.local_maxiter trials runs the next
-    round (:func:`_solve_batch`); any other would come out of every later
-    round unchanged.  ``rounds`` counts the rounds that ran.  ``evals``
+    Multistart feasible-direction ascent in at most cfg.sweeps rounds, each
+    one :func:`_ascend` call: the starts and the off-set trials reach the
+    set by one restoration, the polish of :func:`polish_onto_relaxed_set`.
+    Only a start whose ascent ran out of cfg.local_maxiter trials runs the
+    next round (:func:`_solve_batch`); any other would come out of every
+    later round unchanged.  ``rounds`` counts the rounds that ran.  ``evals``
     counts the polish iterations plus the ascent's evaluations (see
     :class:`InnerSolveResult`).  The reported value comes only from points
     feasible within cfg.feas_tol with a finite F, and the argmax cloud
@@ -630,8 +629,8 @@ def _seeded_starts(seed: int, starts: int, lo_bytes: bytes, hi_bytes: bytes) -> 
 class _Memo:
     """Inner-solve results by row key (:func:`_row_keys`), least recently used first.
 
-    Each entry is (problem, its attribute objects, result): it holds the
-    objects whose ids its key names, so no id is reused while it lives.
+    Each entry is (the objects whose ids its key names, result), so no id
+    is reused while it lives (:func:`problem_model.problem_key`).
     ``hits`` counts the rows answered without a solve of their own, from
     an entry or from a like row earlier in the same call, and ``misses``
     the rows solved.
@@ -649,12 +648,12 @@ _memo = _Memo()
 _KEY_FIELDS = tuple(f.name for f in dataclasses.fields(InnerConfig) if f.name != "warm_starts")
 
 
-def _row_keys(problem: BilevelProblem, attrs: tuple, X: Array, t: float, cfg: InnerConfig, warm: Array, lo: Array, hi: Array) -> list[tuple]:
-    """The memo key of each row of X: the problem's id and its attributes' ids, as
-    stationarity._same_point compares them, the bits of t, every config
-    field with the warm block's bytes, the follower box's bytes and the row's bytes."""
+def _row_keys(ids: tuple, X: Array, t: float, cfg: InnerConfig, warm: Array, lo: Array, hi: Array) -> list[tuple]:
+    """The memo key of each row of X: the problem's key ids (:func:`problem_model.problem_key`),
+    the bits of t, every config field with the warm block's bytes, the
+    follower box's bytes and the row's bytes."""
     settings = tuple(getattr(cfg, name) for name in _KEY_FIELDS)
-    base = (id(problem), tuple(map(id, attrs)), t.hex(), settings, warm.tobytes(), lo.tobytes(), hi.tobytes())
+    base = (ids, t.hex(), settings, warm.tobytes(), lo.tobytes(), hi.tobytes())
     return [base + (row.tobytes(),) for row in X]
 
 
@@ -677,15 +676,15 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     t = relaxation_level(t)
     lo, hi = follower_box(problem, cfg)
     warm = _warm_block(cfg, problem.dims.m + problem.dims.q)
-    attrs = tuple(vars(problem).values())
-    keys = _row_keys(problem, attrs, X, t, cfg, warm, lo, hi)
+    ids, held = problem_key(problem)
+    keys = _row_keys(ids, X, t, cfg, warm, lo, hi)
     known: dict[tuple, InnerSolveResult] = {}
     with _memo.lock:
         for key in keys:
             entry = _memo.rows.get(key)
             if entry is not None:
                 _memo.rows.move_to_end(key)
-                known[key] = entry[2]
+                known[key] = entry[1]
         todo = {key: r for r, key in enumerate(keys) if key not in known}
         _memo.hits += len(keys) - len(todo)
         _memo.misses += len(todo)
@@ -695,7 +694,7 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
         with _memo.lock:
             for key, res in zip(todo, solved):
                 known[key] = res
-                _memo.rows[key] = (problem, attrs, res)
+                _memo.rows[key] = (held, res)
                 _memo.rows.move_to_end(key)
             while len(_memo.rows) > MEMO_ROWS:
                 _memo.rows.popitem(last=False)
@@ -706,9 +705,9 @@ def _solve_batch(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig, 
     """The inner solves at the rows of X, every start of every row in lockstep.
 
     t is a checked level, [lo, hi] the follower box and warm the warm
-    block of cfg.  Each round polishes and ascends only the live rows: all
-    rows in the first round, then those whose ascent still ran when
-    cfg.local_maxiter trials ran out (the round polish's POLISH_MAXITER
+    block of cfg.  Each round is one :func:`_ascend` call on the live
+    rows: all rows in the first round, then those whose ascent still ran
+    when cfg.local_maxiter trials ran out (a start polish's POLISH_MAXITER
     budget is final).  Every operation is row-independent, so which rows
     run changes no row's result.  The results of all leader points are
     then built in one pass (:func:`_inner_results`).
@@ -727,11 +726,10 @@ def _solve_batch(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig, 
     # already handle and _inner_results reports; numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.sweeps):
-            Xl = _take(X, live)
-            P, pviol, polish_iters = polish_onto_relaxed_set(problem, Xl, Z[live], t, lo, hi, cfg.feas_tol)
-            Z[live], viol[live], fval[live], ascent_evals, settled = _ascend(problem, Xl, P, pviol, t, lo, hi, cfg)
-            evals[live] += polish_iters + ascent_evals
-            rounds[np.unique(live // n_starts)] += 1
+            Z[live], viol[live], fval[live], ascent_evals, settled = _ascend(problem, _take(X, live), Z[live], t, lo, hi, cfg)
+            evals[live] += ascent_evals
+            # a mask, not np.unique, which loads numpy.ma on its first call
+            rounds += np.bincount(live // n_starts, minlength=len(rounds)) > 0
             live = live[~settled]
             if not live.size:
                 break

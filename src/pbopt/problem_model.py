@@ -93,10 +93,10 @@ class BilevelProblem:
     All callables must be pure and deterministic.  Evaluations outside the
     mathematical domain should return non-finite values instead of raising;
     callers treat non-finite as infeasible.  Build a changed problem with
-    ``dataclasses.replace``: the certifier keeps the data of the last point
-    it set up, keyed on the problem object and its attribute objects, so
-    data that a callable reads but that is changed in place (an array it
-    closes over, say) goes unseen.
+    ``dataclasses.replace``: the inner solver's results and the certifier's
+    record of its last point are kept under :func:`problem_key`, the
+    problem object and its attribute objects, so data that a callable reads
+    but that is changed in place (an array it closes over, say) goes unseen.
 
     ``y_box`` is the (m, 2) follower search box of the inner solver, the
     Slater probe and the oracle grids.  A problem built without one gets
@@ -256,12 +256,31 @@ class BilevelProblem:
         return X
 
     def check_point(self, pt: TriplePoint) -> None:
+        """Refuse a point whose blocks do not match the dims (DimensionError) or hold a NaN or infinite entry (ValueError)."""
         d = self.dims
         if pt.x.shape != (d.n,) or pt.y.shape != (d.m,) or pt.u.shape != (d.q,):
             raise DimensionError(
                 f"point shapes {pt.x.shape}/{pt.y.shape}/{pt.u.shape} do not match "
                 f"dims (n={d.n}, m={d.m}, q={d.q})"
             )
+        # math.isfinite over the floats: the certifier checks its point on every
+        # call, and on blocks this small numpy's reductions cost several times more
+        for name, block in (("x", pt.x), ("y", pt.y), ("u", pt.u)):
+            if not all(map(math.isfinite, block.tolist())):
+                raise ValueError(f"point block {name} must be finite, got {block.tolist()}")
+
+
+def problem_key(problem: BilevelProblem) -> tuple[tuple, tuple]:
+    """The key under which results computed for problem are kept, and the objects their holder must keep alive.
+
+    Two problems are the same when they are one object whose attributes are
+    the same objects: reassigning an attribute or a ``dataclasses.replace``
+    copy makes another problem.  The key is the ids of the problem and of
+    its attribute values; a holder of the key holds the returned objects
+    too, so no id in it is reused while it lives.
+    """
+    held = (problem, *vars(problem).values())
+    return tuple(map(id, held)), held
 
 
 def _box(box, size: int, what: str) -> Array:

@@ -35,17 +35,16 @@ one record per point: the residual record, the index sets, the derivative
 blocks, the follower blocks, the recovery pool that S, M and C pick from and
 the answers of the recovery systems solved there are computed once, each on
 first use (the arrays handed out read-only).  A call sets up afresh when it gets
-another problem object, when one of the problem's attributes is no longer
-the object it was at the set-up (``problem.eval_g = ...`` or a
-``dataclasses.replace`` copy), or when x, y, u or the relaxation level
-differ in any bit.  Only the last point is kept.  The refusals of a point
+another problem (``problem_model.problem_key``: another object, or one of
+its attributes is no longer the object it was at the set-up, as after
+``problem.eval_g = ...``), or when x, y, u or the relaxation level differ
+in any bit.  Only the last point is kept.  The refusals of a point
 (``feas_tol`` and the classification) run on every call.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,7 +54,7 @@ import numpy as np
 from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_jacobians, relaxation_level
+from .problem_model import Array, BilevelProblem, TriplePoint, is_finite_number, lagrangian_jacobians, problem_key, relaxation_level
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 # Sign patterns one walk may decide by solves, its only limit; 3^8 of them took 0.3-1.8 s on one
@@ -169,6 +168,7 @@ class _Point:
     """
 
     key: tuple
+    held: tuple  # the objects whose ids the key names (problem_model.problem_key)
     res: _Residual
     idx: object = None
     data: Optional[_SystemData] = None
@@ -180,29 +180,22 @@ class _Point:
 _last_point: Optional[_Point] = None  # the last point set up
 
 
-def _point_key(problem: BilevelProblem, pt: TriplePoint, level: float) -> tuple:
-    return problem, tuple(vars(problem).values()), np.concatenate([pt.x, pt.y, pt.u, [level]]).tobytes()
-
-
-def _same_point(a: tuple, b: tuple) -> bool:
-    """The same problem object with the same attribute objects, and the same bits of x, y, u and t."""
-    return a[0] is b[0] and a[2] == b[2] and len(a[1]) == len(b[1]) and all(map(operator.is_, a[1], b[1]))
-
-
 def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optional[float]) -> _Point:
     """The record of pt at level t, with its residual, index sets and system data, from one residual evaluation.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
     then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.  The
-    record is kept for the next call at the same point (see _same_point),
-    and the refusals run on every call.
+    record is kept for the next call at the same point: the same problem
+    (:func:`problem_model.problem_key`) and the same bits of x, y, u and
+    the level.  The refusals run on every call.
     """
     global _last_point
     problem.check_point(pt)
-    key = _point_key(problem, pt, relaxation_level(t))
+    ids, held = problem_key(problem)
+    key = ids, np.concatenate([pt.x, pt.y, pt.u, [relaxation_level(t)]]).tobytes()
     point = _last_point
-    if point is None or not _same_point(point.key, key):
-        point = _last_point = _Point(key, _Residual(kkt_residual(problem, pt, t)))
+    if point is None or point.key != key:
+        point = _last_point = _Point(key, held, _Residual(kkt_residual(problem, pt, t)))
     res = point.res
     if feas_tol is not None and not res.is_feasible(feas_tol):
         raise InfeasiblePointError(
@@ -464,7 +457,7 @@ def _walk(point: _Point, rows: Array, n: int, base, options: list, decide, every
     if screen_at < total:
         good = _block_tuples(rows, blocks, options, decide)
         picked = _open_patterns(shape, blocks, good, screen_at, len(blocks) if every else 1)
-        yield from _chunks(((at, _system(base, tuple(map(operator.getitem, options, digits)))) for at, digits in picked), used=screen_at)
+        yield from _chunks(((at, _system(base, tuple(o[i] for o, i in zip(options, digits)))) for at, digits in picked), used=screen_at)
 
 
 def recover_c_multipliers(
@@ -582,8 +575,8 @@ def _multiplier_blocks(mults, sizes: dict[str, int]) -> list[Array]:
 
 
 def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not (is_finite_number(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) -> StationarityReport:
@@ -629,8 +622,9 @@ def check_stationarity(
     exact follower KKT set and F must reach the inner max value within
     EPS_LVL_DEFAULT, the argmax slack of the inner solver, which supplies
     that value.  The index sets use the activity margin kkt.EPS_ACT_DEFAULT.
-    A tol that is not finite and nonnegative, and a multiplier block that
-    is not a finite vector of its length, are refused with ValueError.
+    A tol that is not a finite nonnegative number (:func:`is_finite_number`),
+    and a multiplier block that is not a finite vector of its length, are
+    refused with ValueError.
     """
     _check_kind(kind)
     _check_tol(tol)

@@ -449,6 +449,7 @@ BAD_INPUTS = {
     "bool_level_in_point": ["check", "--problem", "example1", "--point", "pt_bool_t.json", "--kind", "relaxed"],
     "config_huge_u_max": ["eval", "--config", "cfg_huge.json", "--x", "0.5", "--t", "0.1"],
     "huge_int_in_point": ["check", "--problem", "example1", "--point", "pt_huge.json"],
+    "nan_in_point": ["check", "--problem", "example1", "--point", "pt_nan.json", "--kind", "C"],
 }
 
 
@@ -465,6 +466,8 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, name):
     # a JSON integer too large for a float; it raised OverflowError
     (tmp_path / "cfg_huge.json").write_text(json.dumps({"problem": "example1", "u_max": 10**400}))
     (tmp_path / "pt_huge.json").write_text(json.dumps({"x": [10**400], "y": [0.0], "u": [0.5, 0.0]}))
+    # it exited 2, "'stationarity' violates by nan", as if the point were infeasible
+    (tmp_path / "pt_nan.json").write_text('{"x": [NaN], "y": [0.0], "u": [0.5, 0.0]}')
     code, out, err = run_cli(capsys, *BAD_INPUTS[name])
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1

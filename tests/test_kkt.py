@@ -185,6 +185,18 @@ def test_kkt_residual_refuses_a_bad_level(example1, t):
         kkt_residual(example1[0], TriplePoint([0.5], [0.0], [0.5, 0.0]), t)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("block", ["x", "y", "u"])
+def test_a_nonfinite_point_is_refused_not_called_infeasible(example1, block, bad):
+    # a NaN x used to give "'stationarity' violates by nan", an infeasible verdict
+    blocks = {"x": [0.5], "y": [0.0], "u": [0.5, 0.0]}
+    blocks[block] = [bad] + blocks[block][1:]
+    with pytest.raises(ValueError, match=f"point block {block} must be finite"):
+        example1[0].check_point(TriplePoint(**blocks))
+    with pytest.raises(ValueError, match="must be finite"):
+        kkt_residual(example1[0], TriplePoint(**blocks))
+
+
 @pytest.mark.parametrize("x", [[float("nan")], [0.5, 0.5]])
 def test_upper_regularity_refuses_a_bad_leader_point(example1, x):
     # a NaN x used to read as "regular"

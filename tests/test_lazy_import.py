@@ -127,6 +127,13 @@ def test_maxmin_loads_no_scipy_and_serves_minimize_on_demand():
     assert "scipy.optimize" in loaded(check)
 
 
+def test_a_cold_inner_solve_loads_no_numpy_ma():
+    # np.unique in the round bookkeeping imported numpy.ma (about 14 ms) on the first solve
+    solve = "import pbopt; pbopt.evaluate_psi_t_batch(pbopt.get_problem('example2')[0], [[0.1], [0.4]], 0.3)"
+    code = f"import sys; {solve}; print('numpy.ma' in sys.modules)"
+    assert python("-c", code).strip() == "False"
+
+
 def test_cli_without_the_certifier_runs_with_scipy_blocked(tmp_path):
     short = ["--t0", "1", "--rho", "0.5", "--tmin", "0.25"]
     commands = [

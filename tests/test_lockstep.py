@@ -90,12 +90,12 @@ def test_start_path_does_not_depend_on_its_batch(name):
     Z0 = rng.uniform(lo, hi, size=(8, lo.size))
     P, viol, iters = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
     assert (viol <= cfg.feas_tol).sum() >= 2  # the ascent runs on several starts at once
-    Q, qviol, fval, evals, settled = _ascend(problem, x[None], P, viol, t, lo, hi, cfg)
+    Q, qviol, fval, evals, settled = _ascend(problem, x[None], Z0, t, lo, hi, cfg)
     for i in range(len(Z0)):
         Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, Z0[i : i + 1], t, lo, hi, cfg.feas_tol)
         np.testing.assert_array_equal(Pi[0], P[i])
         assert (viol_i[0], iters_i[0]) == (viol[i], iters[i])
-        Qi, qviol_i, fval_i, evals_i, settled_i = _ascend(problem, x[None], Pi, viol_i, t, lo, hi, cfg)
+        Qi, qviol_i, fval_i, evals_i, settled_i = _ascend(problem, x[None], Z0[i : i + 1], t, lo, hi, cfg)
         np.testing.assert_array_equal(Qi[0], Q[i])
         assert (qviol_i[0], fval_i[0], evals_i[0], settled_i[0]) == (qviol[i], fval[i], evals[i], settled[i])
 
@@ -103,11 +103,12 @@ def test_start_path_does_not_depend_on_its_batch(name):
 def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
     """Record, in call order, the ascent's events at a lone row.
 
-    "D" is a new direction, "E" a trial evaluation of the violations that
-    finds the trial on D_t and "X" one that finds it off, ("P", iterations)
-    a restoration polish (its own evaluations are not logged) and "F" the F
-    evaluation that ends every trial (the first "F" is the starting value).
-    Each polish's arguments and output go to ``polishes``.
+    "D" is a new direction, "E" an evaluation of the violations that finds
+    its point on D_t and "X" one that finds it off, ("P", iterations) a
+    polish (its own evaluations are not logged) and "F" the F evaluation
+    that ends every trial.  The log opens with the start's check, its
+    polish and the starting value's "F".  Each polish's arguments and
+    output go to ``polishes``.
     """
     directions, violations, polish, F_rows = maxmin._directions, maxmin._violations, maxmin._polish, problem.F_rows
 
@@ -145,12 +146,13 @@ def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
 def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem):
     """A trial is evaluated once, and polished only when that evaluation finds it off D_t.
 
-    The returned violations are those of the returned points, every row
-    that moved is feasible, and evals counts one per direction, one per
-    trial and the iterations of each restoration polish after the trial's
-    own evaluation: the polish starts from that evaluation, and returns
-    what ``polish_onto_relaxed_set`` returns at the trial, with one
-    iteration fewer.
+    The start is checked once and polished from that check by the same
+    polish.  The returned violations are those of the returned points,
+    every row that moved from its polished start is feasible, and evals
+    counts the start's check, one per direction, one per trial and the
+    iterations of each polish after the evaluation it starts from: every
+    polish returns what ``polish_onto_relaxed_set`` returns at its point,
+    with one iteration fewer.
     """
     cfg = InnerConfig(local_maxiter=40)
     lo, hi = follower_box(problem, cfg)
@@ -158,8 +160,9 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
     trials = restored = 0
     for t in (0.2, 1e-3):
         x = leader_point(problem, rng)[None]
-        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
-        Q, qviol, fval, evals, _ = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+        Z0 = rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size))
+        P, viol, _ = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
+        Q, qviol, fval, evals, _ = _ascend(problem, x, Z0, t, lo, hi, cfg)
         np.testing.assert_array_equal(qviol, _violations(problem, x, Q, t)[2])
         moved = (Q != P).any(axis=1)
         assert (qviol[moved] <= cfg.feas_tol).all()
@@ -167,23 +170,24 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
             for i in range(len(P)):
                 log, polishes = [], []
                 ascent_log(patch, problem, log, cfg.feas_tol, polishes)
-                assert _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)[3][0] == evals[i]
+                assert _ascend(problem, x, Z0[i : i + 1], t, lo, hi, cfg)[3][0] == evals[i]
                 patch.undo()
-                restored += len(polishes)
+                np.testing.assert_array_equal(polishes[0][0][2], Z0[i : i + 1])  # the start polish
+                restored += len(polishes) - 1
                 for (_, X, Z, *given, _, _, _, _), out in polishes:
                     for got, want in zip(given, _violations(problem, X, Z, t)):
                         np.testing.assert_array_equal(got, want)
                     Zp, vp, iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
                     for got, want in zip(out, (Zp, vp, iters - 1)):
                         np.testing.assert_array_equal(got, want)
-                assert log[0] == "F"
-                *done, tail = "".join(e if isinstance(e, str) else "P" for e in log[1:]).split("F")
+                assert log[0] in ("E", "X") and log[1][0] == "P" and log[2] == "F"
+                *done, tail = "".join(e if isinstance(e, str) else "P" for e in log[3:]).split("F")
                 assert tail in ("", "D")  # a last direction that found a KKT point
                 for trial in done:
                     assert trial in ("E", "XP", "DE", "DXP"), trial
                 trials += len(done)
                 polish_iters = sum(e[1] for e in log if isinstance(e, tuple))
-                assert evals[i] == log.count("D") + len(done) + polish_iters
+                assert evals[i] == 1 + log.count("D") + len(done) + polish_iters
     # q0_toy's D_t is the point y = x, at which the first direction vanishes; empty_lower_toy's is empty
     assert (trials > 0) != (problem.name in ("q0_toy", "empty_lower_toy"))
     assert (restored > 0) == (trials > 0)
@@ -191,21 +195,27 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
 
 @pytest.mark.parametrize("problem", benchlib_problems() + [make_quartic_toy()], ids=lambda p: p.name)
 def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
-    """Only the first direction evaluates residuals: every accepted trial hands its
-    g and L rows, from its own evaluation or from its restoration polish, to its
-    next direction, and the ascent is bit for bit the one whose directions
-    evaluate them again."""
+    """No direction evaluates residuals: the first directions take the g and L
+    rows of the start polish, and every accepted trial hands its own, from its
+    evaluation or from its restoration polish, to its next direction.  The
+    ascent is bit for bit the one whose directions evaluate them again."""
     cfg = InnerConfig(local_maxiter=40)
     lo, hi = follower_box(problem, cfg)
+    m = problem.dims.m
     directions, residuals = maxmin._directions, maxmin._residuals
     rng = np.random.default_rng(41)
     later = 0  # directions after an accepted trial
     for t in (0.2, 1e-3):
         x = leader_point(problem, rng)[None]
-        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
+        Z0 = rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size))
+
+        def evaluated_directions(problem, X, Z, t, lo, hi, known):
+            _, g, r = residuals(problem, X, Z, t)
+            return directions(problem, X, Z, t, lo, hi, (g, r[:, :m]))
+
         with monkeypatch.context() as patch:
-            patch.setattr(maxmin, "_directions", lambda *args: directions(*args[:6]))
-            want = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+            patch.setattr(maxmin, "_directions", evaluated_directions)
+            want = _ascend(problem, x, Z0, t, lo, hi, cfg)
         evaluated, per_direction = [0], []
 
         def counted_residuals(*args):
@@ -221,10 +231,10 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
         with monkeypatch.context() as patch:
             patch.setattr(maxmin, "_residuals", counted_residuals)
             patch.setattr(maxmin, "_directions", counted_directions)
-            got = _ascend(problem, x, P, viol, t, lo, hi, cfg)
+            got = _ascend(problem, x, Z0, t, lo, hi, cfg)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-        assert per_direction == [1] + [0] * (len(per_direction) - 1)
+        assert evaluated[0] > 0 and per_direction == [0] * len(per_direction)
         later += len(per_direction) - 1
     assert later > 0
 
@@ -240,9 +250,10 @@ def test_a_new_direction_first_steps_to_its_cap_and_a_rejection_halves_the_lengt
     for problem, t in itertools.product(benchlib_problems() + [make_quartic_toy(), make_duplicated_g_toy()], (0.4, 0.05, 1e-3, 0.0)):
         lo, hi = follower_box(problem, cfg)
         x = leader_point(problem, rng)[None]
-        P, viol, _ = polish_onto_relaxed_set(problem, x, rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size)), t, lo, hi, cfg.feas_tol)
-        for i in range(len(P)):
-            log, polishing = [], [False]  # ("D", point, d, cap) per new direction, ("T", point) per trial
+        Z0 = rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size))
+        for i in range(len(Z0)):
+            # ("D", point, d, cap) per new direction, ("T", point) per trial after the start's check
+            log, polishing = [], [False]
 
             def logged_directions(problem, X, Z, *rest):
                 moving, d, cap = out = directions(problem, X, Z, *rest)
@@ -265,9 +276,11 @@ def test_a_new_direction_first_steps_to_its_cap_and_a_rejection_halves_the_lengt
                 patch.setattr(maxmin, "_directions", logged_directions)
                 patch.setattr(maxmin, "_violations", logged_violations)
                 patch.setattr(maxmin, "_polish", logged_polish)
-                _ascend(problem, x, P[i : i + 1], viol[i : i + 1], t, lo, hi, cfg)
+                _ascend(problem, x, Z0[i : i + 1], t, lo, hi, cfg)
+            assert log[0][0] == "T"
+            np.testing.assert_array_equal(log[0][1], Z0[i])  # the start's own check comes first
             length, first = None, False  # the length the next trial must have, and whether it is the first
-            for kind, *event in log:
+            for kind, *event in log[1:]:
                 if kind == "D":
                     (Z, d, length), first = event, True
                 elif kind == "KKT":
@@ -304,10 +317,10 @@ def test_every_row_with_a_direction_has_a_finite_cap(name, seed, t):
         return seen[-1]
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-        seen.append(directions(problem, x, Z0, t, lo, hi))
-        P, viol, _ = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
+        g, v, _ = _violations(problem, x, Z0, t)
+        seen.append(directions(problem, x, Z0, t, lo, hi, (g, v[:, : problem.dims.m])))
         patch.setattr(maxmin, "_directions", logged_directions)
-        _ascend(problem, x, P, viol, t, lo, hi, cfg)
+        _ascend(problem, x, Z0, t, lo, hi, cfg)
     for moving, _, cap in seen:
         assert np.isfinite(cap[moving]).all() and (cap[moving] > 0.0).all()
 

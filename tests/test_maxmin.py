@@ -512,37 +512,51 @@ def test_brute_force_refuses_bad_input(example1, x, t):
 
 
 def left_settled(cfg, start, out):
-    """The rows a round leaves settled: the ascent settled them, or the polish
-    left them off D_t before its iteration budget ran out (they stalled)."""
+    """The rows a round leaves settled: the ascent settled them, or its start
+    polish left them off D_t before its iteration budget ran out (they stalled)."""
     return out[4] | ((start[1] > cfg.feas_tol) & (start[2] < maxmin.POLISH_MAXITER))
 
 
-def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, example2):
-    """A round polishes and ascends exactly the rows the last round left unsettled.
+def record_rounds(monkeypatch):
+    """Spy on _ascend and _polish; the returned list gets, per round (one
+    _ascend call), its leader rows, its starts, its start polish (its first
+    _polish call, which must start from those starts) as
+    ``polish_onto_relaxed_set`` returns it (points, violations and iterations
+    counting the check at the start) and the ascent's output."""
+    ascend, polish = maxmin._ascend, maxmin._polish
+    rounds, start = [], []
 
-    A row the round's polish left stalled off D_t counts as settled.  evals
-    counts the iterations of the round polishes plus the ascent's
-    evaluations, which include the iterations of its restoration polishes;
-    rounds counts the rounds that ran a start of the leader point.
+    def spied_polish(problem, X, Z, *rest):
+        given = Z.copy()
+        out = polish(problem, X, Z, *rest)
+        if not start:  # the ascent's first polish
+            start.append((given, out[0].copy(), out[1].copy(), out[2] + 1))
+        return out
+
+    def spied_ascend(problem, X, Z, *rest):
+        start.clear()
+        X0, Z0 = X.copy(), Z.copy()
+        out = ascend(problem, X, Z, *rest)
+        given, *polished = start[0]
+        np.testing.assert_array_equal(given, Z0)
+        rounds.append((X0, Z0, tuple(polished), out))
+        return out
+
+    monkeypatch.setattr(maxmin, "_polish", spied_polish)
+    monkeypatch.setattr(maxmin, "_ascend", spied_ascend)
+    return rounds
+
+
+def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, example2):
+    """A round, one _ascend call, polishes and ascends exactly the rows the last round left unsettled.
+
+    A row the round's start polish left stalled off D_t counts as settled.
+    evals counts the ascents' evaluations, which include the iterations of
+    the start polishes (with the check at the start) and of the restoration
+    polishes; rounds counts the rounds that ran a start of the leader point.
     """
     problem, _ = example2
-    polish, ascend = maxmin.polish_onto_relaxed_set, maxmin._ascend
-    polished, ran = [], []
-
-    def count_polish(*args):
-        out = polish(*args)
-        polished.append((args[1].copy(), args[2].copy(), out))
-        return out
-
-    def count_ascent(problem, X, Z, viol, *rest):
-        X0, Z0, start = polished[-1]
-        assert Z is start[0] and viol is start[1]  # the round's polish, not a restoration
-        out = ascend(problem, X, Z, viol, *rest)
-        ran.append((X0, Z0, start, out))
-        return out
-
-    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_polish)
-    monkeypatch.setattr(maxmin, "_ascend", count_ascent)
+    ran = record_rounds(monkeypatch)
     cfg = InnerConfig(starts=6, sweeps=3, local_maxiter=1)  # an ascent this short leaves starts unsettled
     X = [[-0.6], [0.6]]  # at t = 0.1 the second point keeps an unsettled start through all three rounds
     results = maxmin.evaluate_psi_t_batch(problem, X, 0.1, cfg)
@@ -555,7 +569,8 @@ def test_each_round_runs_the_starts_the_last_round_left_unsettled(monkeypatch, e
     assert 1 < len(ran) <= cfg.sweeps
     assert len(ran) == cfg.sweeps or left_settled(cfg, *ran[-1][2:]).all()
     assert [res.rounds for res in results] == [sum(x[0] in X0 for X0, *_ in ran) for x in X] == [2, 3]
-    assert sum(res.evals for res in results) == sum(int(start[2].sum() + out[3].sum()) for _, _, start, out in ran)
+    assert all((out[3] >= start[2]).all() for _, _, start, out in ran)
+    assert sum(res.evals for res in results) == sum(int(out[3].sum()) for *_, out in ran)
 
 
 def every_round_on_every_start(problem, X, t, cfg):
@@ -569,8 +584,7 @@ def every_round_on_every_start(problem, X, t, cfg):
         Z = Z0
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.sweeps):
-                Z, viol, _ = maxmin.polish_onto_relaxed_set(problem, x, Z, t, lo, hi, cfg.feas_tol)
-                Z, viol, fval = maxmin._ascend(problem, x[None], Z, viol, t, lo, hi, cfg)[:3]
+                Z, viol, fval = maxmin._ascend(problem, x[None], Z, t, lo, hi, cfg)[:3]
         out += maxmin._inner_results(Z, viol, fval, np.zeros(len(Z), dtype=int), t, cfg, np.array([cfg.sweeps]))
     return out
 
@@ -614,15 +628,9 @@ def test_a_start_the_polish_leaves_stalled_is_settled(monkeypatch, example1):
     every round gives."""
     problem = dataclasses.replace(example1[0], y_box=np.array([[0.3, 0.3]]))
     cfg = SKIP_CFGS["certifier"]
-    polish, stalled = maxmin.polish_onto_relaxed_set, []
-
-    def count_stalled(*args):
-        out = polish(*args)
-        stalled.append(int(((out[1] > cfg.feas_tol) & (out[2] < maxmin.POLISH_MAXITER)).sum()))
-        return out
-
-    monkeypatch.setattr(maxmin, "polish_onto_relaxed_set", count_stalled)
+    ran = record_rounds(monkeypatch)
     res = evaluate_psi_t(problem, [0.5], 0.1, cfg)
+    stalled = [int(((start[1] > cfg.feas_tol) & (start[2] < maxmin.POLISH_MAXITER)).sum()) for _, _, start, _ in ran]
     assert stalled[0] > 0
     monkeypatch.undo()
     ref = every_round_on_every_start(problem, [[0.5]], 0.1, cfg)[0]

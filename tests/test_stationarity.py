@@ -146,9 +146,10 @@ def test_a_t0_argmax_point_certifies_c_once_polished_onto_d0(synthetic):
         assert recover_c_multipliers(problem, polished, kind=kind) is None, kind
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "1e-8", pytest.param(10**400, id="huge_int"), True])
 def test_certifier_refuses_a_tol_it_cannot_honour(example1, tol):
-    # tol = inf passed a residual of 7; nan and -1 failed every point
+    # tol = inf passed a residual of 7; nan and -1 failed every point; a string
+    # and an int too large for a float raised numpy's TypeError; True was taken as 1
     problem = example1[0]
     mults = Multipliers(alpha=np.zeros(2), beta=np.array([7.0]), gamma=np.array([3.0, -2.0]))
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
