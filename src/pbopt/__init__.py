@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "problem_model": (
         "BilevelProblem", "GradCheckReport", "ProblemDims", "TriplePoint", "check_gradients_fd",
-        "lagrangian_grad", "lagrangian_jacobians",
+        "lagrangian_grad", "lagrangian_jacobians", "lq_problem",
     ),
     "scholtes": (
         "MinimizeResult", "OuterConfig", "OuterInfeasibleError", "RelaxationParams", "RunTrace", "TraceRecord",

@@ -5,7 +5,9 @@ one family F = a*x + y (a = 0 and 1) over the shared follower min x*y on
 [0, 1], whose relaxed value functions, argmax sets and follower KKT sets are
 known in closed form; ``synthetic2d`` adds a 2-D leader / 2-D follower
 instance whose follower separates per coordinate, so its oracle is
-closed-form too.
+closed-form too.  Each problem is ``problem_model.lq_problem`` data, which
+brings its evaluators, Hessians and batch hooks; only the oracles are
+written out here.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .maxmin import GridSpec, SampledSet, dedup_points
-from .problem_model import Array, BilevelProblem, ProblemDims
+from .problem_model import Array, BilevelProblem, lq_problem
 
 _ZERO_X = 1e-12
 
@@ -123,35 +125,10 @@ def _make_shared_follower(name: str, a: int, lo: float, x_opt: float) -> tuple[B
     otherwise; phi_0 is 1 for x <= _ZERO_X and 0 above.  The argmax and
     D_t sets do not depend on a.
     """
-    off = 0.0 - lo  # G_1 = -x - off keeps the sign of a zero: -0.0 at x = 0 when lo = 0, +0.0 at x = -1
-    lag_jac = np.array([[[0.0, -1.0, 1.0]]])  # [L_y | L_u] at every point
-
-    def lead(v):
-        """The leader's term a*v for a in {0, 1}: v, or -0.0, which leaves any float it is added to as it is."""
-        return v if a else -0.0
-
-    problem = BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=2, q=2),
-        eval_F=lambda x, y: float(y[0] + lead(x[0])),
-        eval_f=lambda x, y: float(x[0] * y[0]),
-        eval_G=lambda x: np.array([-x[0] - off, x[0] - 1.0]),
-        eval_g=lambda x, y: np.array([-y[0], y[0] - 1.0]),
-        grad_F=lambda x, y: (np.full(1, float(a)), np.ones(1)),
-        grad_f=lambda x, y: (np.array([y[0]], dtype=float), np.array([x[0]], dtype=float)),
-        jac_G=lambda x: np.array([[-1.0], [1.0]]),
-        jac_g=lambda x, y: (np.zeros((2, 1)), np.array([[-1.0], [1.0]])),
-        hess_f_yx=lambda x, y: np.ones((1, 1)),
-        hess_f_yy=lambda x, y: np.zeros((1, 1)),
-        hess_g_yx=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        hess_g_yy=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        x_box=np.array([[lo, 1.0]]),
-        y_box=np.array([[0.0, 1.0]]),
-        name=name,
-        batch_F=lambda X, Y: Y[:, 0] + lead(X[:, 0]),
-        batch_g=lambda X, Y: np.column_stack([-Y[:, 0], Y[:, 0] - 1.0]),
-        batch_lagrangian=lambda X, Y, U: (X[:, 0] - U[:, 0] + U[:, 1]).reshape(-1, 1),
-        batch_grad_F=lambda X, Y: np.ones_like(Y),
-        batch_lagrangian_jac=lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
+    problem = lq_problem(
+        H=[[0.0]], B=[[1.0]], b=[0.0], c=[1.0], d=[float(a)],
+        J_gy=[[-1.0], [1.0]], J_gx=[[0.0], [0.0]], h=[0.0, -1.0], A_G=[[-1.0], [1.0]], h_G=[lo, -1.0],
+        x_box=[[lo, 1.0]], y_box=[[0.0, 1.0]], name=name,
     )
 
     def psi_p_t(x, t) -> float:
@@ -160,7 +137,7 @@ def _make_shared_follower(name: str, a: int, lo: float, x_opt: float) -> tuple[B
             phi = 1.0 if xv <= _ZERO_X else 0.0
         else:
             phi = t / xv if t <= xv else 1.0
-        return phi + lead(xv)
+        return phi + xv if a else phi
 
     def s_p_t(x, t, count: int = 9) -> SampledSet:
         xv = _scalar(x)
@@ -209,35 +186,15 @@ def make_synthetic2d() -> tuple[BilevelProblem, AnalyticOracle]:
     y_i (y_i + c_i) = t, and psi_t(x) is F at the upper corner.
     """
     lin = np.array([0.3, 0.1])
-    lag_jac = np.hstack([np.eye(2), -np.eye(2)])[None]  # [L_y | L_u] at every point
+    problem = lq_problem(
+        H=np.eye(2), B=[[1.0, 0.0], [1.0, 1.0]], b=[0.0, 0.0], c=[1.0, 1.0], d=lin,
+        J_gy=-np.eye(2), J_gx=np.zeros((2, 2)), h=[0.0, 0.0],
+        A_G=[[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], h_G=[-1.0] * 4,
+        x_box=[[-1.0, 1.0], [-1.0, 1.0]], y_box=[[0.0, 2.5], [0.0, 2.5]], name="synthetic2d",
+    )
 
     def c_of(x: Array) -> Array:
         return np.array([x[0], x[0] + x[1]])
-
-    problem = BilevelProblem(
-        dims=ProblemDims(n=2, m=2, p=4, q=2),
-        eval_F=lambda x, y: float(y[0] + y[1] + lin @ x),
-        eval_f=lambda x, y: float(0.5 * (y @ y) + c_of(x) @ y),
-        eval_G=lambda x: np.array([-x[0] - 1.0, x[0] - 1.0, -x[1] - 1.0, x[1] - 1.0]),
-        eval_g=lambda x, y: -y.copy(),
-        grad_F=lambda x, y: (lin.copy(), np.ones(2)),
-        grad_f=lambda x, y: (np.array([y[0] + y[1], y[1]]), y + c_of(x)),
-        jac_G=lambda x: np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]),
-        jac_g=lambda x, y: (np.zeros((2, 2)), -np.eye(2)),
-        hess_f_yx=lambda x, y: np.array([[1.0, 0.0], [1.0, 1.0]]),
-        hess_f_yy=lambda x, y: np.eye(2),
-        hess_g_yx=lambda x, y: [np.zeros((2, 2)), np.zeros((2, 2))],
-        hess_g_yy=lambda x, y: [np.zeros((2, 2)), np.zeros((2, 2))],
-        x_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-        y_box=np.array([[0.0, 2.5], [0.0, 2.5]]),
-        name="synthetic2d",
-        # vecdot takes one dot product per row, so every row rounds like lin @ x
-        batch_F=lambda X, Y: Y[:, 0] + Y[:, 1] + np.vecdot(X, lin),
-        batch_g=lambda X, Y: -Y,
-        batch_lagrangian=lambda X, Y, U: Y + np.column_stack([X[:, 0], X[:, 0] + X[:, 1]]) - U,
-        batch_grad_F=lambda X, Y: np.ones_like(Y),
-        batch_lagrangian_jac=lambda X, Y, U: np.repeat(lag_jac, len(Y), axis=0),
-    )
 
     def segments(x, t) -> tuple[Array, Array, Array]:
         """c(x) and the per-coordinate ends (lower, upper) of the y-segments of D_t(x)."""

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .problem_model import Array, BilevelProblem, TriplePoint, lagrangian_grad, relaxation_level
+from .problem_model import Array, BilevelProblem, TriplePoint, relaxation_level
 from .simplex import cone_has_nonzero
 
 # The certifier's tolerances: a value within EPS_ACT_DEFAULT of zero counts as
@@ -78,7 +78,7 @@ def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> Kk
     """Residuals of the (relaxed) follower KKT system at pt; t = 0 is exact."""
     t = relaxation_level(t)
     problem.check_point(pt)
-    L = lagrangian_grad(problem, pt)
+    L = problem.lagrangian_point(pt.x, pt.y, pt.u)
     if problem.dims.q:
         g = np.asarray(problem.eval_g(pt.x, pt.y), dtype=float)
     else:

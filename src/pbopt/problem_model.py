@@ -177,7 +177,7 @@ class BilevelProblem:
     def lagrangian_rows(self, X: Array, Y: Array, U: Array) -> Array:
         if self.batch_lagrangian is not None:
             return np.asarray(self.batch_lagrangian(X, Y, U), dtype=float)
-        return _gather(self._lagrangian_point, X, (Y, U), (self.dims.m,))
+        return _gather(self.lagrangian_point, X, (Y, U), (self.dims.m,))
 
     def grad_F_rows(self, X: Array, Y: Array) -> Array:
         if self.batch_grad_F is not None:
@@ -231,7 +231,8 @@ class BilevelProblem:
         J[:, :, m + q :] = central(1 + 2 * m + q, nx)
         return J
 
-    def _lagrangian_point(self, x: Array, y: Array, u: Array) -> Array:
+    def lagrangian_point(self, x: Array, y: Array, u: Array) -> Array:
+        """grad_y f + J_gy^T u at (x, y, u), which it does not check (see :func:`lagrangian_grad`)."""
         gy = self.grad_f(x, y)[1]
         if self.dims.q:
             gy = gy + self.jac_g(x, y)[1].T @ u
@@ -321,7 +322,7 @@ def _lagrangian_yu(problem: BilevelProblem, x: Array, y: Array, u: Array) -> tup
 def lagrangian_grad(problem: BilevelProblem, pt: TriplePoint) -> Array:
     """Follower-stationarity vector: grad_y f(x,y) + sum_i u_i grad_y g_i(x,y)."""
     problem.check_point(pt)
-    return problem._lagrangian_point(pt.x, pt.y, pt.u)
+    return problem.lagrangian_point(pt.x, pt.y, pt.u)
 
 
 def lagrangian_jacobians(
@@ -334,6 +335,11 @@ def lagrangian_jacobians(
     L_u are then the one-row ``lagrangian_jac_rows`` bit for bit.
     """
     problem.check_point(pt)
+    return lagrangian_jacobians_unchecked(problem, pt)
+
+
+def lagrangian_jacobians_unchecked(problem: BilevelProblem, pt: TriplePoint) -> tuple[Array, Array, Array]:
+    """:func:`lagrangian_jacobians` at a point the caller has checked (``BilevelProblem.check_point``)."""
     d = problem.dims
     if problem.hess_is_fd:
         J = problem._fd_stationarity_jac(pt.x[None], pt.y[None], pt.u[None], x_steps=True)[0]
@@ -345,6 +351,101 @@ def lagrangian_jacobians(
             lx = lx + pt.u[i] * np.asarray(gyx[i], dtype=float)
     ly, lu = _lagrangian_yu(problem, pt.x, pt.y, pt.u)
     return lx, ly, lu
+
+
+def lq_problem(*, H, B, b, c, d, J_gy, J_gx, h, A_G, h_G, x_box=None, y_box=None, name: str = "") -> BilevelProblem:
+    """The problem with linear-quadratic data, with its analytic Hessians and all five batch hooks.
+
+    F = c.y + d.x, f = y.H y / 2 + y.(B x + b), g = J_gy y + J_gx x + h and
+    G = A_G x + h_G, with H (m, m) symmetric, B (m, n), b and c (m,),
+    d (n,), J_gy (q, m), J_gx (q, n), h (q,), A_G (p, n) and h_G (p,).  A
+    shape that does not fit the others is refused with DimensionError, a
+    non-finite entry or an H that is not exactly symmetric with ValueError.
+
+    Sums are built in a fixed order: B x + b, then H y, then J_gy^T u one
+    constraint at a time.  A block that is all zero (H, d, J_gx) is left
+    out, and a zero entry of an offset (b, h, h_G) is stored as -0.0, which
+    leaves every float it is added to as it is (a -0.0 stays -0.0), so a
+    hook may skip an offset that is all zero.  A hook takes each product
+    over the coordinates of a row on its own (``_row_products``), so a row
+    rounds alike in every block, and F, g and grad_y f at one point are
+    the hooks' one-row blocks.
+    """
+    names = ("H", "B", "b", "c", "d", "J_gy", "J_gx", "h", "A_G", "h_G")
+    data = [np.array(val, dtype=float) for val in (H, B, b, c, d, J_gy, J_gx, h, A_G, h_G)]
+    H, B, b, c, d, J_gy, J_gx, h, A_G, h_G = data
+    m, n, q, p = c.size, d.size, h.size, h_G.size
+    shapes = ((m, m), (m, n), (m,), (m,), (n,), (q, m), (q, n), (q,), (p, n), (p,))
+    for key, val, shape in zip(names, data, shapes):
+        if val.shape != shape:
+            raise DimensionError(f"{key} has shape {val.shape}, expected {shape}")
+    dims = ProblemDims(n=n, m=m, p=p, q=q)
+    for key, val in zip(names, data):
+        if not np.isfinite(val).all():
+            raise ValueError(f"{key} must be finite, got {val.tolist()}")
+        if key in ("b", "h", "h_G"):
+            val[val == 0.0] = -0.0
+        val.flags.writeable = False
+    if not np.array_equal(H, H.T):
+        raise ValueError(f"H must be symmetric, got {H.tolist()}")
+    use_H, use_d, use_Jgx, use_b, use_h = H.any(), d.any(), J_gx.any(), b.any(), h.any()
+    J_gy3, lag_jac = J_gy[:, None, :], np.hstack([H, J_gy.T])  # [L_y | L_u] at every point
+
+    def batch_F(X, Y):
+        return np.vecdot(Y, c) + np.vecdot(X, d) if use_d else np.vecdot(Y, c)
+
+    def batch_g(X, Y):
+        G = _row_products(Y, J_gy)
+        if use_Jgx:
+            G = G + _row_products(X, J_gx)
+        return G + h if use_h else G
+
+    def grad_f_y(X, Y):
+        G = _row_products(X, B) + b if use_b else _row_products(X, B)
+        return G + _row_products(Y, H) if use_H else G
+
+    def batch_lagrangian(X, Y, U):
+        # grad_y f, then u_i J_gy[i] for each i, summed in that order by one accumulate
+        S = np.empty((1 + q, len(Y), m))
+        S[0] = grad_f_y(X, Y)  # broadcasts a lone leader row
+        np.multiply(U.T[:, :, None], J_gy3, out=S[1:])
+        return np.add.accumulate(S, axis=0, out=S)[-1]
+
+    return BilevelProblem(
+        dims=dims,
+        eval_F=lambda x, y: float(batch_F(x[None], y[None])[0]),
+        eval_f=lambda x, y: float((0.5 * (y @ (H @ y)) if use_H else 0.0) + y @ (B @ x + b)),
+        eval_G=lambda x: _row_products(x[None], A_G)[0] + h_G,
+        eval_g=lambda x, y: batch_g(x[None], y[None])[0],
+        grad_F=lambda x, y: (d, c),
+        grad_f=lambda x, y: (B.T @ y, grad_f_y(x[None], y[None])[0]),
+        jac_G=lambda x: A_G,
+        jac_g=lambda x, y: (J_gx, J_gy),
+        hess_f_yx=lambda x, y: B,
+        hess_f_yy=lambda x, y: H,
+        hess_g_yx=lambda x, y: [np.zeros((m, n))] * q,
+        hess_g_yy=lambda x, y: [np.zeros((m, m))] * q,
+        x_box=x_box,
+        y_box=y_box,
+        name=name,
+        batch_F=batch_F,
+        batch_g=batch_g,
+        batch_lagrangian=batch_lagrangian,
+        batch_grad_F=lambda X, Y: _tiled(c, len(Y)),
+        batch_lagrangian_jac=lambda X, Y, U: _tiled(lag_jac, len(Y)),
+    )
+
+
+def _row_products(A: Array, M: Array) -> Array:
+    """A @ M.T row by row, so that a row rounds alike in every block: a plain product for rows of one entry, else np.vecdot."""
+    return A * M.T if M.shape[1] == 1 else np.vecdot(A[:, None], M)
+
+
+def _tiled(block: Array, rows: int) -> Array:
+    """rows copies of block, stacked."""
+    out = np.empty((rows,) + block.shape)
+    out[:] = block
+    return out
 
 
 @dataclass
@@ -436,7 +537,7 @@ def check_gradients_fd(problem: BilevelProblem, pt: TriplePoint) -> GradCheckRep
     if problem.batch_grad_F is not None:
         record("batch_grad_F", problem.batch_grad_F(X, Y)[0], problem.grad_F(x, y)[1])
     if problem.batch_lagrangian is not None:
-        record("batch_lagrangian", problem.batch_lagrangian(X, Y, U)[0], problem._lagrangian_point(x, y, pt.u))
+        record("batch_lagrangian", problem.batch_lagrangian(X, Y, U)[0], problem.lagrangian_point(x, y, pt.u))
     if problem.batch_lagrangian_jac is not None and not problem.hess_is_fd:
         _, ly, lu = lagrangian_jacobians(problem, pt)
         record("batch_lagrangian_jac", problem.batch_lagrangian_jac(X, Y, U)[0], np.concatenate([ly, lu], axis=1))

@@ -54,7 +54,9 @@ import numpy as np
 from . import kkt
 from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
-from .problem_model import Array, BilevelProblem, TriplePoint, is_finite_number, lagrangian_jacobians, problem_key, relaxation_level
+from .problem_model import (
+    Array, BilevelProblem, TriplePoint, is_finite_number, lagrangian_jacobians_unchecked, problem_key, relaxation_level,
+)
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
 # Sign patterns one walk may decide by solves, its only limit; 3^8 of them took 0.3-1.8 s on one
@@ -136,7 +138,7 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemD
     """The derivative blocks at pt, read-only; g is g(x, y) there, as the residual record holds it."""
     d = problem.dims
     gFx, gFy = problem.grad_F(pt.x, pt.y)
-    Lx, Ly, _ = lagrangian_jacobians(problem, pt)
+    Lx, Ly, _ = lagrangian_jacobians_unchecked(problem, pt)
     Jgx, Jgy = problem.jac_g(pt.x, pt.y) if d.q else (np.zeros((0, d.n)), np.zeros((0, d.m)))
     jacG = problem.jac_G(pt.x) if d.p else np.zeros((0, d.n))
     return _SystemData(*map(_frozen, (
@@ -186,13 +188,17 @@ def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optiona
     A point whose violation exceeds feas_tol (when given) is refused first,
     then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.  The
     record is kept for the next call at the same point: the same problem
-    (:func:`problem_model.problem_key`) and the same bits of x, y, u and
-    the level.  The refusals run on every call.
+    (:func:`problem_model.problem_key`) and the same shapes and bits of x,
+    y, u and the level.  The refusals run on every call.  The point is
+    checked (``BilevelProblem.check_point``) once, by ``kkt_residual`` as
+    its record is made; a later call with the same key has that checked
+    point, and the Jacobians take it as checked.
     """
     global _last_point
-    problem.check_point(pt)
+    t = relaxation_level(t)
     ids, held = problem_key(problem)
-    key = ids, np.concatenate([pt.x, pt.y, pt.u, [relaxation_level(t)]]).tobytes()
+    blocks = (pt.x, pt.y, pt.u)
+    key = ids, tuple(b.shape for b in blocks), np.concatenate([*(b.ravel() for b in blocks), [t]]).tobytes()
     point = _last_point
     if point is None or point.key != key:
         point = _last_point = _Point(key, held, _Residual(kkt_residual(problem, pt, t)))

@@ -29,7 +29,7 @@ EXPORTS = {
     ],
     "problem_model": [
         "BilevelProblem", "GradCheckReport", "ProblemDims", "TriplePoint", "check_gradients_fd",
-        "lagrangian_grad", "lagrangian_jacobians",
+        "lagrangian_grad", "lagrangian_jacobians", "lq_problem",
     ],
     "scholtes": [
         "MinimizeResult", "OuterConfig", "OuterInfeasibleError", "RelaxationParams", "RunTrace", "TraceRecord",
@@ -97,7 +97,7 @@ def test_import_pbopt_loads_no_submodule_and_no_scipy():
 
 def test_every_exported_name_is_its_modules_object_and_listed():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 58
+    assert len(names) == 59
     assert sorted(pbopt.__all__) == sorted(names)
     listing = dir(pbopt)
     for module, exported in EXPORTS.items():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbopt
 from pbopt import BilevelProblem, ProblemDims, TriplePoint
@@ -189,7 +191,7 @@ def test_hook_free_rows_refuse_a_mismatched_leader_block(name, method, rows):
 
 def test_fd_problem_follows_a_replaced_gradient():
     # f = y^2/2 - x*y becomes 3y^2/2 - x*y: L_yy goes from 1 to 3; the certifier must see the new gradient
-    fd = named_problem("biactive_toy_fd")
+    fd = named_problem("biactive_toy_bare_fd")
     steeper = dataclasses.replace(fd, grad_f=lambda x, y: (np.array([-y[0]]), np.array([3.0 * y[0] - x[0]])))
     pt = TriplePoint([0.2], [0.4], [0.1])
     lx, ly, lu = lagrangian_jacobians(steeper, pt)
@@ -312,3 +314,133 @@ def test_dimension_mismatch_raises(example1):
     problem, _ = example1
     with pytest.raises(DimensionError):
         lagrangian_grad(problem, TriplePoint([0.5, 0.1], [0.2], [0.5, 0.0]))
+
+
+LQ_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def lq_data(draw):
+    """Keyword arguments of ``lq_problem``: n, m, q <= 3, p <= 2, H definite,
+    singular or indefinite, and each of B, b, d, J_gx, h, h_G zero or drawn."""
+    n, m, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    p = draw(st.integers(0 if q else 1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    eig = rng.uniform(0.5, 2.0, size=m)
+    curvature = draw(st.sampled_from(["definite", "singular", "indefinite"]))
+    if curvature == "singular":
+        eig[0] = 0.0
+    elif curvature == "indefinite":
+        eig[0] = -eig[0]
+    H = Q * eig @ Q.T
+    data = {
+        "H": (H + H.T) / 2, "B": rng.normal(size=(m, n)), "b": rng.normal(size=m), "c": rng.normal(size=m),
+        "d": rng.normal(size=n), "J_gy": rng.normal(size=(q, m)), "J_gx": rng.normal(size=(q, n)),
+        "h": rng.normal(size=q), "A_G": rng.normal(size=(p, n)), "h_G": rng.normal(size=p),
+    }
+    for key in ("B", "b", "d", "J_gx", "h", "h_G"):
+        if draw(st.booleans()):
+            data[key] = np.zeros_like(data[key])
+    return data
+
+
+def _hook_rows(problem, X, Y, U) -> dict:
+    return {
+        "batch_F": problem.batch_F(X, Y),
+        "batch_g": problem.batch_g(X, Y),
+        "batch_lagrangian": problem.batch_lagrangian(X, Y, U),
+        "batch_grad_F": problem.batch_grad_F(X, Y),
+        "batch_lagrangian_jac": problem.batch_lagrangian_jac(X, Y, U),
+    }
+
+
+@LQ_SETTINGS
+@given(lq_data(), st.integers(0, 2**32 - 1))
+def test_lq_hooks_are_the_per_point_evaluators_row_by_row(data, seed):
+    problem = pbopt.lq_problem(**data)
+    d = problem.dims
+    rng = np.random.default_rng(seed)
+    N = 6
+    X, Y, U = rng.normal(size=(N, d.n)), rng.normal(size=(N, d.m)), rng.uniform(0.0, 2.0, size=(N, d.q))
+    rows = _hook_rows(problem, X, Y, U)
+    assert rows["batch_F"].shape == (N,) and rows["batch_lagrangian_jac"].shape == (N, d.m, d.m + d.q)
+    for i, (x, y, u) in enumerate(zip(X, Y, U)):
+        _, ly, lu = lagrangian_jacobians(problem, TriplePoint(x, y, u))
+        per_point = {
+            "batch_F": problem.eval_F(x, y),
+            "batch_g": problem.eval_g(x, y),
+            "batch_lagrangian": problem.lagrangian_point(x, y, u),
+            "batch_grad_F": problem.grad_F(x, y)[1],
+            "batch_lagrangian_jac": np.hstack([ly, lu]),
+        }
+        lone = _hook_rows(problem, X[i : i + 1], Y[i : i + 1], U[i : i + 1])
+        for hook, want in per_point.items():
+            np.testing.assert_allclose(rows[hook][i], want, rtol=1e-12, atol=1e-12, err_msg=hook)
+            np.testing.assert_array_equal(lone[hook][0], rows[hook][i], err_msg=hook)  # a row rounds alike alone
+
+
+@LQ_SETTINGS
+@given(lq_data(), st.integers(0, 2**32 - 1))
+def test_lq_hooks_broadcast_a_lone_leader_row_exactly(data, seed):
+    problem = pbopt.lq_problem(**data)
+    d = problem.dims
+    rng = np.random.default_rng(seed)
+    N = 5
+    x, Y, U = rng.normal(size=(1, d.n)), rng.normal(size=(N, d.m)), rng.uniform(0.0, 2.0, size=(N, d.q))
+    lone, tiled = _hook_rows(problem, x, Y, U), _hook_rows(problem, np.repeat(x, N, axis=0), Y, U)
+    for hook in BATCH_HOOKS:
+        np.testing.assert_array_equal(lone[hook], tiled[hook], err_msg=hook)
+
+
+@LQ_SETTINGS
+@given(lq_data(), st.integers(0, 2**32 - 1))
+def test_lq_derivatives_pass_the_gradient_check(data, seed):
+    problem = pbopt.lq_problem(**data)
+    d = problem.dims
+    rng = np.random.default_rng(seed)
+    report = check_gradients_fd(problem, TriplePoint(rng.normal(size=d.n), rng.normal(size=d.m), rng.uniform(0.0, 2.0, size=d.q)))
+    assert not report.nonfinite and not report.fd_fallback
+    assert report.max_error() <= 1e-6
+    assert {f"batch_{h}" for h in ("F", "g", "lagrangian", "grad_F", "lagrangian_jac")} <= set(report.errors)
+
+
+def _lq_kwargs(**changes) -> dict:
+    kw = {
+        "H": [[1.0]], "B": [[1.0]], "b": [0.0], "c": [1.0], "d": [0.0],
+        "J_gy": [[-1.0]], "J_gx": [[0.0]], "h": [0.0], "A_G": [[1.0]], "h_G": [-1.0],
+    }
+    kw.update(changes)
+    return kw
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"B": [[1.0, 2.0]]}, {"c": [[1.0]]}, {"J_gx": [[0.0], [0.0]]}, {"h_G": [-1.0, 1.0]}, {"A_G": [1.0]}, {"H": [[1.0, 0.0]]}],
+    ids=["B_columns", "c_matrix", "J_gx_rows", "h_G_length", "A_G_vector", "H_not_square"],
+)
+def test_lq_problem_refuses_inconsistent_shapes(changes):
+    with pytest.raises(DimensionError):
+        pbopt.lq_problem(**_lq_kwargs(**changes))
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"B": [[np.nan]]}, "B must be finite"),
+        ({"h": [np.inf]}, "h must be finite"),
+        ({"H": [[1.0, 0.5], [0.0, 1.0]], "B": [[1.0], [0.0]], "b": [0.0, 0.0], "c": [1.0, 1.0], "J_gy": [[-1.0, 0.0]]}, "H must be symmetric"),
+    ],
+    ids=["nan_B", "inf_h", "asymmetric_H"],
+)
+def test_lq_problem_refuses_nonfinite_data_and_an_asymmetric_H(changes, match):
+    with pytest.raises(ValueError, match=match):
+        pbopt.lq_problem(**_lq_kwargs(**changes))
+
+
+def test_lq_problem_keeps_the_sign_of_a_zero_through_a_zero_offset():
+    # g = -y + 0 and G = x + 0 with one coordinate, so every product is a plain one: a zero
+    # offset is -0.0, so -0.0 stays -0.0 in every evaluator and hook
+    problem = pbopt.lq_problem(**_lq_kwargs(h=[0.0], h_G=[0.0]))
+    for val in (problem.eval_g(np.zeros(1), np.zeros(1)), problem.batch_g(np.zeros((1, 1)), np.zeros((3, 1))), problem.eval_G(np.array([-0.0]))):
+        assert np.all(val == 0.0) and np.all(np.signbit(val))

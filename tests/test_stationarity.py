@@ -466,6 +466,26 @@ def test_a_new_point_level_or_problem_is_set_up_afresh(example2, monkeypatch, ch
     assert calls == {"kkt_residual": 2, "eval_g": 2}
 
 
+def test_a_certifier_call_at_a_new_point_checks_it_once(example1, monkeypatch):
+    # the set-up, kkt_residual, lagrangian_grad and lagrangian_jacobians each checked it: 4 checks
+    checked = []
+    check = pbopt.BilevelProblem.check_point
+    monkeypatch.setattr(pbopt.BilevelProblem, "check_point", lambda problem, pt: checked.append(pt) or check(problem, pt))
+    problem = dataclasses.replace(example1[0])
+    pt = TriplePoint([0.5], [0.0], [0.5, 0.0])
+    assert recover_c_multipliers(problem, pt) is not None
+    assert checked == [pt]
+    recover_c_multipliers(problem, pt)
+    assert checked == [pt]  # the record of a checked point is that point
+
+
+def test_a_point_with_the_same_bits_in_other_shapes_is_checked_afresh(example1):
+    problem = dataclasses.replace(example1[0])
+    assert recover_c_multipliers(problem, TriplePoint([0.5], [0.0], [0.5, 0.0])) is not None
+    with pytest.raises(pbopt.problem_model.DimensionError):
+        recover_c_multipliers(problem, TriplePoint([0.5, 0.0], [0.5], [0.0]))
+
+
 ORDERS = {"recovery_first": (0, 1), "check_first": (1, 0)}
 
 

@@ -1,6 +1,7 @@
 """Small hand-built problems exercising corner cases of the checkers, and the
 helpers that name a test problem or copy one without its second derivatives or
-batch hooks."""
+batch hooks.  The linear-quadratic toys and the linear follower are
+``lq_problem`` data, with its batch hooks; the others are written out."""
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 
 import pbopt
 from pbopt import BilevelProblem, ProblemDims
-from pbopt.problem_model import HESS_FIELDS
+from pbopt.problem_model import HESS_FIELDS, lq_problem
 
 BATCH_HOOKS = ("batch_F", "batch_g", "batch_lagrangian", "batch_grad_F", "batch_lagrangian_jac")
 DIP = (0.375, 0.01)  # centre and width of the dip toy's narrow well
@@ -69,23 +70,10 @@ def make_biactive_toy() -> BilevelProblem:
     F = y, f = y^2/2 - x*y, g = -y.  The point (0, 0, 0) satisfies the C- and
     M-systems but not the S-system (the recovered gamma is forced positive).
     """
-    return BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=0, q=1),
-        eval_F=lambda x, y: float(y[0]),
-        eval_f=lambda x, y: float(0.5 * y[0] ** 2 - x[0] * y[0]),
-        eval_G=lambda x: np.zeros(0),
-        eval_g=lambda x, y: np.array([-y[0]]),
-        grad_F=lambda x, y: (np.zeros(1), np.ones(1)),
-        grad_f=lambda x, y: (np.array([-y[0]]), np.array([y[0] - x[0]])),
-        jac_G=lambda x: np.zeros((0, 1)),
-        jac_g=lambda x, y: (np.zeros((1, 1)), np.array([[-1.0]])),
-        hess_f_yx=lambda x, y: np.array([[-1.0]]),
-        hess_f_yy=lambda x, y: np.array([[1.0]]),
-        hess_g_yx=lambda x, y: [np.zeros((1, 1))],
-        hess_g_yy=lambda x, y: [np.zeros((1, 1))],
-        x_box=np.array([[-1.0, 1.0]]),
-        y_box=np.array([[-0.5, 1.5]]),
-        name="biactive_toy",
+    return lq_problem(
+        H=[[1.0]], B=[[-1.0]], b=[0.0], c=[1.0], d=[0.0],
+        J_gy=[[-1.0]], J_gx=[[0.0]], h=[0.0], A_G=np.zeros((0, 1)), h_G=np.zeros(0),
+        x_box=[[-1.0, 1.0]], y_box=[[-0.5, 1.5]], name="biactive_toy",
     )
 
 
@@ -135,42 +123,18 @@ def make_empty_lower_toy() -> BilevelProblem:
 
 def make_no_slater_toy() -> BilevelProblem:
     """g = (y, -y) forces y = 0 with no strictly feasible follower point."""
-    return BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=2, q=2),
-        eval_F=lambda x, y: float(y[0]),
-        eval_f=lambda x, y: float(y[0] ** 2),
-        eval_G=lambda x: np.array([-x[0], x[0] - 1.0]),
-        eval_g=lambda x, y: np.array([y[0], -y[0]]),
-        grad_F=lambda x, y: (np.zeros(1), np.ones(1)),
-        grad_f=lambda x, y: (np.zeros(1), np.array([2.0 * y[0]])),
-        jac_G=lambda x: np.array([[-1.0], [1.0]]),
-        jac_g=lambda x, y: (np.zeros((2, 1)), np.array([[1.0], [-1.0]])),
-        hess_f_yx=lambda x, y: np.zeros((1, 1)),
-        hess_f_yy=lambda x, y: np.array([[2.0]]),
-        hess_g_yx=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        hess_g_yy=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        x_box=np.array([[0.0, 1.0]]),
-        y_box=np.array([[-2.0, 2.0]]),
-        name="no_slater_toy",
+    return lq_problem(
+        H=[[2.0]], B=[[0.0]], b=[0.0], c=[1.0], d=[0.0],
+        J_gy=[[1.0], [-1.0]], J_gx=np.zeros((2, 1)), h=np.zeros(2), A_G=[[-1.0], [1.0]], h_G=[0.0, -1.0],
+        x_box=[[0.0, 1.0]], y_box=[[-2.0, 2.0]], name="no_slater_toy",
     )
 
 
 def make_opposing_leader_toy() -> BilevelProblem:
     """Leader constraints x <= 1 and -x <= -1: both active at x = 1."""
-    return BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=2, q=1),
-        eval_F=lambda x, y: float(y[0]),
-        eval_f=lambda x, y: float(0.5 * y[0] ** 2),
-        eval_G=lambda x: np.array([x[0] - 1.0, 1.0 - x[0]]),
-        eval_g=lambda x, y: np.array([-y[0]]),
-        grad_F=lambda x, y: (np.zeros(1), np.ones(1)),
-        grad_f=lambda x, y: (np.zeros(1), np.array([y[0]])),
-        jac_G=lambda x: np.array([[1.0], [-1.0]]),
-        jac_g=lambda x, y: (np.zeros((1, 1)), np.array([[-1.0]])),
-        hess_f_yx=lambda x, y: np.zeros((1, 1)),
-        hess_f_yy=lambda x, y: np.array([[1.0]]),
-        hess_g_yx=lambda x, y: [np.zeros((1, 1))],
-        hess_g_yy=lambda x, y: [np.zeros((1, 1))],
+    return lq_problem(
+        H=[[1.0]], B=[[0.0]], b=[0.0], c=[1.0], d=[0.0],
+        J_gy=[[-1.0]], J_gx=[[0.0]], h=[0.0], A_G=[[1.0], [-1.0]], h_G=[-1.0, 1.0],
         name="opposing_leader_toy",
     )
 
@@ -182,23 +146,10 @@ def make_duplicated_g_toy() -> BilevelProblem:
     level-0.5 set and the homogeneous relaxed multiplier system admits a
     nonzero ray supported on the duplicated pair.
     """
-    return BilevelProblem(
-        dims=ProblemDims(n=1, m=1, p=1, q=2),
-        eval_F=lambda x, y: float(y[0]),
-        eval_f=lambda x, y: float(x[0] * y[0] - 0.5 * y[0] ** 2),
-        eval_G=lambda x: np.array([x[0] - 10.0]),
-        eval_g=lambda x, y: np.array([y[0] - 1.0, y[0] - 1.0]),
-        grad_F=lambda x, y: (np.zeros(1), np.ones(1)),
-        grad_f=lambda x, y: (np.array([y[0]]), np.array([x[0] - y[0]])),
-        jac_G=lambda x: np.array([[1.0]]),
-        jac_g=lambda x, y: (np.zeros((2, 1)), np.array([[1.0], [1.0]])),
-        hess_f_yx=lambda x, y: np.array([[1.0]]),
-        hess_f_yy=lambda x, y: np.array([[-1.0]]),
-        hess_g_yx=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        hess_g_yy=lambda x, y: [np.zeros((1, 1)), np.zeros((1, 1))],
-        x_box=np.array([[-2.0, 2.0]]),
-        y_box=np.array([[-1.0, 2.0]]),
-        name="duplicated_g_toy",
+    return lq_problem(
+        H=[[-1.0]], B=[[1.0]], b=[0.0], c=[1.0], d=[0.0],
+        J_gy=[[1.0], [1.0]], J_gx=np.zeros((2, 1)), h=[-1.0, -1.0], A_G=[[1.0]], h_G=[-10.0],
+        x_box=[[-2.0, 2.0]], y_box=[[-1.0, 2.0]], name="duplicated_g_toy",
     )
 
 
@@ -271,31 +222,15 @@ def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower
     """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
 
     Follower: min 0.5 y.H y - (B x).y  s.t.  Jgy y + Jgx x <= 0, with H = I
-    unless given.  Leader: F = c.y + d.x.  The leader box is inactive at x = 0.
+    unless given.  Leader: F = c.y + d.x.  The leader box is inactive at x = 0;
+    its rows are all -x - 1 <= 0, then all x - 1 <= 0.
     """
-    B, c, d = (np.asarray(a, dtype=float) for a in (B, c, d))
-    Jgy = np.asarray(Jgy, dtype=float)
-    Jgx = np.asarray(Jgx, dtype=float)
-    m, n = B.shape
-    q = Jgy.shape[0]
-    H = np.eye(m) if H is None else np.asarray(H, dtype=float)
-    return BilevelProblem(
-        dims=ProblemDims(n=n, m=m, p=2 * n, q=q),
-        eval_F=lambda x, y: float(c @ y + d @ x),
-        eval_f=lambda x, y: float(0.5 * (y @ H @ y) - (B @ x) @ y),
-        eval_G=lambda x: np.concatenate([-x - 1.0, x - 1.0]),
-        eval_g=lambda x, y: Jgy @ y + Jgx @ x,
-        grad_F=lambda x, y: (d.copy(), c.copy()),
-        grad_f=lambda x, y: (-B.T @ y, H @ y - B @ x),
-        jac_G=lambda x: np.vstack([-np.eye(n), np.eye(n)]),
-        jac_g=lambda x, y: (Jgx.copy(), Jgy.copy()),
-        hess_f_yx=lambda x, y: -B,
-        hess_f_yy=lambda x, y: H,
-        hess_g_yx=lambda x, y: [np.zeros((m, n))] * q,
-        hess_g_yy=lambda x, y: [np.zeros((m, m))] * q,
-        x_box=np.tile([-1.0, 1.0], (n, 1)),
-        y_box=np.tile([-2.0, 2.0], (m, 1)),
-        name=name,
+    B = np.asarray(B, dtype=float)
+    (m, n), q = B.shape, len(Jgy)
+    return lq_problem(
+        H=np.eye(m) if H is None else H, B=-B, b=np.zeros(m), c=c, d=d,
+        J_gy=Jgy, J_gx=Jgx, h=np.zeros(q), A_G=np.vstack([-np.eye(n), np.eye(n)]), h_G=np.full(2 * n, -1.0),
+        x_box=np.tile([-1.0, 1.0], (n, 1)), y_box=np.tile([-2.0, 2.0], (m, 1)), name=name,
     )
 
 
