@@ -27,6 +27,7 @@ from .maxmin import (
     evaluate_psi_t,
     follower_box,
     polish_onto_relaxed_set,
+    psi_t_gradient,
 )
 from .problem_model import TriplePoint, check_gradients_fd, relaxation_level
 from .scholtes import X_MEMBERSHIP_TOL, OuterConfig, RelaxationParams, leader_violation, scholtes_solve
@@ -163,9 +164,10 @@ def cmd_solve(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         "terminal": trace.terminal,
         "iterations": len(trace.records),
         "seed": cfg.seed,
-        # inner solves of the batched pattern search that no poll round read
+        # inner solves the level solves made but never read: solved ahead by
+        # the pattern search, or trials a line search did not reach
         "unread_evals": trace.unread_evals,
-        # batched inner solves the pattern search made, over all levels
+        # batched inner solves the level solves made, over all levels
         "inner_calls": trace.inner_calls,
     }
     if trace.records:
@@ -173,6 +175,7 @@ def cmd_solve(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
         summary["final_x"] = [float(v) for v in final.x]
         summary["final_psi"] = float(final.psi)
         summary["final_t"] = float(final.t)
+        summary["first_order_gap"], summary["gradient_refusal"] = _first_order_gap(problem, final, cfg)
         if cfg.check:
             summary["stationarity"] = _stationarity_summary(problem, final, cfg)
     text = json.dumps(summary, indent=2, sort_keys=True)
@@ -183,6 +186,18 @@ def cmd_solve(args: argparse.Namespace, cfg: RunConfig, problem) -> int:
     if trace.terminal.startswith("failure"):
         return EXIT_INFEASIBLE
     return EXIT_OK
+
+
+def _first_order_gap(problem, final, cfg: RunConfig) -> tuple[Optional[float], Optional[str]]:
+    """The max-norm of the box-projected grad psi_t at the final x, x - P(x - g), and None;
+    or None and the reason ``maxmin.psi_t_gradient`` refused g."""
+    res = psi_t_gradient(problem, final.x, final.t, final.argmax, _inner_config(cfg))
+    if res.grad is None:
+        return None, res.refusal
+    step = final.x - res.grad
+    if problem.x_box is not None:
+        step = np.clip(step, problem.x_box[:, 0], problem.x_box[:, 1])
+    return float(np.abs(final.x - step).max()), None
 
 
 def _stationarity_summary(problem, final, cfg: RunConfig) -> dict:

@@ -9,8 +9,9 @@ restoration) that stays on that set, from points first polished onto it by
 the same Gauss-Newton restoration, and approximates the set of
 near-maximisers.  The starts advance in lockstep, so every ascent or
 polish step evaluates the problem once for the batch.
-A brute-force grid maximiser is provided as an independent oracle for
-low-dimensional problems.
+:func:`psi_t_gradient` reads the gradient of psi in x off the multipliers
+of the argmax cloud.  A brute-force grid maximiser is provided as an
+independent oracle for low-dimensional problems.
 """
 from __future__ import annotations
 
@@ -24,7 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .problem_model import Array, BilevelProblem, is_finite_number, is_number, problem_key, relaxation_level
+from .problem_model import (
+    Array,
+    BilevelProblem,
+    TriplePoint,
+    is_finite_number,
+    is_number,
+    lagrangian_jacobians_unchecked,
+    problem_key,
+    relaxation_level,
+)
 
 # Level slack of the argmax cloud: every feasible start within it of the best
 # value joins the cloud.  The certifier's graph-value row uses it too.
@@ -45,6 +55,13 @@ STEP_MIN = 1e-9
 # Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
 GRID_CHUNK_ROWS = 65536
+# psi_t_gradient: a cloud point counts as a KKT point of the inner max while
+# its projected grad F is within GRAD_KKT_TOL * (1 + |grad F|), and the
+# cloud's gradients must agree within GRAD_SPREAD_TOL * (1 + |grad_x F|).
+# The cloud sits on D_t only to feas_tol, so an absolute 1e-6 spread refused
+# every level of a default run below t = 5e-4.
+GRAD_KKT_TOL = 1e-6
+GRAD_SPREAD_TOL = 1e-3
 # Leader rows whose inner-solve results the process keeps (see _solve_rows).
 # A kept result of a built-in problem takes under 1 KB; the problem and
 # attribute objects each entry keeps alive are not counted.
@@ -426,25 +443,17 @@ def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
     return np.where(on, np.concatenate([lam, res, -res], axis=1), 0.0)
 
 
-def _directions(
+def _active_rows(
     problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, known: tuple[Array, Array]
-) -> tuple[Array, Array, Array]:
-    """Projected-gradient ascent directions at every row of Z.
+) -> tuple[Array, Array, Array, Array]:
+    """The Jacobian A of the signed rows in (y, u), grad F in (y, u), the gaps and the active set at every row of Z.
 
-    grad F is projected onto the active rows (the L rows, and the inequality
-    rows within ACTIVE_TOL of zero) with every coordinate within ACTIVE_TOL
-    of a bound fixed (:func:`_project`); while it vanishes, the active row or
-    bound with the most negative multiplier (computed only then) is freed.
     ``known`` is the rows' g and L rows from the evaluation that put them
-    on D_t (finite there); the signed rows are rebuilt from them as
-    :func:`_residuals` builds them, bit for bit, so no direction evaluates
-    residuals of its own.
-    Returns whether each row has a direction (it is no KKT point, and its
-    rows, Jacobian and grad F are finite), the direction d and the step
-    cap: the length at which the step first crosses an inactive row or
-    bound.  The box is bounded and d is 0 on every fixed coordinate, so
-    the cap is finite unless d moves only coordinates toward bounds that
-    were freed.
+    on D_t; the signed rows are rebuilt from them as :func:`_residuals`
+    builds them, bit for bit.  The gaps are the signed rows, then Z - hi
+    and lo - Z; the L rows are always active, and every other row or bound
+    whose gap is at least -ACTIVE_TOL.  A row whose rows, Jacobian or grad
+    F has a non-finite entry gets all three zeroed, so it projects to 0.
     """
     m = problem.dims.m
     (g, L), U = known, Z[:, m:]
@@ -454,10 +463,34 @@ def _directions(
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
     if not (np.isfinite(A).all() and np.isfinite(r).all() and np.isfinite(grad).all()):
         bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
-        r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0  # d = 0: no direction
+        r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0
     gap = np.concatenate([r, Z - hi, lo - Z], axis=1)  # the signed rows, then the upper and lower bounds
     on = gap >= -ACTIVE_TOL
     on[:, :m] = True
+    return A, grad, gap, on
+
+
+def _directions(
+    problem: BilevelProblem, X: Array, Z: Array, t: float, lo: Array, hi: Array, known: tuple[Array, Array]
+) -> tuple[Array, Array, Array]:
+    """Projected-gradient ascent directions at every row of Z.
+
+    grad F is projected onto the active rows (:func:`_active_rows`: the L
+    rows, and the inequality rows within ACTIVE_TOL of zero) with every
+    coordinate within ACTIVE_TOL of a bound fixed (:func:`_project`); while
+    it vanishes, the active row or bound with the most negative multiplier
+    (computed only then) is freed.  ``known`` is the rows' g and L rows from
+    the evaluation that put them on D_t (finite there), so no direction
+    evaluates residuals of its own; a row with a non-finite entry gets d = 0.
+    Returns whether each row has a direction (it is no KKT point, and its
+    rows, Jacobian and grad F are finite), the direction d and the step
+    cap: the length at which the step first crosses an inactive row or
+    bound.  The box is bounded and d is 0 on every fixed coordinate, so
+    the cap is finite unless d moves only coordinates toward bounds that
+    were freed.
+    """
+    m = problem.dims.m
+    A, grad, gap, on = _active_rows(problem, X, Z, t, lo, hi, known)
     small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
     d, lam = _project(A, on, grad)
     todo = np.arange(Z.shape[0])
@@ -794,6 +827,81 @@ def approximate_argmax_set(
     if res.status != "solved":
         raise InnerInfeasibleError(f"inner problem {res.status} at x={x}, t={t}")
     return res.argmax
+
+
+@dataclass
+class PsiGradient:
+    """∇_x psi_t at a leader point, or why it was refused (see :func:`psi_t_gradient`)."""
+
+    grad: Optional[Array]  # None when refused
+    refusal: str = ""  # the reason, when grad is None
+
+
+def psi_t_gradient(
+    problem: BilevelProblem,
+    x: Array,
+    t: float,
+    argmax: SampledSet,
+    cfg: Optional[InnerConfig] = None,
+) -> PsiGradient:
+    """∇_x psi_t at x from the multipliers of the inner max at the points of its argmax cloud.
+
+    psi_t is the max of F over D_t(x), so where the maximiser's multipliers
+    are unique its gradient is the x-derivative of the inner Lagrangian
+    (Danskin).  At each cloud point (y, u) the active set is the ascent's
+    (:func:`_active_rows`, with cfg's follower box), and the multipliers lam
+    of the signed rows r = [L | g | -u*g - t] are :func:`_project`'s
+    least-norm ones; the box bounds do not depend on x.  The point's
+    gradient is grad_x F - (dr/dx)^T lam, where dr/dx stacks L_x
+    (``problem_model.lagrangian_jacobians_unchecked``), J_gx and -u*J_gx.
+
+    Refused, with the reason in ``refusal``: an empty cloud, a point whose
+    violation of D_t(x) exceeds cfg.feas_tol, a point that is no KKT point
+    of the inner max (the projected grad F, d, has |d| > GRAD_KKT_TOL *
+    (1 + |grad_(y,u) F|), the max-norms throughout), a non-finite gradient,
+    and a cloud whose gradients spread (largest minus least, per
+    coordinate) by more than GRAD_SPREAD_TOL * (1 + |grad_x F|).  Otherwise
+    the gradient is their mean.  At a kink, where the active set changes,
+    the least-norm multipliers of the cloud's active set decide which value
+    comes out, and every row or bound within ACTIVE_TOL of zero counts as
+    active.  At example1's kink x = t (and up to a relative 1e-7 right of
+    it, where y = t / x is within ACTIVE_TOL of 1) the maximiser y = 1 sits
+    on its box bound, whose multiplier takes all of grad F, so the value is
+    0, the left derivative; the right one is -1 / t.
+    """
+    cfg = cfg or InnerConfig()
+    x = problem.leader_point(x)
+    t = relaxation_level(t)
+    Z = argmax.points
+    if not len(Z):
+        return PsiGradient(None, "the argmax cloud is empty")
+    m, q = problem.dims.m, problem.dims.q
+    lo, hi = follower_box(problem, cfg)
+    X = x[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, v, viol = _violations(problem, X, Z, t)
+    if not (viol <= cfg.feas_tol).all():
+        return PsiGradient(None, f"an argmax point is off D_t by {viol.max():.3g} > feas_tol {cfg.feas_tol:.3g}")
+    A, grad, _, on = _active_rows(problem, X, Z, t, lo, hi, (g, v[:, :m]))
+    d, lam = _project(A, on, grad)
+    kkt = np.abs(d).max(axis=1) / (1.0 + np.abs(grad).max(axis=1))
+    if not (kkt <= GRAD_KKT_TOL).all():
+        return PsiGradient(None, f"an argmax point is no KKT point of the inner max: relative |d| {kkt.max():.3g}")
+    grads, fx = np.empty((len(Z), problem.dims.n)), np.empty((len(Z), problem.dims.n))
+    for i, (z, lam_i) in enumerate(zip(Z, lam)):
+        y, u = z[:m], z[m:]
+        lx = lagrangian_jacobians_unchecked(problem, TriplePoint(x, y, u))[0]
+        fx[i] = problem.grad_F(x, y)[0]
+        grads[i] = fx[i] - lx.T @ lam_i[:m]
+        if q:
+            grads[i] -= problem.jac_g(x, y)[0].T @ (lam_i[m : m + q] - u * lam_i[m + q :])
+    if not np.isfinite(grads).all():
+        return PsiGradient(None, "a gradient of the argmax cloud is not finite")
+    spread = float((grads.max(axis=0) - grads.min(axis=0)).max())
+    tol = GRAD_SPREAD_TOL * (1.0 + float(np.abs(fx).max()))
+    if spread > tol:
+        return PsiGradient(None, f"the argmax cloud's gradients spread by {spread:.3g} > {tol:.3g}")
+    return PsiGradient(grads.mean(axis=0))
 
 
 def batch_feasibility(

@@ -1,10 +1,11 @@
 """Batched inner solves and the batched pattern search.
 
 ``evaluate_psi_t_batch`` must return, row for row, exactly what lone
-``evaluate_psi_t`` calls return; ``minimize_psi_t`` and ``scholtes_solve``
-must follow exactly the path of a pattern search that solves one poll point
-at a time; and the vectorised hooks must give every row of a leader block
-the value it gets alone.
+``evaluate_psi_t`` calls return; ``minimize_psi_t`` must follow exactly the
+path of a pattern search that solves one poll point at a time, and
+``scholtes_solve`` the path it takes when every row is solved alone; and
+the vectorised hooks must give every row of a leader block the value it
+gets alone.
 """
 import dataclasses
 import math
@@ -394,11 +395,21 @@ def test_a_3d_search_follows_the_sequential_search(seed):
         assert (got.calls, got.unread) == CALLS_UNREAD_3D[seed]
 
 
-def test_a_3d_homotopy_follows_the_sequential_search(monkeypatch):
+def solving_alone(monkeypatch) -> None:
+    """Make every batched solve of the level solves one lone evaluate_psi_t call per row."""
+    monkeypatch.setattr(scholtes, "evaluate_psi_t_batch", lambda problem, X, t, cfg: [evaluate_psi_t(problem, x, t, cfg) for x in X])
+
+
+def test_a_3d_homotopy_follows_the_sequential_search(monkeypatch, empty_memo):
+    # the n >= 2 level solve (BFGS, confirming polls) with every row solved alone
     x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
     params = RelaxationParams(t0=0.2, rho=0.5, t_min=0.1, outer=OuterConfig(inner=CFG, mesh_tol=1e-2))
+    sizes = counting_batches(monkeypatch)
     got = scholtes_solve(LEADER_3D, params, x0)
-    monkeypatch.setattr(scholtes, "minimize_psi_t", sequential_minimize)
+    assert got.inner_calls == len(sizes)
+    assert got.unread_evals == sum(sizes) - sum(rec.outer_evals for rec in got.records)
+    empty_memo()
+    solving_alone(monkeypatch)
     want = scholtes_solve(LEADER_3D, params, x0)
     assert got.terminal == want.terminal and len(got.records) == len(want.records) == 2
     for a, b in zip(got.records, want.records):
@@ -420,12 +431,16 @@ def test_a_3d_homotopy_follows_the_sequential_search(monkeypatch):
         ("example1", [1.0]),
     ],
 )
-def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
+def test_scholtes_trace_follows_the_sequential_search(monkeypatch, empty_memo, name, x0):
+    # a 1-D level is the pattern search, which sequential_minimize repeats;
+    # a 2-D level is the BFGS level solve, repeated with every row solved alone
     problem = named_problem(name)
     params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.05, outer=OuterConfig(inner=CFG, mesh_tol=1e-4))
     sizes = counting_batches(monkeypatch)
     got = scholtes_solve(problem, params, x0)
+    empty_memo()
     monkeypatch.setattr(scholtes, "minimize_psi_t", sequential_minimize)
+    solving_alone(monkeypatch)
     want = scholtes_solve(problem, params, x0)
     assert got.terminal == want.terminal
     assert len(got.records) == len(want.records)
@@ -436,6 +451,9 @@ def test_scholtes_trace_follows_the_sequential_search(monkeypatch, name, x0):
         )
         np.testing.assert_array_equal(a.argmax.points, b.argmax.points)
     assert got.unread_evals == sum(sizes) - sum(rec.outer_evals for rec in got.records)
+    assert got.inner_calls == len(sizes)
+    if len(x0) > 1:
+        assert (got.inner_calls, got.unread_evals) == (want.inner_calls, want.unread_evals)
     if x0 in ([-1.0], [1.0]):
         # a 1-D level that starts and stays on the box edge solves its poll
         # and its whole halving ladder with the start, in one call

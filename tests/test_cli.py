@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import pbopt
-from pbopt import scholtes
+from pbopt import cli, scholtes
 from pbopt.cli import main
 
 FAST_SOLVE = ["--starts", "8", "--sweeps", "3", "--seed", "7"]
@@ -543,3 +543,18 @@ def test_config_keys_stay_shared_across_subcommands(tmp_path, capsys, monkeypatc
     assert code == 0
     code, _, _ = run_cli(capsys, "gradcheck", "--config", "cfg.json", "--points", "1", "--seed", "4")
     assert code == 0
+
+
+def test_summary_reports_the_first_order_gap_or_why_the_gradient_was_refused(monkeypatch, tmp_path, capsys):
+    argv = ["solve", "--problem", "synthetic2d", "--t0", "0.5", "--tmin", "0.25", "--trace", str(tmp_path / "tr.csv"), *FAST_SOLVE]
+    code, out, _ = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["gradient_refusal"] is None
+    # the box-projected gradient at the end of a level confirmed at a mesh of 1.5e-5
+    assert 0.0 <= data["first_order_gap"] <= 1e-4
+    header = read_trace(tmp_path / "tr.csv")[0].keys()
+    assert list(header) == ["k", "t", "x0", "x1", "psi", "inner_status", "evals"]
+    monkeypatch.setattr(cli, "psi_t_gradient", lambda *args: pbopt.maxmin.PsiGradient(None, "the cloud disagrees"))
+    code, out, _ = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["first_order_gap"] is None and data["gradient_refusal"] == "the cloud disagrees"

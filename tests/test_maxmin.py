@@ -730,3 +730,112 @@ def test_psi_matches_closed_form_on_and_off_the_corner(name, coords, t):
     res = evaluate_psi_t(problem, x, t, CLOSED_FORM_CFG)
     assert res.status == "solved"
     assert abs(res.value - oracle.psi_p_t(x, t)) <= 1e-3
+
+
+def _central_difference(psi, x, t, h=1e-6):
+    return np.array([(psi(x + h * e, t) - psi(x - h * e, t)) / (2 * h) for e in np.eye(len(x))])
+
+
+def _away_from_kinks(name: str, x, t: float) -> bool:
+    """Whether psi_t is smooth within 1e-4 of x: off example1/2's kinks x = t and
+    x = 0, and off synthetic2d's, where a root of its follower reaches y_box."""
+    if name != "synthetic2d":
+        return abs(x[0] - t) > 1e-4 and abs(x[0]) > 1e-4
+    c = np.array([x[0], x[0] + x[1]])
+    root = (-c + np.sqrt(c * c + 4.0 * t)) / 2.0
+    return bool(np.all(np.abs(root - 2.5) > 1e-3))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d"])
+def test_psi_t_gradient_matches_a_central_difference_of_the_closed_form(name, light_cfg):
+    problem, oracle = pbopt.get_problem(name)
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 8:
+        x = rng.uniform(problem.x_box[:, 0], problem.x_box[:, 1])
+        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.6))))
+        if not _away_from_kinks(name, x, t):
+            continue
+        res = evaluate_psi_t(problem, x, t, light_cfg)
+        got = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
+        assert got.grad is not None and got.refusal == "", (x, t, got.refusal)
+        want = _central_difference(oracle.psi_p_t, x, t)
+        np.testing.assert_allclose(got.grad, want, rtol=0.0, atol=1e-5 * (1.0 + np.abs(want).max()))
+        checked += 1
+
+
+def test_psi_t_gradient_where_the_follower_constraint_moves_with_x(light_cfg):
+    # the built-ins' J_gx is 0; here g = x - y <= 0 under f = y^2 / 2, so
+    # D_t(x) is y >= x, y >= 0 with y (y - x) <= t, and psi_t = F = y at the
+    # root (x + sqrt(x^2 + 4 t)) / 2; the J_gx and -u J_gx rows carry g
+    problem = pbopt.lq_problem(
+        H=[[1.0]], B=[[0.0]], b=[0.0], c=[1.0], d=[0.0], J_gy=[[-1.0]], J_gx=[[1.0]], h=[0.0],
+        A_G=[[-1.0], [1.0]], h_G=[-1.0, -1.0], x_box=[[-1.0, 1.0]], y_box=[[0.0, 3.0]],
+    )
+    rng = np.random.default_rng(47)
+    for _ in range(6):
+        x, t = rng.uniform(-1.0, 1.0, 1), float(rng.uniform(1e-3, 0.6))
+        res = evaluate_psi_t(problem, x, t, light_cfg)
+        got = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
+        want = 0.5 * (1.0 + x / np.sqrt(x * x + 4.0 * t))
+        assert got.grad is not None
+        np.testing.assert_allclose(got.grad, want, rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.1, 0.3])
+def test_psi_t_gradient_at_example1s_kink_is_the_left_derivative(example1, light_cfg, t):
+    # psi_t = 1 left of x = t and t / x right of it; the maximiser y = 1 sits
+    # on its box bound, whose multiplier takes all of grad F
+    problem, _ = example1
+    res = evaluate_psi_t(problem, [t], t, light_cfg)
+    got = maxmin.psi_t_gradient(problem, [t], t, res.argmax, light_cfg)
+    assert got.grad is not None and got.grad.tolist() == [0.0]
+
+
+def test_psi_t_gradient_refuses_a_point_off_the_relaxed_set(example1, light_cfg):
+    problem, _ = example1
+    res = evaluate_psi_t(problem, [0.5], 0.1, light_cfg)
+    assert maxmin.psi_t_gradient(problem, [0.5], 0.1, res.argmax, light_cfg).grad is not None
+    # L = x - u1 + u2 moves by 10 feas_tol
+    off = maxmin.SampledSet(res.argmax.points + [0.0, 0.0, 10 * light_cfg.feas_tol])
+    got = maxmin.psi_t_gradient(problem, [0.5], 0.1, off, light_cfg)
+    assert got.grad is None and "off D_t" in got.refusal
+    empty = maxmin.psi_t_gradient(problem, [0.5], 0.1, maxmin.SampledSet(np.zeros((0, 3))), light_cfg)
+    assert empty.grad is None and "empty" in empty.refusal
+
+
+def test_psi_t_gradient_refuses_a_point_that_is_no_inner_maximiser(example2, light_cfg):
+    # (y, u1, u2) = (0.5, 0.3, 0.2) is on D_t at x = 0.1, t = 0.3 with every
+    # inequality row inactive, so grad F = (1, 0, 0) is no combination of the L row
+    problem, _ = example2
+    inside = maxmin.SampledSet(np.array([[0.5, 0.3, 0.2]]))
+    got = maxmin.psi_t_gradient(problem, [0.1], 0.3, inside, light_cfg)
+    assert got.grad is None and "no KKT point" in got.refusal
+
+
+@pytest.mark.parametrize("name", ["example2", "synthetic2d"])
+def test_psi_t_gradient_of_a_finite_difference_hessian_copy(name, light_cfg):
+    problem, fd = named_problem(name), named_problem(name + "_fd")
+    assert fd.hess_is_fd and not problem.hess_is_fd
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        x = rng.uniform(problem.x_box[:, 0], problem.x_box[:, 1])
+        t = float(rng.uniform(0.01, 0.5))
+        cloud = evaluate_psi_t(problem, x, t, light_cfg).argmax
+        want = maxmin.psi_t_gradient(problem, x, t, cloud, light_cfg)
+        got = maxmin.psi_t_gradient(fd, x, t, cloud, light_cfg)
+        assert want.grad is not None and got.grad is not None
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0.0, atol=1e-8)
+
+
+def test_psi_t_gradient_refuses_a_cloud_whose_gradients_disagree(monkeypatch, synthetic, light_cfg):
+    # synthetic2d's cloud holds several polished copies of its one maximiser,
+    # whose gradients agree only to rounding: a zero tolerance refuses them
+    problem, _ = synthetic
+    x, t = np.array([0.4, -0.2]), 0.05
+    res = evaluate_psi_t(problem, x, t, light_cfg)
+    assert len(res.argmax) >= 2
+    assert maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg).grad is not None
+    monkeypatch.setattr(maxmin, "GRAD_SPREAD_TOL", 0.0)
+    got = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
+    assert got.grad is None and "spread" in got.refusal

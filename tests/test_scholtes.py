@@ -7,7 +7,7 @@ import pbopt
 from pbopt import OuterConfig, RelaxationParams, maxmin, minimize_psi_t, scholtes, scholtes_solve
 from pbopt.maxmin import EPS_LVL_DEFAULT
 from pbopt.problem_model import DimensionError
-from toys import make_empty_lower_toy
+from toys import biactive_family_data, make_empty_lower_toy, make_linear_follower
 
 
 def _outer(light_cfg):
@@ -303,8 +303,8 @@ def test_a_second_run_reuses_the_solves_of_a_first_run_it_merges_with(empty_memo
     second run's levels 1 and 2 solve no fresh row, and its trace is the one
     an empty memo gives, bit for bit.  Two synthetic2d runs whose level-0
     minimisers differ in their last bits share no later centre: the second
-    run solves fresh rows at every level, and takes from the first only the
-    polls both make at the box corner (1, 1)."""
+    run solves fresh rows at every level, and, its BFGS steps and confirming
+    polls starting from another point, takes no row from the first."""
     fresh_ts, solve_batch = [], maxmin._solve_batch
 
     def spy(problem, X, t, *rest):
@@ -335,4 +335,68 @@ def test_a_second_run_reuses_the_solves_of_a_first_run_it_merges_with(empty_memo
     assert [rec.t for rec in second.records] == [0.5, 0.25]
     assert first.records[0].x.tobytes() != second.records[0].x.tobytes()
     assert fresh == {0.5, 0.25}
-    assert {tuple(np.frombuffer(key[-1])) for key in shared} == {(1.0, 1.0)}
+    assert shared == set()
+
+
+def _levels(monkeypatch) -> list:
+    """Record (t, cfg, result) of every n >= 2 level solve of scholtes_solve."""
+    levels, solve = [], scholtes._gradient_level
+
+    def spy(problem, t, x, cfg, hess):
+        step, hess = solve(problem, t, x, cfg, hess)
+        levels.append((t, cfg, step))
+        return step, hess
+
+    monkeypatch.setattr(scholtes, "_gradient_level", spy)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "name,x0,schedule,mesh_tol",
+    [
+        ("synthetic2d", [0.4, -0.2], (0.5, 0.5, 0.25), 1e-4),
+        ("synthetic2d", [-0.9, 0.7], (1.0, 0.5, 1e-3), 1e-4),
+        ("synthetic2d", [1.0, 1.0], (1.0, 0.5, 1e-2), 1e-4),
+        ("linear3d", [0.3, -0.5, 0.8], (0.2, 0.5, 0.05), 1e-4),
+        # the default schedule: at t = 7.6e-6 BFGS stalls, both confirming
+        # rounds improve and the pattern search ends the level
+        ("synthetic2d", [0.4, -0.2], (1.0, 0.5, 1e-6), 1e-5),
+    ],
+)
+def test_every_level_end_survives_a_poll_round_at_its_final_mesh(monkeypatch, light_cfg, name, x0, schedule, mesh_tol):
+    """The pattern search's guarantee: no poll at twice the final mesh (the
+    last mesh polled, which is >= mesh_tol) improves the end point by more
+    than DECREASE_TOL, whether BFGS's confirming round or the pattern search
+    ended the level."""
+    if name == "linear3d":
+        problem = make_linear_follower(*biactive_family_data(3, np.random.default_rng(3), n=3), name=name)
+    else:
+        problem = pbopt.get_problem(name)[0]
+    levels = _levels(monkeypatch)
+    params = RelaxationParams(*schedule, outer=OuterConfig(inner=light_cfg, mesh_tol=mesh_tol))
+    trace = scholtes_solve(problem, params, x0)
+    assert len(levels) == len(trace.records) >= 2
+    for (t, cfg, step), rec in zip(levels, trace.records):
+        assert step.x.tobytes() == rec.x.tobytes() and rec.final_mesh < cfg.mesh_tol <= 2 * rec.final_mesh
+        polls = scholtes._poll_points(problem, step.x, 2 * step.final_mesh)
+        assert polls
+        for xp, res in zip(polls, pbopt.evaluate_psi_t_batch(problem, np.array(polls), t, cfg.inner)):
+            value = res.value + scholtes._leader_penalty(problem, xp) if res.status == "solved" else np.inf
+            assert value >= step.value - scholtes.DECREASE_TOL
+
+
+def test_a_refused_gradient_leaves_the_pattern_search_trace(monkeypatch, light_cfg):
+    """With every gradient refused, each synthetic2d level is the pattern
+    search from its start: the same records, bit for bit, and the same
+    unread rows, plus the start's own call per level."""
+    problem = pbopt.get_problem("synthetic2d")[0]
+    params = RelaxationParams(1.0, 0.5, 0.05, outer=_outer(light_cfg))
+    monkeypatch.setattr(scholtes, "psi_t_gradient", lambda *args: maxmin.PsiGradient(None, "refused"))
+    got = scholtes_solve(problem, params, [0.4, -0.2])
+    monkeypatch.setattr(
+        scholtes, "_gradient_level", lambda problem, t, x, cfg, hess: (scholtes.minimize_psi_t(problem, t, x, cfg), hess)
+    )
+    want = scholtes_solve(problem, params, [0.4, -0.2])
+    assert len(got.records) == 5
+    got.inner_calls -= len(got.records)
+    assert_same_trace(got, want)
