@@ -28,7 +28,9 @@ import numpy as np
 from .problem_model import (
     Array,
     BilevelProblem,
+    DimensionError,
     TriplePoint,
+    config_or_default,
     is_finite_number,
     is_number,
     lagrangian_jacobians_unchecked,
@@ -612,7 +614,7 @@ def evaluate_psi_t(
     are kept, the least recently used evicted first.
     """
     x = problem.leader_point(x)
-    return _solve_rows(problem, x[None], t, cfg or InnerConfig())[0]
+    return _solve_rows(problem, x[None], t, config_or_default(cfg, InnerConfig))[0]
 
 
 def evaluate_psi_t_batch(
@@ -635,7 +637,7 @@ def evaluate_psi_t_batch(
     solved in one batch.
     """
     X = problem.leader_block(X)
-    return _solve_rows(problem, X, t, cfg or InnerConfig())
+    return _solve_rows(problem, X, t, config_or_default(cfg, InnerConfig))
 
 
 def _warm_block(cfg: InnerConfig, k: int) -> Array:
@@ -855,6 +857,7 @@ def psi_t_gradient(
     gradient is grad_x F - (dr/dx)^T lam, where dr/dx stacks L_x
     (``problem_model.lagrangian_jacobians_unchecked``), J_gx and -u*J_gx.
 
+    A cloud whose width is not m + q is a usage error (DimensionError).
     Refused, with the reason in ``refusal``: an empty cloud, a point whose
     violation of D_t(x) exceeds cfg.feas_tol, a point that is no KKT point
     of the inner max (the projected grad F, d, has |d| > GRAD_KKT_TOL *
@@ -869,13 +872,15 @@ def psi_t_gradient(
     on its box bound, whose multiplier takes all of grad F, so the value is
     0, the left derivative; the right one is -1 / t.
     """
-    cfg = cfg or InnerConfig()
+    cfg = config_or_default(cfg, InnerConfig)
     x = problem.leader_point(x)
     t = relaxation_level(t)
     Z = argmax.points
     if not len(Z):
         return PsiGradient(None, "the argmax cloud is empty")
     m, q = problem.dims.m, problem.dims.q
+    if Z.shape[1] != m + q:
+        raise DimensionError(f"argmax cloud has shape {Z.shape}, expected (N, {m + q})")
     lo, hi = follower_box(problem, cfg)
     X = x[None]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,6 +36,15 @@ def is_finite_number(val) -> bool:
         return False
 
 
+def config_or_default(cfg, cls, what: str = "cfg"):
+    """cfg, or cls() when it is None; any other value that is not a cls is refused (ValueError)."""
+    if cfg is None:
+        return cls()
+    if not isinstance(cfg, cls):
+        raise ValueError(f"{what} must be None or of type {cls.__name__}, got {cfg!r}")
+    return cfg
+
+
 def relaxation_level(t) -> float:
     """t as a float; a relaxation level that is not a finite nonnegative number (:func:`is_finite_number`) is refused."""
     if not (is_finite_number(t) and t >= 0.0):

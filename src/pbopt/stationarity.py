@@ -559,7 +559,7 @@ def _graph_rows(
     if graph_check:
         # Feasibility is kept well below the level slack so near-feasible points at
         # degenerate corners cannot inflate the reference value past the slack.
-        cfg = inner_cfg or InnerConfig(starts=12, sweeps=4, feas_tol=1e-10)
+        cfg = InnerConfig(starts=12, sweeps=4, feas_tol=1e-10) if inner_cfg is None else inner_cfg
         inner = evaluate_psi_t(problem, pt.x, t, cfg)
         fval = problem.eval_F(pt.x, pt.y)
         # an unsolved reference verifies nothing: NaN fails the verdict

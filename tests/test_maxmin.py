@@ -13,6 +13,7 @@ from pbopt import GridSpec, InnerConfig, TriplePoint, brute_force_psi_t, evaluat
 from pbopt import maxmin
 from pbopt.maxmin import DEDUP_TOL, EPS_LVL_DEFAULT, InnerInfeasibleError, approximate_argmax_set, dedup_points
 from pbopt.kkt import kkt_residual
+from pbopt.problem_model import DimensionError
 
 from toys import make_biactive_family, make_empty_lower_toy, make_q0_toy, named_problem
 
@@ -802,6 +803,16 @@ def test_psi_t_gradient_refuses_a_point_off_the_relaxed_set(example1, light_cfg)
     assert got.grad is None and "off D_t" in got.refusal
     empty = maxmin.psi_t_gradient(problem, [0.5], 0.1, maxmin.SampledSet(np.zeros((0, 3))), light_cfg)
     assert empty.grad is None and "empty" in empty.refusal
+
+
+def test_psi_t_gradient_refuses_a_cloud_of_the_wrong_width(synthetic, light_cfg):
+    # synthetic2d's (y, u) has m + q = 4 coordinates; a 3-wide cloud used to
+    # come back as "an argmax point is off D_t by 0.4", a verdict that no
+    # valid computation made
+    problem, _ = synthetic
+    for width in (3, 5):
+        with pytest.raises(DimensionError, match="argmax cloud"):
+            maxmin.psi_t_gradient(problem, [0.4, -0.2], 0.1, maxmin.SampledSet(np.zeros((2, width))), light_cfg)
 
 
 def test_psi_t_gradient_refuses_a_point_that_is_no_inner_maximiser(example2, light_cfg):

@@ -180,6 +180,25 @@ def test_params_validation():
         RelaxationParams(t0=1e-8, t_min=1e-6)
 
 
+@pytest.mark.parametrize("bad", ["x", 0], ids=["str", "zero"])
+@pytest.mark.parametrize(
+    "entry,cls",
+    [
+        (lambda p, cfg: pbopt.evaluate_psi_t(p, [0.4, -0.2], 0.1, cfg), "InnerConfig"),
+        (lambda p, cfg: pbopt.evaluate_psi_t_batch(p, [[0.4, -0.2]], 0.1, cfg), "InnerConfig"),
+        (lambda p, cfg: maxmin.psi_t_gradient(p, [0.4, -0.2], 0.1, maxmin.SampledSet(np.zeros((1, 4))), cfg), "InnerConfig"),
+        (lambda p, cfg: minimize_psi_t(p, 0.1, [0.4, -0.2], cfg), "OuterConfig"),
+        (lambda p, cfg: scholtes_solve(p, cfg, [0.4, -0.2]), "RelaxationParams"),
+    ],
+    ids=["evaluate_psi_t", "evaluate_psi_t_batch", "psi_t_gradient", "minimize_psi_t", "scholtes_solve"],
+)
+def test_entry_points_refuse_a_config_of_the_wrong_type(synthetic, entry, cls, bad):
+    # a string used to fail with AttributeError deep inside, and 0 was
+    # quietly taken as the default config
+    with pytest.raises(ValueError, match=f"must be None or of type {cls}"):
+        entry(synthetic[0], bad)
+
+
 def test_trace_records_final_mesh_diagnostic(example2, light_cfg):
     problem, _ = example2
     params = RelaxationParams(t0=0.5, rho=0.5, t_min=0.2, outer=_outer(light_cfg))
@@ -339,35 +358,54 @@ def test_a_second_run_reuses_the_solves_of_a_first_run_it_merges_with(empty_memo
 
 
 def _levels(monkeypatch) -> list:
-    """Record (t, cfg, result) of every n >= 2 level solve of scholtes_solve."""
-    levels, solve = [], scholtes._gradient_level
+    """Record (t, cfg, result, BFGS end points, pattern search start or None)
+    of every n >= 2 level solve of scholtes_solve."""
+    levels, solve, bfgs, search = [], scholtes._gradient_level, scholtes._bfgs, scholtes._pattern_search
+    ends, starts = [], []
 
     def spy(problem, t, x, cfg, hess):
+        ends.clear()
+        starts.clear()
         step, hess = solve(problem, t, x, cfg, hess)
-        levels.append((t, cfg, step))
+        assert len(starts) <= 1
+        levels.append((t, cfg, step, list(ends), starts[0] if starts else None))
         return step, hess
 
+    def bfgs_spy(problem, cfg, level, x, grad, hess):
+        out = bfgs(problem, cfg, level, x, grad, hess)
+        ends.append(out[0])
+        return out
+
+    def search_spy(problem, x, cfg, level):
+        starts.append(x)
+        return search(problem, x, cfg, level)
+
     monkeypatch.setattr(scholtes, "_gradient_level", spy)
+    monkeypatch.setattr(scholtes, "_bfgs", bfgs_spy)
+    monkeypatch.setattr(scholtes, "_pattern_search", search_spy)
     return levels
 
 
 @pytest.mark.parametrize(
-    "name,x0,schedule,mesh_tol",
+    "name,x0,schedule,mesh_tol,handed",
     [
-        ("synthetic2d", [0.4, -0.2], (0.5, 0.5, 0.25), 1e-4),
-        ("synthetic2d", [-0.9, 0.7], (1.0, 0.5, 1e-3), 1e-4),
-        ("synthetic2d", [1.0, 1.0], (1.0, 0.5, 1e-2), 1e-4),
-        ("linear3d", [0.3, -0.5, 0.8], (0.2, 0.5, 0.05), 1e-4),
-        # the default schedule: at t = 7.6e-6 BFGS stalls, both confirming
-        # rounds improve and the pattern search ends the level
-        ("synthetic2d", [0.4, -0.2], (1.0, 0.5, 1e-6), 1e-5),
+        ("synthetic2d", [0.4, -0.2], (0.5, 0.5, 0.25), 1e-4, []),
+        ("synthetic2d", [-0.9, 0.7], (1.0, 0.5, 1e-3), 1e-4, []),
+        ("synthetic2d", [1.0, 1.0], (1.0, 0.5, 1e-2), 1e-4, []),
+        ("linear3d", [0.3, -0.5, 0.8], (0.2, 0.5, 0.05), 1e-4, []),
+        # the default schedule: at t = 2**-17 (7.6e-6) BFGS stalls after
+        # moving, the confirming round improves and the pattern search ends
+        # the level
+        ("synthetic2d", [0.4, -0.2], (1.0, 0.5, 1e-6), 1e-5, [2.0**-17]),
     ],
 )
-def test_every_level_end_survives_a_poll_round_at_its_final_mesh(monkeypatch, light_cfg, name, x0, schedule, mesh_tol):
+def test_every_level_end_survives_a_poll_round_at_its_final_mesh(monkeypatch, light_cfg, name, x0, schedule, mesh_tol, handed):
     """The pattern search's guarantee: no poll at twice the final mesh (the
     last mesh polled, which is >= mesh_tol) improves the end point by more
     than DECREASE_TOL, whether BFGS's confirming round or the pattern search
-    ended the level."""
+    ended the level.  BFGS runs at most once a level, and a level whose
+    confirming round improves (at the levels ``handed``) is the pattern
+    search from the improving poll at its own first mesh, bit for bit."""
     if name == "linear3d":
         problem = make_linear_follower(*biactive_family_data(3, np.random.default_rng(3), n=3), name=name)
     else:
@@ -376,13 +414,24 @@ def test_every_level_end_survives_a_poll_round_at_its_final_mesh(monkeypatch, li
     params = RelaxationParams(*schedule, outer=OuterConfig(inner=light_cfg, mesh_tol=mesh_tol))
     trace = scholtes_solve(problem, params, x0)
     assert len(levels) == len(trace.records) >= 2
-    for (t, cfg, step), rec in zip(levels, trace.records):
+    confirming = scholtes._first_mesh(problem, params.outer)
+    while confirming >= 2.0 * mesh_tol:
+        confirming *= 0.5
+    from_polls = []
+    for (t, cfg, step, ends, start), rec in zip(levels, trace.records):
+        assert len(ends) <= 1
         assert step.x.tobytes() == rec.x.tobytes() and rec.final_mesh < cfg.mesh_tol <= 2 * rec.final_mesh
         polls = scholtes._poll_points(problem, step.x, 2 * step.final_mesh)
         assert polls
         for xp, res in zip(polls, pbopt.evaluate_psi_t_batch(problem, np.array(polls), t, cfg.inner)):
             value = res.value + scholtes._leader_penalty(problem, xp) if res.status == "solved" else np.inf
             assert value >= step.value - scholtes.DECREASE_TOL
+        if ends and start is not None and any(np.array_equal(start, xp) for xp in scholtes._poll_points(problem, ends[0], confirming)):
+            from_polls.append(t)
+            want = minimize_psi_t(problem, t, start, cfg)
+            assert step.x.tobytes() == want.x.tobytes()
+            assert np.array(step.value).tobytes() == np.array(want.value).tobytes()
+    assert from_polls == handed
 
 
 def test_a_refused_gradient_leaves_the_pattern_search_trace(monkeypatch, light_cfg):

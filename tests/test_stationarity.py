@@ -72,6 +72,15 @@ def test_wrong_gamma_flags_eta_row(example1, tiny_cfg):
     assert rep.rows["eta_gamma"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", ["x", 0], ids=["str", "zero"])
+def test_certifier_refuses_an_inner_config_of_the_wrong_type(example1, bad):
+    # 0 used to be quietly taken as the graph check's default inner config
+    problem, _ = example1
+    mults = recover_c_multipliers(problem, EX1_PT, kind="C")
+    with pytest.raises(ValueError, match="of type InnerConfig"):
+        check_stationarity(problem, EX1_PT, mults, kind="C", inner_cfg=bad)
+
+
 # example1 at the top of its leader box, where G_2 = x - 1 is active
 EX1_TOP = TriplePoint([1.0], [0.0], [1.0, 0.0])
 
