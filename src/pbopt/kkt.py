@@ -8,13 +8,14 @@ diagnostics (strict follower feasibility and the leader-gradient condition).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .problem_model import Array, BilevelProblem, TriplePoint, relaxation_level
+from .problem_model import Array, BilevelProblem, TriplePoint, relaxation_level, relaxed_rows
 from .simplex import cone_has_nonzero
 
 # The certifier's tolerances: a value within EPS_ACT_DEFAULT of zero counts as
@@ -33,9 +34,14 @@ class InfeasiblePointError(ValueError):
     """Raised when an operation requires a KKT-feasible point and is given none."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KktResidual:
-    """Componentwise violation record for one (x, y, u) at relaxation level t."""
+    """Componentwise violation record for one (x, y, u) at relaxation level t.
+
+    The record is read-only: its arrays cannot be written, and its largest
+    violation (``violation``) is computed once, as it is built.  A field with
+    a non-finite entry counts as infinitely violated.
+    """
 
     stationarity: Array  # signed follower-stationarity vector
     dual_viol: Array  # max(0, -u)
@@ -44,30 +50,34 @@ class KktResidual:
     relax_viol: Array  # max(0, -u_i g_i - t)
     t: float
     g: Array  # the follower constraints g(x, y) the record was built from
+    violation: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, val in vars(self).items():
+            if isinstance(val, np.ndarray):
+                view = val.view()  # the caller's array keeps its own flags
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
+        object.__setattr__(self, "violation", max(self._field_maxima().values()))
 
     def _field_maxima(self) -> dict[str, float]:
-        """Largest violation of each field, in a fixed order.
+        """Largest violation of each field, in a fixed order; inf for a field with a non-finite entry.
 
         The aggregate complementarity |u @ g| participates only at t = 0,
         where exact complementarity is part of the definition; for t > 0 a
         member may legitimately have a nonzero product.
         """
-        fields = {
-            "stationarity": float(np.max(np.abs(self.stationarity), initial=0.0)),
-            "dual_viol": float(np.max(self.dual_viol, initial=0.0)),
-            "primal_viol": float(np.max(self.primal_viol, initial=0.0)),
-            "relax_viol": float(np.max(self.relax_viol, initial=0.0)),
-        }
-        if self.t == 0.0:
-            fields["compl"] = self.compl
-        return fields
+        names = ("stationarity", "dual_viol", "primal_viol", "relax_viol") + (("compl",) if self.t == 0.0 else ())
+        # over Python floats: a record is built at every certifier set-up, and numpy's reductions on fields this small cost more
+        absolute = {name: list(map(abs, np.ravel(getattr(self, name)).tolist())) for name in names}
+        return {name: max(a, default=0.0) if all(map(math.isfinite, a)) else math.inf for name, a in absolute.items()}
 
     def max_violation(self) -> float:
         """Largest violation of the membership system at this t."""
-        return float(max(self._field_maxima().values()))
+        return self.violation
 
     def is_feasible(self, tol: float = FEAS_TOL_DEFAULT) -> bool:
-        return self.max_violation() <= tol
+        return self.violation <= tol
 
     def worst_field(self) -> str:
         fields = self._field_maxima()
@@ -75,20 +85,23 @@ class KktResidual:
 
 
 def kkt_residual(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -> KktResidual:
-    """Residuals of the (relaxed) follower KKT system at pt; t = 0 is exact."""
+    """Residuals of the (relaxed) follower KKT system at pt; t = 0 is exact.
+
+    Its stationarity, g and relaxation rows are the one-row block of ``problem_model.relaxed_rows`` at pt,
+    as the inner solver reads them (through the problem's batch hooks when set).
+    """
     t = relaxation_level(t)
     problem.check_point(pt)
-    L = problem.lagrangian_point(pt.x, pt.y, pt.u)
-    if problem.dims.q:
-        g = np.asarray(problem.eval_g(pt.x, pt.y), dtype=float)
-    else:
-        g = np.zeros(0)
+    m, q = problem.dims.m, problem.dims.q
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g makes w and u.g non-finite, which the record counts
+        (g,), (r,) = relaxed_rows(problem, pt.x[None], np.concatenate([pt.y, pt.u])[None], t)
+        compl = float(abs(pt.u @ g))
     return KktResidual(
-        stationarity=L,
+        stationarity=r[:m],
         dual_viol=np.maximum(0.0, -pt.u),
-        primal_viol=np.maximum(0.0, g),
-        compl=float(abs(pt.u @ g)) if problem.dims.q else 0.0,
-        relax_viol=np.maximum(0.0, -pt.u * g - t),
+        primal_viol=np.maximum(g, 0.0),
+        compl=compl,
+        relax_viol=np.maximum(r[m + q :], 0.0),
         t=t,
         g=g,
     )

@@ -36,6 +36,9 @@ from .problem_model import (
     lagrangian_jacobians_unchecked,
     problem_key,
     relaxation_level,
+    relaxed_jacobian,
+    relaxed_rows,
+    relaxed_violations,
 )
 
 # Level slack of the argmax cloud: every feasible start within it of the best
@@ -54,7 +57,7 @@ ACTIVE_TOL = 1e-7
 RANK_TOL = 1e-10
 # Ascent: a row stops once its halved trial length falls below STEP_MIN.
 STEP_MIN = 1e-9
-# Grid points brute_force_psi_t tests at once; about 2 MB per coordinate block
+# Grid points brute_force_psi_t and sample_relaxed_set test at once (GridSpec.chunks); about 2 MB per coordinate block
 # at m + q = 4, where a whole 25^4 grid held about 31 MB.
 GRID_CHUNK_ROWS = 65536
 # psi_t_gradient: a cloud point counts as a KKT point of the inner max while
@@ -111,6 +114,12 @@ class GridSpec:
     def points(self) -> Array:
         """Every grid point, the last axis varying fastest."""
         return self.rows(0, math.prod(self.shape()))
+
+    def chunks(self):
+        """The rows of :meth:`points` in order, in blocks of at most GRID_CHUNK_ROWS."""
+        size = math.prod(self.shape())
+        for start in range(0, size, GRID_CHUNK_ROWS):
+            yield self.rows(start, min(start + GRID_CHUNK_ROWS, size))
 
     def max_step(self) -> float:
         return max(((hi - lo) / (n - 1) for lo, hi, n in self.axes if n > 1), default=0.0)
@@ -261,43 +270,6 @@ def _take(X: Array, rows) -> Array:
     return X if len(X) == 1 else X[rows]
 
 
-def _residuals(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
-    """Per row of Z: U, g and the signed rows r = [L | g | w], w = -U*g - t.
-
-    X is the leader block of the rows.  The level-t set is L = 0 with every
-    other row <= 0 and u >= 0, which the box (:func:`follower_box`) keeps.
-    Rows of r with a non-finite entry become inf.
-    """
-    m = problem.dims.m
-    Y, U = Z[:, :m], Z[:, m:]
-    g = problem.g_rows(X, Y)
-    r = np.concatenate([problem.lagrangian_rows(X, Y, U), g, -U * g - t], axis=1)
-    finite = np.isfinite(r)
-    if not finite.all():  # the common all-finite case costs one reduction
-        r[~finite.all(axis=1)] = np.inf
-    return U, g, r
-
-
-def _violations(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
-    """Per row of Z: g, the violations v = [L | g+ | w+] of its signed rows and the largest of them."""
-    m = problem.dims.m
-    _, g, v = _residuals(problem, X, Z, t)
-    np.maximum(v[:, m:], 0.0, out=v[:, m:])
-    return g, v, np.abs(v).max(axis=1, initial=0.0)
-
-
-def _residual_jacobian(problem: BilevelProblem, X: Array, Z: Array, U: Array, g: Array) -> Array:
-    """Jacobian of each row's signed rows r = [L | g | w] in (y, u), shape (N, m + 2q, m + q)."""
-    m, q = problem.dims.m, problem.dims.q
-    J = np.zeros((Z.shape[0], m + 2 * q, m + q))
-    J[:, :m] = problem.lagrangian_jac_rows(X, Z[:, :m], U)
-    Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
-    J[:, m : m + q, :m] = Jgy
-    J[:, m + q :, :m] = -U[:, :, None] * Jgy
-    np.einsum("nii->ni", J[:, m + q :, m:])[:] = -g  # dw/du = -diag(g)
-    return J
-
-
 # Relative Tikhonov weight of the normal equations of the polish and of the
 # ascent's projection: tiny enough to leave well-conditioned systems alone,
 # large enough that a rank-deficient one still gets the near-minimum-norm
@@ -355,7 +327,7 @@ def polish_onto_relaxed_set(
         raise ValueError("the multiplier part of the box must not reach below 0")
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
-    Z, viol, iters = _polish(problem, X, Z, *_violations(problem, X, Z, t), t, lo, hi, feas_tol)
+    Z, viol, iters = _polish(problem, X, Z, *relaxed_violations(problem, X, Z, t), t, lo, hi, feas_tol)
     return Z, viol, iters + 1
 
 
@@ -363,7 +335,7 @@ def _polish(
     problem: BilevelProblem, X: Array, Z: Array, g: Array, v: Array, viol: Array, t: float, lo: Array, hi: Array, feas_tol: float
 ) -> tuple[Array, Array, Array]:
     """:func:`polish_onto_relaxed_set` from rows of Z inside [lo, hi] whose
-    :func:`_violations` g, v and viol are already known.
+    ``problem_model.relaxed_violations`` g, v and viol are already known.
 
     Z, g, v and viol are updated in place, so on return g and v are those
     of the returned points.  Each iteration makes one regularised solve,
@@ -380,7 +352,7 @@ def _polish(
         if not todo.size:
             break
         Xt, Zt, vt = _take(X, todo), Z[todo], v[todo]
-        J = _residual_jacobian(problem, Xt, Zt, Zt[:, m:], g[todo])
+        J = relaxed_jacobian(problem.lagrangian_jac_rows(Xt, Zt[:, :m], Zt[:, m:]), Zt[:, m:], g[todo])
         # rows of satisfied inequalities stay out of the least squares
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
         JtJ = np.swapaxes(J, 1, 2) @ J
@@ -401,7 +373,7 @@ def _polish(
         step = 1.0
         for _ in range(10):
             cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
-            gc, vc, violc = _violations(problem, _take(Xt, pending), cand, t)
+            gc, vc, violc = relaxed_violations(problem, _take(Xt, pending), cand, t)
             better = (vc * vc).sum(axis=1) < base[pending] - floor
             rows = todo[pending[better]]
             Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
@@ -451,16 +423,15 @@ def _active_rows(
     """The Jacobian A of the signed rows in (y, u), grad F in (y, u), the gaps and the active set at every row of Z.
 
     ``known`` is the rows' g and L rows from the evaluation that put them
-    on D_t; the signed rows are rebuilt from them as :func:`_residuals`
-    builds them, bit for bit.  The gaps are the signed rows, then Z - hi
+    on D_t; the signed rows are assembled from them
+    (``problem_model.relaxed_rows``).  The gaps are the signed rows, then Z - hi
     and lo - Z; the L rows are always active, and every other row or bound
     whose gap is at least -ACTIVE_TOL.  A row whose rows, Jacobian or grad
     F has a non-finite entry gets all three zeroed, so it projects to 0.
     """
     m = problem.dims.m
-    (g, L), U = known, Z[:, m:]
-    r = np.concatenate([L, g, -U * g - t], axis=1)
-    A = _residual_jacobian(problem, X, Z, U, g)
+    g, r = relaxed_rows(problem, X, Z, t, known)
+    A = relaxed_jacobian(problem.lagrangian_jac_rows(X, Z[:, :m], Z[:, m:]), Z[:, m:], g)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
     if not (np.isfinite(A).all() and np.isfinite(r).all() and np.isfinite(grad).all()):
@@ -519,7 +490,7 @@ def _ascend(
 ) -> tuple[Array, Array, Array, Array, Array]:
     """Feasible-direction ascent of F from the starts Z in [lo, hi], each polished onto D_t first.
 
-    The starts are evaluated once by :func:`_violations` and polished from
+    The starts are evaluated once by ``problem_model.relaxed_violations`` and polished from
     that evaluation by :func:`_polish`, the restoration every trial off D_t
     gets.  Then gradient projection with restoration, all rows in lockstep,
     with Rosen's step rule: a new :func:`_directions` direction's first
@@ -545,7 +516,7 @@ def _ascend(
     m, q = problem.dims.m, problem.dims.q
     N = Z.shape[0]
     Z = Z.copy()  # the polish writes its rows in place
-    g, v, viol = _violations(problem, X, Z, t)
+    g, v, viol = relaxed_violations(problem, X, Z, t)
     Z, viol, evals = _polish(problem, X, Z, g, v, viol, t, lo, hi, cfg.feas_tol)
     evals += 1  # the check at the start
     f = problem.F_rows(X, Z[:, :m])
@@ -563,7 +534,7 @@ def _ascend(
             break
         Xr = _take(X, run)
         Zt = np.clip(Z[run] + step[run, None] * d[run], lo, hi)
-        gt, vv, vt = _violations(problem, Xr, Zt, t)
+        gt, vv, vt = relaxed_violations(problem, Xr, Zt, t)
         evals[run] += 1
         far = np.flatnonzero(vt > cfg.feas_tol)
         if far.size:
@@ -884,7 +855,7 @@ def psi_t_gradient(
     lo, hi = follower_box(problem, cfg)
     X = x[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        g, v, viol = _violations(problem, X, Z, t)
+        g, v, viol = relaxed_violations(problem, X, Z, t)
     if not (viol <= cfg.feas_tol).all():
         return PsiGradient(None, f"an argmax point is off D_t by {viol.max():.3g} > feas_tol {cfg.feas_tol:.3g}")
     A, grad, _, on = _active_rows(problem, X, Z, t, lo, hi, (g, v[:, :m]))
@@ -916,23 +887,15 @@ def batch_feasibility(
     t: float,
     tau: float,
 ) -> Array:
-    """Boolean mask of grid points within tolerance tau of level-t membership.
+    """Boolean mask of the rows (y, u) of Z within tolerance tau of D_t(x).
 
-    x is one leader point for every row of Z, or an (N, n) block of them.
+    x is one leader point for every row of Z, or an (N, n) block of them.  A row is kept when the violation of
+    its signed rows (``problem_model.relaxed_violations``, inf for a row with a non-finite entry) is at most tau
+    and u >= -tau.  A grid goes in :meth:`GridSpec.chunks` blocks: each builds an (N, m + 2q) block of rows.
     """
-    # Grids run to millions of rows, so no (N, m + 3q) residual block is
-    # built, and one leader point goes to the hooks as a (1, n) block.
-    m = problem.dims.m
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    Y, U = Z[:, :m], Z[:, m:]
-    L = problem.lagrangian_rows(X, Y, U)
-    g = problem.g_rows(X, Y)
-    ok = (np.abs(L) <= tau).all(axis=1) & (g <= tau).all(axis=1) & (U >= -tau).all(axis=1) & (-U * g - t <= tau).all(axis=1)
-    return ok & np.isfinite(L).all(axis=1) & np.isfinite(g).all(axis=1)
-
-
-def batch_objective(problem: BilevelProblem, x: Array, Y: Array) -> Array:
-    return problem.F_rows(np.atleast_2d(np.asarray(x, dtype=float)), Y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is infinitely violated
+        viol = relaxed_violations(problem, np.atleast_2d(np.asarray(x, dtype=float)), Z, t)[2]
+    return (viol <= tau) & (Z[:, problem.dims.m :] >= -tau).all(axis=1)
 
 
 @dataclass
@@ -962,13 +925,11 @@ def brute_force_psi_t(
     grid.check_width(m + q)
     tau = grid.tolerance()
     best_F, best_z = None, None
-    size = math.prod(grid.shape())
-    for start in range(0, size, GRID_CHUNK_ROWS):
-        Z = grid.rows(start, min(start + GRID_CHUNK_ROWS, size))
+    for Z in grid.chunks():
         Zf = Z[batch_feasibility(problem, x, Z, t, tau)]
         if not len(Zf):
             continue
-        F = batch_objective(problem, x, Zf[:, :m])
+        F = problem.F_rows(x[None], Zf[:, :m])
         i = int(np.argmax(F))
         # np.argmax over the whole grid: NaN wins, then the larger value, ties to the first index
         if best_F is None or (F[i] > best_F or np.isnan(F[i])) and not np.isnan(best_F):

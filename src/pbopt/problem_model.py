@@ -362,6 +362,46 @@ def lagrangian_jacobians_unchecked(problem: BilevelProblem, pt: TriplePoint) -> 
     return lx, ly, lu
 
 
+def relaxed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, known: Optional[tuple[Array, Array]] = None) -> tuple[Array, Array]:
+    """g and the signed rows r = [L | g | w], w = -u*g - t, of the relaxed follower KKT set D_t at the rows (y, u) of Z.
+
+    D_t (Scholtes' relaxation) is L = 0 with every other row <= 0 and u >= 0; X is the rows' leader block.  The rows
+    are kept as evaluated, non-finite entries included (at u = 0 an infinite g makes numpy warn of the NaN it gives
+    w, so callers that may meet one run under ``np.errstate``); ``known``, the rows' (g, L), is assembled instead.
+    """
+    m = problem.dims.m
+    Y, U = Z[:, :m], Z[:, m:]
+    g, L = known if known is not None else (problem.g_rows(X, Y), problem.lagrangian_rows(X, Y, U))
+    return g, np.concatenate([L, g, -U * g - t], axis=1)
+
+
+def relaxed_violations(problem: BilevelProblem, X: Array, Z: Array, t: float) -> tuple[Array, Array, Array]:
+    """g, the violations v = [L | g+ | w+] of the signed rows (:func:`relaxed_rows`) and their max-norm, per row of Z.
+
+    A row with a non-finite entry counts as infinitely violated: all of its v is inf.
+    """
+    m = problem.dims.m
+    g, v = relaxed_rows(problem, X, Z, t)
+    finite = np.isfinite(v)
+    if not finite.all():  # the common all-finite case costs one reduction
+        v[~finite.all(axis=1)] = np.inf
+    np.maximum(v[:, m:], 0.0, out=v[:, m:])
+    # the max over the rows of a C-ordered |v|^T: numpy's max along a short last axis is several times slower
+    return g, v, np.abs(v.T, order="C").max(axis=0, initial=0.0)
+
+
+def relaxed_jacobian(lag_jac: Array, U: Array, g: Array) -> Array:
+    """The (N, m + 2q, m + q) Jacobian in (y, u) of the signed rows, from their [L_y | L_u] (``lagrangian_jac_rows``), U and g."""
+    n_rows, m, k = lag_jac.shape  # k = m + q
+    J = np.zeros((n_rows, 2 * k - m, k))
+    J[:, :m] = lag_jac
+    Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
+    J[:, m:k, :m] = Jgy
+    J[:, k:, :m] = -U[:, :, None] * Jgy
+    np.einsum("nii->ni", J[:, k:, m:])[:] = -g  # dw/du = -diag(g)
+    return J
+
+
 def lq_problem(*, H, B, b, c, d, J_gy, J_gx, h, A_G, h_G, x_box=None, y_box=None, name: str = "") -> BilevelProblem:
     """The problem with linear-quadratic data, with its analytic Hessians and all five batch hooks.
 

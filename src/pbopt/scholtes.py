@@ -135,13 +135,14 @@ def _project_x(problem: BilevelProblem, x: Array) -> Array:
 
 
 def leader_violation(problem: BilevelProblem, x: Array) -> float:
-    """Largest violation of the leader set at x: of its box and of G(x) <= 0 (0 inside)."""
+    """Largest violation of the leader set at x: of its box and of G(x) <= 0 (0 inside); inf where G is not finite."""
     viol = [np.zeros(1)]
     if problem.x_box is not None:
         viol += [problem.x_box[:, 0] - x, x - problem.x_box[:, 1]]
     if problem.dims.p:
         viol.append(np.asarray(problem.eval_G(x), dtype=float).ravel())
-    return float(np.max(np.concatenate(viol)))
+    viol = np.concatenate(viol)
+    return float(viol.max()) if np.isfinite(viol).all() else math.inf
 
 
 def _leader_penalty(problem: BilevelProblem, x: Array) -> float:

@@ -62,15 +62,15 @@ def sample_relaxed_set(problem: BilevelProblem, x: Array, t: float, grid: GridSp
     Keeps every grid point feasible within :meth:`GridSpec.tolerance`, the
     tolerance of the brute-force oracle; comparisons between levels must
     share one grid so inclusion relations are exact.  A grid that does not
-    cover the m + q follower coordinates is refused with ValueError.
+    cover the m + q follower coordinates is refused with ValueError.  The
+    grid is tested in the blocks of :meth:`GridSpec.chunks`, as the
+    brute-force oracle tests it.
     """
     x, t = problem.leader_point(x), relaxation_level(t)
     grid.check_width(problem.dims.m + problem.dims.q)
-    pts = grid.points()
     tau = grid.tolerance()
-    mask = batch_feasibility(problem, x, pts, t, tau)
     return SampledSet(
-        dedup_points(pts[mask]),
+        dedup_points(np.concatenate([Z[batch_feasibility(problem, x, Z, t, tau)] for Z in grid.chunks()])),
         meta={"kind": "grid", "t": float(t), "tau": tau, "axes": grid.axes},
     )
 

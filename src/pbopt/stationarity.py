@@ -56,6 +56,7 @@ from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
 from .problem_model import (
     Array, BilevelProblem, TriplePoint, is_finite_number, lagrangian_jacobians_unchecked, problem_key, relaxation_level,
+    relaxed_jacobian,
 )
 from .simplex import ConeRows, cone_has_nonzero, least_norm_point, least_norm_points
 
@@ -116,42 +117,27 @@ class _SystemData:
     g: Array
 
 
-def _frozen(a) -> Array:
-    """A read-only view of a; the array it views keeps its own flags."""
-    view = np.asarray(a, dtype=float).view()
-    view.flags.writeable = False
-    return view
-
-
-class _Residual(KktResidual):
-    """A KktResidual of read-only arrays whose largest violation is computed once."""
-
-    def __init__(self, res: KktResidual) -> None:
-        super().__init__(**{k: _frozen(v) if isinstance(v, np.ndarray) else v for k, v in vars(res).items()})
-        self.violation = res.max_violation()
-
-    def max_violation(self) -> float:
-        return self.violation
-
-
 def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemData:
-    """The derivative blocks at pt, read-only; g is g(x, y) there, as the residual record holds it."""
+    """The derivative blocks at pt, read-only copies; g is g(x, y) there, as the residual record holds it.
+
+    A block with a NaN or infinite entry is refused with InfeasiblePointError naming it.
+    """
     d = problem.dims
     gFx, gFy = problem.grad_F(pt.x, pt.y)
     Lx, Ly, _ = lagrangian_jacobians_unchecked(problem, pt)
     Jgx, Jgy = problem.jac_g(pt.x, pt.y) if d.q else (np.zeros((0, d.n)), np.zeros((0, d.m)))
     jacG = problem.jac_G(pt.x) if d.p else np.zeros((0, d.n))
-    return _SystemData(*map(_frozen, (
-        gFx,
-        gFy,
-        np.asarray(jacG, dtype=float).reshape(d.p, d.n),
-        Lx,
-        Ly,
-        np.asarray(Jgx, dtype=float).reshape(d.q, d.n),
-        np.asarray(Jgy, dtype=float).reshape(d.q, d.m),
-        problem.eval_G(pt.x) if d.p else np.zeros(0),
-        g,
-    )))
+    data = _SystemData(
+        gFx, gFy, np.reshape(jacG, (d.p, d.n)), Lx, Ly, np.reshape(Jgx, (d.q, d.n)), np.reshape(Jgy, (d.q, d.m)),
+        problem.eval_G(pt.x) if d.p else np.zeros(0), g,
+    )
+    for name, block in vars(data).items():
+        block = np.array(block, dtype=float)
+        block.flags.writeable = False
+        if not all(map(math.isfinite, block.ravel().tolist())):  # cheaper than numpy's reductions on blocks this small
+            raise InfeasiblePointError(f"the block {name} at the point has a NaN or infinite entry")
+        setattr(data, name, block)
+    return data
 
 
 @dataclass(eq=False)
@@ -171,7 +157,7 @@ class _Point:
 
     key: tuple
     held: tuple  # the objects whose ids the key names (problem_model.problem_key)
-    res: _Residual
+    res: KktResidual
     idx: object = None
     data: Optional[_SystemData] = None
     blocks: Optional[list] = None
@@ -186,7 +172,8 @@ def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optiona
     """The record of pt at level t, with its residual, index sets and system data, from one residual evaluation.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
-    then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification.  The
+    then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification, then
+    one whose system data has a non-finite block (:func:`_system_data`).  The
     record is kept for the next call at the same point: the same problem
     (:func:`problem_model.problem_key`) and the same shapes and bits of x,
     y, u and the level.  The refusals run on every call.  The point is
@@ -201,7 +188,7 @@ def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optiona
     key = ids, tuple(b.shape for b in blocks), np.concatenate([*(b.ravel() for b in blocks), [t]]).tobytes()
     point = _last_point
     if point is None or point.key != key:
-        point = _last_point = _Point(key, held, _Residual(kkt_residual(problem, pt, t)))
+        point = _last_point = _Point(key, held, kkt_residual(problem, pt, t))
     res = point.res
     if feas_tol is not None and not res.is_feasible(feas_tol):
         raise InfeasiblePointError(
@@ -230,26 +217,23 @@ def _relaxed_system(data: _SystemData, idx: IndexSets, u: Array, homogeneous: bo
     """(A_eq, b, A_ineq) of the relaxed optimality system.
 
     Columns [alpha_{I_G}, beta, gamma_{I_g}, mu_{I_u}, delta_{I_ug}]; rows: x, y
-    and u gradients.  A_ineq is alpha, gamma, mu, delta >= 0.  The homogeneous
-    twin has no alpha columns and b = 0.
+    and u gradients.  The beta, gamma and delta columns are minus the transposed Jacobian
+    of the signed rows r = [L | g | w] of D_t on the L rows, the active g rows and the active
+    w rows: x columns L_x, J_gx and -u*J_gx, then ``problem_model.relaxed_jacobian``.
+    A_ineq is alpha, gamma, mu, delta >= 0.  The homogeneous twin has no alpha columns and b = 0.
     """
     n, m, q = data.gFx.size, data.gFy.size, data.g.size
     i_a = [] if homogeneous else list(idx.i_G)
-    i_g, i_u, i_ug = list(idx.i_g), list(idx.i_u), list(idx.i_ug)
-    beta = slice(len(i_a), len(i_a) + m)
-    gamma = slice(beta.stop, beta.stop + len(i_g))
-    mu = slice(gamma.stop, gamma.stop + len(i_u))
-    x, y, w = slice(0, n), slice(n, n + m), slice(n + m, None)
-    a_eq = np.zeros((n + m + q, mu.stop + len(i_ug)))
-    a_eq[x, : beta.start] = data.jacG[i_a].T
-    a_eq[x, beta], a_eq[y, beta], a_eq[w, beta] = -data.Lx.T, -data.Ly.T, -data.Jgy
-    a_eq[x, gamma], a_eq[y, gamma] = -data.Jgx[i_g].T, -data.Jgy[i_g].T
-    a_eq[w, mu] = np.eye(q)[:, i_u]
-    u_ug = u[i_ug, None]
-    a_eq[x, mu.stop :], a_eq[y, mu.stop :] = (u_ug * data.Jgx[i_ug]).T, (u_ug * data.Jgy[i_ug]).T
-    a_eq[w, mu.stop :] = np.diag(data.g)[:, i_ug]
+    rows_yu = relaxed_jacobian(np.concatenate([data.Ly, data.Jgy.T], axis=1)[None], u[None], data.g[None])[0]
+    minus = -np.concatenate([np.concatenate([data.Lx, data.Jgx, -u[:, None] * data.Jgx]), rows_yu], axis=1).T
+    a_eq = np.concatenate([
+        np.concatenate([data.jacG[i_a].T, np.zeros((m + q, len(i_a)))]),
+        minus[:, [*range(m), *(m + i for i in idx.i_g)]],
+        np.concatenate([np.zeros((n + m, len(idx.i_u))), np.eye(q)[:, list(idx.i_u)]]),
+        minus[:, [m + q + i for i in idx.i_ug]],
+    ], axis=1)
     b = np.zeros(len(a_eq)) if homogeneous else np.concatenate([-data.gFx, -data.gFy, np.zeros(q)])
-    signed = [*range(beta.start), *range(beta.stop, a_eq.shape[1])]
+    signed = [*range(len(i_a)), *range(len(i_a) + m, a_eq.shape[1])]
     return a_eq, b, np.eye(a_eq.shape[1])[signed]
 
 

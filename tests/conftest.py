@@ -1,7 +1,7 @@
 import pytest
 
 import pbopt
-from pbopt import maxmin
+from pbopt import maxmin, stationarity
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +45,8 @@ def empty_memo(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _each_test_starts_from_an_empty_memo(empty_memo):
-    """No test sees inner solves kept by another, whatever the test order."""
+def _each_test_starts_from_an_empty_memo(empty_memo, monkeypatch):
+    """No test sees inner solves kept by another, or the certifier's record of
+    another test's point, whatever the test order."""
     empty_memo()
+    monkeypatch.setattr(stationarity, "_last_point", None)

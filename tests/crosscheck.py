@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbopt.benchlib import get_problem, oracle_grid
-from pbopt.maxmin import GridSpec, SampledSet, batch_feasibility, batch_objective, brute_force_psi_t
+from pbopt.maxmin import GridSpec, SampledSet, batch_feasibility, brute_force_psi_t
 from pbopt.problem_model import Array, BilevelProblem
 from pbopt.setvalued import excess
 
@@ -81,7 +81,7 @@ def oracle_crosscheck(
                 tau = uni.tolerance()
                 mask = batch_feasibility(problem, x, pts, float(t), tau)
                 if mask.any():
-                    F = batch_objective(problem, x, pts[mask][:, : problem.dims.m])
+                    F = problem.F_rows(x[None], pts[mask][:, : problem.dims.m])
                     cloud = pts[mask][F >= bf.value - (2 * tau + 0.02)]
                     max_excess = max(max_excess, excess(sample, SampledSet(cloud)))
     return CrosscheckReport(max_value_gap=float(max_gap), max_argmax_excess=float(max_excess), entries=entries)

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 import pbopt
@@ -403,6 +405,15 @@ def test_removed_workers_flag_is_a_usage_error_and_threads_env_is_not_read(tmp_p
     assert code == 1 and "workers" in err
     monkeypatch.setenv("PESSIM_THREADS", "two")
     assert run_cli(capsys, *args) == base
+
+
+def test_eval_flags_a_leader_point_whose_G_is_not_finite(capsys, monkeypatch):
+    problem, oracle = pbopt.get_problem("example1")
+    nan_G = dataclasses.replace(problem, eval_G=lambda x: np.full(2, np.nan))
+    monkeypatch.setattr(cli, "get_problem", lambda name: (nan_G, oracle))
+    code, out, _ = run_cli(capsys, "eval", "--problem", "example1", "--x", "0.5", "--t", "0.1", *FAST_SOLVE)
+    assert code == 0
+    assert json.loads(out)["leader_infeasible"] is True
 
 
 @pytest.mark.parametrize("extra", [["--max-outer", "0"], ["--max-outer", "-2"], ["--x-tol", "inf"]])

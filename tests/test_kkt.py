@@ -1,11 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbopt
-from pbopt import TriplePoint, check_slater, check_upper_regularity, classify_indices, kkt, kkt_residual
+from pbopt import InnerConfig, TriplePoint, check_slater, check_upper_regularity, classify_indices, kkt, kkt_residual
 from pbopt.kkt import InfeasiblePointError
+from pbopt.maxmin import batch_feasibility, follower_box, polish_onto_relaxed_set
+from pbopt.problem_model import relaxed_violations
 
-from toys import make_duplicated_g_toy, make_no_slater_toy, make_opposing_leader_toy, make_q0_toy
+from toys import make_duplicated_g_toy, make_nan_g_toy, make_no_slater_toy, make_opposing_leader_toy, make_q0_toy, named_problem
 
 
 def test_residual_example1_member(example1):
@@ -51,6 +58,69 @@ def test_relax_violation_monotone_in_t(example1):
         assert np.all(r2.relax_viol <= r1.relax_viol + 1e-15)
         if r1.is_feasible(1e-9):
             assert r2.is_feasible(1e-9)
+
+
+def test_the_record_is_read_only(example1):
+    res = kkt_residual(example1[0], TriplePoint([0.5], [0.2], [0.5, 0.0]), 0.0)
+    with pytest.raises(ValueError):
+        res.stationarity[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.t = 0.5
+    assert res.violation == res.max_violation() > 0.0
+
+
+def test_a_point_whose_g_is_not_finite_is_infeasible():
+    """example1's stationarity row is 0 at the point and its g is NaN there: the record
+    neither drops the NaN nor calls the point feasible, and names the g row."""
+    res = kkt_residual(make_nan_g_toy(), TriplePoint([0.5], [0.95], [0.5, 0.0]), 0.0)
+    assert res.max_violation() == math.inf and not res.is_feasible(1e300)
+    assert res.worst_field() == "primal_viol"
+
+
+# Three built-ins, two toys without batch hooks (one with q = 0), and one whose g is NaN on part of y_box.
+RELAXED_SET_PROBLEMS = ["example1", "example2", "synthetic2d", "quartic_toy", "dip_toy", "nan_g_toy"]
+
+
+def _relaxed_set_draws(problem, seed: int, t: float, rows: int = 6):
+    """x and a block of (y, u) rows, u >= 0, drawn in the inner solver's box; the first half polished onto D_t."""
+    rng = np.random.default_rng(seed)
+    box = problem.x_box if problem.x_box is not None else np.tile([-1.0, 1.0], (problem.dims.n, 1))
+    x = rng.uniform(box[:, 0], box[:, 1])
+    lo, hi = follower_box(problem, InnerConfig())
+    Z = rng.uniform(lo, hi, size=(rows, lo.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # as the inner solver polishes
+        Z[: rows // 2] = polish_onto_relaxed_set(problem, x, Z[: rows // 2], t, lo, hi, 1e-12)[0]
+    return x, Z
+
+
+@pytest.mark.parametrize("name", RELAXED_SET_PROBLEMS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([0.0, 1e-3, 0.1]) | st.floats(0.0, 2.0),
+    tau=st.sampled_from([1e-8, 1e-4, 0.1, 10.0]),
+)
+def test_the_record_the_solver_and_the_grid_read_one_relaxed_set(name, seed, t, tau):
+    """kkt_residual's rows are the inner solver's bit for bit, a row with a non-finite
+    entry is infeasible to the record, the solver and the grid test, and the record's
+    verdict at tau is the grid test's (at t = 0 the record also bounds |u.g|)."""
+    problem = named_problem(name)
+    m, q = problem.dims.m, problem.dims.q
+    x, Z = _relaxed_set_draws(problem, seed, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the inner solver evaluates
+        g, v, viol = relaxed_violations(problem, x[None], Z, t)
+    grid = batch_feasibility(problem, x, Z, t, tau)
+    for i, z in enumerate(Z):
+        res = kkt_residual(problem, TriplePoint(x, z[:m], z[m:]), t)
+        if np.isfinite(viol[i]):
+            for got, want in ((res.stationarity, v[i, :m]), (res.g, g[i]), (res.primal_viol, v[i, m : m + q]), (res.relax_viol, v[i, m + q :])):
+                assert got.tobytes() == want.tobytes()
+        else:
+            assert res.max_violation() == math.inf and not grid[i]
+        if t > 0.0:
+            assert res.is_feasible(tau) == grid[i]
+        else:
+            assert grid[i] or not res.is_feasible(tau)
 
 
 def test_classify_example2(example2):

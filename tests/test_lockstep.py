@@ -20,12 +20,10 @@ from pbopt.maxmin import (
     _ascend,
     _multipliers,
     _project,
-    _residual_jacobian,
-    _residuals,
-    _violations,
     follower_box,
     polish_onto_relaxed_set,
 )
+from pbopt.problem_model import relaxed_jacobian, relaxed_rows, relaxed_violations
 
 from toys import (
     fd_copy,
@@ -47,6 +45,12 @@ def penalty_problems():
     return base + [fd_copy(p) for p in base] + [make_q0_toy(), make_biactive_toy(), make_empty_lower_toy()]
 
 
+def rows_jacobian(problem, X, Z, g):
+    """The Jacobian of the signed rows at the rows of Z, as the inner solver builds it."""
+    m = problem.dims.m
+    return relaxed_jacobian(problem.lagrangian_jac_rows(X, Z[:, :m], Z[:, m:]), Z[:, m:], g)
+
+
 def leader_point(problem, rng):
     box = problem.x_box if problem.x_box is not None else np.tile([-1.0, 1.0], (problem.dims.n, 1))
     return rng.uniform(box[:, 0], box[:, 1])
@@ -61,11 +65,11 @@ def test_ascent_jacobian_matches_central_differences(problem):
         x = leader_point(problem, rng)[None]
         # Widen the box so that negative multipliers and violated constraints occur.
         Z = rng.uniform(lo - 0.5, np.minimum(hi, 3.0) + 0.5, size=(25, k))
-        U, g, r = _residuals(problem, x, Z, t)
-        A = _residual_jacobian(problem, x, Z, U, g)
+        g, r = relaxed_rows(problem, x, Z, t)
+        A = rows_jacobian(problem, x, Z, g)
         assert A.shape == r.shape + (k,) == (len(Z), problem.dims.m + 2 * problem.dims.q, k)
         for j, e in enumerate(h * np.eye(k)):
-            fd = (_residuals(problem, x, Z + e, t)[2] - _residuals(problem, x, Z - e, t)[2]) / (2 * h)
+            fd = (relaxed_rows(problem, x, Z + e, t)[1] - relaxed_rows(problem, x, Z - e, t)[1]) / (2 * h)
             scale = np.maximum(1.0, np.abs(A[:, :, j]))
             assert (np.abs(fd - A[:, :, j]) <= 1e-6 * scale).all(), (j, np.abs(fd - A[:, :, j]).max())
 
@@ -73,10 +77,10 @@ def test_ascent_jacobian_matches_central_differences(problem):
 def test_residuals_flag_nonfinite_rows(example1):
     problem, _ = example1
     Z = np.array([[0.5, 0.2, 0.1], [np.nan, 0.2, 0.1]])
-    r = _residuals(problem, np.array([[0.5]]), Z, 0.1)[2]
-    assert r.shape == (2, problem.dims.m + 2 * problem.dims.q)
-    assert np.isfinite(r[0]).all()
-    assert (r[1] == np.inf).all()
+    _, v, viol = relaxed_violations(problem, np.array([[0.5]]), Z, 0.1)
+    assert v.shape == (2, problem.dims.m + 2 * problem.dims.q)
+    assert np.isfinite(v[0]).all() and np.isfinite(viol[0])
+    assert (v[1] == np.inf).all() and viol[1] == np.inf
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "example2_fd", "synthetic2d_fd"])
@@ -110,7 +114,7 @@ def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
     polish and the starting value's "F".  Each polish's arguments and
     output go to ``polishes``.
     """
-    directions, violations, polish, F_rows = maxmin._directions, maxmin._violations, maxmin._polish, problem.F_rows
+    directions, violations, polish, F_rows = maxmin._directions, maxmin.relaxed_violations, maxmin._polish, problem.F_rows
 
     def logged_directions(*args):
         log.append("D")
@@ -137,7 +141,7 @@ def ascent_log(monkeypatch, problem, log, feas_tol, polishes):
         return F_rows(*args)
 
     monkeypatch.setattr(maxmin, "_directions", logged_directions)
-    monkeypatch.setattr(maxmin, "_violations", logged_violations)
+    monkeypatch.setattr(maxmin, "relaxed_violations", logged_violations)
     monkeypatch.setattr(maxmin, "_polish", logged_polish)
     monkeypatch.setattr(problem, "F_rows", logged_F)
 
@@ -163,7 +167,7 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
         Z0 = rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size))
         P, viol, _ = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
         Q, qviol, fval, evals, _ = _ascend(problem, x, Z0, t, lo, hi, cfg)
-        np.testing.assert_array_equal(qviol, _violations(problem, x, Q, t)[2])
+        np.testing.assert_array_equal(qviol, relaxed_violations(problem, x, Q, t)[2])
         moved = (Q != P).any(axis=1)
         assert (qviol[moved] <= cfg.feas_tol).all()
         with monkeypatch.context() as patch:
@@ -175,7 +179,7 @@ def test_restoration_stops_at_the_first_feasible_evaluation(monkeypatch, problem
                 np.testing.assert_array_equal(polishes[0][0][2], Z0[i : i + 1])  # the start polish
                 restored += len(polishes) - 1
                 for (_, X, Z, *given, _, _, _, _), out in polishes:
-                    for got, want in zip(given, _violations(problem, X, Z, t)):
+                    for got, want in zip(given, relaxed_violations(problem, X, Z, t)):
                         np.testing.assert_array_equal(got, want)
                     Zp, vp, iters = polish_onto_relaxed_set(problem, X, Z, t, lo, hi, cfg.feas_tol)
                     for got, want in zip(out, (Zp, vp, iters - 1)):
@@ -202,7 +206,7 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
     cfg = InnerConfig(local_maxiter=40)
     lo, hi = follower_box(problem, cfg)
     m = problem.dims.m
-    directions, residuals = maxmin._directions, maxmin._residuals
+    directions, g_rows = maxmin._directions, problem.g_rows
     rng = np.random.default_rng(41)
     later = 0  # directions after an accepted trial
     for t in (0.2, 1e-3):
@@ -210,7 +214,7 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
         Z0 = rng.uniform(lo, np.minimum(hi, 3.0), size=(8, lo.size))
 
         def evaluated_directions(problem, X, Z, t, lo, hi, known):
-            _, g, r = residuals(problem, X, Z, t)
+            g, r = relaxed_rows(problem, X, Z, t)
             return directions(problem, X, Z, t, lo, hi, (g, r[:, :m]))
 
         with monkeypatch.context() as patch:
@@ -218,9 +222,9 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
             want = _ascend(problem, x, Z0, t, lo, hi, cfg)
         evaluated, per_direction = [0], []
 
-        def counted_residuals(*args):
+        def counted_g_rows(*args):
             evaluated[0] += 1
-            return residuals(*args)
+            return g_rows(*args)
 
         def counted_directions(*args):
             before = evaluated[0]
@@ -229,7 +233,7 @@ def test_a_moved_row_takes_its_residuals_from_its_trial(monkeypatch, problem):
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(maxmin, "_residuals", counted_residuals)
+            patch.setattr(problem, "g_rows", counted_g_rows)
             patch.setattr(maxmin, "_directions", counted_directions)
             got = _ascend(problem, x, Z0, t, lo, hi, cfg)
         for a, b in zip(got, want):
@@ -244,7 +248,7 @@ def test_a_new_direction_first_steps_to_its_cap_and_a_rejection_halves_the_lengt
     direction is the step to its cap, the first inactive row or bound it
     crosses, and each rejected trial halves the last tried length."""
     cfg = InnerConfig(local_maxiter=40)
-    directions, violations, polish = maxmin._directions, maxmin._violations, maxmin._polish
+    directions, violations, polish = maxmin._directions, maxmin.relaxed_violations, maxmin._polish
     rng = np.random.default_rng(53)
     firsts = halvings = 0
     for problem, t in itertools.product(benchlib_problems() + [make_quartic_toy(), make_duplicated_g_toy()], (0.4, 0.05, 1e-3, 0.0)):
@@ -274,7 +278,7 @@ def test_a_new_direction_first_steps_to_its_cap_and_a_rejection_halves_the_lengt
 
             with monkeypatch.context() as patch:
                 patch.setattr(maxmin, "_directions", logged_directions)
-                patch.setattr(maxmin, "_violations", logged_violations)
+                patch.setattr(maxmin, "relaxed_violations", logged_violations)
                 patch.setattr(maxmin, "_polish", logged_polish)
                 _ascend(problem, x, Z0[i : i + 1], t, lo, hi, cfg)
             assert log[0][0] == "T"
@@ -317,7 +321,7 @@ def test_every_row_with_a_direction_has_a_finite_cap(name, seed, t):
         return seen[-1]
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-        g, v, _ = _violations(problem, x, Z0, t)
+        g, v, _ = relaxed_violations(problem, x, Z0, t)
         seen.append(directions(problem, x, Z0, t, lo, hi, (g, v[:, : problem.dims.m])))
         patch.setattr(maxmin, "_directions", logged_directions)
         _ascend(problem, x, Z0, t, lo, hi, cfg)
@@ -348,7 +352,7 @@ def test_polish_from_box_faces_equals_its_lone_rows(name):
         x = leader_point(problem, rng)
         Z0 = box_face_starts(lo, hi, rng)
         P, viol, iters = polish_onto_relaxed_set(problem, x, Z0, t, lo, hi, cfg.feas_tol)
-        np.testing.assert_array_equal(viol, _violations(problem, x[None], P, t)[2])
+        np.testing.assert_array_equal(viol, relaxed_violations(problem, x[None], P, t)[2])
         for i in range(len(Z0)):
             Pi, viol_i, iters_i = polish_onto_relaxed_set(problem, x, Z0[i : i + 1], t, lo, hi, cfg.feas_tol)
             np.testing.assert_array_equal(Pi[0], P[i])
@@ -364,16 +368,16 @@ def test_polish_solves_each_step_once_with_the_binding_set_fixed(monkeypatch, na
     m = problem.dims.m
     cfg = InnerConfig()
     lo, hi = follower_box(problem, cfg)
-    jacobian, solve = maxmin._residual_jacobian, maxmin._regularised_solve
+    jacobian, solve = problem.lagrangian_jac_rows, maxmin._regularised_solve
     rng = np.random.default_rng(47)
     binding = 0
     for t in (0.1, 1e-3, 0.0):
         x = leader_point(problem, rng)
         steps = []  # per iteration: the rows' leader points, points and step
 
-        def logged_jacobian(problem, X, Z, *rest):
-            steps.append([X, Z.copy()])
-            return jacobian(problem, X, Z, *rest)
+        def logged_jacobian(X, Y, U):
+            steps.append([X, np.hstack([Y, U])])
+            return jacobian(X, Y, U)
 
         def logged_solve(M, rhs, refine=False):
             dz = solve(M, rhs, refine)
@@ -381,14 +385,14 @@ def test_polish_solves_each_step_once_with_the_binding_set_fixed(monkeypatch, na
             return dz
 
         with monkeypatch.context() as patch:
-            patch.setattr(maxmin, "_residual_jacobian", logged_jacobian)
+            patch.setattr(problem, "lagrangian_jac_rows", logged_jacobian)
             patch.setattr(maxmin, "_regularised_solve", logged_solve)
             polish_onto_relaxed_set(problem, x, box_face_starts(lo, hi, rng), t, lo, hi, cfg.feas_tol)
         assert steps
         for X, Z, *solved in steps:
             assert len(solved) == 1
-            g, v, _ = _violations(problem, X, Z, t)
-            J = _residual_jacobian(problem, X, Z, Z[:, m:], g)
+            g, v, _ = relaxed_violations(problem, X, Z, t)
+            J = rows_jacobian(problem, X, Z, g)
             J[:, m:] *= (v[:, m:] > 0.0)[:, :, None]
             descent = -(J * v[:, :, None]).sum(axis=1)
             bind = ((Z <= lo + 1e-12) & (descent < 0.0)) | ((Z >= hi - 1e-12) & (descent > 0.0))
@@ -426,8 +430,8 @@ def project_stacks(rng):
     Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(30, lo.size))
     Z[:, m:] *= rng.uniform(size=(30, q)) < 0.5  # multipliers at their lower bound 0
     X = rng.uniform(-1.0, 1.0, size=(30, 1))
-    U, g, _ = _residuals(problem, X, Z, 0.1)
-    A = _residual_jacobian(problem, X, Z, U, g)
+    g, _ = relaxed_rows(problem, X, Z, 0.1)
+    A = rows_jacobian(problem, X, Z, g)
     act = rng.uniform(size=A.shape[:2]) < 0.5
     act[:, :m] = True
     up = rng.uniform(size=(30, m + q)) < 0.2
@@ -438,8 +442,8 @@ def project_stacks(rng):
     Z = rng.uniform(lo, np.minimum(hi, 3.0), size=(30, lo.size))
     Z[:, m:] = Z[:, m : m + 1] * (rng.uniform(size=(30, 1)) < 0.7)  # u1 = u2, some at their lower bound 0
     X = rng.uniform(toy.x_box[:, 0], toy.x_box[:, 1], size=(30, 1))
-    U, g, _ = _residuals(toy, X, Z, 0.5)
-    A = _residual_jacobian(toy, X, Z, U, g)
+    g, _ = relaxed_rows(toy, X, Z, 0.5)
+    A = rows_jacobian(toy, X, Z, g)
     act = rng.uniform(size=A.shape[:2]) < 0.7
     act[:, :m] = True
     up = rng.uniform(size=(30, m + q)) < 0.2

@@ -111,7 +111,7 @@ def _brute_force_whole_grid(problem, x, t, grid, tol_factor=0.75):
     mask = pbopt.maxmin.batch_feasibility(problem, np.atleast_1d(x), Z, t, tau)
     if not mask.any():
         return -np.inf, None, tau
-    F = pbopt.maxmin.batch_objective(problem, np.atleast_1d(x), Z[mask][:, : problem.dims.m])
+    F = problem.F_rows(np.atleast_1d(x)[None], Z[mask][:, : problem.dims.m])
     best = int(np.argmax(F))
     return float(F[best]), Z[mask][best], tau
 

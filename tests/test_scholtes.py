@@ -83,6 +83,22 @@ def test_a_boxed_leader_set_still_reads_G(example1, light_cfg):
     assert x[0] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_a_leader_point_whose_G_is_not_finite_is_infeasible(example2):
+    """G NaN on (0.45, 0.55) is the same leader set as G = inf there: no NaN
+    penalised value that sorts first hides an improving poll."""
+    base = example2[0]
+
+    def with_G(value):
+        return dataclasses.replace(base, eval_G=lambda x: np.full(2, value) if 0.45 < x[0] < 0.55 else base.eval_G(x))
+
+    nan_G, inf_G = with_G(np.nan), with_G(np.inf)
+    assert scholtes.leader_violation(nan_G, np.array([0.5])) == np.inf
+    cfg = OuterConfig(mesh_tol=1e-3, inner=pbopt.InnerConfig(starts=6, local_maxiter=60))
+    got, want = minimize_psi_t(nan_G, 0.5, [0.0], cfg), minimize_psi_t(inf_G, 0.5, [0.0], cfg)
+    assert (got.calls, got.evals, got.unread, got.value) == (want.calls, want.evals, want.unread, want.value) == (2, 12, 0, 0.0)
+    assert got.x.tobytes() == want.x.tobytes()
+
+
 def test_schedule_is_exactly_geometric(example2, light_cfg):
     problem, _ = example2
     params = RelaxationParams(t0=1.0, rho=0.5, t_min=1e-2, x_tol=-1.0, outer=_outer(light_cfg))

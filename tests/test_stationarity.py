@@ -30,6 +30,7 @@ from toys import (
     make_duplicated_g_toy,
     make_interior_toy,
     make_linear_follower,
+    make_nan_g_toy,
     make_q0_toy,
 )
 
@@ -416,22 +417,60 @@ def test_certifier_solves_no_lp(example1, example2, monkeypatch):
     assert check_upper_regularity(p2, [-1.0])
 
 
+def test_certifier_refuses_a_point_whose_g_is_not_finite():
+    """g is NaN at the point and its stationarity row is 0: every entry point refuses
+    it, naming the g row, where a record that dropped the NaN certified it."""
+    problem, pt = make_nan_g_toy(), TriplePoint([0.5], [0.95], [0.5, 0.0])
+    calls = (
+        lambda: check_stationarity(problem, pt, Multipliers(np.zeros(2), np.zeros(1), np.array([1.0, 0.0])), kind="C", graph_check=False),
+        lambda: check_cq1(problem, 0.1, pt),
+        lambda: recover_c_multipliers(problem, pt),
+        lambda: recover_relaxed_multipliers(problem, 0.1, pt),
+    )
+    for call in calls:
+        with pytest.raises(InfeasiblePointError, match="primal_viol"):
+            call()
+
+
+def test_certifier_refuses_a_non_finite_derivative_block(example1):
+    """hess_f_yy is NaN at y = 0 (and no batch Jacobian hook stands in for it): the
+    entry points refuse the point, naming the block, instead of an SVD error or a
+    verdict computed from NaN."""
+    base = example1[0]
+    hess = base.hess_f_yy
+    problem = dataclasses.replace(
+        base, hess_f_yy=lambda x, y: np.full((1, 1), np.nan) if y[0] == 0.0 else hess(x, y), batch_lagrangian_jac=None
+    )
+    calls = (
+        lambda: recover_c_multipliers(problem, EX1_PT),
+        lambda: recover_relaxed_multipliers(problem, 0.0, EX1_PT),
+        lambda: check_qualification_Am(problem, EX1_PT),
+        lambda: check_cq1(problem, 0.0, EX1_PT),
+    )
+    for call in calls:
+        with pytest.raises(InfeasiblePointError, match="block Ly"):
+            call()
+
+
 def _counted(problem, monkeypatch):
-    """A copy of problem and the counts of its kkt_residual calls and g evaluations."""
-    calls = {"kkt_residual": 0, "eval_g": 0}
+    """A copy of problem and the counts of its kkt_residual calls and g evaluations (``eval_g`` and ``batch_g``)."""
+    calls = {"kkt_residual": 0, "g": 0}
     residual = pbopt.kkt.kkt_residual
 
     def counted_residual(*args, **kwargs):
         calls["kkt_residual"] += 1
         return residual(*args, **kwargs)
 
-    def counted_g(x, y):
-        calls["eval_g"] += 1
-        return problem.eval_g(x, y)
+    def counted(evaluator):
+        def evaluate(*args):
+            calls["g"] += 1
+            return evaluator(*args)
+
+        return evaluate
 
     for module in (pbopt.kkt, stationarity):
         monkeypatch.setattr(module, "kkt_residual", counted_residual)
-    return dataclasses.replace(problem, eval_g=counted_g), calls
+    return dataclasses.replace(problem, eval_g=counted(problem.eval_g), batch_g=counted(problem.batch_g)), calls
 
 
 EX2_MID = TriplePoint([0.3], [0.0], [0.3, 0.0])  # feasible, not C-stationary
@@ -441,12 +480,12 @@ def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
     """Calls in a row at one point share one kkt_residual call and one g evaluation."""
     problem, calls = _counted(example2[0], monkeypatch)
     assert recover_c_multipliers(problem, EX2_MID) is None
-    assert calls == {"kkt_residual": 1, "eval_g": 1}
+    assert calls == {"kkt_residual": 1, "g": 1}
     check_stationarity(problem, EX2_MID, Multipliers(np.zeros(2), np.zeros(1), np.zeros(2)), graph_check=False)
     for kind in ("S", "M"):
         recover_c_multipliers(problem, EX2_MID, kind=kind)
         check_qualification_Am(problem, EX2_MID, kind=kind)
-    assert calls == {"kkt_residual": 1, "eval_g": 1}
+    assert calls == {"kkt_residual": 1, "g": 1}
 
 
 def _reassign_g(problem, pt):
@@ -472,7 +511,7 @@ def test_a_new_point_level_or_problem_is_set_up_afresh(example2, monkeypatch, ch
     problem, pt, t = change(problem, EX2_MID)
     recover_relaxed_multipliers(problem, t, pt)
     recover_relaxed_multipliers(problem, t, pt)
-    assert calls == {"kkt_residual": 2, "eval_g": 2}
+    assert calls == {"kkt_residual": 2, "g": 2}
 
 
 def test_a_certifier_call_at_a_new_point_checks_it_once(example1, monkeypatch):

@@ -218,6 +218,17 @@ def make_nan_region_toy() -> BilevelProblem:
     )
 
 
+def make_nan_g_toy() -> BilevelProblem:
+    """example1 with g = NaN where y > 0.9, a part of its y_box [0, 1].
+
+    At (x, y, u) = (0.5, 0.95, (0.5, 0)) the stationarity row is 0 and g is
+    NaN, so the point is in no relaxed follower KKT set.
+    """
+    base = pbopt.get_problem("example1")[0]
+    g = lambda X, Y: np.where(Y[:, :1] > 0.9, np.nan, base.batch_g(X, Y))
+    return dataclasses.replace(base, eval_g=lambda x, y: g(x[None], y[None])[0], batch_g=g, name="nan_g_toy")
+
+
 def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower") -> BilevelProblem:
     """Quadratic follower with linear constraints on the leader box [-1, 1]^n.
 
