@@ -34,6 +34,20 @@ class InfeasiblePointError(ValueError):
     """Raised when an operation requires a KKT-feasible point and is given none."""
 
 
+def largest(values) -> float:
+    """max(0.0, *values) as numpy's max with initial=0.0 gives it (NaN when a value is NaN), over Python floats.
+
+    The certifier's fields and rows are a handful of floats each, where numpy's reductions cost several times more.
+    """
+    top = 0.0
+    for val in values:
+        if val > top:
+            top = val
+        elif val != val:
+            return math.nan
+    return top
+
+
 @dataclass(frozen=True)
 class KktResidual:
     """Componentwise violation record for one (x, y, u) at relaxation level t.
@@ -69,8 +83,8 @@ class KktResidual:
         """
         names = ("stationarity", "dual_viol", "primal_viol", "relax_viol") + (("compl",) if self.t == 0.0 else ())
         # over Python floats: a record is built at every certifier set-up, and numpy's reductions on fields this small cost more
-        absolute = {name: list(map(abs, np.ravel(getattr(self, name)).tolist())) for name in names}
-        return {name: max(a, default=0.0) if all(map(math.isfinite, a)) else math.inf for name, a in absolute.items()}
+        maxima = {name: largest(map(abs, np.ravel(getattr(self, name)).tolist())) for name in names}
+        return {name: top if top == top else math.inf for name, top in maxima.items()}
 
     def max_violation(self) -> float:
         """Largest violation of the membership system at this t."""
@@ -132,44 +146,33 @@ def classify_indices(problem: BilevelProblem, pt: TriplePoint, t: float = 0.0) -
     A value counts as zero within EPS_ACT_DEFAULT, and a point whose
     violation exceeds it is refused with InfeasiblePointError.
     """
-    return classify_residual(problem, pt, kkt_residual(problem, pt, t))
+    return classify_residual(pt, kkt_residual(problem, pt, t), leader_values(problem, pt.x))
 
 
-def classify_residual(problem: BilevelProblem, pt: TriplePoint, res: KktResidual) -> IndexSets:
-    """:func:`classify_indices` at pt from its residual record res = kkt_residual(problem, pt, t)."""
-    t, g = res.t, res.g
-    eps_act = EPS_ACT_DEFAULT
+def leader_values(problem: BilevelProblem, x: Array) -> Array:
+    """The leader constraints G(x) as a float vector; empty when the problem has none."""
+    return np.asarray(problem.eval_G(x), dtype=float) if problem.dims.p else np.zeros(0)
+
+
+def classify_residual(pt: TriplePoint, res: KktResidual, G: Array) -> IndexSets:
+    """:func:`classify_indices` at pt from its residual record res = kkt_residual(problem, pt, t) and G = G(x)."""
+    t, eps_act = res.t, EPS_ACT_DEFAULT
     if not res.is_feasible(eps_act):
         raise InfeasiblePointError(
             f"point infeasible at t={t}: field '{res.worst_field()}' violates "
             f"by {res.max_violation():.3e} (> eps_act={eps_act:.1e})"
         )
-    q = problem.dims.q
-    u = pt.u
-    eta, theta, nu = [], [], []
-    for i in range(q):
-        u_zero = abs(u[i]) <= eps_act
-        g_zero = abs(g[i]) <= eps_act
-        if u_zero and g_zero:
-            theta.append(i)
-        elif u_zero and g[i] < -eps_act:
-            eta.append(i)
-        elif u[i] > eps_act and g_zero:
-            nu.append(i)
-        # u_i > eps and g_i < -eps only occurs at t > 0; no eta/theta/nu label
-    G = np.asarray(problem.eval_G(pt.x), dtype=float) if problem.dims.p else np.zeros(0)
-    i_G = tuple(i for i in range(problem.dims.p) if abs(G[i]) <= eps_act)
-    i_u = tuple(i for i in range(q) if abs(u[i]) <= eps_act)
-    i_g = tuple(i for i in range(q) if abs(g[i]) <= eps_act)
-    i_ug = tuple(i for i in range(q) if abs(u[i] * g[i] + t) <= eps_act)
-    return IndexSets(
-        eta=tuple(eta),
-        theta=tuple(theta),
-        nu=tuple(nu),
-        i_G=i_G,
-        i_u=i_u,
-        i_g=i_g,
-        i_ug=i_ug,
+    # over Python floats, which compare and round as numpy's float64 scalars do, at a fraction of their cost
+    u, g = pt.u.tolist(), res.g.tolist()
+    i_u = tuple(i for i, val in enumerate(u) if abs(val) <= eps_act)
+    i_g = tuple(i for i, val in enumerate(g) if abs(val) <= eps_act)
+    return IndexSets(  # u_i > eps with g_i < -eps occurs only at t > 0, and has no eta/theta/nu label
+        eta=tuple(i for i in i_u if g[i] < -eps_act),
+        theta=tuple(i for i in i_u if i in i_g),
+        nu=tuple(i for i in i_g if u[i] > eps_act),
+        i_G=tuple(i for i, val in enumerate(G.tolist()) if abs(val) <= eps_act),
+        i_u=i_u, i_g=i_g,
+        i_ug=tuple(i for i, (u_i, g_i) in enumerate(zip(u, g)) if abs(u_i * g_i + t) <= eps_act),
     )
 
 

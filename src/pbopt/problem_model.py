@@ -317,7 +317,7 @@ def _gather(fn, X: Array, blocks: tuple, shape: tuple) -> Array:
     return out
 
 
-def _lagrangian_yu(problem: BilevelProblem, x: Array, y: Array, u: Array) -> tuple[Array, Array]:
+def _lagrangian_yu(problem: BilevelProblem, x: Array, y: Array, u: Array, jac_gy: Optional[Array] = None) -> tuple[Array, Array]:
     d = problem.dims
     ly = np.array(problem.hess_f_yy(x, y), dtype=float).reshape(d.m, d.m)
     if not d.q:
@@ -325,7 +325,7 @@ def _lagrangian_yu(problem: BilevelProblem, x: Array, y: Array, u: Array) -> tup
     gyy = problem.hess_g_yy(x, y)
     for i in range(d.q):
         ly = ly + u[i] * np.asarray(gyy[i], dtype=float)
-    return ly, problem.jac_g(x, y)[1].T.copy()
+    return ly, (problem.jac_g(x, y)[1] if jac_gy is None else jac_gy).T.copy()
 
 
 def lagrangian_grad(problem: BilevelProblem, pt: TriplePoint) -> Array:
@@ -347,8 +347,14 @@ def lagrangian_jacobians(
     return lagrangian_jacobians_unchecked(problem, pt)
 
 
-def lagrangian_jacobians_unchecked(problem: BilevelProblem, pt: TriplePoint) -> tuple[Array, Array, Array]:
-    """:func:`lagrangian_jacobians` at a point the caller has checked (``BilevelProblem.check_point``)."""
+def lagrangian_jacobians_unchecked(
+    problem: BilevelProblem, pt: TriplePoint, jac_gy: Optional[Array] = None
+) -> tuple[Array, Array, Array]:
+    """:func:`lagrangian_jacobians` at a point the caller has checked (``BilevelProblem.check_point``).
+
+    jac_gy is J_gy at pt when the caller holds it: with analytic Hessians L_u is then its transpose, and
+    ``jac_g`` is not called again.
+    """
     d = problem.dims
     if problem.hess_is_fd:
         J = problem._fd_stationarity_jac(pt.x[None], pt.y[None], pt.u[None], x_steps=True)[0]
@@ -358,7 +364,7 @@ def lagrangian_jacobians_unchecked(problem: BilevelProblem, pt: TriplePoint) -> 
         gyx = problem.hess_g_yx(pt.x, pt.y)
         for i in range(d.q):
             lx = lx + pt.u[i] * np.asarray(gyx[i], dtype=float)
-    ly, lu = _lagrangian_yu(problem, pt.x, pt.y, pt.u)
+    ly, lu = _lagrangian_yu(problem, pt.x, pt.y, pt.u, jac_gy)
     return lx, ly, lu
 
 

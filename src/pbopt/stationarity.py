@@ -31,12 +31,16 @@ with a block that has no solution.  A walk that needs solves for more than
 PATTERN_BUDGET patterns raises PatternCapError; no other size is refused.
 
 Calls in a row at one (problem, x, y, u, t) share one set-up (:func:`_setup`),
-one record per point: the residual record, the index sets, the derivative
-blocks, the follower blocks, the recovery pool that S, M and C pick from and
-the answers of the recovery systems solved there are computed once, each on
-first use (the arrays handed out read-only).  A call sets up afresh when it gets
-another problem (``problem_model.problem_key``: another object, or one of
-its attributes is no longer the object it was at the set-up, as after
+one record per point.  The set-up is one pass that calls each callback once
+(the residual record, G(x), the index sets and the derivative blocks; only
+an L row without a batch hook, or with difference Hessians, evaluates more).
+The relaxed optimality system that the relaxed recovery, its check and CQ1
+read, the follower blocks, the recovery pool that S, M and C pick from, the
+answers of the recovery systems solved there and the rows of each multiplier
+triple checked there are kept on the record too, each made on first use (the
+arrays handed out read-only).  A call sets up afresh when it gets another
+problem (``problem_model.problem_key``: another object, or one of its
+attributes is no longer the object it was at the set-up, as after
 ``problem.eval_g = ...``), or when x, y, u or the relaxation level differ
 in any bit.  Only the last point is kept.  The refusals of a point
 (``feas_tol`` and the classification) run on every call.
@@ -52,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from . import kkt
-from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual
+from .kkt import IndexSets, InfeasiblePointError, KktResidual, classify_residual, kkt_residual, largest, leader_values
 from .maxmin import EPS_LVL_DEFAULT, InnerConfig, evaluate_psi_t
 from .problem_model import (
     Array, BilevelProblem, TriplePoint, is_finite_number, lagrangian_jacobians_unchecked, problem_key, relaxation_level,
@@ -117,20 +121,17 @@ class _SystemData:
     g: Array
 
 
-def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemData:
-    """The derivative blocks at pt, read-only copies; g is g(x, y) there, as the residual record holds it.
+def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array, G: Array) -> _SystemData:
+    """The derivative blocks at pt, read-only copies, each callback called once; g and G are g(x, y) and G(x) there.
 
     A block with a NaN or infinite entry is refused with InfeasiblePointError naming it.
     """
     d = problem.dims
     gFx, gFy = problem.grad_F(pt.x, pt.y)
-    Lx, Ly, _ = lagrangian_jacobians_unchecked(problem, pt)
     Jgx, Jgy = problem.jac_g(pt.x, pt.y) if d.q else (np.zeros((0, d.n)), np.zeros((0, d.m)))
+    Lx, Ly, _ = lagrangian_jacobians_unchecked(problem, pt, Jgy)
     jacG = problem.jac_G(pt.x) if d.p else np.zeros((0, d.n))
-    data = _SystemData(
-        gFx, gFy, np.reshape(jacG, (d.p, d.n)), Lx, Ly, np.reshape(Jgx, (d.q, d.n)), np.reshape(Jgy, (d.q, d.m)),
-        problem.eval_G(pt.x) if d.p else np.zeros(0), g,
-    )
+    data = _SystemData(gFx, gFy, np.reshape(jacG, (d.p, d.n)), Lx, Ly, np.reshape(Jgx, (d.q, d.n)), np.reshape(Jgy, (d.q, d.m)), G, g)
     for name, block in vars(data).items():
         block = np.array(block, dtype=float)
         block.flags.writeable = False
@@ -144,32 +145,36 @@ def _system_data(problem: BilevelProblem, pt: TriplePoint, g: Array) -> _SystemD
 class _Point:
     """The record of one point: its key and residual, and each later part once a call has needed it.
 
-    idx is the classification's IndexSets or its refusal message; blocks
-    are :func:`_blocks` of the follower rows, which both walks and every
-    kind share; pool is the (rows, rhs, base) of :func:`_pattern_pool` that
-    the S, M and C recoveries pick from (only their branch rows differ);
+    idx and data are the index sets and the derivative blocks of the set-up's
+    one pass, or both its refusal message; relaxed is the relaxed optimality
+    system (:func:`_relaxed_full`); blocks are :func:`_blocks` of the follower
+    rows, which both walks and every kind share; pool is the (rows, rhs,
+    base) of :func:`_pattern_pool` that the S, M and C recoveries pick from;
     answers maps the (eq, ineq) rows of each recovery system solved here to
     its least-norm point or None, so S's one system is solved once for M's
-    first pattern and C's last.  A part is filled in place on its own
-    point's record, so a concurrent caller never pairs one point's key with
-    another point's data.
+    first pattern and C's last; rows holds the kind-free rows of each
+    multiplier triple checked here (:func:`_multiplier_rows`).  A part is
+    filled in place on its own point's record, so a concurrent caller never
+    pairs one point's key with another point's data.
     """
 
     key: tuple
     held: tuple  # the objects whose ids the key names (problem_model.problem_key)
     res: KktResidual
     idx: object = None
-    data: Optional[_SystemData] = None
+    data: object = None
+    relaxed: Optional[tuple] = None
     blocks: Optional[list] = None
     pool: Optional[tuple] = None
     answers: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
 
 
 _last_point: Optional[_Point] = None  # the last point set up
 
 
 def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optional[float]) -> _Point:
-    """The record of pt at level t, with its residual, index sets and system data, from one residual evaluation.
+    """The record of pt at level t, with its residual, index sets and system data, from one pass over the callbacks.
 
     A point whose violation exceeds feas_tol (when given) is refused first,
     then one that exceeds kkt.EPS_ACT_DEFAULT, by the classification, then
@@ -184,8 +189,7 @@ def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optiona
     global _last_point
     t = relaxation_level(t)
     ids, held = problem_key(problem)
-    blocks = (pt.x, pt.y, pt.u)
-    key = ids, tuple(b.shape for b in blocks), np.concatenate([*(b.ravel() for b in blocks), [t]]).tobytes()
+    key = ids, pt.x.shape, pt.y.shape, pt.u.shape, pt.x.tobytes(), pt.y.tobytes(), pt.u.tobytes(), t.hex()
     point = _last_point
     if point is None or point.key != key:
         point = _last_point = _Point(key, held, kkt_residual(problem, pt, t))
@@ -195,15 +199,16 @@ def _setup(problem: BilevelProblem, pt: TriplePoint, t: float, feas_tol: Optiona
             f"point not in the level-{t:g} follower KKT set: '{res.worst_field()}' violates by "
             f"{res.max_violation():.3e}"
         )
-    if point.idx is None:
+    if point.data is None:  # idx is set first, so a record with data has both
+        G = leader_values(problem, pt.x)
         try:
-            point.idx = classify_residual(problem, pt, res)
+            idx = classify_residual(pt, res, G)
+            data = _system_data(problem, pt, res.g, G)
         except InfeasiblePointError as err:
-            point.idx = str(err)
-    if isinstance(point.idx, str):
-        raise InfeasiblePointError(point.idx)
-    if point.data is None:
-        point.data = _system_data(problem, pt, res.g)
+            idx = data = str(err)
+        point.idx, point.data = idx, data
+    if isinstance(point.data, str):
+        raise InfeasiblePointError(point.data)
     return point
 
 
@@ -213,28 +218,50 @@ def _scatter(size: int, index: tuple[int, ...], values: Array) -> Array:
     return out
 
 
-def _relaxed_system(data: _SystemData, idx: IndexSets, u: Array, homogeneous: bool):
-    """(A_eq, b, A_ineq) of the relaxed optimality system.
+def _relaxed_full(data: _SystemData, u: Array) -> tuple[Array, Array]:
+    """(A, b), read-only, of the relaxed optimality system A z = b over every multiplier z = [alpha, beta, gamma, mu, delta].
 
-    Columns [alpha_{I_G}, beta, gamma_{I_g}, mu_{I_u}, delta_{I_ug}]; rows: x, y
-    and u gradients.  The beta, gamma and delta columns are minus the transposed Jacobian
-    of the signed rows r = [L | g | w] of D_t on the L rows, the active g rows and the active
-    w rows: x columns L_x, J_gx and -u*J_gx, then ``problem_model.relaxed_jacobian``.
-    A_ineq is alpha, gamma, mu, delta >= 0.  The homogeneous twin has no alpha columns and b = 0.
+    Rows: x, y and u gradients.  The beta, gamma and delta columns are minus
+    the transposed Jacobian of the signed rows r = [L | g | w] of D_t: x
+    columns L_x, J_gx and -u*J_gx, then ``problem_model.relaxed_jacobian``.
     """
-    n, m, q = data.gFx.size, data.gFy.size, data.g.size
-    i_a = [] if homogeneous else list(idx.i_G)
+    n, m, q, p = data.gFx.size, data.gFy.size, data.g.size, data.G.size
     rows_yu = relaxed_jacobian(np.concatenate([data.Ly, data.Jgy.T], axis=1)[None], u[None], data.g[None])[0]
     minus = -np.concatenate([np.concatenate([data.Lx, data.Jgx, -u[:, None] * data.Jgx]), rows_yu], axis=1).T
-    a_eq = np.concatenate([
-        np.concatenate([data.jacG[i_a].T, np.zeros((m + q, len(i_a)))]),
-        minus[:, [*range(m), *(m + i for i in idx.i_g)]],
-        np.concatenate([np.zeros((n + m, len(idx.i_u))), np.eye(q)[:, list(idx.i_u)]]),
-        minus[:, [m + q + i for i in idx.i_ug]],
+    a = np.concatenate([
+        np.concatenate([data.jacG.T, np.zeros((m + q, p))]),
+        minus[:, : m + q],
+        np.concatenate([np.zeros((n + m, q)), np.eye(q)]),
+        minus[:, m + q :],
     ], axis=1)
-    b = np.zeros(len(a_eq)) if homogeneous else np.concatenate([-data.gFx, -data.gFy, np.zeros(q)])
-    signed = [*range(len(i_a)), *range(len(i_a) + m, a_eq.shape[1])]
-    return a_eq, b, np.eye(a_eq.shape[1])[signed]
+    b = np.concatenate([-data.gFx, -data.gFy, np.zeros(q)])
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _relaxed_system(data: _SystemData, idx: IndexSets, u: Array, homogeneous: bool, full: Optional[tuple] = None):
+    """(A_eq, b, A_ineq) of the relaxed optimality system on the multipliers that complementarity leaves free.
+
+    Complementarity pins every multiplier outside its active set to zero, so
+    A_eq is the columns [alpha_{I_G}, beta, gamma_{I_g}, mu_{I_u},
+    delta_{I_ug}] of full = (A, b) (:func:`_relaxed_full`, built here when
+    not given), and A_ineq is alpha, gamma, mu, delta >= 0.  The homogeneous
+    twin has no alpha columns and b = 0.
+    """
+    a, b = _relaxed_full(data, u) if full is None else full
+    p, m, q = data.G.size, data.gFy.size, data.g.size
+    i_a = [] if homogeneous else list(idx.i_G)
+    cols = [*i_a, *range(p, p + m), *(p + m + i for i in idx.i_g)]
+    cols += [*(p + m + q + i for i in idx.i_u), *(p + m + 2 * q + i for i in idx.i_ug)]
+    signed = [*range(len(i_a)), *range(len(i_a) + m, len(cols))]
+    return a[:, cols], np.zeros(len(a)) if homogeneous else b, np.eye(len(cols))[signed]
+
+
+def _relaxed(point: _Point, u: Array) -> tuple[Array, Array]:
+    """The record's (A, b) of :func:`_relaxed_full`, built on first use."""
+    if point.relaxed is None:
+        point.relaxed = _relaxed_full(point.data, u)
+    return point.relaxed
 
 
 # Branches of one biactive index per (kind, qualification): (eq rows, ineq rows),
@@ -295,10 +322,8 @@ def _pattern_pool(kind: str, qualification: bool, data: _SystemData, idx: IndexS
 def _options(kind: str, qualification: bool, base, k: int) -> list:
     """options[j]: the (eq, ineq) pool rows of each branch of the j-th of k biactive indices, whose rows follow base."""
     at = len(base[0]) + len(base[1])
-    return [
-        [tuple(tuple(at + 4 * j + _PICKS.index(r) for r in picks) for picks in branch) for branch in _BRANCHES[kind, qualification]]
-        for j in range(k)
-    ]
+    offsets = [tuple(tuple(map(_PICKS.index, picks)) for picks in branch) for branch in _BRANCHES[kind, qualification]]
+    return [[(tuple(map(at_j.__add__, eq)), tuple(map(at_j.__add__, ineq))) for eq, ineq in offsets] for at_j in range(at, at + 4 * k, 4)]
 
 
 def _system(base, pattern) -> tuple[list, list]:
@@ -450,11 +475,7 @@ def _walk(point: _Point, rows: Array, n: int, base, options: list, decide, every
         yield from _chunks(((at, _system(base, tuple(o[i] for o, i in zip(options, digits)))) for at, digits in picked), used=screen_at)
 
 
-def recover_c_multipliers(
-    problem: BilevelProblem,
-    pt: TriplePoint,
-    kind: str = "C",
-) -> Optional[Multipliers]:
+def recover_c_multipliers(problem: BilevelProblem, pt: TriplePoint, kind: str = "C") -> Optional[Multipliers]:
     """Least-norm multipliers for the kind-dependent exact stationarity system.
 
     A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
@@ -515,7 +536,7 @@ def recover_c_multipliers(
                 continue
             alpha = _scatter(d.p, idx.i_G, np.maximum(0.0, z[:k]))
             beta, gamma = z[k : k + d.m].copy(), _scatter(d.q, free, z[k + d.m :])  # z stays on the record
-            own = _multiplier_rows(kind, idx, data, alpha, beta, gamma)
+            own, _ = _multiplier_rows(kind, point, alpha, beta, gamma)
             if max(v for name, v in own.items() if name != "leader_feas") <= kkt.FEAS_TOL_DEFAULT:
                 return Multipliers(alpha, beta, gamma, "least_norm")
     return None
@@ -558,7 +579,7 @@ def _multiplier_blocks(mults, sizes: dict[str, int]) -> list[Array]:
     blocks = []
     for name, size in sizes.items():
         v = np.asarray(getattr(mults, name), dtype=float)
-        if v.size != size or not np.isfinite(v).all():
+        if v.size != size or not all(map(math.isfinite, v.ravel().tolist())):
             raise ValueError(f"multiplier block {name} must be a finite vector of {size} entries")
         blocks.append(v.reshape(size))
     return blocks
@@ -573,37 +594,38 @@ def _report(kind: str, rows: dict, mults, branch, idx: IndexSets, tol: float) ->
     # a max over -0.0 and the 0.0 floor can keep -0.0; adding 0.0 turns it into
     # +0.0 and leaves every other value as it is
     rows = {name: val + 0.0 for name, val in rows.items()}
-    residual = float(np.max(list(rows.values())))  # a NaN row gives NaN, which fails the verdict
+    residual = largest(rows.values())  # a NaN row gives NaN, which fails the verdict
     return StationarityReport(kind, residual, mults, branch, idx, bool(residual <= tol), rows)
 
 
-def _multiplier_rows(
-    kind: str, idx: IndexSets, data: _SystemData, alpha: Array, beta: Array, gamma: Array
-) -> dict[str, float]:
-    """The rows of the kind-dependent exact stationarity system at (alpha, beta, gamma), graph rows aside."""
-    res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
-    res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
-    dvec = data.Jgy @ beta
-    return {
-        "leader_gradient": float(abs(res_x).max(initial=0.0)),
-        "follower_gradient": float(abs(res_y).max(initial=0.0)),
-        "alpha_sign": float((-alpha).max(initial=0.0)),
-        "leader_feas": float(data.G.max(initial=0.0)),
-        "alpha_compl": float(abs(alpha * data.G).max(initial=0.0)),
-        "nu_gradient": float(abs(dvec[list(idx.nu)]).max(initial=0.0)),
-        "eta_gamma": float(abs(gamma[list(idx.eta)]).max(initial=0.0)),
-        "theta_condition": float(max((_theta_violation(kind, gamma[i], dvec[i]) for i in idx.theta), default=0.0)),
-    }
+def _multiplier_rows(kind: str, point: _Point, alpha: Array, beta: Array, gamma: Array) -> tuple[dict[str, float], list]:
+    """The rows of the kind-dependent exact stationarity system at (alpha, beta, gamma), graph rows aside, and d = J_gy beta.
+
+    Every row but the theta row is kind-free, computed once per multiplier triple and kept on the point's record.
+    """
+    key = alpha.tobytes(), beta.tobytes(), gamma.tobytes()
+    if key not in point.rows:
+        data, idx = point.data, point.idx
+        res_x = data.gFx + data.jacG.T @ alpha + data.Lx.T @ beta + data.Jgx.T @ gamma
+        res_y = data.gFy + data.Ly.T @ beta + data.Jgy.T @ gamma
+        dvec, gamma = (data.Jgy @ beta).tolist(), gamma.tolist()
+        point.rows[key] = {
+            "leader_gradient": largest(map(abs, res_x.tolist())),
+            "follower_gradient": largest(map(abs, res_y.tolist())),
+            "alpha_sign": largest((-alpha).tolist()),
+            "leader_feas": largest(data.G.tolist()),
+            "alpha_compl": largest(map(abs, (alpha * data.G).tolist())),
+            "nu_gradient": largest(abs(dvec[i]) for i in idx.nu),
+            "eta_gamma": largest(abs(gamma[i]) for i in idx.eta),
+        }, dvec, gamma
+    rows, dvec, gamma = point.rows[key]
+    theta = largest(_theta_violation(kind, gamma[i], dvec[i]) for i in point.idx.theta)
+    return {**rows, "theta_condition": theta}, dvec
 
 
 def check_stationarity(
-    problem: BilevelProblem,
-    pt: TriplePoint,
-    mults: Multipliers,
-    kind: str = "C",
-    tol: float = kkt.FEAS_TOL_DEFAULT,
-    inner_cfg: Optional[InnerConfig] = None,
-    graph_check: bool = True,
+    problem: BilevelProblem, pt: TriplePoint, mults: Multipliers, kind: str = "C", tol: float = kkt.FEAS_TOL_DEFAULT,
+    inner_cfg: Optional[InnerConfig] = None, graph_check: bool = True,
 ) -> StationarityReport:
     """Residuals of the kind-dependent stationarity system at (pt, mults).
 
@@ -619,16 +641,13 @@ def check_stationarity(
     _check_kind(kind)
     _check_tol(tol)
     point = _setup(problem, pt, 0.0, None)
-    idx, data = point.idx, point.data
-    d = problem.dims
+    idx, d = point.idx, problem.dims
     alpha, beta, gamma = _multiplier_blocks(mults, {"alpha": d.p, "beta": d.m, "gamma": d.q})
 
     rows = _graph_rows(problem, pt, point.res, inner_cfg, graph_check)
-    rows.update(_multiplier_rows(kind, idx, data, alpha, beta, gamma))
-    dvec = data.Jgy @ beta
-    branch = tuple(
-        "-" if gamma[i] <= 0 and dvec[i] <= 0 else "+" for i in idx.theta
-    ) if idx.theta else None
+    own, dvec = _multiplier_rows(kind, point, alpha, beta, gamma)
+    rows.update(own)
+    branch = tuple("-" if gamma[i] <= 0 and dvec[i] <= 0 else "+" for i in idx.theta) if idx.theta else None
     return _report(kind, rows, mults, branch, idx, tol)
 
 
@@ -641,66 +660,43 @@ def recover_relaxed_multipliers(problem: BilevelProblem, t: float, pt: TriplePoi
     feasibility problem with sign constraints remains.
     """
     point = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
-    idx = point.idx
-    a_eq, b, a_ineq = _relaxed_system(point.data, idx, pt.u, homogeneous=False)
+    idx, d = point.idx, problem.dims
+    a_eq, b, a_ineq = _relaxed_system(point.data, idx, pt.u, False, _relaxed(point, pt.u))
     z, status = least_norm_point(a_eq, b, a_ineq)
     if z is None:
         return None
-    d = problem.dims
-    sizes = np.cumsum([len(idx.i_G), d.m, len(idx.i_g), len(idx.i_u)])
-    alpha, beta, gamma, mu, delta = np.split(z, sizes)
-    return RelaxedMultipliers(
-        alpha=_scatter(d.p, idx.i_G, np.maximum(0.0, alpha)),
-        beta=beta,
-        gamma=_scatter(d.q, idx.i_g, np.maximum(0.0, gamma)),
-        mu=_scatter(d.q, idx.i_u, np.maximum(0.0, mu)),
-        delta=_scatter(d.q, idx.i_ug, np.maximum(0.0, delta)),
-        status=status,
-    )
+    alpha, beta, gamma, mu, delta = np.split(z, np.cumsum([len(idx.i_G), d.m, len(idx.i_g), len(idx.i_u)]))
+    signed = ((d.p, idx.i_G, alpha), (d.q, idx.i_g, gamma), (d.q, idx.i_u, mu), (d.q, idx.i_ug, delta))
+    alpha, gamma, mu, delta = (_scatter(size, active, np.maximum(0.0, block)) for size, active, block in signed)
+    return RelaxedMultipliers(alpha, beta, gamma, mu, delta, status)
 
 
 def check_relaxed_stationarity(
-    problem: BilevelProblem,
-    t: float,
-    pt: TriplePoint,
-    rm: RelaxedMultipliers,
-    tol: float = kkt.FEAS_TOL_DEFAULT,
-    inner_cfg: Optional[InnerConfig] = None,
-    graph_check: bool = True,
+    problem: BilevelProblem, t: float, pt: TriplePoint, rm: RelaxedMultipliers, tol: float = kkt.FEAS_TOL_DEFAULT,
+    inner_cfg: Optional[InnerConfig] = None, graph_check: bool = True,
 ) -> StationarityReport:
     """Residuals of the relaxed optimality system at (pt, rm) for level t.
 
-    The verdict holds when every residual row is at most tol.  The graph
-    rows are those of :func:`check_stationarity` at level t, and tol and
-    the multiplier blocks are refused as there.
+    The verdict holds when every residual row is at most tol.  The x, y and
+    u gradient rows are A z - b of the record's system (:func:`_relaxed_full`)
+    at the multipliers z = rm.  The graph rows are those of
+    :func:`check_stationarity` at level t, and tol and the multiplier blocks
+    are refused as there.
     """
     _check_tol(tol)
     point = _setup(problem, pt, t, None)  # refuses a point outside D_t before the inner solve
-    data = point.data
-    d = problem.dims
+    data, d = point.data, problem.dims
     alpha, beta, gamma, mu, delta = _multiplier_blocks(rm, {"alpha": d.p, "beta": d.m, "gamma": d.q, "mu": d.q, "delta": d.q})
 
     rows = _graph_rows(problem, pt, point.res, inner_cfg, graph_check)
-    coeff = gamma - delta * pt.u
-    res_x = data.gFx + data.jacG.T @ alpha - data.Lx.T @ beta - data.Jgx.T @ coeff
-    rows["leader_gradient"] = float(np.max(np.abs(res_x), initial=0.0))
-    res_y = data.gFy - data.Ly.T @ beta - data.Jgy.T @ coeff
-    rows["follower_gradient"] = float(np.max(np.abs(res_y), initial=0.0))
-    res_u = -(data.Jgy @ beta) + mu + delta * data.g
-    rows["multiplier_gradient"] = float(np.max(np.abs(res_u), initial=0.0))
-    ug = pt.u * data.g
+    a, b = _relaxed(point, pt.u)
+    resid = np.abs(a @ np.concatenate([alpha, beta, gamma, mu, delta]) - b).tolist()  # the x, y and u gradient rows
+    for name, at, end in (("leader_gradient", 0, d.n), ("follower_gradient", d.n, d.n + d.m), ("multiplier_gradient", d.n + d.m, None)):
+        rows[name] = largest(resid[at:end])
     # sign, feasibility and complementarity of each multiplier block
-    for name, mult, slack in (
-        ("alpha_block", alpha, data.G),
-        ("gamma_block", gamma, data.g),
-        ("mu_block", mu, -pt.u),
-        ("delta_block", delta, -ug - t),
-    ):
-        rows[name] = float(max(
-            np.max(-mult, initial=0.0),
-            np.max(slack, initial=0.0),
-            np.max(np.abs(mult * slack), initial=0.0),
-        ))
+    slacks = data.G, data.g, -pt.u, -(pt.u * data.g) - t
+    for name, mult, slack in zip(("alpha_block", "gamma_block", "mu_block", "delta_block"), (alpha, gamma, mu, delta), slacks):
+        rows[name] = largest([*(-mult).tolist(), *slack.tolist(), *map(abs, (mult * slack).tolist())])
     return _report("relaxed", rows, rm, None, point.idx, tol)
 
 
@@ -799,15 +795,10 @@ def check_cq1(problem: BilevelProblem, t: float, pt: TriplePoint) -> bool:
     """
     eps_act = kkt.EPS_ACT_DEFAULT
     point = _setup(problem, pt, t, kkt.FEAS_TOL_DEFAULT)
-    data = point.data
-    margins = np.abs(np.concatenate([pt.u, data.g, pt.u * data.g + t]))
-    border = margins[(margins > eps_act) & (margins < 10.0 * eps_act)]
-    if border.size:
-        warnings.warn(
-            "activity margins within a decade of eps_act; verdict undecided at tolerance",
-            BorderlineActivityWarning,
-            stacklevel=2,
-        )
+    u, g = pt.u.tolist(), point.data.g.tolist()
+    if any(eps_act < abs(val) < 10.0 * eps_act for val in [*u, *g, *(u_i * g_i + t for u_i, g_i in zip(u, g))]):
+        message = "activity margins within a decade of eps_act; verdict undecided at tolerance"
+        warnings.warn(message, BorderlineActivityWarning, stacklevel=2)
     # the y and u rows, negated: the homogeneous twin of the relaxed recovery
-    a_eq, _, a_ineq = _relaxed_system(data, point.idx, pt.u, homogeneous=True)
+    a_eq, _, a_ineq = _relaxed_system(point.data, point.idx, pt.u, True, _relaxed(point, pt.u))
     return cone_has_nonzero(-a_eq[problem.dims.n :], a_ineq, a_eq.shape[1]) is None

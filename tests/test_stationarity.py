@@ -488,6 +488,31 @@ def test_certifier_evaluates_the_follower_system_once(example2, monkeypatch):
     assert calls == {"kkt_residual": 1, "g": 1}
 
 
+def test_a_set_up_evaluates_the_leader_constraints_once(example2):
+    """The S, M and C recoveries at example2's optimum, their checks and the qualification share one G(x)."""
+    calls = []
+    eval_G = example2[0].eval_G
+    problem = dataclasses.replace(example2[0], eval_G=lambda x: calls.append(1) or eval_G(x))
+    for kind in ("S", "M", "C"):
+        mults = recover_c_multipliers(problem, EX2_PT, kind=kind)
+        assert mults is not None
+        assert check_stationarity(problem, EX2_PT, mults, kind=kind, graph_check=False).verdict
+    check_qualification_Am(problem, EX2_PT)
+    assert len(calls) == 1
+
+
+def test_the_relaxed_calls_at_a_point_build_one_relaxed_system(example1, monkeypatch):
+    """The relaxed recovery, its check and CQ1 at one t > 0 point read one relaxed system."""
+    builds = []
+    jacobian = stationarity.relaxed_jacobian
+    monkeypatch.setattr(stationarity, "relaxed_jacobian", lambda *args: builds.append(1) or jacobian(*args))
+    problem, pt = dataclasses.replace(example1[0]), TriplePoint([1.0], [0.1], [1.0, 0.0])
+    rm = recover_relaxed_multipliers(problem, 0.1, pt)
+    assert check_relaxed_stationarity(problem, 0.1, pt, rm, graph_check=False).verdict
+    assert check_cq1(problem, 0.1, pt)
+    assert len(builds) == 1
+
+
 def _reassign_g(problem, pt):
     g = problem.eval_g
     problem.eval_g = lambda x, y: g(x, y)
@@ -633,7 +658,7 @@ def test_a_call_made_inside_a_set_up_leaves_both_points_data_intact(example1, ex
 
     def nesting(f):
         def call(*args):
-            if f not in nested:  # once from the classification (eval_G), once from the derivative blocks (grad_F)
+            if f not in nested:  # once from the set-up's G (eval_G), once from the derivative blocks (grad_F)
                 nested.append(f)
                 assert rows(other, EX2_PT) == want_other
             return f(*args)
