@@ -12,6 +12,17 @@ polish step evaluates the problem once for the batch.
 :func:`psi_t_gradient` reads the gradient of psi in x off the multipliers
 of the argmax cloud.  A brute-force grid maximiser is provided as an
 independent oracle for low-dimensional problems.
+
+A lockstep stage works on a few small rows, so numpy's per-call overhead
+costs more than its arithmetic.  The hot loop (the polish, the projection
+and the ascent) therefore calls ufuncs, array methods and the solve
+gufunc directly, never a numpy Python wrapper whose layer costs more than
+the work: ``.clip`` for ``np.clip``, ``.mT`` for ``np.swapaxes``, strided
+views for ``np.einsum`` diagonals, ``.nonzero()`` for ``np.flatnonzero``
+and ``numpy.linalg._umath_linalg.solve`` for ``np.linalg.solve``.  That
+kernel is the package's one private numpy name (see
+:func:`_regularised_solve`), guarded by
+``test_regularised_solve_equals_numpys_solve`` in ``tests/test_maxmin.py``.
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .problem_model import (
     Array,
@@ -275,6 +287,8 @@ def _take(X: Array, rows) -> Array:
 # large enough that a rank-deficient one still gets the near-minimum-norm
 # solution.
 _POLISH_REG = 1e-14
+# The least positive normal float, which the regularised diagonal adds.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _regularised_solve(M: Array, rhs: Array, refine: bool = False) -> Array:
@@ -282,19 +296,31 @@ def _regularised_solve(M: Array, rhs: Array, refine: bool = False) -> Array:
 
     ``refine`` adds one refinement step against the unregularised M.  Rows
     with a non-finite entry get x = 0.
+
+    The solves call the LAPACK gufunc under ``np.linalg.solve``
+    (``numpy.linalg._umath_linalg.solve``, float64 in and out), the one
+    private numpy name of the package, whose Python layer costs more than
+    a small stack's solve.  That layer checks the shapes and types, which
+    hold here, and raises LinAlgError on a singular matrix, which never
+    reaches the kernel: a PSD M plus a diagonal shift of at least tiny is
+    positive definite, and a row with a non-finite entry is replaced by
+    the identity.  ``test_regularised_solve_equals_numpys_solve`` in
+    ``tests/test_maxmin.py`` guards that the kernel still answers as
+    ``np.linalg.solve`` does.
     """
     Mr = M.copy()
-    diag = np.einsum("nii->ni", Mr)  # a writable view of the diagonals
+    d = Mr.shape[1]
+    diag = Mr.reshape(len(Mr), d * d)[:, :: d + 1]  # a writable view of the diagonals
     # tiny keeps an all-zero M (whose rhs is zero too) nonsingular
-    diag += _POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny
+    diag += _POLISH_REG * np.add.reduce(diag, axis=1, keepdims=True) + _TINY
     # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
     rhs = rhs[:, :, None]
     if not (np.isfinite(Mr).all() and np.isfinite(rhs).all()):
         ok = (np.isfinite(Mr).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))[:, None, None]
-        M, Mr, rhs = np.where(ok, M, 0.0), np.where(ok, Mr, np.eye(M.shape[1])), np.where(ok, rhs, 0.0)
-    x = np.linalg.solve(Mr, rhs)
+        M, Mr, rhs = np.where(ok, M, 0.0), np.where(ok, Mr, np.eye(d)), np.where(ok, rhs, 0.0)
+    x = _umath_linalg.solve(Mr, rhs, signature="dd->d")
     if refine:
-        x += np.linalg.solve(Mr, rhs - M @ x)
+        x += _umath_linalg.solve(Mr, rhs - M @ x, signature="dd->d")
     return x[:, :, 0]
 
 
@@ -326,7 +352,7 @@ def polish_onto_relaxed_set(
     if not (np.asarray(lo, dtype=float)[m:] >= 0.0).all():
         raise ValueError("the multiplier part of the box must not reach below 0")
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    Z = np.clip(np.array(Z, dtype=float).reshape(-1, m + q), lo, hi)
+    Z = np.array(Z, dtype=float).reshape(-1, m + q).clip(lo, hi)
     Z, viol, iters = _polish(problem, X, Z, *relaxed_violations(problem, X, Z, t), t, lo, hi, feas_tol)
     return Z, viol, iters + 1
 
@@ -347,7 +373,7 @@ def _polish(
     # already evaluated them at the point it accepts.
     iters = np.zeros(Z.shape[0], dtype=int)
     floor = (0.1 * feas_tol) ** 2  # least decrease of the squared violation a step must make
-    todo = np.flatnonzero(viol > feas_tol)
+    todo = (viol > feas_tol).nonzero()[0]
     for k in range(POLISH_MAXITER):
         if not todo.size:
             break
@@ -355,7 +381,7 @@ def _polish(
         J = relaxed_jacobian(problem.lagrangian_jac_rows(Xt, Zt[:, :m], Zt[:, m:]), Zt[:, m:], g[todo])
         # rows of satisfied inequalities stay out of the least squares
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
-        JtJ = np.swapaxes(J, 1, 2) @ J
+        JtJ = J.mT @ J
         rhs = -(J * vt[:, :, None]).sum(axis=1)  # -J^T v, steepest descent of |v|^2 / 2
         # The binding set of Bertsekas's projected Newton method: coordinates at
         # a bound whose steepest descent points out of the box.  They are fixed,
@@ -372,7 +398,7 @@ def _polish(
         pending = np.arange(todo.size)
         step = 1.0
         for _ in range(10):
-            cand = np.clip(Zt[pending] + step * dz[pending], lo, hi)
+            cand = (Zt[pending] + step * dz[pending]).clip(lo, hi)
             gc, vc, violc = relaxed_violations(problem, _take(Xt, pending), cand, t)
             better = (vc * vc).sum(axis=1) < base[pending] - floor
             rows = todo[pending[better]]
@@ -405,7 +431,7 @@ def _project(A: Array, on: Array, grad: Array) -> tuple[Array, Array]:
     rows, k = A.shape[1:]
     act, fixed = on[:, :rows], on[:, rows : rows + k] | on[:, rows + k :]
     B = A * (act[:, :, None] & ~fixed[:, None, :])
-    Bt = np.swapaxes(B, 1, 2)
+    Bt = B.mT
     g = np.where(fixed, 0.0, grad)
     lam = _regularised_solve(B @ Bt, (B @ g[:, :, None])[:, :, 0], refine=True)
     return g - (Bt @ lam[:, :, None])[:, :, 0], lam
@@ -413,7 +439,7 @@ def _project(A: Array, on: Array, grad: Array) -> tuple[Array, Array]:
 
 def _multipliers(A: Array, on: Array, lam: Array, grad: Array) -> Array:
     """Multipliers of the rows and bounds ``on`` (else 0): lam, then side (grad - A_act^T lam), side +1 upper and -1 lower."""
-    res = grad - (np.swapaxes(A, 1, 2) @ lam[:, :, None])[:, :, 0]
+    res = grad - (A.mT @ lam[:, :, None])[:, :, 0]
     return np.where(on, np.concatenate([lam, res, -res], axis=1), 0.0)
 
 
@@ -522,21 +548,21 @@ def _ascend(
     f = problem.F_rows(X, Z[:, :m])
     step, d = np.zeros(N), np.zeros((N, m + q))  # trial lengths and directions
     running = (viol <= cfg.feas_tol) & np.isfinite(f)
-    fresh = np.flatnonzero(running)
+    fresh = running.nonzero()[0]
     known = g[fresh], v[fresh, :m]  # g and L rows at the fresh rows
     for _ in range(cfg.local_maxiter):
         if fresh.size:  # new directions at the rows that moved
             moving, d[fresh], step[fresh] = _directions(problem, _take(X, fresh), Z[fresh], t, lo, hi, known)
             evals[fresh] += 1
             running[fresh[~moving]] = False
-        run = np.flatnonzero(running)
+        run = running.nonzero()[0]
         if not run.size:
             break
         Xr = _take(X, run)
-        Zt = np.clip(Z[run] + step[run, None] * d[run], lo, hi)
+        Zt = (Z[run] + step[run, None] * d[run]).clip(lo, hi)
         gt, vv, vt = relaxed_violations(problem, Xr, Zt, t)
         evals[run] += 1
-        far = np.flatnonzero(vt > cfg.feas_tol)
+        far = (vt > cfg.feas_tol).nonzero()[0]
         if far.size:
             # the polish updates gf and vf in place to those of the points it returns
             gf, vf = gt[far], vv[far]
@@ -719,7 +745,7 @@ def _solve_batch(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig, 
     then built in one pass (:func:`_inner_results`).
     """
     rand = _seeded_starts(cfg.seed, cfg.starts, lo.tobytes(), hi.tobytes())
-    Z0 = np.clip(np.vstack([warm, rand]), lo, hi)
+    Z0 = np.vstack([warm, rand]).clip(lo, hi)
     n_starts, Z = len(Z0), Z0
     if len(X) > 1:  # row r * n_starts + s is start s at leader point r
         Z = np.tile(Z0, (len(X), 1))
@@ -765,7 +791,8 @@ def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, c
     value = np.where(feas, fval, -np.inf).max(axis=1)
     value[~solved] = np.nan
     near = (viol <= NEAR_FEAS_BAND).any(axis=1)
-    status = np.select([solved, on_set.any(axis=1), near, np.isfinite(viol * viol).any(axis=1)], [0, 3, 1, 2], 3)
+    unsolved = np.where(near, 1, np.where(np.isfinite(viol * viol).any(axis=1), 2, 3))
+    status = np.where(solved, 0, np.where(on_set.any(axis=1), 3, unsolved))
     row, start = (feas & (fval >= value[:, None] - EPS_LVL_DEFAULT)).nonzero()
     cloud = dedup_points(np.column_stack([row, Z.reshape(R, -1, k)[row, start]]), DEDUP_TOL)
     ends = cloud[:, 0].searchsorted(np.arange(R + 1))  # the cloud is sorted by its key

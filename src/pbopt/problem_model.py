@@ -401,10 +401,11 @@ def relaxed_jacobian(lag_jac: Array, U: Array, g: Array) -> Array:
     n_rows, m, k = lag_jac.shape  # k = m + q
     J = np.zeros((n_rows, 2 * k - m, k))
     J[:, :m] = lag_jac
-    Jgy = np.swapaxes(J[:, :m, m:], 1, 2)  # L_u = J_gy^T
+    Jgy = J[:, :m, m:].mT  # L_u = J_gy^T
     J[:, m:k, :m] = Jgy
     J[:, k:, :m] = -U[:, :, None] * Jgy
-    np.einsum("nii->ni", J[:, k:, m:])[:] = -g  # dw/du = -diag(g)
+    # dw/du = -diag(g): the entries (k + i, m + i), a strided view of the flat rows
+    J.reshape(n_rows, (2 * k - m) * k)[:, k * k + m :: k + 1] = -g
     return J
 
 

@@ -35,7 +35,8 @@ one record per point.  The set-up is one pass that calls each callback once
 (the residual record, G(x), the index sets and the derivative blocks; only
 an L row without a batch hook, or with difference Hessians, evaluates more).
 The relaxed optimality system that the relaxed recovery, its check and CQ1
-read, the follower blocks, the recovery pool that S, M and C pick from, the
+read, the follower blocks, the recovery pool that S, M and C pick from and
+the qualification's pool (its homogeneous twin, cut from it), the
 answers of the recovery systems solved there and the rows of each multiplier
 triple checked there are kept on the record too, each made on first use (the
 arrays handed out read-only).  A call sets up afresh when it gets another
@@ -149,8 +150,11 @@ class _Point:
     one pass, or both its refusal message; relaxed is the relaxed optimality
     system (:func:`_relaxed_full`); blocks are :func:`_blocks` of the follower
     rows, which both walks and every kind share; pool is the (rows, rhs,
-    base) of :func:`_pattern_pool` that the S, M and C recoveries pick from;
-    answers maps the (eq, ineq) rows of each recovery system solved here to
+    base) of :func:`_pattern_pool` that the S, M and C recoveries pick from
+    (:func:`_recovery_pool`), and qualification the (rows, base) of its
+    homogeneous twin with their unit-scaled ConeRows, which every kind of
+    the qualification picks from (:func:`_qualification_pool`); answers
+    maps the (eq, ineq) rows of each recovery system solved here to
     its least-norm point or None, so S's one system is solved once for M's
     first pattern and C's last; rows holds the kind-free rows of each
     multiplier triple checked here (:func:`_multiplier_rows`).  A part is
@@ -166,6 +170,7 @@ class _Point:
     relaxed: Optional[tuple] = None
     blocks: Optional[list] = None
     pool: Optional[tuple] = None
+    qualification: Optional[tuple] = None
     answers: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict)
 
@@ -287,17 +292,26 @@ def _check_kind(kind: str) -> None:
 def _pattern_pool(kind: str, qualification: bool, data: _SystemData, idx: IndexSets):
     """(rows, rhs, base, options): the rows every sign pattern's exact stationarity system picks from.
 
-    Columns [alpha_{I_G}, beta, gamma_{theta u nu}].  rows stacks, once per
-    point: the rows every pattern has as equalities (leader gradient,
-    follower gradient, d_i = 0 on nu) with right-hand sides rhs; the unit
-    rows of alpha >= 0; and each biactive index's signed gamma_i unit row
-    and d_i row, in the order of _PICKS.  The qualification system is the
-    homogeneous twin: no alpha columns and rhs = 0.  base is the (eq, ineq)
-    row indices every pattern has, and options[j] the (eq, ineq) row
-    indices of each branch of the j-th biactive index.
+    Columns [alpha_{I_G}, beta, gamma_{theta u nu}].  rows stacks: the rows
+    every pattern has as equalities (leader gradient, follower gradient,
+    d_i = 0 on nu) with right-hand sides rhs; the unit rows of alpha >= 0;
+    and each biactive index's signed gamma_i unit row and d_i row, in the
+    order of _PICKS.  The qualification system is the homogeneous twin
+    (:func:`_homogeneous`): no alpha columns or rows and rhs = 0.  base is
+    the (eq, ineq) row indices every pattern has, and options[j] the (eq,
+    ineq) row indices of each branch of the j-th biactive index.  The
+    certifier builds each pool once per point (:func:`_recovery_pool`,
+    :func:`_qualification_pool`).
     """
+    pool = _pool_rows(data, idx)
+    rows, rhs, base = _homogeneous(pool) if qualification else pool
+    return rows, rhs, base, _options(kind, qualification, base, len(idx.theta))
+
+
+def _pool_rows(data: _SystemData, idx: IndexSets) -> tuple:
+    """The (rows, rhs, base) of the recovery pool of :func:`_pattern_pool`."""
     n, m = data.gFx.size, data.gFy.size
-    i_a = [] if qualification else list(idx.i_G)
+    i_a = list(idx.i_G)
     nu, theta = list(idx.nu), list(idx.theta)
     free = sorted(set(theta) | set(nu))
     beta, gamma = slice(len(i_a), len(i_a) + m), slice(len(i_a) + m, None)
@@ -313,10 +327,38 @@ def _pattern_pool(kind: str, qualification: bool, data: _SystemData, idx: IndexS
         rows[g, gamma.start + free.index(i)], rows[d, beta] = 1.0, data.Jgy[i]
         rows[g + 1], rows[d + 1] = -rows[g], -rows[d]
     rhs = np.zeros(len(rows))
-    if not qualification:
-        rhs[:n], rhs[n : n + m] = -data.gFx, -data.gFy
-    base = list(range(n_eq)), list(range(n_eq, at))
-    return rows, rhs, base, _options(kind, qualification, base, len(theta))
+    rhs[:n], rhs[n : n + m] = -data.gFx, -data.gFy
+    return rows, rhs, (list(range(n_eq)), list(range(n_eq, at)))
+
+
+def _homogeneous(pool: tuple) -> tuple:
+    """The qualification's (rows, rhs, base) from a recovery pool: its alpha columns and alpha rows dropped, rhs 0.
+
+    The alpha rows are the base inequalities, one unit row per alpha column,
+    so the rows left hold the same entries as a pool built without alpha.
+    """
+    rows, _, (eq, ineq) = pool
+    k, at = len(ineq), len(eq)
+    rows = np.concatenate([rows[:at, k:], rows[at + k :, k:]])
+    return rows, np.zeros(len(rows)), (eq, [])
+
+
+def _recovery_pool(point: _Point) -> tuple:
+    """The point's recovery pool (rows, rhs, base), built on first use."""
+    if point.pool is None:
+        point.pool = _pool_rows(point.data, point.idx)
+        for block in point.pool[:2]:
+            block.flags.writeable = False
+    return point.pool
+
+
+def _qualification_pool(point: _Point) -> tuple:
+    """The point's qualification pool (rows, base, ConeRows of rows), taken from its recovery pool on first use."""
+    if point.qualification is None:
+        rows, _, base = _homogeneous(_recovery_pool(point))
+        rows.flags.writeable = False
+        point.qualification = rows, base, ConeRows(rows)
+    return point.qualification
 
 
 def _options(kind: str, qualification: bool, base, k: int) -> list:
@@ -515,9 +557,7 @@ def recover_c_multipliers(problem: BilevelProblem, pt: TriplePoint, kind: str = 
     _check_kind(kind)
     point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
     idx, data = point.idx, point.data
-    if point.pool is None:
-        point.pool = _pattern_pool(kind, False, data, idx)[:3]
-    rows, rhs, base = point.pool
+    rows, rhs, base = _recovery_pool(point)
     options = _options(kind, False, base, len(idx.theta))
     answers = point.answers
     d = problem.dims
@@ -755,9 +795,9 @@ def check_qualification_Am(problem: BilevelProblem, pt: TriplePoint, kind: str =
     _check_kind(kind)
     point = _setup(problem, pt, 0.0, kkt.FEAS_TOL_DEFAULT)
     n = problem.dims.n
-    rows, _, base, options = _pattern_pool(kind, True, point.data, point.idx)
+    rows, base, pool = _qualification_pool(point)
+    options = _options(kind, True, base, len(point.idx.theta))
     leader = [sign * row for row in rows[:n] if np.any(row) for sign in (1.0, -1.0)]
-    pool = ConeRows(rows)
     a1 = a2 = True
     certs: dict[str, Array] = {}
     # a1 asks the whole pattern cone; a2 the cone without the leader rows, which it must annihilate

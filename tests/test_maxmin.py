@@ -850,3 +850,51 @@ def test_psi_t_gradient_refuses_a_cloud_whose_gradients_disagree(monkeypatch, sy
     monkeypatch.setattr(maxmin, "GRAD_SPREAD_TOL", 0.0)
     got = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
     assert got.grad is None and "spread" in got.refusal
+
+
+def _numpy_regularised_solve(M, rhs, refine):
+    """The regularised solve through numpy's public entries: einsum's diagonal view and np.linalg.solve."""
+    Mr = M.copy()
+    diag = np.einsum("nii->ni", Mr)
+    diag += maxmin._POLISH_REG * diag.sum(axis=1, keepdims=True) + np.finfo(float).tiny
+    rhs = rhs[:, :, None]
+    if not (np.isfinite(Mr).all() and np.isfinite(rhs).all()):
+        ok = (np.isfinite(Mr).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))[:, None, None]
+        M, Mr, rhs = np.where(ok, M, 0.0), np.where(ok, Mr, np.eye(M.shape[1])), np.where(ok, rhs, 0.0)
+    x = np.linalg.solve(Mr, rhs)
+    if refine:
+        x += np.linalg.solve(Mr, rhs - M @ x)
+    return x[:, :, 0]
+
+
+def _solve_stacks():
+    """(label, M, rhs) stacks of the kinds the polish and the projection solve."""
+    rng = np.random.default_rng(48)
+    for d in range(1, 7):
+        R = rng.normal(size=(9, d, d))
+        yield f"pd{d}", R @ R.mT + 0.1 * np.eye(d), rng.normal(size=(9, d))
+        J = rng.normal(size=(9, max(d - 1, 0), d))  # fewer rows than columns: J^T J is singular
+        yield f"rank_deficient{d}", J.mT @ J, (J.mT @ rng.normal(size=(9, max(d - 1, 0), 1)))[:, :, 0]
+        yield f"zero{d}", np.zeros((4, d, d)), np.zeros((4, d))
+        for scale in (1e150, 1e-150):
+            yield f"pd{d}_scaled{scale:g}", scale * (R @ R.mT + 0.1 * np.eye(d)), rng.normal(size=(9, d))
+            yield f"rank_deficient{d}_scaled{scale:g}", scale * (J.mT @ J), scale * (J.mT @ rng.normal(size=(9, max(d - 1, 0), 1)))[:, :, 0]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_regularised_solve_equals_numpys_solve(refine):
+    # _regularised_solve calls numpy.linalg._umath_linalg.solve, the kernel
+    # under np.linalg.solve; a numpy release that moves or changes it fails here
+    for label, M, rhs in _solve_stacks():
+        want = _numpy_regularised_solve(M, rhs, refine)
+        got = maxmin._regularised_solve(M, rhs, refine)
+        assert np.isfinite(got).all(), label
+        assert got.dtype == want.dtype and got.shape == want.shape == rhs.shape, label
+        assert got.tobytes() == want.tobytes(), (label, np.abs(got - want).max())
+    # a row with a NaN or infinite entry gets x = 0; the others are untouched
+    _, M, rhs = next(_solve_stacks())
+    M, rhs = M.copy(), rhs.copy()
+    M[1, 0, 0], M[4, -1, 0], rhs[6, 0] = np.nan, np.inf, -np.inf
+    got = maxmin._regularised_solve(M, rhs, refine)
+    assert got.tobytes() == _numpy_regularised_solve(M, rhs, refine).tobytes()
+    assert (got[[1, 4, 6]] == 0.0).all() and np.isfinite(got).all()
