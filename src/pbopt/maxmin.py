@@ -18,8 +18,10 @@ costs more than its arithmetic.  The hot loop (the polish, the projection
 and the ascent) therefore calls ufuncs, array methods and the solve
 gufunc directly, never a numpy Python wrapper whose layer costs more than
 the work: ``.clip`` for ``np.clip``, ``.mT`` for ``np.swapaxes``, strided
-views for ``np.einsum`` diagonals, ``.nonzero()`` for ``np.flatnonzero``
-and ``numpy.linalg._umath_linalg.solve`` for ``np.linalg.solve``.  That
+views for ``np.einsum`` diagonals, ``.nonzero()`` for ``np.flatnonzero``,
+the ufuncs' ``reduce`` (``np.logical_and.reduce`` and the like) for
+``.all()``, ``.any()``, ``.sum()``, ``.max()`` and ``.min()``, and
+``numpy.linalg._umath_linalg.solve`` for ``np.linalg.solve``.  That
 kernel is the package's one private numpy name (see
 :func:`_regularised_solve`), guarded by
 ``test_regularised_solve_equals_numpys_solve`` in ``tests/test_maxmin.py``.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -315,8 +318,10 @@ def _regularised_solve(M: Array, rhs: Array, refine: bool = False) -> Array:
     diag += _POLISH_REG * np.add.reduce(diag, axis=1, keepdims=True) + _TINY
     # rhs is a stack of (d, 1) columns, as numpy 2.0's solve broadcasting needs
     rhs = rhs[:, :, None]
-    if not (np.isfinite(Mr).all() and np.isfinite(rhs).all()):
-        ok = (np.isfinite(Mr).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))[:, None, None]
+    fm, fr = np.isfinite(Mr), np.isfinite(rhs)
+    all_of = np.logical_and.reduce
+    if not (all_of(fm, axis=None) and all_of(fr, axis=None)):
+        ok = (all_of(fm, axis=(1, 2)) & all_of(fr, axis=(1, 2)))[:, None, None]
         M, Mr, rhs = np.where(ok, M, 0.0), np.where(ok, Mr, np.eye(d)), np.where(ok, rhs, 0.0)
     x = _umath_linalg.solve(Mr, rhs, signature="dd->d")
     if refine:
@@ -382,25 +387,25 @@ def _polish(
         # rows of satisfied inequalities stay out of the least squares
         J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
         JtJ = J.mT @ J
-        rhs = -(J * vt[:, :, None]).sum(axis=1)  # -J^T v, steepest descent of |v|^2 / 2
+        rhs = -np.add.reduce(J * vt[:, :, None], axis=1)  # -J^T v, steepest descent of |v|^2 / 2
         # The binding set of Bertsekas's projected Newton method: coordinates at
         # a bound whose steepest descent points out of the box.  They are fixed,
         # otherwise clipping can turn the step into an ascent direction; a fixed
         # coordinate's zeroed row, column and rhs give it the step 0 / reg = 0.
         bind = ((Zt <= lo + 1e-12) & (rhs < 0.0)) | ((Zt >= hi - 1e-12) & (rhs > 0.0))
-        if bind.any():
+        if np.logical_or.reduce(bind, axis=None):
             free = ~bind
             JtJ = np.where(free[:, :, None] & free[:, None, :], JtJ, 0.0)
             rhs = np.where(free, rhs, 0.0)
         dz = _regularised_solve(JtJ, rhs)
-        base = (vt * vt).sum(axis=1)
+        base = np.add.reduce(vt * vt, axis=1)
         accepted = np.zeros(todo.size, dtype=bool)
         pending = np.arange(todo.size)
         step = 1.0
         for _ in range(10):
             cand = (Zt[pending] + step * dz[pending]).clip(lo, hi)
             gc, vc, violc = relaxed_violations(problem, _take(Xt, pending), cand, t)
-            better = (vc * vc).sum(axis=1) < base[pending] - floor
+            better = np.add.reduce(vc * vc, axis=1) < base[pending] - floor
             rows = todo[pending[better]]
             Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
             viol[rows] = violc[better]
@@ -460,8 +465,10 @@ def _active_rows(
     A = relaxed_jacobian(problem.lagrangian_jac_rows(X, Z[:, :m], Z[:, m:]), Z[:, m:], g)
     grad = np.zeros(Z.shape)
     grad[:, :m] = problem.grad_F_rows(X, Z[:, :m])
-    if not (np.isfinite(A).all() and np.isfinite(r).all() and np.isfinite(grad).all()):
-        bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.isfinite(grad).all(axis=1))
+    fa, fr, fg = np.isfinite(A), np.isfinite(r), np.isfinite(grad)
+    all_of = np.logical_and.reduce
+    if not (all_of(fa, axis=None) and all_of(fr, axis=None) and all_of(fg, axis=None)):
+        bad = ~(all_of(fa, axis=(1, 2)) & all_of(fr, axis=1) & all_of(fg, axis=1))
         r[bad], A[bad], grad[bad] = 0.0, 0.0, 0.0
     gap = np.concatenate([r, Z - hi, lo - Z], axis=1)  # the signed rows, then the upper and lower bounds
     on = gap >= -ACTIVE_TOL
@@ -490,16 +497,16 @@ def _directions(
     """
     m = problem.dims.m
     A, grad, gap, on = _active_rows(problem, X, Z, t, lo, hi, known)
-    small = RANK_TOL * (1.0 + np.abs(grad).max(axis=1, initial=0.0))
+    small = RANK_TOL * (1.0 + np.maximum.reduce(np.abs(grad), axis=1, initial=0.0))
     d, lam = _project(A, on, grad)
     todo = np.arange(Z.shape[0])
     for _ in range(on.shape[1]):
-        todo = todo[np.abs(d[todo]).max(axis=1, initial=0.0) <= small[todo]]
+        todo = todo[np.maximum.reduce(np.abs(d[todo]), axis=1, initial=0.0) <= small[todo]]
         if not todo.size:
             break
         mult = _multipliers(A[todo], on[todo], lam[todo], grad[todo])
         mult[:, :m] = 0.0  # the L rows are equalities
-        neg = mult.min(axis=1) < 0.0
+        neg = np.minimum.reduce(mult, axis=1) < 0.0
         todo = todo[neg]
         if not todo.size:
             break
@@ -507,8 +514,8 @@ def _directions(
         d[todo], lam[todo] = _project(A[todo], on[todo], grad[todo])
     slope = np.concatenate([(A @ d[:, :, None])[:, :, 0], d, -d], axis=1)
     cross = (gap < -ACTIVE_TOL) & (slope > 0.0)
-    cap = np.where(cross, -gap / np.where(cross, slope, 1.0), np.inf).min(axis=1, initial=np.inf)
-    return np.abs(d).max(axis=1, initial=0.0) > small, d, cap
+    cap = np.minimum.reduce(np.where(cross, -gap / np.where(cross, slope, 1.0), np.inf), axis=1, initial=np.inf)
+    return np.maximum.reduce(np.abs(d), axis=1, initial=0.0) > small, d, cap
 
 
 def _ascend(
@@ -640,10 +647,10 @@ def evaluate_psi_t_batch(
 def _warm_block(cfg: InnerConfig, k: int) -> Array:
     """cfg.warm_starts as a (len, k) block; a start that is not a finite k-vector is refused."""
     warm = [np.asarray(w, dtype=float) for w in cfg.warm_starts]
-    for w in warm:
-        if w.shape != (k,) or not np.isfinite(w).all():
-            raise ValueError(f"each warm start must be a finite vector of m + q = {k} entries")
-    return np.reshape(warm, (len(warm), k))
+    block = np.array(warm).reshape(len(warm), k) if all(w.shape == (k,) for w in warm) else None
+    if block is None or not np.logical_and.reduce(np.isfinite(block), axis=None):
+        raise ValueError(f"each warm start must be a finite vector of m + q = {k} entries")
+    return block
 
 
 # A solve's seeded starts depend only on the seed, the start count and the
@@ -677,21 +684,22 @@ class _Memo:
 
 _memo = _Memo()
 # the config fields a row key holds as they are; the warm starts go in as bytes
-_KEY_FIELDS = tuple(f.name for f in dataclasses.fields(InnerConfig) if f.name != "warm_starts")
+_key_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(InnerConfig) if f.name != "warm_starts"))
 
 
 def _row_keys(ids: tuple, X: Array, t: float, cfg: InnerConfig, warm: Array, lo: Array, hi: Array) -> list[tuple]:
     """The memo key of each row of X: the problem's key ids (:func:`problem_model.problem_key`),
     the bits of t, every config field with the warm block's bytes, the
     follower box's bytes and the row's bytes."""
-    settings = tuple(getattr(cfg, name) for name in _KEY_FIELDS)
-    base = (ids, t.hex(), settings, warm.tobytes(), lo.tobytes(), hi.tobytes())
+    base = (ids, t.hex(), _key_fields(cfg), warm.tobytes(), lo.tobytes(), hi.tobytes())
     return [base + (row.tobytes(),) for row in X]
 
 
 def _fresh(res: InnerSolveResult) -> InnerSolveResult:
     """res with its own argmax points and meta, so no caller writes into a kept result."""
-    return dataclasses.replace(res, argmax=SampledSet(res.argmax.points.copy(), dict(res.argmax.meta)))
+    # the constructor, not dataclasses.replace, which costs more than the copy on every memo hit
+    argmax = SampledSet(res.argmax.points.copy(), dict(res.argmax.meta))
+    return InnerSolveResult(value=res.value, argmax=argmax, status=res.status, evals=res.evals, rounds=res.rounds)
 
 
 def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -> list[InnerSolveResult]:
@@ -710,27 +718,30 @@ def _solve_rows(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig) -
     warm = _warm_block(cfg, problem.dims.m + problem.dims.q)
     ids, held = problem_key(problem)
     keys = _row_keys(ids, X, t, cfg, warm, lo, hi)
-    known: dict[tuple, InnerSolveResult] = {}
+    results: list[Optional[InnerSolveResult]] = [None] * len(keys)
+    todo: dict[tuple, list[int]] = {}  # the rows of each key the memo does not hold
     with _memo.lock:
-        for key in keys:
+        for r, key in enumerate(keys):
             entry = _memo.rows.get(key)
-            if entry is not None:
+            if entry is None:
+                todo.setdefault(key, []).append(r)
+            else:
                 _memo.rows.move_to_end(key)
-                known[key] = entry[1]
-        todo = {key: r for r, key in enumerate(keys) if key not in known}
+                results[r] = entry[1]
         _memo.hits += len(keys) - len(todo)
         _memo.misses += len(todo)
     if todo:
-        rows = list(todo.values())
+        rows = [like[0] for like in todo.values()]
         solved = _solve_batch(problem, X if len(rows) == len(X) else X[rows], t, cfg, lo, hi, warm)
         with _memo.lock:
-            for key, res in zip(todo, solved):
-                known[key] = res
+            for (key, like), res in zip(todo.items(), solved):
+                for r in like:
+                    results[r] = res
                 _memo.rows[key] = (held, res)
                 _memo.rows.move_to_end(key)
             while len(_memo.rows) > MEMO_ROWS:
                 _memo.rows.popitem(last=False)
-    return [_fresh(known[key]) for key in keys]
+    return [_fresh(res) for res in results]
 
 
 def _solve_batch(problem: BilevelProblem, X: Array, t: float, cfg: InnerConfig, lo: Array, hi: Array, warm: Array) -> list[InnerSolveResult]:
@@ -787,17 +798,17 @@ def _inner_results(Z: Array, viol: Array, fval: Array, evals: Array, t: float, c
     viol, fval = viol.reshape(R, -1), fval.reshape(R, -1)
     on_set = viol <= cfg.feas_tol
     feas = on_set & np.isfinite(fval)
-    solved = feas.any(axis=1)
-    value = np.where(feas, fval, -np.inf).max(axis=1)
+    solved = np.logical_or.reduce(feas, axis=1)
+    value = np.maximum.reduce(np.where(feas, fval, -np.inf), axis=1)
     value[~solved] = np.nan
-    near = (viol <= NEAR_FEAS_BAND).any(axis=1)
-    unsolved = np.where(near, 1, np.where(np.isfinite(viol * viol).any(axis=1), 2, 3))
-    status = np.where(solved, 0, np.where(on_set.any(axis=1), 3, unsolved))
+    near = np.logical_or.reduce(viol <= NEAR_FEAS_BAND, axis=1)
+    unsolved = np.where(near, 1, np.where(np.logical_or.reduce(np.isfinite(viol * viol), axis=1), 2, 3))
+    status = np.where(solved, 0, np.where(np.logical_or.reduce(on_set, axis=1), 3, unsolved))
     row, start = (feas & (fval >= value[:, None] - EPS_LVL_DEFAULT)).nonzero()
     cloud = dedup_points(np.column_stack([row, Z.reshape(R, -1, k)[row, start]]), DEDUP_TOL)
     ends = cloud[:, 0].searchsorted(np.arange(R + 1))  # the cloud is sorted by its key
     cloud = cloud[:, 1:].copy()
-    evals = evals.reshape(R, -1).sum(axis=1)
+    evals = np.add.reduce(evals.reshape(R, -1), axis=1)
     meta = {"kind": "multistart", "seed": cfg.seed, "starts": cfg.starts, "t": float(t)}
     return [
         InnerSolveResult(

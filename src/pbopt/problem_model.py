@@ -389,11 +389,11 @@ def relaxed_violations(problem: BilevelProblem, X: Array, Z: Array, t: float) ->
     m = problem.dims.m
     g, v = relaxed_rows(problem, X, Z, t)
     finite = np.isfinite(v)
-    if not finite.all():  # the common all-finite case costs one reduction
-        v[~finite.all(axis=1)] = np.inf
+    if not np.logical_and.reduce(finite, axis=None):  # the common all-finite case costs one reduction
+        v[~np.logical_and.reduce(finite, axis=1)] = np.inf
     np.maximum(v[:, m:], 0.0, out=v[:, m:])
     # the max over the rows of a C-ordered |v|^T: numpy's max along a short last axis is several times slower
-    return g, v, np.abs(v.T, order="C").max(axis=0, initial=0.0)
+    return g, v, np.maximum.reduce(np.abs(v.T, order="C"), axis=0, initial=0.0)
 
 
 def relaxed_jacobian(lag_jac: Array, U: Array, g: Array) -> Array:

@@ -9,6 +9,16 @@ derivative-free coordinate pattern search, with projection onto box-shaped
 leader sets.  The homotopy drives the relaxation level down a geometric
 schedule, warm-starting each level from the previous minimiser and argmax
 samples.
+
+The level solves pay for their inner solves, not for their bookkeeping,
+which runs once per poll point and per round: it is kept over Python
+floats and array methods.  :func:`leader_violation` takes its max over
+floats, :func:`_project_x` calls ``.clip``, a poll is compared with its
+centre on the coordinate it moved, other point tests compare ``.tolist()``
+or the bytes of the points, and each round's poll points are made once a
+level (``_Level.polls``).  No numpy Python wrapper (``np.clip``,
+``np.array_equal``) runs per point.  None of this changes the poll
+arithmetic, an iterate or a count.
 """
 from __future__ import annotations
 
@@ -130,19 +140,23 @@ class MinimizeResult:
 
 def _project_x(problem: BilevelProblem, x: Array) -> Array:
     if problem.x_box is not None:
-        return np.clip(x, problem.x_box[:, 0], problem.x_box[:, 1])
+        return x.clip(problem.x_box[:, 0], problem.x_box[:, 1])
     return x.copy()
 
 
 def leader_violation(problem: BilevelProblem, x: Array) -> float:
-    """Largest violation of the leader set at x: of its box and of G(x) <= 0 (0 inside); inf where G is not finite."""
-    viol = [np.zeros(1)]
+    """Largest violation of the leader set at a leader point x: of its box and of G(x) <= 0 (0 inside); inf where G is not finite.
+
+    The max runs over Python floats, so it may keep the other zero of 0.0
+    and -0.0 than numpy's max would; the two compare equal.
+    """
+    viol = [0.0]
     if problem.x_box is not None:
-        viol += [problem.x_box[:, 0] - x, x - problem.x_box[:, 1]]
+        for xi, (lo, hi) in zip(x.tolist(), problem.x_box.tolist()):
+            viol += (lo - xi, xi - hi)
     if problem.dims.p:
-        viol.append(np.asarray(problem.eval_G(x), dtype=float).ravel())
-    viol = np.concatenate(viol)
-    return float(viol.max()) if np.isfinite(viol).all() else math.inf
+        viol += np.asarray(problem.eval_G(x), dtype=float).ravel().tolist()
+    return max(viol) if all(map(math.isfinite, viol)) else math.inf
 
 
 def _leader_penalty(problem: BilevelProblem, x: Array) -> float:
@@ -157,6 +171,8 @@ class _Level:
     value is psi plus the leader-set penalty, inf when the solve is not
     "solved".  ``read`` marks the points a search looked at, so ``result``
     reports the solves read as ``evals`` and the rest as ``unread``.
+    ``polls`` makes each poll round's points once a level: a 1-D walk makes
+    the points of the rounds it solves ahead, and those rounds read them.
     """
 
     def __init__(self, problem: BilevelProblem, t: float, inner: InnerConfig) -> None:
@@ -164,6 +180,15 @@ class _Level:
         self.cache: dict[bytes, tuple[float, InnerSolveResult]] = {}
         self.read: set[bytes] = set()
         self.calls = 0
+        self.rounds: dict[tuple[bytes, float], list[Array]] = {}
+
+    def polls(self, xc: Array, h: float) -> list[Array]:
+        """:func:`_poll_points` at xc and h, the list made on the level's first request."""
+        key = (xc.tobytes(), h)
+        points = self.rounds.get(key)
+        if points is None:
+            points = self.rounds[key] = _poll_points(self.problem, xc, h)
+        return points
 
     def solve(self, points: list[Array]) -> None:
         fresh = {}
@@ -197,14 +222,20 @@ def _first_mesh(problem: BilevelProblem, cfg: OuterConfig) -> float:
 
 
 def _poll_points(problem: BilevelProblem, xc: Array, h: float) -> list[Array]:
-    """xc +- h along each axis, projected onto the leader box; a point equal to xc is left out."""
+    """xc +- h along each axis, projected onto the leader box; a point equal to xc is left out.
+
+    xc is a point of the box, so the projection leaves every coordinate
+    but the moved one as it is, and a poll equals xc exactly when its moved
+    coordinate does (as floats: -0.0 equals 0.0).
+    """
+    center = xc.tolist()
     points = []
     for i in range(problem.dims.n):
         for sign in (1.0, -1.0):
             xp = xc.copy()
             xp[i] += sign * h
             xp = _project_x(problem, xp)
-            if not np.array_equal(xp, xc):
+            if xp.item(i) != center[i]:
                 points.append(xp)
     return points
 
@@ -265,7 +296,7 @@ def _pattern_search(problem: BilevelProblem, x: Array, cfg: OuterConfig, level: 
         if all(xp.tobytes() in cache for xp in points):
             return points
         if n > 1:
-            return points + _poll_points(problem, x, 0.5 * mesh) if 0.5 * mesh >= cfg.mesh_tol else points
+            return points + level.polls(x, 0.5 * mesh) if 0.5 * mesh >= cfg.mesh_tol else points
         if heading is None and len(points) > 1:
             return points
         xc, h, step, ahead = x, mesh, heading if len(points) > 1 else 0.0, []
@@ -273,8 +304,8 @@ def _pattern_search(problem: BilevelProblem, x: Array, cfg: OuterConfig, level: 
         for _ in range(r, MAX_ROUNDS):
             if h < cfg.mesh_tol:
                 break
-            ahead += _poll_points(problem, xc, h)
-            if not step or np.array_equal(xf := _project_x(problem, xc + step * h), xc):
+            ahead += level.polls(xc, h)
+            if not step or (xf := _project_x(problem, xc + step * h)).tolist() == xc.tolist():
                 step, h = 0.0, 0.5 * h
             elif steps_left == 0:
                 return points
@@ -283,15 +314,15 @@ def _pattern_search(problem: BilevelProblem, x: Array, cfg: OuterConfig, level: 
         return points if step else ahead
 
     heading = None  # sign of the move that reached x; 0.0 after a survived round, None at the start
-    level.solve([x, *poll_round(_poll_points(problem, x, mesh), 0)] if mesh >= cfg.mesh_tol else [x])
+    level.solve([x, *poll_round(level.polls(x, mesh), 0)] if mesh >= cfg.mesh_tol else [x])
     center_val, center_res = level.objective(x)
     tied = None  # every poll read so far tied the centre; None until one is read
     for r in range(MAX_ROUNDS):
         if mesh < cfg.mesh_tol:
             break
-        points = _poll_points(problem, x, mesh)
+        points = level.polls(x, mesh)
         level.solve(poll_round(points, r))
-        polls = [(level.objective(xp)[0], tuple(xp), xp) for xp in points]
+        polls = [(level.objective(xp)[0], xp.tolist(), xp) for xp in points]
         if not math.isfinite(center_val) and all(not math.isfinite(v) for v, _, _ in polls):
             raise OuterInfeasibleError(
                 f"inner problem infeasible at the incumbent and every poll point "
@@ -355,7 +386,8 @@ def _bfgs(
         if not abs(grad @ p) > DECREASE_TOL:
             break
         trials = [_project_x(problem, x + 0.5**k * p) for k in range(LINE_TRIALS)]
-        trials = [xt for xt in trials if not np.array_equal(xt, x)]
+        center = x.tolist()
+        trials = [xt for xt in trials if xt.tolist() != center]
         level.solve(trials)
         for xt in trials:
             vt = level.objective(xt)[0]
@@ -415,19 +447,19 @@ def _gradient_level(
         if hess is None:
             hess = np.eye(len(x)) * (np.abs(grad).max() / mesh)
         x, grad, hess, stuck = _bfgs(problem, cfg, level, x, grad, hess)
-        if grad is not None and not (stuck and np.array_equal(x, start)):
+        if grad is not None and not (stuck and x.tolist() == start.tolist()):
             while mesh >= 2.0 * cfg.mesh_tol:
                 mesh *= 0.5
             val, res = level.cache[x.tobytes()]
             points = _poll_points(problem, x, mesh) if mesh >= cfg.mesh_tol else []
             level.solve(points)
-            polls = sorted(((level.objective(xp)[0], tuple(xp), xp) for xp in points), key=lambda rec: rec[:2])
+            polls = sorted(((level.objective(xp)[0], xp.tolist(), xp) for xp in points), key=lambda rec: rec[:2])
             if not polls or polls[0][0] >= val - DECREASE_TOL:
-                flat = bool(polls) and np.array_equal(x, start) and all(abs(v - val) <= DECREASE_TOL for v, _, _ in polls)
+                flat = bool(polls) and x.tolist() == start.tolist() and all(abs(v - val) <= DECREASE_TOL for v, _, _ in polls)
                 return level.result(x, val, res, 0.5 * mesh, flat), hess
             x = polls[0][2]
     res = _pattern_search(problem, x, cfg, level)
-    res.flat = res.flat and np.array_equal(x, start)
+    res.flat = res.flat and x.tolist() == start.tolist()
     return res, hess
 
 
@@ -487,7 +519,8 @@ def scholtes_solve(
                 final_mesh=step.final_mesh,
             )
         )
-        dx = float(np.linalg.norm(step.x - x))
+        move = step.x - x
+        dx = math.sqrt(move.dot(move))  # np.linalg.norm(move), without its wrapper
         if dx > params.x_tol:
             small_steps = 0
         elif not step.flat:

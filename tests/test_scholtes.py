@@ -99,6 +99,77 @@ def test_a_leader_point_whose_G_is_not_finite_is_infeasible(example2):
     assert got.x.tobytes() == want.x.tobytes()
 
 
+def _violation_reference(problem, x):
+    """leader_violation as one numpy max over the concatenated violations."""
+    viol = [np.zeros(1)]
+    if problem.x_box is not None:
+        viol += [problem.x_box[:, 0] - x, x - problem.x_box[:, 1]]
+    if problem.dims.p:
+        viol.append(np.asarray(problem.eval_G(x), dtype=float).ravel())
+    viol = np.concatenate(viol)
+    return float(viol.max()) if np.isfinite(viol).all() else np.inf
+
+
+def _leader_set(kind):
+    """synthetic2d with the leader set of one kind: its box only, its G only, both, a NaN or infinite G, a ±0 box."""
+    base = pbopt.get_problem("synthetic2d")[0]
+    if kind == "box":
+        return dataclasses.replace(base, dims=dataclasses.replace(base.dims, p=0))
+    if kind == "G":
+        return dataclasses.replace(base, x_box=None, eval_G=lambda x: np.array([x[0] + x[1] - 0.5, -x[0] - 2.0]))
+    if kind in ("nan_G", "inf_G"):
+        value = np.nan if kind == "nan_G" else np.inf
+        return dataclasses.replace(base, eval_G=lambda x: np.array([0.0, value]) if x[0] > 0.25 else base.eval_G(x))
+    if kind == "signed_zeros":
+        return dataclasses.replace(base, dims=dataclasses.replace(base.dims, p=0), x_box=[[-0.0, 0.0], [0.0, 1.0]])
+    return base
+
+
+@pytest.mark.parametrize("kind", ["box", "G", "box_and_G", "nan_G", "inf_G", "signed_zeros"])
+@pytest.mark.parametrize("x", [[0.5, -0.25], [0.0, -0.0], [-0.0, 1.0], [1.5, 0.2], [-3.0, 4.0], [1.0, -1.0], [1e-9, 0.0]])
+def test_leader_violation_is_the_numpy_max_as_a_python_float(kind, x):
+    # a max over floats may keep the other zero of -0.0 and 0.0 than numpy's;
+    # the two compare equal, and a violation of zero gives no penalty either way
+    problem, x = _leader_set(kind), np.array(x)
+    got, want = scholtes.leader_violation(problem, x), _violation_reference(problem, x)
+    assert type(got) is float
+    assert got == want
+    if kind in ("nan_G", "inf_G") and x[0] > 0.25:
+        assert got == np.inf
+
+
+def _poll_reference(problem, xc, h):
+    """_poll_points with a whole-point test: a poll equal to xc under np.array_equal is left out."""
+    points = []
+    for i in range(problem.dims.n):
+        for sign in (1.0, -1.0):
+            xp = xc.copy()
+            xp[i] += sign * h
+            xp = np.clip(xp, problem.x_box[:, 0], problem.x_box[:, 1]) if problem.x_box is not None else xp
+            if not np.array_equal(xp, xc):
+                points.append(xp)
+    return points
+
+
+@pytest.mark.parametrize(
+    "box, xc, h, kept",
+    [
+        ([[-0.0, 1.0], [-1.0, 1.0]], [0.0, 0.5], 0.25, 3),  # the backward poll clips to -0.0, which equals 0.0
+        ([[0.0, 1.0], [-1.0, 1.0]], [-0.0, -0.0], 0.25, 3),
+        ([[0.0, 1.0], [-1.0, -0.0]], [1.0, 0.0], 0.5, 2),
+        ([[0.0, 0.0], [-1.0, 1.0]], [0.0, 0.3], 0.1, 2),  # a one-point side: both of its polls are the centre
+        (None, [1e20, 0.5], 1.0, 2),  # a step lost to rounding leaves the centre
+        (None, [0.3, -0.7], 0.5, 4),
+    ],
+)
+def test_poll_points_leave_out_a_poll_equal_to_the_centre(box, xc, h, kept):
+    base = pbopt.get_problem("synthetic2d")[0]
+    problem, xc = dataclasses.replace(base, x_box=box), np.array(xc)
+    got, want = scholtes._poll_points(problem, xc, h), _poll_reference(problem, xc, h)
+    assert [xp.tobytes() for xp in got] == [xp.tobytes() for xp in want]
+    assert len(got) == kept
+
+
 def test_schedule_is_exactly_geometric(example2, light_cfg):
     problem, _ = example2
     params = RelaxationParams(t0=1.0, rho=0.5, t_min=1e-2, x_tol=-1.0, outer=_outer(light_cfg))
