@@ -45,18 +45,21 @@ pbopt diagnose --problem example2 --trace "$tmp/trace.csv" --x-bar 1e308 --out "
 if [ "$code" -ne 1 ] || [ "$(wc -l < "$tmp/diagnose_far.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/diagnose_far.err"; then
     echo "example2 diagnose at x-bar 1e308: exit $code, stderr:"; cat "$tmp/diagnose_far.err"; exit 1
 fi
-# a 2-D level is a projected BFGS whose line search solves its 8 trial
-# lengths in one call, the trials it does not reach left unread, and one
-# confirming poll round; both counts are pinned (the pattern search took 31
-# calls and left 23 unread), and the final x is first-order stationary
+# a 2-D level is a projected BFGS whose line search solves its unit step
+# alone, and its 7 shorter trial lengths in a second call only when the unit
+# step fails Armijo's test, and one confirming poll round; both counts are
+# pinned (solving all 8 lengths in one call left 93 unread, and the pattern
+# search took 31 calls and left 23 unread), and the final x is first-order
+# stationary
 pbopt solve --problem synthetic2d --t0 0.5 --rho 0.5 --tmin 0.25 --trace "$tmp/trace2d.csv" --summary "$tmp/summary2d.json"
-python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); gap = r["first_order_gap"]; ok = r["inner_calls"] == 17 and r["unread_evals"] == 93 and not r["terminal"].startswith("failure") and gap is not None and math.isfinite(gap) and gap <= 1e-4; sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
+python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); gap = r["first_order_gap"]; ok = r["inner_calls"] == 17 and r["unread_evals"] == 2 and not r["terminal"].startswith("failure") and gap is not None and math.isfinite(gap) and gap <= 1e-4; sys.exit(0 if ok else f"synthetic2d solve summary: {r}")' "$tmp/summary2d.json"
 # the default 20-level run: at t = 7.6e-6 BFGS stalls after moving, its
 # confirming round improves, and the pattern search takes the level from the
 # improving poll; both counts and the final x are pinned (a second BFGS pass
-# from that poll made 156 calls, with the same unread rows and final x)
+# from that poll made 156 calls with the same final x; solving all 8 trial
+# lengths of a line search in one call made 154 calls and left 661 unread)
 pbopt solve --problem synthetic2d --trace "$tmp/trace2d_default.csv" --summary "$tmp/summary2d_default.json"
-python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); x = r["final_x"]; gap = r["first_order_gap"]; ok = r["inner_calls"] == 154 and r["unread_evals"] == 661 and max(abs(x[0] - 0.002090244358559354), abs(x[1] - 0.0015943871463642127)) <= 1e-6 and gap is not None and math.isfinite(gap); sys.exit(0 if ok else f"synthetic2d default solve summary: {r}")' "$tmp/summary2d_default.json"
+python -c 'import json, math, sys; r = json.load(open(sys.argv[1])); x = r["final_x"]; gap = r["first_order_gap"]; ok = r["inner_calls"] == 159 and r["unread_evals"] == 32 and max(abs(x[0] - 0.002090244358559354), abs(x[1] - 0.0015943871463642127)) <= 1e-6 and gap is not None and math.isfinite(gap); sys.exit(0 if ok else f"synthetic2d default solve summary: {r}")' "$tmp/summary2d_default.json"
 # the default example1 run certifies its final argmax point after the polish onto D_0
 pbopt solve --problem example1 --check C --trace "$tmp/trace_check.csv" --summary "$tmp/summary_check.json"
 python -c 'import json, sys; r = json.load(open(sys.argv[1]))["stationarity"]; ok = r["status"] == "checked" and r["verdict"] is True and r["polished_violation"] <= 1e-12; sys.exit(0 if ok else f"example1 solve --check C: {r}")' "$tmp/summary_check.json"

@@ -510,3 +510,127 @@ def test_rows_methods_give_each_row_its_lone_value(name):
         block = fn(X, *args)
         for i in range(len(X)):
             np.testing.assert_array_equal(block[i], fn(X[i : i + 1], *(a[i : i + 1] for a in args))[0])
+
+
+def all_trials_bfgs(log: list):
+    """``scholtes._bfgs`` with each line search's LINE_TRIALS trials solved in
+    one batched call, the trials it does not reach left unread.  It appends
+    one list per run to ``log``, per line search: the rows the unit trial
+    and the other trials would add to the level's solves (0 for a point
+    held already or repeated after projection), and the index of the
+    accepted trial, or None."""
+
+    def bfgs(problem, cfg, level, x, grad, hess):
+        searches = []
+        log.append(searches)
+        lo, hi = (problem.x_box[:, 0], problem.x_box[:, 1]) if problem.x_box is not None else (-np.inf, np.inf)
+        val = level.cache[x.tobytes()][0]
+        for _ in range(scholtes.MAX_ROUNDS):
+            free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+            p = np.zeros_like(x)
+            p[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free]) if free.any() else 0.0
+            if not abs(grad @ p) > scholtes.DECREASE_TOL:
+                break
+            trials = [scholtes._project_x(problem, x + 0.5**k * p) for k in range(scholtes.LINE_TRIALS)]
+            center = x.tolist()
+            trials = [xt for xt in trials if xt.tolist() != center]
+            unit = {xt.tobytes() for xt in trials[:1]} - level.cache.keys()
+            rows = (len(unit), len({xt.tobytes() for xt in trials[1:]} - unit - level.cache.keys()))
+            level.solve(trials)
+            for k, xt in enumerate(trials):
+                vt = level.objective(xt)[0]
+                slope = grad @ (xt - x)
+                if slope < 0.0 and vt <= val + scholtes.ARMIJO_C1 * slope:
+                    break
+            else:
+                searches.append((rows, None))
+                return x, grad, hess, True
+            searches.append((rows, k))
+            s, x, val = xt - x, xt, vt
+            new = scholtes._gradient(problem, level, x)
+            if new is None:
+                return x, None, hess, False
+            y, grad = new - grad, new
+            sy = s @ y
+            if sy > scholtes.CURVATURE_MIN:
+                hs = hess @ s
+                hess = hess - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / sy
+            if np.abs(s).max() < cfg.mesh_tol:
+                break
+        return x, grad, hess, False
+
+    return bfgs
+
+
+def line_search_batches(monkeypatch) -> list:
+    """Record, per ``scholtes._bfgs`` run, the sizes of its batched solves."""
+    sizes, runs = counting_batches(monkeypatch), []
+    bfgs = scholtes._bfgs
+
+    def spy(problem, cfg, level, x, grad, hess):
+        first = len(sizes)
+        out = bfgs(problem, cfg, level, x, grad, hess)
+        runs.append(sizes[first:])
+        return out
+
+    monkeypatch.setattr(scholtes, "_bfgs", spy)
+    return runs
+
+
+# (problem, x0, schedule, mesh_tol) of n >= 2 runs: synthetic2d that takes
+# every unit step, synthetic2d from the corner (1, 1), whose line searches
+# backtrack and then pass, LEADER_3D, whose first line search at a level
+# finds every trial unsolved and hands the level to the pattern search, and
+# the default schedule, whose deep levels end on a line search that
+# backtracks and finds no decrease
+BACKTRACKING_RUNS = {
+    "synthetic2d": ("synthetic2d", [0.4, -0.2], (0.5, 0.5, 0.25), 1e-4),
+    "synthetic2d_corner": ("synthetic2d", [1.0, 1.0], (0.5, 0.5, 0.25), 1e-4),
+    "linear3d_seed0": ("linear3d", 0, (0.2, 0.5, 1e-2), 1e-2),
+    "linear3d_seed2": ("linear3d", 2, (0.2, 0.5, 1e-2), 1e-2),
+    "synthetic2d_deep": ("synthetic2d", [0.4, -0.2], (1.0, 0.5, 1e-6), 1e-4),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BACKTRACKING_RUNS))
+def test_a_line_search_solves_its_shorter_trials_only_when_the_unit_step_fails(monkeypatch, empty_memo, label):
+    """Each line search solves its unit trial alone and, only when that
+    fails Armijo's test, the other trials in one second call, never a third.
+    The records equal bit for bit those of a BFGS that solves all
+    LINE_TRIALS trials in one call; only calls and unread rows differ."""
+    name, x0, schedule, mesh_tol = BACKTRACKING_RUNS[label]
+    problem = LEADER_3D if name == "linear3d" else named_problem(name)
+    x0 = np.random.default_rng(x0).uniform(-1.0, 1.0, 3) if isinstance(x0, int) else x0
+    params = RelaxationParams(*schedule, outer=OuterConfig(inner=CFG, mesh_tol=mesh_tol))
+    runs = line_search_batches(monkeypatch)
+    got = scholtes_solve(problem, params, x0)
+    empty_memo()
+    log = []
+    monkeypatch.setattr(scholtes, "_bfgs", all_trials_bfgs(log))
+    want = scholtes_solve(problem, params, x0)
+    assert got.terminal == want.terminal and len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert a.x.tobytes() == b.x.tobytes() and a.argmax.points.tobytes() == b.argmax.points.tobytes()
+        assert (a.k, a.t, a.psi, a.inner_status, a.outer_evals, a.final_mesh) == (
+            b.k, b.t, b.psi, b.inner_status, b.outer_evals, b.final_mesh
+        )
+    # the call shape the reference predicts, line search by line search: the
+    # unit trial alone, then the other trials when the unit step fails
+    assert runs == [
+        [size for (unit, rest), k in searches for size in (unit, rest if k != 0 else 0) if size] for searches in log
+    ]
+    # a trial the reference solved ahead and a later round read is solved
+    # in that round's call instead, so these are bounds, not equalities
+    backtracked = sum(k != 0 for searches in log for _, k in searches)
+    skipped = sum(rest for searches in log for (_, rest), k in searches if k == 0)
+    assert got.inner_calls >= want.inner_calls + backtracked
+    assert want.unread_evals - skipped <= got.unread_evals <= want.unread_evals
+    if label == "synthetic2d":
+        # every line search takes its unit step: one 1-row call each
+        assert backtracked == 0 and all(runs) and all(size == 1 for sizes in runs for size in sizes)
+    else:
+        assert backtracked > 0
+    if label.startswith("linear3d") or label == "synthetic2d_deep":
+        assert any(k is None for searches in log for _, k in searches)
+    if label == "synthetic2d_corner":
+        assert any(k not in (0, None) for searches in log for _, k in searches)

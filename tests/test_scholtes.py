@@ -7,7 +7,7 @@ import pbopt
 from pbopt import OuterConfig, RelaxationParams, maxmin, minimize_psi_t, scholtes, scholtes_solve
 from pbopt.maxmin import EPS_LVL_DEFAULT
 from pbopt.problem_model import DimensionError
-from toys import biactive_family_data, make_empty_lower_toy, make_linear_follower
+from toys import biactive_family_data, make_empty_lower_toy, make_linear_follower, make_mirror_toy
 
 
 def _outer(light_cfg):
@@ -168,6 +168,39 @@ def test_poll_points_leave_out_a_poll_equal_to_the_centre(box, xc, h, kept):
     got, want = scholtes._poll_points(problem, xc, h), _poll_reference(problem, xc, h)
     assert [xp.tobytes() for xp in got] == [xp.tobytes() for xp in want]
     assert len(got) == kept
+
+
+def _tie(problem, t, cfg, h):
+    """(0, -h) and (0, h) give the same penalised value, bit for bit."""
+    lo, hi = pbopt.evaluate_psi_t_batch(problem, np.array([[0.0, -h], [0.0, h]]), t, cfg)
+    assert lo.status == hi.status == "solved" and lo.value == hi.value == -(h**2)
+
+
+def test_tied_polls_go_to_the_lexicographically_smallest_point(light_cfg):
+    # the first round from (0, 0) at mesh 0.5: (0, -0.5) and (0, 0.5) tie and
+    # beat (+-0.5, 0); the search moves to (0, -0.5) and walks to x2 = -1
+    problem = make_mirror_toy()
+    _tie(problem, 0.1, light_cfg, 0.5)
+    res = minimize_psi_t(problem, 0.1, [0.0, 0.0], OuterConfig(inner=light_cfg, mesh_tol=1e-3))
+    assert res.x.tolist() == [0.0, -1.0] and res.value == -1.0
+
+
+def test_a_tied_confirming_round_hands_over_from_the_lexicographically_smallest_poll(monkeypatch, light_cfg):
+    # BFGS from (0.3, 0) ends at x1 = 0 with x2 = 0 (no gradient along x2);
+    # the confirming round's polls (0, -h) and (0, h) tie and improve, and
+    # the pattern search takes the level from (0, -h) to x2 = -1
+    problem = make_mirror_toy()
+    levels = _levels(monkeypatch)
+    params = RelaxationParams(0.5, 0.5, 0.4, outer=OuterConfig(inner=light_cfg, mesh_tol=1e-3))
+    trace = scholtes_solve(problem, params, [0.3, 0.0])
+    confirming = scholtes._first_mesh(problem, params.outer)
+    while confirming >= 2.0 * params.outer.mesh_tol:
+        confirming *= 0.5
+    [(t, _, step, ends, start)] = levels
+    assert [end.tolist() for end in ends] == [[0.0, 0.0]]
+    _tie(problem, t, light_cfg, confirming)
+    assert start.tolist() == [0.0, -confirming]
+    assert step.x.tolist() == trace.final().x.tolist() == [0.0, -1.0]
 
 
 def test_schedule_is_exactly_geometric(example2, light_cfg):

@@ -175,6 +175,32 @@ def make_interior_toy() -> BilevelProblem:
     )
 
 
+def make_mirror_toy() -> BilevelProblem:
+    """Leader objective x1^2 - x2^2 on [-1, 1]^2, whatever the follower does.
+
+    psi_t(x) = F(x) exactly, mirror-exact in x2 around 0: the polls
+    (x1, -h) and (x1, h) tie bit for bit, and improve on (x1, 0).
+    """
+    return BilevelProblem(
+        dims=ProblemDims(n=2, m=1, p=0, q=1),
+        eval_F=lambda x, y: float(x[0] ** 2 - x[1] ** 2),
+        eval_f=lambda x, y: float(0.5 * y[0] ** 2),
+        eval_G=lambda x: np.zeros(0),
+        eval_g=lambda x, y: np.array([-y[0] - 1.0]),
+        grad_F=lambda x, y: (np.array([2.0 * x[0], -2.0 * x[1]]), np.zeros(1)),
+        grad_f=lambda x, y: (np.zeros(2), np.array([y[0]])),
+        jac_G=lambda x: np.zeros((0, 2)),
+        jac_g=lambda x, y: (np.zeros((1, 2)), np.array([[-1.0]])),
+        hess_f_yx=lambda x, y: np.zeros((1, 2)),
+        hess_f_yy=lambda x, y: np.array([[1.0]]),
+        hess_g_yx=lambda x, y: [np.zeros((1, 2))],
+        hess_g_yy=lambda x, y: [np.zeros((1, 1))],
+        x_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        y_box=np.array([[-2.0, 2.0]]),
+        name="mirror_toy",
+    )
+
+
 def make_quartic_toy() -> BilevelProblem:
     """Follower data nonlinear in y, with two coupled follower variables.
 
