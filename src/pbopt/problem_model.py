@@ -359,13 +359,27 @@ def lagrangian_jacobians_unchecked(
     if problem.hess_is_fd:
         J = problem._fd_stationarity_jac(pt.x[None], pt.y[None], pt.u[None], x_steps=True)[0]
         return J[:, d.m + d.q :], J[:, : d.m], J[:, d.m : d.m + d.q]
-    lx = np.array(problem.hess_f_yx(pt.x, pt.y), dtype=float).reshape(d.m, d.n)
-    if d.q:
-        gyx = problem.hess_g_yx(pt.x, pt.y)
-        for i in range(d.q):
-            lx = lx + pt.u[i] * np.asarray(gyx[i], dtype=float)
+    lx = lagrangian_x_jacobian(problem, pt.x, pt.y, pt.u)
     ly, lu = _lagrangian_yu(problem, pt.x, pt.y, pt.u, jac_gy)
     return lx, ly, lu
+
+
+def lagrangian_x_jacobian(problem: BilevelProblem, x: Array, y: Array, u: Array) -> Array:
+    """L_x, the Jacobian in x of the follower-stationarity map, shape (m, n), at a point the caller has checked.
+
+    It is hess_f_yx plus u_i hess_g_yx[i] for i = 1..q in turn, and with
+    finite-difference Hessians the x-steps of ``_fd_stationarity_jac``; L_y
+    and L_u are not built.
+    """
+    d = problem.dims
+    if problem.hess_is_fd:
+        return problem._fd_stationarity_jac(x[None], y[None], u[None], x_steps=True)[0, :, d.m + d.q :]
+    lx = np.array(problem.hess_f_yx(x, y), dtype=float).reshape(d.m, d.n)
+    if d.q:
+        gyx = problem.hess_g_yx(x, y)
+        for i in range(d.q):
+            lx = lx + u[i] * np.asarray(gyx[i], dtype=float)
+    return lx
 
 
 def relaxed_rows(problem: BilevelProblem, X: Array, Z: Array, t: float, known: Optional[tuple[Array, Array]] = None) -> tuple[Array, Array]:

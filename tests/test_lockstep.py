@@ -401,6 +401,101 @@ def test_polish_solves_each_step_once_with_the_binding_set_fixed(monkeypatch, na
     assert binding > 0
 
 
+def reference_polish(problem, X, Z, g, v, viol, t, lo, hi, feas_tol):
+    """``maxmin._polish`` with the line search in one loop: every iteration
+    gathers its rows and tries steps 1, 1/2, ... over index sets.
+
+    Returns what ``_polish`` returns, plus the rows that took a step shorter than 1.
+    """
+    m = problem.dims.m
+    iters = np.zeros(Z.shape[0], dtype=int)
+    floor = (0.1 * feas_tol) ** 2
+    shorter = 0
+    todo = (viol > feas_tol).nonzero()[0]
+    for k in range(maxmin.POLISH_MAXITER):
+        if not todo.size:
+            break
+        Xt, Zt, vt = maxmin._take(X, todo), Z[todo], v[todo]
+        J = relaxed_jacobian(problem.lagrangian_jac_rows(Xt, Zt[:, :m], Zt[:, m:]), Zt[:, m:], g[todo])
+        J[:, m:] *= (vt[:, m:] > 0.0)[:, :, None]
+        JtJ = J.mT @ J
+        rhs = -np.add.reduce(J * vt[:, :, None], axis=1)
+        bind = ((Zt <= lo + 1e-12) & (rhs < 0.0)) | ((Zt >= hi - 1e-12) & (rhs > 0.0))
+        if np.logical_or.reduce(bind, axis=None):
+            free = ~bind
+            JtJ = np.where(free[:, :, None] & free[:, None, :], JtJ, 0.0)
+            rhs = np.where(free, rhs, 0.0)
+        dz = maxmin._regularised_solve(JtJ, rhs)
+        base = np.add.reduce(vt * vt, axis=1)
+        accepted = np.zeros(todo.size, dtype=bool)
+        pending = np.arange(todo.size)
+        step = 1.0
+        for _ in range(10):
+            cand = (Zt[pending] + step * dz[pending]).clip(lo, hi)
+            gc, vc, violc = relaxed_violations(problem, maxmin._take(Xt, pending), cand, t)
+            better = np.add.reduce(vc * vc, axis=1) < base[pending] - floor
+            rows = todo[pending[better]]
+            Z[rows], g[rows], v[rows] = cand[better], gc[better], vc[better]
+            viol[rows] = violc[better]
+            accepted[pending[better]] = True
+            if step < 1.0:
+                shorter += int(better.sum())
+            pending = pending[~better]
+            if not pending.size:
+                break
+            step *= 0.5
+        todo = todo[accepted]
+        if k + 1 < maxmin.POLISH_MAXITER:
+            iters[todo] += 1
+        todo = todo[viol[todo] > feas_tol]
+    return Z, viol, iters, shorter
+
+
+def restoration_blocks(problem, lo, hi, t, feas_tol, rng):
+    """(X, Z) blocks as the polish gets them: starts on the box faces and
+    inside the box, none or about half of them first polished onto D_t (a
+    start polish, a restoration), under one leader point or one per row."""
+    box = problem.x_box
+    for leaders, share in itertools.product((1, 32), (0.0, 0.5)):
+        X = rng.uniform(box[:, 0], box[:, 1], size=(leaders, problem.dims.n))
+        Z0 = np.vstack([box_face_starts(lo, hi, rng, 16), rng.uniform(lo, hi, size=(16, lo.size))])
+        P, viol, _ = polish_onto_relaxed_set(problem, X, Z0, t, lo, hi, feas_tol)
+        on = (viol <= feas_tol) & (rng.uniform(size=len(Z0)) < share)
+        yield X, np.where(on[:, None], P, Z0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "synthetic2d", "duplicated_g_toy", "nan_region_toy", "nan_g_toy"])
+def test_polish_equals_the_one_loop_line_search(name):
+    """The polish updates Z, g, v and viol in place exactly as the one-loop
+    line search does, and gives the same iteration counts; a row already on
+    D_t comes back untouched after 0 iterations.  The draws include rows that
+    reject the full step and take a shorter one."""
+    problem = named_problem(name)
+    cfg = InnerConfig()
+    lo, hi = follower_box(problem, cfg)
+    rng = np.random.default_rng(53)
+    on_set = shorter = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (0.1, 1e-3, 0.0):
+            for X, Z in restoration_blocks(problem, lo, hi, t, cfg.feas_tol, rng):
+                given = [Z, *relaxed_violations(problem, X, Z, t)]
+                want = [a.copy() for a in given]
+                *_, iters_want, short = reference_polish(problem, X, *want, t, lo, hi, cfg.feas_tol)
+                got = [a.copy() for a in given]
+                Zp, viol, iters = maxmin._polish(problem, X, *got, t, lo, hi, cfg.feas_tol)
+                assert Zp is got[0] and viol is got[3]
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+                assert iters.tobytes() == iters_want.tobytes()
+                held = given[3] <= cfg.feas_tol
+                for a, b in zip(got, given):
+                    assert a[held].tobytes() == b[held].tobytes()
+                assert (iters[held] == 0).all()
+                on_set += held.sum()
+                shorter += short
+    assert on_set > 0 and shorter > 0
+
+
 def reference_project(A, on, grad):
     """The projection with the bounds as rows: [A; I; -I] masked by ``on``, one stacked SVD.
 

@@ -852,6 +852,32 @@ def test_psi_t_gradient_refuses_a_cloud_whose_gradients_disagree(monkeypatch, sy
     assert got.grad is None and "spread" in got.refusal
 
 
+@pytest.mark.parametrize("name, x, t", [("synthetic2d", [0.4, -0.2], 0.05), ("example2", [0.3], 0.1), ("example2_fd", [0.3], 0.1)])
+def test_psi_t_gradient_builds_only_l_x(monkeypatch, light_cfg, name, x, t):
+    # a cloud point costs one jac_g call (for J_gx) and the x-Hessians that
+    # build L_x; L_y and L_u, and their jac_g call, are not built.  A problem
+    # with difference Hessians takes L_x from its stationarity rows instead.
+    problem = named_problem(name)
+    res = evaluate_psi_t(problem, x, t, light_cfg)
+    want = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
+    assert want.grad is not None and len(res.argmax) >= 1
+    calls = dict.fromkeys(("jac_g", "hess_f_yx", "hess_g_yx", "hess_f_yy", "hess_g_yy"), 0)
+    for hook in calls:
+        fn = getattr(problem, hook)
+        if fn is not None:
+
+            def counted(*args, fn=fn, hook=hook):
+                calls[hook] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(problem, hook, counted)
+    got = maxmin.psi_t_gradient(problem, x, t, res.argmax, light_cfg)
+    assert got.grad.tobytes() == want.grad.tobytes()
+    n = len(res.argmax)
+    hessians = 0 if problem.hess_is_fd else n
+    assert calls == {"jac_g": n, "hess_f_yx": hessians, "hess_g_yx": hessians, "hess_f_yy": 0, "hess_g_yy": 0}
+
+
 def _numpy_regularised_solve(M, rhs, refine):
     """The regularised solve through numpy's public entries: einsum's diagonal view and np.linalg.solve."""
     Mr = M.copy()

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import pbopt
 from pbopt import BilevelProblem, ProblemDims, TriplePoint
-from pbopt.problem_model import HESS_FIELDS, DimensionError, check_gradients_fd, lagrangian_grad, lagrangian_jacobians
+from pbopt.problem_model import (
+    HESS_FIELDS,
+    DimensionError,
+    check_gradients_fd,
+    lagrangian_grad,
+    lagrangian_jacobians,
+    lagrangian_x_jacobian,
+)
 
 from toys import BATCH_HOOKS, named_problem
 
@@ -172,6 +179,21 @@ def test_certifier_jacobians_are_the_solver_row(name):
         assert lx.shape == (d.m, d.n) and ly.shape == (d.m, d.m) and lu.shape == (d.m, d.q)
         row = problem.lagrangian_jac_rows(pt.x[None], pt.y[None], pt.u[None])[0]
         np.testing.assert_array_equal(np.hstack([ly, lu]), row)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "synthetic2d", "duplicated_g_toy", "quartic_toy", "example2_fd", "synthetic2d_fd", "q0_toy_fd"]
+)
+def test_lagrangian_x_jacobian_is_the_l_x_of_lagrangian_jacobians(name):
+    # one rule for L_x, analytic or by differences, whether or not L_y and L_u are built with it
+    problem = named_problem(name)
+    d = problem.dims
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        pt = TriplePoint(rng.uniform(-1, 1, d.n), rng.uniform(-1, 1, d.m), rng.uniform(0, 2, d.q))
+        lx = lagrangian_x_jacobian(problem, pt.x, pt.y, pt.u)
+        assert lx.shape == (d.m, d.n)
+        assert lx.tobytes() == lagrangian_jacobians(problem, pt)[0].tobytes()
 
 
 @pytest.mark.parametrize("rows", [3, 7])
