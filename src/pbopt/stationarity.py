@@ -6,7 +6,11 @@ used by the convergence theory, and the relaxed-problem qualification
 condition.  Branch conditions over the biactive set are handled by exact
 enumeration of sign patterns; each pattern is one linear feasibility
 problem, and its least-norm multipliers (chosen for reproducibility) are one
-least-distance solve.
+least-distance solve.  The multiplier sets nest, S ⊂ M ⊂ C, and the three
+recoveries try S's one pattern (gamma_i <= 0 and d_i <= 0 on every biactive
+index) first, while the qualification tries gamma >= 0 first.  So M and C
+return S's multipliers wherever those pass their check: where S's pass
+both, the three recoveries give one answer.
 
 The qualification conditions ask whether a polyhedral cone
 {A_eq z = 0, A_ineq z >= 0} holds a nonzero ray, decided with one rank test
@@ -155,8 +159,8 @@ class _Point:
     homogeneous twin with their unit-scaled ConeRows, which every kind of
     the qualification picks from (:func:`_qualification_pool`); answers
     maps the (eq, ineq) rows of each recovery system solved here to
-    its least-norm point or None, so S's one system is solved once for M's
-    first pattern and C's last; rows holds the kind-free rows of each
+    its least-norm point or None, so S's one system is solved once for the
+    first pattern of M and of C; rows holds the kind-free rows of each
     multiplier triple checked here (:func:`_multiplier_rows`).  A part is
     filled in place on its own point's record, so a concurrent caller never
     pairs one point's key with another point's data.
@@ -272,10 +276,13 @@ def _relaxed(point: _Point, u: Array) -> tuple[Array, Array]:
 # Branches of one biactive index per (kind, qualification): (eq rows, ineq rows),
 # each row a signed pick of the gamma_i unit row "g" or the d_i row "d".  M is
 # {gamma<=0 & d<=0} | {gamma=0} | {d=0}; its qualification set flips the inequality branch.
+# Every recovery tries gamma<=0 & d<=0 first, so S's one pattern is the first pattern of M and
+# of C, and each returns S's multipliers wherever those pass its check; the qualification tables
+# try gamma>=0 first.
 _GE, _LE = ((), ("+g", "+d")), ((), ("-g", "-d"))
 _G0, _D0 = (("+g",), ()), (("+d",), ())
 _BRANCHES = {
-    ("C", False): (_GE, _LE), ("C", True): (_GE, _LE),
+    ("C", False): (_LE, _GE), ("C", True): (_GE, _LE),
     ("M", False): (_LE, _G0, _D0), ("M", True): (_GE, _G0, _D0),
     ("S", False): (_LE,), ("S", True): (_LE,),
 }
@@ -522,9 +529,14 @@ def recover_c_multipliers(problem: BilevelProblem, pt: TriplePoint, kind: str = 
 
     A point whose exact KKT violation exceeds kkt.FEAS_TOL_DEFAULT is
     refused with InfeasiblePointError.  Enumerates sign patterns over the
-    biactive set in lexicographic order; each pattern is a least-distance
-    problem, and the first feasible pattern's least-norm solution that
-    passes its own check is returned: every multiplier row of
+    biactive set in lexicographic order, each kind's branches in the order
+    of _BRANCHES: C, like S and M, tries gamma_i <= 0 and d_i <= 0 first
+    (the qualification tables try gamma_i >= 0 first).  So S's one pattern
+    is the first of M and of C, and M and C return S's multipliers bit for
+    bit wherever those pass their check: where S's pass the M and the C
+    check, the three recoveries return one answer.  Each pattern is a
+    least-distance problem, and the first feasible pattern's least-norm
+    solution that passes its own check is returned: every multiplier row of
     :func:`check_stationarity` for kind (all but the graph rows and
     leader_feas, which the point alone sets) must be at most
     kkt.FEAS_TOL_DEFAULT.  The least-distance solve meets a pattern's rows

@@ -8,8 +8,9 @@ one pattern at a time.  The reference here is the assembly and the loop they
 replaced: one system per pattern, assembled with ``np.vstack`` and decided
 by the single-system functions of ``simplex``.  On the pinned certifier corpus and
 on generated biactive families (k = 0..7, with and without duplicated rows,
-and families whose follower rows split into blocks, each also with rows
-scaled by 1e-6..1e6) both must give the same verdicts, pattern counts and
+with C-only data, where S has no multipliers and C answers late, and
+families whose follower rows split into blocks, each also with rows scaled
+by 1e-6..1e6) both must give the same verdicts, pattern counts and
 certificate keys, and the same multipliers and rays bit for bit.
 NNLS solves run in the same order and stop at the same pattern, so a solve
 that stops at its iteration limit after that pattern changes nothing, and
@@ -58,18 +59,20 @@ def _exact_system(data, idx, homogeneous: bool):
     return a_eq, b, unit[: beta.start], theta_rows
 
 
-def _pattern_systems(kind, qualification, a_eq, a_ineq, theta_rows):
-    """(A_eq, A_ineq or None) of every sign pattern, in order: the base system with its branch rows appended."""
+def _pattern_systems(kind, qualification, a_eq, a_ineq, theta_rows, patterns=None):
+    """(A_eq, A_ineq or None) of every sign pattern, in order, or of the given ones: the base system with its branch rows appended."""
     picks = [{"+g": g, "-g": -g, "+d": d, "-d": -d} for g, d in theta_rows]
-    for pattern in itertools.product(*[stn._BRANCHES[kind, qualification]] * len(theta_rows)):
+    if patterns is None:
+        patterns = itertools.product(*[stn._BRANCHES[kind, qualification]] * len(theta_rows))
+    for pattern in patterns:
         eq = [rows[r] for rows, (eqs, _) in zip(picks, pattern) for r in eqs]
         ineq = [rows[r] for rows, (_, ineqs) in zip(picks, pattern) for r in ineqs]
         ineq = np.vstack([a_ineq, *ineq]) if ineq else a_ineq
         yield (np.vstack([a_eq, *eq]) if eq else a_eq), (ineq if len(ineq) else None)
 
 
-def reference_recover(problem, pt, kind):
-    """recover_c_multipliers, one least_norm_point per pattern.
+def reference_recover(problem, pt, kind, patterns=None):
+    """recover_c_multipliers, one least_norm_point per pattern (of every pattern in order, or of the given ones).
 
     The first multipliers whose check_stationarity rows, graph and
     leader_feas rows aside, are at most kkt.FEAS_TOL_DEFAULT are returned.
@@ -78,7 +81,7 @@ def reference_recover(problem, pt, kind):
     idx, data = point.idx, point.data
     a_eq, b, a_ineq, theta_rows = _exact_system(data, idx, homogeneous=False)
     d = problem.dims
-    for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows):
+    for a_pat, ineq in _pattern_systems(kind, False, a_eq, a_ineq, theta_rows, patterns):
         z, status = simplex.least_norm_point(a_pat, np.concatenate([b, np.zeros(len(a_pat) - len(b))]), ineq)
         if z is not None:
             k = len(idx.i_G)
@@ -121,9 +124,9 @@ def reference_qualification(problem, pt, kind):
     return a1, a2, certs, patterns, cones
 
 
-def _family(k: int, duplicate: bool, scaled: bool, seed: int):
+def _family(k: int, duplicate: bool, scaled: bool, seed: int, c_only: bool = False):
     rng = np.random.default_rng(seed)
-    B, c, d, Jgy, Jgx = biactive_family_data(k, rng, duplicate=duplicate)
+    B, c, d, Jgy, Jgx = biactive_family_data(k, rng, duplicate=duplicate, c_only=c_only)
     if scaled:  # the same constraints, each row scaled by 1e-6..1e6
         s = 10.0 ** rng.uniform(-6.0, 6.0, size=(len(Jgy), 1))
         Jgy, Jgx = Jgy * s, Jgx * s
@@ -178,6 +181,13 @@ def _corpus() -> dict:
             for scaled in (False, True) if k < 7 or duplicate else (False,):
                 label = f"gen{k}{'_dup' if duplicate else ''}{'_scaled' if scaled else ''}"
                 corpus[label] = _family(k, duplicate, scaled, seed=100 + 4 * k + 2 * duplicate + scaled)
+    # C-only data: S has no multipliers, and C's answer is its last pattern, the only feasible one
+    # without duplicated rows
+    for k in range(1, 7):
+        for duplicate in (False, True):
+            for scaled in (False, True):
+                label = f"gen{k}_c{'_dup' if duplicate else ''}{'_scaled' if scaled else ''}"
+                corpus[label] = _family(k, duplicate, scaled, seed=300 + 4 * k + 2 * duplicate + scaled, c_only=True)
     for j, edit in enumerate(SPLITS):
         for scaled in (False, True):
             corpus[f"split_{edit}{'_scaled' if scaled else ''}"] = _split_family(edit, scaled, seed=200 + 2 * j + scaled)
@@ -230,7 +240,21 @@ def test_the_walk_hands_out_every_pattern_up_to_its_screen_and_then_the_open_one
     assert walked == list(range(screen)) + [at for at in opened if at >= screen]
 
 
-@pytest.mark.parametrize("label", sorted(_corpus()))
+# Points whose rows are scaled from 1.8e-5 to 4.5e5 and from 2.4e-5 to 4.7e3, where the M walk's
+# block screen rules out the pattern at which the reference answers (multipliers of norm 2.7e5 and
+# 4.9e6): one block, decided at its own scale, has no solution, while the whole pattern passes to
+# ZERO_TOL times that norm (recover_c_multipliers' docstring).  The batched M walk returns None there.
+# An open defect (CHANGES.md FOUND on rows scaled far apart, ROADMAP item 16).
+M_PASSES_OVER = {"gen5_c_dup_scaled", "gen6_c_dup_scaled"}
+
+
+def _corpus_params():
+    reason = "the M walk's block screen rules out the reference's large-norm M answer on rows scaled far apart"
+    xfail = pytest.mark.xfail(strict=True, reason=reason)
+    return [pytest.param(label, marks=xfail) if label in M_PASSES_OVER else label for label in sorted(_corpus())]
+
+
+@pytest.mark.parametrize("label", _corpus_params())
 def test_batched_enumeration_matches_the_sequential_loops(label):
     problem, pt = _corpus()[label]
     for kind in KINDS:
@@ -332,18 +356,24 @@ def _zero(problem):
     return TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
 
 
+def _last_c_pattern(k: int) -> list:
+    """The last of C's 2^k recovery patterns, gamma_i >= 0 and d_i >= 0 on every biactive index, as reference_recover takes it."""
+    return [(stn._BRANCHES["C", False][-1],) * k]
+
+
 @pytest.mark.parametrize("k", [10, 12])
 def test_a_split_recovery_costs_its_blocks_not_its_patterns(solver_calls, k):
-    problem = make_linear_follower(*biactive_family_data(k, np.random.default_rng(k)))
+    problem = make_linear_follower(*biactive_family_data(k, np.random.default_rng(k), c_only=True))
     pt = _zero(problem)
-    want = stn.recover_c_multipliers(problem, pt, kind="S")
-    stn._last_point = None  # a fresh record: C solves the S system itself
+    want = reference_recover(problem, pt, "C", _last_c_pattern(k))
+    assert want is not None and stn.recover_c_multipliers(problem, pt, kind="S") is None
+    stn._last_point = None  # a fresh record: C solves every system itself
     solver_calls.update(svd=0, nnls=0)
     got = stn.recover_c_multipliers(problem, pt, kind="C")
     _assert_same_multipliers(got, want, "C")
-    # 2^k patterns, and k singleton blocks of two branch tuples each; only the last pattern, S's
-    # system, has every block feasible: the walk's first SPLIT_AFTER patterns, the 2k block systems
-    # and that pattern, each at most one NNLS
+    # 2^k patterns, and k singleton blocks of two branch tuples each; only the last pattern has every
+    # block feasible: the walk's first SPLIT_AFTER patterns, the 2k block systems and that pattern,
+    # each at most one NNLS
     blocks = stn._last_point.blocks
     assert sorted(len(thetas) for _, _, thetas in blocks) == [1] * k
     assert solver_calls["nnls"] <= stn.SPLIT_AFTER + sum(2 ** len(thetas) for _, _, thetas in blocks) + 3
@@ -352,21 +382,26 @@ def test_a_split_recovery_costs_its_blocks_not_its_patterns(solver_calls, k):
 
 
 def test_a_recovery_over_40_biactive_indices_holds_no_pattern_array(solver_calls):
-    problem = make_linear_follower(*biactive_family_data(40, np.random.default_rng(40)))
+    problem = make_linear_follower(*biactive_family_data(40, np.random.default_rng(40), c_only=True))
     pt = _zero(problem)
+    stn._last_point = None
     tracemalloc.start()
     try:
-        got = stn.recover_c_multipliers(problem, pt, kind="C")  # 2^40 patterns
+        got = stn.recover_c_multipliers(problem, pt, kind="C")  # 2^40 patterns, the answer at the last
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # one byte per pattern would be a terabyte
+    assert sorted(len(thetas) for _, _, thetas in stn._last_point.blocks) == [1] * 40
     assert solver_calls["nnls"] <= stn.SPLIT_AFTER + 2 * 40 + 3
-    _assert_same_multipliers(got, stn.recover_c_multipliers(problem, pt, kind="S"), "C")
+    _assert_same_multipliers(got, reference_recover(problem, pt, "C", _last_c_pattern(40)), "C")
 
 
 # corpus points where C walks far enough to split, and a few where it does not
-RECORD_LABELS = ["gen0", "gen2_dup", "gen4", "gen5_dup", "gen5_dup_scaled", "gen7_dup", "split_flat", "split_late", "split_leader_scaled"]
+C_SPLITS = ["gen2_c_dup", "gen3_c_dup", "gen4_c", "gen4_c_dup_scaled", "gen5_c_dup", "gen6_c_dup", "gen6_c_scaled", "split_flat_scaled"]
+RECORD_LABELS = C_SPLITS + [
+    "gen0", "gen2_c", "gen2_dup", "gen4", "gen5_dup", "gen5_dup_scaled", "gen7_dup", "split_flat", "split_late", "split_leader_scaled",
+]
 
 
 @pytest.mark.parametrize("label", RECORD_LABELS)
@@ -376,6 +411,8 @@ def test_each_recovery_is_the_reference_on_a_fresh_record_and_after_the_other_ki
     for kind in KINDS:
         stn._last_point = None
         _assert_same_multipliers(stn.recover_c_multipliers(problem, pt, kind=kind), want[kind], f"fresh {kind}")
+        if kind == "C":
+            assert bool(stn._last_point.blocks) == (label in C_SPLITS)
         stn._last_point = None
         for other in KINDS:
             if other != kind:
@@ -405,7 +442,7 @@ def test_open_patterns_are_the_product_filtered_by_block(seed):
 
 
 def test_blocks_are_found_once_per_point(monkeypatch):
-    problem, pt = _corpus()["gen4"]
+    problem, pt = _corpus()["gen4_c"]
     problem = dataclasses.replace(problem)  # an object no earlier call has set up
     found = []
     blocks = stn._blocks
@@ -419,6 +456,7 @@ def test_blocks_are_found_once_per_point(monkeypatch):
     # at another object, the recovery finds the blocks and the qualification takes them
     fresh = dataclasses.replace(problem)
     stn.recover_c_multipliers(fresh, pt, kind="C")
+    assert len(found) == 2 and stn._last_point.blocks
     rep = stn.check_qualification_Am(fresh, pt, kind="M")
     assert len(found) == 2
     # another problem is another point, and its blocks are its own
@@ -476,11 +514,14 @@ def _solves(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_nnls_limits_keep_their_place_in_the_order(monkeypatch, k):
-    problem, pt = _family(k, duplicate=True, scaled=False, seed=7)
+    # C-only data: the C walk goes past its first pattern, and splits
+    problem, pt = _family(k, duplicate=True, scaled=False, seed=7, c_only=True)
 
     def recover():
         stn._last_point = None  # a fresh record, so no answer is taken from an earlier call
-        return stn.recover_c_multipliers(problem, pt, kind="C").gamma.tolist()
+        got = stn.recover_c_multipliers(problem, pt, kind="C").gamma.tolist()
+        assert stn._last_point.blocks
+        return got
 
     def qualify():
         rep = stn.check_qualification_Am(problem, pt, kind="M")
@@ -513,7 +554,7 @@ def test_nnls_limits_keep_their_place_in_the_order(monkeypatch, k):
 
 
 def test_check_reports_a_limit_before_the_stop_point_as_exit_3(monkeypatch, tmp_path, capsys):
-    problem, _ = _family(3, duplicate=True, scaled=False, seed=7)
+    problem, _ = _family(3, duplicate=True, scaled=False, seed=7, c_only=True)
     monkeypatch.setattr(cli, "get_problem", lambda name: (problem, None))
     point = tmp_path / "pt.json"
     point.write_text(json.dumps({"x": [0.0], "y": [0.0] * problem.dims.m, "u": [0.0] * problem.dims.q}))

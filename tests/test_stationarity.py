@@ -129,14 +129,25 @@ def test_recover_infeasible_point_raises(example1):
 
 def test_the_recoveries_are_bounded_by_the_pattern_budget_alone():
     # a biactive set of 13 used to be refused up front, and then C by the budget after 3^8 solved
-    # patterns; its 13 singleton blocks leave one C pattern open, the one S solves
-    problem = make_biactive_family(13, np.random.default_rng(13))
+    # patterns.  With C-only data the C walk answers at the last of its 2^13 patterns, more than the
+    # budget: its 13 singleton blocks leave that one pattern open.  M's blocks leave 2^13 patterns open,
+    # none with multipliers, so the M walk is refused once it needs solves for more than the budget
+    problem = make_biactive_family(13, np.random.default_rng(13), c_only=True)
     pt = TriplePoint(np.zeros(problem.dims.n), np.zeros(problem.dims.m), np.zeros(problem.dims.q))
+    assert 2**13 > stationarity.PATTERN_BUDGET
+    assert recover_c_multipliers(problem, pt, kind="S") is None
+    mults = recover_c_multipliers(problem, pt, kind="C")
+    rep = check_stationarity(problem, pt, mults, kind="C", graph_check=False)
+    assert rep.verdict and rep.sign_pattern == ("+",) * 13
+    with pytest.raises(stationarity.PatternCapError):
+        recover_c_multipliers(problem, pt, kind="M")
+    # with S-multipliers, every kind answers at its first pattern with them
+    problem = make_biactive_family(13, np.random.default_rng(13))
     mults = {kind: recover_c_multipliers(problem, pt, kind=kind) for kind in ("S", "M", "C")}
     for kind, m in mults.items():
         assert check_stationarity(problem, pt, m, kind=kind, graph_check=False).verdict, kind
-    for name in ("alpha", "beta", "gamma"):
-        np.testing.assert_array_equal(getattr(mults["C"], name), getattr(mults["S"], name))
+        for name in ("alpha", "beta", "gamma"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(mults["S"], name))
 
 
 def test_a_t0_argmax_point_certifies_c_once_polished_onto_d0(synthetic):

@@ -3,11 +3,14 @@
 Each example is a linear-constraint follower (see ``toys.make_linear_follower``)
 with k <= 3 constraints biactive at x = 0, optionally with duplicated rows,
 or a level-t point of such a follower.  The leader data are drawn so that
-multipliers exist or drawn freely, so both verdicts of every check occur.
-Checked properties:
+S-multipliers exist, so that C-multipliers exist and S-multipliers do not
+(``toys.biactive_family_data``'s ``c_only``), or freely, so both verdicts
+of every check occur.  Checked properties:
 
 - S => M => C, and multipliers recovered for a kind pass the checks of
   every weaker kind;
+- where S's multipliers pass the M or the C check, that kind's recovery
+  returns them bit for bit: the three recoveries give one answer;
 - the S/M/C feasibility, the a1/a2 qualification verdicts and the relaxed
   recovery and CQ1 verdicts do not change when the follower constraints
   are scaled by positive factors or permuted.
@@ -39,11 +42,12 @@ WEAKER = {"S": ("S", "M", "C"), "M": ("M", "C"), "C": ("C",)}
 
 @st.composite
 def families(draw):
-    """(B, c, d, Jgy, Jgx) of a biactive family; duplicates only for k <= 2."""
+    """(B, c, d, Jgy, Jgx) of a biactive family; duplicates only for k <= 2, C-only data only for k >= 1."""
     k = draw(st.integers(0, 3))
     duplicate = k in (1, 2) and draw(st.booleans())
+    c_only = k >= 1 and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    B, c, d, Jgy, Jgx = biactive_family_data(k, rng, duplicate)
+    B, c, d, Jgy, Jgx = biactive_family_data(k, rng, duplicate, c_only=c_only)
     if draw(st.booleans()):  # free leader data: S (and often M, C) may fail
         c, d = rng.normal(size=c.shape), rng.normal(size=d.shape)
     return B, c, d, Jgy, Jgx
@@ -82,6 +86,20 @@ def test_s_implies_m_implies_c(data):
             assert rep.verdict, (kind, weaker, rep.rows)
     assert not feasible["S"] or feasible["M"]
     assert not feasible["M"] or feasible["C"]
+
+
+@PROPERTY_SETTINGS
+@given(families())
+def test_m_and_c_return_the_s_multipliers_wherever_those_pass_their_checks(data):
+    problem = make_linear_follower(*data)
+    pt = _zero_point(problem)
+    s = recover_c_multipliers(problem, pt, kind="S")
+    for kind in ("M", "C"):
+        if s is None or not check_stationarity(problem, pt, s, kind=kind, graph_check=False).verdict:
+            continue
+        got = recover_c_multipliers(problem, pt, kind=kind)
+        for name in ("alpha", "beta", "gamma"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(s, name), err_msg=f"{kind}.{name}")
 
 
 @PROPERTY_SETTINGS

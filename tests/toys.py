@@ -271,21 +271,31 @@ def make_linear_follower(B, c, d, Jgy, Jgx, H=None, name: str = "linear_follower
     )
 
 
-def biactive_family_data(k: int, rng, duplicate: bool = False, n: int = 1):
+def biactive_family_data(k: int, rng, duplicate: bool = False, n: int = 1, c_only: bool = False):
     """(B, c, d, Jgy, Jgx) of a follower with k biactive constraints at x = 0.
 
     The constraints are -y_i <= 0 (i < k) with y in R^max(k, 1), so y = 0,
     u = 0 is exactly complementary with every constraint biactive.  c and d
     are drawn so that S-multipliers exist (gamma = beta* + c <= 0 and
-    d_i = -beta*_i <= 0 for a beta* >= 0).  ``duplicate`` appends two copies
-    of the last constraint row, the second with a leader term, which break
-    both multiplier-set qualification conditions.
+    d_i = -beta*_i <= 0 for a beta* >= 0).  ``c_only`` negates c and d, so
+    c > 0 and beta* lies in (-c, 0): gamma = beta* + c > 0 and d_i > 0 on
+    every biactive index.  Then, for k >= 1, S recovers nothing, and only
+    the last of C's 2^k patterns, gamma_i >= 0 and d_i >= 0 everywhere, is
+    feasible; M, whose branches pin each beta_i, recovers nothing either
+    (for almost every draw: the leader rows add equations).
+    ``duplicate`` appends two copies of the last constraint row, the second
+    with a leader term, which break both multiplier-set qualification
+    conditions; the copies share d_{k-1}, so with ``c_only`` an earlier C
+    pattern, and an M pattern, can be feasible at beta_{k-1} = 0.  The
+    draws are the same whatever ``c_only``.
     """
     m = max(k, 1)
     q = k + (2 if duplicate else 0)
     B = rng.normal(size=(m, n))
     beta = np.abs(rng.normal(size=m))
     c = -beta - np.abs(rng.normal(size=m))
+    if c_only:
+        beta, c = -beta, -c
     d = B.T @ beta
     e = rng.normal(size=n)
     Jgy = np.zeros((q, m))
@@ -298,6 +308,6 @@ def biactive_family_data(k: int, rng, duplicate: bool = False, n: int = 1):
     return B, c, d, Jgy, Jgx
 
 
-def make_biactive_family(k: int, rng, duplicate: bool = False) -> BilevelProblem:
-    name = f"biactive{k}{'_dup' if duplicate else ''}"
-    return make_linear_follower(*biactive_family_data(k, rng, duplicate), name=name)
+def make_biactive_family(k: int, rng, duplicate: bool = False, c_only: bool = False) -> BilevelProblem:
+    name = f"biactive{k}{'_c' if c_only else ''}{'_dup' if duplicate else ''}"
+    return make_linear_follower(*biactive_family_data(k, rng, duplicate, c_only=c_only), name=name)
